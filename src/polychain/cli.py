@@ -14,6 +14,7 @@ mismatch, 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -487,14 +488,32 @@ _DISPATCH = {
 }
 
 
+@contextlib.contextmanager
+def _unlimited_int_digits():
+    """Lift the int-to-str digit limit, which exact counts such as
+    2**14285 exceed, then restore it."""
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:  # Pythons before 3.10.7 have no limit
+        yield
+        return
+    previous = sys.get_int_max_str_digits()
+    set_limit(0)
+    try:
+        yield
+    finally:
+        set_limit(previous)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         f = _resolve_index(args)
-        if args.command in ("max", "min"):
-            text, code = _cmd_extremal(args, f, args.command)
-        else:
-            text, code = _DISPATCH[args.command](args, f)
+        # parsing above keeps the default digit guard; only rendering lifts it
+        with _unlimited_int_digits():
+            if args.command in ("max", "min"):
+                text, code = _cmd_extremal(args, f, args.command)
+            else:
+                text, code = _DISPATCH[args.command](args, f)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

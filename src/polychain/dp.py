@@ -62,6 +62,7 @@ MAX = "max"
 MIN = "min"
 
 _PRED_SETS = (frozenset(), frozenset((1,)), frozenset((2,)), frozenset((1, 2)))
+_PRED_LINKS = ((), (1,), (2,), (1, 2))
 
 
 @dataclass(frozen=True)
@@ -87,31 +88,31 @@ class DPState:
 class DPTable:
     """Forward-pass results for square counts 3..n under one index.
 
-    Iterating yields one `DPState` per square count.  `witness` and
-    `chains` read the predecessor structure backwards; they require the
-    table to have been built with ``keep_table=True`` (the default).
-    A streaming build keeps only the final state in O(1) memory.
+    Each row holds, for one square count, the two optimum values and the
+    two predecessor codes (1 or 2, 3 for a tie, 0 at k = 3): the DAG that
+    `witness` and `chains` walk backwards.  Tie counts are carried for
+    row n only; interior ones are derived from the codes on first use
+    and cached.  A streaming build (``keep_table=False``) is the same
+    table holding only the row for n.  Iterating yields one `DPState`
+    per stored row.
     """
 
-    def __init__(self, f, n, den, kept, final, vals1, vals2, preds1, preds2, ties1, ties2):
+    def __init__(self, f, n, den, values, preds, final_ties):
         self.f = f
         self.n = n
         self.mode = f.mode
         self.eps = f.eps
         self._den = den
-        self.kept = kept
-        self._final = final
-        self._vals1 = vals1
-        self._vals2 = vals2
-        self._preds1 = preds1
-        self._preds2 = preds2
-        self._ties1 = ties1
-        self._ties2 = ties2
+        self._first = n + 1 - len(preds[0])  # square count of the first stored row
+        self._values = values
+        self._preds = preds
+        self._final_ties = final_ties
+        self._ties = None
 
-    def _check_k(self, k: int, need_table: bool = True) -> None:
+    def _check_k(self, k: int) -> None:
         if not 3 <= k <= self.n:
             raise ValueError(f"square count {k} outside table range 3..{self.n}")
-        if need_table and not self.kept and k < self.n:
+        if k < self._first:
             raise ValueError("streaming table keeps only the final state (keep_table=False)")
 
     @staticmethod
@@ -119,31 +120,27 @@ class DPTable:
         if i not in (1, 2):
             raise ValueError(f"end link must be 1 or 2, got {i!r}")
 
-    def _raw(self, k: int, i: int):
-        if not self.kept:
-            return self._final[0] if i == 1 else self._final[1]
-        return (self._vals1 if i == 1 else self._vals2)[k - 3]
-
     def value(self, k: int, i: int) -> Value:
         """Optimum over k-square chains ending with link i."""
         self._check_k(k)
         self._check_end(i)
-        raw = self._raw(k, i)
+        raw = self._values[i - 1][k - self._first]
         return Fraction(raw, self._den) if self._den is not None else raw
 
     def tie_count(self, k: int, i: int) -> int:
+        """Optimal k-square chains ending with link i, minus one."""
         self._check_k(k)
         self._check_end(i)
-        if not self.kept:
-            return self._final[2] if i == 1 else self._final[3]
-        return (self._ties1 if i == 1 else self._ties2)[k - 3]
+        if k == self.n:
+            return self._final_ties[i - 1]
+        if self._ties is None:
+            self._ties = _derive_ties(*self._preds)
+        return self._ties[i - 1][k - 3]
 
     def predecessors(self, k: int, i: int) -> frozenset[int]:
         self._check_k(k)
         self._check_end(i)
-        if not self.kept:
-            return _PRED_SETS[self._final[4] if i == 1 else self._final[5]]
-        return _PRED_SETS[(self._preds1 if i == 1 else self._preds2)[k - 3]]
+        return _PRED_SETS[self._preds[i - 1][k - self._first]]
 
     def state(self, k: int) -> DPState:
         self._check_k(k)
@@ -155,11 +152,10 @@ class DPTable:
         )
 
     def __len__(self) -> int:
-        return self.n - 2 if self.kept else 1
+        return self.n - self._first + 1
 
     def __iter__(self) -> Iterator[DPState]:
-        first = 3 if self.kept else self.n
-        return (self.state(k) for k in range(first, self.n + 1))
+        return (self.state(k) for k in range(self._first, self.n + 1))
 
     def winning_ends(self, k: int | None = None) -> tuple[int, ...]:
         """Ending links attaining the overall optimum at k squares."""
@@ -184,13 +180,13 @@ class DPTable:
         """One optimal chain, built backwards preferring link 1 on ties."""
         k = self.n if k is None else k
         self._check_k(k)
-        if not self.kept and k > 3:
+        if self._first > 3:
             raise ValueError("streaming table cannot reconstruct witnesses (keep_table=False)")
         if end is None:
             end = self.winning_ends(k)[0]
         else:
             self._check_end(end)
-        preds1, preds2 = self._preds1, self._preds2
+        preds1, preds2 = self._preds
         out = [end]
         cur = end
         for j in range(k, 3, -1):
@@ -217,7 +213,7 @@ class DPTable:
         """
         k = self.n if k is None else k
         self._check_k(k)
-        if not self.kept and k > 3:
+        if self._first > 3:
             raise ValueError("streaming table cannot enumerate chains (keep_table=False)")
         if end is not None:
             self._check_end(end)
@@ -240,9 +236,10 @@ class DPTable:
         if k == 3:
             yield (end,)
             return
+        codes = (None,) + self._preds  # indexed by link
         buf = [0] * (k - 2)
         buf[-1] = end
-        stack = [iter(sorted(self.predecessors(k, end)))]
+        stack = [iter(_PRED_LINKS[codes[end][k - 3]])]
         while stack:
             nxt = next(stack[-1], None)
             if nxt is None:
@@ -253,7 +250,21 @@ class DPTable:
             if pos == 3:
                 yield tuple(buf)
             else:
-                stack.append(iter(sorted(self.predecessors(pos, nxt))))
+                stack.append(iter(_PRED_LINKS[codes[nxt][pos - 3]]))
+
+
+def _derive_ties(preds1: bytearray, preds2: bytearray) -> tuple[list[int], list[int]]:
+    """Tie counts of every row of a full table, from its predecessor codes."""
+    t1 = t2 = 0
+    ties1, ties2 = [0], [0]
+    for c1, c2 in zip(preds1[1:], preds2[1:]):
+        t1, t2 = (
+            t1 if c1 == 1 else t2 if c1 == 2 else 1 + t1 + t2,
+            t1 if c2 == 1 else t2 if c2 == 2 else 1 + t1 + t2,
+        )
+        ties1.append(t1)
+        ties2.append(t2)
+    return ties1, ties2
 
 
 def _build_rational(f: IndexFunction, gt: IncrementTable, n: int, keep: bool) -> DPTable:
@@ -263,83 +274,48 @@ def _build_rational(f: IndexFunction, gt: IncrementTable, n: int, keep: bool) ->
     m2 = int(gt.initial(2) * den)
     t1 = t2 = 0
     p1 = p2 = 0
+    vals1, vals2 = [m1], [m2]
+    preds1, preds2 = bytearray(1), bytearray(1)
+    av1, av2 = vals1.append, vals2.append
+    ap1, ap2 = preds1.append, preds2.append
     # decide each step by the running difference against two constants
     C1 = G21 - G11
     C2 = G22 - G12
-    vals1 = vals2 = preds1 = preds2 = ties1 = ties2 = None
-    if keep:
-        vals1 = [m1]
-        vals2 = [m2]
-        preds1 = bytearray((0,))
-        preds2 = bytearray((0,))
-        ties1 = [0]
-        ties2 = [0]
-        av1, av2 = vals1.append, vals2.append
-        ap1, ap2 = preds1.append, preds2.append
-        at1, at2 = ties1.append, ties2.append
-        for _ in range(n - 3):
-            d = m1 - m2
-            if d > C1:
-                w1 = m1 + G11
-                p1 = 1
-                nt1 = t1
-            elif d < C1:
-                w1 = m2 + G21
-                p1 = 2
-                nt1 = t2
-            else:
-                w1 = m1 + G11
-                p1 = 3
-                nt1 = 1 + t1 + t2
-            if d > C2:
-                w2 = m1 + G12
-                p2 = 1
-                nt2 = t1
-            elif d < C2:
-                w2 = m2 + G22
-                p2 = 2
-                nt2 = t2
-            else:
-                w2 = m1 + G12
-                p2 = 3
-                nt2 = 1 + t1 + t2
-            m1, m2, t1, t2 = w1, w2, nt1, nt2
+    for _ in range(n - 3):
+        d = m1 - m2
+        if d > C1:
+            w1 = m1 + G11
+            p1 = 1
+            nt1 = t1
+        elif d < C1:
+            w1 = m2 + G21
+            p1 = 2
+            nt1 = t2
+        else:
+            w1 = m1 + G11
+            p1 = 3
+            nt1 = 1 + t1 + t2
+        if d > C2:
+            w2 = m1 + G12
+            p2 = 1
+            nt2 = t1
+        elif d < C2:
+            w2 = m2 + G22
+            p2 = 2
+            nt2 = t2
+        else:
+            w2 = m1 + G12
+            p2 = 3
+            nt2 = 1 + t1 + t2
+        m1, m2, t1, t2 = w1, w2, nt1, nt2
+        if keep:
             av1(m1)
             av2(m2)
             ap1(p1)
             ap2(p2)
-            at1(t1)
-            at2(t2)
-    else:
-        for _ in range(n - 3):
-            d = m1 - m2
-            if d > C1:
-                w1 = m1 + G11
-                p1 = 1
-                nt1 = t1
-            elif d < C1:
-                w1 = m2 + G21
-                p1 = 2
-                nt1 = t2
-            else:
-                w1 = m1 + G11
-                p1 = 3
-                nt1 = 1 + t1 + t2
-            if d > C2:
-                w2 = m1 + G12
-                p2 = 1
-                nt2 = t1
-            elif d < C2:
-                w2 = m2 + G22
-                p2 = 2
-                nt2 = t2
-            else:
-                w2 = m1 + G12
-                p2 = 3
-                nt2 = 1 + t1 + t2
-            m1, m2, t1, t2 = w1, w2, nt1, nt2
-    final = (m1, m2, t1, t2, p1, p2)
-    return DPTable(f, n, den, keep, final, vals1, vals2, preds1, preds2, ties1, ties2)
+    if not keep:
+        vals1, vals2, preds1, preds2 = [m1], [m2], bytearray((p1,)), bytearray((p2,))
+    return DPTable(f, n, den, (vals1, vals2), (preds1, preds2), (t1, t2))
 
 
 def _build_float(f: IndexFunction, gt: IncrementTable, n: int, keep: bool) -> DPTable:
@@ -349,11 +325,8 @@ def _build_float(f: IndexFunction, gt: IncrementTable, n: int, keep: bool) -> DP
     m2 = gt.initial(2)
     t1 = t2 = 0
     p1 = p2 = 0
-    vals1 = vals2 = preds1 = preds2 = ties1 = ties2 = None
-    if keep:
-        vals1, vals2 = [m1], [m2]
-        preds1, preds2 = bytearray((0,)), bytearray((0,))
-        ties1, ties2 = [0], [0]
+    vals1, vals2 = [m1], [m2]
+    preds1, preds2 = bytearray(1), bytearray(1)
     for _ in range(n - 3):
         a = m1 + G11
         b = m2 + G21
@@ -377,15 +350,15 @@ def _build_float(f: IndexFunction, gt: IncrementTable, n: int, keep: bool) -> DP
             vals2.append(m2)
             preds1.append(p1)
             preds2.append(p2)
-            ties1.append(t1)
-            ties2.append(t2)
-    final = (m1, m2, t1, t2, p1, p2)
-    return DPTable(f, n, None, keep, final, vals1, vals2, preds1, preds2, ties1, ties2)
+    if not keep:
+        vals1, vals2, preds1, preds2 = [m1], [m2], bytearray((p1,)), bytearray((p2,))
+    return DPTable(f, n, None, (vals1, vals2), (preds1, preds2), (t1, t2))
 
 
 def run_dp(f: IndexFunction, n: int, *, keep_table: bool = True) -> DPTable:
-    """Forward pass to n squares; linear time, linear memory (O(1) when
-    ``keep_table=False``, which disables witnesses and enumeration)."""
+    """Forward pass to n squares: linear time, O(n) words of memory even
+    for tie-heavy indices (O(1) when ``keep_table=False``, which keeps
+    only the row for n and so disables witnesses and enumeration)."""
     if n < 3:
         raise ValueError(f"dynamic program needs n >= 3, got {n}")
     gt = increment_table(f)
@@ -429,7 +402,7 @@ def maximize(
     table = run_dp(f, n)
     ends = (end,) if end is not None else table.winning_ends()
     value = table.value(n, ends[0])
-    labeled = sum(table.tie_count(n, e) + 1 for e in ends)
+    labeled = table.labeled_count(n, end)
     witness = table.witness(end=ends[0])
     iso = None
     if count_iso:
@@ -483,8 +456,7 @@ def count_maximal(f: IndexFunction, n: int, end: int) -> int:
     """Number of distinct maximal chains ending with the given link."""
     if end not in (1, 2):
         raise ValueError(f"end link must be 1 or 2, got {end!r}")
-    table = run_dp(f, n, keep_table=False)
-    return table.tie_count(n, end) + 1
+    return run_dp(f, n, keep_table=False).labeled_count(n, end)
 
 
 CASE_LINEAR_ALWAYS = "linear-always"

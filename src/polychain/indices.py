@@ -245,6 +245,8 @@ def force_float(f: IndexFunction, eps: float = DEFAULT_EPS) -> IndexFunction:
 def _integer_root(x: int, q: int) -> int | None:
     if x < 0:
         return None
+    if q > x.bit_length():  # c**q > x for every c >= 2
+        return x if x <= 1 else None
     r = round(x ** (1.0 / q)) if x > 0 else 0
     for c in (r - 1, r, r + 1):
         if c >= 0 and c**q == x:
@@ -276,7 +278,8 @@ def preset(name: str, gamma: Fraction | int | str | None = None, eps: float = DE
     zagreb2 (xy), harmonic (2/(x+y)).  Float presets (relative tolerance
     `eps`): abc sqrt((x+y-2)/(xy)), ga 2*sqrt(xy)/(x+y), sum_connectivity
     (x+y)**-0.5.  randic((xy)**gamma, default gamma -1/2) is rational
-    exactly when gamma makes all six entries rational, float otherwise.
+    exactly when gamma makes all six entries rational, float otherwise;
+    exponents with |gamma| > 64 are refused with ValueError.
     """
     if name != "randic" and gamma is not None:
         raise ValueError(f"gamma only applies to the randic preset, not {name!r}")
@@ -294,6 +297,8 @@ def preset(name: str, gamma: Fraction | int | str | None = None, eps: float = DE
         if gamma is None:
             gamma = Fraction(-1, 2)
         g = Fraction(gamma)
+        if abs(g) > 64:  # keeps exact entries ((xy)**g, xy <= 16) within 257 bits, floats finite
+            raise ValueError(f"randic exponent {g} outside [-64, 64]")
         label = f"randic({g})"
         exact = {(a, b): _exact_pow(Fraction(a * b), g) for a, b in DEGREE_PAIRS}
         if all(v is not None for v in exact.values()):

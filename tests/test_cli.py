@@ -1,6 +1,7 @@
 """Command-line frontend: formats, exit codes, schemas."""
 
 import json
+import sys
 
 import jsonschema
 import pytest
@@ -100,6 +101,27 @@ class TestExtremalCommands:
         assert code == 0
         assert "10790359/54000" in out
         assert "witness: 1,2,2,1" in out
+
+
+    def test_exact_count_beyond_digit_limit(self, capsys, tmp_path):
+        # every chain ties under a constant index: 2**14285 has 4301 digits
+        values = {p: "5/3" for p in ("2,2", "2,3", "2,4", "3,3", "3,4", "4,4")}
+        path = tmp_path / "const.json"
+        path.write_text(json.dumps({"name": "const", "mode": "rational", "values": values}))
+        set_limit = getattr(sys, "set_int_max_str_digits", None)
+        before = sys.get_int_max_str_digits() if set_limit else None
+        code, out, err = run_cli(capsys, "max", "--index-file", str(path), "--n", "14287")
+        assert code == 0, err
+        if set_limit is None:
+            doc = json.loads(out)
+        else:
+            assert sys.get_int_max_str_digits() == before
+            set_limit(0)
+            try:
+                doc = json.loads(out)
+            finally:
+                set_limit(before)
+        assert doc["labeled_count"] == 2**14285
 
 
 class TestClassify:
@@ -227,6 +249,13 @@ class TestIndexResolution:
         code, _, err = run_cli(capsys, "value", "--index", "wiener", "--links", "1")
         assert code == 2
         assert "unknown index preset" in err
+
+    def test_randic_exponent_overflow_exits_2(self, capsys):
+        # 6.0 ** 1024.5 overflows a float: refused before any table is built
+        code, _, err = run_cli(capsys, "max", "--index", "randic:2049/2", "--n", "6")
+        assert code == 2
+        assert err.startswith("error: randic exponent 2049/2 outside")
+        assert err.count("\n") == 1
 
     def test_randic_gamma_parse_error(self, capsys):
         code, _, err = run_cli(capsys, "value", "--index", "randic:one", "--links", "1")

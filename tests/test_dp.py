@@ -1,6 +1,7 @@
 """Dynamic program: values, ties, witnesses, enumeration, classifier."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -41,6 +42,17 @@ ALL_PRESETS = [
     preset("abc"),
     preset("ga"),
 ]
+
+
+def constant_index():
+    # every chain scores (3n+1)*c, so every chain ties
+    return IndexFunction("const", {p: Fraction(5, 3) for p in DEGREE_PAIRS})
+
+
+def small_range_index():
+    # entries in {0, 1, 2}: half the predecessor codes are ties, at varied counts
+    values = (0, 0, 1, 1, 2, 1)
+    return IndexFunction("small-range", {p: Fraction(v) for p, v in zip(DEGREE_PAIRS, values)})
 
 
 def brute_force_max(f, n):
@@ -130,14 +142,18 @@ class TestRunDP:
             slim.witness()
 
     def test_prefix_states_independent_of_horizon(self):
-        # the table built to 14 answers every query the table built to 9 does
-        long, short = run_dp(AZI, 14), run_dp(AZI, 9)
-        for k in range(3, 10):
-            for i in (1, 2):
-                assert long.value(k, i) == short.value(k, i)
-                assert long.predecessors(k, i) == short.predecessors(k, i)
-                assert long.tie_count(k, i) == short.tie_count(k, i)
-        assert list(long.chains(9)) == list(short.chains(9))
+        # the table built to 14 answers every query the table built to 9 does;
+        # its interior tie counts are derived, the short run's final ones are
+        # carried by the forward pass
+        for f in (AZI, constant_index(), small_range_index()):
+            long, short = run_dp(f, 14), run_dp(f, 9)
+            for k in range(3, 10):
+                for i in (1, 2):
+                    assert long.value(k, i) == short.value(k, i)
+                    assert long.predecessors(k, i) == short.predecessors(k, i)
+                    carried = run_dp(f, k, keep_table=False).tie_count(k, i)
+                    assert long.tie_count(k, i) == short.tie_count(k, i) == carried
+            assert list(long.chains(9)) == list(short.chains(9))
 
 
 class TestMaximize:
@@ -285,13 +301,27 @@ class TestCountMaximal:
 
 class TestDegenerateAndRandomTables:
     def test_constant_index_ties_everywhere(self):
-        # every chain scores (3n+1)*c, so the argmax set is all of them
-        const = IndexFunction("const", {p: Fraction(5, 3) for p in DEGREE_PAIRS})
+        const = constant_index()
         for n in range(3, 11):
             ok, detail = cross_check_oracle(const, n)
             assert ok, (n, detail)
             assert maximize(const, n).labeled_count == 2 ** (n - 2)
         assert count_maximal(const, 10, 1) == 2**7
+
+    def test_tie_heavy_memory_is_linear(self):
+        # 2**(k-2) maximizers at every k: per-row tie counts would hold
+        # Theta(n**2) bits, about 3.8x per doubling of n
+        const = constant_index()
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                maximize(const, n)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(2 * 10**4) / peak(10**4) < 2.5
 
     def test_random_tables_cross_check(self):
         rng = random.Random(42)

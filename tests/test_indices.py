@@ -102,6 +102,19 @@ class TestRandicGamma:
         assert r.mode == FLOAT
         assert r.value(2, 2) == pytest.approx(2.0)
 
+    def test_tiny_exponent_builds_no_huge_power(self):
+        # a root test of c**q with q = 10**9 would build a 2**(10**9) integer
+        r = preset("randic", gamma=Fraction(1, 10**9))
+        assert r.mode == FLOAT
+        assert r.value(4, 4) == pytest.approx(1.0)
+
+    def test_exponent_bound(self):
+        assert preset("randic", gamma=64).value(4, 4) == 2**256
+        assert preset("randic", gamma=-64).is_rational
+        for gamma in (65, -65, Fraction(2049, 2)):
+            with pytest.raises(ValueError, match="randic exponent"):
+                preset("randic", gamma=gamma)
+
 
 class TestIncrementTable:
     def test_azi_increments(self):
