@@ -38,6 +38,8 @@ __all__ = [
     "verify_azi_minimum",
 ]
 
+ORACLE_N_MAX = 16  # default reach of the exhaustive sweeps in the verify functions
+
 
 @cache
 def _azi() -> IndexFunction:
@@ -167,7 +169,7 @@ def verify_azi_maximum(
     if n_max < 5:
         raise ValueError(f"closed form stated for n >= 5, got n_max={n_max}")
     structure_n_max = min(n_max, 200) if structure_n_max is None else min(structure_n_max, n_max)
-    oracle_n_max = min(n_max, 16) if oracle_n_max is None else min(oracle_n_max, n_max)
+    oracle_n_max = min(n_max, ORACLE_N_MAX) if oracle_n_max is None else min(oracle_n_max, n_max)
     name = "azi-maximum"
     f = _azi()
     table: DPTable = run_dp(f, n_max)
@@ -243,7 +245,7 @@ def verify_azi_minimum(n_max: int, oracle_n_max: int | None = None) -> Verificat
     """
     if n_max < 3:
         raise ValueError(f"chains need n >= 3 squares here, got n_max={n_max}")
-    oracle_n_max = min(n_max, 16) if oracle_n_max is None else min(oracle_n_max, n_max)
+    oracle_n_max = min(n_max, ORACLE_N_MAX) if oracle_n_max is None else min(oracle_n_max, n_max)
     name = "azi-minimum"
     f = _azi()
     neg = negate(f)

@@ -21,9 +21,9 @@ import json
 import sys
 from fractions import Fraction
 
-from .azi import azi_extremal_report, verify_azi_maximum, verify_azi_minimum
+from .azi import ORACLE_N_MAX, azi_extremal_report, verify_azi_maximum, verify_azi_minimum
 from .chains import LinkVector, realize
-from .dp import classify, maximize, minimize, run_dp
+from .dp import _extremal, classify, run_dp
 from .indices import (
     FLOAT,
     RATIONAL,
@@ -265,12 +265,12 @@ def _cmd_value(args, f: IndexFunction) -> tuple[str, int]:
 def _cmd_extremal(args, f: IndexFunction, objective: str) -> tuple[str, int]:
     if args.n < 3:
         raise ValueError(f"extremal search needs --n >= 3, got {args.n}")
-    search = maximize if objective == "max" else minimize
-    result = search(f, args.n, args.end, count_iso=args.iso)
+    if args.limit is not None and args.limit < 0:
+        raise ValueError(f"--limit must be >= 0, got {args.limit}")
+    table = run_dp(f if objective == "max" else negate(f), args.n)
+    result = _extremal(f, table, objective, args.end, args.iso)
     chains = None
     if args.enumerate:
-        target = f if objective == "max" else negate(f)
-        table = run_dp(target, args.n)
         chains = [
             list(c) for c in table.chains(end=args.end, dedup=args.dedup, limit=args.limit)
         ]
@@ -408,9 +408,10 @@ def _cmd_verify(args, f: IndexFunction) -> tuple[str, int]:
     azi_max_report = None
     azi_min_report = None
     if _is_azi(f):
+        azi_oracle_hi = min(args.cap, ORACLE_N_MAX)
         if args.n_max >= 5:
-            azi_max_report = verify_azi_maximum(args.n_max).to_json()
-        azi_min_report = verify_azi_minimum(args.n_max).to_json()
+            azi_max_report = verify_azi_maximum(args.n_max, oracle_n_max=azi_oracle_hi).to_json()
+        azi_min_report = verify_azi_minimum(args.n_max, oracle_n_max=azi_oracle_hi).to_json()
     ok = not mismatches
     for rep in (azi_max_report, azi_min_report):
         if rep is not None and rep["status"] != "success":

@@ -390,6 +390,34 @@ class ExtremalResult:
     tolerance_dependent: bool
 
 
+def _extremal(
+    f: IndexFunction, table: DPTable, objective: str, end: int | None, count_iso: bool
+) -> ExtremalResult:
+    """Read one extremal result for index f at `table.n` squares.
+
+    `table` is a table of f for MAX or of `negate(f)` for MIN; the
+    signs of the values are flipped here, and nowhere else.
+    """
+    n = table.n
+    sign = 1 if objective == MAX else -1
+    ends = (end,) if end is not None else table.winning_ends()
+    iso = None
+    if count_iso:
+        iso = sum(1 for _ in table.chains(end=end, dedup=True))
+    return ExtremalResult(
+        objective=objective,
+        n=n,
+        value=sign * table.value(n, ends[0]),
+        per_end={e: sign * table.value(n, e) for e in (1, 2)},
+        witness=table.witness(end=ends[0]),
+        labeled_count=table.labeled_count(n, end),
+        iso_count=iso,
+        index_name=f.name,
+        mode=f.mode,
+        tolerance_dependent=f.mode == FLOAT,
+    )
+
+
 def maximize(
     f: IndexFunction, n: int, end: int | None = None, *, count_iso: bool = False
 ) -> ExtremalResult:
@@ -399,45 +427,14 @@ def maximize(
     that type.  Witness ties are broken toward link 1 at every level
     (and toward ending link 1), making the result deterministic.
     """
-    table = run_dp(f, n)
-    ends = (end,) if end is not None else table.winning_ends()
-    value = table.value(n, ends[0])
-    labeled = table.labeled_count(n, end)
-    witness = table.witness(end=ends[0])
-    iso = None
-    if count_iso:
-        iso = sum(1 for _ in table.chains(end=end, dedup=True))
-    return ExtremalResult(
-        objective=MAX,
-        n=n,
-        value=value,
-        per_end={1: table.value(n, 1), 2: table.value(n, 2)},
-        witness=witness,
-        labeled_count=labeled,
-        iso_count=iso,
-        index_name=f.name,
-        mode=f.mode,
-        tolerance_dependent=f.mode == FLOAT,
-    )
+    return _extremal(f, run_dp(f, n), MAX, end, count_iso)
 
 
 def minimize(
     f: IndexFunction, n: int, end: int | None = None, *, count_iso: bool = False
 ) -> ExtremalResult:
     """Minimum index value over n-square chains: maximize the negation."""
-    res = maximize(negate(f), n, end, count_iso=count_iso)
-    return ExtremalResult(
-        objective=MIN,
-        n=n,
-        value=-res.value,
-        per_end={e: -v for e, v in res.per_end.items()},
-        witness=res.witness,
-        labeled_count=res.labeled_count,
-        iso_count=res.iso_count,
-        index_name=f.name,
-        mode=f.mode,
-        tolerance_dependent=res.tolerance_dependent,
-    )
+    return _extremal(f, run_dp(negate(f), n), MIN, end, count_iso)
 
 
 def enumerate_maximal(

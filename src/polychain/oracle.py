@@ -147,8 +147,12 @@ def cross_check(f: IndexFunction, n: int, cap: int = DEFAULT_CAP) -> tuple[bool,
     """Compare the dynamic program against the exhaustive sweep.
 
     Checks global max/min values, per-end values, argmax sets, labeled
-    counts and witness soundness.  Returns (ok, mismatches); mismatches
-    are descriptions, not exceptions.
+    counts and witness soundness.  Values, witness and labeled count
+    come from `dp.maximize` and `dp.minimize`; the argmax, per-end
+    argmax and argmin sets from `DPTable.chains` on one kept `dp.run_dp`
+    table of f and one of `negate(f)`; the per-end counts from one
+    streaming run of f.  Returns (ok, mismatches); mismatches are
+    descriptions, not exceptions.
     """
     from . import dp  # local import keeps the sweep itself engine-free
 
@@ -162,6 +166,9 @@ def cross_check(f: IndexFunction, n: int, cap: int = DEFAULT_CAP) -> tuple[bool,
 
     res_max = dp.maximize(f, n)
     res_min = dp.minimize(f, n)
+    max_table = dp.run_dp(f, n)
+    min_table = dp.run_dp(negate(f), n)
+    streamed = dp.run_dp(f, n, keep_table=False)
     check("max value", values_equal(res_max.value, report.max_value, eps),
           report.max_value, res_max.value)
     check("min value", values_equal(res_min.value, report.min_value, eps),
@@ -173,29 +180,21 @@ def cross_check(f: IndexFunction, n: int, cap: int = DEFAULT_CAP) -> tuple[bool,
         evaluate_direct(res_max.witness, f),
     )
     argmax = {c.links for c in report.argmax}
-    enumerated = {c.links for c in dp.enumerate_maximal(f, n)}
+    enumerated = {c.links for c in max_table.chains()}
     check("argmax set", enumerated == argmax, sorted(argmax), sorted(enumerated))
     check("labeled count", len(argmax) == res_max.labeled_count,
           len(argmax), res_max.labeled_count)
     argmin = {c.links for c in report.argmin}
-    enumerated_min = {c.links for c in dp.enumerate_maximal(negate(f), n)}
+    enumerated_min = {c.links for c in min_table.chains()}
     check("argmin set", enumerated_min == argmin, sorted(argmin), sorted(enumerated_min))
     for end in (1, 2):
-        res_end = dp.maximize(f, n, end)
-        check(
-            f"end-{end} max value",
-            values_equal(res_end.value, report.per_end_max[end], eps),
-            report.per_end_max[end],
-            res_end.value,
-        )
+        value = res_max.per_end[end]
+        check(f"end-{end} max value", values_equal(value, report.per_end_max[end], eps),
+              report.per_end_max[end], value)
         oracle_set = {c.links for c in report.per_end_argmax[end]}
-        engine_set = {c.links for c in dp.enumerate_maximal(f, n, end)}
+        engine_set = {c.links for c in max_table.chains(end=end)}
         check(f"end-{end} argmax set", engine_set == oracle_set,
               sorted(oracle_set), sorted(engine_set))
-        check(
-            f"end-{end} maximal count",
-            dp.count_maximal(f, n, end) == len(oracle_set),
-            len(oracle_set),
-            dp.count_maximal(f, n, end),
-        )
+        count = streamed.labeled_count(n, end)
+        check(f"end-{end} maximal count", count == len(oracle_set), len(oracle_set), count)
     return (not mismatches, mismatches)

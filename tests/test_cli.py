@@ -6,7 +6,9 @@ import sys
 import jsonschema
 import pytest
 
+import polychain.cli as cli_mod
 import polychain.dp as dp_mod
+import polychain.oracle as oracle_mod
 from polychain.cli import OUTPUT_SCHEMAS, main
 from polychain.indices import IncrementTable, increment_table, preset
 
@@ -89,6 +91,34 @@ class TestExtremalCommands:
         doc = run_json(capsys, "max", "--index", "azi", "--n", "12", "--iso")
         assert doc["labeled_count"] == 4
         assert doc["iso_count"] == 2
+
+    def test_negative_limit_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "max", "--index", "azi", "--n", "12",
+                                 "--enumerate", "--limit", "-1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: --limit must be >= 0, got -1\n"
+        doc = run_json(capsys, "max", "--index", "azi", "--n", "12",
+                       "--enumerate", "--limit", "0")
+        assert doc["chains"] == []
+
+    @pytest.mark.parametrize("argv", [
+        ("max", "--index", "azi", "--n", "12", "--enumerate"),
+        ("min", "--index", "azi", "--n", "12", "--enumerate", "--iso"),
+    ])
+    def test_one_forward_pass(self, capsys, monkeypatch, argv):
+        real_run_dp = dp_mod.run_dp
+        calls = []
+
+        def counting(f, n, **kwargs):
+            calls.append((f.name, n, kwargs))
+            return real_run_dp(f, n, **kwargs)
+
+        for mod in (dp_mod, cli_mod):
+            monkeypatch.setattr(mod, "run_dp", counting)
+        doc = run_json(capsys, *argv)
+        assert doc["chains"]
+        assert len(calls) == 1, calls
 
     def test_n_too_small_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "max", "--index", "azi", "--n", "2")
@@ -194,6 +224,21 @@ class TestVerify:
         assert doc["oracle"]["checked"] == list(range(3, 11))
         assert doc["azi_maximum"]["status"] == "success"
         assert doc["azi_minimum"]["status"] == "success"
+
+    def test_cap_bounds_azi_sweeps(self, capsys, monkeypatch):
+        real_exhaustive = oracle_mod.exhaustive
+        swept = []
+
+        def recording(f, n, *args, **kwargs):
+            swept.append(n)
+            return real_exhaustive(f, n, *args, **kwargs)
+
+        monkeypatch.setattr(oracle_mod, "exhaustive", recording)
+        code, out, err = run_cli(capsys, "verify", "--index", "azi", "--n-max", "12",
+                                 "--cap", "10")
+        assert code == 0, err
+        assert json.loads(out)["azi_maximum"]["status"] == "success"
+        assert swept and max(swept) <= 10, swept
 
     def test_non_azi_skips_azi_reports(self, capsys):
         doc_code, out, _ = run_cli(capsys, "verify", "--index", "zagreb2", "--n-max", "8")

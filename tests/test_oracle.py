@@ -6,7 +6,7 @@ import pytest
 
 import polychain.dp as dp_mod
 from polychain.chains import linear_chain
-from polychain.dp import ExtremalResult
+from polychain.dp import DPTable, ExtremalResult
 from polychain.indices import evaluate_direct, preset
 from polychain.oracle import cross_check, exhaustive
 
@@ -101,3 +101,40 @@ class TestCrossCheck:
         ok, mismatches = cross_check(AZI, 6)
         assert not ok
         assert any("max value" in m for m in mismatches)
+
+    def test_detects_negated_table_corruption(self, monkeypatch):
+        real_chains = DPTable.chains
+
+        def dropping(table, k=None, end=None, dedup=False, limit=None):
+            chains = list(real_chains(table, k, end, dedup, limit))
+            return iter(chains[1:] if table.f.name.endswith("_neg") else chains)
+
+        monkeypatch.setattr(DPTable, "chains", dropping)
+        ok, mismatches = cross_check(AZI, 6)
+        assert not ok
+        assert [m.split(":")[0] for m in mismatches] == ["argmin set"]
+
+    def test_detects_streaming_count_corruption(self, monkeypatch):
+        real_count = DPTable.labeled_count
+
+        def inflated(table, k=None, end=None):
+            count = real_count(table, k, end)
+            return count + 1 if len(table) == 1 else count  # a streaming table holds one row
+
+        monkeypatch.setattr(DPTable, "labeled_count", inflated)
+        ok, mismatches = cross_check(AZI, 6)
+        assert not ok
+        assert [m.split(":")[0] for m in mismatches] == ["end-1 maximal count", "end-2 maximal count"]
+
+    def test_five_forward_passes(self, monkeypatch):
+        real_run_dp = dp_mod.run_dp
+        calls = []
+
+        def counting(f, n, **kwargs):
+            calls.append((f.name, n, kwargs))
+            return real_run_dp(f, n, **kwargs)
+
+        monkeypatch.setattr(dp_mod, "run_dp", counting)
+        ok, mismatches = cross_check(AZI, 10)
+        assert ok, mismatches
+        assert len(calls) <= 5, calls
