@@ -14,12 +14,16 @@ optimal chains, so witnesses, tie counts and full enumeration all come
 out of the same pass.  Minimization is maximization of the negated
 index.
 
-In rational mode all values are rescaled by the least common multiple
-of the increment denominators and the whole DP runs on arbitrary-
-precision integers: comparisons are exact and each step costs a few
-word operations.  In float mode values within the relative tolerance
-are treated as tied, and anything tie-derived (counts, enumeration) is
-tolerance-dependent.
+Both arithmetic modes run one forward loop.  Rational values are scaled
+to integers by the least common multiple of the increment denominators,
+so each step costs a few word operations; floats run as they are.  The
+two candidates a = best(k-1, 1) + g(1, i) and b = best(k-1, 2) + g(2, i)
+of end i tie when values_equal(a, b, eps) holds (exact equality for
+rationals, |a - b| <= eps * max(1, |a|, |b|) for floats); otherwise the
+larger one wins, and a tie stores the larger one.  The loop tests this
+on d = best(k-1, 1) - best(k-1, 2), as a - b = d - C_i for the constant
+C_i = g(2, i) - g(1, i) (up to rounding for floats).  Anything
+tie-derived in float mode (counts, enumeration) is tolerance-dependent.
 """
 
 from __future__ import annotations
@@ -267,44 +271,52 @@ def _derive_ties(preds1: bytearray, preds2: bytearray) -> tuple[list[int], list[
     return ties1, ties2
 
 
-def _build_rational(f: IndexFunction, gt: IncrementTable, n: int, keep: bool) -> DPTable:
-    den = math.lcm(*(Fraction(v).denominator for v in (gt.g11, gt.g12, gt.g21, gt.g22, gt.g2, gt.base)))
-    G11, G12, G21, G22 = (int(v * den) for v in (gt.g11, gt.g12, gt.g21, gt.g22))
-    m1 = int(gt.initial(1) * den)
-    m2 = int(gt.initial(2) * den)
+def _build(f: IndexFunction, gt: IncrementTable, n: int, keep: bool) -> DPTable:
+    G11, G12, G21, G22 = gt.g11, gt.g12, gt.g21, gt.g22
+    m1, m2 = gt.initial(1), gt.initial(2)
+    den, eps = None, f.eps
+    if f.mode == RATIONAL:  # exact integers: values times the common denominator
+        den = math.lcm(*(Fraction(v).denominator for v in (G11, G12, G21, G22, gt.g2, gt.base)))
+        G11, G12, G21, G22, m1, m2 = (int(v * den) for v in (G11, G12, G21, G22, m1, m2))
+        eps = 0
     t1 = t2 = 0
     p1 = p2 = 0
     vals1, vals2 = [m1], [m2]
     preds1, preds2 = bytearray(1), bytearray(1)
     av1, av2 = vals1.append, vals2.append
     ap1, ap2 = preds1.append, preds2.append
-    # decide each step by the running difference against two constants
-    C1 = G21 - G11
-    C2 = G22 - G12
+    # end i compares d = m1 - m2 with C_i; a tie is d inside [lo_i, hi_i]
+    C1 = lo1 = hi1 = G21 - G11
+    C2 = lo2 = hi2 = G22 - G12
     for _ in range(n - 3):
         d = m1 - m2
-        if d > C1:
+        if eps:
+            r = eps * max(1.0, abs(m1 + G11), abs(m2 + G21))
+            lo1, hi1 = C1 - r, C1 + r
+            r = eps * max(1.0, abs(m1 + G12), abs(m2 + G22))
+            lo2, hi2 = C2 - r, C2 + r
+        if d > hi1:
             w1 = m1 + G11
             p1 = 1
             nt1 = t1
-        elif d < C1:
+        elif d < lo1:
             w1 = m2 + G21
             p1 = 2
             nt1 = t2
         else:
-            w1 = m1 + G11
+            w1 = m1 + G11 if d >= C1 else m2 + G21
             p1 = 3
             nt1 = 1 + t1 + t2
-        if d > C2:
+        if d > hi2:
             w2 = m1 + G12
             p2 = 1
             nt2 = t1
-        elif d < C2:
+        elif d < lo2:
             w2 = m2 + G22
             p2 = 2
             nt2 = t2
         else:
-            w2 = m1 + G12
+            w2 = m1 + G12 if d >= C2 else m2 + G22
             p2 = 3
             nt2 = 1 + t1 + t2
         m1, m2, t1, t2 = w1, w2, nt1, nt2
@@ -318,53 +330,15 @@ def _build_rational(f: IndexFunction, gt: IncrementTable, n: int, keep: bool) ->
     return DPTable(f, n, den, (vals1, vals2), (preds1, preds2), (t1, t2))
 
 
-def _build_float(f: IndexFunction, gt: IncrementTable, n: int, keep: bool) -> DPTable:
-    eps = f.eps
-    G11, G12, G21, G22 = gt.g11, gt.g12, gt.g21, gt.g22
-    m1 = gt.initial(1)
-    m2 = gt.initial(2)
-    t1 = t2 = 0
-    p1 = p2 = 0
-    vals1, vals2 = [m1], [m2]
-    preds1, preds2 = bytearray(1), bytearray(1)
-    for _ in range(n - 3):
-        a = m1 + G11
-        b = m2 + G21
-        if abs(a - b) <= eps * max(1.0, abs(a), abs(b)):
-            w1, p1, nt1 = max(a, b), 3, 1 + t1 + t2
-        elif a > b:
-            w1, p1, nt1 = a, 1, t1
-        else:
-            w1, p1, nt1 = b, 2, t2
-        a = m1 + G12
-        b = m2 + G22
-        if abs(a - b) <= eps * max(1.0, abs(a), abs(b)):
-            w2, p2, nt2 = max(a, b), 3, 1 + t1 + t2
-        elif a > b:
-            w2, p2, nt2 = a, 1, t1
-        else:
-            w2, p2, nt2 = b, 2, t2
-        m1, m2, t1, t2 = w1, w2, nt1, nt2
-        if keep:
-            vals1.append(m1)
-            vals2.append(m2)
-            preds1.append(p1)
-            preds2.append(p2)
-    if not keep:
-        vals1, vals2, preds1, preds2 = [m1], [m2], bytearray((p1,)), bytearray((p2,))
-    return DPTable(f, n, None, (vals1, vals2), (preds1, preds2), (t1, t2))
-
-
 def run_dp(f: IndexFunction, n: int, *, keep_table: bool = True) -> DPTable:
     """Forward pass to n squares: linear time, O(n) words of memory even
     for tie-heavy indices (O(1) when ``keep_table=False``, which keeps
-    only the row for n and so disables witnesses and enumeration)."""
+    only the row for n and so disables witnesses and enumeration).
+    Two candidates that are `values_equal` under ``f.eps`` tie: the
+    entry gets predecessor code 3 and the larger of the two values."""
     if n < 3:
         raise ValueError(f"dynamic program needs n >= 3, got {n}")
-    gt = increment_table(f)
-    if f.mode == RATIONAL:
-        return _build_rational(f, gt, n, keep_table)
-    return _build_float(f, gt, n, keep_table)
+    return _build(f, increment_table(f), n, keep_table)
 
 
 @dataclass(frozen=True)
@@ -484,11 +458,15 @@ class ClassifierVerdict:
 
 
 def classify(f: IndexFunction) -> ClassifierVerdict:
-    """Classify an index under the linear/zigzag sufficient condition."""
+    """Classify an index under the linear/zigzag sufficient condition.
+
+    A strict premise inequality fails between `values_equal` increments,
+    so in float mode it needs a gap wider than the tolerance.
+    """
     gt = increment_table(f)
     g11, g12, g21, g22, g2 = gt.g11, gt.g12, gt.g21, gt.g22, gt.g2
     half_sum = (g12 + g21) / 2
-    premise = g11 > g12 and g11 > g22 and g11 > half_sum
+    premise = all(g11 > x and not values_equal(g11, x, f.eps) for x in (g12, g22, half_sum))
     if not premise:
         return ClassifierVerdict(premise_holds=False, case=CASE_NOT_APPLICABLE)
     if values_equal(g11, g2, f.eps):

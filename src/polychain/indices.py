@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -105,7 +106,7 @@ class IndexFunction:
 
     `values` maps each unordered pair (a, b), a <= b, over {2, 3, 4} to
     its f(a, b).  Rational mode stores Fractions; float mode stores
-    floats compared with relative tolerance `eps`.
+    finite floats compared with relative tolerance `eps` (finite, > 0).
     """
 
     name: str
@@ -116,8 +117,9 @@ class IndexFunction:
     def __post_init__(self):
         if self.mode not in (RATIONAL, FLOAT):
             raise ValueError(f"unknown arithmetic mode {self.mode!r}")
-        if not self.eps > 0:
-            raise ValueError(f"negative eps: tolerance must be positive, got {self.eps}")
+        if not 0 < self.eps <= sys.float_info.max:
+            raise ValueError(f"invalid eps: tolerance must be positive and finite, got {self.eps}")
+        object.__setattr__(self, "eps", float(self.eps))
         missing = [p for p in DEGREE_PAIRS if p not in self.values]
         if missing:
             a, b = missing[0]
@@ -132,6 +134,8 @@ class IndexFunction:
                 if isinstance(v, float):
                     raise ValueError(f"float value {v!r} in rational-mode table")
                 norm[pair] = Fraction(v)
+            elif not abs(v) <= sys.float_info.max:  # inf, nan, or an exact value past the range
+                raise ValueError("non-finite value for pair ({},{}) in float-mode table".format(*pair))
             else:
                 norm[pair] = float(v)
         object.__setattr__(self, "values", norm)
@@ -236,7 +240,7 @@ def force_float(f: IndexFunction, eps: float = DEFAULT_EPS) -> IndexFunction:
     """Float-mode copy of an index (for tolerance experiments)."""
     return IndexFunction(
         name=f.name,
-        values={pair: float(v) for pair, v in f.values.items()},
+        values=f.values,
         mode=FLOAT,
         eps=eps,
     )
@@ -371,8 +375,8 @@ def load_custom_index(document: Mapping | str) -> IndexFunction:
     if mode not in (RATIONAL, FLOAT):
         raise ValueError(f"unknown arithmetic mode {mode!r}")
     eps = document.get("eps", DEFAULT_EPS)
-    if not isinstance(eps, (int, float)) or not float(eps) > 0:
-        raise ValueError(f"negative eps: tolerance must be positive, got {eps!r}")
+    if isinstance(eps, bool) or not isinstance(eps, (int, float)):
+        raise ValueError(f"eps must be a number, got {eps!r}")
     raw = document.get("values")
     if not isinstance(raw, Mapping):
         raise ValueError("index document needs a 'values' object")
@@ -395,4 +399,4 @@ def load_custom_index(document: Mapping | str) -> IndexFunction:
     if missing:
         a, b = missing[0]
         raise ValueError(f"pair ({a},{b}) absent from index document")
-    return IndexFunction(name, values, mode=mode, eps=float(eps))
+    return IndexFunction(name, values, mode=mode, eps=eps)

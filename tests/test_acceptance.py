@@ -6,9 +6,11 @@ or read the ``-v`` test outcomes).
 """
 
 import functools
+import gc
 import json
 import os
 import random
+import statistics
 import subprocess
 import sys
 import time
@@ -189,17 +191,23 @@ def test_criterion_8_performance():
     assert elapsed < 2.0, f"took {elapsed:.2f}s"
     assert res.value == azi_max_closed_form(10**6)
 
-    def best_time(n, repeats=5):
-        best = float("inf")
-        for _ in range(repeats):
+    # the sizes interleaved in each of 7 rounds, each ratio taken within one
+    # round and its median over the rounds: a slow spell of a shared host,
+    # or one fast outlier, moves one round and not the verdict
+    sizes = (10**5, 2 * 10**5, 4 * 10**5)
+    rounds = []
+    for _ in range(7):
+        times = []
+        for n in sizes:
+            gc.collect()
             start = time.perf_counter()
             maximize(AZI, n)
-            best = min(best, time.perf_counter() - start)
-        return best
-
-    t1, t2, t4 = best_time(10**5), best_time(2 * 10**5), best_time(4 * 10**5)
-    assert 1.7 <= t2 / t1 <= 2.5, f"ratios {t2 / t1:.2f}, {t4 / t2:.2f}"
-    assert 1.7 <= t4 / t2 <= 2.5, f"ratios {t2 / t1:.2f}, {t4 / t2:.2f}"
+            times.append(time.perf_counter() - start)
+        rounds.append(times)
+    r2 = statistics.median(t2 / t1 for t1, t2, _ in rounds)
+    r4 = statistics.median(t4 / t2 for _, t2, t4 in rounds)
+    assert 1.7 <= r2 <= 2.5, f"ratios {r2:.2f}, {r4:.2f}"
+    assert 1.7 <= r4 <= 2.5, f"ratios {r2:.2f}, {r4:.2f}"
 
     tracemalloc.start()
     run_dp(AZI, 10**5)

@@ -307,6 +307,18 @@ class TestIndexResolution:
         assert code == 2
         assert "malformed randic exponent" in err
 
+    def test_non_finite_input_exits_2(self, capsys, tmp_path):
+        doc = {"name": "inf", "mode": "float",
+               "values": {"2,2": "1e400", "2,3": "0", "2,4": "1",
+                          "3,3": "1", "3,4": "2", "4,4": "1"}}
+        path = tmp_path / "inf.json"
+        path.write_text(json.dumps(doc))
+        for argv in (["--index-file", str(path)], ["--index", "ga", "--eps", "inf"]):
+            code, out, err = run_cli(capsys, "max", *argv, "--n", "8")
+            assert code == 2, argv
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_mode_float_override(self, capsys):
         doc = run_json(capsys, "value", "--index", "azi", "--mode", "float",
                        "--links", "1,1", "--format", "json")

@@ -22,8 +22,11 @@ from polychain.dp import (
 )
 from polychain.indices import (
     DEGREE_PAIRS,
+    FLOAT,
     IndexFunction,
     evaluate_direct,
+    force_float,
+    increment_table,
     negate,
     preset,
     values_equal,
@@ -53,6 +56,40 @@ def small_range_index():
     # entries in {0, 1, 2}: half the predecessor codes are ties, at varied counts
     values = (0, 0, 1, 1, 2, 1)
     return IndexFunction("small-range", {p: Fraction(v) for p, v in zip(DEGREE_PAIRS, values)})
+
+
+def seeded_float_tables(seed, count):
+    rng = random.Random(seed)
+    return [
+        IndexFunction(f"float{t}", {p: rng.uniform(-5, 5) for p in DEGREE_PAIRS}, mode=FLOAT)
+        for t in range(count)
+    ]
+
+
+RATIONAL_PRESETS = [preset(name) for name in ("azi", "zagreb1", "zagreb2", "harmonic")]
+RULE_CORPUS = [
+    *(preset(name) for name in ("azi", "zagreb1", "zagreb2", "harmonic", "randic",
+                                "abc", "ga", "sum_connectivity")),
+    *(force_float(f) for f in RATIONAL_PRESETS),
+    *seeded_float_tables(44, 8),
+]
+
+_CODE_SETS = {1: frozenset((1,)), 2: frozenset((2,)), 3: frozenset((1, 2))}
+
+
+def reference_pass(f, n):
+    """The tie rule straight from its statement: per end, both candidates,
+    a tie by `values_equal`, the larger one kept.  Returns per-row
+    (values, predecessor sets, tie counts) for k = 4..n."""
+    gt = increment_table(f)
+    m, t, rows = (gt.initial(1), gt.initial(2)), (0, 0), []
+    for _ in range(n - 3):
+        cands = [(m[0] + gt.step(1, i), m[1] + gt.step(2, i)) for i in (1, 2)]
+        codes = [3 if values_equal(a, b, f.eps) else 1 if a > b else 2 for a, b in cands]
+        m = tuple(max(a, b) for a, b in cands)
+        t = tuple(1 + t[0] + t[1] if c == 3 else t[c - 1] for c in codes)
+        rows.append((m, tuple(_CODE_SETS[c] for c in codes), t))
+    return rows
 
 
 def brute_force_max(f, n):
@@ -133,6 +170,42 @@ class TestRunDP:
                 assert values_equal(slim.value(40, i), full.value(40, i), f.eps)
                 assert slim.tie_count(40, i) == full.tie_count(40, i)
                 assert slim.predecessors(40, i) == full.predecessors(40, i)
+
+    def test_matches_reference_tie_rule(self):
+        n = 500
+        for f in RULE_CORPUS:
+            for g in (f, negate(f)):
+                t = run_dp(g, n)
+                for k, (vals, preds, ties) in enumerate(reference_pass(g, n), start=4):
+                    for i in (1, 2):
+                        assert t.predecessors(k, i) == preds[i - 1], (g.name, k, i)
+                        assert t.tie_count(k, i) == ties[i - 1], (g.name, k, i)
+                        assert values_equal(t.value(k, i), vals[i - 1], g.eps), (g.name, k, i)
+
+    def test_tie_keeps_larger_candidate(self):
+        # at a loose tolerance many steps tie; keeping one fixed candidate
+        # on a tie instead of the larger drifts the optimum far below it
+        for f in (*RATIONAL_PRESETS, preset("ga"), *seeded_float_tables(45, 4)):
+            g = force_float(f, 1e-3)
+            for h in (g, negate(g)):
+                gt = increment_table(h)
+                t = run_dp(h, 2000)
+                for k in range(4, 2001):
+                    for i in (1, 2):
+                        best = max(t.value(k - 1, j) + gt.step(j, i) for j in (1, 2))
+                        assert values_equal(t.value(k, i), best), (h.name, k, i)
+
+    def test_float_mode_matches_rational_on_integer_ties(self):
+        # integer-valued tables: float arithmetic is exact, so both modes
+        # see the same ties and must give the same DAG
+        n = 2000
+        for f in (constant_index(), small_range_index()):
+            for g in (f, negate(f)):
+                exact, approx = run_dp(g, n), run_dp(force_float(g), n)
+                for k in range(3, n + 1):
+                    for i in (1, 2):
+                        assert approx.predecessors(k, i) == exact.predecessors(k, i), (g.name, k)
+                        assert approx.tie_count(k, i) == exact.tie_count(k, i), (g.name, k)
 
     def test_streaming_refuses_interior_reads(self):
         slim = run_dp(AZI, 10, keep_table=False)
@@ -369,7 +442,28 @@ def case_c_index():
     return IndexFunction("case-c", values)
 
 
+def near_tie_index(mode):
+    # g11 = 3, g12 = 3 - 1e-12, g21 = 2 - 1e-12, g22 = 2: the premise
+    # holds exactly, but g11 and g12 are equal within the float tolerance
+    values = {
+        (2, 2): Fraction(1),
+        (2, 3): Fraction(1, 2) - Fraction(1, 10**12),
+        (2, 4): Fraction(3, 2),
+        (3, 3): Fraction(1),
+        (3, 4): Fraction(1),
+        (4, 4): Fraction(-1),
+    }
+    f = IndexFunction("near-tie", values)
+    return f if mode == "rational" else force_float(f)
+
+
 class TestClassifier:
+    def test_near_tie_premise_follows_tolerance(self):
+        assert classify(near_tie_index("rational")).premise_holds
+        verdict = classify(near_tie_index("float"))
+        assert not verdict.premise_holds
+        assert verdict.case == CASE_NOT_APPLICABLE
+
     def test_azi_not_applicable(self):
         verdict = classify(AZI)
         assert not verdict.premise_holds

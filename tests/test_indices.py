@@ -1,5 +1,6 @@
 """Index tables, increments and the two evaluators."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -269,6 +270,25 @@ class TestIndexFunctionValidation:
         with pytest.raises(ValueError, match="tolerance must be positive"):
             IndexFunction("bad", values, mode=FLOAT, eps=-1e-9)
 
+    def test_non_finite_eps(self):
+        values = {p: 1.0 for p in DEGREE_PAIRS}
+        for eps in (float("inf"), float("nan"), 10**400):
+            with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+                IndexFunction("bad", values, mode=FLOAT, eps=eps)
+
+    def test_non_finite_float_entry(self):
+        for bad in (float("inf"), float("-inf"), float("nan"), Fraction(10**400)):
+            values = {p: 1.0 for p in DEGREE_PAIRS}
+            values[(3, 4)] = bad
+            with pytest.raises(ValueError, match=r"non-finite value for pair \(3,4\)"):
+                IndexFunction("bad", values, mode=FLOAT)
+
+    def test_force_float_refuses_overflow(self):
+        values = {p: Fraction(1) for p in DEGREE_PAIRS}
+        values[(2, 2)] = Fraction(10**400, 3)
+        with pytest.raises(ValueError, match="non-finite"):
+            force_float(IndexFunction("huge", values))
+
     def test_force_float(self):
         f = force_float(preset("azi"), eps=1e-6)
         assert f.mode == FLOAT and f.eps == 1e-6
@@ -295,8 +315,6 @@ class TestCustomIndexDocuments:
         assert f.mode == RATIONAL
 
     def test_json_text_accepted(self):
-        import json
-
         f = load_custom_index(json.dumps(self.AZI_DOC))
         assert f.values == preset("azi").values
 
@@ -346,6 +364,28 @@ class TestCustomIndexDocuments:
         doc = {**self.AZI_DOC, "mode": "float", "eps": -1.0,
                "values": {k: "1.0" for k in self.AZI_DOC["values"]}}
         with pytest.raises(ValueError, match="tolerance must be positive"):
+            load_custom_index(doc)
+
+    def test_non_finite_entry(self):
+        doc = {"name": "c", "mode": "float",
+               "values": {k: "1.0" for k in self.AZI_DOC["values"]}}
+        doc["values"]["2,2"] = "1e400"
+        with pytest.raises(ValueError, match="non-finite"):
+            load_custom_index(doc)
+
+    def test_non_finite_eps(self):
+        doc = {"name": "c", "mode": "float",
+               "values": {k: "1.0" for k in self.AZI_DOC["values"]}}
+        with pytest.raises(ValueError, match="positive and finite"):
+            load_custom_index({**doc, "eps": float("inf")})
+        text = json.dumps(doc)[:-1] + ', "eps": 1e400}'  # JSON reads 1e400 as inf
+        with pytest.raises(ValueError, match="positive and finite"):
+            load_custom_index(text)
+
+    def test_boolean_eps(self):
+        doc = {"name": "c", "mode": "float", "eps": True,
+               "values": {k: "1.0" for k in self.AZI_DOC["values"]}}
+        with pytest.raises(ValueError, match="eps must be a number"):
             load_custom_index(doc)
 
     def test_bad_pair_key(self):
