@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .azi import ORACLE_N_MAX, azi_extremal_report, verify_azi_maximum, verify_azi_minimum
 from .chains import LinkVector, realize
-from .dp import _extremal, classify, run_dp
+from .dp import ISO_LIMIT, _extremal, classify, run_dp
 from .indices import (
     FLOAT,
     RATIONAL,
@@ -455,7 +455,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dedup", action="store_true", help="merge mirror-image chains")
         p.add_argument("--limit", type=int, help="stop enumeration after this many chains")
         p.add_argument("--iso", action="store_true",
-                       help="also count extremal chains up to mirror symmetry")
+                       help="also count extremal chains up to mirror symmetry "
+                       f"(at most {ISO_LIMIT} labeled chains)")
         p.add_argument("--format", choices=["plain", "json"], default="json")
 
     p = sub.add_parser("classify", help="linear/zigzag sufficient-condition verdict")
@@ -469,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="to_n", type=int, required=True, help="last n")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--exact", action="store_true", help='CSV cells as exact "p/q"')
-    p.add_argument("--iso-limit", type=int, default=100000,
+    p.add_argument("--iso-limit", type=int, default=ISO_LIMIT,
                    help="skip mirror-class counting above this many labeled chains")
 
     p = sub.add_parser("verify", help="oracle cross-checks (and AZI claims for --index azi)")

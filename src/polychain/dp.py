@@ -40,6 +40,7 @@ from .indices import (
     IncrementTable,
     IndexFunction,
     Value,
+    check_finite,
     increment_table,
     negate,
     values_equal,
@@ -60,10 +61,14 @@ __all__ = [
     "enumerate_maximal",
     "count_maximal",
     "classify",
+    "ISO_LIMIT",
 ]
 
 MAX = "max"
 MIN = "min"
+
+# most optimal chains a mirror-class count may enumerate
+ISO_LIMIT = 100_000
 
 _PRED_SETS = (frozenset(), frozenset((1,)), frozenset((2,)), frozenset((1, 2)))
 _PRED_LINKS = ((), (1,), (2,), (1, 2))
@@ -335,10 +340,16 @@ def run_dp(f: IndexFunction, n: int, *, keep_table: bool = True) -> DPTable:
     for tie-heavy indices (O(1) when ``keep_table=False``, which keeps
     only the row for n and so disables witnesses and enumeration).
     Two candidates that are `values_equal` under ``f.eps`` tie: the
-    entry gets predecessor code 3 and the larger of the two values."""
+    entry gets predecessor code 3 and the larger of the two values.
+    A float optimum at n that overflows to inf or NaN is refused with
+    ValueError."""
     if n < 3:
         raise ValueError(f"dynamic program needs n >= 3, got {n}")
-    return _build(f, increment_table(f), n, keep_table)
+    table = _build(f, increment_table(f), n, keep_table)
+    if f.mode == FLOAT:
+        for end in (1, 2):
+            check_finite(table.value(n, end), f"the optimum at n = {n}")
+    return table
 
 
 @dataclass(frozen=True)
@@ -347,7 +358,8 @@ class ExtremalResult:
 
     `labeled_count` counts distinct optimal link vectors; `iso_count`
     additionally merges mirror pairs and is only filled when the
-    enumeration actually ran.  Under a float-mode index every
+    enumeration actually ran (``count_iso``, refused with ValueError
+    above `ISO_LIMIT` optimal chains).  Under a float-mode index every
     tie-derived quantity depends on the comparison tolerance, flagged
     by `tolerance_dependent`.
     """
@@ -375,8 +387,14 @@ def _extremal(
     n = table.n
     sign = 1 if objective == MAX else -1
     ends = (end,) if end is not None else table.winning_ends()
+    labeled = table.labeled_count(n, end)
     iso = None
     if count_iso:
+        if labeled > ISO_LIMIT:
+            raise ValueError(
+                f"mirror classes are counted by enumerating every optimal chain; "
+                f"refused for more than {ISO_LIMIT} chains"
+            )
         iso = sum(1 for _ in table.chains(end=end, dedup=True))
     return ExtremalResult(
         objective=objective,
@@ -384,7 +402,7 @@ def _extremal(
         value=sign * table.value(n, ends[0]),
         per_end={e: sign * table.value(n, e) for e in (1, 2)},
         witness=table.witness(end=ends[0]),
-        labeled_count=table.labeled_count(n, end),
+        labeled_count=labeled,
         iso_count=iso,
         index_name=f.name,
         mode=f.mode,

@@ -13,6 +13,9 @@ Two evaluators are provided: `evaluate_direct` builds the chain graph
 and sums over its edges, while `evaluate_recursive` accumulates the
 per-square attachment increments of `increment_table`.  They agree on
 every chain, which the test suite exploits heavily.
+
+Float mode refuses, with ValueError, any value that overflows to inf or
+NaN where it leaves this module: an increment, or an evaluated chain.
 """
 
 from __future__ import annotations
@@ -38,6 +41,8 @@ __all__ = [
     "IndexFunction",
     "IncrementTable",
     "increment_table",
+    "degree_pair_sum",
+    "check_finite",
     "evaluate_direct",
     "evaluate_recursive",
     "preset",
@@ -85,6 +90,13 @@ def values_equal(a: Value, b: Value, eps: float | None = None) -> bool:
     if eps is None:
         eps = DEFAULT_EPS
     return abs(a - b) <= eps * max(1.0, abs(a), abs(b))
+
+
+def check_finite(v: Value, what: str) -> Value:
+    """Return v, or refuse a float that overflowed to inf or NaN."""
+    if isinstance(v, float) and not math.isfinite(v):
+        raise ValueError(f"float overflow: {what} is {v} (table entries too large for float mode)")
+    return v
 
 
 def as_exact_string(v: Value) -> str | None:
@@ -190,7 +202,7 @@ def increment_table(f: IndexFunction) -> IncrementTable:
     """Attachment increments of an index, from its six table entries."""
     f22, f23, f24 = f.value(2, 2), f.value(2, 3), f.value(2, 4)
     f33, f34, f44 = f.value(3, 3), f.value(3, 4), f.value(4, 4)
-    return IncrementTable(
+    gt = IncrementTable(
         g11=3 * f33,
         g12=3 * f34 + f24 + f23 - 2 * f33,
         g21=f34 - f24 + f23 + 2 * f33,
@@ -200,14 +212,28 @@ def increment_table(f: IndexFunction) -> IncrementTable:
         mode=f.mode,
         eps=f.eps,
     )
+    for name in ("g11", "g12", "g21", "g22", "g2", "base"):
+        check_finite(getattr(gt, name), f"increment {name}")
+    return gt
+
+
+def degree_pair_sum(counts, f: IndexFunction) -> Value:
+    """Index value of a graph with counts[j] edges of degree pair DEGREE_PAIRS[j].
+
+    Sums in DEGREE_PAIRS order, so every caller gets the same float for
+    the same counts.
+    """
+    total = Fraction(0) if f.is_rational else 0.0
+    for pair, mult in zip(DEGREE_PAIRS, counts):
+        if mult:
+            total += mult * f.values[pair]
+    return check_finite(total, "index value")
 
 
 def evaluate_direct(chain, f: IndexFunction) -> Value:
     """Index value summed edge-by-edge over the realized chain graph."""
-    total = Fraction(0) if f.is_rational else 0.0
-    for (a, b), mult in edge_degree_multiset(chain).items():
-        total += mult * f.value(a, b)
-    return total
+    pairs = edge_degree_multiset(chain)
+    return degree_pair_sum([pairs[p] for p in DEGREE_PAIRS], f)
 
 
 def evaluate_recursive(chain, f: IndexFunction) -> Value:
@@ -223,7 +249,7 @@ def evaluate_recursive(chain, f: IndexFunction) -> Value:
     total = gt.initial(links[0])
     for j, i in zip(links, links[1:]):
         total += gt.step(j, i)
-    return total
+    return check_finite(total, "index value")
 
 
 def negate(f: IndexFunction) -> IndexFunction:

@@ -92,6 +92,24 @@ class TestExtremalCommands:
         assert doc["labeled_count"] == 4
         assert doc["iso_count"] == 2
 
+    def test_iso_refused_above_limit(self, capsys, tmp_path, monkeypatch):
+        # 2**18 chains tie under a constant index at n = 20
+        values = {p: "1" for p in ("2,2", "2,3", "2,4", "3,3", "3,4", "4,4")}
+        path = tmp_path / "const.json"
+        path.write_text(json.dumps({"name": "const", "mode": "rational", "values": values}))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("no chain may be enumerated")
+
+        monkeypatch.setattr(dp_mod.DPTable, "chains", refuse)
+        code, out, err = run_cli(capsys, "max", "--index-file", str(path), "--n", "20", "--iso")
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: mirror classes are counted by enumerating every optimal "
+                       f"chain; refused for more than {dp_mod.ISO_LIMIT} chains\n")
+        assert cli_mod.build_parser().parse_args(
+            ["table", "--index", "azi", "--from", "3", "--to", "4"]).iso_limit == dp_mod.ISO_LIMIT
+
     def test_negative_limit_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "max", "--index", "azi", "--n", "12",
                                  "--enumerate", "--limit", "-1")
@@ -318,6 +336,18 @@ class TestIndexResolution:
             assert code == 2, argv
             assert out == ""
             assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_float_overflow_exits_2(self, capsys, tmp_path):
+        # finite entries whose sums overflow: refused, not printed as inf
+        doc = {"name": "huge", "mode": "float",
+               "values": {p: "1e308" for p in ("2,2", "2,3", "2,4", "3,3", "3,4", "4,4")}}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        for argv in (["max", "--n", "6"], ["value", "--links", "1,2"]):
+            code, out, err = run_cli(capsys, *argv, "--index-file", str(path))
+            assert code == 2, argv
+            assert out == ""
+            assert err.startswith("error: float overflow: ") and err.count("\n") == 1
 
     def test_mode_float_override(self, capsys):
         doc = run_json(capsys, "value", "--index", "azi", "--mode", "float",

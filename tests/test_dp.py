@@ -9,6 +9,7 @@ import pytest
 
 from polychain.chains import LinkVector, az1_chain, linear_chain, zigzag_chain
 from polychain.dp import (
+    ISO_LIMIT,
     CASE_LINEAR_ALWAYS,
     CASE_LINEAR_FROM_4,
     CASE_NOT_APPLICABLE,
@@ -100,6 +101,15 @@ class TestRunDP:
     def test_needs_three_squares(self):
         with pytest.raises(ValueError, match="n >= 3"):
             run_dp(AZI, 2)
+
+    def test_float_overflow_refused(self):
+        # finite increments; every chain has 3n + 1 edges of weight 1e306
+        f = IndexFunction("huge", {p: 1e306 for p in DEGREE_PAIRS}, mode=FLOAT)
+        assert values_equal(run_dp(f, 50).best_value(), 151e306)
+        for table in (f, negate(f)):
+            for keep in (True, False):
+                with pytest.raises(ValueError, match="float overflow: the optimum at n = 100"):
+                    run_dp(table, 100, keep_table=keep)
 
     def test_four_square_anchor(self):
         # independently: the four 4-square chains, scored edge-by-edge
@@ -246,6 +256,16 @@ class TestMaximize:
         res = maximize(AZI, 8, count_iso=True)
         assert res.labeled_count == 2
         assert res.iso_count == 1
+
+    def test_iso_count_bounded(self):
+        f = constant_index()
+        res = maximize(f, 12, count_iso=True)
+        assert (res.labeled_count, res.iso_count) == (2**10, 528)
+        with pytest.raises(ValueError, match=f"more than {ISO_LIMIT} chains"):
+            maximize(f, 20, count_iso=True)  # 2**18 optimal chains
+        with pytest.raises(ValueError, match=f"more than {ISO_LIMIT} chains"):
+            minimize(f, 20, end=1, count_iso=True)  # 2**17 of them end with link 1
+        assert maximize(f, 20).labeled_count == 2**18
 
     def test_four_square_double_end(self):
         res = maximize(AZI, 4, count_iso=True)

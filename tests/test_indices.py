@@ -295,6 +295,33 @@ class TestIndexFunctionValidation:
         assert f.value(3, 3) == 729 / 64
 
 
+class TestFloatOverflow:
+    def huge(self, entry):
+        return IndexFunction("huge", {p: entry for p in DEGREE_PAIRS}, mode=FLOAT)
+
+    def test_increments_refused(self):
+        with pytest.raises(ValueError, match="float overflow: increment g11 is inf"):
+            increment_table(self.huge(1e308))
+
+    def test_evaluators_refuse_overflowing_sums(self):
+        f = self.huge(5e307)  # the 3-square chain has 10 edges
+        with pytest.raises(ValueError, match="float overflow: index value is inf"):
+            evaluate_direct([1], f)
+        with pytest.raises(ValueError, match="float overflow: increment g12 is inf"):
+            evaluate_recursive([1], f)
+        f = self.huge(1e306)  # finite increments, 301 edges at n = 100
+        assert math.isfinite(evaluate_recursive([1] * 48, f))
+        for evaluate in (evaluate_direct, evaluate_recursive):
+            with pytest.raises(ValueError, match="float overflow: index value is inf"):
+                evaluate([1] * 98, f)
+            with pytest.raises(ValueError, match="float overflow: index value is -inf"):
+                evaluate([2] * 98, negate(f))
+
+    def test_rational_mode_has_no_bound(self):
+        f = IndexFunction("huge", {p: Fraction(10**400) for p in DEGREE_PAIRS})
+        assert evaluate_direct([1, 2], f) == evaluate_recursive([1, 2], f) == 13 * 10**400
+
+
 class TestCustomIndexDocuments:
     AZI_DOC = {
         "name": "azi",

@@ -1,16 +1,97 @@
 """Exhaustive oracle: anchors, caps, and engine cross-checks."""
 
+import functools
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+import polychain.azi as azi_mod
+import polychain.cli as cli_mod
 import polychain.dp as dp_mod
-from polychain.chains import linear_chain
+import polychain.indices as indices_mod
+from polychain.chains import edge_degree_multiset, linear_chain
 from polychain.dp import DPTable, ExtremalResult
-from polychain.indices import evaluate_direct, preset
-from polychain.oracle import cross_check, exhaustive
+from polychain.indices import (
+    DEGREE_PAIRS,
+    FLOAT,
+    PRESET_NAMES,
+    RATIONAL,
+    IndexFunction,
+    degree_pair_sum,
+    evaluate_direct,
+    force_float,
+    negate,
+    preset,
+)
+from polychain.oracle import OracleReport, _Best, census, cross_check, exhaustive
 
 AZI = preset("azi")
+
+
+def small_range_tables(seed, count):
+    rng = random.Random(seed)
+    return [
+        IndexFunction(f"small{t}", {p: Fraction(rng.randint(0, 2)) for p in DEGREE_PAIRS})
+        for t in range(count)
+    ]
+
+
+def near_tie_tables(seed, count):
+    # {0,1,2} entries jittered well inside eps: float ties at many levels
+    rng = random.Random(seed)
+    return [
+        IndexFunction(f"near{t}", {p: rng.randint(0, 2) + rng.uniform(-1e-7, 1e-7)
+                                   for p in DEGREE_PAIRS}, mode=FLOAT, eps=1e-6)
+        for t in range(count)
+    ]
+
+
+# mixed signs under eps > 1: a better best can tie values the old one
+# did not, so the sweep must rescan after every improvement
+WIDE_TOLERANCE = IndexFunction(
+    "wide", dict(zip(DEGREE_PAIRS, (-0.67, 0.63, -2.8, -0.53, 2.85, 1.52))), mode=FLOAT, eps=1.45
+)
+
+
+def report_corpus():
+    """All presets, the rational ones forced to float, seeded {0,1,2}
+    tables, near-tie and wide-tolerance float tables, and the negation
+    of each."""
+    tables = [preset(name) for name in PRESET_NAMES]
+    tables += [force_float(f) for f in tables if f.mode == RATIONAL]
+    tables += small_range_tables(5, 4) + near_tie_tables(6, 2) + [WIDE_TOLERANCE]
+    return tables + [negate(f) for f in tables]
+
+
+# each chain's graph is built once for the whole corpus; evaluate_direct
+# still sums over it as usual
+_cached_multiset = functools.cache(edge_degree_multiset)
+
+
+def reference_report(f, n):
+    """The sweep evaluated chain by chain with `evaluate_direct`."""
+    eps = f.eps if f.mode == FLOAT else None
+    best_max = _Best(smallest=False, eps=eps)
+    best_min = _Best(smallest=True, eps=eps)
+    end_max = {1: _Best(smallest=False, eps=eps), 2: _Best(smallest=False, eps=eps)}
+    for links in product((1, 2), repeat=n - 2):
+        value = evaluate_direct(links, f)
+        best_max.offer(value, links)
+        best_min.offer(value, links)
+        end_max[links[-1]].offer(value, links)
+    return OracleReport(
+        n=n,
+        index_name=f.name,
+        mode=f.mode,
+        max_value=best_max.value,
+        min_value=best_min.value,
+        argmax=best_max.chains(),
+        argmin=best_min.chains(),
+        per_end_max={e: b.value for e, b in end_max.items()},
+        per_end_argmax={e: b.chains() for e, b in end_max.items()},
+    )
 
 
 class TestExhaustive:
@@ -46,6 +127,11 @@ class TestExhaustive:
     def test_needs_three_squares(self):
         with pytest.raises(ValueError, match="n >= 3"):
             exhaustive(AZI, 2)
+
+    def test_float_overflow_refused(self):
+        huge = IndexFunction("huge", {p: 5e307 for p in DEGREE_PAIRS}, mode=FLOAT)
+        with pytest.raises(ValueError, match="float overflow: index value is inf"):
+            exhaustive(huge, 3)
 
     def test_min_is_linear_for_large_n(self):
         rep = exhaustive(AZI, 9)
@@ -138,3 +224,79 @@ class TestCrossCheck:
         ok, mismatches = cross_check(AZI, 10)
         assert ok, mismatches
         assert len(calls) <= 5, calls
+
+
+class TestCensus:
+    def test_vectors_match_edge_degree_multiset(self):
+        for n in range(3, 13):
+            vectors, ids = census(n)
+            assert (ids.format, ids.itemsize, ids.readonly) == ("H", 2, True)
+            assert len(ids) == 2 ** (n - 2)
+            assert len(set(vectors)) == len(vectors)
+            for links, vid in zip(product((1, 2), repeat=n - 2), ids):
+                pairs = edge_degree_multiset(links)
+                assert vectors[vid] == tuple(pairs[p] for p in DEGREE_PAIRS), (n, links)
+
+    def test_distinct_vector_counts(self):
+        assert len(census(14)[0]) == 98
+        assert len(census(16)[0]) == 135
+
+    @pytest.mark.parametrize("f", report_corpus(), ids=lambda f: f"{f.name}-{f.mode}")
+    def test_report_equals_per_chain_sweep(self, f, monkeypatch):
+        monkeypatch.setattr(indices_mod, "edge_degree_multiset", _cached_multiset)
+        for n in range(3, 13):
+            assert exhaustive(f, n).to_json() == reference_report(f, n).to_json(), n
+
+    def test_offers_only_ties_and_wins(self, monkeypatch):
+        offered = []
+        real_offer = _Best.offer
+
+        def counting(best, value, links):
+            offered.append(links)
+            real_offer(best, value, links)
+
+        monkeypatch.setattr(_Best, "offer", counting)
+        rep = exhaustive(AZI, 12)
+        kept = [rep.argmax, rep.argmin, *rep.per_end_argmax.values()]
+        assert len(offered) == sum(map(len, kept))  # exact: the best is known up front
+        offered.clear()
+        exhaustive(preset("ga"), 12)
+        assert len(offered) < 2**10 // 8
+
+    def test_float_values_agree_bit_for_bit(self, monkeypatch):
+        monkeypatch.setattr(indices_mod, "edge_degree_multiset", _cached_multiset)
+        tables = [f for f in report_corpus() if f.mode == FLOAT]
+        rng = random.Random(9)
+        tables.append(IndexFunction("wide", {p: rng.uniform(-1e3, 1e3) for p in DEGREE_PAIRS},
+                                    mode=FLOAT))
+        for n in range(3, 13):
+            vectors, ids = census(n)
+            for f in tables:
+                values = [degree_pair_sum(v, f) for v in vectors]
+                for links, vid in zip(product((1, 2), repeat=n - 2), ids):
+                    assert evaluate_direct(links, f) == values[vid], (f.name, links)
+
+    def test_built_once_per_n(self):
+        census.cache_clear()
+        for n in range(3, 13):
+            assert cross_check(AZI, n)[0]
+        assert azi_mod.verify_azi_maximum(12, oracle_n_max=12).ok
+        assert azi_mod.verify_azi_minimum(12, oracle_n_max=12).ok
+        info = census.cache_info()
+        assert (info.misses, info.currsize) == (10, 10)
+
+    def test_independent_of_the_engine(self, monkeypatch):
+        tables = (AZI, preset("ga"), small_range_tables(5, 1)[0])
+        expected = {(f.name, n): exhaustive(f, n).to_json() for f in tables for n in (3, 9)}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle must not use the increment recurrence or the DP")
+
+        for mod in (indices_mod, dp_mod, azi_mod, cli_mod):
+            for name in ("increment_table", "run_dp"):
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, refuse)
+        census.cache_clear()
+        for f in tables:
+            for n in (3, 9):
+                assert exhaustive(f, n).to_json() == expected[(f.name, n)]
