@@ -203,7 +203,7 @@ def verify_azi_maximum(
         checks += 1
         if labeled != expected_labeled:
             return _failure(name, n_max, checks, n, "labeled maximizer count", expected_labeled, labeled)
-        iso = sum(1 for _ in table.chains(n, dedup=True))
+        iso = table.iso_count(n)
         expected_iso = 1 if n % 2 == 1 else (n - 1) // 4
         checks += 1
         if iso != expected_iso:

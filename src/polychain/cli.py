@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .azi import ORACLE_N_MAX, azi_extremal_report, verify_azi_maximum, verify_azi_minimum
 from .chains import LinkVector, realize
-from .dp import ISO_LIMIT, _extremal, classify, run_dp
+from .dp import _extremal, classify, run_dp
 from .indices import (
     FLOAT,
     RATIONAL,
@@ -41,6 +41,10 @@ from .indices import (
 from .oracle import DEFAULT_CAP, cross_check
 
 __all__ = ["main", "OUTPUT_SCHEMAS"]
+
+# default `table --iso-limit`: a row's mirror-class count is an O(n) walk
+# over O(n)-bit integers, so rows with more labeled chains leave it out
+ISO_LIMIT = 100_000
 
 _VALUE_SCHEMA = {
     "type": "object",
@@ -349,7 +353,7 @@ def _cmd_table(args, f: IndexFunction) -> tuple[str, int]:
             family = None
             iso = None
             if labeled <= args.iso_limit:
-                iso = sum(1 for _ in max_table.chains(n, dedup=True))
+                iso = max_table.iso_count(n)
         rows.append(
             {
                 "n": n,
@@ -455,8 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dedup", action="store_true", help="merge mirror-image chains")
         p.add_argument("--limit", type=int, help="stop enumeration after this many chains")
         p.add_argument("--iso", action="store_true",
-                       help="also count extremal chains up to mirror symmetry "
-                       f"(at most {ISO_LIMIT} labeled chains)")
+                       help="also count extremal chains up to mirror symmetry")
         p.add_argument("--format", choices=["plain", "json"], default="json")
 
     p = sub.add_parser("classify", help="linear/zigzag sufficient-condition verdict")
@@ -471,7 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--exact", action="store_true", help='CSV cells as exact "p/q"')
     p.add_argument("--iso-limit", type=int, default=ISO_LIMIT,
-                   help="skip mirror-class counting above this many labeled chains")
+                   help="skip a row's mirror-class count above this many labeled chains "
+                   "(bounds the big-integer work of the per-row count)")
 
     p = sub.add_parser("verify", help="oracle cross-checks (and AZI claims for --index azi)")
     _add_index_options(p)

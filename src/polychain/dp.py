@@ -11,8 +11,11 @@ therefore yields the optimum for every square count up to n at O(1)
 arithmetic per step; recording which predecessors attain each maximum
 turns the table into a DAG whose source-to-sink paths are exactly the
 optimal chains, so witnesses, tie counts and full enumeration all come
-out of the same pass.  Minimization is maximization of the negated
-index.
+out of the same pass.  The count up to mirror symmetry, |S| - (B - P)/2
+for the optimal words S, the words B of S whose reverse is in S and the
+palindromes P of S, comes from one O(n) walk over the same DAG that
+moves inward from both ends of the word.  Minimization is maximization
+of the negated index.
 
 Both arithmetic modes run one forward loop.  Rational values are scaled
 to integers by the least common multiple of the increment denominators,
@@ -61,14 +64,10 @@ __all__ = [
     "enumerate_maximal",
     "count_maximal",
     "classify",
-    "ISO_LIMIT",
 ]
 
 MAX = "max"
 MIN = "min"
-
-# most optimal chains a mirror-class count may enumerate
-ISO_LIMIT = 100_000
 
 _PRED_SETS = (frozenset(), frozenset((1,)), frozenset((2,)), frozenset((1, 2)))
 _PRED_LINKS = ((), (1,), (2,), (1, 2))
@@ -204,6 +203,45 @@ class DPTable:
             out.append(cur)
         out.reverse()
         return LinkVector(out)
+
+    def iso_count(self, k: int | None = None, end: int | None = None) -> int:
+        """Optimal chains at k squares up to mirror symmetry: the number
+        `chains(k, end, dedup=True)` yields, counted without enumerating.
+
+        With S the optimal words, B those whose reverse is also in S and
+        P the palindromes of S, the count is |S| - (B - P) / 2.  One walk
+        pairs square l with r = k + 3 - l and moves inward: v_x counts the
+        half words w_3..w_l ending in link x whose every step is an edge
+        of the DAG both forwards (squares l, l + 1) and mirrored (squares
+        r - 1, r).  A word is in B exactly when both its halves, read
+        from the outside in, are such half words, and in P when the two
+        halves are one, so B and P follow from v where the halves meet.
+        """
+        k = self.n if k is None else k
+        self._check_k(k)
+        if self._first > 3:
+            raise ValueError("streaming table cannot count mirror classes (keep_table=False)")
+        if end is not None:
+            self._check_end(end)
+        ends = (end,) if end is not None else self.winning_ends(k)
+        v1, v2 = int(1 in ends), int(2 in ends)  # a word of B starts and ends in `ends`
+        c1, c2 = self._preds  # bit x - 1 of a code: link x may precede
+        s = (k - 3) // 2  # steps while l + 1 < r
+        rows_l = zip(c1[1:s + 1], c2[1:s + 1])  # row l + 1 = 4, 5, ...
+        rows_r = zip(c1[k - 3:k - 3 - s:-1], c2[k - 3:k - 3 - s:-1])  # row r = k, k - 1, ...
+        for (a1, a2), (z1, z2) in zip(rows_l, rows_r):
+            v1, v2 = (
+                (v1 if a1 & 1 and z1 & 1 else 0) + (v2 if a1 & 2 and z2 & 1 else 0),
+                (v1 if a2 & 1 and z1 & 2 else 0) + (v2 if a2 & 2 and z2 & 2 else 0),
+            )
+        if k % 2:  # odd length: the halves share the middle square
+            both, pal = v1 * v1 + v2 * v2, v1 + v2
+        else:  # even length: one edge, read both ways, joins the middle squares
+            a1, a2 = c1[s + 1], c2[s + 1]
+            o11, o22 = a1 & 1, a2 >> 1  # links 1, 1 and 2, 2; links 1, 2 need 2 -> 1 and 1 -> 2
+            both = v1 * v1 * o11 + v2 * v2 * o22 + (2 * v1 * v2 if a1 & 2 and a2 & 1 else 0)
+            pal = v1 * o11 + v2 * o22
+        return self.labeled_count(k, end) - (both - pal) // 2
 
     def chains(
         self,
@@ -357,11 +395,10 @@ class ExtremalResult:
     """Outcome of one extremal query.
 
     `labeled_count` counts distinct optimal link vectors; `iso_count`
-    additionally merges mirror pairs and is only filled when the
-    enumeration actually ran (``count_iso``, refused with ValueError
-    above `ISO_LIMIT` optimal chains).  Under a float-mode index every
-    tie-derived quantity depends on the comparison tolerance, flagged
-    by `tolerance_dependent`.
+    additionally merges mirror pairs and is filled whenever ``count_iso``
+    is set (`DPTable.iso_count`, which enumerates nothing).  Under a
+    float-mode index every tie-derived quantity depends on the
+    comparison tolerance, flagged by `tolerance_dependent`.
     """
 
     objective: str
@@ -387,23 +424,14 @@ def _extremal(
     n = table.n
     sign = 1 if objective == MAX else -1
     ends = (end,) if end is not None else table.winning_ends()
-    labeled = table.labeled_count(n, end)
-    iso = None
-    if count_iso:
-        if labeled > ISO_LIMIT:
-            raise ValueError(
-                f"mirror classes are counted by enumerating every optimal chain; "
-                f"refused for more than {ISO_LIMIT} chains"
-            )
-        iso = sum(1 for _ in table.chains(end=end, dedup=True))
     return ExtremalResult(
         objective=objective,
         n=n,
         value=sign * table.value(n, ends[0]),
         per_end={e: sign * table.value(n, e) for e in (1, 2)},
         witness=table.witness(end=ends[0]),
-        labeled_count=labeled,
-        iso_count=iso,
+        labeled_count=table.labeled_count(n, end),
+        iso_count=table.iso_count(n, end) if count_iso else None,
         index_name=f.name,
         mode=f.mode,
         tolerance_dependent=f.mode == FLOAT,

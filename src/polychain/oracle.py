@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import compress, islice
 
-from .chains import LinkVector
+from .chains import LinkVector, canonical_reversal
 from .indices import (
     DEGREE_PAIRS,
     FLOAT,
@@ -287,12 +287,14 @@ def cross_check(f: IndexFunction, n: int, cap: int = DEFAULT_CAP) -> tuple[bool,
     """Compare the dynamic program against the exhaustive sweep.
 
     Checks global max/min values, per-end values, argmax sets, labeled
-    counts and witness soundness.  Values, witness and labeled count
-    come from `dp.maximize` and `dp.minimize`; the argmax, per-end
-    argmax and argmin sets from `DPTable.chains` on one kept `dp.run_dp`
-    table of f and one of `negate(f)`; the per-end counts from one
-    streaming run of f.  Returns (ok, mismatches); mismatches are
-    descriptions, not exceptions.
+    counts, mirror-class counts and witness soundness.  Values, witness
+    and labeled count come from `dp.maximize` and `dp.minimize`; the
+    argmax, per-end argmax and argmin sets from `DPTable.chains` and
+    their mirror-class counts from `DPTable.iso_count`, on one kept
+    `dp.run_dp` table of f and one of `negate(f)`; the per-end counts
+    from one streaming run of f.  The oracle side counts mirror classes
+    of its own sets with `canonical_reversal`.  Returns (ok,
+    mismatches); mismatches are descriptions, not exceptions.
     """
     from . import dp  # local import keeps the sweep itself engine-free
 
@@ -303,6 +305,10 @@ def cross_check(f: IndexFunction, n: int, cap: int = DEFAULT_CAP) -> tuple[bool,
     def check(label: str, ok: bool, expected, actual) -> None:
         if not ok:
             mismatches.append(f"{label}: oracle {expected!r} vs engine {actual!r}")
+
+    def check_classes(label: str, chains: tuple[LinkVector, ...], actual: int) -> None:
+        expected = len({canonical_reversal(c).links for c in chains})
+        check(label, expected == actual, expected, actual)
 
     res_max = dp.maximize(f, n)
     res_min = dp.minimize(f, n)
@@ -324,9 +330,11 @@ def cross_check(f: IndexFunction, n: int, cap: int = DEFAULT_CAP) -> tuple[bool,
     check("argmax set", enumerated == argmax, sorted(argmax), sorted(enumerated))
     check("labeled count", len(argmax) == res_max.labeled_count,
           len(argmax), res_max.labeled_count)
+    check_classes("mirror classes", report.argmax, max_table.iso_count(n))
     argmin = {c.links for c in report.argmin}
     enumerated_min = {c.links for c in min_table.chains()}
     check("argmin set", enumerated_min == argmin, sorted(argmin), sorted(enumerated_min))
+    check_classes("argmin mirror classes", report.argmin, min_table.iso_count(n))
     for end in (1, 2):
         value = res_max.per_end[end]
         check(f"end-{end} max value", values_equal(value, report.per_end_max[end], eps),
@@ -335,6 +343,8 @@ def cross_check(f: IndexFunction, n: int, cap: int = DEFAULT_CAP) -> tuple[bool,
         engine_set = {c.links for c in max_table.chains(end=end)}
         check(f"end-{end} argmax set", engine_set == oracle_set,
               sorted(oracle_set), sorted(engine_set))
+        check_classes(f"end-{end} mirror classes", report.per_end_argmax[end],
+                      max_table.iso_count(n, end))
         count = streamed.labeled_count(n, end)
         check(f"end-{end} maximal count", count == len(oracle_set), len(oracle_set), count)
     return (not mismatches, mismatches)

@@ -92,8 +92,8 @@ class TestExtremalCommands:
         assert doc["labeled_count"] == 4
         assert doc["iso_count"] == 2
 
-    def test_iso_refused_above_limit(self, capsys, tmp_path, monkeypatch):
-        # 2**18 chains tie under a constant index at n = 20
+    def test_iso_counted_without_enumeration(self, capsys, tmp_path, monkeypatch):
+        # 2**18 chains tie under a constant index at n = 20, 2**9 of them palindromes
         values = {p: "1" for p in ("2,2", "2,3", "2,4", "3,3", "3,4", "4,4")}
         path = tmp_path / "const.json"
         path.write_text(json.dumps({"name": "const", "mode": "rational", "values": values}))
@@ -102,13 +102,10 @@ class TestExtremalCommands:
             raise AssertionError("no chain may be enumerated")
 
         monkeypatch.setattr(dp_mod.DPTable, "chains", refuse)
-        code, out, err = run_cli(capsys, "max", "--index-file", str(path), "--n", "20", "--iso")
-        assert code == 2
-        assert out == ""
-        assert err == (f"error: mirror classes are counted by enumerating every optimal "
-                       f"chain; refused for more than {dp_mod.ISO_LIMIT} chains\n")
+        doc = run_json(capsys, "max", "--index-file", str(path), "--n", "20", "--iso")
+        assert (doc["labeled_count"], doc["iso_count"]) == (2**18, 131328)
         assert cli_mod.build_parser().parse_args(
-            ["table", "--index", "azi", "--from", "3", "--to", "4"]).iso_limit == dp_mod.ISO_LIMIT
+            ["table", "--index", "azi", "--from", "3", "--to", "4"]).iso_limit == 100_000
 
     def test_negative_limit_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "max", "--index", "azi", "--n", "12",

@@ -9,11 +9,11 @@ import pytest
 
 from polychain.chains import LinkVector, az1_chain, linear_chain, zigzag_chain
 from polychain.dp import (
-    ISO_LIMIT,
     CASE_LINEAR_ALWAYS,
     CASE_LINEAR_FROM_4,
     CASE_NOT_APPLICABLE,
     CASE_ZIGZAG_THEN_LINEAR,
+    DPTable,
     classify,
     count_maximal,
     enumerate_maximal,
@@ -63,6 +63,17 @@ def seeded_float_tables(seed, count):
     rng = random.Random(seed)
     return [
         IndexFunction(f"float{t}", {p: rng.uniform(-5, 5) for p in DEGREE_PAIRS}, mode=FLOAT)
+        for t in range(count)
+    ]
+
+
+def near_integer_float_tables(seed, count, eps):
+    # entries a few eps off {0, 1, 2}: float ties that need not be transitive,
+    # so an optimal set can miss the mirror image of one of its chains
+    rng = random.Random(seed)
+    return [
+        IndexFunction(f"near{t}", {p: rng.randrange(3) + rng.uniform(-5, 5) * eps
+                                   for p in DEGREE_PAIRS}, mode=FLOAT, eps=eps)
         for t in range(count)
     ]
 
@@ -257,14 +268,20 @@ class TestMaximize:
         assert res.labeled_count == 2
         assert res.iso_count == 1
 
-    def test_iso_count_bounded(self):
+    def test_iso_count_formula(self, monkeypatch):
         f = constant_index()
         res = maximize(f, 12, count_iso=True)
         assert (res.labeled_count, res.iso_count) == (2**10, 528)
-        with pytest.raises(ValueError, match=f"more than {ISO_LIMIT} chains"):
-            maximize(f, 20, count_iso=True)  # 2**18 optimal chains
-        with pytest.raises(ValueError, match=f"more than {ISO_LIMIT} chains"):
-            minimize(f, 20, end=1, count_iso=True)  # 2**17 of them end with link 1
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("no chain may be enumerated")
+
+        monkeypatch.setattr(DPTable, "chains", refuse)
+        # every word ties: 2**18 words, 2**9 of them palindromes
+        assert maximize(f, 20, count_iso=True).iso_count == (2**18 + 2**9) // 2 == 131328
+        # words ending with link 1: 2**16 of them also start with it, 2**8 palindromes
+        res = minimize(f, 20, end=1, count_iso=True)
+        assert res.iso_count == 2**17 - (2**16 - 2**8) // 2 == 98432
         assert maximize(f, 20).labeled_count == 2**18
 
     def test_four_square_double_end(self):
@@ -375,6 +392,54 @@ class TestEnumeration:
     def test_deterministic_order(self):
         runs = [[tuple(c) for c in enumerate_maximal(AZI, 14)] for _ in range(2)]
         assert runs[0] == runs[1]
+
+
+def iso_corpus():
+    rng = random.Random(45)
+    small = [IndexFunction(f"small{t}", {p: Fraction(rng.randrange(3)) for p in DEGREE_PAIRS})
+             for t in range(20)]
+    tables = [
+        *ALL_PRESETS,
+        *(force_float(f) for f in RATIONAL_PRESETS),
+        constant_index(),
+        *small,
+        *near_integer_float_tables(46, 12, 1e-9),
+        *near_integer_float_tables(47, 12, 0.05),
+    ]
+    return tables + [negate(f) for f in tables]
+
+
+class TestIsoCount:
+    def test_equals_dedup_enumeration(self):
+        open_sets = 0  # float optimal sets not closed under reversal
+        for f in iso_corpus():
+            t = run_dp(f, 16)
+            for k in range(3, 17):
+                for end in (None, 1, 2):
+                    expected = sum(1 for _ in t.chains(k, end=end, dedup=True))
+                    assert t.iso_count(k, end) == expected, (f.name, k, end)
+                words = {c.links for c in t.chains(k)}
+                if f.mode == FLOAT and any(w[::-1] not in words for w in words):
+                    open_sets += 1
+        assert open_sets > 0
+
+    def test_paper_counts(self):
+        # AZI maximizers: one at odd n, (n - 6)/2 + 1 at even n in ceil(n/4 - 1) classes
+        t = run_dp(AZI, 400)
+        for n in range(5, 401):
+            expected = 1 if n % 2 else -(-n // 4) - 1
+            assert t.iso_count(n) == expected, n
+
+    def test_streaming_table_refused(self):
+        with pytest.raises(ValueError, match="streaming table cannot count mirror classes"):
+            run_dp(AZI, 12, keep_table=False).iso_count()
+
+    def test_validates_arguments(self):
+        t = run_dp(AZI, 12)
+        with pytest.raises(ValueError, match="end link"):
+            t.iso_count(12, 3)
+        with pytest.raises(ValueError, match="outside table range"):
+            t.iso_count(13)
 
 
 class TestCountMaximal:

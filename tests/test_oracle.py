@@ -212,6 +212,20 @@ class TestCrossCheck:
         assert not ok
         assert [m.split(":")[0] for m in mismatches] == ["end-1 maximal count", "end-2 maximal count"]
 
+    def test_detects_mirror_class_corruption(self, monkeypatch):
+        real_iso = DPTable.iso_count
+
+        def inflated(table, k=None, end=None):
+            return real_iso(table, k, end) + 1
+
+        monkeypatch.setattr(DPTable, "iso_count", inflated)
+        ok, mismatches = cross_check(AZI, 6)
+        assert not ok
+        assert [m.split(":")[0] for m in mismatches] == [
+            "mirror classes", "argmin mirror classes",
+            "end-1 mirror classes", "end-2 mirror classes",
+        ]
+
     def test_five_forward_passes(self, monkeypatch):
         real_run_dp = dp_mod.run_dp
         calls = []

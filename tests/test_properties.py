@@ -1,4 +1,5 @@
-"""Property tests for the two text parsers that take outside input."""
+"""Property tests for the two text parsers that take outside input, and
+for the mirror-class count against enumeration."""
 
 import json
 import math
@@ -7,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polychain.chains import LinkVector
-from polychain.indices import DEGREE_PAIRS, FLOAT, load_custom_index
+from polychain.dp import run_dp
+from polychain.indices import DEGREE_PAIRS, FLOAT, IndexFunction, load_custom_index, negate
 
 # derandomized: the same examples on every run, so the suite stays deterministic
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=300)
@@ -73,3 +75,23 @@ def test_index_document_loads_finite_or_raises_value_error(doc, as_text):
     assert 0 < f.eps < math.inf
     if f.mode == FLOAT:
         assert all(math.isfinite(v) for v in f.values.values())
+
+
+# few distinct entries make ties; float entries a few eps off them make
+# ties that are not transitive, whose optimal sets need not be closed
+# under reversal
+table_entries = st.lists(st.integers(0, 3), min_size=6, max_size=6)
+float_offsets = st.lists(st.floats(-5, 5), min_size=6, max_size=6)
+
+
+@PROPERTY
+@given(table_entries, st.none() | st.sampled_from([1e-9, 0.05]), float_offsets,
+       st.booleans(), st.integers(3, 12), st.sampled_from([None, 1, 2]))
+def test_iso_count_equals_dedup_enumeration(entries, eps, offsets, negated, k, end):
+    if eps is None:
+        f = IndexFunction("t", dict(zip(DEGREE_PAIRS, entries)))
+    else:
+        values = {p: v + d * eps for p, v, d in zip(DEGREE_PAIRS, entries, offsets)}
+        f = IndexFunction("t", values, mode=FLOAT, eps=eps)
+    table = run_dp(negate(f) if negated else f, k)
+    assert table.iso_count(k, end) == sum(1 for _ in table.chains(k, end=end, dedup=True))
