@@ -31,6 +31,7 @@ __all__ = [
     "canonical_reversal",
 ]
 
+_LINK_TYPES = frozenset((1, 2))
 _RIGHT = (1, 0)
 _DOWN = (0, -1)
 
@@ -48,9 +49,13 @@ class LinkVector:
 
     def __init__(self, links: Iterable[int] = ()) -> None:
         links = tuple(links)
-        for x in links:
-            if x not in (1, 2):
-                raise ValueError(f"invalid link {x!r}: links must be 1 or 2")
+        try:
+            valid = _LINK_TYPES.issuperset(links)  # one C-level pass
+        except TypeError:  # an unhashable entry is no link either
+            valid = False
+        if not valid:
+            bad = next(x for x in links if x not in (1, 2))
+            raise ValueError(f"invalid link {bad!r}: links must be 1 or 2")
         self._links = links
 
     @property

@@ -27,10 +27,29 @@ larger one wins, and a tie stores the larger one.  The loop tests this
 on d = best(k-1, 1) - best(k-1, 2), as a - b = d - C_i for the constant
 C_i = g(2, i) - g(1, i) (up to rounding for floats).  Anything
 tie-derived in float mode (counts, enumeration) is tolerance-dependent.
+
+In rational mode the loop stops early.  The step out of a row depends
+on d alone: each end's predecessor code, its value, m1 + max(g(1, i),
+g(2, i) - d), and so the next d.  Once d at row k equals d at row k - 2
+(exact integers, so the equality is a proof, not a guess), rows k + 1,
+k + 2, ... repeat rows k - 1 and k with both values raised by
+vals[k] - vals[k - 2] per two rows.  The loop exits there; the rest of
+the value lists is written by slice assignment of `range`, the code
+bytearrays by repeating their two-byte pattern, and the final tie counts
+come from the pattern's affine map t -> t1 / t2 / 1 + t1 + t2 of each
+end, a 3x3 integer matrix, raised to a power by squaring.  Max-plus
+cyclicity makes every rational table repeat this way with period 1 or
+2, after a transient T that grows as the gap between the best cycle
+mean and the next shrinks (the rational presets repeat by row 9).  A
+full table then costs T Python steps and O(n) C-level work, a streaming
+one O(T + log n) steps.  Float mode keeps the loop to n: rounding makes
+a step depend on the size of m1 as well as on d, so an equal d proves
+nothing there.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -71,6 +90,8 @@ MIN = "min"
 
 _PRED_SETS = (frozenset(), frozenset((1,)), frozenset((2,)), frozenset((1, 2)))
 _PRED_LINKS = ((), (1,), (2,), (1, 2))
+# an end's tie count as a row over (t1, t2, 1) of the row before, by its code
+_TIE_ROWS = (None, (1, 0, 0), (0, 1, 0), (1, 1, 1))
 
 
 @dataclass(frozen=True)
@@ -105,7 +126,7 @@ class DPTable:
     per stored row.
     """
 
-    def __init__(self, f, n, den, values, preds, final_ties):
+    def __init__(self, f, n, den, values, preds, final_ties, period=None):
         self.f = f
         self.n = n
         self.mode = f.mode
@@ -116,6 +137,17 @@ class DPTable:
         self._preds = preds
         self._final_ties = final_ties
         self._ties = None
+        self._period = period
+
+    @property
+    def period(self) -> tuple[int, int] | None:
+        """(T, c): from square count T on, each row equals the row c
+        before it with both values raised by the same amount and the same
+        predecessor codes.  The forward pass proves this when d = m1 - m2
+        at row T + 1 equals d at row T - 1 (the first such row), and c is
+        1 when d at row T equals them too.  None for float tables and
+        when d does not repeat below row n."""
+        return self._period
 
     def _check_k(self, k: int) -> None:
         if not 3 <= k <= self.n:
@@ -194,14 +226,33 @@ class DPTable:
             end = self.winning_ends(k)[0]
         else:
             self._check_end(end)
-        preds1, preds2 = self._preds
-        out = [end]
-        cur = end
-        for j in range(k, 3, -1):
-            code = (preds1 if cur == 1 else preds2)[j - 3]
-            cur = 2 if code == 2 else 1  # codes 1 and 3 take link 1
-            out.append(cur)
-        out.reverse()
+        codes = (None,) + self._preds  # indexed by link
+        out = [0] * (k - 2)  # out[j - 3]: the link of square j
+        out[-1] = cur = end
+        j = k  # the link of square j is known
+        if self._period is not None and k > self._period[0] + 5:
+            # From row T on the codes repeat every two rows, so the walk's
+            # state (link, row parity) recurs within five steps; between two
+            # visits the links repeat down to row T - 1, the last one whose
+            # link the codes of the tail decide.
+            seen = {}
+            while (cur, j % 2) not in seen:
+                seen[cur, j % 2] = j
+                cur = 2 if codes[cur][j - 3] == 2 else 1
+                j -= 1
+                out[j - 3] = cur
+            p = seen[cur, j % 2] - j
+            lo = self._period[0] - 1
+            turn = (lo - j) % p  # row lo repeats row j + turn
+            cycle = out[j - 3 + turn:j - 3 + p] + out[j - 3:j - 3 + turn]
+            links = cycle * ((j - lo) // p)
+            links += cycle[:(j - lo) % p]
+            out[lo - 3:j - 3] = links
+            j = lo
+            cur = out[j - 3]
+        for j in range(j, 3, -1):
+            cur = 2 if codes[cur][j - 3] == 2 else 1  # codes 1 and 3 take link 1
+            out[j - 4] = cur
         return LinkVector(out)
 
     def iso_count(self, k: int | None = None, end: int | None = None) -> int:
@@ -314,6 +365,27 @@ def _derive_ties(preds1: bytearray, preds2: bytearray) -> tuple[list[int], list[
     return ties1, ties2
 
 
+def _compose(x: tuple, y: tuple) -> tuple:
+    """The affine map x after y, each kept as the top two rows of its 3x3
+    integer matrix over (t1, t2, 1), whose last row is (0, 0, 1)."""
+    (a, b, c), (d, e, f) = x
+    (g, h, i), (j, k, l) = y
+    return ((a * g + b * j, a * h + b * k, a * i + b * l + c),
+            (d * g + e * j, d * h + e * k, d * i + e * l + f))
+
+
+def _power(m: tuple, e: int) -> tuple:
+    """The affine map m applied e times, by squaring."""
+    out = ((1, 0, 0), (0, 1, 0))
+    while e:
+        if e & 1:
+            out = _compose(out, m)
+        e >>= 1
+        if e:  # no squaring past the top bit: the entries can be n bits wide
+            m = _compose(m, m)
+    return out
+
+
 def _build(f: IndexFunction, gt: IncrementTable, n: int, keep: bool) -> DPTable:
     G11, G12, G21, G22 = gt.g11, gt.g12, gt.g21, gt.g22
     m1, m2 = gt.initial(1), gt.initial(2)
@@ -331,13 +403,20 @@ def _build(f: IndexFunction, gt: IncrementTable, n: int, keep: bool) -> DPTable:
     # end i compares d = m1 - m2 with C_i; a tie is d inside [lo_i, hi_i]
     C1 = lo1 = hi1 = G21 - G11
     C2 = lo2 = hi2 = G22 - G12
-    for _ in range(n - 3):
+    d1 = d2 = None  # rational mode: d at rows k - 1 and k - 2
+    period = None
+    for k in range(3, n):  # row k -> row k + 1
         d = m1 - m2
         if eps:
             r = eps * max(1.0, abs(m1 + G11), abs(m2 + G21))
             lo1, hi1 = C1 - r, C1 + r
             r = eps * max(1.0, abs(m1 + G12), abs(m2 + G22))
             lo2, hi2 = C2 - r, C2 + r
+        elif d == d2:
+            period = (k - 1, 1 if d == d1 else 2)
+            break
+        else:
+            d2, d1 = d1, d
         if d > hi1:
             w1 = m1 + G11
             p1 = 1
@@ -368,9 +447,45 @@ def _build(f: IndexFunction, gt: IncrementTable, n: int, keep: bool) -> DPTable:
             av2(m2)
             ap1(p1)
             ap2(p2)
+    if period is not None:
+        # Rows k - 1 and k repeat for ever, two rows on and s higher: d at
+        # row k equals d at row k - 2, and the step out of a row depends on
+        # its d alone.  Row k - 1 is rebuilt from d: its codes are those of
+        # the step out of d, and m1 rose by max(G11, G21 - d1) into row k.
+        q1 = 1 if d > C1 else 2 if d < C1 else 3
+        q2 = 1 if d > C2 else 2 if d < C2 else 3
+        e = max(G11, G21 - d1)
+        s = e + max(G11, G21 - d)
+        a1 = m1 - e
+        a2 = a1 - d1
+        half, odd = divmod(n - k, 2)  # rows k + 1 .. n: whole periods, then maybe one row
+        first = (_TIE_ROWS[q1], _TIE_ROWS[q2])  # the tie map into row k + 1
+        step = _power(_compose((_TIE_ROWS[p1], _TIE_ROWS[p2]), first), half)
+        if odd:
+            step = _compose(first, step)
+        t1, t2 = (a * t1 + b * t2 + c for a, b, c in step)
+        if keep:
+            for vals, a, b in ((vals1, a1, m1), (vals2, a2, m2)):
+                start = len(vals)
+                vals.extend(itertools.repeat(a, 2 * half))
+                if s:
+                    vals[start::2] = range(a + s, a + s + s * half, s)
+                    vals[start + 1::2] = range(b + s, b + s + s * half, s)
+                else:  # a range cannot step by 0
+                    vals[start + 1::2] = [b] * half
+            preds1 += bytes((q1, p1)) * half
+            preds2 += bytes((q2, p2)) * half
+        m1, m2 = m1 + half * s, m2 + half * s
+        if odd:
+            m1, m2, p1, p2 = a1 + (half + 1) * s, a2 + (half + 1) * s, q1, q2
+            if keep:
+                av1(m1)
+                av2(m2)
+                ap1(p1)
+                ap2(p2)
     if not keep:
         vals1, vals2, preds1, preds2 = [m1], [m2], bytearray((p1,)), bytearray((p2,))
-    return DPTable(f, n, den, (vals1, vals2), (preds1, preds2), (t1, t2))
+    return DPTable(f, n, den, (vals1, vals2), (preds1, preds2), (t1, t2), period)
 
 
 def run_dp(f: IndexFunction, n: int, *, keep_table: bool = True) -> DPTable:
@@ -380,7 +495,15 @@ def run_dp(f: IndexFunction, n: int, *, keep_table: bool = True) -> DPTable:
     Two candidates that are `values_equal` under ``f.eps`` tie: the
     entry gets predecessor code 3 and the larger of the two values.
     A float optimum at n that overflows to inf or NaN is refused with
-    ValueError."""
+    ValueError.
+
+    A rational pass exits at the first row k whose d = m1 - m2 equals
+    d at row k - 2: every later row repeats one of rows k - 1 and k,
+    shifted, so the rest is written down (see the module docstring and
+    `DPTable.period`).  That costs k Python steps plus O(n) C-level
+    fills, or O(k + log n) steps streaming, with k <= 9 for the rational
+    presets.  Float passes, and rational ones whose d does not repeat
+    below row n, run the loop to n."""
     if n < 3:
         raise ValueError(f"dynamic program needs n >= 3, got {n}")
     table = _build(f, increment_table(f), n, keep_table)

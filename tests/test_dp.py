@@ -6,6 +6,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polychain.chains import LinkVector, az1_chain, linear_chain, zigzag_chain
 from polychain.dp import (
@@ -499,6 +501,161 @@ class TestDegenerateAndRandomTables:
             for n in (7, 10):
                 ok, detail = cross_check_oracle(f, n)
                 assert ok, (trial, n, values, detail)
+
+
+def zero_index():
+    # every chain scores 0: the periodic tail has shift 0
+    return IndexFunction("zero", {p: Fraction(0) for p in DEGREE_PAIRS})
+
+
+def late_repeat_index():
+    # self-loop means g11 = 3 and g22 = 3 - 1/10**4, 2-cycle far below:
+    # d = m1 - m2 climbs by 1/10**4 a row from 45.8 until end 2 turns to
+    # take link 1 after it, so d first repeats near row 1000, after a tie
+    values = {(2, 2): Fraction(0), (2, 3): Fraction(0), (2, 4): Fraction(-109, 10),
+              (3, 3): Fraction(1), (3, 4): Fraction(-10),
+              (4, 4): Fraction(248, 10) - Fraction(1, 10**4)}
+    return IndexFunction("late-repeat", values)
+
+
+def seeded_small_tables(seed, count):
+    rng = random.Random(seed)
+    return [IndexFunction(f"small{t}", {p: Fraction(rng.randrange(3)) for p in DEGREE_PAIRS})
+            for t in range(count)]
+
+
+def wide_rational_tables(seed, count):
+    # entries in about [-5, 20) over denominators up to 10**6
+    rng = random.Random(seed)
+    out = []
+    for t in range(count):
+        den_max = round(10 ** (6 * (t + 1) / count))
+        out.append(IndexFunction(f"wide{t}", {
+            p: Fraction(round(rng.uniform(-5, 20) * den), den)
+            for p in DEGREE_PAIRS
+            for den in [rng.randrange(max(1, den_max // 2), den_max + 1)]}))
+    return out
+
+
+def plain_witness(table, k, end):
+    """Walk the predecessor sets back from square k, link 1 first."""
+    out, cur = [end], end
+    for j in range(k, 3, -1):
+        cur = min(table.predecessors(j, cur))
+        out.append(cur)
+    return LinkVector(reversed(out))
+
+
+def d_at(table, k):
+    return table.value(k, 1) - table.value(k, 2)
+
+
+def assert_matches_reference(g, n, ref, rows, witness=True):
+    """run_dp(g, n) against reference rows at the given square counts,
+    a streaming run at row n, and both witnesses against a plain walk."""
+    table = run_dp(g, n)
+    slim = run_dp(g, n, keep_table=False)
+    for k in rows:
+        if k == 3:
+            continue
+        vals, preds, ties = ref[k - 4]
+        for i in (1, 2):
+            assert table.value(k, i) == vals[i - 1], (g.name, n, k, i)
+            assert table.predecessors(k, i) == preds[i - 1], (g.name, n, k, i)
+            assert table.tie_count(k, i) == ties[i - 1], (g.name, n, k, i)
+            if k == n:
+                assert slim.value(n, i) == vals[i - 1], (g.name, n, i)
+                assert slim.predecessors(n, i) == preds[i - 1], (g.name, n, i)
+                assert slim.tie_count(n, i) == ties[i - 1], (g.name, n, i)
+    for e in (1, 2) if witness else ():
+        assert table.witness(end=e) == plain_witness(table, n, e), (g.name, n, e)
+
+
+PERIODIC_CORPUS = [
+    *(g for name in ("azi", "zagreb1", "zagreb2", "harmonic")
+      for g in (preset(name), negate(preset(name)))),
+    constant_index(),
+    zero_index(),
+    *(g for f in seeded_small_tables(46, 12) for g in (f, negate(f))),
+    *(g for f in wide_rational_tables(47, 8) for g in (f, negate(f))),
+    late_repeat_index(),
+    negate(late_repeat_index()),
+]
+
+
+class TestPeriodicTail:
+    """The rational forward pass stops at the first exact repeat of d and
+    writes the rest of the table down; it must agree with the plain loop."""
+
+    def test_every_size_through_the_tail(self):
+        n_max = 2001
+        for g in PERIODIC_CORPUS:
+            period = run_dp(g, n_max).period
+            assert period is not None, g.name  # the fast path ran
+            start = period[0]
+            ref = reference_pass(g, n_max)
+            for n in range(3, start + 7):
+                # the rows below start - 4 come out of the loop whatever n
+                # is, and so does the witness while d has not repeated
+                assert_matches_reference(g, n, ref, range(max(3, min(n, start) - 4), n + 1),
+                                         witness=n <= 40 or n >= start - 4)
+            for n in (start + 6, 500, n_max):
+                assert_matches_reference(g, n, ref, range(3, n + 1))
+
+    def test_period_is_the_first_repeat_of_d(self):
+        for g in PERIODIC_CORPUS:
+            t = run_dp(g, 1200)
+            start, c = t.period
+            assert d_at(t, start + 1) == d_at(t, start - 1), g.name
+            assert all(d_at(t, k) != d_at(t, k - 2) for k in range(5, start + 1)), g.name
+            assert (c == 1) == (d_at(t, start) == d_at(t, start + 1)), g.name
+            shift = t.value(start + c, 1) - t.value(start, 1)
+            for k in range(start, 1201 - c):
+                for i in (1, 2):
+                    assert t.value(k + c, i) - t.value(k, i) == shift, (g.name, k, i)
+                    assert t.predecessors(k + c, i) == t.predecessors(k, i), (g.name, k, i)
+
+    def test_period_of_the_presets(self):
+        assert run_dp(AZI, 100).period == (6, 2)
+        assert run_dp(negate(AZI), 100).period == (8, 1)
+        assert run_dp(constant_index(), 100).period == (4, 1)
+        assert run_dp(late_repeat_index(), 1010).period == (1004, 1)
+
+    def test_no_period_without_a_repeat(self):
+        # float values need not repeat d exactly, so float mode keeps the loop
+        for f in (force_float(AZI), preset("abc"), *seeded_float_tables(48, 2)):
+            assert run_dp(f, 500).period is None
+        late = late_repeat_index()
+        assert run_dp(late, 1005).period is None  # d repeats at row 1005 = n
+        assert run_dp(late, 1006).period == (1004, 1)
+        assert run_dp(AZI, 3).period is None
+
+    def test_streaming_takes_the_same_exit(self):
+        slim = run_dp(constant_index(), 10**5, keep_table=False)
+        assert slim.period == (4, 1)
+        assert slim.tie_count(10**5, 1) == 2 ** (10**5 - 3) - 1
+        assert slim.labeled_count() == 2 ** (10**5 - 2)
+        assert len(slim) == 1
+
+    def test_witness_inside_the_table(self):
+        for g in (AZI, negate(AZI), late_repeat_index(), *seeded_small_tables(49, 6)):
+            t = run_dp(g, 1200)
+            for k in (3, 4, 7, 12, 13, 600, 1009, 1010, 1011, 1199):
+                for e in (1, 2):
+                    assert t.witness(k, e) == plain_witness(t, k, e), (g.name, k, e)
+
+
+small_integer_tables = st.builds(
+    lambda entries: IndexFunction("hyp", {p: Fraction(v) for p, v in zip(DEGREE_PAIRS, entries)}),
+    st.lists(st.integers(-3, 3), min_size=6, max_size=6),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(small_integer_tables, st.integers(3, 400))
+def test_periodic_tail_matches_reference(f, n):
+    ref = reference_pass(f, n)
+    assert_matches_reference(f, n, ref, range(3, n + 1))
 
 
 def case_b_index():
