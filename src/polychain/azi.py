@@ -161,9 +161,10 @@ def verify_azi_maximum(
     """Check the AZI maximum claims for every 5 <= n <= n_max.
 
     Values are checked against the closed form for the whole range; the
-    enumerated maximizer sets and their counts up to `structure_n_max`
-    (default min(n_max, 200), since enumeration is output-sensitive);
-    and everything against the exhaustive oracle up to `oracle_n_max`
+    enumerated maximizer sets, and the counts and value of
+    `azi_extremal_report`, up to `structure_n_max` (default
+    min(n_max, 200), since enumeration is output-sensitive); and
+    everything against the exhaustive oracle up to `oracle_n_max`
     (default min(n_max, 16)).
     """
     if n_max < 5:
@@ -189,7 +190,8 @@ def verify_azi_maximum(
                 table.value(n, 1),
             )
     for n in range(5, structure_n_max + 1):
-        cf = azi_max_closed_form(n)
+        report = azi_extremal_report(n)  # the counts and value CLI `table` prints
+        cf = report.closed_value
         expected = _chain_set(azi_extremal_chains(n))
         actual = _chain_set(table.chains(n))
         checks += 1
@@ -199,15 +201,13 @@ def verify_azi_maximum(
                 _sorted_words(expected), _sorted_words(actual),
             )
         labeled = table.labeled_count(n)
-        expected_labeled = 1 if n % 2 == 1 else (n - 6) // 2 + 1
         checks += 1
-        if labeled != expected_labeled:
-            return _failure(name, n_max, checks, n, "labeled maximizer count", expected_labeled, labeled)
+        if labeled != report.labeled_count:
+            return _failure(name, n_max, checks, n, "labeled maximizer count", report.labeled_count, labeled)
         iso = table.iso_count(n)
-        expected_iso = 1 if n % 2 == 1 else (n - 1) // 4
         checks += 1
-        if iso != expected_iso:
-            return _failure(name, n_max, checks, n, "mirror-class maximizer count", expected_iso, iso)
+        if iso != report.iso_count:
+            return _failure(name, n_max, checks, n, "mirror-class maximizer count", report.iso_count, iso)
         for member in azi_extremal_chains(n):
             checks += 1
             direct = evaluate_direct(member, f)

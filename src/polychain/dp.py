@@ -33,23 +33,23 @@ on d alone: each end's predecessor code, its value, m1 + max(g(1, i),
 g(2, i) - d), and so the next d.  Once d at row k equals d at row k - 2
 (exact integers, so the equality is a proof, not a guess), rows k + 1,
 k + 2, ... repeat rows k - 1 and k with both values raised by
-vals[k] - vals[k - 2] per two rows.  The loop exits there; the rest of
-the value lists is written by slice assignment of `range`, the code
-bytearrays by repeating their two-byte pattern, and the final tie counts
-come from the pattern's affine map t -> t1 / t2 / 1 + t1 + t2 of each
-end, a 3x3 integer matrix, raised to a power by squaring.  Max-plus
-cyclicity makes every rational table repeat this way with period 1 or
-2, after a transient T that grows as the gap between the best cycle
-mean and the next shrinks (the rational presets repeat by row 9).  A
-full table then costs T Python steps and O(n) C-level work, a streaming
-one O(T + log n) steps.  Float mode keeps the loop to n: rounding makes
-a step depend on the size of m1 as well as on d, so an equal d proves
-nothing there.
+vals[k] - vals[k - 2] per two rows.  The loop exits there.  The value
+lists stop at row k and a later row is read as the stored row 2b rows
+back plus b times that shift; the code bytearrays are filled to n by
+repeating their two-byte pattern; and the final tie counts come from the
+pattern's affine map t -> t1 / t2 / 1 + t1 + t2 of each end, a 3x3
+integer matrix, raised to a power by squaring.  Max-plus cyclicity makes
+every rational table repeat this way with period 1 or 2, after a
+transient T that grows as the gap between the best cycle mean and the
+next shrinks (the rational presets repeat by row 9).  A full table then
+costs T Python steps, O(T) stored values and n bytes of codes per end; a
+streaming one O(T + log n) steps.  Float mode keeps the loop to n:
+rounding makes a step depend on the size of m1 as well as on d, so an
+equal d proves nothing there.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -117,16 +117,18 @@ class DPState:
 class DPTable:
     """Forward-pass results for square counts 3..n under one index.
 
-    Each row holds, for one square count, the two optimum values and the
-    two predecessor codes (1 or 2, 3 for a tie, 0 at k = 3): the DAG that
-    `witness` and `chains` walk backwards.  Tie counts are carried for
-    row n only; interior ones are derived from the codes on first use
-    and cached.  A streaming build (``keep_table=False``) is the same
-    table holding only the row for n.  Iterating yields one `DPState`
-    per stored row.
+    Each row holds, for one square count, the two predecessor codes (1
+    or 2, 3 for a tie, 0 at k = 3): the DAG that `witness` and `chains`
+    walk backwards.  The two optimum values are stored up to row T + 1
+    of `period` (to row n when there is none); a later row is read as
+    the stored row 2b rows back plus b times their rise over two rows.  Tie
+    counts are carried for row n only; interior ones are derived from
+    the codes on first use and cached.  A streaming build
+    (``keep_table=False``) is the same table holding only the row for n.
+    Iterating yields one `DPState` per row.
     """
 
-    def __init__(self, f, n, den, values, preds, final_ties, period=None):
+    def __init__(self, f, n, den, values, preds, final_ties, period=None, shift=0):
         self.f = f
         self.n = n
         self.mode = f.mode
@@ -138,6 +140,7 @@ class DPTable:
         self._final_ties = final_ties
         self._ties = None
         self._period = period
+        self._shift = shift  # both values' rise over two rows of the period
 
     @property
     def period(self) -> tuple[int, int] | None:
@@ -164,7 +167,10 @@ class DPTable:
         """Optimum over k-square chains ending with link i."""
         self._check_k(k)
         self._check_end(i)
-        raw = self._values[i - 1][k - self._first]
+        vals = self._values[i - 1]
+        j = k - self._first
+        b = max(0, j - len(vals) + 2) // 2  # periods past the stored rows
+        raw = vals[j - 2 * b] + b * self._shift if b else vals[j]
         return Fraction(raw, self._den) if self._den is not None else raw
 
     def tie_count(self, k: int, i: int) -> int:
@@ -231,23 +237,19 @@ class DPTable:
         out[-1] = cur = end
         j = k  # the link of square j is known
         if self._period is not None and k > self._period[0] + 5:
-            # From row T on the codes repeat every two rows, so the walk's
-            # state (link, row parity) recurs within five steps; between two
-            # visits the links repeat down to row T - 1, the last one whose
-            # link the codes of the tail decide.
-            seen = {}
-            while (cur, j % 2) not in seen:
-                seen[cur, j % 2] = j
+            # From row T on a row's codes depend on its parity alone, so the
+            # walk's state (link, row parity) moves by one map that flips
+            # the parity.  Two steps of it map {1, 2} into itself, so the
+            # states repeat with a period dividing 4 from the second step
+            # on: after six steps the last four links repeat down to
+            # square T - 1, the last one whose link the tail decides.
+            for j in range(k, k - 6, -1):
                 cur = 2 if codes[cur][j - 3] == 2 else 1
-                j -= 1
-                out[j - 3] = cur
-            p = seen[cur, j % 2] - j
+                out[j - 4] = cur
             lo = self._period[0] - 1
-            turn = (lo - j) % p  # row lo repeats row j + turn
-            cycle = out[j - 3 + turn:j - 3 + p] + out[j - 3:j - 3 + turn]
-            links = cycle * ((j - lo) // p)
-            links += cycle[:(j - lo) % p]
-            out[lo - 3:j - 3] = links
+            block = out[k - 9:k - 5]  # squares k - 6 .. k - 3
+            whole, rest = divmod(k - 6 - lo, 4)  # squares lo .. k - 7 still open
+            out[lo - 3:k - 9] = block[4 - rest:] + block * whole
             j = lo
             cur = out[j - 3]
         for j in range(j, 3, -1):
@@ -447,63 +449,51 @@ def _build(f: IndexFunction, gt: IncrementTable, n: int, keep: bool) -> DPTable:
             av2(m2)
             ap1(p1)
             ap2(p2)
+    shift = 0
     if period is not None:
-        # Rows k - 1 and k repeat for ever, two rows on and s higher: d at
-        # row k equals d at row k - 2, and the step out of a row depends on
-        # its d alone.  Row k - 1 is rebuilt from d: its codes are those of
-        # the step out of d, and m1 rose by max(G11, G21 - d1) into row k.
+        # Rows k - 1 and k repeat for ever, two rows on and `shift` higher:
+        # d at row k equals d at row k - 2, and the step out of a row
+        # depends on its d alone.  Row k - 1's codes are those of the step
+        # out of d, and m1 rose by max(G11, G21 - d1) into row k.  The
+        # values stop at row k; `DPTable.value` reads the later rows.
         q1 = 1 if d > C1 else 2 if d < C1 else 3
         q2 = 1 if d > C2 else 2 if d < C2 else 3
         e = max(G11, G21 - d1)
-        s = e + max(G11, G21 - d)
-        a1 = m1 - e
-        a2 = a1 - d1
+        shift = e + max(G11, G21 - d)
         half, odd = divmod(n - k, 2)  # rows k + 1 .. n: whole periods, then maybe one row
         first = (_TIE_ROWS[q1], _TIE_ROWS[q2])  # the tie map into row k + 1
         step = _power(_compose((_TIE_ROWS[p1], _TIE_ROWS[p2]), first), half)
         if odd:
             step = _compose(first, step)
         t1, t2 = (a * t1 + b * t2 + c for a, b, c in step)
-        if keep:
-            for vals, a, b in ((vals1, a1, m1), (vals2, a2, m2)):
-                start = len(vals)
-                vals.extend(itertools.repeat(a, 2 * half))
-                if s:
-                    vals[start::2] = range(a + s, a + s + s * half, s)
-                    vals[start + 1::2] = range(b + s, b + s + s * half, s)
-                else:  # a range cannot step by 0
-                    vals[start + 1::2] = [b] * half
-            preds1 += bytes((q1, p1)) * half
-            preds2 += bytes((q2, p2)) * half
-        m1, m2 = m1 + half * s, m2 + half * s
-        if odd:
-            m1, m2, p1, p2 = a1 + (half + 1) * s, a2 + (half + 1) * s, q1, q2
-            if keep:
-                av1(m1)
-                av2(m2)
-                ap1(p1)
-                ap2(p2)
+        if keep:  # rows k + 1 .. n take the codes of rows k - 1 and k in turn
+            preds1 += (bytes((q1, p1)) * (half + 1))[:n - k]
+            preds2 += (bytes((q2, p2)) * (half + 1))[:n - k]
+        m1, m2 = m1 + half * shift, m2 + half * shift
+        if odd:  # row n repeats row k - 1
+            m1, m2, p1, p2 = m1 - e + shift, m1 - e - d1 + shift, q1, q2
     if not keep:
         vals1, vals2, preds1, preds2 = [m1], [m2], bytearray((p1,)), bytearray((p2,))
-    return DPTable(f, n, den, (vals1, vals2), (preds1, preds2), (t1, t2), period)
+    return DPTable(f, n, den, (vals1, vals2), (preds1, preds2), (t1, t2), period, shift)
 
 
 def run_dp(f: IndexFunction, n: int, *, keep_table: bool = True) -> DPTable:
-    """Forward pass to n squares: linear time, O(n) words of memory even
-    for tie-heavy indices (O(1) when ``keep_table=False``, which keeps
-    only the row for n and so disables witnesses and enumeration).
-    Two candidates that are `values_equal` under ``f.eps`` tie: the
-    entry gets predecessor code 3 and the larger of the two values.
-    A float optimum at n that overflows to inf or NaN is refused with
-    ValueError.
+    """Forward pass to n squares: linear time and O(n) memory even for
+    tie-heavy indices, 2n bytes of predecessor codes plus the values
+    (O(1) when ``keep_table=False``, which keeps only the row for n and
+    so disables witnesses and enumeration).  Two candidates that are
+    `values_equal` under ``f.eps`` tie: the entry gets predecessor code
+    3 and the larger of the two values.  A float optimum at n that
+    overflows to inf or NaN is refused with ValueError.
 
     A rational pass exits at the first row k whose d = m1 - m2 equals
     d at row k - 2: every later row repeats one of rows k - 1 and k,
-    shifted, so the rest is written down (see the module docstring and
-    `DPTable.period`).  That costs k Python steps plus O(n) C-level
-    fills, or O(k + log n) steps streaming, with k <= 9 for the rational
-    presets.  Float passes, and rational ones whose d does not repeat
-    below row n, run the loop to n."""
+    shifted, so the values stop at row k and only the codes are written
+    on (see the module docstring and `DPTable.period`).  That costs k
+    Python steps and k values per end plus one n-byte fill per end, or
+    O(k + log n) steps streaming, with k <= 9 for the rational presets.
+    Float passes, and rational ones whose d does not repeat below row n,
+    run the loop to n and store n values per end."""
     if n < 3:
         raise ValueError(f"dynamic program needs n >= 3, got {n}")
     table = _build(f, increment_table(f), n, keep_table)
@@ -542,7 +532,8 @@ def _extremal(
     """Read one extremal result for index f at `table.n` squares.
 
     `table` is a table of f for MAX or of `negate(f)` for MIN; the
-    signs of the values are flipped here, and nowhere else.
+    signs of the values are flipped here (CLI `table` flips its min
+    column the same way).
     """
     n = table.n
     sign = 1 if objective == MAX else -1

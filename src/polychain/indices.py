@@ -20,6 +20,7 @@ NaN where it leaves this module: an increment, or an evaluated chain.
 
 from __future__ import annotations
 
+import decimal
 import json
 import math
 import re
@@ -109,7 +110,12 @@ def as_exact_string(v: Value) -> str | None:
 
 def as_decimal_string(v: Value) -> str:
     """Approximate 10-significant-digit decimal rendering."""
-    return format(float(v), "#.10g")
+    try:
+        return format(float(v), "#.10g")
+    except OverflowError:  # past the float range: "#.10g"'s shape at large exponents
+        q = Fraction(v)
+        ctx = decimal.Context(prec=10, Emax=decimal.MAX_EMAX)
+        return format(ctx.divide(decimal.Decimal(q.numerator), q.denominator), ".9e")
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """AZI closed forms, extremal families and the verification sweeps."""
 
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -154,6 +155,16 @@ class TestVerifySweeps:
         assert row["n"] == 5
         assert row["status"] == "fail"
         assert row["expected"] == "1"
+
+    def test_checks_the_report_counts(self, monkeypatch):
+        # CLI `table` prints the report's counts, so a wrong one must fail
+        real = azi_mod.azi_extremal_report
+        monkeypatch.setattr(azi_mod, "azi_extremal_report",
+                            lambda n: replace(real(n), iso_count=real(n).iso_count + 1))
+        report = verify_azi_maximum(8, oracle_n_max=0)
+        assert not report.ok
+        assert report.failure["claim"] == "mirror-class maximizer count"
+        assert (report.failure["n"], report.failure["expected"], report.failure["actual"]) == (5, "2", "1")
 
 
 class TestConsistencyWithEngine:

@@ -346,6 +346,27 @@ class TestIndexResolution:
             assert out == ""
             assert err.startswith("error: float overflow: ") and err.count("\n") == 1
 
+    def test_exact_values_past_the_float_range(self, capsys, tmp_path):
+        # every chain of k squares has 3k + 1 edges, each worth 10**400
+        doc = {"name": "vast", "mode": "rational",
+               "values": {p: str(10**400) for p in ("2,2", "2,3", "2,4", "3,3", "3,4", "4,4")}}
+        path = tmp_path / "vast.json"
+        path.write_text(json.dumps(doc))
+        src = ("--index-file", str(path), "--format", "json")
+
+        def rendered(edges, decimal):
+            return {"rational": str(edges * 10**400), "decimal": decimal}
+
+        doc = run_json(capsys, "max", "--n", "5", *src)
+        assert doc["value"] == rendered(16, "1.600000000e+401")
+        doc = run_json(capsys, "value", "--links", "1,2", *src)
+        assert doc["direct"] == doc["recursive"] == rendered(13, "1.300000000e+401")
+        doc = run_json(capsys, "table", "--from", "3", "--to", "4", *src)
+        assert [(r["max"], r["min"]) for r in doc["rows"]] == [
+            (rendered(10, "1.000000000e+401"),) * 2,
+            (rendered(13, "1.300000000e+401"),) * 2,
+        ]
+
     def test_mode_float_override(self, capsys):
         doc = run_json(capsys, "value", "--index", "azi", "--mode", "float",
                        "--links", "1,1", "--format", "json")

@@ -483,6 +483,16 @@ class TestDegenerateAndRandomTables:
 
         assert peak(2 * 10**4) / peak(10**4) < 2.5
 
+    def test_periodic_table_stores_codes_not_values(self):
+        # the values stop at the first repeat of d; the codes alone take 2 MB
+        tracemalloc.start()
+        try:
+            run_dp(AZI, 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 10**6
+
     def test_random_tables_cross_check(self):
         rng = random.Random(42)
         for trial in range(15):
@@ -640,7 +650,8 @@ class TestPeriodicTail:
     def test_witness_inside_the_table(self):
         for g in (AZI, negate(AZI), late_repeat_index(), *seeded_small_tables(49, 6)):
             t = run_dp(g, 1200)
-            for k in (3, 4, 7, 12, 13, 600, 1009, 1010, 1011, 1199):
+            start = t.period[0]  # T + 10 .. T + 13: every phase of the four-row block
+            for k in (3, 4, 7, 12, 13, 600, 1009, 1010, 1011, 1199, *range(start + 10, start + 14)):
                 for e in (1, 2):
                     assert t.witness(k, e) == plain_witness(t, k, e), (g.name, k, e)
 
