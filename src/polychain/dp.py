@@ -23,23 +23,25 @@ so each step costs a few word operations; floats run as they are.  The
 two candidates a = best(k-1, 1) + g(1, i) and b = best(k-1, 2) + g(2, i)
 of end i tie when values_equal(a, b, eps) holds (exact equality for
 rationals, |a - b| <= eps * max(1, |a|, |b|) for floats); otherwise the
-larger one wins, and a tie stores the larger one.  The loop tests this
-on d = best(k-1, 1) - best(k-1, 2), as a - b = d - C_i for the constant
-C_i = g(2, i) - g(1, i) (up to rounding for floats).  Anything
-tie-derived in float mode (counts, enumeration) is tolerance-dependent.
+larger one wins, and a tie stores the larger one.  The loop evaluates
+that formula on the two sums themselves, so every entry is decided
+exactly as `values_equal` decides it.  Anything tie-derived in float
+mode (counts, enumeration) is tolerance-dependent.
 
-In rational mode the loop stops early.  The step out of a row depends
-on d alone: each end's predecessor code, its value, m1 + max(g(1, i),
-g(2, i) - d), and so the next d.  Once d at row k equals d at row k - 2
-(exact integers, so the equality is a proof, not a guess), rows k + 1,
-k + 2, ... repeat rows k - 1 and k with both values raised by
-vals[k] - vals[k - 2] per two rows.  The loop exits there.  The value
-lists stop at row k and a later row is read as the stored row 2b rows
-back plus b times that shift; the code bytearrays are filled to n by
-repeating their two-byte pattern; and the final tie counts come from the
-pattern's affine map t -> t1 / t2 / 1 + t1 + t2 of each end, a 3x3
-integer matrix, raised to a power by squaring.  Max-plus cyclicity makes
-every rational table repeat this way with period 1 or 2, after a
+In rational mode the loop stops early.  With d = m1 - m2 for the row's
+values m1 = best(k, 1) and m2 = best(k, 2), end i's candidates differ by
+a - b = d - (g(2, i) - g(1, i)), exactly on integers.  So the step out
+of a row depends on d alone: each end's predecessor code, its value,
+m1 + max(g(1, i), g(2, i) - d), and so the next d.  Once d at row k
+equals d at row k - 2 (exact integers, so the equality is a proof, not a
+guess), rows k + 1, k + 2, ... repeat rows k - 1 and k with both values
+raised by vals[k] - vals[k - 2] per two rows.  The loop exits there.
+The value lists stop at row k and a later row is read as the stored row
+2b rows back plus b times that shift; the code bytearrays are filled to
+n by repeating their two-byte pattern; and the final tie counts come
+from the pattern's affine map t -> t1 / t2 / 1 + t1 + t2 of each end, a
+3x3 integer matrix, raised to a power by squaring.  Max-plus cyclicity
+makes every rational table repeat this way with period 1 or 2, after a
 transient T that grows as the gap between the best cycle mean and the
 next shrinks (the rational presets repeat by row 9).  A full table then
 costs T Python steps, O(T) stored values and n bytes of codes per end; a
@@ -233,7 +235,7 @@ class DPTable:
         else:
             self._check_end(end)
         codes = (None,) + self._preds  # indexed by link
-        out = [0] * (k - 2)  # out[j - 3]: the link of square j
+        out = bytearray(k - 2)  # out[j - 3]: the link of square j
         out[-1] = cur = end
         j = k  # the link of square j is known
         if self._period is not None and k > self._period[0] + 5:
@@ -402,47 +404,31 @@ def _build(f: IndexFunction, gt: IncrementTable, n: int, keep: bool) -> DPTable:
     preds1, preds2 = bytearray(1), bytearray(1)
     av1, av2 = vals1.append, vals2.append
     ap1, ap2 = preds1.append, preds2.append
-    # end i compares d = m1 - m2 with C_i; a tie is d inside [lo_i, hi_i]
-    C1 = lo1 = hi1 = G21 - G11
-    C2 = lo2 = hi2 = G22 - G12
     d1 = d2 = None  # rational mode: d at rows k - 1 and k - 2
     period = None
     for k in range(3, n):  # row k -> row k + 1
-        d = m1 - m2
-        if eps:
-            r = eps * max(1.0, abs(m1 + G11), abs(m2 + G21))
-            lo1, hi1 = C1 - r, C1 + r
-            r = eps * max(1.0, abs(m1 + G12), abs(m2 + G22))
-            lo2, hi2 = C2 - r, C2 + r
-        elif d == d2:
-            period = (k - 1, 1 if d == d1 else 2)
-            break
-        else:
+        if not eps:
+            d = m1 - m2
+            if d == d2:
+                period = (k - 1, 1 if d == d1 else 2)
+                break
             d2, d1 = d1, d
-        if d > hi1:
-            w1 = m1 + G11
-            p1 = 1
-            nt1 = t1
-        elif d < lo1:
-            w1 = m2 + G21
-            p1 = 2
-            nt1 = t2
+        # each end's two candidates tie by values_equal's formula (exact
+        # equality when eps is 0); a tie keeps the larger one
+        a, b = m1 + G11, m2 + G21
+        if a == b or eps and abs(a - b) <= eps * max(1.0, abs(a), abs(b)):
+            w1, p1, nt1 = a if a >= b else b, 3, 1 + t1 + t2
+        elif a > b:
+            w1, p1, nt1 = a, 1, t1
         else:
-            w1 = m1 + G11 if d >= C1 else m2 + G21
-            p1 = 3
-            nt1 = 1 + t1 + t2
-        if d > hi2:
-            w2 = m1 + G12
-            p2 = 1
-            nt2 = t1
-        elif d < lo2:
-            w2 = m2 + G22
-            p2 = 2
-            nt2 = t2
+            w1, p1, nt1 = b, 2, t2
+        a, b = m1 + G12, m2 + G22
+        if a == b or eps and abs(a - b) <= eps * max(1.0, abs(a), abs(b)):
+            w2, p2, nt2 = a if a >= b else b, 3, 1 + t1 + t2
+        elif a > b:
+            w2, p2, nt2 = a, 1, t1
         else:
-            w2 = m1 + G12 if d >= C2 else m2 + G22
-            p2 = 3
-            nt2 = 1 + t1 + t2
+            w2, p2, nt2 = b, 2, t2
         m1, m2, t1, t2 = w1, w2, nt1, nt2
         if keep:
             av1(m1)
@@ -454,8 +440,10 @@ def _build(f: IndexFunction, gt: IncrementTable, n: int, keep: bool) -> DPTable:
         # Rows k - 1 and k repeat for ever, two rows on and `shift` higher:
         # d at row k equals d at row k - 2, and the step out of a row
         # depends on its d alone.  Row k - 1's codes are those of the step
-        # out of d, and m1 rose by max(G11, G21 - d1) into row k.  The
-        # values stop at row k; `DPTable.value` reads the later rows.
+        # out of d, where end i's candidates differ by d - C_i, and m1 rose
+        # by max(G11, G21 - d1) into row k.  The values stop at row k;
+        # `DPTable.value` reads the later rows.
+        C1, C2 = G21 - G11, G22 - G12
         q1 = 1 if d > C1 else 2 if d < C1 else 3
         q2 = 1 if d > C2 else 2 if d < C2 else 3
         e = max(G11, G21 - d1)

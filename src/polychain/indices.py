@@ -111,11 +111,15 @@ def as_exact_string(v: Value) -> str | None:
 def as_decimal_string(v: Value) -> str:
     """Approximate 10-significant-digit decimal rendering."""
     try:
-        return format(float(v), "#.10g")
-    except OverflowError:  # past the float range: "#.10g"'s shape at large exponents
-        q = Fraction(v)
-        ctx = decimal.Context(prec=10, Emax=decimal.MAX_EMAX)
-        return format(ctx.divide(decimal.Decimal(q.numerator), q.denominator), ".9e")
+        x = float(v)
+    except OverflowError:
+        x = None
+    if x is not None and not (v and abs(x) < sys.float_info.min):
+        return format(x, "#.10g")
+    # nonzero but past or below the normal float range: "#.10g"'s shape at large exponents
+    q = Fraction(v)
+    ctx = decimal.Context(prec=10, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+    return format(ctx.divide(decimal.Decimal(q.numerator), q.denominator), ".9e")
 
 
 @dataclass(frozen=True)

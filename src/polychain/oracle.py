@@ -287,12 +287,12 @@ def cross_check(f: IndexFunction, n: int, cap: int = DEFAULT_CAP) -> tuple[bool,
     """Compare the dynamic program against the exhaustive sweep.
 
     Checks global max/min values, per-end values, argmax sets, labeled
-    counts, mirror-class counts and witness soundness.  Values, witness
-    and labeled count come from `dp.maximize` and `dp.minimize`; the
-    argmax, per-end argmax and argmin sets from `DPTable.chains` and
-    their mirror-class counts from `DPTable.iso_count`, on one kept
-    `dp.run_dp` table of f and one of `negate(f)`; the per-end counts
-    from one streaming run of f.  The oracle side counts mirror classes
+    counts, mirror-class counts and witness soundness.  Two kept
+    `dp.run_dp` tables, one of f and one of `negate(f)`, give the
+    values, witness and labeled count through `dp._extremal`, the argmax,
+    per-end argmax and argmin sets through `DPTable.chains` and their
+    mirror-class counts through `DPTable.iso_count`; the per-end counts
+    come from one streaming run of f.  The oracle side counts mirror classes
     of its own sets with `canonical_reversal`.  Returns (ok,
     mismatches); mismatches are descriptions, not exceptions.
     """
@@ -310,11 +310,11 @@ def cross_check(f: IndexFunction, n: int, cap: int = DEFAULT_CAP) -> tuple[bool,
         expected = len({canonical_reversal(c).links for c in chains})
         check(label, expected == actual, expected, actual)
 
-    res_max = dp.maximize(f, n)
-    res_min = dp.minimize(f, n)
     max_table = dp.run_dp(f, n)
     min_table = dp.run_dp(negate(f), n)
     streamed = dp.run_dp(f, n, keep_table=False)
+    res_max = dp._extremal(f, max_table, dp.MAX, None, False)
+    res_min = dp._extremal(f, min_table, dp.MIN, None, False)
     check("max value", values_equal(res_max.value, report.max_value, eps),
           report.max_value, res_max.value)
     check("min value", values_equal(res_min.value, report.min_value, eps),

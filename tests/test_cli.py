@@ -240,6 +240,22 @@ class TestVerify:
         assert doc["azi_maximum"]["status"] == "success"
         assert doc["azi_minimum"]["status"] == "success"
 
+    def test_tolerance_boundary_table_passes(self, capsys, tmp_path):
+        # at n = 4 end 1's candidates (1, 1) and (2, 1) differ by just over
+        # eps times the larger: one maximizer, not a tie
+        doc = {"name": "probe", "mode": "float", "eps": 0.6002183446019408,
+               "values": {"2,2": "-5.240707458162173", "2,3": "0.8845845059190367",
+                          "2,4": "-2.6008966690384145", "3,3": "2.0784007719238886",
+                          "3,4": "2.5144060821610807", "4,4": "-8.689422815203738"}}
+        path = tmp_path / "probe.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "verify", "--index-file", str(path), "--n-max", "4")
+        assert code == 0, out
+        assert json.loads(out)["oracle"]["mismatches"] == {}
+        doc = run_json(capsys, "max", "--index-file", str(path), "--n", "4")
+        assert doc["labeled_count"] == 1
+        assert doc["witness"] == [1, 1]
+
     def test_cap_bounds_azi_sweeps(self, capsys, monkeypatch):
         real_exhaustive = oracle_mod.exhaustive
         swept = []
@@ -366,6 +382,20 @@ class TestIndexResolution:
             (rendered(10, "1.000000000e+401"),) * 2,
             (rendered(13, "1.300000000e+401"),) * 2,
         ]
+
+    def test_exact_values_below_the_float_range(self, capsys, tmp_path):
+        # a 4-square chain has 13 edges; 13 / 10**320 is a float subnormal
+        for den, sign, decimal in ((10**400, "", "1.300000000e-399"),
+                                   (10**400, "-", "-1.300000000e-399"),
+                                   (10**320, "", "1.300000000e-319")):
+            doc = {"name": "tiny", "mode": "rational",
+                   "values": {p: f"{sign}1/{den}" for p in ("2,2", "2,3", "2,4", "3,3", "3,4", "4,4")}}
+            path = tmp_path / "tiny.json"
+            path.write_text(json.dumps(doc))
+            doc = run_json(capsys, "value", "--links", "1,2", "--index-file", str(path),
+                           "--format", "json")
+            assert doc["direct"] == doc["recursive"] == {"rational": f"{sign}13/{den}",
+                                                         "decimal": decimal}
 
     def test_mode_float_override(self, capsys):
         doc = run_json(capsys, "value", "--index", "azi", "--mode", "float",

@@ -1,5 +1,6 @@
 """Dynamic program: values, ties, witnesses, enumeration, classifier."""
 
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -26,6 +27,7 @@ from polychain.dp import (
 from polychain.indices import (
     DEGREE_PAIRS,
     FLOAT,
+    PRESET_NAMES,
     IndexFunction,
     evaluate_direct,
     force_float,
@@ -493,6 +495,16 @@ class TestDegenerateAndRandomTables:
             tracemalloc.stop()
         assert peak < 8 * 10**6
 
+    def test_witness_memory(self):
+        # the witness is built in one n-byte buffer before its tuple of links
+        tracemalloc.start()
+        try:
+            maximize(AZI, 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 10**6
+
     def test_random_tables_cross_check(self):
         rng = random.Random(42)
         for trial in range(15):
@@ -667,6 +679,84 @@ small_integer_tables = st.builds(
 def test_periodic_tail_matches_reference(f, n):
     ref = reference_pass(f, n)
     assert_matches_reference(f, n, ref, range(3, n + 1))
+
+
+PROBE = IndexFunction("probe", dict(zip(DEGREE_PAIRS, (
+    -5.240707458162173, 0.8845845059190367, -2.6008966690384145,
+    2.0784007719238886, 2.5144060821610807, -8.689422815203738))),
+    mode=FLOAT, eps=0.6002183446019408)
+
+
+def assert_candidate_rule(f, n):
+    """Each entry of run_dp(f, n) against the row before it: end i's sums
+    a and b tie exactly when `values_equal` says so, otherwise the larger
+    one wins, and the entry holds the larger one."""
+    gt = increment_table(f)
+    table = run_dp(f, n)
+    for k in range(4, n + 1):
+        for i in (1, 2):
+            a = table.value(k - 1, 1) + gt.step(1, i)
+            b = table.value(k - 1, 2) + gt.step(2, i)
+            expected = {1, 2} if values_equal(a, b, f.eps) else {1} if a > b else {2}
+            assert table.predecessors(k, i) == expected, (f.name, f.eps, k, i)
+            assert table.value(k, i) == max(a, b), (f.name, f.eps, k, i)
+
+
+def boundary_float_tables(seed, count):
+    """Float tables whose eps is |a - b| / max(1, |a|, |b|) of the first
+    step of one end, and that eps one ulp lower and higher."""
+    rng = random.Random(seed)
+    out = []
+    for t in range(count):
+        values = {p: rng.uniform(-5, 5) for p in DEGREE_PAIRS}
+        gt = increment_table(IndexFunction("raw", values, mode=FLOAT))
+        i = 1 + t % 2
+        a, b = gt.initial(1) + gt.step(1, i), gt.initial(2) + gt.step(2, i)
+        eps = abs(a - b) / max(1.0, abs(a), abs(b))
+        out += [IndexFunction(f"boundary{t}", values, mode=FLOAT, eps=e)
+                for e in (math.nextafter(eps, 0), eps, math.nextafter(eps, math.inf))]
+    return out
+
+
+class TestCandidateRule:
+    """The forward pass decides each entry on its two candidate sums with
+    `values_equal`'s formula and keeps the larger sum on a tie."""
+
+    def test_probe_table(self):
+        # end 1's sums at n = 4 differ by just over eps times the larger
+        assert run_dp(PROBE, 4).predecessors(4, 1) == {1}
+        ok, mismatches = cross_check_oracle(PROBE, 4)
+        assert ok, mismatches
+
+    def test_presets_forced_floats_and_small_tables(self):
+        corpus = [
+            *(preset(name) for name in PRESET_NAMES),
+            *(force_float(f, eps) for f in RATIONAL_PRESETS for eps in (1e-12, 1e-9, 0.05, 1.45)),
+            *seeded_small_tables(50, 12),
+        ]
+        for f in corpus:
+            for g in (f, negate(f)):
+                if g.mode != FLOAT:  # the rows past T are read from the periodic tail
+                    assert run_dp(g, 60).period[0] < 50, g.name
+                assert_candidate_rule(g, 60)
+
+    def test_tolerance_boundary(self):
+        for f in boundary_float_tables(51, 200):
+            assert_candidate_rule(f, 12)
+
+
+float_tables = st.builds(
+    lambda entries, eps: IndexFunction("hyp-float", dict(zip(DEGREE_PAIRS, entries)),
+                                       mode=FLOAT, eps=eps),
+    st.lists(st.floats(-10, 10), min_size=6, max_size=6),
+    st.floats(1e-12, 2.0),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(float_tables, st.integers(4, 40))
+def test_candidate_rule_property(f, n):
+    assert_candidate_rule(f, n)
 
 
 def case_b_index():

@@ -436,3 +436,14 @@ class TestRendering:
     def test_decimal_string_ten_significant_digits(self):
         assert as_decimal_string(Fraction(10790359, 54000)) == "199.8214630"
         assert as_decimal_string(Fraction(329717, 2000)) == "164.8585000"
+
+    def test_decimal_string_below_the_float_range(self):
+        # exact nonzero values under the smallest normal float keep ten digits
+        assert as_decimal_string(Fraction(1, 10**400)) == "1.000000000e-400"
+        assert as_decimal_string(Fraction(-1, 10**400)) == "-1.000000000e-400"
+        assert as_decimal_string(Fraction(1, 10**320)) == "1.000000000e-320"
+        assert as_decimal_string(Fraction(3, 10**310)) == "3.000000000e-310"
+        assert as_decimal_string(Fraction(0)) == "0.000000000"
+        assert as_decimal_string(5e-324) == "4.940656458e-324"
+        assert as_decimal_string(-0.0) == "-0.000000000"
+        assert as_decimal_string(Fraction(1, 10**300)) == "1.000000000e-300"
