@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import cache
 
 from .chains import LinkVector, az1_chain, az2_family, linear_chain, zigzag_chain
-from .dp import CASE_ZIGZAG_THEN_LINEAR, DPTable, classify, run_dp
+from .dp import CASE_ZIGZAG_THEN_LINEAR, classify, run_dp
 from .indices import IndexFunction, evaluate_direct, negate, preset
 from . import oracle
 
@@ -134,23 +134,34 @@ class VerificationReport:
         }
 
 
-def _failure(name: str, n_max: int, checks: int, n: int, claim: str, expected, actual) -> VerificationReport:
-    row = {
-        "n": n,
-        "claim": claim,
-        "expected": str(expected),
-        "actual": str(actual),
-        "status": "fail",
-    }
-    return VerificationReport(name=name, n_max=n_max, ok=False, checks_run=checks, failure=row)
+def _run(name: str, n_max: int, claims) -> VerificationReport:
+    """Count claim rows (n, claim, ok, detail) up to the first false `ok`, whose
+    `detail()` gives (expected, actual) before the generator resumes."""
+    checks = 0
+    for n, claim, ok, detail in claims:
+        checks += 1
+        if not ok:
+            expected, actual = detail()
+            row = {"n": n, "claim": claim, "expected": str(expected), "actual": str(actual),
+                   "status": "fail"}
+            return VerificationReport(name, n_max, False, checks, row)
+    return VerificationReport(name, n_max, True, checks)
 
 
-def _chain_set(chains) -> set[tuple[int, ...]]:
-    return {c.links for c in chains}
+def _equals(n: int, claim: str, expected, actual) -> tuple:
+    """The claim row that `actual` equals `expected`."""
+    return n, claim, actual == expected, lambda: (expected, actual)
 
 
-def _sorted_words(keys: set[tuple[int, ...]]) -> list[str]:
-    return [",".join(map(str, k)) for k in sorted(keys)]
+def _same_chains(n: int, claim: str, expected, actual) -> tuple:
+    """The claim row that two chain collections hold the same link words."""
+    want, got = {c.links for c in expected}, {c.links for c in actual}
+    return n, claim, want == got, lambda: tuple(
+        [",".join(map(str, k)) for k in sorted(s)] for s in (want, got))
+
+
+def _minimizer(n: int) -> LinkVector:
+    return zigzag_chain(n) if n <= 5 else linear_chain(n)
 
 
 def verify_azi_maximum(
@@ -165,73 +176,40 @@ def verify_azi_maximum(
     `azi_extremal_report`, up to `structure_n_max` (default
     min(n_max, 200), since enumeration is output-sensitive); and
     everything against the exhaustive oracle up to `oracle_n_max`
-    (default min(n_max, 16)).
+    (default min(n_max, 16)).  The sweep stops at its first failing
+    claim; `checks_run` counts the claims up to and including it.
     """
     if n_max < 5:
         raise ValueError(f"closed form stated for n >= 5, got n_max={n_max}")
     structure_n_max = min(n_max, 200) if structure_n_max is None else min(structure_n_max, n_max)
     oracle_n_max = min(n_max, ORACLE_N_MAX) if oracle_n_max is None else min(oracle_n_max, n_max)
-    name = "azi-maximum"
     f = _azi()
-    table: DPTable = run_dp(f, n_max)
-    checks = 0
-    for n in range(5, n_max + 1):
-        cf = azi_max_closed_form(n)
-        got = table.best_value(n)
-        checks += 1
-        if got != cf:
-            return _failure(name, n_max, checks, n, "maximum equals closed form", cf, got)
-        checks += 1
-        if not table.value(n, 1) > table.value(n, 2):
-            return _failure(
-                name, n_max, checks, n,
-                "end-link-1 value strictly dominant",
-                f"{table.value(n, 2)} < value(n,1)",
-                table.value(n, 1),
-            )
-    for n in range(5, structure_n_max + 1):
-        report = azi_extremal_report(n)  # the counts and value CLI `table` prints
-        cf = report.closed_value
-        expected = _chain_set(azi_extremal_chains(n))
-        actual = _chain_set(table.chains(n))
-        checks += 1
-        if actual != expected:
-            return _failure(
-                name, n_max, checks, n, "maximizer set equals expected family",
-                _sorted_words(expected), _sorted_words(actual),
-            )
-        labeled = table.labeled_count(n)
-        checks += 1
-        if labeled != report.labeled_count:
-            return _failure(name, n_max, checks, n, "labeled maximizer count", report.labeled_count, labeled)
-        iso = table.iso_count(n)
-        checks += 1
-        if iso != report.iso_count:
-            return _failure(name, n_max, checks, n, "mirror-class maximizer count", report.iso_count, iso)
-        for member in azi_extremal_chains(n):
-            checks += 1
-            direct = evaluate_direct(member, f)
-            if direct != cf:
-                return _failure(
-                    name, n_max, checks, n,
-                    f"family member {member.to_string()} attains the closed form",
-                    cf, direct,
-                )
-    for n in range(5, oracle_n_max + 1):
-        rep = oracle.exhaustive(f, n)
-        cf = azi_max_closed_form(n)
-        checks += 1
-        if rep.max_value != cf:
-            return _failure(name, n_max, checks, n, "oracle maximum equals closed form", cf, rep.max_value)
-        checks += 1
-        expected = _chain_set(azi_extremal_chains(n))
-        actual = _chain_set(rep.argmax)
-        if actual != expected:
-            return _failure(
-                name, n_max, checks, n, "oracle argmax equals expected family",
-                _sorted_words(expected), _sorted_words(actual),
-            )
-    return VerificationReport(name=name, n_max=n_max, ok=True, checks_run=checks)
+    table = run_dp(f, n_max)
+
+    def claims():
+        for n in range(5, n_max + 1):
+            yield _equals(n, "maximum equals closed form",
+                          azi_max_closed_form(n), table.best_value(n))
+            v1, v2 = table.value(n, 1), table.value(n, 2)
+            yield (n, "end-link-1 value strictly dominant", v1 > v2,
+                   lambda: (f"{v2} < value(n,1)", v1))
+        for n in range(5, structure_n_max + 1):
+            want = azi_extremal_report(n)  # the counts and value CLI `table` prints
+            family = azi_extremal_chains(n)
+            yield _same_chains(n, "maximizer set equals expected family", family, table.chains(n))
+            yield _equals(n, "labeled maximizer count", want.labeled_count, table.labeled_count(n))
+            yield _equals(n, "mirror-class maximizer count", want.iso_count, table.iso_count(n))
+            for member in family:
+                yield _equals(n, f"family member {member.to_string()} attains the closed form",
+                              want.closed_value, evaluate_direct(member, f))
+        for n in range(5, oracle_n_max + 1):
+            rep = oracle.exhaustive(f, n)
+            yield _equals(n, "oracle maximum equals closed form",
+                          azi_max_closed_form(n), rep.max_value)
+            yield _same_chains(n, "oracle argmax equals expected family",
+                               azi_extremal_chains(n), rep.argmax)
+
+    return _run("azi-maximum", n_max, claims())
 
 
 def verify_azi_minimum(n_max: int, oracle_n_max: int | None = None) -> VerificationReport:
@@ -241,46 +219,31 @@ def verify_azi_minimum(n_max: int, oracle_n_max: int | None = None) -> Verificat
     and uniquely the linear chain from n = 6 on; the classifier applied
     to the negated index must land in the zigzag-then-linear case with
     threshold 6.  The oracle confirms the sets up to `oracle_n_max`
-    (default min(n_max, 16)).
+    (default min(n_max, 16)).  The sweep stops at its first failing
+    claim; `checks_run` counts the claims up to and including it, and
+    only a successful report carries `info["tie_at_threshold"]`.
     """
     if n_max < 3:
         raise ValueError(f"chains need n >= 3 squares here, got n_max={n_max}")
     oracle_n_max = min(n_max, ORACLE_N_MAX) if oracle_n_max is None else min(oracle_n_max, n_max)
-    name = "azi-minimum"
     f = _azi()
     neg = negate(f)
-    checks = 0
     verdict = classify(neg)
-    checks += 1
-    if verdict.case != CASE_ZIGZAG_THEN_LINEAR or not verdict.premise_holds:
-        return _failure(name, n_max, checks, 0, "negated-index classifier case",
-                        CASE_ZIGZAG_THEN_LINEAR, verdict.case)
-    checks += 1
-    if verdict.n_star != 6:
-        return _failure(name, n_max, checks, 0, "zigzag-to-linear threshold", 6, verdict.n_star)
-    table = run_dp(neg, n_max)
-    for n in range(3, n_max + 1):
-        expected = {zigzag_chain(n).links} if n <= 5 else {linear_chain(n).links}
-        actual = _chain_set(table.chains(n))
-        checks += 1
-        if actual != expected:
-            return _failure(
-                name, n_max, checks, n, "minimizer set",
-                _sorted_words(expected), _sorted_words(actual),
-            )
-        checks += 1
-        if table.labeled_count(n) != 1:
-            return _failure(name, n_max, checks, n, "unique minimizer", 1, table.labeled_count(n))
-    for n in range(3, oracle_n_max + 1):
-        rep = oracle.exhaustive(f, n)
-        expected = {zigzag_chain(n).links} if n <= 5 else {linear_chain(n).links}
-        actual = _chain_set(rep.argmin)
-        checks += 1
-        if actual != expected:
-            return _failure(
-                name, n_max, checks, n, "oracle argmin set",
-                _sorted_words(expected), _sorted_words(actual),
-            )
-    report = VerificationReport(name=name, n_max=n_max, ok=True, checks_run=checks)
-    report.info["tie_at_threshold"] = verdict.tie_at_threshold
+
+    def claims():
+        yield (0, "negated-index classifier case",
+               verdict.case == CASE_ZIGZAG_THEN_LINEAR and verdict.premise_holds,
+               lambda: (CASE_ZIGZAG_THEN_LINEAR, verdict.case))
+        yield _equals(0, "zigzag-to-linear threshold", 6, verdict.n_star)
+        table = run_dp(neg, n_max)
+        for n in range(3, n_max + 1):
+            yield _same_chains(n, "minimizer set", [_minimizer(n)], table.chains(n))
+            yield _equals(n, "unique minimizer", 1, table.labeled_count(n))
+        for n in range(3, oracle_n_max + 1):
+            yield _same_chains(n, "oracle argmin set", [_minimizer(n)],
+                               oracle.exhaustive(f, n).argmin)
+
+    report = _run("azi-minimum", n_max, claims())
+    if report.ok:
+        report.info["tie_at_threshold"] = verdict.tie_at_threshold
     return report

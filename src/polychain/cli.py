@@ -520,15 +520,14 @@ def main(argv=None) -> int:
                 text, code = _cmd_extremal(args, f, args.command)
             else:
                 text, code = _DISPATCH[args.command](args, f)
+        if text and args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if text:
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        else:
-            print(text)
+    if text and not args.out:
+        print(text)
     return code
 
 

@@ -404,15 +404,15 @@ def _build(f: IndexFunction, gt: IncrementTable, n: int, keep: bool) -> DPTable:
     preds1, preds2 = bytearray(1), bytearray(1)
     av1, av2 = vals1.append, vals2.append
     ap1, ap2 = preds1.append, preds2.append
-    d1 = d2 = None  # rational mode: d at rows k - 1 and k - 2
+    r1 = r2 = None  # rational mode: rows k - 1 and k - 2 as (m1, m2, p1, p2)
     period = None
     for k in range(3, n):  # row k -> row k + 1
         if not eps:
             d = m1 - m2
-            if d == d2:
-                period = (k - 1, 1 if d == d1 else 2)
+            if r2 and d == r2[0] - r2[1]:
+                period = (k - 1, 1 if d == r1[0] - r1[1] else 2)
                 break
-            d2, d1 = d1, d
+            r2, r1 = r1, (m1, m2, p1, p2)
         # each end's two candidates tie by values_equal's formula (exact
         # equality when eps is 0); a tie keeps the larger one
         a, b = m1 + G11, m2 + G21
@@ -439,15 +439,10 @@ def _build(f: IndexFunction, gt: IncrementTable, n: int, keep: bool) -> DPTable:
     if period is not None:
         # Rows k - 1 and k repeat for ever, two rows on and `shift` higher:
         # d at row k equals d at row k - 2, and the step out of a row
-        # depends on its d alone.  Row k - 1's codes are those of the step
-        # out of d, where end i's candidates differ by d - C_i, and m1 rose
-        # by max(G11, G21 - d1) into row k.  The values stop at row k;
-        # `DPTable.value` reads the later rows.
-        C1, C2 = G21 - G11, G22 - G12
-        q1 = 1 if d > C1 else 2 if d < C1 else 3
-        q2 = 1 if d > C2 else 2 if d < C2 else 3
-        e = max(G11, G21 - d1)
-        shift = e + max(G11, G21 - d)
+        # depends on its d alone, so row k + 1 is row k - 1 (codes q1, q2)
+        # raised by row k's rise over row k - 2.  The values stop at row
+        # k; `DPTable.value` reads the later rows.
+        (v1, v2, q1, q2), shift = r1, m1 - r2[0]
         half, odd = divmod(n - k, 2)  # rows k + 1 .. n: whole periods, then maybe one row
         first = (_TIE_ROWS[q1], _TIE_ROWS[q2])  # the tie map into row k + 1
         step = _power(_compose((_TIE_ROWS[p1], _TIE_ROWS[p2]), first), half)
@@ -457,9 +452,9 @@ def _build(f: IndexFunction, gt: IncrementTable, n: int, keep: bool) -> DPTable:
         if keep:  # rows k + 1 .. n take the codes of rows k - 1 and k in turn
             preds1 += (bytes((q1, p1)) * (half + 1))[:n - k]
             preds2 += (bytes((q2, p2)) * (half + 1))[:n - k]
-        m1, m2 = m1 + half * shift, m2 + half * shift
         if odd:  # row n repeats row k - 1
-            m1, m2, p1, p2 = m1 - e + shift, m1 - e - d1 + shift, q1, q2
+            m1, m2, p1, p2 = v1 + shift, v2 + shift, q1, q2
+        m1, m2 = m1 + half * shift, m2 + half * shift
     if not keep:
         vals1, vals2, preds1, preds2 = [m1], [m2], bytearray((p1,)), bytearray((p2,))
     return DPTable(f, n, den, (vals1, vals2), (preds1, preds2), (t1, t2), period, shift)

@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 
 import polychain.azi as azi_mod
+import polychain.oracle as oracle_mod
 from polychain.azi import (
     azi_extremal_chains,
     azi_extremal_report,
@@ -15,7 +16,7 @@ from polychain.azi import (
     verify_azi_minimum,
 )
 from polychain.chains import az1_chain, az2_family, linear_chain, zigzag_chain
-from polychain.dp import maximize, minimize, run_dp
+from polychain.dp import CASE_LINEAR_ALWAYS, DPTable, maximize, minimize, run_dp
 from polychain.indices import evaluate_direct, preset
 
 AZI = preset("azi")
@@ -165,6 +166,117 @@ class TestVerifySweeps:
         assert not report.ok
         assert report.failure["claim"] == "mirror-class maximizer count"
         assert (report.failure["n"], report.failure["expected"], report.failure["actual"]) == (5, "2", "1")
+
+
+def _wrap(monkeypatch, owner, name, wrapper):
+    real = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *a, **kw: wrapper(real, *a, **kw))
+
+
+def _patch_oracle(monkeypatch, field, edit):
+    _wrap(monkeypatch, oracle_mod, "exhaustive", lambda real, f, n: (
+        lambda rep: replace(rep, **{field: edit(getattr(rep, field), n)}))(real(f, n)))
+
+
+# one sabotage per claim, each breaking it at one n, with the report row
+# (checks_run, n, claim, expected, actual) the sweep must stop at
+SABOTAGES = [
+    pytest.param(
+        lambda mp: _wrap(mp, azi_mod, "azi_max_closed_form", lambda real, n: real(n) + (n == 7)),
+        "azi-maximum", 12,
+        (5, 7, "maximum equals closed form", "474309/2000", "472309/2000"),
+        id="closed-form"),
+    pytest.param(  # a tie, not a drop: a drop would fail the closed form first
+        lambda mp: _wrap(mp, DPTable, "value", lambda real, self, k, i: real(
+            self, k, 1 if (self.f.name, k, i) == ("azi", 11, 2) else i)),
+        "azi-maximum", 30,
+        (14, 11, "end-link-1 value strictly dominant", "757493/2000 < value(n,1)", "757493/2000"),
+        id="dominance"),
+    pytest.param(
+        lambda mp: _wrap(mp, azi_mod, "azi_extremal_chains",
+                         lambda real, n: real(n)[:-1] if n == 10 else real(n)),
+        "azi-maximum", 12,
+        (38, 10, "maximizer set equals expected family",
+         "['1,2,1,2,2,1,2,1', '1,2,2,1,2,1,2,1']",
+         "['1,2,1,2,1,2,2,1', '1,2,1,2,2,1,2,1', '1,2,2,1,2,1,2,1']"),
+        id="maximizer-set"),
+    pytest.param(
+        lambda mp: _wrap(mp, azi_mod, "azi_extremal_report", lambda real, n: replace(
+            real(n), labeled_count=real(n).labeled_count + (n == 9))),
+        "azi-maximum", 12,
+        (35, 9, "labeled maximizer count", "2", "1"),
+        id="labeled-count"),
+    pytest.param(
+        lambda mp: _wrap(mp, azi_mod, "azi_extremal_report", lambda real, n: replace(
+            real(n), iso_count=real(n).iso_count + (n == 12))),
+        "azi-maximum", 12,
+        (50, 12, "mirror-class maximizer count", "3", "2"),
+        id="mirror-class-count"),
+    pytest.param(
+        lambda mp: _wrap(mp, azi_mod, "evaluate_direct",
+                         lambda real, c, f: real(c, f) + (c == az2_family(4)[-1])),
+        "azi-maximum", 12,
+        (33, 8, "family member 1,2,1,2,2,1 attains the closed form",
+         "14640343/54000", "14694343/54000"),
+        id="family-member"),
+    pytest.param(
+        lambda mp: _patch_oracle(mp, "max_value", lambda v, n: v - (n == 6)),
+        "azi-maximum", 12,
+        (57, 6, "oracle maximum equals closed form", "10790359/54000", "10736359/54000"),
+        id="oracle-maximum"),
+    pytest.param(
+        lambda mp: _patch_oracle(mp, "argmax", lambda s, n: s + (linear_chain(n),) * (n == 7)),
+        "azi-maximum", 12,
+        (60, 7, "oracle argmax equals expected family",
+         "['1,2,1,2,1']", "['1,1,1,1,1', '1,2,1,2,1']"),
+        id="oracle-argmax"),
+    pytest.param(
+        lambda mp: _wrap(mp, azi_mod, "classify",
+                         lambda real, f: replace(real(f), case=CASE_LINEAR_ALWAYS)),
+        "azi-minimum", 12,
+        (1, 0, "negated-index classifier case", "zigzag-then-linear", "linear-always"),
+        id="classifier-case"),
+    pytest.param(
+        lambda mp: _wrap(mp, azi_mod, "classify", lambda real, f: replace(real(f), n_star=7)),
+        "azi-minimum", 12,
+        (2, 0, "zigzag-to-linear threshold", "6", "7"),
+        id="threshold"),
+    pytest.param(
+        lambda mp: _wrap(mp, azi_mod, "zigzag_chain",
+                         lambda real, n: linear_chain(n) if n == 4 else real(n)),
+        "azi-minimum", 12,
+        (5, 4, "minimizer set", "['1,1']", "['2,2']"),
+        id="minimizer-set"),
+    pytest.param(
+        lambda mp: _wrap(mp, DPTable, "labeled_count", lambda real, self, k=None, end=None: real(
+            self, k, end) + ((self.f.name, k) == ("azi_neg", 9))),
+        "azi-minimum", 12,
+        (16, 9, "unique minimizer", "1", "2"),
+        id="unique-minimizer"),
+    pytest.param(
+        lambda mp: _patch_oracle(mp, "argmin", lambda s, n: s + (zigzag_chain(n),) * (n == 10)),
+        "azi-minimum", 12,
+        (30, 10, "oracle argmin set",
+         "['1,1,1,1,1,1,1,1']", "['1,1,1,1,1,1,1,1', '2,2,2,2,2,2,2,2']"),
+        id="oracle-argmin"),
+]
+
+
+class TestFailureRows:
+    @pytest.mark.parametrize("sabotage, name, n_max, row", SABOTAGES)
+    def test_first_failing_claim_is_reported(self, monkeypatch, sabotage, name, n_max, row):
+        sabotage(monkeypatch)
+        sweep = verify_azi_maximum if name == "azi-maximum" else verify_azi_minimum
+        checks_run, n, claim, expected, actual = row
+        assert sweep(n_max).to_json() == {
+            "name": name,
+            "n_max": n_max,
+            "status": "failure",
+            "checks_run": checks_run,
+            "failure": {"n": n, "claim": claim, "expected": expected, "actual": actual,
+                        "status": "fail"},
+            "info": {},
+        }
 
 
 class TestConsistencyWithEngine:

@@ -1,13 +1,18 @@
-"""Property tests for the two text parsers that take outside input, and
-for the mirror-class count against enumeration."""
+"""Property tests for the two text parsers that take outside input, for
+the mirror-class count against enumeration, and for the exit codes of the
+command line."""
 
+import contextlib
+import io
 import json
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polychain.chains import LinkVector
+from polychain.cli import main
 from polychain.dp import run_dp
 from polychain.indices import DEGREE_PAIRS, FLOAT, IndexFunction, load_custom_index, negate
 
@@ -95,3 +100,89 @@ def test_iso_count_equals_dedup_enumeration(entries, eps, offsets, negated, k, e
         f = IndexFunction("t", values, mode=FLOAT, eps=eps)
     table = run_dp(negate(f) if negated else f, k)
     assert table.iso_count(k, end) == sum(1 for _ in table.chains(k, end=end, dedup=True))
+
+
+# the CLI argument surface: only argv that argparse accepts, so every run
+# reaches main's own checks
+PRESET_NAMES = ["azi", "zagreb1", "zagreb2", "harmonic", "abc", "ga", "sum_connectivity",
+                "randic", "randic:-1", "randic:1/3", "randic:100", "randic:x"]
+INDEX_FILES = {
+    "rational": json.dumps({"name": "q", "values": {k: f"{i + 1}/{i + 2}"
+                                                    for i, k in enumerate(PAIR_KEYS)}}),
+    "constant": json.dumps({"name": "const", "values": {k: "1" for k in PAIR_KEYS}}),
+    "float": json.dumps({"name": "fl", "mode": "float", "eps": 1e-6,
+                         "values": {k: str(0.1 * i + 1) for i, k in enumerate(PAIR_KEYS)}}),
+    "malformed": '{"name": "bad", "values": {',
+    "zero-denominator": json.dumps({"name": "z", "values": {k: "1/0" for k in PAIR_KEYS}}),
+    "huge": json.dumps({"name": "h", "values": {k: str(10**400) for k in PAIR_KEYS}}),
+    "missing": None,
+}
+FORMATS = {"value": ["plain", "json"], "max": ["plain", "json"], "min": ["plain", "json"],
+           "classify": ["plain", "json"], "table": ["csv", "json"]}
+
+
+def _flag(draw, argv, name, values, unset=1):
+    # `unset` weights leaving the option out against each of its values
+    value = draw(st.sampled_from([None] * unset + list(values)))
+    if value is not None:
+        argv += [name, str(value)]
+
+
+def _switches(draw, *names):
+    return [name for name in names if draw(st.booleans())]
+
+
+def _cli_argv(draw, paths):
+    command = draw(st.sampled_from(["value", "max", "min", "classify", "table", "verify"]))
+    argv = [command, *draw(st.sampled_from(
+        [("--index", name) for name in PRESET_NAMES]
+        + [("--index-file", paths[key]) for key in sorted(INDEX_FILES)]))]
+    _flag(draw, argv, "--mode", ["rational", "float"], unset=2)
+    _flag(draw, argv, "--eps", ["1e-9", "0.05", "0", "-1", "nan", "inf"], unset=12)
+    _flag(draw, argv, "--format", FORMATS.get(command, []))
+    _flag(draw, argv, "--out", [paths["out"], paths["out-missing-dir"]], unset=8)
+    if command == "value":
+        argv += ["--links", draw(st.sampled_from(["", "1,2,2,1", "1,3", "2"]) | st.lists(
+            st.sampled_from("12"), max_size=30).map(",".join))]
+    elif command in ("max", "min"):
+        n, limit = draw(st.integers(-1, 40)), draw(st.none() | st.integers(-1, 20))
+        argv += ["--n", str(n)] + ([] if limit is None else ["--limit", str(limit)])
+        _flag(draw, argv, "--end", [1, 2])
+        argv += _switches(draw, "--dedup", "--iso")
+        if limit is not None or n <= 12:  # a constant table has 2**(n - 2) optimal chains
+            argv += _switches(draw, "--enumerate")
+    elif command == "classify":
+        argv += _switches(draw, "--minimize")
+    elif command == "table":
+        lo = draw(st.integers(-1, 60))
+        argv += ["--from", str(lo), "--to", str(draw(st.integers(lo - 1, 60)))]
+        _flag(draw, argv, "--iso-limit", [0, 10, 10**30])
+        argv += _switches(draw, "--exact")
+    else:
+        _flag(draw, argv, "--n-max", range(-1, 9), unset=0)
+        _flag(draw, argv, "--cap", range(-1, 9), unset=0)
+    return argv
+
+
+@pytest.fixture(scope="module")
+def cli_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli")
+    paths = {"out": str(root / "out.txt"), "out-missing-dir": str(root / "no-dir" / "out.txt")}
+    for key, text in INDEX_FILES.items():
+        paths[key] = str(root / f"{key}.json")
+        if text is not None:
+            (root / f"{key}.json").write_text(text, encoding="utf-8")
+    return paths
+
+
+@settings(derandomize=True, deadline=None, max_examples=250)
+@given(st.data())
+def test_cli_exits_0_1_or_2_with_one_error_line(cli_paths, data):
+    argv = data.draw(st.composite(_cli_argv)(cli_paths), label="argv")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
