@@ -9,9 +9,11 @@ square k (k >= 3) either keeps the current growth direction (link type
 described by its word of n - 2 link types.
 
 This module owns that encoding and the purely structural operations on
-it: lattice realization, the degree-pair multiset of the corner graph,
+it: lattice realization, the corner graph and its degree-pair multiset,
 segment decomposition, the named chain families, and mirror-symmetry
-canonicalization.
+canonicalization.  The corner graph grows and shrinks one square at a
+time in O(1), on O(n) memory; `edge_degree_multiset` walks it along one
+word, and the oracle's census walks it over the whole link tree.
 """
 
 from __future__ import annotations
@@ -34,6 +36,13 @@ __all__ = [
 _LINK_TYPES = frozenset((1, 2))
 _RIGHT = (1, 0)
 _DOWN = (0, -1)
+
+DEGREE_PAIRS = ((2, 2), (2, 3), (2, 4), (3, 3), (3, 4), (4, 4))
+
+# slot of the degree pair (a, b) in DEGREE_PAIRS, at _PAIR_SLOT[a][b] == _PAIR_SLOT[b][a]
+_PAIR_SLOT = [[-1] * 5 for _ in range(5)]
+for _j, (_a, _b) in enumerate(DEGREE_PAIRS):
+    _PAIR_SLOT[_a][_b] = _PAIR_SLOT[_b][_a] = _j
 
 
 class LinkVector:
@@ -184,29 +193,86 @@ def realize(chain) -> tuple[tuple[int, int], ...]:
     return tuple(cells)
 
 
+class _CornerGraph:
+    """Corner graph of a chain of at most n squares, one square at a time.
+
+    It starts as the two-square chain; `glue` adds a square and keeps
+    `counts`, the edges per degree pair in `DEGREE_PAIRS` order, up to
+    date in O(1), and `unglue` takes it off again.  Square k lies on the
+    diagonal x - y = k - 1, so each diagonal -1..n holds at most two
+    corners, at consecutive x: corner (x, y) has slot
+    2*(x - y + 1) + (x & 1) in lists of 2*(n + 2) entries, and the other
+    corner on its diagonal has slot ^ 1.
+    """
+
+    __slots__ = ("deg", "nbrs", "counts", "cell", "right")
+
+    def __init__(self, n: int) -> None:
+        self.deg = [0] * (2 * (n + 2))
+        self.nbrs: list[list[int] | None] = [None] * (2 * (n + 2))
+        # the square at (0, 0): corners (0, 1), (0, 0), (1, 1), (1, 0) at slots 0, 2, 3, 5
+        for corner, nbrs in ((0, [2, 3]), (2, [5, 0]), (3, [5, 0]), (5, [2, 3])):
+            self.deg[corner], self.nbrs[corner] = 2, nbrs
+        self.counts = [4, 0, 0, 0, 0, 0]
+        self.cell, self.right = 2, True  # the last square's south-west corner; glued rightward
+        self.glue(1)  # the square at (1, 0)
+
+    def glue(self, link: int) -> tuple:
+        """Glue on the next square; return the record `unglue` takes it off by."""
+        c, right = self.cell, self.right
+        to_right = right if link == 1 else not right
+        if to_right:  # on the east side of the last square
+            s1, s2, t1, t2 = (c ^ 1) + 2, c ^ 1, c + 4, c + 2
+        else:  # on its south side
+            s1, s2, t1, t2 = c, (c ^ 1) + 2, c + 2, (c ^ 1) + 4
+        deg, nbrs, counts, slot = self.deg, self.nbrs, self.counts, _PAIR_SLOT
+        undo = (s1, s2, c, right, counts[:])
+        # the new far corners t1, t2 join s1, s2; only edges at s1, s2 change pair
+        d1, d2 = deg[s1], deg[s2]
+        for s, d, other in ((s1, d1, s2), (s2, d2, s1)):
+            was, now = slot[d], slot[d + 1]
+            for u in nbrs[s]:
+                if u != other:
+                    counts[was[deg[u]]] -= 1
+                    counts[now[deg[u]]] += 1
+        counts[slot[d1][d2]] -= 1
+        d1 += 1
+        d2 += 1
+        counts[slot[d1][d2]] += 1
+        counts[slot[d1][2]] += 1
+        counts[slot[d2][2]] += 1
+        counts[slot[2][2]] += 1
+        deg[s1], deg[s2], deg[t1], deg[t2] = d1, d2, 2, 2
+        nbrs[s1].append(t1)
+        nbrs[s2].append(t2)
+        nbrs[t1] = [s1, t2]
+        nbrs[t2] = [s2, t1]
+        self.cell, self.right = s1 if to_right else t1, to_right
+        return undo
+
+    def unglue(self, undo: tuple) -> None:
+        """Take off the last square, given its `glue` record; its far corners go stale."""
+        s1, s2, self.cell, self.right, self.counts[:] = undo
+        nbrs, deg = self.nbrs, self.deg
+        nbrs[s1].pop()
+        nbrs[s2].pop()
+        deg[s1] -= 1
+        deg[s2] -= 1
+
+
 def edge_degree_multiset(chain) -> Counter:
     """Multiset of endpoint-degree pairs over the edges of the chain graph.
 
     The graph has a vertex at every corner of every unit square and an
     edge along every unit side.  Keys are unordered pairs (a, b) with
     a <= b; a chain of n squares always has 3n + 1 edges and degrees in
-    {2, 3, 4}.
+    {2, 3, 4}.  Pairs that do not occur are left out.
     """
-    cells = realize(chain)
-    edges = set()
-    for x, y in cells:
-        sw, se, ne, nw = (x, y), (x + 1, y), (x + 1, y + 1), (x, y + 1)
-        for a, b in ((sw, se), (nw, ne), (sw, nw), (se, ne)):
-            edges.add((a, b))
-    degree: Counter = Counter()
-    for a, b in edges:
-        degree[a] += 1
-        degree[b] += 1
-    pairs: Counter = Counter()
-    for a, b in edges:
-        da, db = degree[a], degree[b]
-        pairs[(da, db) if da <= db else (db, da)] += 1
-    return pairs
+    links = _as_links(chain)
+    graph = _CornerGraph(len(links) + 2)
+    for link in links:
+        graph.glue(link)
+    return Counter({pair: m for pair, m in zip(DEGREE_PAIRS, graph.counts) if m})
 
 
 def segments(chain) -> tuple[int, ...]:

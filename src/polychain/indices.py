@@ -9,10 +9,11 @@ Values are carried either as exact rationals (`fractions.Fraction`,
 arbitrary precision) or as 64-bit floats with a relative comparison
 tolerance.  A single computation never mixes the two modes.
 
-Two evaluators are provided: `evaluate_direct` builds the chain graph
-and sums over its edges, while `evaluate_recursive` accumulates the
-per-square attachment increments of `increment_table`.  They agree on
-every chain, which the test suite exploits heavily.
+Two evaluators are provided: `evaluate_direct` sums over the edges of
+the chain's corner graph by degree pair (`chains.edge_degree_multiset`,
+on the graph the oracle's census walks), while `evaluate_recursive`
+accumulates the per-square attachment increments of `increment_table`.
+They agree on every chain, which the test suite exploits heavily.
 
 Float mode refuses, with ValueError, any value that overflows to inf or
 NaN where it leaves this module: an increment, or an evaluated chain.
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .chains import edge_degree_multiset
+from .chains import DEGREE_PAIRS, edge_degree_multiset
 
 __all__ = [
     "Value",
@@ -60,8 +61,6 @@ Value = Union[Fraction, float]
 RATIONAL = "rational"
 FLOAT = "float"
 DEFAULT_EPS = 1e-9
-
-DEGREE_PAIRS = ((2, 2), (2, 3), (2, 4), (3, 3), (3, 4), (4, 4))
 
 PRESET_NAMES = (
     "azi",
@@ -241,7 +240,7 @@ def degree_pair_sum(counts, f: IndexFunction) -> Value:
 
 
 def evaluate_direct(chain, f: IndexFunction) -> Value:
-    """Index value summed edge-by-edge over the realized chain graph."""
+    """Index value summed over the edges of the chain's corner graph."""
     pairs = edge_degree_multiset(chain)
     return degree_pair_sum([pairs[p] for p in DEGREE_PAIRS], f)
 

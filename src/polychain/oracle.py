@@ -9,15 +9,14 @@ Cost model.  A chain's index value depends only on its degree-pair
 vector: how many edges join corners of degrees (2,2), (2,3), ...,
 (4,4), in `DEGREE_PAIRS` order.  That vector does not depend on the
 index, so `census(n)` takes it once per n, by a depth-first walk of the
-link tree that keeps the lattice degree map of the current chain up to
-date.  Gluing a square on adds 2 corners and 3 edges and raises the
-degree of the 2 corners of the shared side; only the edges at those
-corners change class, and backtracking undoes it, so each tree node
-costs O(1) where rebuilding the graph costs O(n) per chain.  The census
-keeps the distinct vectors (98 at n = 14, 135 at n = 16) and one 2-byte
-vector id per chain, in lexicographic order; it is built on first use
-and cached per n, so every index and every sweep at that n shares it.
-A sweep then evaluates each distinct vector once, through the same
+link tree on the same corner graph `evaluate_direct` reads
+(`chains._CornerGraph`).  Gluing a square on or taking it off costs
+O(1) and the graph holds O(n) corners, so each tree node costs O(1)
+where rebuilding the graph costs O(n) per chain.  The census keeps the
+distinct vectors (98 at n = 14, 135 at n = 16) and one 2-byte vector id
+per chain, in lexicographic order; it is built on first use and cached
+per n, so every index and every sweep at that n shares it.  A sweep
+then evaluates each distinct vector once, through the same
 `degree_pair_sum` as `evaluate_direct` (one summation order, so float
 values agree bit for bit), and streams the chains in lexicographic
 order through the argmax and argmin sets.  Only the chains whose value
@@ -33,9 +32,8 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import compress, islice
 
-from .chains import LinkVector, canonical_reversal
+from .chains import LinkVector, _CornerGraph, canonical_reversal
 from .indices import (
-    DEGREE_PAIRS,
     FLOAT,
     IndexFunction,
     Value,
@@ -51,12 +49,6 @@ __all__ = ["OracleReport", "DEFAULT_CAP", "census", "exhaustive", "cross_check"]
 
 DEFAULT_CAP = 24
 
-# slot of the degree pair (a, b) in DEGREE_PAIRS, at _SLOT[a][b] == _SLOT[b][a]
-_SLOT = [[-1] * 5 for _ in range(5)]
-for _j, (_a, _b) in enumerate(DEGREE_PAIRS):
-    _SLOT[_a][_b] = _SLOT[_b][_a] = _j
-
-
 @cache
 def census(n: int) -> tuple[tuple[tuple[int, ...], ...], memoryview]:
     """Degree-pair vectors of every n-square chain (n >= 2).
@@ -65,84 +57,37 @@ def census(n: int) -> tuple[tuple[tuple[int, ...], ...], memoryview]:
     read-only view of an ``array('H')`` holding one vector id per chain,
     chains in the lexicographic order of
     `itertools.product((1, 2), repeat=n - 2)`.
-    The chains are grown as in `chains.realize`, one square at a time
-    right of or below the last one, so the 2 far corners of a new square
-    are always new.  The result is cached and shared by every caller.
+    One corner graph walks the link tree depth first, link 1 before
+    link 2, gluing a square on at each step down and taking it off at
+    each step up.  The result is cached and shared by every caller.
     """
     if n < 2:
         raise ValueError(f"a chain needs at least 2 squares, got n={n}")
-    side = n + 3  # corner (x, y), with 0 <= x < side and 2 - side < y <= 1, is x*side + 1 - y
-    deg = [0] * (side * side)
-    nbrs: list[list[int] | None] = [None] * (side * side)
-    counts = [0] * len(DEGREE_PAIRS)
+    graph = _CornerGraph(n)
+    glue, unglue, counts = graph.glue, graph.unglue, graph.counts
     ids: dict[tuple[int, ...], int] = {}
     out = array("H")
-    slot = _SLOT
 
-    def attach(s1: int, s2: int, t1: int, t2: int) -> None:
-        # glue a square on the side s1-s2; its far corners t1, t2 join s1, s2
-        d1, d2 = deg[s1], deg[s2]
-        for s, d, other in ((s1, d1, s2), (s2, d2, s1)):
-            for u in nbrs[s]:
-                if u != other:
-                    du = deg[u]
-                    counts[slot[d][du]] -= 1
-                    counts[slot[d + 1][du]] += 1
-        counts[slot[d1][d2]] -= 1
-        d1 += 1
-        d2 += 1
-        counts[slot[d1][d2]] += 1
-        counts[slot[d1][2]] += 1
-        counts[slot[d2][2]] += 1
-        counts[slot[2][2]] += 1
-        deg[s1], deg[s2], deg[t1], deg[t2] = d1, d2, 2, 2
-        nbrs[s1].append(t1)
-        nbrs[s2].append(t2)
-        nbrs[t1] = [s1, t2]
-        nbrs[t2] = [s2, t1]
-
-    def detach(s1: int, s2: int) -> None:
-        # the far corners are left stale: no walk reaches them before reuse
-        nbrs[s1].pop()
-        nbrs[s2].pop()
-        deg[s1] -= 1
-        deg[s2] -= 1
-
-    def visit(depth: int, cell: int, right: bool) -> None:
-        # cell is the south-west corner of the last square
+    def visit(depth: int) -> None:
         if depth == n - 2:
             out.append(ids.setdefault(tuple(counts), len(ids)))
             return
-        for to_right in (right, not right):  # link 1 keeps the direction, link 2 turns
-            if to_right:  # shared side: the west side of the new square
-                nxt = cell + side
-                s1, s2, t1, t2 = nxt, nxt - 1, nxt + side, nxt + side - 1
-            else:  # the north side
-                nxt = cell + 1
-                s1, s2, t1, t2 = cell, cell + side, nxt, nxt + side
-            saved = counts[:]
-            attach(s1, s2, t1, t2)
-            visit(depth + 1, nxt, to_right)
-            detach(s1, s2)
-            counts[:] = saved
+        for link in (1, 2):
+            undo = glue(link)
+            visit(depth + 1)
+            unglue(undo)
 
-    # the square at (0, 0) alone, then the square at (1, 0) on its east side
-    nw, sw, ne, se = 0, 1, side, side + 1
-    deg[sw] = deg[nw] = deg[se] = deg[ne] = 2
-    nbrs[sw], nbrs[nw], nbrs[se], nbrs[ne] = [se, nw], [sw, ne], [sw, ne], [se, nw]
-    counts[slot[2][2]] = 4
-    attach(se, ne, se + side, ne + side)
-    visit(0, se, True)
+    visit(0)
     return tuple(ids), memoryview(out).toreadonly()
 
 
 class _Best:
     """Streaming argmax (or argmin) set with optional float tolerance.
 
-    In float mode every candidate within the relative tolerance of the
-    best value seen so far is kept, and the kept set is re-pruned
-    whenever the best improves; insertion order (lexicographic here) is
-    preserved.
+    Every candidate that ties with the best value seen so far (within
+    the relative tolerance in float mode, exactly otherwise) is kept,
+    and the kept set is re-pruned whenever the best improves; insertion
+    order (lexicographic here) is preserved.
     """
 
     def __init__(self, smallest: bool, eps: float | None):
@@ -155,34 +100,17 @@ class _Best:
         return a < b if self.smallest else a > b
 
     def offer(self, value: Value, links: tuple[int, ...]) -> None:
-        if self.value is None:
-            self.value = value
-            self._entries = [(value, links)]
-            return
-        if self.eps is None:
-            if self._better(value, self.value):
-                self.value = value
-                self._entries = [(value, links)]
-            elif value == self.value:
-                self._entries.append((value, links))
-            return
-        if values_equal(value, self.value, self.eps):
-            self._entries.append((value, links))
-            if self._better(value, self.value):
-                self.value = value
-                self._entries = [e for e in self._entries if values_equal(e[0], value, self.eps)]
-        elif self._better(value, self.value):
+        if self.value is None or self._better(value, self.value):
             self.value = value
             self._entries = [e for e in self._entries if values_equal(e[0], value, self.eps)]
-            self._entries.append((value, links))
+        elif not values_equal(value, self.value, self.eps):
+            return
+        self._entries.append((value, links))
 
     def _changes(self, value: Value) -> bool:
         """Whether offering `value` would change anything: it ties or wins."""
-        if self.value is None:
-            return True
-        if self.eps is None:
-            return not self._better(self.value, value)
-        return values_equal(value, self.value, self.eps) or self._better(value, self.value)
+        return (self.value is None or self._better(value, self.value)
+                or values_equal(value, self.value, self.eps))
 
     def sweep(self, values: list[Value], ids, m: int, first: int = 0, step: int = 1) -> None:
         """Offer, in order, the m-link words at lexicographic positions
@@ -258,7 +186,7 @@ def exhaustive(f: IndexFunction, n: int, cap: int = DEFAULT_CAP) -> OracleReport
     if n > cap:
         raise ValueError(
             f"n={n} exceeds the oracle cap {cap}: would evaluate 2**{n - 2} "
-            f"= {2 ** (n - 2)} chains; pass a larger cap to override"
+            "chains; pass a larger cap to override"
         )
     vectors, ids = census(n)
     values = [degree_pair_sum(v, f) for v in vectors]
@@ -319,12 +247,9 @@ def cross_check(f: IndexFunction, n: int, cap: int = DEFAULT_CAP) -> tuple[bool,
           report.max_value, res_max.value)
     check("min value", values_equal(res_min.value, report.min_value, eps),
           report.min_value, res_min.value)
-    check(
-        "witness attains max",
-        values_equal(evaluate_direct(res_max.witness, f), report.max_value, eps),
-        report.max_value,
-        evaluate_direct(res_max.witness, f),
-    )
+    witness_value = evaluate_direct(res_max.witness, f)
+    check("witness attains max", values_equal(witness_value, report.max_value, eps),
+          report.max_value, witness_value)
     argmax = {c.links for c in report.argmax}
     enumerated = {c.links for c in max_table.chains()}
     check("argmax set", enumerated == argmax, sorted(argmax), sorted(enumerated))

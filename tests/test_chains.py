@@ -16,6 +16,7 @@ from polychain.chains import (
     segments,
     zigzag_chain,
 )
+from reference_graph import reference_multiset
 
 
 def all_chains(n):
@@ -105,6 +106,18 @@ class TestEdgeDegreeMultiset:
         for _ in range(50):
             links = [rng.choice((1, 2)) for _ in range(rng.randrange(0, 14))]
             assert edge_degree_multiset(links) == edge_degree_multiset(links[::-1])
+
+    def test_equals_reference_on_every_small_chain(self):
+        for n in range(2, 15):
+            for links in all_chains(n):
+                assert dict(edge_degree_multiset(links)) == dict(reference_multiset(links)), links
+
+    @pytest.mark.parametrize("length", [10**2, 10**3, 10**4])
+    def test_equals_reference_on_long_chains(self, length):
+        rng = random.Random(length)
+        for _ in range(5):
+            links = [rng.choice((1, 2)) for _ in range(length)]
+            assert dict(edge_degree_multiset(links)) == dict(reference_multiset(links))
 
 
 class TestSegments:

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -216,6 +217,19 @@ class TestEvaluators:
         azi = preset("azi")
         assert evaluate_direct(LinkVector([1, 2]), azi) == evaluate_direct((1, 2), azi)
         assert evaluate_recursive(LinkVector([1, 2]), azi) == evaluate_recursive([1, 2], azi)
+
+    def test_direct_runs_in_linear_memory(self):
+        azi = preset("azi")
+        rng = random.Random(17)
+        links = LinkVector(rng.choice((1, 2)) for _ in range(10**5))
+        tracemalloc.start()
+        try:
+            value = evaluate_direct(links, azi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50 * 2**20  # a per-chain edge set and degree map took 89 MB
+        assert value == evaluate_recursive(links, azi)
 
 
 class TestNegate:

@@ -2,6 +2,7 @@
 
 import functools
 import random
+import time
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
@@ -12,7 +13,7 @@ import polychain.azi as azi_mod
 import polychain.cli as cli_mod
 import polychain.dp as dp_mod
 import polychain.indices as indices_mod
-from polychain.chains import edge_degree_multiset, linear_chain
+from polychain.chains import linear_chain
 from polychain.dp import DPTable
 from polychain.indices import (
     DEGREE_PAIRS,
@@ -27,6 +28,7 @@ from polychain.indices import (
     preset,
 )
 from polychain.oracle import OracleReport, _Best, census, cross_check, exhaustive
+from reference_graph import reference_multiset
 
 AZI = preset("azi")
 
@@ -66,13 +68,14 @@ def report_corpus():
     return tables + [negate(f) for f in tables]
 
 
-# each chain's graph is built once for the whole corpus; evaluate_direct
-# still sums over it as usual
-_cached_multiset = functools.cache(edge_degree_multiset)
+# patched in for evaluate_direct's graph: each chain's reference graph is
+# built once for the whole corpus, and evaluate_direct sums over it as usual
+_cached_multiset = functools.cache(reference_multiset)
 
 
 def reference_report(f, n):
-    """The sweep evaluated chain by chain with `evaluate_direct`."""
+    """The sweep evaluated chain by chain with `evaluate_direct`, on the
+    reference graph once `_cached_multiset` is patched in."""
     eps = f.eps if f.mode == FLOAT else None
     best_max = _Best(smallest=False, eps=eps)
     best_min = _Best(smallest=True, eps=eps)
@@ -124,6 +127,13 @@ class TestExhaustive:
             exhaustive(AZI, 25)
         rep = exhaustive(AZI, 13, cap=13)  # explicit override on a small case
         assert rep.n == 13
+
+    def test_cap_refusal_does_not_build_the_chain_count(self):
+        start = time.perf_counter()
+        refusal = r"exceeds the oracle cap 24: would evaluate 2\*\*999999998 chains"
+        with pytest.raises(ValueError, match=refusal):
+            exhaustive(AZI, 10**9)
+        assert time.perf_counter() - start < 0.1
 
     def test_needs_three_squares(self):
         with pytest.raises(ValueError, match="n >= 3"):
@@ -238,7 +248,7 @@ class TestCensus:
             assert len(ids) == 2 ** (n - 2)
             assert len(set(vectors)) == len(vectors)
             for links, vid in zip(product((1, 2), repeat=n - 2), ids):
-                pairs = edge_degree_multiset(links)
+                pairs = reference_multiset(links)
                 assert vectors[vid] == tuple(pairs[p] for p in DEGREE_PAIRS), (n, links)
 
     def test_distinct_vector_counts(self):
