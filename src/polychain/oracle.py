@@ -16,24 +16,31 @@ where rebuilding the graph costs O(n) per chain.  The census keeps the
 distinct vectors (98 at n = 14, 135 at n = 16) and one 2-byte vector id
 per chain, in lexicographic order; it is built on first use and cached
 per n, so every index and every sweep at that n shares it.  A sweep
-then evaluates each distinct vector once, through the same
-`degree_pair_sum` as `evaluate_direct` (one summation order, so float
-values agree bit for bit), and streams the chains in lexicographic
-order through the argmax and argmin sets.  Only the chains whose value
-ties with or beats the current best are offered; a C-level scan over
-the vector ids finds them.  Memory is the census, 2 bytes per chain for
-each cached n, plus the current best sets.
+then values each distinct vector once.  Exact values are integers: the
+six table entries are scaled once by the lcm of their denominators, a
+value is an int dot product, and builtin max/min pick the extremes; one
+byte mask over the distinct ids and one C-level `compress` over the
+vector ids then give each result set in lexicographic order.  Float
+values come from the same `degree_pair_sum` as `evaluate_direct` (one
+summation order, so they agree bit for bit) and stream through `_Best`,
+offered only where a C-level scan finds a tie with or a win over the
+current best.  Memory is the census, 2 bytes per chain for each cached
+n, plus the result sets.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cache
 from itertools import compress, islice
+from math import lcm
+from operator import mul
 
 from .chains import LinkVector, _CornerGraph, canonical_reversal
 from .indices import (
+    DEGREE_PAIRS,
     FLOAT,
     IndexFunction,
     Value,
@@ -81,13 +88,23 @@ def census(n: int) -> tuple[tuple[tuple[int, ...], ...], memoryview]:
     return tuple(ids), memoryview(out).toreadonly()
 
 
+_LINK_DIGITS = bytes.maketrans(b"01", b"\1\2")
+
+
+def _word(pos: int, m: int) -> tuple[int, ...]:
+    """The m-link word at lexicographic position pos: its m binary digits, 0 as link 1."""
+    return tuple(format(pos, f"0{m}b").encode().translate(_LINK_DIGITS))
+
+
 class _Best:
-    """Streaming argmax (or argmin) set with optional float tolerance.
+    """Streaming argmax (or argmin) set under float tolerance.
 
     Every candidate that ties with the best value seen so far (within
-    the relative tolerance in float mode, exactly otherwise) is kept,
-    and the kept set is re-pruned whenever the best improves; insertion
-    order (lexicographic here) is preserved.
+    the relative tolerance eps) is kept, and the kept set is re-pruned
+    whenever the best improves; insertion order (lexicographic here) is
+    preserved.  `exhaustive` streams only float tables through it; with
+    eps None, `offer` compares exact values, so a chain-by-chain
+    reference sweep can share the rule.
     """
 
     def __init__(self, smallest: bool, eps: float | None):
@@ -112,25 +129,20 @@ class _Best:
         return (self.value is None or self._better(value, self.value)
                 or values_equal(value, self.value, self.eps))
 
-    def sweep(self, values: list[Value], ids, m: int, first: int = 0, step: int = 1) -> None:
+    def sweep(self, values: list[float], ids, m: int, first: int = 0, step: int = 1) -> None:
         """Offer, in order, the m-link words at lexicographic positions
         first + step*k, word k having value ``values[ids[k]]``.
 
         Only the offers that change something are made: a C-level scan
         finds the next word whose value ties with or beats the best, and
-        starts again whenever the best changes.  Exact values never tie
-        without being equal, so their final best is taken up front and
-        the scan never restarts.
+        starts again whenever the best changes.
         """
-        if self.eps is None and self.value is None:
-            self.value = (min if self.smallest else max)(map(values.__getitem__, set(ids)))
         k = 0
         while True:
             changes = [self._changes(v) for v in values]
             best = self.value
             for k in compress(range(k, len(ids)), map(changes.__getitem__, islice(ids, k, None))):
-                pos = first + step * k
-                self.offer(values[ids[k]], tuple(1 + (pos >> s & 1) for s in range(m - 1, -1, -1)))
+                self.offer(values[ids[k]], _word(first + step * k, m))
                 if self.value is not best:
                     k += 1
                     break
@@ -177,9 +189,12 @@ class OracleReport:
 def exhaustive(f: IndexFunction, n: int, cap: int = DEFAULT_CAP) -> OracleReport:
     """Evaluate every n-square chain and report extrema and their chains.
 
-    Refuses square counts above `cap` (default 24) because the sweep
-    visits 2**(n-2) chains and the census of n keeps 2 bytes per chain;
-    raise the cap explicitly if you really mean it.
+    Rational tables are valued as integers, scaled by the lcm of the
+    entries' denominators, and their result sets are selected at C
+    speed; float tables stream through `_Best`.  Refuses square counts
+    above `cap` (default 24) because the sweep visits 2**(n-2) chains
+    and the census of n keeps 2 bytes per chain; raise the cap
+    explicitly if you really mean it.
     """
     if n < 3:
         raise ValueError(f"exhaustive sweep needs n >= 3, got {n}")
@@ -189,25 +204,39 @@ def exhaustive(f: IndexFunction, n: int, cap: int = DEFAULT_CAP) -> OracleReport
             "chains; pass a larger cap to override"
         )
     vectors, ids = census(n)
-    values = [degree_pair_sum(v, f) for v in vectors]
-    eps = f.eps if f.mode == FLOAT else None
-    best_max = _Best(smallest=False, eps=eps)
-    best_min = _Best(smallest=True, eps=eps)
-    end_max = {1: _Best(smallest=False, eps=eps), 2: _Best(smallest=False, eps=eps)}
-    best_max.sweep(values, ids, n - 2)
-    best_min.sweep(values, ids, n - 2)
-    for end, best in end_max.items():  # the last link alternates fastest
-        best.sweep(values, ids[end - 1::2], n - 2, first=end - 1, step=2)
+    m = n - 2
+    if f.mode == FLOAT:
+        values = [degree_pair_sum(v, f) for v in vectors]
+
+        def select(ids, pick, first=0, step=1):
+            best = _Best(smallest=pick is min, eps=f.eps)
+            best.sweep(values, ids, m, first, step)
+            return best.value, best.chains()
+    else:
+        den = lcm(*(v.denominator for v in f.values.values()))
+        scaled = [int(f.values[p] * den) for p in DEGREE_PAIRS]
+        values = [sum(map(mul, v, scaled)) for v in vectors]
+
+        def select(ids, pick, first=0, step=1):
+            best = pick(map(values.__getitem__, set(ids)))
+            mask = bytes(v == best for v in values)
+            hits = compress(range(len(ids)), map(mask.__getitem__, ids))
+            return Fraction(best, den), tuple(LinkVector(_word(first + step * k, m)) for k in hits)
+
+    max_value, argmax = select(ids, max)
+    min_value, argmin = select(ids, min)
+    # the last link alternates fastest
+    per_end = {end: select(ids[end - 1::2], max, end - 1, 2) for end in (1, 2)}
     return OracleReport(
         n=n,
         index_name=f.name,
         mode=f.mode,
-        max_value=best_max.value,
-        min_value=best_min.value,
-        argmax=best_max.chains(),
-        argmin=best_min.chains(),
-        per_end_max={e: b.value for e, b in end_max.items()},
-        per_end_argmax={e: b.chains() for e, b in end_max.items()},
+        max_value=max_value,
+        min_value=min_value,
+        argmax=argmax,
+        argmin=argmin,
+        per_end_max={e: value for e, (value, _) in per_end.items()},
+        per_end_argmax={e: chains for e, (_, chains) in per_end.items()},
     )
 
 

@@ -1,6 +1,6 @@
 """Exhaustive oracle: anchors, caps, and engine cross-checks."""
 
-import functools
+import math
 import random
 import time
 from dataclasses import replace
@@ -13,6 +13,7 @@ import polychain.azi as azi_mod
 import polychain.cli as cli_mod
 import polychain.dp as dp_mod
 import polychain.indices as indices_mod
+import polychain.oracle as oracle_mod
 from polychain.chains import linear_chain
 from polychain.dp import DPTable
 from polychain.indices import (
@@ -27,8 +28,8 @@ from polychain.indices import (
     negate,
     preset,
 )
-from polychain.oracle import OracleReport, _Best, census, cross_check, exhaustive
-from reference_graph import reference_multiset
+from polychain.oracle import _Best, census, cross_check, exhaustive
+from reference_graph import _cached_multiset, reference_multiset, reference_report
 
 AZI = preset("azi")
 
@@ -66,36 +67,6 @@ def report_corpus():
     tables += [force_float(f) for f in tables if f.mode == RATIONAL]
     tables += small_range_tables(5, 4) + near_tie_tables(6, 2) + [WIDE_TOLERANCE]
     return tables + [negate(f) for f in tables]
-
-
-# patched in for evaluate_direct's graph: each chain's reference graph is
-# built once for the whole corpus, and evaluate_direct sums over it as usual
-_cached_multiset = functools.cache(reference_multiset)
-
-
-def reference_report(f, n):
-    """The sweep evaluated chain by chain with `evaluate_direct`, on the
-    reference graph once `_cached_multiset` is patched in."""
-    eps = f.eps if f.mode == FLOAT else None
-    best_max = _Best(smallest=False, eps=eps)
-    best_min = _Best(smallest=True, eps=eps)
-    end_max = {1: _Best(smallest=False, eps=eps), 2: _Best(smallest=False, eps=eps)}
-    for links in product((1, 2), repeat=n - 2):
-        value = evaluate_direct(links, f)
-        best_max.offer(value, links)
-        best_min.offer(value, links)
-        end_max[links[-1]].offer(value, links)
-    return OracleReport(
-        n=n,
-        index_name=f.name,
-        mode=f.mode,
-        max_value=best_max.value,
-        min_value=best_min.value,
-        argmax=best_max.chains(),
-        argmin=best_min.chains(),
-        per_end_max={e: b.value for e, b in end_max.items()},
-        per_end_argmax={e: b.chains() for e, b in end_max.items()},
-    )
 
 
 class TestExhaustive:
@@ -262,18 +233,21 @@ class TestCensus:
             assert exhaustive(f, n).to_json() == reference_report(f, n).to_json(), n
 
     def test_offers_only_ties_and_wins(self, monkeypatch):
-        offered = []
+        offered, summed = [], []
         real_offer = _Best.offer
 
         def counting(best, value, links):
             offered.append(links)
             real_offer(best, value, links)
 
+        def summing(counts, f):
+            summed.append(counts)
+            return degree_pair_sum(counts, f)
+
         monkeypatch.setattr(_Best, "offer", counting)
-        rep = exhaustive(AZI, 12)
-        kept = [rep.argmax, rep.argmin, *rep.per_end_argmax.values()]
-        assert len(offered) == sum(map(len, kept))  # exact: the best is known up front
-        offered.clear()
+        monkeypatch.setattr(oracle_mod, "degree_pair_sum", summing)
+        exhaustive(AZI, 12)
+        assert (offered, summed) == ([], [])  # exact: scaled integers, selected in C
         exhaustive(preset("ga"), 12)
         assert len(offered) < 2**10 // 8
 
@@ -314,3 +288,42 @@ class TestCensus:
         for f in tables:
             for n in (3, 9):
                 assert exhaustive(f, n).to_json() == expected[(f.name, n)]
+
+
+def seeded_wide_table(seed):
+    rng = random.Random(seed)
+    return IndexFunction(f"wide{seed}", {p: Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+                                         for p in DEGREE_PAIRS})
+
+
+COPRIME_PRIMES = (1000003, 1000033, 1000037, 1000039, 1000081, 1000099)
+SCALING_TABLES = (
+    IndexFunction("coprime", {p: Fraction((-1) ** j * (q // 7 + j), q)
+                              for j, (p, q) in enumerate(zip(DEGREE_PAIRS, COPRIME_PRIMES))}),
+    IndexFunction("signed", dict(zip(DEGREE_PAIRS, map(Fraction, ("-3/4", "0", "5/2", "-1", "0", "7/3"))))),
+    IndexFunction("integer", dict(zip(DEGREE_PAIRS, map(Fraction, (3, -1, 4, 1, -5, 9))))),
+    IndexFunction("constant", {p: Fraction(7, 3) for p in DEGREE_PAIRS}),
+    seeded_wide_table(12),
+    seeded_wide_table(13),
+)
+
+
+class TestScaledIntegers:
+    def test_coprime_denominators_scale_past_64_bits(self):
+        assert math.lcm(*(v.denominator for v in SCALING_TABLES[0].values.values())) > 2**64
+
+    @pytest.mark.parametrize("f", SCALING_TABLES, ids=lambda f: f.name)
+    def test_report_equals_per_chain_sweep(self, f, monkeypatch):
+        monkeypatch.setattr(indices_mod, "edge_degree_multiset", _cached_multiset)
+        for n in range(3, 13):
+            assert exhaustive(f, n).to_json() == reference_report(f, n).to_json(), n
+
+    def test_constant_index_ties_every_chain(self):
+        for n in range(3, 13):
+            rep = exhaustive(SCALING_TABLES[3], n)
+            words = [c.links for c in rep.argmax]
+            assert words == list(product((1, 2), repeat=n - 2))
+            assert [c.links for c in rep.argmin] == words
+            assert rep.max_value == rep.min_value == Fraction(7, 3) * (3 * n + 1)
+            for end in (1, 2):
+                assert [c.links for c in rep.per_end_argmax[end]] == [w for w in words if w[-1] == end]

@@ -1,20 +1,26 @@
 """Property tests for the two text parsers that take outside input, for
-the mirror-class count against enumeration, and for the exit codes of the
-command line."""
+the mirror-class count against enumeration, for the exact oracle against
+its chain-by-chain reference, and for the exit codes of the command
+line."""
 
 import contextlib
 import io
 import json
 import math
+from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polychain.indices as indices_mod
 from polychain.chains import LinkVector
 from polychain.cli import main
 from polychain.dp import run_dp
 from polychain.indices import DEGREE_PAIRS, FLOAT, IndexFunction, load_custom_index, negate
+from polychain.oracle import exhaustive
+from reference_graph import _cached_multiset, reference_report
 
 # derandomized: the same examples on every run, so the suite stays deterministic
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=300)
@@ -100,6 +106,21 @@ def test_iso_count_equals_dedup_enumeration(entries, eps, offsets, negated, k, e
         f = IndexFunction("t", values, mode=FLOAT, eps=eps)
     table = run_dp(negate(f) if negated else f, k)
     assert table.iso_count(k, end) == sum(1 for _ in table.chains(k, end=end, dedup=True))
+
+
+# small numerators and denominators make ties, wide ones make large lcms
+rational_entries = st.lists(
+    st.builds(Fraction, st.integers(-50, 50) | st.integers(-(10**6), 10**6),
+              st.integers(1, 12) | st.integers(1, 10**6)),
+    min_size=6, max_size=6)
+
+
+@PROPERTY
+@given(rational_entries, st.integers(3, 9))
+def test_exhaustive_equals_per_chain_reference(entries, n):
+    f = IndexFunction("q", dict(zip(DEGREE_PAIRS, entries)))
+    with mock.patch.object(indices_mod, "edge_degree_multiset", _cached_multiset):
+        assert exhaustive(f, n).to_json() == reference_report(f, n).to_json()
 
 
 # the CLI argument surface: only argv that argparse accepts, so every run
