@@ -45,17 +45,34 @@ makes every rational table repeat this way with period 1 or 2, after a
 transient T that grows as the gap between the best cycle mean and the
 next shrinks (the rational presets repeat by row 9).  A full table then
 costs T Python steps, O(T) stored values and n bytes of codes per end; a
-streaming one O(T + log n) steps.  Float mode keeps the loop to n:
-rounding makes a step depend on the size of m1 as well as on d, so an
-equal d proves nothing there.
+streaming one O(T + log n) steps.
+
+Float mode stores every value, because rounding makes a step depend on
+the size of m1 as well as on d, so an equal d proves nothing there.  It
+takes the steady part in chunks instead.  Once the last four rows repeat
+with period 1 or 2 (their codes and the side each tie keeps), the pass
+computes the next chunk as if the pattern went on, with the loop's own
+IEEE additions at C speed, and then proves every row's decision from its
+two candidate sums (see `_chunk`).  A chunk with a decision it cannot
+prove, or a value that is not finite, is dropped: the chunk size halves
+and the loop steps one row.  An accepted chunk doubles it, from 64 rows
+to 4096.  Values go to `array('d')`, codes by repeating the pattern's
+bytes, and the tie counts of a run of chunks come from its powered map
+as in the rational tail.  So a float table costs O(n) work at C speed
+but only O(transient + runs) Python steps, and the witness walks each
+run with the tail's four-row block.  Below 64 remaining rows the plain
+loop runs.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, cycle, islice, repeat
+from operator import add, sub
 
 from .chains import LinkVector, canonical_reversal
 from .indices import (
@@ -94,6 +111,10 @@ _PRED_SETS = (frozenset(), frozenset((1,)), frozenset((2,)), frozenset((1, 2)))
 _PRED_LINKS = ((), (1,), (2,), (1, 2))
 # an end's tie count as a row over (t1, t2, 1) of the row before, by its code
 _TIE_ROWS = (None, (1, 0, 0), (0, 1, 0), (1, 1, 1))
+# float chunks: no chunk is shorter than _CHUNK_MIN rows, so tables below
+# it run row by row, and none longer than _CHUNK_MAX, which bounds the
+# chunk's temporary lists
+_CHUNK_MIN, _CHUNK_MAX = 64, 1 << 12
 
 
 @dataclass(frozen=True)
@@ -122,25 +143,28 @@ class DPTable:
     Each row holds, for one square count, the two predecessor codes (1
     or 2, 3 for a tie, 0 at k = 3): the DAG that `witness` and `chains`
     walk backwards.  The two optimum values are stored up to row T + 1
-    of `period` (to row n when there is none); a later row is read as
-    the stored row 2b rows back plus b times their rise over two rows.  Tie
-    counts are carried for row n only; interior ones are derived from
-    the codes on first use and cached.  A streaming build
-    (``keep_table=False``) is the same table holding only the row for n.
-    Iterating yields one `DPState` per row.
+    of `period` (to row n when there is none, in `array('d')` for
+    floats); a later row is read as the stored row 2b rows back plus b
+    times their rise over two rows.  Tie counts are carried for row n
+    only; interior ones are derived from the codes on first use and
+    cached.  A streaming build (``keep_table=False``) is the same table
+    holding only the row for n.  Iterating yields one `DPState` per row.
+    `steps` counts the rows the forward pass stepped one at a time.
     """
 
-    def __init__(self, f, n, den, values, preds, final_ties, period=None, shift=0):
+    def __init__(self, f, n, den, values, preds, final_ties, runs, steps, period=None, shift=0):
         self.f = f
         self.n = n
         self.mode = f.mode
         self.eps = f.eps
+        self.steps = steps  # rows the forward pass stepped one at a time
         self._den = den
         self._first = n + 1 - len(preds[0])  # square count of the first stored row
         self._values = values
         self._preds = preds
         self._final_ties = final_ties
         self._ties = None
+        self._runs = runs  # [lo, hi]: rows lo..hi repeat their codes with period 1 or 2
         self._period = period
         self._shift = shift  # both values' rise over two rows of the period
 
@@ -238,21 +262,23 @@ class DPTable:
         out = bytearray(k - 2)  # out[j - 3]: the link of square j
         out[-1] = cur = end
         j = k  # the link of square j is known
-        if self._period is not None and k > self._period[0] + 5:
-            # From row T on a row's codes depend on its parity alone, so the
-            # walk's state (link, row parity) moves by one map that flips
-            # the parity.  Two steps of it map {1, 2} into itself, so the
-            # states repeat with a period dividing 4 from the second step
-            # on: after six steps the last four links repeat down to
-            # square T - 1, the last one whose link the tail decides.
-            for j in range(k, k - 6, -1):
+        for lo, hi in reversed(self._runs):
+            top = min(hi, j)
+            if top < lo + 6:
+                continue
+            # In rows lo..top a row's codes depend on its parity alone, so
+            # the walk's state (link, row parity) moves by one map that
+            # flips the parity.  Two steps of it map {1, 2} into itself, so
+            # the states repeat with a period dividing 4 from the second
+            # step on: after six steps the last four links repeat down to
+            # square lo - 1, the last one whose link the run decides.
+            for j in range(j, top - 6, -1):
                 cur = 2 if codes[cur][j - 3] == 2 else 1
                 out[j - 4] = cur
-            lo = self._period[0] - 1
-            block = out[k - 9:k - 5]  # squares k - 6 .. k - 3
-            whole, rest = divmod(k - 6 - lo, 4)  # squares lo .. k - 7 still open
-            out[lo - 3:k - 9] = block[4 - rest:] + block * whole
-            j = lo
+            block = out[top - 9:top - 5]  # squares top - 6 .. top - 3
+            whole, rest = divmod(top - 5 - lo, 4)  # squares lo - 1 .. top - 7 still open
+            out[lo - 4:top - 9] = block[4 - rest:] + block * whole
+            j = lo - 1
             cur = out[j - 3]
         for j in range(j, 3, -1):
             cur = 2 if codes[cur][j - 3] == 2 else 1  # codes 1 and 3 take link 1
@@ -390,6 +416,98 @@ def _power(m: tuple, e: int) -> tuple:
     return out
 
 
+def _tie_steps(t: tuple, first: tuple, second: tuple, rows: int) -> tuple:
+    """Tie counts t = (t1, t2) carried over `rows` rows whose pairs of
+    tie maps alternate first, second, first, ..."""
+    half, odd = divmod(rows, 2)
+    step = _power(_compose(second, first), half)
+    if odd:
+        step = _compose(first, step)
+    return tuple(a * t[0] + b * t[1] + c for a, b, c in step)
+
+
+def _chunk(m1: float, m2: float, g: tuple, pattern: tuple, rows: int, eps: float):
+    """The values (V1, V2) of a float table's rows k..k + rows, given
+    row k's values m1, m2, when each later row repeats the decisions of
+    the rows in `pattern` in turn; None unless every decision is proved.
+
+    A pattern row is (code 1, code 2, end 1 keeps its a, end 2 keeps its
+    a), so each end takes its value from one end of the row before:
+    g[s][i] is the increment from end s to end i.  Values go with the
+    same IEEE additions as the per-row loop: `accumulate` along the
+    chain, the lineage that runs through every row, and `map(add)` for
+    the other end, or a second `accumulate` when every row maps the two
+    ends one-to-one.  Each decision is then checked on D = a - b, its
+    two candidate sums' difference, against bounds on the loop's
+    threshold eps * max(1, |a|, |b|).  One of a and b is the value kept,
+    and the other, cand, is a value of end s plus g[s][i]: rounding is
+    monotone, so cand lies between end s's least and greatest values
+    plus g[s][i].
+    """
+    if not (math.isfinite(m1) and math.isfinite(m2)):
+        return None
+    p = len(pattern)
+    src = [(0, 2 - s1, 2 - s2) for _, _, s1, s2 in pattern]  # end i's source end
+    a1, a2 = 1, 2  # ancestors one period back of ends 1 and 2
+    for r in reversed(range(p)):
+        a1, a2 = src[r][a1], src[r][a2]
+    # the chain's end c[t % span] at row k + t: a fixed end once a period,
+    # or end 1 once two periods when each period swaps the ends
+    span = 2 * p if (a1, a2) == (2, 1) else p
+    c = [a1 if a1 == a2 else 1] * (span + 1)
+    for j in reversed(range(span)):
+        c[j] = src[j % p][c[j + 1]]
+    incs, other_incs, fed = [], [], []  # per row of the span
+    for j in range(span):
+        o = 3 - c[j + 1]  # the other end, and its parent s
+        s = src[j % p][o]
+        incs.append(g[c[j]][c[j + 1]])
+        other_incs.append(g[s][o])
+        fed.append(s == c[j])  # by the chain, or else by the other end
+    chain = list(accumulate(islice(cycle(incs), rows), initial=(0, m1, m2)[c[0]]))
+    if not any(fed):  # two chains
+        other = list(accumulate(islice(cycle(other_incs), rows), initial=(0, m2, m1)[c[0]]))
+    else:  # rows fed by the chain first, then the rows fed by them
+        other = [(0, m2, m1)[c[0]]] * (rows + 1)
+        for by_chain in (True, False):
+            for j in range(span):
+                if fed[j] == by_chain:
+                    other[j + 1::span] = map(add, (chain if by_chain else other)[j:rows:span],
+                                             repeat(other_incs[j]))
+    v1, v2 = (chain, other) if c[0] == 1 else (other, chain)
+    for j in range(1, span):
+        if c[j] != c[0]:
+            v1[j::span], v2[j::span] = v2[j::span], v1[j::span]
+    # with one increment a row each list is monotone from row k + 1 on,
+    # as rounding is, so its least and greatest values sit at its ends
+    w1, w2 = ((v[0], v[1], v[-1]) for v in (v1, v2)) if span == 1 else (v1, v2)
+    lo1, hi1, lo2, hi2 = bounds = min(w1), max(w1), min(w2), max(w2)
+    if not all(map(math.isfinite, bounds)):
+        return None
+    vals, lo, hi = (None, v1, v2), (0, lo1, lo2), (0, hi1, hi2)
+    for r, row in enumerate(pattern):
+        before = (None, v1[r:rows:p], v2[r:rows:p])  # rows k + r, k + r + p, ...
+        for i in (1, 2):
+            code, keeps_a = row[i - 1], row[i + 1]
+            s = 1 + keeps_a  # the side the value did not come from
+            cand = map(add, before[s], repeat(g[s][i]))
+            mine = vals[i][r + 1::p]
+            d = map(sub, mine, cand) if keeps_a else map(sub, cand, mine)  # D = a - b
+            low, high = lo[s] + g[s][i], hi[s] + g[s][i]  # cand's range
+            if code < 3:  # the threshold is at most eps * max(1, |mine|, |cand|)
+                top = eps * max(1.0, hi[i], -lo[i], high, -low)
+                ok = min(d) > top if code == 1 else max(d) < -top
+            else:  # and at least eps * max(1, |mine|) and eps * max(1, |cand|)
+                d, bottom = list(d), eps * max(1.0, lo[i], -hi[i], low, -high)
+                if keeps_a:  # a tie keeping a needs a >= b: D = -0.0 means a == b
+                    ok = min(d) >= 0 and max(d) <= bottom
+                else:
+                    ok = max(d) < 0 and min(d) >= -bottom
+            if not ok:
+                return None
+    return v1, v2
+
+
 def _build(f: IndexFunction, gt: IncrementTable, n: int, keep: bool) -> DPTable:
     G11, G12, G21, G22 = gt.g11, gt.g12, gt.g21, gt.g22
     m1, m2 = gt.initial(1), gt.initial(2)
@@ -398,15 +516,53 @@ def _build(f: IndexFunction, gt: IncrementTable, n: int, keep: bool) -> DPTable:
         den = math.lcm(*(Fraction(v).denominator for v in (G11, G12, G21, G22, gt.g2, gt.base)))
         G11, G12, G21, G22, m1, m2 = (int(v * den) for v in (G11, G12, G21, G22, m1, m2))
         eps = 0
+    g = (None, (None, G11, G12), (None, G21, G22))
     t1 = t2 = 0
     p1 = p2 = 0
-    vals1, vals2 = [m1], [m2]
+    vals1, vals2 = (array("d", (m1,)), array("d", (m2,))) if eps else ([m1], [m2])
     preds1, preds2 = bytearray(1), bytearray(1)
     av1, av2 = vals1.append, vals2.append
     ap1, ap2 = preds1.append, preds2.append
     r1 = r2 = None  # rational mode: rows k - 1 and k - 2 as (m1, m2, p1, p2)
     period = None
-    for k in range(3, n):  # row k -> row k + 1
+    runs = []
+    # float mode: rows k - 1 and k as (p1, p2, end 1 keeps a, end 2 keeps a),
+    # how many rows in succession repeat the row two before, the tie maps
+    # and row count of the chunks since the last step, and the chunk size
+    h2 = h1 = None
+    steady, pending, size, chunked = 0, None, _CHUNK_MIN, 0
+    k = 3
+    while k < n:  # row k -> row k + 1
+        if steady > 1 and n - k >= _CHUNK_MIN:
+            rows = min(size, n - k)
+            chunk = _chunk(m1, m2, g, (h2,) if h1 == h2 else (h2, h1), rows, eps)
+            if chunk is None:
+                size = max(size // 2, _CHUNK_MIN)
+            else:  # rows k + 1 .. k + rows repeat rows k - 1 and k
+                v1, v2 = chunk
+                m1, m2 = v1[-1], v2[-1]
+                if keep:
+                    vals1.fromlist(v1[1:])
+                    vals2.fromlist(v2[1:])
+                    preds1 += (bytes((h2[0], h1[0])) * (rows // 2 + 1))[:rows]
+                    preds2 += (bytes((h2[1], h1[1])) * (rows // 2 + 1))[:rows]
+                if pending:
+                    pending[2] += rows
+                    runs[-1][1] = k + rows
+                else:
+                    pending = [(_TIE_ROWS[h2[0]], _TIE_ROWS[h2[1]]),
+                               (_TIE_ROWS[h1[0]], _TIE_ROWS[h1[1]]), rows]
+                    runs.append([k - 1, k + rows])
+                if rows % 2:
+                    h2, h1 = h1, h2
+                p1, p2 = h1[:2]
+                k += rows
+                chunked += rows
+                size = min(2 * size, _CHUNK_MAX)
+                continue
+        if pending:
+            t1, t2 = _tie_steps((t1, t2), *pending)
+            pending = None
         if not eps:
             d = m1 - m2
             if r2 and d == r2[0] - r2[1]:
@@ -415,26 +571,33 @@ def _build(f: IndexFunction, gt: IncrementTable, n: int, keep: bool) -> DPTable:
             r2, r1 = r1, (m1, m2, p1, p2)
         # each end's two candidates tie by values_equal's formula (exact
         # equality when eps is 0); a tie keeps the larger one
-        a, b = m1 + G11, m2 + G21
-        if a == b or eps and abs(a - b) <= eps * max(1.0, abs(a), abs(b)):
-            w1, p1, nt1 = a if a >= b else b, 3, 1 + t1 + t2
-        elif a > b:
-            w1, p1, nt1 = a, 1, t1
+        a1, b1 = m1 + G11, m2 + G21
+        if a1 == b1 or eps and abs(a1 - b1) <= eps * max(1.0, abs(a1), abs(b1)):
+            w1, p1, nt1 = a1 if a1 >= b1 else b1, 3, 1 + t1 + t2
+        elif a1 > b1:
+            w1, p1, nt1 = a1, 1, t1
         else:
-            w1, p1, nt1 = b, 2, t2
-        a, b = m1 + G12, m2 + G22
-        if a == b or eps and abs(a - b) <= eps * max(1.0, abs(a), abs(b)):
-            w2, p2, nt2 = a if a >= b else b, 3, 1 + t1 + t2
-        elif a > b:
-            w2, p2, nt2 = a, 1, t1
+            w1, p1, nt1 = b1, 2, t2
+        a2, b2 = m1 + G12, m2 + G22
+        if a2 == b2 or eps and abs(a2 - b2) <= eps * max(1.0, abs(a2), abs(b2)):
+            w2, p2, nt2 = a2 if a2 >= b2 else b2, 3, 1 + t1 + t2
+        elif a2 > b2:
+            w2, p2, nt2 = a2, 1, t1
         else:
-            w2, p2, nt2 = b, 2, t2
+            w2, p2, nt2 = b2, 2, t2
         m1, m2, t1, t2 = w1, w2, nt1, nt2
         if keep:
             av1(m1)
             av2(m2)
             ap1(p1)
             ap2(p2)
+        if eps:
+            row = (p1, p2, w1 is a1, w2 is a2)
+            steady = steady + 1 if row == h2 else 0
+            h2, h1 = h1, row
+        k += 1
+    if pending:
+        t1, t2 = _tie_steps((t1, t2), *pending)
     shift = 0
     if period is not None:
         # Rows k - 1 and k repeat for ever, two rows on and `shift` higher:
@@ -444,20 +607,19 @@ def _build(f: IndexFunction, gt: IncrementTable, n: int, keep: bool) -> DPTable:
         # k; `DPTable.value` reads the later rows.
         (v1, v2, q1, q2), shift = r1, m1 - r2[0]
         half, odd = divmod(n - k, 2)  # rows k + 1 .. n: whole periods, then maybe one row
-        first = (_TIE_ROWS[q1], _TIE_ROWS[q2])  # the tie map into row k + 1
-        step = _power(_compose((_TIE_ROWS[p1], _TIE_ROWS[p2]), first), half)
-        if odd:
-            step = _compose(first, step)
-        t1, t2 = (a * t1 + b * t2 + c for a, b, c in step)
+        t1, t2 = _tie_steps((t1, t2), (_TIE_ROWS[q1], _TIE_ROWS[q2]),
+                            (_TIE_ROWS[p1], _TIE_ROWS[p2]), n - k)
         if keep:  # rows k + 1 .. n take the codes of rows k - 1 and k in turn
             preds1 += (bytes((q1, p1)) * (half + 1))[:n - k]
             preds2 += (bytes((q2, p2)) * (half + 1))[:n - k]
         if odd:  # row n repeats row k - 1
             m1, m2, p1, p2 = v1 + shift, v2 + shift, q1, q2
         m1, m2 = m1 + half * shift, m2 + half * shift
+        runs.append([k - 1, n])
     if not keep:
         vals1, vals2, preds1, preds2 = [m1], [m2], bytearray((p1,)), bytearray((p2,))
-    return DPTable(f, n, den, (vals1, vals2), (preds1, preds2), (t1, t2), period, shift)
+    return DPTable(f, n, den, (vals1, vals2), (preds1, preds2), (t1, t2), runs,
+                   k - 3 - chunked, period, shift)
 
 
 def run_dp(f: IndexFunction, n: int, *, keep_table: bool = True) -> DPTable:
@@ -475,8 +637,10 @@ def run_dp(f: IndexFunction, n: int, *, keep_table: bool = True) -> DPTable:
     on (see the module docstring and `DPTable.period`).  That costs k
     Python steps and k values per end plus one n-byte fill per end, or
     O(k + log n) steps streaming, with k <= 9 for the rational presets.
-    Float passes, and rational ones whose d does not repeat below row n,
-    run the loop to n and store n values per end."""
+    Rational passes whose d does not repeat below row n run the loop to
+    n and store n values per end.  Float passes store n values per end
+    too, in `array('d')`, but step row by row only through the transient
+    and between steady runs, which they take in proved chunks."""
     if n < 3:
         raise ValueError(f"dynamic program needs n >= 3, got {n}")
     table = _build(f, increment_table(f), n, keep_table)

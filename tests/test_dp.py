@@ -759,6 +759,142 @@ def test_candidate_rule_property(f, n):
     assert_candidate_rule(f, n)
 
 
+def late_overtake_table(gap, eps):
+    """`late_repeat_index` in floats with g22 = g11 - gap: d drifts by gap
+    a row until near row 0.1 / gap, and at eps >= gap / 10**4 the
+    tolerance, growing with the values, overtakes a gap near row 3350,
+    so end 2's code changes twice between steady runs."""
+    values = {(2, 2): 0.0, (2, 3): 0.0, (2, 4): -10.9, (3, 3): 1.0, (3, 4): -10.0,
+              (4, 4): 24.8 - gap}
+    return IndexFunction(f"overtake{gap}", values, mode=FLOAT, eps=eps)
+
+
+# found by a seeded search: on some rows of its negation the tolerance is
+# set by the candidate sum that loses, not by the value kept
+CANDIDATE_SCALED = IndexFunction("cand-scaled", dict(zip(DEGREE_PAIRS, (
+    19.129831207476975, -0.0006488433718010442, -7.136650245129513,
+    32.85356910755177, 0.06477892644010062, 5771.106566529041))), mode=FLOAT, eps=0.05)
+
+FLOAT_RUN_CORPUS = [
+    g for f in (
+        *seeded_float_tables(52, 2),
+        *near_integer_float_tables(53, 1, 1e-9),
+        *near_integer_float_tables(54, 2, 0.05),
+        *(force_float(AZI, eps) for eps in (1e-12, 1e-9, 0.05, 1.45)),
+        *boundary_float_tables(55, 1),
+        late_overtake_table(1e-4, 1e-8),
+        late_overtake_table(1e-3, 1e-7),
+        CANDIDATE_SCALED,
+        preset("ga"),
+    ) for g in (f, negate(f))
+]
+
+
+def assert_float_run_matches(g, n):
+    """run_dp(g, n), kept and streaming, against `reference_pass` on every
+    row: values by repr (so -0.0 and 0.0 differ), codes and tie counts;
+    witnesses against the plain walk at each phase of the four-row block."""
+    table, slim = run_dp(g, n), run_dp(g, n, keep_table=False)
+    want = [(tuple(map(repr, m)), preds, ties) for m, preds, ties in reference_pass(g, n)]
+    got = [(tuple(repr(table.value(k, i)) for i in (1, 2)),
+            tuple(table.predecessors(k, i) for i in (1, 2)),
+            tuple(table.tie_count(k, i) for i in (1, 2))) for k in range(4, n + 1)]
+    assert got == want, (g.name, next(k for k, (x, y) in enumerate(zip(got, want), 4) if x != y))
+    assert (tuple(repr(slim.value(n, i)) for i in (1, 2)),
+            tuple(slim.predecessors(n, i) for i in (1, 2)),
+            tuple(slim.tie_count(n, i) for i in (1, 2))) == want[-1], g.name
+    for k in range(n - 3, n + 1):
+        for e in (1, 2):
+            assert table.witness(k, e) == plain_witness(table, k, e), (g.name, k, e)
+    return table
+
+
+class TestFloatRuns:
+    """The float pass advances in chunks of a steady pattern, each row's
+    decision proved before the chunk is taken; it must agree bit for bit
+    with the plain loop."""
+
+    def test_every_row_matches_the_reference(self):
+        for g in FLOAT_RUN_CORPUS:
+            table = assert_float_run_matches(g, 5000)
+            assert table.steps < 1000, g.name  # the chunks ran
+
+    def test_two_runs(self):
+        # end 2 takes link 2 to row 103, link 1 to row 3350 and then ties:
+        # three chunked runs of codes with a few steps between
+        table = run_dp(late_overtake_table(1e-3, 1e-7), 5000)
+        assert [table.predecessors(k, 2) for k in (50, 1000, 4900)] == [{2}, {1}, {1, 2}]
+        assert table.steps < 300
+        for k in (4000, 4001, 4002, 4003, 3000, 3001, 3002, 3003):
+            for e in (1, 2):
+                assert table.witness(k, e) == plain_witness(table, k, e), (k, e)
+
+    def test_short_tables_step_every_row(self):
+        # no chunk below 64 remaining rows: small n runs the plain loop
+        for f in (preset("abc"), force_float(AZI), *seeded_float_tables(56, 2)):
+            for n in (3, 14, 66):
+                assert run_dp(f, n).steps == n - 3, (f.name, n)
+
+    def test_tie_counts_take_few_steps(self):
+        # ties at every row: the tie counts have n - 3 bits, so carrying
+        # them row by row costs quadratic time; a chunked run powers its map
+        f = force_float(negate(AZI), 0.05)
+        slim = run_dp(f, 10**5, keep_table=False)
+        assert slim.steps < 100
+        assert run_dp(f, 2 * 10**5, keep_table=False).steps == slim.steps
+        assert slim.tie_count(10**5, 1).bit_length() > 10**5 - 10
+
+    def test_overflow_past_row_3000(self):
+        # every chain scores (3n + 1) * c, which leaves the float range near n = 3525
+        f = IndexFunction("big", {p: 1.7e304 for p in DEGREE_PAIRS}, mode=FLOAT)
+        for g in (f, negate(f)):
+            assert_float_run_matches(g, 3500)
+            for keep in (True, False):
+                with pytest.raises(ValueError, match="float overflow: the optimum at n = 3600"):
+                    run_dp(g, 3600, keep_table=keep)
+
+    def test_chunk_refuses_non_finite_values(self):
+        from polychain.dp import _chunk
+
+        g = (None, (None, 1e306, 1e306), (None, 1e306, 1e306))
+        tie = (3, 3, True, True)  # both ends tie and keep a, as a constant table does
+        assert _chunk(1.0, 1.0, g, (tie,), 100, 1e-9) is not None
+        assert _chunk(1e308, 1e308, g, (tie,), 100, 1e-9) is None  # inf from row 80 on
+        for bad in (math.inf, -math.inf, math.nan):
+            assert _chunk(bad, 1.0, g, (tie,), 100, 1e-9) is None
+            assert _chunk(1.0, bad, g, (tie,), 100, 1e-9) is None
+
+    def test_chunk_ties_on_signed_zeros(self):
+        # a = 0.0 and b = -0.0 are equal, so the loop keeps a: D = +0.0
+        # refutes a tie keeping b, and the values keep a's sign
+        from polychain.dp import _chunk
+
+        g = (None, (None, 0.0, 0.0), (None, -0.0, -0.0))
+        assert _chunk(0.0, -0.0, g, ((3, 3, False, False),), 100, 1e-9) is None
+        v1, v2 = _chunk(0.0, -0.0, g, ((3, 3, True, True),), 100, 1e-9)
+        assert set(map(repr, v1[1:] + v2[1:])) == {"0.0"}
+
+    def test_memory_is_linear(self):
+        # two 8-byte values and two code bytes a row
+        ga = preset("ga")
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                run_dp(ga, n)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(2 * 10**5) - peak(10**5) <= 20 * 10**5
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(float_tables, st.integers(60, 3000))
+def test_float_runs_property(f, n):
+    assert_float_run_matches(f, n)
+
+
 def case_b_index():
     # g11 = g2 = 3 with the dominance premise satisfied
     values = {
