@@ -6,9 +6,11 @@ ways), ``max`` / ``min`` (extremal search with optional enumeration),
 summary rows) and ``verify`` (oracle cross-checks plus the AZI claims).
 
 Exact values are always printed as "p/q" with a 10-significant-digit
-decimal marked approximate.  Output is deterministic: equal invocations
-produce byte-identical output.  Exit codes: 0 success, 1 verification
-mismatch, 2 usage or parse error.
+decimal marked approximate.  JSON documents come from one renderer,
+`_render_json`, whose text equals ``json.dumps(doc, indent=2)`` byte for
+byte.  Output is deterministic: equal invocations produce byte-identical
+output.  Exit codes: 0 success, 1 verification mismatch, 2 usage or parse
+error.  A reader that closes the pipe early ends the output quietly.
 """
 
 from __future__ import annotations
@@ -16,8 +18,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -180,6 +184,31 @@ OUTPUT_SCHEMAS = {
 }
 
 
+# exact scalar types, which json's C encoder writes as its indent=2 path would
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+def _render_json(doc, pad: str = "\n") -> str:
+    """Return ``json.dumps(doc, indent=2)`` for a document with string keys.
+
+    The stdlib drops its C encoder whenever ``indent`` is set.  Here each
+    list or dict of plain scalars is one call of that encoder, with the
+    newline and indent as its item separator.
+    """
+    if not isinstance(doc, (dict, list, tuple)) or not doc:
+        return json.dumps(doc)
+    inner = pad + "  "
+    sep = "," + inner
+    is_dict = isinstance(doc, dict)
+    if _SCALARS.issuperset(map(type, doc.values() if is_dict else doc)):
+        body = json.dumps(doc, separators=(sep, ": "))[1:-1]
+    elif is_dict:
+        body = sep.join(json.dumps(k) + ": " + _render_json(v, inner) for k, v in doc.items())
+    else:
+        body = sep.join(_render_json(v, inner) for v in doc)
+    return ("{" if is_dict else "[") + inner + body + pad + ("}" if is_dict else "]")
+
+
 def _value_json(v) -> dict:
     return {"rational": as_exact_string(v), "decimal": as_decimal_string(v)}
 
@@ -255,7 +284,7 @@ def _cmd_value(args, f: IndexFunction) -> tuple[str, int]:
             "recursive": _value_json(recursive),
             "equal": equal,
         }
-        return json.dumps(doc, indent=2), 0 if equal else 1
+        return _render_json(doc), 0 if equal else 1
     if equal:
         return _value_plain(direct), 0
     print(
@@ -294,7 +323,7 @@ def _cmd_extremal(args, f: IndexFunction, objective: str) -> tuple[str, int]:
         }
         if chains is not None:
             doc["chains"] = chains
-        return json.dumps(doc, indent=2), 0
+        return _render_json(doc), 0
     lines = [
         f"{objective} {f.name} n={args.n}: {_value_plain(result.value)}",
         f"witness: {result.witness.to_string()}",
@@ -321,7 +350,7 @@ def _cmd_classify(args, f: IndexFunction) -> tuple[str, int]:
             "n_star": verdict.n_star,
             "tie_at_threshold": verdict.tie_at_threshold,
         }
-        return json.dumps(doc, indent=2), 0
+        return _render_json(doc), 0
     lines = [f"case: {verdict.case} (premise {'holds' if verdict.premise_holds else 'fails'})"]
     if verdict.n_star is not None:
         lines.append(f"threshold n*: {verdict.n_star}")
@@ -368,19 +397,10 @@ def _cmd_table(args, f: IndexFunction) -> tuple[str, int]:
         doc = {
             "command": "table",
             "index": f.name,
-            "rows": [
-                {
-                    "n": r["n"],
-                    "max": _value_json(r["max"]),
-                    "min": _value_json(r["min"]),
-                    "labeled_count": r["labeled_count"],
-                    "iso_count": r["iso_count"],
-                    "family": r["family"],
-                }
-                for r in rows
-            ],
+            "rows": [{**r, "max": _value_json(r["max"]), "min": _value_json(r["min"])}
+                     for r in rows],
         }
-        return json.dumps(doc, indent=2), 0
+        return _render_json(doc), 0
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["n", "max", "min", "labeled_count", "iso_count", "family"])
@@ -434,9 +454,10 @@ def _cmd_verify(args, f: IndexFunction) -> tuple[str, int]:
         "azi_minimum": azi_min_report,
         "ok": ok,
     }
-    return json.dumps(doc, indent=2), 0 if ok else 1
+    return _render_json(doc), 0 if ok else 1
 
 
+@functools.cache  # built on the first main() call, not at import
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polychain",
@@ -527,7 +548,12 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if text and not args.out:
-        print(text)
+        try:
+            print(text)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader has gone; devnull keeps the final flush at exit quiet
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

@@ -49,6 +49,8 @@ class TestLinkVector:
             c = LinkVector.from_string(text)
             assert LinkVector.from_string(c.to_string()) == c
         assert LinkVector.from_string("1,2,2,1").links == (1, 2, 2, 1)
+        # links equal to 1 or 2 but of another type still print as the word
+        assert LinkVector([1.0, True, 2.0]).to_string() == "1,1,2"
 
     def test_from_string_rejects_garbage(self):
         for text in ("1,3", "a", "1,,2", "12"):

@@ -1,6 +1,7 @@
 """Command-line frontend: formats, exit codes, schemas."""
 
 import json
+import subprocess
 import sys
 
 import jsonschema
@@ -421,3 +422,44 @@ class TestIndexResolution:
         assert code == 0
         assert out == ""
         assert target.read_text().strip() == "10790359/54000 (approx 199.8214630)"
+
+
+def run_fresh(*argv):
+    proc = subprocess.run([sys.executable, "-m", "polychain.cli", *argv],
+                          capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestProcess:
+    def test_one_parser_serves_every_call(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal width
+        sequence = [
+            ["max", "--index", "azi", "--n", "12", "--enumerate", "--dedup", "--limit", "3"],
+            ["max", "--index", "azi", "--n", "12"],
+            ["max", "--index", "azi", "--n", "twelve"],
+            ["table", "--index", "azi", "--from", "3", "--to", "8", "--format", "json"],
+        ]
+        for argv in sequence:
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refusal
+                code = exc.code
+            assert (code, *capsys.readouterr()) == run_fresh(*argv), argv
+        assert cli_mod.build_parser.cache_info().currsize == 1
+        probe = "import polychain.cli as c; print(c.build_parser.cache_info().currsize)"
+        fresh = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert fresh.stdout == "0\n", "the parser is built at import"
+
+    def test_closed_pipe_ends_quietly(self):
+        # a 200 KB witness overfills the 64 KB pipe buffer, so the write meets EPIPE
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "polychain.cli", "max", "--index", "azi", "--n", "100000",
+             "--format", "plain"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        head = proc.stdout.read(200)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+        assert head.startswith(b"max azi n=100000: ")
+        assert err == b""

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import polychain.indices as indices_mod
 from polychain.chains import LinkVector
-from polychain.cli import main
+from polychain.cli import _render_json, _unlimited_int_digits, main
 from polychain.dp import run_dp
 from polychain.indices import DEGREE_PAIRS, FLOAT, IndexFunction, load_custom_index, negate
 from polychain.oracle import exhaustive
@@ -207,3 +207,23 @@ def test_cli_exits_0_1_or_2_with_one_error_line(cli_paths, data):
     if code == 2:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+json_scalars = (
+    st.none() | st.booleans() | st.floats() | st.integers()
+    | st.integers(4301, 4400).map(lambda digits: -(10**digits) + 7)
+    | st.text() | st.sampled_from(['"\\/\n\t\x00', "\u00e9\u2028", "\U0001f600", "\ud800"])
+)
+json_docs = st.recursive(
+    json_scalars | st.lists(st.integers()) | st.lists(st.lists(st.sampled_from((1, 2)))),
+    lambda children: st.lists(children) | st.lists(children).map(tuple)
+    | st.dictionaries(st.text(), children),
+    max_leaves=40,
+)
+
+
+@PROPERTY
+@given(json_docs)
+def test_json_renderer_equals_json_dumps(doc):
+    with _unlimited_int_digits():
+        assert _render_json(doc) == json.dumps(doc, indent=2)
