@@ -17,15 +17,15 @@ distinct vectors (98 at n = 14, 135 at n = 16) and one 2-byte vector id
 per chain, in lexicographic order; it is built on first use and cached
 per n, so every index and every sweep at that n shares it.  A sweep
 then values each distinct vector once.  Exact values are integers: the
-six table entries are scaled once by the lcm of their denominators, a
-value is an int dot product, and builtin max/min pick the extremes; one
-byte mask over the distinct ids and one C-level `compress` over the
-vector ids then give each result set in lexicographic order.  Float
-values come from the same `degree_pair_sum` as `evaluate_direct` (one
-summation order, so they agree bit for bit) and stream through `_Best`,
-offered only where a C-level scan finds a tie with or a win over the
-current best.  Memory is the census, 2 bytes per chain for each cached
-n, plus the result sets.
+six table entries are scaled once by the lcm of their denominators and
+a value is an int dot product.  Float values come from the same
+`degree_pair_sum` as `evaluate_direct` (one summation order, so they
+agree bit for bit).  Both then go through one selection: builtin
+max/min pick the extreme over the ids present, one mask over the
+distinct values marks those that tie it (`values_equal`'s rule, plain
+equality for exact values), and one C-level `compress` over the vector
+ids gives each result set in lexicographic order.  Memory is the
+census, 2 bytes per chain for each cached n, plus the result sets.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import compress, islice
+from itertools import compress
 from math import lcm
 from operator import mul
 
@@ -96,63 +96,6 @@ def _word(pos: int, m: int) -> tuple[int, ...]:
     return tuple(format(pos, f"0{m}b").encode().translate(_LINK_DIGITS))
 
 
-class _Best:
-    """Streaming argmax (or argmin) set under float tolerance.
-
-    Every candidate that ties with the best value seen so far (within
-    the relative tolerance eps) is kept, and the kept set is re-pruned
-    whenever the best improves; insertion order (lexicographic here) is
-    preserved.  `exhaustive` streams only float tables through it; with
-    eps None, `offer` compares exact values, so a chain-by-chain
-    reference sweep can share the rule.
-    """
-
-    def __init__(self, smallest: bool, eps: float | None):
-        self.smallest = smallest
-        self.eps = eps
-        self.value: Value | None = None
-        self._entries: list[tuple[Value, tuple[int, ...]]] = []
-
-    def _better(self, a: Value, b: Value) -> bool:
-        return a < b if self.smallest else a > b
-
-    def offer(self, value: Value, links: tuple[int, ...]) -> None:
-        if self.value is None or self._better(value, self.value):
-            self.value = value
-            self._entries = [e for e in self._entries if values_equal(e[0], value, self.eps)]
-        elif not values_equal(value, self.value, self.eps):
-            return
-        self._entries.append((value, links))
-
-    def _changes(self, value: Value) -> bool:
-        """Whether offering `value` would change anything: it ties or wins."""
-        return (self.value is None or self._better(value, self.value)
-                or values_equal(value, self.value, self.eps))
-
-    def sweep(self, values: list[float], ids, m: int, first: int = 0, step: int = 1) -> None:
-        """Offer, in order, the m-link words at lexicographic positions
-        first + step*k, word k having value ``values[ids[k]]``.
-
-        Only the offers that change something are made: a C-level scan
-        finds the next word whose value ties with or beats the best, and
-        starts again whenever the best changes.
-        """
-        k = 0
-        while True:
-            changes = [self._changes(v) for v in values]
-            best = self.value
-            for k in compress(range(k, len(ids)), map(changes.__getitem__, islice(ids, k, None))):
-                self.offer(values[ids[k]], _word(first + step * k, m))
-                if self.value is not best:
-                    k += 1
-                    break
-            else:
-                return
-
-    def chains(self) -> tuple[LinkVector, ...]:
-        return tuple(LinkVector(links) for _, links in self._entries)
-
-
 @dataclass(frozen=True)
 class OracleReport:
     """Extrema and argument sets from one exhaustive sweep."""
@@ -190,11 +133,12 @@ def exhaustive(f: IndexFunction, n: int, cap: int = DEFAULT_CAP) -> OracleReport
     """Evaluate every n-square chain and report extrema and their chains.
 
     Rational tables are valued as integers, scaled by the lcm of the
-    entries' denominators, and their result sets are selected at C
-    speed; float tables stream through `_Best`.  Refuses square counts
-    above `cap` (default 24) because the sweep visits 2**(n-2) chains
-    and the census of n keeps 2 bytes per chain; raise the cap
-    explicitly if you really mean it.
+    entries' denominators, float tables by `degree_pair_sum`.  Each
+    result set then holds every chain whose value ties the extreme:
+    equal to it for exact values, within `values_equal` under ``f.eps``
+    for floats.  Refuses square counts above `cap` (default 24) because
+    the sweep visits 2**(n-2) chains and the census of n keeps 2 bytes
+    per chain; raise the cap explicitly if you really mean it.
     """
     if n < 3:
         raise ValueError(f"exhaustive sweep needs n >= 3, got {n}")
@@ -206,22 +150,22 @@ def exhaustive(f: IndexFunction, n: int, cap: int = DEFAULT_CAP) -> OracleReport
     vectors, ids = census(n)
     m = n - 2
     if f.mode == FLOAT:
+        den, eps = None, f.eps
         values = [degree_pair_sum(v, f) for v in vectors]
-
-        def select(ids, pick, first=0, step=1):
-            best = _Best(smallest=pick is min, eps=f.eps)
-            best.sweep(values, ids, m, first, step)
-            return best.value, best.chains()
     else:
-        den = lcm(*(v.denominator for v in f.values.values()))
+        den, eps = lcm(*(v.denominator for v in f.values.values())), 0
         scaled = [int(f.values[p] * den) for p in DEGREE_PAIRS]
         values = [sum(map(mul, v, scaled)) for v in vectors]
 
-        def select(ids, pick, first=0, step=1):
-            best = pick(map(values.__getitem__, set(ids)))
-            mask = bytes(v == best for v in values)
-            hits = compress(range(len(ids)), map(mask.__getitem__, ids))
-            return Fraction(best, den), tuple(LinkVector(_word(first + step * k, m)) for k in hits)
+    def select(ids, pick, first=0, step=1):
+        # every census vector occurs among all chains, not all in one end's half
+        best = pick(values if step == 1 else map(values.__getitem__, set(ids)))
+        # values_equal's rule inline: plain equality when eps is 0
+        mask = [v == best or eps and abs(v - best) <= eps * max(1.0, abs(v), abs(best))
+                for v in values]
+        hits = compress(range(len(ids)), map(mask.__getitem__, ids))
+        chains = tuple(LinkVector(_word(first + step * k, m)) for k in hits)
+        return (best if den is None else Fraction(best, den)), chains
 
     max_value, argmax = select(ids, max)
     min_value, argmin = select(ids, min)

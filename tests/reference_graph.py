@@ -11,9 +11,9 @@ import functools
 from collections import Counter
 from itertools import product
 
-from polychain.chains import realize
-from polychain.indices import FLOAT, evaluate_direct
-from polychain.oracle import OracleReport, _Best
+from polychain.chains import LinkVector, realize
+from polychain.indices import FLOAT, evaluate_direct, values_equal
+from polychain.oracle import OracleReport
 
 
 def reference_multiset(chain) -> Counter:
@@ -40,24 +40,29 @@ _cached_multiset = functools.cache(reference_multiset)
 
 def reference_report(f, n):
     """The sweep evaluated chain by chain with `evaluate_direct`, on the
-    reference graph once `_cached_multiset` is patched in."""
+    reference graph once `_cached_multiset` is patched in, in two passes:
+    take the extreme, then keep every word whose value ties it under
+    `values_equal`."""
     eps = f.eps if f.mode == FLOAT else None
-    best_max = _Best(smallest=False, eps=eps)
-    best_min = _Best(smallest=True, eps=eps)
-    end_max = {1: _Best(smallest=False, eps=eps), 2: _Best(smallest=False, eps=eps)}
-    for links in product((1, 2), repeat=n - 2):
-        value = evaluate_direct(links, f)
-        best_max.offer(value, links)
-        best_min.offer(value, links)
-        end_max[links[-1]].offer(value, links)
+    valued = [(links, evaluate_direct(links, f)) for links in product((1, 2), repeat=n - 2)]
+
+    def select(pick, end=None):
+        kept = [(links, value) for links, value in valued if end in (None, links[-1])]
+        best = pick(value for _, value in kept)
+        return best, tuple(LinkVector(links) for links, value in kept
+                           if values_equal(value, best, eps))
+
+    max_value, argmax = select(max)
+    min_value, argmin = select(min)
+    per_end = {end: select(max, end) for end in (1, 2)}
     return OracleReport(
         n=n,
         index_name=f.name,
         mode=f.mode,
-        max_value=best_max.value,
-        min_value=best_min.value,
-        argmax=best_max.chains(),
-        argmin=best_min.chains(),
-        per_end_max={e: b.value for e, b in end_max.items()},
-        per_end_argmax={e: b.chains() for e, b in end_max.items()},
+        max_value=max_value,
+        min_value=min_value,
+        argmax=argmax,
+        argmin=argmin,
+        per_end_max={e: value for e, (value, _) in per_end.items()},
+        per_end_argmax={e: chains for e, (_, chains) in per_end.items()},
     )

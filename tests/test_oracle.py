@@ -28,7 +28,7 @@ from polychain.indices import (
     negate,
     preset,
 )
-from polychain.oracle import _Best, census, cross_check, exhaustive
+from polychain.oracle import census, cross_check, exhaustive
 from reference_graph import _cached_multiset, reference_multiset, reference_report
 
 AZI = preset("azi")
@@ -52,20 +52,32 @@ def near_tie_tables(seed, count):
     ]
 
 
-# mixed signs under eps > 1: a better best can tie values the old one
-# did not, so the sweep must rescan after every improvement
+# mixed signs under eps > 1: a chain can tie the extreme without tying
+# the values between the two, so a result set is every chain that ties
+# the extreme, chosen once the extreme is known
 WIDE_TOLERANCE = IndexFunction(
     "wide", dict(zip(DEGREE_PAIRS, (-0.67, 0.63, -2.8, -0.53, 2.85, 1.52))), mode=FLOAT, eps=1.45
 )
 
 
+def boundary_tables(seed):
+    # one mixed-sign table at tolerances on both sides of eps = 1: below
+    # it a chain that ties the extreme ties every value in between, above
+    # it need not
+    rng = random.Random(seed)
+    values = {p: round(rng.uniform(-3, 3), 2) for p in DEGREE_PAIRS}
+    return [IndexFunction(f"boundary{eps}", values, mode=FLOAT, eps=eps)
+            for eps in (0.5, 1.0, 1.2, 1.9)]
+
+
 def report_corpus():
     """All presets, the rational ones forced to float, seeded {0,1,2}
-    tables, near-tie and wide-tolerance float tables, and the negation
-    of each."""
+    tables, near-tie, wide-tolerance and eps-boundary float tables, and
+    the negation of each."""
     tables = [preset(name) for name in PRESET_NAMES]
     tables += [force_float(f) for f in tables if f.mode == RATIONAL]
     tables += small_range_tables(5, 4) + near_tie_tables(6, 2) + [WIDE_TOLERANCE]
+    tables += boundary_tables(0)
     return tables + [negate(f) for f in tables]
 
 
@@ -232,24 +244,18 @@ class TestCensus:
         for n in range(3, 13):
             assert exhaustive(f, n).to_json() == reference_report(f, n).to_json(), n
 
-    def test_offers_only_ties_and_wins(self, monkeypatch):
-        offered, summed = [], []
-        real_offer = _Best.offer
-
-        def counting(best, value, links):
-            offered.append(links)
-            real_offer(best, value, links)
+    def test_sums_each_distinct_float_vector_once(self, monkeypatch):
+        summed = []
 
         def summing(counts, f):
             summed.append(counts)
             return degree_pair_sum(counts, f)
 
-        monkeypatch.setattr(_Best, "offer", counting)
         monkeypatch.setattr(oracle_mod, "degree_pair_sum", summing)
         exhaustive(AZI, 12)
-        assert (offered, summed) == ([], [])  # exact: scaled integers, selected in C
+        assert summed == []  # exact: scaled integers
         exhaustive(preset("ga"), 12)
-        assert len(offered) < 2**10 // 8
+        assert summed == list(census(12)[0])
 
     def test_float_values_agree_bit_for_bit(self, monkeypatch):
         monkeypatch.setattr(indices_mod, "edge_degree_multiset", _cached_multiset)
