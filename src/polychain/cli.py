@@ -387,7 +387,7 @@ def _cmd_table(args, f: IndexFunction) -> tuple[str, int]:
             {
                 "n": n,
                 "max": max_table.best_value(n),
-                "min": -min_table.best_value(n),
+                "min": 0 - min_table.best_value(n),  # a float zero stays +0.0
                 "labeled_count": labeled,
                 "iso_count": iso,
                 "family": family,

@@ -17,70 +17,57 @@ palindromes P of S, comes from one O(n) walk over the same DAG that
 moves inward from both ends of the word.  Minimization is maximization
 of the negated index.
 
-Both arithmetic modes run one forward loop.  Rational values are scaled
-to integers by the least common multiple of the increment denominators,
-so each step costs a few word operations; floats run as they are.  The
-two candidates a = best(k-1, 1) + g(1, i) and b = best(k-1, 2) + g(2, i)
-of end i tie when values_equal(a, b, eps) holds (exact equality for
-rationals, |a - b| <= eps * max(1, |a|, |b|) for floats); otherwise the
-larger one wins, and a tie stores the larger one.  The loop evaluates
-that formula on the two sums themselves, so every entry is decided
-exactly as `values_equal` decides it.  Anything tie-derived in float
-mode (counts, enumeration) is tolerance-dependent.
+Both arithmetic modes run one forward loop on integers.  Every finite
+float is a dyadic rational, so a float table is scaled as a rational one
+is: its six entries, exact in either mode, times the least common
+multiple of their denominators give the increments as ints.  The two
+candidates a = best(k-1, 1) + g(1, i) and b = best(k-1, 2) + g(2, i) of
+end i tie when |a - b| <= eps * max(1, |a|, |b|), eps being 0 for
+rationals (`values_equal`'s rule, taken on the exact sums: with
+eps = p / q and values scaled by den it reads
+|a - b| * q <= p * max(den, |a|, |b|)); otherwise the larger one wins,
+and a tie stores the larger one.  A float value is the exact optimum
+correctly rounded, independent of summation order.  Anything
+tie-derived in float mode (counts, enumeration) is tolerance-dependent.
 
-In rational mode the loop stops early.  With d = m1 - m2 for the row's
-values m1 = best(k, 1) and m2 = best(k, 2), end i's candidates differ by
-a - b = d - (g(2, i) - g(1, i)), exactly on integers.  So the step out
-of a row depends on d alone: each end's predecessor code, its value,
-m1 + max(g(1, i), g(2, i) - d), and so the next d.  Once d at row k
-equals d at row k - 2 (exact integers, so the equality is a proof, not a
-guess), rows k + 1, k + 2, ... repeat rows k - 1 and k with both values
-raised by vals[k] - vals[k - 2] per two rows.  The loop exits there.
-The value lists stop at row k and a later row is read as the stored row
-2b rows back plus b times that shift; the code bytearrays are filled to
-n by repeating their two-byte pattern; and the final tie counts come
-from the pattern's affine map t -> t1 / t2 / 1 + t1 + t2 of each end, a
-3x3 integer matrix, raised to a power by squaring.  Max-plus cyclicity
-makes every rational table repeat this way with period 1 or 2, after a
-transient T that grows as the gap between the best cycle mean and the
-next shrinks (the rational presets repeat by row 9).  A full table then
-costs T Python steps, O(T) stored values and n bytes of codes per end; a
-streaming one O(T + log n) steps.
-
-Float mode stores every value, because rounding makes a step depend on
-the size of m1 as well as on d, so an equal d proves nothing there.  It
-takes the steady part in chunks instead.  Once the last four rows repeat
-with period 1 or 2 (their codes and the side each tie keeps), the pass
-computes the next chunk as if the pattern went on, with the loop's own
-IEEE additions at C speed, and then proves every row's decision from its
-two candidate sums (see `_chunk`).  A chunk with a decision it cannot
-prove, or a value that is not finite, is dropped: the chunk size halves
-and the loop steps one row.  An accepted chunk doubles it, from 64 rows
-to 4096.  Values go to `array('d')`, codes by repeating the pattern's
-bytes, and the tie counts of a run of chunks come from its powered map
-as in the rational tail.  So a float table costs O(n) work at C speed
-but only O(transient + runs) Python steps, and the witness walks each
-run with the tail's four-row block.  Below 64 remaining rows the plain
-loop runs.
+The loop jumps every steady run.  Once the last four rows repeat their
+decisions (each end's code and the side a tie keeps) with period 1 or 2
+and each end's rise over two rows has repeated, rows k - 2 + 2b and
+k - 1 + 2b are affine in b for as long as the decisions repeat.  A
+decision then compares two affine sums, and as max(|a|, |b|) is
+|a + b| / 2 + |a - b| / 2, its tie test is an `or` of two linear
+inequalities wherever a - b and a + b keep their signs.  So a decision
+can change only where one of a few lines crosses zero, one ceiling
+division each; the loop evaluates the decisions there, jumps to the row
+before the first change, and steps that row.  A run's codes are written
+by repeating its two-byte pattern, its tie counts come from the
+pattern's affine map t -> t1 / t2 / 1 + t1 + t2 of each end, a 3x3
+integer matrix raised to a power by squaring, and its values are read
+back from its two base rows and their rises.  Max-plus cyclicity makes
+every rational table end in such a run with period 1 or 2 that reaches
+n; its transient is a few runs, a drift run (codes (1, 2), d = m1 - m2
+moving by a fixed step a row) being jumped like any other.  A float run
+can also end where the tolerance, growing with the values, overtakes a
+fixed margin.  A table costs O(runs) Python steps and stored values plus
+n bytes of codes per end; a streaming one O(runs + log n) steps.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
+from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, cycle, islice, repeat
-from operator import add, sub
 
 from .chains import LinkVector, canonical_reversal
 from .indices import (
     FLOAT,
     RATIONAL,
-    IncrementTable,
     IndexFunction,
     Value,
+    _scaled,
+    _scaled_float,
     check_finite,
     increment_table,
     negate,
@@ -111,10 +98,6 @@ _PRED_SETS = (frozenset(), frozenset((1,)), frozenset((2,)), frozenset((1, 2)))
 _PRED_LINKS = ((), (1,), (2,), (1, 2))
 # an end's tie count as a row over (t1, t2, 1) of the row before, by its code
 _TIE_ROWS = (None, (1, 0, 0), (0, 1, 0), (1, 1, 1))
-# float chunks: no chunk is shorter than _CHUNK_MIN rows, so tables below
-# it run row by row, and none longer than _CHUNK_MAX, which bounds the
-# chunk's temporary lists
-_CHUNK_MIN, _CHUNK_MAX = 64, 1 << 12
 
 
 @dataclass(frozen=True)
@@ -142,40 +125,46 @@ class DPTable:
 
     Each row holds, for one square count, the two predecessor codes (1
     or 2, 3 for a tie, 0 at k = 3): the DAG that `witness` and `chains`
-    walk backwards.  The two optimum values are stored up to row T + 1
-    of `period` (to row n when there is none, in `array('d')` for
-    floats); a later row is read as the stored row 2b rows back plus b
-    times their rise over two rows.  Tie counts are carried for row n
-    only; interior ones are derived from the codes on first use and
-    cached.  A streaming build (``keep_table=False``) is the same table
-    holding only the row for n.  Iterating yields one `DPState` per row.
-    `steps` counts the rows the forward pass stepped one at a time.
+    walk backwards.  The two optimum values are kept, as integers over
+    one common denominator, for the rows the forward pass stepped; a row
+    inside a jumped run is read from the run's record as its base row of
+    the same parity plus b times that row's rise over two rows.  Tie
+    counts are carried for row n only; interior ones are derived from
+    the codes on first use and cached.  A streaming build
+    (``keep_table=False``) is the same table holding only the row for
+    n.  Iterating yields one `DPState` per row.  `steps` counts the rows
+    the forward pass stepped one at a time.
     """
 
-    def __init__(self, f, n, den, values, preds, final_ties, runs, steps, period=None, shift=0):
+    def __init__(self, f, n, den, tol, values, preds, final_ties, runs, steps, period):
         self.f = f
         self.n = n
         self.mode = f.mode
         self.eps = f.eps
         self.steps = steps  # rows the forward pass stepped one at a time
         self._den = den
+        self._tol = tol  # eps as the integer ratio (p, q), (0, 1) for rationals
         self._first = n + 1 - len(preds[0])  # square count of the first stored row
-        self._values = values
+        self._values = values  # the stepped rows' scaled values, per end
         self._preds = preds
         self._final_ties = final_ties
         self._ties = None
-        self._runs = runs  # [lo, hi]: rows lo..hi repeat their codes with period 1 or 2
+        # (lo, hi, skip, bases): rows lo..hi were jumped, `skip` rows in all
+        # up to hi; bases[r % 2] is (row, values, rise per two rows) for row r
+        self._runs = runs
+        self._starts = [run[0] for run in runs]
         self._period = period
-        self._shift = shift  # both values' rise over two rows of the period
 
     @property
     def period(self) -> tuple[int, int] | None:
-        """(T, c): from square count T on, each row equals the row c
-        before it with both values raised by the same amount and the same
-        predecessor codes.  The forward pass proves this when d = m1 - m2
-        at row T + 1 equals d at row T - 1 (the first such row), and c is
-        1 when d at row T equals them too.  None for float tables and
-        when d does not repeat below row n."""
+        """(T, c): d = m1 - m2 at row T + 1 equals d at row T - 1, for
+        the first such T below n - 1, and c is 1 when d at row T equals
+        them too; None when d does not repeat that early.  In rational
+        mode each row from T on then equals the row c before it with both
+        values raised by the same amount and the same predecessor codes.
+        In float mode that holds for as long as the tolerance decides
+        each pair of sums as it did; a decision can still change later,
+        where eps * max(1, |a|, |b|) grows past a fixed margin a - b."""
         return self._period
 
     def _check_k(self, k: int) -> None:
@@ -189,15 +178,23 @@ class DPTable:
         if i not in (1, 2):
             raise ValueError(f"end link must be 1 or 2, got {i!r}")
 
+    def _raw(self, k: int, i: int) -> int:
+        """The optimum of row k at end i, times the common denominator."""
+        j = bisect_right(self._starts, k) - 1  # the last run starting at or before k
+        skip = 0
+        if j >= 0:
+            _, hi, skip, bases = self._runs[j]
+            if k <= hi:
+                row, vals, rise = bases[k % 2]
+                return vals[i - 1] + (k - row) // 2 * rise[i - 1]
+        return self._values[i - 1][k - self._first - skip]
+
     def value(self, k: int, i: int) -> Value:
         """Optimum over k-square chains ending with link i."""
         self._check_k(k)
         self._check_end(i)
-        vals = self._values[i - 1]
-        j = k - self._first
-        b = max(0, j - len(vals) + 2) // 2  # periods past the stored rows
-        raw = vals[j - 2 * b] + b * self._shift if b else vals[j]
-        return Fraction(raw, self._den) if self._den is not None else raw
+        raw = self._raw(k, i)
+        return Fraction(raw, self._den) if self.mode == RATIONAL else _scaled_float(raw, self._den)
 
     def tie_count(self, k: int, i: int) -> int:
         """Optimal k-square chains ending with link i, minus one."""
@@ -233,10 +230,8 @@ class DPTable:
         """Ending links attaining the overall optimum at k squares."""
         k = self.n if k is None else k
         self._check_k(k)
-        v1, v2 = self.value(k, 1), self.value(k, 2)
-        if values_equal(v1, v2, self.eps):
-            return (1, 2)
-        return (1,) if v1 > v2 else (2,)
+        code = _code(self._raw(k, 1), self._raw(k, 2), *self._tol, self._den)
+        return (1, 2) if code == 3 else (code,)
 
     def best_value(self, k: int | None = None) -> Value:
         k = self.n if k is None else k
@@ -262,7 +257,8 @@ class DPTable:
         out = bytearray(k - 2)  # out[j - 3]: the link of square j
         out[-1] = cur = end
         j = k  # the link of square j is known
-        for lo, hi in reversed(self._runs):
+        for lo, hi, _, _ in reversed(self._runs):
+            lo -= 2  # the run's base rows decide as its rows do
             top = min(hi, j)
             if top < lo + 6:
                 continue
@@ -426,224 +422,155 @@ def _tie_steps(t: tuple, first: tuple, second: tuple, rows: int) -> tuple:
     return tuple(a * t[0] + b * t[1] + c for a, b, c in step)
 
 
-def _chunk(m1: float, m2: float, g: tuple, pattern: tuple, rows: int, eps: float):
-    """The values (V1, V2) of a float table's rows k..k + rows, given
-    row k's values m1, m2, when each later row repeats the decisions of
-    the rows in `pattern` in turn; None unless every decision is proved.
-
-    A pattern row is (code 1, code 2, end 1 keeps its a, end 2 keeps its
-    a), so each end takes its value from one end of the row before:
-    g[s][i] is the increment from end s to end i.  Values go with the
-    same IEEE additions as the per-row loop: `accumulate` along the
-    chain, the lineage that runs through every row, and `map(add)` for
-    the other end, or a second `accumulate` when every row maps the two
-    ends one-to-one.  Each decision is then checked on D = a - b, its
-    two candidate sums' difference, against bounds on the loop's
-    threshold eps * max(1, |a|, |b|).  One of a and b is the value kept,
-    and the other, cand, is a value of end s plus g[s][i]: rounding is
-    monotone, so cand lies between end s's least and greatest values
-    plus g[s][i].
-    """
-    if not (math.isfinite(m1) and math.isfinite(m2)):
-        return None
-    p = len(pattern)
-    src = [(0, 2 - s1, 2 - s2) for _, _, s1, s2 in pattern]  # end i's source end
-    a1, a2 = 1, 2  # ancestors one period back of ends 1 and 2
-    for r in reversed(range(p)):
-        a1, a2 = src[r][a1], src[r][a2]
-    # the chain's end c[t % span] at row k + t: a fixed end once a period,
-    # or end 1 once two periods when each period swaps the ends
-    span = 2 * p if (a1, a2) == (2, 1) else p
-    c = [a1 if a1 == a2 else 1] * (span + 1)
-    for j in reversed(range(span)):
-        c[j] = src[j % p][c[j + 1]]
-    incs, other_incs, fed = [], [], []  # per row of the span
-    for j in range(span):
-        o = 3 - c[j + 1]  # the other end, and its parent s
-        s = src[j % p][o]
-        incs.append(g[c[j]][c[j + 1]])
-        other_incs.append(g[s][o])
-        fed.append(s == c[j])  # by the chain, or else by the other end
-    chain = list(accumulate(islice(cycle(incs), rows), initial=(0, m1, m2)[c[0]]))
-    if not any(fed):  # two chains
-        other = list(accumulate(islice(cycle(other_incs), rows), initial=(0, m2, m1)[c[0]]))
-    else:  # rows fed by the chain first, then the rows fed by them
-        other = [(0, m2, m1)[c[0]]] * (rows + 1)
-        for by_chain in (True, False):
-            for j in range(span):
-                if fed[j] == by_chain:
-                    other[j + 1::span] = map(add, (chain if by_chain else other)[j:rows:span],
-                                             repeat(other_incs[j]))
-    v1, v2 = (chain, other) if c[0] == 1 else (other, chain)
-    for j in range(1, span):
-        if c[j] != c[0]:
-            v1[j::span], v2[j::span] = v2[j::span], v1[j::span]
-    # with one increment a row each list is monotone from row k + 1 on,
-    # as rounding is, so its least and greatest values sit at its ends
-    w1, w2 = ((v[0], v[1], v[-1]) for v in (v1, v2)) if span == 1 else (v1, v2)
-    lo1, hi1, lo2, hi2 = bounds = min(w1), max(w1), min(w2), max(w2)
-    if not all(map(math.isfinite, bounds)):
-        return None
-    vals, lo, hi = (None, v1, v2), (0, lo1, lo2), (0, hi1, hi2)
-    for r, row in enumerate(pattern):
-        before = (None, v1[r:rows:p], v2[r:rows:p])  # rows k + r, k + r + p, ...
-        for i in (1, 2):
-            code, keeps_a = row[i - 1], row[i + 1]
-            s = 1 + keeps_a  # the side the value did not come from
-            cand = map(add, before[s], repeat(g[s][i]))
-            mine = vals[i][r + 1::p]
-            d = map(sub, mine, cand) if keeps_a else map(sub, cand, mine)  # D = a - b
-            low, high = lo[s] + g[s][i], hi[s] + g[s][i]  # cand's range
-            if code < 3:  # the threshold is at most eps * max(1, |mine|, |cand|)
-                top = eps * max(1.0, hi[i], -lo[i], high, -low)
-                ok = min(d) > top if code == 1 else max(d) < -top
-            else:  # and at least eps * max(1, |mine|) and eps * max(1, |cand|)
-                d, bottom = list(d), eps * max(1.0, lo[i], -hi[i], low, -high)
-                if keeps_a:  # a tie keeping a needs a >= b: D = -0.0 means a == b
-                    ok = min(d) >= 0 and max(d) <= bottom
-                else:
-                    ok = max(d) < 0 and min(d) >= -bottom
-            if not ok:
-                return None
-    return v1, v2
+def _repeat_into(buf: bytearray, lo: int, hi: int, pair: bytes) -> None:
+    """buf[lo:hi] = pair repeated, copied within buf in doubling blocks,
+    so no temporary as long as the run is made."""
+    view = memoryview(buf)[lo:hi]
+    view[:2] = pair[:hi - lo]
+    done = 2
+    while done < hi - lo:
+        size = min(done, hi - lo - done)
+        view[done:done + size] = view[:size]
+        done += size
 
 
-def _build(f: IndexFunction, gt: IncrementTable, n: int, keep: bool) -> DPTable:
-    G11, G12, G21, G22 = gt.g11, gt.g12, gt.g21, gt.g22
-    m1, m2 = gt.initial(1), gt.initial(2)
-    den, eps = None, f.eps
-    if f.mode == RATIONAL:  # exact integers: values times the common denominator
-        den = math.lcm(*(Fraction(v).denominator for v in (G11, G12, G21, G22, gt.g2, gt.base)))
-        G11, G12, G21, G22, m1, m2 = (int(v * den) for v in (G11, G12, G21, G22, m1, m2))
-        eps = 0
-    g = (None, (None, G11, G12), (None, G21, G22))
+def _code(a: int, b: int, p: int, q: int, den: int) -> int:
+    """End i's predecessor code from its two candidate sums, scaled by den:
+    3 when |a - b| <= eps * max(1, |a|, |b|) for eps = p / q, else the
+    side of the larger sum."""
+    if a == b or p and abs(a - b) * q <= p * max(den, abs(a), abs(b)):
+        return 3
+    return 1 if a > b else 2
+
+
+def _build(f: IndexFunction, n: int, keep: bool) -> DPTable:
+    scaled = _scaled(f)
+    den, gt = scaled.den, increment_table(scaled)
+    G11, G12, G21, G22, m1, m2 = gt.g11, gt.g12, gt.g21, gt.g22, gt.initial(1), gt.initial(2)
+    p, q = tol = f.eps.as_integer_ratio() if f.mode == FLOAT else (0, 1)
+
+    def step(x):
+        """The next row's values from row values x, and its decisions: both
+        codes, then for each end whether it keeps its a, the sum over link 1."""
+        x1, x2 = x
+        a1, b1, a2, b2 = x1 + G11, x2 + G21, x1 + G12, x2 + G22
+        return ((a1 if a1 >= b1 else b1, a2 if a2 >= b2 else b2),
+                (_code(a1, b1, p, q, den), _code(a2, b2, p, q, den), a1 >= b1, a2 >= b2))
+
+    def run_end(row, x, rise, decided):
+        """The last row row + 2b before n whose step still decides as
+        `decided` does, for rows row + 2b with values x + b * rise, or n.
+        Per end, a step is the sign of m = a - b and the tie test
+        q|m| <= p * den or (2q - p)|m| <= p|s|, s = a + b: all linear in b
+        between the zero crossings of m and s, so the step can change only
+        where one of these lines crosses zero."""
+        def cross(c, e):
+            """Where c + e * b >= 0 changes for b >= 1, false from c // -e + 1
+            or true from -(c // e); and the signs c + e * b takes."""
+            if e < 0 <= c:
+                cuts.add(c // -e + 1)
+            elif c < 0 < e:
+                cuts.add(-(c // e))
+            else:
+                return (1 if c >= 0 else -1,)
+            return (1, -1)
+
+        cuts = set()
+        dm, ds, r = rise[0] - rise[1], rise[0] + rise[1], 2 * q - p
+        for ga, gb in ((G11, G21), (G12, G22)):
+            a, b = x[0] + ga, x[1] + gb
+            m = a - b
+            cross(-m, -dm)  # with eps 0 the tie is m == 0
+            signs_m = cross(m, dm)  # the signs m takes for b >= 0
+            if p:
+                s = a + b
+                signs_s = cross(s, ds)
+                for sm in signs_m:
+                    if dm:
+                        cross(p * den - q * sm * m, -q * sm * dm)
+                    for ss in signs_s:
+                        cross(p * ss * s - r * sm * m, p * ss * ds - r * sm * dm)
+        for b in sorted(c for c in cuts if row + 2 * c < n):
+            if step((x[0] + b * rise[0], x[1] + b * rise[1]))[1] != decided:
+                return row + 2 * b
+        return n
+
+    x = (m1, m2)
+    codes = (bytearray(n - 2), bytearray(n - 2)) if keep else None
+    vals = ([m1], [m2])  # the stepped rows', kept tables only
+    # rows k - 4 .. k (row 3 for those before it): values and the decisions that made them
+    hist = [(x, None)] * 5
     t1 = t2 = 0
-    p1 = p2 = 0
-    vals1, vals2 = (array("d", (m1,)), array("d", (m2,))) if eps else ([m1], [m2])
-    preds1, preds2 = bytearray(1), bytearray(1)
-    av1, av2 = vals1.append, vals2.append
-    ap1, ap2 = preds1.append, preds2.append
-    r1 = r2 = None  # rational mode: rows k - 1 and k - 2 as (m1, m2, p1, p2)
-    period = None
-    runs = []
-    # float mode: rows k - 1 and k as (p1, p2, end 1 keeps a, end 2 keeps a),
-    # how many rows in succession repeat the row two before, the tie maps
-    # and row count of the chunks since the last step, and the chunk size
-    h2 = h1 = None
-    steady, pending, size, chunked = 0, None, _CHUNK_MIN, 0
-    k = 3
-    while k < n:  # row k -> row k + 1
-        if steady > 1 and n - k >= _CHUNK_MIN:
-            rows = min(size, n - k)
-            chunk = _chunk(m1, m2, g, (h2,) if h1 == h2 else (h2, h1), rows, eps)
-            if chunk is None:
-                size = max(size // 2, _CHUNK_MIN)
-            else:  # rows k + 1 .. k + rows repeat rows k - 1 and k
-                v1, v2 = chunk
-                m1, m2 = v1[-1], v2[-1]
-                if keep:
-                    vals1.fromlist(v1[1:])
-                    vals2.fromlist(v2[1:])
-                    preds1 += (bytes((h2[0], h1[0])) * (rows // 2 + 1))[:rows]
-                    preds2 += (bytes((h2[1], h1[1])) * (rows // 2 + 1))[:rows]
-                if pending:
-                    pending[2] += rows
-                    runs[-1][1] = k + rows
-                else:
-                    pending = [(_TIE_ROWS[h2[0]], _TIE_ROWS[h2[1]]),
-                               (_TIE_ROWS[h1[0]], _TIE_ROWS[h1[1]]), rows]
-                    runs.append([k - 1, k + rows])
-                if rows % 2:
-                    h2, h1 = h1, h2
-                p1, p2 = h1[:2]
-                k += rows
-                chunked += rows
-                size = min(2 * size, _CHUNK_MAX)
-                continue
-        if pending:
-            t1, t2 = _tie_steps((t1, t2), *pending)
-            pending = None
-        if not eps:
-            d = m1 - m2
-            if r2 and d == r2[0] - r2[1]:
-                period = (k - 1, 1 if d == r1[0] - r1[1] else 2)
-                break
-            r2, r1 = r1, (m1, m2, p1, p2)
-        # each end's two candidates tie by values_equal's formula (exact
-        # equality when eps is 0); a tie keeps the larger one
-        a1, b1 = m1 + G11, m2 + G21
-        if a1 == b1 or eps and abs(a1 - b1) <= eps * max(1.0, abs(a1), abs(b1)):
-            w1, p1, nt1 = a1 if a1 >= b1 else b1, 3, 1 + t1 + t2
-        elif a1 > b1:
-            w1, p1, nt1 = a1, 1, t1
-        else:
-            w1, p1, nt1 = b1, 2, t2
-        a2, b2 = m1 + G12, m2 + G22
-        if a2 == b2 or eps and abs(a2 - b2) <= eps * max(1.0, abs(a2), abs(b2)):
-            w2, p2, nt2 = a2 if a2 >= b2 else b2, 3, 1 + t1 + t2
-        elif a2 > b2:
-            w2, p2, nt2 = a2, 1, t1
-        else:
-            w2, p2, nt2 = b2, 2, t2
-        m1, m2, t1, t2 = w1, w2, nt1, nt2
-        if keep:
-            av1(m1)
-            av2(m2)
-            ap1(p1)
-            ap2(p2)
-        if eps:
-            row = (p1, p2, w1 is a1, w2 is a2)
-            steady = steady + 1 if row == h2 else 0
-            h2, h1 = h1, row
+    steady = 0  # rows in succession that decided as the row two before
+    runs, period, jumped, k = [], None, 0, 3
+    while k < n:
+        if steady > 1:  # so k >= 7
+            (x4, _), (x3, _), (x2, _), (x1, pat1), (x0, pat2) = hist  # rows k - 4 .. k
+            rise = (x0[0] - x2[0], x0[1] - x2[1])
+            if rise == (x2[0] - x4[0], x2[1] - x4[1]):
+                # rows k - 2 + 2b and k - 1 + 2b are affine in b while rows
+                # k + 1, k + 2, ... decide as rows k - 1, k did
+                bases = ((k - 2, x2, rise), (k - 1, x1, (x1[0] - x3[0], x1[1] - x3[1])))
+                top = min(run_end(*bases[0], pat1), run_end(*bases[1], pat2))
+                if top > k:  # rows k + 1 .. top decide as rows k - 1, k
+                    rows = top - k
+                    t1, t2 = _tie_steps((t1, t2), (_TIE_ROWS[pat1[0]], _TIE_ROWS[pat1[1]]),
+                                        (_TIE_ROWS[pat2[0]], _TIE_ROWS[pat2[1]]), rows)
+                    if keep:
+                        for e in (0, 1):
+                            _repeat_into(codes[e], k - 2, top - 2, bytes((pat1[e], pat2[e])))
+                    bases = bases[k % 2:] + bases[:k % 2]  # bases[r % 2] for row r
+                    jumped += rows
+                    runs.append((k + 1, top, jumped, bases))
+                    hist = []
+                    for r in range(top - 4, top + 1):
+                        row, y, dy = bases[r % 2]
+                        b = (r - row) // 2
+                        hist.append(((y[0] + b * dy[0], y[1] + b * dy[1]),
+                                     (pat2, pat1)[(r - k) % 2]))
+                    x, k = hist[-1][0], top
+                    if k == n:
+                        break
+        x, decided = step(x)
         k += 1
-    if pending:
-        t1, t2 = _tie_steps((t1, t2), *pending)
-    shift = 0
-    if period is not None:
-        # Rows k - 1 and k repeat for ever, two rows on and `shift` higher:
-        # d at row k equals d at row k - 2, and the step out of a row
-        # depends on its d alone, so row k + 1 is row k - 1 (codes q1, q2)
-        # raised by row k's rise over row k - 2.  The values stop at row
-        # k; `DPTable.value` reads the later rows.
-        (v1, v2, q1, q2), shift = r1, m1 - r2[0]
-        half, odd = divmod(n - k, 2)  # rows k + 1 .. n: whole periods, then maybe one row
-        t1, t2 = _tie_steps((t1, t2), (_TIE_ROWS[q1], _TIE_ROWS[q2]),
-                            (_TIE_ROWS[p1], _TIE_ROWS[p2]), n - k)
-        if keep:  # rows k + 1 .. n take the codes of rows k - 1 and k in turn
-            preds1 += (bytes((q1, p1)) * (half + 1))[:n - k]
-            preds2 += (bytes((q2, p2)) * (half + 1))[:n - k]
-        if odd:  # row n repeats row k - 1
-            m1, m2, p1, p2 = v1 + shift, v2 + shift, q1, q2
-        m1, m2 = m1 + half * shift, m2 + half * shift
-        runs.append([k - 1, n])
+        c1, c2 = decided[0], decided[1]
+        t1, t2 = (t1 if c1 == 1 else t2 if c1 == 2 else 1 + t1 + t2,
+                  t1 if c2 == 1 else t2 if c2 == 2 else 1 + t1 + t2)
+        if keep:
+            codes[0][k - 3], codes[1][k - 3] = c1, c2
+            vals[0].append(x[0])
+            vals[1].append(x[1])
+        steady = steady + 1 if decided == hist[-2][1] else 0
+        del hist[0]
+        hist.append((x, decided))
+        if period is None and 4 < k < n:
+            d, y, z = x[0] - x[1], hist[-3][0], hist[-2][0]
+            if d == y[0] - y[1]:  # the first repeat of d
+                period = (k - 1, 1 if d == z[0] - z[1] else 2)
     if not keep:
-        vals1, vals2, preds1, preds2 = [m1], [m2], bytearray((p1,)), bytearray((p2,))
-    return DPTable(f, n, den, (vals1, vals2), (preds1, preds2), (t1, t2), runs,
-                   k - 3 - chunked, period, shift)
+        last = hist[-1][1] or (0, 0)
+        vals, codes, runs = ([x[0]], [x[1]]), (bytearray(last[:1]), bytearray(last[1:2])), []
+    return DPTable(f, n, den, tol, vals, codes, (t1, t2), runs, k - 3 - jumped, period)
 
 
 def run_dp(f: IndexFunction, n: int, *, keep_table: bool = True) -> DPTable:
     """Forward pass to n squares: linear time and O(n) memory even for
-    tie-heavy indices, 2n bytes of predecessor codes plus the values
-    (O(1) when ``keep_table=False``, which keeps only the row for n and
-    so disables witnesses and enumeration).  Two candidates that are
-    `values_equal` under ``f.eps`` tie: the entry gets predecessor code
-    3 and the larger of the two values.  A float optimum at n that
-    overflows to inf or NaN is refused with ValueError.
+    tie-heavy indices, 2n bytes of predecessor codes plus the values of
+    the rows stepped (O(1) when ``keep_table=False``, which keeps only
+    the row for n and so disables witnesses and enumeration).  Two
+    candidates that are `values_equal` under ``f.eps`` as exact sums tie:
+    the entry gets predecessor code 3 and the larger of the two values.
+    A float optimum at n that overflows to inf is refused with
+    ValueError.
 
-    A rational pass exits at the first row k whose d = m1 - m2 equals
-    d at row k - 2: every later row repeats one of rows k - 1 and k,
-    shifted, so the values stop at row k and only the codes are written
-    on (see the module docstring and `DPTable.period`).  That costs k
-    Python steps and k values per end plus one n-byte fill per end, or
-    O(k + log n) steps streaming, with k <= 9 for the rational presets.
-    Rational passes whose d does not repeat below row n run the loop to
-    n and store n values per end.  Float passes store n values per end
-    too, in `array('d')`, but step row by row only through the transient
-    and between steady runs, which they take in proved chunks."""
+    The pass steps row by row only through the rows where decisions
+    change, and jumps each steady run to the row before its next change
+    by exact division (see the module docstring).  A rational table ends
+    in a run that reaches n, so the presets take at most eight steps;
+    float tables behave alike, and report `DPTable.period` too."""
     if n < 3:
         raise ValueError(f"dynamic program needs n >= 3, got {n}")
-    table = _build(f, increment_table(f), n, keep_table)
+    table = _build(f, n, keep_table)
     if f.mode == FLOAT:
         for end in (1, 2):
             check_finite(table.value(n, end), f"the optimum at n = {n}")
@@ -679,17 +606,17 @@ def _extremal(
     """Read one extremal result for index f at `table.n` squares.
 
     `table` is a table of f for MAX or of `negate(f)` for MIN; the
-    signs of the values are flipped here (CLI `table` flips its min
-    column the same way).
+    signs of the values are flipped here, as 0 - v so that a float zero
+    stays +0.0 (CLI `table` flips its min column the same way).
     """
     n = table.n
-    sign = 1 if objective == MAX else -1
+    read = table.value if objective == MAX else lambda k, e: 0 - table.value(k, e)
     ends = (end,) if end is not None else table.winning_ends()
     return ExtremalResult(
         objective=objective,
         n=n,
-        value=sign * table.value(n, ends[0]),
-        per_end={e: sign * table.value(n, e) for e in (1, 2)},
+        value=read(n, ends[0]),
+        per_end={e: read(n, e) for e in (1, 2)},
         witness=table.witness(end=ends[0]),
         labeled_count=table.labeled_count(n, end),
         iso_count=table.iso_count(n, end) if count_iso else None,

@@ -29,7 +29,7 @@ import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Union
 
 from .chains import DEGREE_PAIRS, edge_degree_multiset
 
@@ -97,6 +97,36 @@ def check_finite(v: Value, what: str) -> Value:
     if isinstance(v, float) and not math.isfinite(v):
         raise ValueError(f"float overflow: {what} is {v} (table entries too large for float mode)")
     return v
+
+
+class _Scaled(NamedTuple):
+    """A table's six entries as ints over their least common denominator
+    `den`: exact in both modes, as every finite float is a dyadic
+    rational.  `increment_table` reads it as it reads an `IndexFunction`,
+    and so gives the increments as ints over `den` too."""
+
+    entries: dict[tuple[int, int], int]
+    den: int
+    mode: str = RATIONAL
+    eps: float = DEFAULT_EPS
+
+    def value(self, a: int, b: int) -> int:
+        return self.entries[(a, b)]
+
+
+def _scaled(f: IndexFunction) -> _Scaled:
+    """f's entries over their least common denominator (see `_Scaled`)."""
+    ratios = {pair: v.as_integer_ratio() for pair, v in f.values.items()}
+    den = math.lcm(*(d for _, d in ratios.values()))
+    return _Scaled({pair: num * (den // d) for pair, (num, d) in ratios.items()}, den)
+
+
+def _scaled_float(raw: int, den: int) -> float:
+    """raw / den correctly rounded, an infinity of raw's sign past the float range."""
+    try:
+        return raw / den
+    except OverflowError:
+        return math.inf if raw > 0 else -math.inf
 
 
 def as_exact_string(v: Value) -> str | None:

@@ -16,16 +16,16 @@ where rebuilding the graph costs O(n) per chain.  The census keeps the
 distinct vectors (98 at n = 14, 135 at n = 16) and one 2-byte vector id
 per chain, in lexicographic order; it is built on first use and cached
 per n, so every index and every sweep at that n shares it.  A sweep
-then values each distinct vector once.  Exact values are integers: the
-six table entries are scaled once by the lcm of their denominators and
-a value is an int dot product.  Float values come from the same
-`degree_pair_sum` as `evaluate_direct` (one summation order, so they
-agree bit for bit).  Both then go through one selection: builtin
-max/min pick the extreme over the ids present, one mask over the
-distinct values marks those that tie it (`values_equal`'s rule, plain
-equality for exact values), and one C-level `compress` over the vector
-ids gives each result set in lexicographic order.  Memory is the
-census, 2 bytes per chain for each cached n, plus the result sets.
+then values each distinct vector once, as an integer: the six table
+entries, exact Fractions of a float table's IEEE entries, are scaled
+once by the lcm of their denominators, and a value is an int dot
+product.  One selection follows: builtin max/min pick the extreme over
+the ids present, one mask over the distinct values marks those that tie
+it (`values_equal`'s rule on the exact values, plain equality when eps
+is 0), and one C-level `compress` over the vector ids gives each result
+set in lexicographic order.  A float extreme is the exact one correctly
+rounded.  Memory is the census, 2 bytes per chain for each cached n,
+plus the result sets.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import compress
-from math import lcm
 from operator import mul
 
 from .chains import LinkVector, _CornerGraph, canonical_reversal
@@ -44,9 +43,11 @@ from .indices import (
     FLOAT,
     IndexFunction,
     Value,
+    _scaled,
+    _scaled_float,
     as_decimal_string,
     as_exact_string,
-    degree_pair_sum,
+    check_finite,
     evaluate_direct,
     negate,
     values_equal,
@@ -132,13 +133,16 @@ class OracleReport:
 def exhaustive(f: IndexFunction, n: int, cap: int = DEFAULT_CAP) -> OracleReport:
     """Evaluate every n-square chain and report extrema and their chains.
 
-    Rational tables are valued as integers, scaled by the lcm of the
-    entries' denominators, float tables by `degree_pair_sum`.  Each
-    result set then holds every chain whose value ties the extreme:
-    equal to it for exact values, within `values_equal` under ``f.eps``
-    for floats.  Refuses square counts above `cap` (default 24) because
-    the sweep visits 2**(n-2) chains and the census of n keeps 2 bytes
-    per chain; raise the cap explicitly if you really mean it.
+    Chains are valued as integers: the entries, exact Fractions of a
+    float table's IEEE entries, scaled by the lcm of their denominators.
+    Each result set then holds every chain whose value ties the extreme:
+    equal to it for rational tables, within `values_equal`'s tolerance
+    ``f.eps`` of it, taken exactly, for float tables, whose extremes are
+    the exact ones correctly rounded.  A float extreme past the float
+    range is refused with ValueError.  Refuses square counts above `cap`
+    (default 24) because the sweep visits 2**(n-2) chains and the census
+    of n keeps 2 bytes per chain; raise the cap explicitly if you really
+    mean it.
     """
     if n < 3:
         raise ValueError(f"exhaustive sweep needs n >= 3, got {n}")
@@ -149,23 +153,23 @@ def exhaustive(f: IndexFunction, n: int, cap: int = DEFAULT_CAP) -> OracleReport
         )
     vectors, ids = census(n)
     m = n - 2
-    if f.mode == FLOAT:
-        den, eps = None, f.eps
-        values = [degree_pair_sum(v, f) for v in vectors]
-    else:
-        den, eps = lcm(*(v.denominator for v in f.values.values())), 0
-        scaled = [int(f.values[p] * den) for p in DEGREE_PAIRS]
-        values = [sum(map(mul, v, scaled)) for v in vectors]
+    scaled = _scaled(f)
+    den = scaled.den
+    entries = [scaled.entries[pair] for pair in DEGREE_PAIRS]
+    values = [sum(map(mul, v, entries)) for v in vectors]
+    p, q = f.eps.as_integer_ratio() if f.mode == FLOAT else (0, 1)
 
     def select(ids, pick, first=0, step=1):
         # every census vector occurs among all chains, not all in one end's half
         best = pick(values if step == 1 else map(values.__getitem__, set(ids)))
-        # values_equal's rule inline: plain equality when eps is 0
-        mask = [v == best or eps and abs(v - best) <= eps * max(1.0, abs(v), abs(best))
+        # values_equal's rule on the scaled values, eps = p / q: plain equality when p is 0
+        mask = [v == best or p and abs(v - best) * q <= p * max(den, abs(v), abs(best))
                 for v in values]
         hits = compress(range(len(ids)), map(mask.__getitem__, ids))
         chains = tuple(LinkVector(_word(first + step * k, m)) for k in hits)
-        return (best if den is None else Fraction(best, den)), chains
+        if f.mode == FLOAT:
+            return check_finite(_scaled_float(best, den), "index value"), chains
+        return Fraction(best, den), chains
 
     max_value, argmax = select(ids, max)
     min_value, argmin = select(ids, min)

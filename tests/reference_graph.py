@@ -9,10 +9,11 @@ independent construction from the realized cells instead.
 
 import functools
 from collections import Counter
+from fractions import Fraction
 from itertools import product
 
 from polychain.chains import LinkVector, realize
-from polychain.indices import FLOAT, evaluate_direct, values_equal
+from polychain.indices import FLOAT
 from polychain.oracle import OracleReport
 
 
@@ -39,18 +40,23 @@ _cached_multiset = functools.cache(reference_multiset)
 
 
 def reference_report(f, n):
-    """The sweep evaluated chain by chain with `evaluate_direct`, on the
-    reference graph once `_cached_multiset` is patched in, in two passes:
-    take the extreme, then keep every word whose value ties it under
-    `values_equal`."""
-    eps = f.eps if f.mode == FLOAT else None
-    valued = [(links, evaluate_direct(links, f)) for links in product((1, 2), repeat=n - 2)]
+    """The sweep evaluated chain by chain on the reference graph, each
+    word's value the exact Fraction sum of the table's entries (a float
+    table's IEEE entries) over its degree-pair multiset, in two passes:
+    take the extreme, then keep every word within `values_equal`'s
+    tolerance of it, taken exactly (eps 0 for rationals).  A float
+    table's extremes are reported as the floats nearest them."""
+    entries = {pair: Fraction(v) for pair, v in f.values.items()}
+    eps = Fraction(f.eps) if f.mode == FLOAT else 0
+    valued = [(links, sum(mult * entries[pair] for pair, mult in _cached_multiset(links).items()))
+              for links in product((1, 2), repeat=n - 2)]
 
     def select(pick, end=None):
         kept = [(links, value) for links, value in valued if end in (None, links[-1])]
         best = pick(value for _, value in kept)
-        return best, tuple(LinkVector(links) for links, value in kept
-                           if values_equal(value, best, eps))
+        chains = tuple(LinkVector(links) for links, value in kept
+                       if abs(value - best) <= eps * max(1, abs(value), abs(best)))
+        return (float(best) if f.mode == FLOAT else best), chains
 
     max_value, argmax = select(max)
     min_value, argmin = select(min)

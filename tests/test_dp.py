@@ -94,17 +94,22 @@ _CODE_SETS = {1: frozenset((1,)), 2: frozenset((2,)), 3: frozenset((1, 2))}
 
 
 def reference_pass(f, n):
-    """The tie rule straight from its statement: per end, both candidates,
-    a tie by `values_equal`, the larger one kept.  Returns per-row
-    (values, predecessor sets, tie counts) for k = 4..n."""
-    gt = increment_table(f)
+    """The tie rule straight from its statement: per end, both candidates
+    as exact sums (Fractions of a float table's IEEE entries), a tie when
+    |a - b| <= eps * max(1, |a|, |b|) (eps 0 for rationals), the larger
+    one kept.  Returns per-row (values, predecessor sets, tie counts) for
+    k = 4..n, a float table's values as the floats nearest them."""
+    gt = increment_table(IndexFunction(f.name, {p: Fraction(v) for p, v in f.values.items()}))
+    eps = Fraction(f.eps) if f.mode == FLOAT else 0
     m, t, rows = (gt.initial(1), gt.initial(2)), (0, 0), []
     for _ in range(n - 3):
         cands = [(m[0] + gt.step(1, i), m[1] + gt.step(2, i)) for i in (1, 2)]
-        codes = [3 if values_equal(a, b, f.eps) else 1 if a > b else 2 for a, b in cands]
+        codes = [3 if abs(a - b) <= eps * max(1, abs(a), abs(b)) else 1 if a > b else 2
+                 for a, b in cands]
         m = tuple(max(a, b) for a, b in cands)
         t = tuple(1 + t[0] + t[1] if c == 3 else t[c - 1] for c in codes)
-        rows.append((m, tuple(_CODE_SETS[c] for c in codes), t))
+        rows.append((tuple(map(float, m)) if f.mode == FLOAT else m,
+                     tuple(_CODE_SETS[c] for c in codes), t))
     return rows
 
 
@@ -606,8 +611,9 @@ PERIODIC_CORPUS = [
 
 
 class TestPeriodicTail:
-    """The rational forward pass stops at the first exact repeat of d and
-    writes the rest of the table down; it must agree with the plain loop."""
+    """The forward pass jumps each steady run of a rational table, the last
+    one to row n, and writes its codes down; it must agree with the plain
+    loop."""
 
     def test_every_size_through_the_tail(self):
         n_max = 2001
@@ -644,9 +650,8 @@ class TestPeriodicTail:
         assert run_dp(late_repeat_index(), 1010).period == (1004, 1)
 
     def test_no_period_without_a_repeat(self):
-        # float values need not repeat d exactly, so float mode keeps the loop
-        for f in (force_float(AZI), preset("abc"), *seeded_float_tables(48, 2)):
-            assert run_dp(f, 500).period is None
+        # the exact sums of AZI's IEEE entries tie where AZI's own do
+        assert run_dp(force_float(AZI), 500).period == run_dp(AZI, 500).period
         late = late_repeat_index()
         assert run_dp(late, 1005).period is None  # d repeats at row 1005 = n
         assert run_dp(late, 1006).period == (1004, 1)
@@ -658,6 +663,13 @@ class TestPeriodicTail:
         assert slim.tie_count(10**5, 1) == 2 ** (10**5 - 3) - 1
         assert slim.labeled_count() == 2 ** (10**5 - 2)
         assert len(slim) == 1
+
+    def test_drift_run_is_jumped(self):
+        # d climbs by 1/10**4 a row for about 1000 rows: one jumped run
+        for keep in (True, False):
+            table = run_dp(late_repeat_index(), 10**6, keep_table=keep)
+            assert table.steps < 50, keep
+            assert table.period == (1004, 1)
 
     def test_witness_inside_the_table(self):
         for g in (AZI, negate(AZI), late_repeat_index(), *seeded_small_tables(49, 6)):
@@ -690,9 +702,16 @@ PROBE = IndexFunction("probe", dict(zip(DEGREE_PAIRS, (
 def assert_candidate_rule(f, n):
     """Each entry of run_dp(f, n) against the row before it: end i's sums
     a and b tie exactly when `values_equal` says so, otherwise the larger
-    one wins, and the entry holds the larger one."""
-    gt = increment_table(f)
+    one wins, and the entry holds the larger one.  Float tables are
+    checked against `reference_pass`, which takes the sums exactly."""
     table = run_dp(f, n)
+    if f.mode == FLOAT:
+        for k, (vals, preds, _) in enumerate(reference_pass(f, n), start=4):
+            for i in (1, 2):
+                assert table.predecessors(k, i) == preds[i - 1], (f.name, f.eps, k, i)
+                assert table.value(k, i) == vals[i - 1], (f.name, f.eps, k, i)
+        return
+    gt = increment_table(f)
     for k in range(4, n + 1):
         for i in (1, 2):
             a = table.value(k - 1, 1) + gt.step(1, i)
@@ -703,18 +722,22 @@ def assert_candidate_rule(f, n):
 
 
 def boundary_float_tables(seed, count):
-    """Float tables whose eps is |a - b| / max(1, |a|, |b|) of the first
-    step of one end, and that eps one ulp lower and higher."""
+    """Float tables whose eps sits on either side of the exact ratio
+    |a - b| / max(1, |a|, |b|) of the first step of one end, for the exact
+    sums a and b: the largest float below it and the smallest at or above."""
     rng = random.Random(seed)
     out = []
     for t in range(count):
         values = {p: rng.uniform(-5, 5) for p in DEGREE_PAIRS}
-        gt = increment_table(IndexFunction("raw", values, mode=FLOAT))
+        gt = increment_table(IndexFunction("raw", {p: Fraction(v) for p, v in values.items()}))
         i = 1 + t % 2
         a, b = gt.initial(1) + gt.step(1, i), gt.initial(2) + gt.step(2, i)
-        eps = abs(a - b) / max(1.0, abs(a), abs(b))
+        ratio = abs(a - b) / max(1, abs(a), abs(b))
+        above = float(ratio)
+        if above < ratio:
+            above = math.nextafter(above, math.inf)
         out += [IndexFunction(f"boundary{t}", values, mode=FLOAT, eps=e)
-                for e in (math.nextafter(eps, 0), eps, math.nextafter(eps, math.inf))]
+                for e in (math.nextafter(above, 0), above)]
     return out
 
 
@@ -775,6 +798,11 @@ CANDIDATE_SCALED = IndexFunction("cand-scaled", dict(zip(DEGREE_PAIRS, (
     19.129831207476975, -0.0006488433718010442, -7.136650245129513,
     32.85356910755177, 0.06477892644010062, 5771.106566529041))), mode=FLOAT, eps=0.05)
 
+# its negation alternates rows (-4, -2) and (-6, 0) at eps 1.45, end 2
+# tying on a margin of 4 against a threshold of 5.8 on every other row
+PERIOD_TWO_TIES = IndexFunction("period-two-ties", dict(zip(DEGREE_PAIRS, (
+    2.0, -2.0, 1.0, 3.0, 1.0, 0.0))), mode=FLOAT, eps=1.45)
+
 FLOAT_RUN_CORPUS = [
     g for f in (
         *seeded_float_tables(52, 2),
@@ -785,6 +813,7 @@ FLOAT_RUN_CORPUS = [
         late_overtake_table(1e-4, 1e-8),
         late_overtake_table(1e-3, 1e-7),
         CANDIDATE_SCALED,
+        PERIOD_TWO_TIES,
         preset("ga"),
     ) for g in (f, negate(f))
 ]
@@ -810,18 +839,18 @@ def assert_float_run_matches(g, n):
 
 
 class TestFloatRuns:
-    """The float pass advances in chunks of a steady pattern, each row's
-    decision proved before the chunk is taken; it must agree bit for bit
-    with the plain loop."""
+    """The float pass jumps each steady run to the row before its next
+    change of decision; it must agree bit for bit with the plain loop on
+    the exact sums."""
 
     def test_every_row_matches_the_reference(self):
         for g in FLOAT_RUN_CORPUS:
             table = assert_float_run_matches(g, 5000)
-            assert table.steps < 1000, g.name  # the chunks ran
+            assert table.steps < 1000, g.name  # the runs were jumped
 
     def test_two_runs(self):
         # end 2 takes link 2 to row 103, link 1 to row 3350 and then ties:
-        # three chunked runs of codes with a few steps between
+        # three jumped runs of codes with a few steps between
         table = run_dp(late_overtake_table(1e-3, 1e-7), 5000)
         assert [table.predecessors(k, 2) for k in (50, 1000, 4900)] == [{2}, {1}, {1, 2}]
         assert table.steps < 300
@@ -829,15 +858,9 @@ class TestFloatRuns:
             for e in (1, 2):
                 assert table.witness(k, e) == plain_witness(table, k, e), (k, e)
 
-    def test_short_tables_step_every_row(self):
-        # no chunk below 64 remaining rows: small n runs the plain loop
-        for f in (preset("abc"), force_float(AZI), *seeded_float_tables(56, 2)):
-            for n in (3, 14, 66):
-                assert run_dp(f, n).steps == n - 3, (f.name, n)
-
     def test_tie_counts_take_few_steps(self):
         # ties at every row: the tie counts have n - 3 bits, so carrying
-        # them row by row costs quadratic time; a chunked run powers its map
+        # them row by row costs quadratic time; a jumped run powers its map
         f = force_float(negate(AZI), 0.05)
         slim = run_dp(f, 10**5, keep_table=False)
         assert slim.steps < 100
@@ -853,29 +876,8 @@ class TestFloatRuns:
                 with pytest.raises(ValueError, match="float overflow: the optimum at n = 3600"):
                     run_dp(g, 3600, keep_table=keep)
 
-    def test_chunk_refuses_non_finite_values(self):
-        from polychain.dp import _chunk
-
-        g = (None, (None, 1e306, 1e306), (None, 1e306, 1e306))
-        tie = (3, 3, True, True)  # both ends tie and keep a, as a constant table does
-        assert _chunk(1.0, 1.0, g, (tie,), 100, 1e-9) is not None
-        assert _chunk(1e308, 1e308, g, (tie,), 100, 1e-9) is None  # inf from row 80 on
-        for bad in (math.inf, -math.inf, math.nan):
-            assert _chunk(bad, 1.0, g, (tie,), 100, 1e-9) is None
-            assert _chunk(1.0, bad, g, (tie,), 100, 1e-9) is None
-
-    def test_chunk_ties_on_signed_zeros(self):
-        # a = 0.0 and b = -0.0 are equal, so the loop keeps a: D = +0.0
-        # refutes a tie keeping b, and the values keep a's sign
-        from polychain.dp import _chunk
-
-        g = (None, (None, 0.0, 0.0), (None, -0.0, -0.0))
-        assert _chunk(0.0, -0.0, g, ((3, 3, False, False),), 100, 1e-9) is None
-        v1, v2 = _chunk(0.0, -0.0, g, ((3, 3, True, True),), 100, 1e-9)
-        assert set(map(repr, v1[1:] + v2[1:])) == {"0.0"}
-
     def test_memory_is_linear(self):
-        # two 8-byte values and two code bytes a row
+        # two code bytes a row
         ga = preset("ga")
 
         def peak(n):
