@@ -25,7 +25,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .azi import ORACLE_N_MAX, azi_extremal_report, verify_azi_maximum, verify_azi_minimum
+from .azi import ORACLE_N_MAX, _azi, azi_extremal_report, verify_azi_maximum, verify_azi_minimum
 from .chains import LinkVector, realize
 from .dp import _extremal, classify, run_dp
 from .indices import (
@@ -40,7 +40,6 @@ from .indices import (
     load_custom_index,
     negate,
     preset,
-    values_equal,
 )
 from .oracle import DEFAULT_CAP, cross_check
 
@@ -271,7 +270,7 @@ def _cmd_value(args, f: IndexFunction) -> tuple[str, int]:
     links = LinkVector.from_string(args.links)
     direct = evaluate_direct(links, f)
     recursive = evaluate_recursive(links, f)
-    equal = values_equal(direct, recursive, f.eps)
+    equal = direct == recursive
     if args.format == "json":
         doc = {
             "command": "value",
@@ -359,7 +358,7 @@ def _cmd_classify(args, f: IndexFunction) -> tuple[str, int]:
 
 
 def _is_azi(f: IndexFunction) -> bool:
-    return f.mode == RATIONAL and f.values == preset("azi").values
+    return f.mode == RATIONAL and f.values == _azi().values  # the cached preset
 
 
 def _cmd_table(args, f: IndexFunction) -> tuple[str, int]:
@@ -374,7 +373,7 @@ def _cmd_table(args, f: IndexFunction) -> tuple[str, int]:
     rows = []
     for n in range(lo, hi + 1):
         labeled = max_table.labeled_count(n)
-        if azi_like and n >= 3:
+        if azi_like:
             report = azi_extremal_report(n)
             family = report.family
             iso = report.iso_count

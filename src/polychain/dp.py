@@ -17,18 +17,15 @@ palindromes P of S, comes from one O(n) walk over the same DAG that
 moves inward from both ends of the word.  Minimization is maximization
 of the negated index.
 
-Both arithmetic modes run one forward loop on integers.  Every finite
-float is a dyadic rational, so a float table is scaled as a rational one
-is: its six entries, exact in either mode, times the least common
-multiple of their denominators give the increments as ints.  The two
+Both arithmetic modes run one forward loop on the ints of the index's
+scaled form, and the number model lives in `indices`: the increments
+are ints over `IndexFunction.den` (`indices._increments`), the two
 candidates a = best(k-1, 1) + g(1, i) and b = best(k-1, 2) + g(2, i) of
-end i tie when |a - b| <= eps * max(1, |a|, |b|), eps being 0 for
-rationals (`values_equal`'s rule, taken on the exact sums: with
-eps = p / q and values scaled by den it reads
-|a - b| * q <= p * max(den, |a|, |b|)); otherwise the larger one wins,
-and a tie stores the larger one.  A float value is the exact optimum
-correctly rounded, independent of summation order.  Anything
-tie-derived in float mode (counts, enumeration) is tolerance-dependent.
+end i tie by `IndexFunction.ties` (`values_equal`'s rule, decided on the
+exact sums), and a value is read back by `IndexFunction.read`, a float
+one as the exact optimum correctly rounded.  Without a tie the larger
+candidate wins, and a tie stores the larger one.  Anything tie-derived
+in float mode (counts, enumeration) is tolerance-dependent.
 
 The loop jumps every steady run.  Once the last four rows repeat their
 decisions (each end's code and the side a tie keeps) with period 1 or 2
@@ -54,25 +51,12 @@ n bytes of codes per end; a streaming one O(runs + log n) steps.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .chains import LinkVector, canonical_reversal
-from .indices import (
-    FLOAT,
-    RATIONAL,
-    IndexFunction,
-    Value,
-    _scaled,
-    _scaled_float,
-    check_finite,
-    increment_table,
-    negate,
-    values_equal,
-)
+from .indices import FLOAT, IndexFunction, Value, _increments, check_finite, negate
 
 __all__ = [
     "DPState",
@@ -136,14 +120,12 @@ class DPTable:
     the forward pass stepped one at a time.
     """
 
-    def __init__(self, f, n, den, tol, values, preds, final_ties, runs, steps, period):
+    def __init__(self, f, n, values, preds, final_ties, runs, steps, period):
         self.f = f
         self.n = n
         self.mode = f.mode
         self.eps = f.eps
         self.steps = steps  # rows the forward pass stepped one at a time
-        self._den = den
-        self._tol = tol  # eps as the integer ratio (p, q), (0, 1) for rationals
         self._first = n + 1 - len(preds[0])  # square count of the first stored row
         self._values = values  # the stepped rows' scaled values, per end
         self._preds = preds
@@ -193,8 +175,7 @@ class DPTable:
         """Optimum over k-square chains ending with link i."""
         self._check_k(k)
         self._check_end(i)
-        raw = self._raw(k, i)
-        return Fraction(raw, self._den) if self.mode == RATIONAL else _scaled_float(raw, self._den)
+        return self.f.read(self._raw(k, i))
 
     def tie_count(self, k: int, i: int) -> int:
         """Optimal k-square chains ending with link i, minus one."""
@@ -230,7 +211,7 @@ class DPTable:
         """Ending links attaining the overall optimum at k squares."""
         k = self.n if k is None else k
         self._check_k(k)
-        code = _code(self._raw(k, 1), self._raw(k, 2), *self._tol, self._den)
+        code = _code(self.f, self._raw(k, 1), self._raw(k, 2))
         return (1, 2) if code == 3 else (code,)
 
     def best_value(self, k: int | None = None) -> Value:
@@ -434,20 +415,16 @@ def _repeat_into(buf: bytearray, lo: int, hi: int, pair: bytes) -> None:
         done += size
 
 
-def _code(a: int, b: int, p: int, q: int, den: int) -> int:
-    """End i's predecessor code from its two candidate sums, scaled by den:
-    3 when |a - b| <= eps * max(1, |a|, |b|) for eps = p / q, else the
-    side of the larger sum."""
-    if a == b or p and abs(a - b) * q <= p * max(den, abs(a), abs(b)):
-        return 3
-    return 1 if a > b else 2
+def _code(f: IndexFunction, a: int, b: int) -> int:
+    """End i's predecessor code from its two scaled candidate sums: 3 when
+    they tie under f, else the side of the larger sum."""
+    return 3 if f.ties(a, b) else 1 if a > b else 2
 
 
 def _build(f: IndexFunction, n: int, keep: bool) -> DPTable:
-    scaled = _scaled(f)
-    den, gt = scaled.den, increment_table(scaled)
-    G11, G12, G21, G22, m1, m2 = gt.g11, gt.g12, gt.g21, gt.g22, gt.initial(1), gt.initial(2)
-    p, q = tol = f.eps.as_integer_ratio() if f.mode == FLOAT else (0, 1)
+    G11, G12, G21, G22, g2, base = _increments(f)
+    m1, m2 = base + G11, base + g2
+    den, (p, q) = f.den, f.tol
 
     def step(x):
         """The next row's values from row values x, and its decisions: both
@@ -455,7 +432,7 @@ def _build(f: IndexFunction, n: int, keep: bool) -> DPTable:
         x1, x2 = x
         a1, b1, a2, b2 = x1 + G11, x2 + G21, x1 + G12, x2 + G22
         return ((a1 if a1 >= b1 else b1, a2 if a2 >= b2 else b2),
-                (_code(a1, b1, p, q, den), _code(a2, b2, p, q, den), a1 >= b1, a2 >= b2))
+                (_code(f, a1, b1), _code(f, a2, b2), a1 >= b1, a2 >= b2))
 
     def run_end(row, x, rise, decided):
         """The last row row + 2b before n whose step still decides as
@@ -550,7 +527,7 @@ def _build(f: IndexFunction, n: int, keep: bool) -> DPTable:
     if not keep:
         last = hist[-1][1] or (0, 0)
         vals, codes, runs = ([x[0]], [x[1]]), (bytearray(last[:1]), bytearray(last[1:2])), []
-    return DPTable(f, n, den, tol, vals, codes, (t1, t2), runs, k - 3 - jumped, period)
+    return DPTable(f, n, vals, codes, (t1, t2), runs, k - 3 - jumped, period)
 
 
 def run_dp(f: IndexFunction, n: int, *, keep_table: bool = True) -> DPTable:
@@ -694,30 +671,29 @@ class ClassifierVerdict:
 def classify(f: IndexFunction) -> ClassifierVerdict:
     """Classify an index under the linear/zigzag sufficient condition.
 
-    A strict premise inequality fails between `values_equal` increments,
-    so in float mode it needs a gap wider than the tolerance.
+    Decides on the exact increments.  A strict premise inequality fails
+    between increments that tie under f, so in float mode it needs a gap
+    wider than the tolerance.
     """
-    gt = increment_table(f)
-    g11, g12, g21, g22, g2 = gt.g11, gt.g12, gt.g21, gt.g22, gt.g2
-    half_sum = (g12 + g21) / 2
-    premise = all(g11 > x and not values_equal(g11, x, f.eps) for x in (g12, g22, half_sum))
+    g11, g12, g21, g22, g2, base = _increments(f)
+    # the half sum (g12 + g21) / 2 is compared as g12 + g21 against 2 * g11, over 2 * den
+    premise = (all(g11 > x and not f.ties(g11, x) for x in (g12, g22))
+               and 2 * g11 > g12 + g21 and not f.ties(2 * g11, g12 + g21, 2 * f.den))
     if not premise:
         return ClassifierVerdict(premise_holds=False, case=CASE_NOT_APPLICABLE)
-    if values_equal(g11, g2, f.eps):
+    if f.ties(g11, g2):
         return ClassifierVerdict(premise_holds=True, case=CASE_LINEAR_FROM_4)
     if g11 > g2:
         return ClassifierVerdict(premise_holds=True, case=CASE_LINEAR_ALWAYS)
-    # threshold via exact rational ceiling (floats convert exactly)
-    num = Fraction(g2) - Fraction(g11)
-    dem = Fraction(g11) - Fraction(g22)
+    dem = g11 - g22
     if dem <= 0:
         raise RuntimeError("classifier invariant violated: premise guarantees g11 > g22")
-    n_star = math.ceil(num / dem + 3)
-    linear_at = gt.base + (n_star - 2) * g11
-    zigzag_at = gt.base + g2 + (n_star - 3) * g22
+    n_star = 3 - (g11 - g2) // dem  # 3 + ceil((g2 - g11) / dem)
+    linear_at = base + (n_star - 2) * g11
+    zigzag_at = base + g2 + (n_star - 3) * g22
     return ClassifierVerdict(
         premise_holds=True,
         case=CASE_ZIGZAG_THEN_LINEAR,
         n_star=n_star,
-        tie_at_threshold=values_equal(linear_at, zigzag_at, f.eps),
+        tie_at_threshold=f.ties(linear_at, zigzag_at),
     )

@@ -5,18 +5,25 @@ edges, for a symmetric function f of the endpoint degrees.  On polyomino
 chains only the six unordered degree pairs over {2, 3, 4} ever occur, so
 an index is fully specified by a six-entry table.
 
-Values are carried either as exact rationals (`fractions.Fraction`,
-arbitrary precision) or as 64-bit floats with a relative comparison
-tolerance.  A single computation never mixes the two modes.
+Entries are given either as exact rationals (`fractions.Fraction`) or as
+64-bit floats with a relative comparison tolerance; a single computation
+never mixes the two modes.  Either way there is one number model: every
+finite float is a dyadic rational, so `IndexFunction` scales its six
+entries once to ints over their least common denominator, and every
+index value is an int sum of those.  Sums are added and compared only on
+these ints, with one tie rule (`IndexFunction.ties`), and read back only
+by `IndexFunction.read`: as a `Fraction`, or as the exact sum correctly
+rounded to a float, independent of summation order.
 
 Two evaluators are provided: `evaluate_direct` sums over the edges of
 the chain's corner graph by degree pair (`chains.edge_degree_multiset`,
 on the graph the oracle's census walks), while `evaluate_recursive`
-accumulates the per-square attachment increments of `increment_table`.
-They agree on every chain, which the test suite exploits heavily.
+accumulates the per-square attachment increments.  Both return the same
+value on every chain, which the test suite exploits heavily.
 
-Float mode refuses, with ValueError, any value that overflows to inf or
-NaN where it leaves this module: an increment, or an evaluated chain.
+Float mode refuses, with ValueError, any value whose exact sum overflows
+the float range where it leaves this module: an increment, or an
+evaluated chain.
 """
 
 from __future__ import annotations
@@ -27,9 +34,10 @@ import math
 import re
 import sys
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple, Union
+from operator import mul
+from typing import Union
 
 from .chains import DEGREE_PAIRS, edge_degree_multiset
 
@@ -99,36 +107,6 @@ def check_finite(v: Value, what: str) -> Value:
     return v
 
 
-class _Scaled(NamedTuple):
-    """A table's six entries as ints over their least common denominator
-    `den`: exact in both modes, as every finite float is a dyadic
-    rational.  `increment_table` reads it as it reads an `IndexFunction`,
-    and so gives the increments as ints over `den` too."""
-
-    entries: dict[tuple[int, int], int]
-    den: int
-    mode: str = RATIONAL
-    eps: float = DEFAULT_EPS
-
-    def value(self, a: int, b: int) -> int:
-        return self.entries[(a, b)]
-
-
-def _scaled(f: IndexFunction) -> _Scaled:
-    """f's entries over their least common denominator (see `_Scaled`)."""
-    ratios = {pair: v.as_integer_ratio() for pair, v in f.values.items()}
-    den = math.lcm(*(d for _, d in ratios.values()))
-    return _Scaled({pair: num * (den // d) for pair, (num, d) in ratios.items()}, den)
-
-
-def _scaled_float(raw: int, den: int) -> float:
-    """raw / den correctly rounded, an infinity of raw's sign past the float range."""
-    try:
-        return raw / den
-    except OverflowError:
-        return math.inf if raw > 0 else -math.inf
-
-
 def as_exact_string(v: Value) -> str | None:
     """"p/q" rendering of a rational value; None for float-mode values."""
     if isinstance(v, (Fraction, int)):
@@ -158,12 +136,23 @@ class IndexFunction:
     `values` maps each unordered pair (a, b), a <= b, over {2, 3, 4} to
     its f(a, b).  Rational mode stores Fractions; float mode stores
     finite floats compared with relative tolerance `eps` (finite, > 0).
+
+    Construction also derives the table's scaled form, the one number
+    model of the package: `scaled` holds the six entries, exact in
+    either mode, as ints over their least common denominator `den`, in
+    `DEGREE_PAIRS` order, and `tol` is eps as an integer ratio (p, q),
+    (0, 1) for rationals.  A value is an int over `den`; `ties` compares
+    two of them and `read` returns one.  The derived fields take no part
+    in equality.
     """
 
     name: str
     values: Mapping[tuple[int, int], Value]
     mode: str = RATIONAL
     eps: float = DEFAULT_EPS
+    scaled: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    den: int = field(init=False, repr=False, compare=False)
+    tol: tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in (RATIONAL, FLOAT):
@@ -190,6 +179,12 @@ class IndexFunction:
             else:
                 norm[pair] = float(v)
         object.__setattr__(self, "values", norm)
+        ratios = [v.as_integer_ratio() for v in norm.values()]
+        den = math.lcm(*(d for _, d in ratios))
+        object.__setattr__(self, "scaled", tuple(num * (den // d) for num, d in ratios))
+        object.__setattr__(self, "den", den)
+        tol = self.eps.as_integer_ratio() if self.mode == FLOAT else (0, 1)
+        object.__setattr__(self, "tol", tol)
 
     @property
     def is_rational(self) -> bool:
@@ -205,6 +200,24 @@ class IndexFunction:
             raise ValueError(
                 f"degrees ({a},{b}) outside the chain-graph domain {{2,3,4}}"
             ) from None
+
+    def read(self, raw: int) -> Value:
+        """The value raw / den: a Fraction, or in float mode the correctly
+        rounded float, an infinity of raw's sign past the float range."""
+        if self.mode == RATIONAL:
+            return Fraction(raw, self.den)
+        try:
+            return raw / self.den
+        except OverflowError:
+            return math.inf if raw > 0 else -math.inf
+
+    def ties(self, a: int, b: int, den: int | None = None) -> bool:
+        """Whether values a / den and b / den are `values_equal` under eps,
+        decided exactly: |a - b| * q <= p * max(den, |a|, |b|) for
+        eps = p / q, plain equality for rationals.  `den` defaults to
+        the table's."""
+        p, q = self.tol
+        return a == b or p > 0 and abs(a - b) * q <= p * max(den or self.den, abs(a), abs(b))
 
 
 @dataclass(frozen=True)
@@ -237,36 +250,23 @@ class IncrementTable:
         return self.base + (self.g11 if i == 1 else self.g2)
 
 
+def _increments(f: IndexFunction) -> tuple[int, ...]:
+    """(g11, g12, g21, g22, g2, base) of `IncrementTable`, as ints over f.den."""
+    f22, f23, f24, f33, f34, f44 = f.scaled
+    return (3 * f33, 3 * f34 + f24 + f23 - 2 * f33, f34 - f24 + f23 + 2 * f33,
+            f44 + 2 * f24, 2 * f34 + 2 * f24 - f33, 4 * f23 + 2 * f22 + f33)
+
+
 def increment_table(f: IndexFunction) -> IncrementTable:
     """Attachment increments of an index, from its six table entries."""
-    f22, f23, f24 = f.value(2, 2), f.value(2, 3), f.value(2, 4)
-    f33, f34, f44 = f.value(3, 3), f.value(3, 4), f.value(4, 4)
-    gt = IncrementTable(
-        g11=3 * f33,
-        g12=3 * f34 + f24 + f23 - 2 * f33,
-        g21=f34 - f24 + f23 + 2 * f33,
-        g22=f44 + 2 * f24,
-        g2=2 * f34 + 2 * f24 - f33,
-        base=4 * f23 + 2 * f22 + f33,
-        mode=f.mode,
-        eps=f.eps,
-    )
-    for name in ("g11", "g12", "g21", "g22", "g2", "base"):
-        check_finite(getattr(gt, name), f"increment {name}")
-    return gt
+    names = ("g11", "g12", "g21", "g22", "g2", "base")
+    values = [check_finite(f.read(g), f"increment {name}") for name, g in zip(names, _increments(f))]
+    return IncrementTable(*values, mode=f.mode, eps=f.eps)
 
 
 def degree_pair_sum(counts, f: IndexFunction) -> Value:
-    """Index value of a graph with counts[j] edges of degree pair DEGREE_PAIRS[j].
-
-    Sums in DEGREE_PAIRS order, so every caller gets the same float for
-    the same counts.
-    """
-    total = Fraction(0) if f.is_rational else 0.0
-    for pair, mult in zip(DEGREE_PAIRS, counts):
-        if mult:
-            total += mult * f.values[pair]
-    return check_finite(total, "index value")
+    """Index value of a graph with counts[j] edges of degree pair DEGREE_PAIRS[j]."""
+    return check_finite(f.read(sum(map(mul, counts, f.scaled))), "index value")
 
 
 def evaluate_direct(chain, f: IndexFunction) -> Value:
@@ -276,19 +276,19 @@ def evaluate_direct(chain, f: IndexFunction) -> Value:
 
 
 def evaluate_recursive(chain, f: IndexFunction) -> Value:
-    """Index value accumulated square-by-square via the increment table.
+    """Index value accumulated square-by-square via the attachment increments.
 
-    Agrees with `evaluate_direct` on every chain; this form costs O(n)
-    arithmetic operations instead of building the graph.
+    Returns the same value as `evaluate_direct` on every chain; this
+    form costs O(n) arithmetic operations instead of building the graph.
     """
     links = chain.links if hasattr(chain, "links") else tuple(chain)
-    gt = increment_table(f)
-    if not links:
-        return gt.base
-    total = gt.initial(links[0])
-    for j, i in zip(links, links[1:]):
-        total += gt.step(j, i)
-    return check_finite(total, "index value")
+    g11, g12, g21, g22, g2, total = _increments(f)
+    if links:
+        total += (g11 if links[0] == 1 else g2) + sum(
+            (g11 if i == 1 else g12) if j == 1 else (g21 if i == 1 else g22)
+            for j, i in zip(links, links[1:])
+        )
+    return check_finite(f.read(total), "index value")
 
 
 def negate(f: IndexFunction) -> IndexFunction:

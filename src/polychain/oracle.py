@@ -16,35 +16,30 @@ where rebuilding the graph costs O(n) per chain.  The census keeps the
 distinct vectors (98 at n = 14, 135 at n = 16) and one 2-byte vector id
 per chain, in lexicographic order; it is built on first use and cached
 per n, so every index and every sweep at that n shares it.  A sweep
-then values each distinct vector once, as an integer: the six table
-entries, exact Fractions of a float table's IEEE entries, are scaled
-once by the lcm of their denominators, and a value is an int dot
-product.  One selection follows: builtin max/min pick the extreme over
+then values each distinct vector once, as an int: its dot product with
+the index's scaled entries (`IndexFunction.scaled`, exact in both
+modes).  One selection follows: builtin max/min pick the extreme over
 the ids present, one mask over the distinct values marks those that tie
-it (`values_equal`'s rule on the exact values, plain equality when eps
-is 0), and one C-level `compress` over the vector ids gives each result
-set in lexicographic order.  A float extreme is the exact one correctly
-rounded.  Memory is the census, 2 bytes per chain for each cached n,
-plus the result sets.
+it (`IndexFunction.ties`), and one C-level `compress` over the vector
+ids gives each result set in lexicographic order.  The extreme is read
+back by `IndexFunction.read`, a float one as the exact extreme
+correctly rounded.  Memory is the census, 2 bytes per chain for each
+cached n, plus the result sets.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from itertools import compress
 from operator import mul
 
 from .chains import LinkVector, _CornerGraph, canonical_reversal
 from .indices import (
-    DEGREE_PAIRS,
     FLOAT,
     IndexFunction,
     Value,
-    _scaled,
-    _scaled_float,
     as_decimal_string,
     as_exact_string,
     check_finite,
@@ -133,16 +128,15 @@ class OracleReport:
 def exhaustive(f: IndexFunction, n: int, cap: int = DEFAULT_CAP) -> OracleReport:
     """Evaluate every n-square chain and report extrema and their chains.
 
-    Chains are valued as integers: the entries, exact Fractions of a
-    float table's IEEE entries, scaled by the lcm of their denominators.
-    Each result set then holds every chain whose value ties the extreme:
-    equal to it for rational tables, within `values_equal`'s tolerance
-    ``f.eps`` of it, taken exactly, for float tables, whose extremes are
-    the exact ones correctly rounded.  A float extreme past the float
-    range is refused with ValueError.  Refuses square counts above `cap`
-    (default 24) because the sweep visits 2**(n-2) chains and the census
-    of n keeps 2 bytes per chain; raise the cap explicitly if you really
-    mean it.
+    Chains are valued as ints over the index's scaled entries.  Each
+    result set then holds every chain whose value ties the extreme under
+    `IndexFunction.ties`: equal to it for rational tables, within
+    `values_equal`'s tolerance ``f.eps`` of it, taken exactly, for float
+    tables, whose extremes are the exact ones correctly rounded.  A
+    float extreme past the float range is refused with ValueError.
+    Refuses square counts above `cap` (default 24) because the sweep
+    visits 2**(n-2) chains and the census of n keeps 2 bytes per chain;
+    raise the cap explicitly if you really mean it.
     """
     if n < 3:
         raise ValueError(f"exhaustive sweep needs n >= 3, got {n}")
@@ -153,23 +147,15 @@ def exhaustive(f: IndexFunction, n: int, cap: int = DEFAULT_CAP) -> OracleReport
         )
     vectors, ids = census(n)
     m = n - 2
-    scaled = _scaled(f)
-    den = scaled.den
-    entries = [scaled.entries[pair] for pair in DEGREE_PAIRS]
-    values = [sum(map(mul, v, entries)) for v in vectors]
-    p, q = f.eps.as_integer_ratio() if f.mode == FLOAT else (0, 1)
+    values = [sum(map(mul, v, f.scaled)) for v in vectors]
 
     def select(ids, pick, first=0, step=1):
         # every census vector occurs among all chains, not all in one end's half
         best = pick(values if step == 1 else map(values.__getitem__, set(ids)))
-        # values_equal's rule on the scaled values, eps = p / q: plain equality when p is 0
-        mask = [v == best or p and abs(v - best) * q <= p * max(den, abs(v), abs(best))
-                for v in values]
+        mask = [f.ties(v, best) for v in values]
         hits = compress(range(len(ids)), map(mask.__getitem__, ids))
         chains = tuple(LinkVector(_word(first + step * k, m)) for k in hits)
-        if f.mode == FLOAT:
-            return check_finite(_scaled_float(best, den), "index value"), chains
-        return Fraction(best, den), chains
+        return check_finite(f.read(best), "index value"), chains
 
     max_value, argmax = select(ids, max)
     min_value, argmin = select(ids, min)

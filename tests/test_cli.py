@@ -11,7 +11,7 @@ import polychain.cli as cli_mod
 import polychain.dp as dp_mod
 import polychain.oracle as oracle_mod
 from polychain.cli import OUTPUT_SCHEMAS, main
-from polychain.indices import IncrementTable, increment_table, preset
+from polychain.indices import _increments, preset
 
 
 def run_cli(capsys, *argv):
@@ -280,16 +280,12 @@ class TestVerify:
         assert doc["azi_minimum"] is None
 
     def test_corrupted_increments_exit_1(self, capsys, monkeypatch):
-        # fault injection: perturb one increment inside the engine only
+        # fault injection: raise g22 by one unit inside the engine only
         def broken(f):
-            gt = increment_table(f)
-            return IncrementTable(
-                g11=gt.g11, g12=gt.g12, g21=gt.g21,
-                g22=gt.g22 + 1, g2=gt.g2, base=gt.base,
-                mode=gt.mode, eps=gt.eps,
-            )
+            g11, g12, g21, g22, g2, base = _increments(f)
+            return g11, g12, g21, g22 + f.den, g2, base
 
-        monkeypatch.setattr(dp_mod, "increment_table", broken)
+        monkeypatch.setattr(dp_mod, "_increments", broken)
         code, out, _ = run_cli(capsys, "verify", "--index", "zagreb1", "--n-max", "6")
         assert code == 1
         doc = json.loads(out)

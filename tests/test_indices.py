@@ -17,6 +17,7 @@ from polychain.indices import (
     IndexFunction,
     as_decimal_string,
     as_exact_string,
+    degree_pair_sum,
     evaluate_direct,
     evaluate_recursive,
     force_float,
@@ -26,6 +27,7 @@ from polychain.indices import (
     preset,
     values_equal,
 )
+from reference_graph import reference_multiset
 
 RATIONAL_PRESETS = ["azi", "zagreb1", "zagreb2", "harmonic"]
 FLOAT_PRESETS = ["abc", "ga", "sum_connectivity"]
@@ -232,6 +234,52 @@ class TestEvaluators:
         assert value == evaluate_recursive(links, azi)
 
 
+def float_tables():
+    """The float presets, seeded random float tables, and their negations."""
+    tables = [preset(name) for name in FLOAT_PRESETS + ["randic"]]
+    rng = random.Random(11)
+    for t, scale in enumerate((1.0, 1e-3, 1e3, 1e12)):
+        values = {p: rng.uniform(-scale, scale) for p in DEGREE_PAIRS}
+        tables.append(IndexFunction(f"uniform{t}", values, mode=FLOAT))
+    return tables + [negate(f) for f in tables]
+
+
+def exact_sum(links, f):
+    """The exact Fraction sum of f's IEEE entries over the chain's degree pairs."""
+    return sum(mult * Fraction(f.values[pair]) for pair, mult in reference_multiset(links).items())
+
+
+class TestExactFloatSums:
+    """Float values are the exact sums of the IEEE entries, correctly rounded."""
+
+    @pytest.mark.parametrize("f", float_tables(), ids=lambda f: f.name)
+    def test_evaluators_round_the_exact_sum(self, f):
+        rng = random.Random(19)
+        words = [links for n in range(2, 11) for links in product((1, 2), repeat=n - 2)]
+        words += [[rng.choice((1, 2)) for _ in range(rng.randrange(9, 61))] for _ in range(100)]
+        for links in words:
+            pairs = reference_multiset(links)
+            expected = float(exact_sum(links, f))
+            assert evaluate_direct(links, f) == expected, (f.name, links)
+            assert evaluate_recursive(links, f) == expected, (f.name, links)
+            assert degree_pair_sum([pairs[p] for p in DEGREE_PAIRS], f) == expected, (f.name, links)
+
+    @pytest.mark.parametrize("f", float_tables(), ids=lambda f: f.name)
+    def test_increments_round_the_exact_increment(self, f):
+        f22, f23, f24, f33, f34, f44 = (Fraction(f.values[p]) for p in DEGREE_PAIRS)
+        gt = increment_table(f)
+        exact = {
+            "g11": 3 * f33,
+            "g12": 3 * f34 + f24 + f23 - 2 * f33,
+            "g21": f34 - f24 + f23 + 2 * f33,
+            "g22": f44 + 2 * f24,
+            "g2": 2 * f34 + 2 * f24 - f33,
+            "base": 4 * f23 + 2 * f22 + f33,
+        }
+        for name, value in exact.items():
+            assert getattr(gt, name) == float(value), (f.name, name)
+
+
 class TestNegate:
     def test_values_and_name(self):
         neg = negate(preset("azi"))
@@ -321,8 +369,8 @@ class TestFloatOverflow:
         f = self.huge(5e307)  # the 3-square chain has 10 edges
         with pytest.raises(ValueError, match="float overflow: index value is inf"):
             evaluate_direct([1], f)
-        with pytest.raises(ValueError, match="float overflow: increment g12 is inf"):
-            evaluate_recursive([1], f)
+        with pytest.raises(ValueError, match="float overflow: index value is inf"):
+            evaluate_recursive([1], f)  # its exact g12 = 3 * 5e307 is finite
         f = self.huge(1e306)  # finite increments, 301 edges at n = 100
         assert math.isfinite(evaluate_recursive([1] * 48, f))
         for evaluate in (evaluate_direct, evaluate_recursive):

@@ -285,7 +285,7 @@ class TestCensus:
             raise AssertionError("the oracle must not use the increment recurrence or the DP")
 
         for mod in (indices_mod, dp_mod, azi_mod, cli_mod):
-            for name in ("increment_table", "run_dp"):
+            for name in ("increment_table", "_increments", "run_dp"):
                 if hasattr(mod, name):
                     monkeypatch.setattr(mod, name, refuse)
         census.cache_clear()
