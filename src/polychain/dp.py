@@ -36,17 +36,21 @@ decision then compares two affine sums, and as max(|a|, |b|) is
 inequalities wherever a - b and a + b keep their signs.  So a decision
 can change only where one of a few lines crosses zero, one ceiling
 division each; the loop evaluates the decisions there, jumps to the row
-before the first change, and steps that row.  A run's codes are written
-by repeating its two-byte pattern, its tie counts come from the
-pattern's affine map t -> t1 / t2 / 1 + t1 + t2 of each end, a 3x3
-integer matrix raised to a power by squaring, and its values are read
-back from its two base rows and their rises.  Max-plus cyclicity makes
+before the first change, and steps that row.  Max-plus cyclicity makes
 every rational table end in such a run with period 1 or 2 that reaches
 n; its transient is a few runs, a drift run (codes (1, 2), d = m1 - m2
 moving by a fixed step a row) being jumped like any other.  A float run
 can also end where the tolerance, growing with the values, overtakes a
-fixed margin.  A table costs O(runs) Python steps and stored values plus
-n bytes of codes per end; a streaming one O(runs + log n) steps.
+fixed margin.
+
+The table is the list of these stepped rows and runs, one segment each
+(`DPTable`).  A run is read back from its two base rows, their rises
+and its two rows' codes; its tie counts come from the codes' affine map
+t -> t1 / t2 / 1 + t1 + t2 of each end, a 3x3 integer matrix raised to
+a power by squaring.  A table, kept or streaming, costs O(runs) Python
+steps and segments and O(runs log n) big-int steps; a row is read in
+O(log runs) steps, and `witness`, `chains` and `iso_count` at k squares
+cost O(k) more.
 """
 
 from __future__ import annotations
@@ -81,7 +85,8 @@ MIN = "min"
 _PRED_SETS = (frozenset(), frozenset((1,)), frozenset((2,)), frozenset((1, 2)))
 _PRED_LINKS = ((), (1,), (2,), (1, 2))
 # an end's tie count as a row over (t1, t2, 1) of the row before, by its code
-_TIE_ROWS = (None, (1, 0, 0), (0, 1, 0), (1, 1, 1))
+_TIE_ROWS = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 1))
+_FLAT = (0, 0)  # the rise of a one-row segment
 
 
 @dataclass(frozen=True)
@@ -107,34 +112,34 @@ class DPState:
 class DPTable:
     """Forward-pass results for square counts 3..n under one index.
 
-    Each row holds, for one square count, the two predecessor codes (1
-    or 2, 3 for a tie, 0 at k = 3): the DAG that `witness` and `chains`
-    walk backwards.  The two optimum values are kept, as integers over
-    one common denominator, for the rows the forward pass stepped; a row
-    inside a jumped run is read from the run's record as its base row of
-    the same parity plus b times that row's rise over two rows.  Tie
-    counts are carried for row n only; interior ones are derived from
-    the codes on first use and cached.  A streaming build
-    (``keep_table=False``) is the same table holding only the row for
-    n.  Iterating yields one `DPState` per row.  `steps` counts the rows
-    the forward pass stepped one at a time.
+    The table is one list of segments sorted by first row: each row the
+    forward pass stepped, row 3 included, is a one-row segment, and each
+    run it jumped is one segment.  A segment (lo, hi, ties, phases)
+    holds its first and last rows, the tie counts (t1, t2) of row
+    lo - 1, and phases[r % 2] = (row, values, rise, codes) for its rows
+    r of one parity.  Row r's two optimum values, integers over one
+    common denominator, are `values` (those of the base row `row`) plus
+    (r - row) / 2 times `rise`, and codes[:2] are its two predecessor
+    codes (1 or 2, 3 for a tie, 0 at row 3): the DAG that `witness` and
+    `chains` walk backwards.  A row's tie counts are its segment's tie
+    map powered from the counts entering the segment, or from the last
+    row read when that lies in the same segment, so reading rows in order
+    costs O(1) big-int steps a row.  A streaming build
+    (``keep_table=False``) holds the same list and reads only row n.
+    Iterating yields one `DPState` per readable row.  `steps` counts the
+    rows the forward pass stepped one at a time.
     """
 
-    def __init__(self, f, n, values, preds, final_ties, runs, steps, period):
+    def __init__(self, f, n, segments, ties, steps, period, first):
         self.f = f
         self.n = n
         self.mode = f.mode
         self.eps = f.eps
         self.steps = steps  # rows the forward pass stepped one at a time
-        self._first = n + 1 - len(preds[0])  # square count of the first stored row
-        self._values = values  # the stepped rows' scaled values, per end
-        self._preds = preds
-        self._final_ties = final_ties
-        self._ties = None
-        # (lo, hi, skip, bases): rows lo..hi were jumped, `skip` rows in all
-        # up to hi; bases[r % 2] is (row, values, rise per two rows) for row r
-        self._runs = runs
-        self._starts = [run[0] for run in runs]
+        self._first = first  # the first readable row: 3, or n for a streaming table
+        self._segments = segments
+        self._starts = [seg[0] for seg in segments]
+        self._tie_at = (n, ties)  # the last row whose tie counts were read, and those
         self._period = period
 
     @property
@@ -160,16 +165,27 @@ class DPTable:
         if i not in (1, 2):
             raise ValueError(f"end link must be 1 or 2, got {i!r}")
 
+    def _segment(self, k: int) -> tuple:
+        return self._segments[bisect_right(self._starts, k) - 1]
+
     def _raw(self, k: int, i: int) -> int:
         """The optimum of row k at end i, times the common denominator."""
-        j = bisect_right(self._starts, k) - 1  # the last run starting at or before k
-        skip = 0
-        if j >= 0:
-            _, hi, skip, bases = self._runs[j]
-            if k <= hi:
-                row, vals, rise = bases[k % 2]
-                return vals[i - 1] + (k - row) // 2 * rise[i - 1]
-        return self._values[i - 1][k - self._first - skip]
+        row, vals, rise, _ = self._segment(k)[3][k % 2]
+        return vals[i - 1] + (k - row) // 2 * rise[i - 1]
+
+    def _codes(self, k: int) -> tuple[bytearray, bytearray]:
+        """The predecessor codes of rows 3..k, one bytearray per end
+        indexed by row - 3."""
+        c1, c2 = out = (bytearray(k - 2), bytearray(k - 2))
+        for lo, hi, _, phases in self._segments[:bisect_right(self._starts, k)]:
+            if lo == hi:  # one row
+                c1[lo - 3], c2[lo - 3] = phases[lo % 2][3][:2]
+            else:  # the codes of rows lo and lo + 1, repeated
+                first, second = phases[lo % 2][3], phases[(lo + 1) % 2][3]
+                rows = min(hi, k) - lo + 1
+                c1[lo - 3:lo - 3 + rows] = (bytes((first[0], second[0])) * (rows // 2 + 1))[:rows]
+                c2[lo - 3:lo - 3 + rows] = (bytes((first[1], second[1])) * (rows // 2 + 1))[:rows]
+        return out
 
     def value(self, k: int, i: int) -> Value:
         """Optimum over k-square chains ending with link i."""
@@ -181,16 +197,20 @@ class DPTable:
         """Optimal k-square chains ending with link i, minus one."""
         self._check_k(k)
         self._check_end(i)
-        if k == self.n:
-            return self._final_ties[i - 1]
-        if self._ties is None:
-            self._ties = _derive_ties(*self._preds)
-        return self._ties[i - 1][k - 3]
+        row, ties = self._tie_at
+        if row != k:
+            seg = self._segment(k)
+            if not seg[0] <= row < k:
+                row, ties = seg[0] - 1, seg[2]
+            ties = _carry(seg, row, ties, k)
+            self._tie_at = (k, ties)
+        return ties[i - 1]
 
     def predecessors(self, k: int, i: int) -> frozenset[int]:
         self._check_k(k)
         self._check_end(i)
-        return _PRED_SETS[self._preds[i - 1][k - self._first]]
+        _, _, _, codes = self._segment(k)[3][k % 2]
+        return _PRED_SETS[codes[i - 1]]
 
     def state(self, k: int) -> DPState:
         self._check_k(k)
@@ -234,32 +254,26 @@ class DPTable:
             end = self.winning_ends(k)[0]
         else:
             self._check_end(end)
-        codes = (None,) + self._preds  # indexed by link
         out = bytearray(k - 2)  # out[j - 3]: the link of square j
         out[-1] = cur = end
         j = k  # the link of square j is known
-        for lo, hi, _, _ in reversed(self._runs):
-            lo -= 2  # the run's base rows decide as its rows do
-            top = min(hi, j)
-            if top < lo + 6:
-                continue
-            # In rows lo..top a row's codes depend on its parity alone, so
-            # the walk's state (link, row parity) moves by one map that
-            # flips the parity.  Two steps of it map {1, 2} into itself, so
-            # the states repeat with a period dividing 4 from the second
-            # step on: after six steps the last four links repeat down to
-            # square lo - 1, the last one whose link the run decides.
-            for j in range(j, top - 6, -1):
-                cur = 2 if codes[cur][j - 3] == 2 else 1
+        for lo, _, _, phases in reversed(self._segments[1:bisect_right(self._starts, k)]):
+            # In rows lo..j a row's codes depend on its parity alone, so the
+            # walk's state (link, row parity) moves by one map that flips the
+            # parity.  Two steps of it map {1, 2} into itself, so the states
+            # repeat with a period dividing 4 from the second step on: after
+            # six steps the last four links repeat down to square lo - 1.
+            top = j
+            stop = top - 6 if top >= lo + 6 else lo - 1
+            for j in range(top, stop, -1):
+                cur = 2 if phases[j % 2][3][cur - 1] == 2 else 1  # codes 1 and 3 take link 1
                 out[j - 4] = cur
-            block = out[top - 9:top - 5]  # squares top - 6 .. top - 3
-            whole, rest = divmod(top - 5 - lo, 4)  # squares lo - 1 .. top - 7 still open
-            out[lo - 4:top - 9] = block[4 - rest:] + block * whole
+            if stop >= lo:
+                block = out[top - 9:top - 5]  # squares top - 6 .. top - 3
+                whole, rest = divmod(top - lo - 5, 4)  # squares lo - 1 .. top - 7 still open
+                out[lo - 4:top - 9] = block[4 - rest:] + block * whole
+                cur = out[lo - 4]
             j = lo - 1
-            cur = out[j - 3]
-        for j in range(j, 3, -1):
-            cur = 2 if codes[cur][j - 3] == 2 else 1  # codes 1 and 3 take link 1
-            out[j - 4] = cur
         return LinkVector(out)
 
     def iso_count(self, k: int | None = None, end: int | None = None) -> int:
@@ -283,7 +297,7 @@ class DPTable:
             self._check_end(end)
         ends = (end,) if end is not None else self.winning_ends(k)
         v1, v2 = int(1 in ends), int(2 in ends)  # a word of B starts and ends in `ends`
-        c1, c2 = self._preds  # bit x - 1 of a code: link x may precede
+        c1, c2 = self._codes(k)  # bit x - 1 of a code: link x may precede
         s = (k - 3) // 2  # steps while l + 1 < r
         rows_l = zip(c1[1:s + 1], c2[1:s + 1])  # row l + 1 = 4, 5, ...
         rows_r = zip(c1[k - 3:k - 3 - s:-1], c2[k - 3:k - 3 - s:-1])  # row r = k, k - 1, ...
@@ -323,10 +337,11 @@ class DPTable:
         if end is not None:
             self._check_end(end)
         ends = (end,) if end is not None else self.winning_ends(k)
+        codes = (None, *self._codes(k))  # indexed by link
         seen: set[tuple[int, ...]] = set()
         emitted = 0
         for e in ends:
-            for links in self._chains_for_end(k, e):
+            for links in _chains_for_end(codes, k, e):
                 if dedup:
                     key = canonical_reversal(links).links
                     if key in seen:
@@ -337,39 +352,27 @@ class DPTable:
                 emitted += 1
                 yield LinkVector(links)
 
-    def _chains_for_end(self, k: int, end: int) -> Iterator[tuple[int, ...]]:
-        if k == 3:
-            yield (end,)
-            return
-        codes = (None,) + self._preds  # indexed by link
-        buf = [0] * (k - 2)
-        buf[-1] = end
-        stack = [iter(_PRED_LINKS[codes[end][k - 3]])]
-        while stack:
-            nxt = next(stack[-1], None)
-            if nxt is None:
-                stack.pop()
-                continue
-            pos = k - len(stack)  # square whose link is being fixed
-            buf[pos - 3] = nxt
-            if pos == 3:
-                yield tuple(buf)
-            else:
-                stack.append(iter(_PRED_LINKS[codes[nxt][pos - 3]]))
 
-
-def _derive_ties(preds1: bytearray, preds2: bytearray) -> tuple[list[int], list[int]]:
-    """Tie counts of every row of a full table, from its predecessor codes."""
-    t1 = t2 = 0
-    ties1, ties2 = [0], [0]
-    for c1, c2 in zip(preds1[1:], preds2[1:]):
-        t1, t2 = (
-            t1 if c1 == 1 else t2 if c1 == 2 else 1 + t1 + t2,
-            t1 if c2 == 1 else t2 if c2 == 2 else 1 + t1 + t2,
-        )
-        ties1.append(t1)
-        ties2.append(t2)
-    return ties1, ties2
+def _chains_for_end(codes: tuple, k: int, end: int) -> Iterator[tuple[int, ...]]:
+    """The optimal words of k squares ending in link `end`, depth-first,
+    from the predecessor codes of rows 3..k by link."""
+    if k == 3:
+        yield (end,)
+        return
+    buf = [0] * (k - 2)
+    buf[-1] = end
+    stack = [iter(_PRED_LINKS[codes[end][k - 3]])]
+    while stack:
+        nxt = next(stack[-1], None)
+        if nxt is None:
+            stack.pop()
+            continue
+        pos = k - len(stack)  # square whose link is being fixed
+        buf[pos - 3] = nxt
+        if pos == 3:
+            yield tuple(buf)
+        else:
+            stack.append(iter(_PRED_LINKS[codes[nxt][pos - 3]]))
 
 
 def _compose(x: tuple, y: tuple) -> tuple:
@@ -403,16 +406,17 @@ def _tie_steps(t: tuple, first: tuple, second: tuple, rows: int) -> tuple:
     return tuple(a * t[0] + b * t[1] + c for a, b, c in step)
 
 
-def _repeat_into(buf: bytearray, lo: int, hi: int, pair: bytes) -> None:
-    """buf[lo:hi] = pair repeated, copied within buf in doubling blocks,
-    so no temporary as long as the run is made."""
-    view = memoryview(buf)[lo:hi]
-    view[:2] = pair[:hi - lo]
-    done = 2
-    while done < hi - lo:
-        size = min(done, hi - lo - done)
-        view[done:done + size] = view[:size]
-        done += size
+def _carry(seg: tuple, row: int, ties: tuple, k: int) -> tuple:
+    """The tie counts of row k of segment `seg` from `ties`, those of row
+    `row`, for lo - 1 <= row < k."""
+    if k == row + 1:  # one row: its two tie rows, no power
+        codes = seg[3][k % 2][3]
+        (a1, b1, c1), (a2, b2, c2) = _TIE_ROWS[codes[0]], _TIE_ROWS[codes[1]]
+        t1, t2 = ties
+        return (a1 * t1 + b1 * t2 + c1, a2 * t1 + b2 * t2 + c2)
+    first, second = ((_TIE_ROWS[codes[0]], _TIE_ROWS[codes[1]])
+                     for _, _, _, codes in (seg[3][(row + 1) % 2], seg[3][row % 2]))
+    return _tie_steps(ties, first, second, k - row)
 
 
 def _code(f: IndexFunction, a: int, b: int) -> int:
@@ -421,9 +425,10 @@ def _code(f: IndexFunction, a: int, b: int) -> int:
     return 3 if f.ties(a, b) else 1 if a > b else 2
 
 
-def _build(f: IndexFunction, n: int, keep: bool) -> DPTable:
+def _build(f: IndexFunction, n: int) -> tuple:
+    """The segments of rows 3..n, the tie counts of row n, the number of
+    rows stepped and the period (see `DPTable`)."""
     G11, G12, G21, G22, g2, base = _increments(f)
-    m1, m2 = base + G11, base + g2
     den, (p, q) = f.den, f.tol
 
     def step(x):
@@ -472,69 +477,58 @@ def _build(f: IndexFunction, n: int, keep: bool) -> DPTable:
                 return row + 2 * b
         return n
 
-    x = (m1, m2)
-    codes = (bytearray(n - 2), bytearray(n - 2)) if keep else None
-    vals = ([m1], [m2])  # the stepped rows', kept tables only
+    x = (base + G11, base + g2)
+    row3 = (3, x, _FLAT, (0, 0))
+    segments, ties = [(3, 3, (0, 0), (row3, row3))], (0, 0)  # ties: those of row k
     # rows k - 4 .. k (row 3 for those before it): values and the decisions that made them
     hist = [(x, None)] * 5
-    t1 = t2 = 0
     steady = 0  # rows in succession that decided as the row two before
-    runs, period, jumped, k = [], None, 0, 3
+    period, jumped, k = None, 0, 3
     while k < n:
+        lo, phases = k + 1, None
         if steady > 1:  # so k >= 7
             (x4, _), (x3, _), (x2, _), (x1, pat1), (x0, pat2) = hist  # rows k - 4 .. k
             rise = (x0[0] - x2[0], x0[1] - x2[1])
             if rise == (x2[0] - x4[0], x2[1] - x4[1]):
                 # rows k - 2 + 2b and k - 1 + 2b are affine in b while rows
                 # k + 1, k + 2, ... decide as rows k - 1, k did
-                bases = ((k - 2, x2, rise), (k - 1, x1, (x1[0] - x3[0], x1[1] - x3[1])))
-                top = min(run_end(*bases[0], pat1), run_end(*bases[1], pat2))
+                rise1 = (x1[0] - x3[0], x1[1] - x3[1])
+                top = min(run_end(k - 2, x2, rise, pat1), run_end(k - 1, x1, rise1, pat2))
                 if top > k:  # rows k + 1 .. top decide as rows k - 1, k
-                    rows = top - k
-                    t1, t2 = _tie_steps((t1, t2), (_TIE_ROWS[pat1[0]], _TIE_ROWS[pat1[1]]),
-                                        (_TIE_ROWS[pat2[0]], _TIE_ROWS[pat2[1]]), rows)
-                    if keep:
-                        for e in (0, 1):
-                            _repeat_into(codes[e], k - 2, top - 2, bytes((pat1[e], pat2[e])))
-                    bases = bases[k % 2:] + bases[:k % 2]  # bases[r % 2] for row r
-                    jumped += rows
-                    runs.append((k + 1, top, jumped, bases))
+                    phases = ((k - 2, x2, rise, pat2), (k - 1, x1, rise1, pat1))
+                    if k % 2:
+                        phases = phases[::-1]  # phases[r % 2] for row r
+                    jumped += top - k
+                    steady = 0  # row top + 1 decides otherwise
                     hist = []
                     for r in range(top - 4, top + 1):
-                        row, y, dy = bases[r % 2]
+                        row, y, dy, decided = phases[r % 2]
                         b = (r - row) // 2
-                        hist.append(((y[0] + b * dy[0], y[1] + b * dy[1]),
-                                     (pat2, pat1)[(r - k) % 2]))
+                        hist.append(((y[0] + b * dy[0], y[1] + b * dy[1]), decided))
                     x, k = hist[-1][0], top
-                    if k == n:
-                        break
-        x, decided = step(x)
-        k += 1
-        c1, c2 = decided[0], decided[1]
-        t1, t2 = (t1 if c1 == 1 else t2 if c1 == 2 else 1 + t1 + t2,
-                  t1 if c2 == 1 else t2 if c2 == 2 else 1 + t1 + t2)
-        if keep:
-            codes[0][k - 3], codes[1][k - 3] = c1, c2
-            vals[0].append(x[0])
-            vals[1].append(x[1])
-        steady = steady + 1 if decided == hist[-2][1] else 0
-        del hist[0]
-        hist.append((x, decided))
-        if period is None and 4 < k < n:
-            d, y, z = x[0] - x[1], hist[-3][0], hist[-2][0]
-            if d == y[0] - y[1]:  # the first repeat of d
-                period = (k - 1, 1 if d == z[0] - z[1] else 2)
-    if not keep:
-        last = hist[-1][1] or (0, 0)
-        vals, codes, runs = ([x[0]], [x[1]]), (bytearray(last[:1]), bytearray(last[1:2])), []
-    return DPTable(f, n, vals, codes, (t1, t2), runs, k - 3 - jumped, period)
+        if phases is None:
+            x, decided = step(x)
+            k += 1
+            phases = ((k, x, _FLAT, decided),) * 2
+            steady = steady + 1 if decided == hist[-2][1] else 0
+            del hist[0]
+            hist.append((x, decided))
+            if period is None and 4 < k < n:
+                d, y, z = x[0] - x[1], hist[-3][0], hist[-2][0]
+                if d == y[0] - y[1]:  # the first repeat of d
+                    period = (k - 1, 1 if d == z[0] - z[1] else 2)
+        seg = (lo, k, ties, phases)
+        segments.append(seg)
+        ties = _carry(seg, lo - 1, ties, k)
+    return segments, ties, k - 3 - jumped, period
 
 
 def run_dp(f: IndexFunction, n: int, *, keep_table: bool = True) -> DPTable:
     """Forward pass to n squares: linear time and O(n) memory even for
-    tie-heavy indices, 2n bytes of predecessor codes plus the values of
-    the rows stepped (O(1) when ``keep_table=False``, which keeps only
-    the row for n and so disables witnesses and enumeration).  Two
+    tie-heavy indices.  The table is one segment per row the pass
+    stepped and per run it jumped, with no per-row data (`DPTable`);
+    ``keep_table=False`` builds the same segments and reads only the row
+    for n, which disables witnesses and enumeration.  Two
     candidates that are `values_equal` under ``f.eps`` as exact sums tie:
     the entry gets predecessor code 3 and the larger of the two values.
     A float optimum at n that overflows to inf is refused with
@@ -547,7 +541,8 @@ def run_dp(f: IndexFunction, n: int, *, keep_table: bool = True) -> DPTable:
     float tables behave alike, and report `DPTable.period` too."""
     if n < 3:
         raise ValueError(f"dynamic program needs n >= 3, got {n}")
-    table = _build(f, n, keep_table)
+    segments, ties, steps, period = _build(f, n)
+    table = DPTable(f, n, segments, ties, steps, period, 3 if keep_table else n)
     if f.mode == FLOAT:
         for end in (1, 2):
             check_finite(table.value(n, end), f"the optimum at n = {n}")

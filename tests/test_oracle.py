@@ -170,6 +170,21 @@ class TestCrossCheck:
         assert not ok
         assert any("max value" in m for m in mismatches)
 
+    @pytest.mark.parametrize("name", ["abc", "ga", "sum_connectivity", "randic:-1/2"])
+    def test_float_values_compared_exactly(self, monkeypatch, name):
+        # every chain raised by 2**-40 inside the engine: far inside eps, but
+        # both sides are correctly rounded exact sums, so the values differ
+        def raised(f):
+            *increments, base = indices_mod._increments(f)
+            return (*increments, base + (f.den >> 40))
+
+        monkeypatch.setattr(dp_mod, "_increments", raised)
+        f = preset(*name.split(":"))
+        ok, mismatches = cross_check(f, 10)
+        assert not ok
+        labels = [m.split(":")[0] for m in mismatches]
+        assert "max value" in labels and "min value" in labels, labels
+
     def test_detects_negated_table_corruption(self, monkeypatch):
         real_chains = DPTable.chains
 
