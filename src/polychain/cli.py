@@ -45,10 +45,6 @@ from .oracle import DEFAULT_CAP, cross_check
 
 __all__ = ["main", "OUTPUT_SCHEMAS"]
 
-# default `table --iso-limit`: a row's mirror-class count is an O(n) walk
-# over O(n)-bit integers, so rows with more labeled chains leave it out
-ISO_LIMIT = 100_000
-
 _VALUE_SCHEMA = {
     "type": "object",
     "required": ["rational", "decimal"],
@@ -150,7 +146,7 @@ OUTPUT_SCHEMAS = {
                         "max": _VALUE_SCHEMA,
                         "min": _VALUE_SCHEMA,
                         "labeled_count": {"type": "integer"},
-                        "iso_count": {"type": ["integer", "null"]},
+                        "iso_count": {"type": "integer"},
                         "family": {"type": ["string", "null"]},
                     },
                 },
@@ -375,13 +371,9 @@ def _cmd_table(args, f: IndexFunction) -> tuple[str, int]:
         labeled = max_table.labeled_count(n)
         if azi_like:
             report = azi_extremal_report(n)
-            family = report.family
-            iso = report.iso_count
+            family, iso = report.family, report.iso_count
         else:
-            family = None
-            iso = None
-            if labeled <= args.iso_limit:
-                iso = max_table.iso_count(n)
+            family, iso = None, max_table.iso_count(n)
         rows.append(
             {
                 "n": n,
@@ -410,7 +402,7 @@ def _cmd_table(args, f: IndexFunction) -> tuple[str, int]:
                 _value_cell(r["max"], args.exact),
                 _value_cell(r["min"], args.exact),
                 r["labeled_count"],
-                "" if r["iso_count"] is None else r["iso_count"],
+                r["iso_count"],
                 r["family"] or "",
             ]
         )
@@ -493,9 +485,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="to_n", type=int, required=True, help="last n")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--exact", action="store_true", help='CSV cells as exact "p/q"')
-    p.add_argument("--iso-limit", type=int, default=ISO_LIMIT,
-                   help="skip a row's mirror-class count above this many labeled chains "
-                   "(bounds the big-integer work of the per-row count)")
+    p.add_argument("--iso-limit", type=int,
+                   help="accepted for old invocations and ignored: every row counts its mirror classes")
 
     p = sub.add_parser("verify", help="oracle cross-checks (and AZI claims for --index azi)")
     _add_index_options(p)

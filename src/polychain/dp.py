@@ -13,9 +13,10 @@ turns the table into a DAG whose source-to-sink paths are exactly the
 optimal chains, so witnesses, tie counts and full enumeration all come
 out of the same pass.  The count up to mirror symmetry, |S| - (B - P)/2
 for the optimal words S, the words B of S whose reverse is in S and the
-palindromes P of S, comes from one O(n) walk over the same DAG that
-moves inward from both ends of the word.  Minimization is maximization
-of the negated index.
+palindromes P of S, comes from one walk over the same DAG that moves
+inward from both ends of the word, a powered map per stretch where both
+ends stay in one segment of the table (below).  Minimization is
+maximization of the negated index.
 
 Both arithmetic modes run one forward loop on the ints of the index's
 scaled form, and the number model lives in `indices`: the increments
@@ -47,10 +48,11 @@ The table is the list of these stepped rows and runs, one segment each
 (`DPTable`).  A run is read back from its two base rows, their rises
 and its two rows' codes; its tie counts come from the codes' affine map
 t -> t1 / t2 / 1 + t1 + t2 of each end, a 3x3 integer matrix raised to
-a power by squaring.  A table, kept or streaming, costs O(runs) Python
-steps and segments and O(runs log n) big-int steps; a row is read in
-O(log runs) steps, and `witness`, `chains` and `iso_count` at k squares
-cost O(k) more.
+a power by squaring, and the mirror count's walk powers its maps alike.
+A table, kept or streaming, costs O(runs) Python steps and segments and
+O(runs log n) big-int steps; a row is read in O(log runs) steps,
+`iso_count` at k squares takes O(runs log k) big-int steps, and
+`witness` and `chains` cost O(k) more.
 """
 
 from __future__ import annotations
@@ -288,6 +290,10 @@ class DPTable:
         r - 1, r).  A word is in B exactly when both its halves, read
         from the outside in, are such half words, and in P when the two
         halves are one, so B and P follow from v where the halves meet.
+        A step is a linear map of v read from the codes of rows l + 1 and
+        r, so while both rows stay in their segments the maps alternate
+        by parity, and each such stretch is one powered map: O(runs log k)
+        big-int steps in all.
         """
         k = self.n if k is None else k
         self._check_k(k)
@@ -296,20 +302,27 @@ class DPTable:
         if end is not None:
             self._check_end(end)
         ends = (end,) if end is not None else self.winning_ends(k)
-        v1, v2 = int(1 in ends), int(2 in ends)  # a word of B starts and ends in `ends`
-        c1, c2 = self._codes(k)  # bit x - 1 of a code: link x may precede
-        s = (k - 3) // 2  # steps while l + 1 < r
-        rows_l = zip(c1[1:s + 1], c2[1:s + 1])  # row l + 1 = 4, 5, ...
-        rows_r = zip(c1[k - 3:k - 3 - s:-1], c2[k - 3:k - 3 - s:-1])  # row r = k, k - 1, ...
-        for (a1, a2), (z1, z2) in zip(rows_l, rows_r):
-            v1, v2 = (
-                (v1 if a1 & 1 and z1 & 1 else 0) + (v2 if a1 & 2 and z2 & 1 else 0),
-                (v1 if a2 & 1 and z1 & 2 else 0) + (v2 if a2 & 2 and z2 & 2 else 0),
-            )
+        v = (int(1 in ends), int(2 in ends))  # a word of B starts and ends in `ends`
+        segs, s = self._segments, (k - 3) // 2  # s: steps while l + 1 < r
+        # segment i holds row l + 1, rising from row 4, and segment j row r,
+        # falling from row k; each pass takes the rows both stay in
+        i, j, done = bisect_right(self._starts, 4) - 1, bisect_right(self._starts, k) - 1, 0
+        while done < s:
+            row_l, row_r = 4 + done, k - done  # rows l + 1 and r
+            (_, hi, _, left), (lo, _, _, right) = segs[i], segs[j]
+            rows = min(hi - row_l, row_r - lo, s - 1 - done) + 1
+            first = _mirror_map(left[row_l % 2][3], right[row_r % 2][3])
+            second = (_mirror_map(left[(row_l + 1) % 2][3], right[(row_r - 1) % 2][3])
+                      if rows > 1 else None)
+            v = _tie_steps(v, first, second, rows)
+            done += rows
+            i += row_l + rows > hi
+            j -= row_r - rows < lo
+        v1, v2 = v
         if k % 2:  # odd length: the halves share the middle square
             both, pal = v1 * v1 + v2 * v2, v1 + v2
         else:  # even length: one edge, read both ways, joins the middle squares
-            a1, a2 = c1[s + 1], c2[s + 1]
+            a1, a2 = self._segment(s + 4)[3][(s + 4) % 2][3][:2]  # row s + 4
             o11, o22 = a1 & 1, a2 >> 1  # links 1, 1 and 2, 2; links 1, 2 need 2 -> 1 and 1 -> 2
             both = v1 * v1 * o11 + v2 * v2 * o22 + (2 * v1 * v2 if a1 & 2 and a2 & 1 else 0)
             pal = v1 * o11 + v2 * o22
@@ -397,26 +410,34 @@ def _power(m: tuple, e: int) -> tuple:
 
 
 def _tie_steps(t: tuple, first: tuple, second: tuple, rows: int) -> tuple:
-    """Tie counts t = (t1, t2) carried over `rows` rows whose pairs of
-    tie maps alternate first, second, first, ..."""
-    half, odd = divmod(rows, 2)
-    step = _power(_compose(second, first), half)
-    if odd:
-        step = _compose(first, step)
-    return tuple(a * t[0] + b * t[1] + c for a, b, c in step)
+    """Counts t = (t1, t2) carried over `rows` rows whose affine maps
+    alternate first, second, first, ..."""
+    if rows == 1:  # one row: its map, no power
+        step = first
+    else:
+        half, odd = divmod(rows, 2)
+        step = _power(_compose(second, first), half)
+        if odd:
+            step = _compose(first, step)
+    (a, b, c), (d, e, f) = step
+    t1, t2 = t
+    return (a * t1 + b * t2 + c, d * t1 + e * t2 + f)
 
 
 def _carry(seg: tuple, row: int, ties: tuple, k: int) -> tuple:
     """The tie counts of row k of segment `seg` from `ties`, those of row
     `row`, for lo - 1 <= row < k."""
-    if k == row + 1:  # one row: its two tie rows, no power
-        codes = seg[3][k % 2][3]
-        (a1, b1, c1), (a2, b2, c2) = _TIE_ROWS[codes[0]], _TIE_ROWS[codes[1]]
-        t1, t2 = ties
-        return (a1 * t1 + b1 * t2 + c1, a2 * t1 + b2 * t2 + c2)
     first, second = ((_TIE_ROWS[codes[0]], _TIE_ROWS[codes[1]])
                      for _, _, _, codes in (seg[3][(row + 1) % 2], seg[3][row % 2]))
     return _tie_steps(ties, first, second, k - row)
+
+
+def _mirror_map(a: tuple, z: tuple) -> tuple:
+    """One step of `DPTable.iso_count`'s walk as a map over (v1, v2): x
+    then y is kept at squares l, l + 1 when code a of row l + 1 at end y
+    admits x and, mirrored, code z of row r at end x admits y."""
+    a1, a2, z1, z2 = a[0], a[1], z[0], z[1]
+    return ((a1 & z1 & 1, a1 >> 1 & z2 & 1, 0), (a2 & z1 >> 1, (a2 & z2) >> 1, 0))
 
 
 def _code(f: IndexFunction, a: int, b: int) -> int:

@@ -26,6 +26,14 @@ def run_json(capsys, *argv):
     return json.loads(out)
 
 
+def const_index_file(tmp_path):
+    """An index file that scores every chain alike: all 2**(n - 2) tie."""
+    values = {p: "1" for p in ("2,2", "2,3", "2,4", "3,3", "3,4", "4,4")}
+    path = tmp_path / "const.json"
+    path.write_text(json.dumps({"name": "const", "mode": "rational", "values": values}))
+    return path
+
+
 class TestValue:
     def test_plain_anchor(self, capsys):
         code, out, _ = run_cli(capsys, "value", "--index", "azi", "--links", "1,2,2,1")
@@ -95,9 +103,7 @@ class TestExtremalCommands:
 
     def test_iso_counted_without_enumeration(self, capsys, tmp_path, monkeypatch):
         # 2**18 chains tie under a constant index at n = 20, 2**9 of them palindromes
-        values = {p: "1" for p in ("2,2", "2,3", "2,4", "3,3", "3,4", "4,4")}
-        path = tmp_path / "const.json"
-        path.write_text(json.dumps({"name": "const", "mode": "rational", "values": values}))
+        path = const_index_file(tmp_path)
 
         def refuse(*args, **kwargs):
             raise AssertionError("no chain may be enumerated")
@@ -105,8 +111,6 @@ class TestExtremalCommands:
         monkeypatch.setattr(dp_mod.DPTable, "chains", refuse)
         doc = run_json(capsys, "max", "--index-file", str(path), "--n", "20", "--iso")
         assert (doc["labeled_count"], doc["iso_count"]) == (2**18, 131328)
-        assert cli_mod.build_parser().parse_args(
-            ["table", "--index", "azi", "--from", "3", "--to", "4"]).iso_limit == 100_000
 
     def test_negative_limit_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "max", "--index", "azi", "--n", "12",
@@ -228,6 +232,19 @@ class TestTable:
                        "--format", "json")
         jsonschema.validate(doc, OUTPUT_SCHEMAS["table"])
         assert [r["n"] for r in doc["rows"]] == [5, 6, 7, 8]
+
+    def test_every_row_counts_mirror_classes(self, capsys, tmp_path):
+        # rows of 2**15 .. 2**20 tied chains, 2**ceil((n - 2) / 2) of them
+        # palindromes; --iso-limit is still accepted and changes nothing
+        argv = ("table", "--index-file", str(const_index_file(tmp_path)),
+                "--from", "17", "--to", "22", "--format", "json")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        jsonschema.validate(doc, OUTPUT_SCHEMAS["table"])
+        assert [r["iso_count"] for r in doc["rows"]] == [
+            (2 ** (n - 2) + 2 ** ((n - 1) // 2)) // 2 for n in range(17, 23)]
+        assert run_cli(capsys, *argv, "--iso-limit", "0") == (0, out, "")
 
 
 class TestVerify:

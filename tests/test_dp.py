@@ -93,24 +93,59 @@ RULE_CORPUS = [
 _CODE_SETS = {1: frozenset((1,)), 2: frozenset((2,)), 3: frozenset((1, 2))}
 
 
-def reference_pass(f, n):
+def reference_rows(f, n):
     """The tie rule straight from its statement: per end, both candidates
     as exact sums (Fractions of a float table's IEEE entries), a tie when
     |a - b| <= eps * max(1, |a|, |b|) (eps 0 for rationals), the larger
-    one kept.  Returns per-row (values, predecessor sets, tie counts) for
-    k = 4..n, a float table's values as the floats nearest them."""
+    one kept.  Returns the rule and, per row k = 3..n, the exact values,
+    the predecessor sets (empty at row 3) and the tie counts."""
     gt = increment_table(IndexFunction(f.name, {p: Fraction(v) for p, v in f.values.items()}))
     eps = Fraction(f.eps) if f.mode == FLOAT else 0
-    m, t, rows = (gt.initial(1), gt.initial(2)), (0, 0), []
+
+    def ties(a, b):
+        return abs(a - b) <= eps * max(1, abs(a), abs(b))
+
+    m, t = (gt.initial(1), gt.initial(2)), (0, 0)
+    rows = [(m, (frozenset(), frozenset()), t)]
     for _ in range(n - 3):
         cands = [(m[0] + gt.step(1, i), m[1] + gt.step(2, i)) for i in (1, 2)]
-        codes = [3 if abs(a - b) <= eps * max(1, abs(a), abs(b)) else 1 if a > b else 2
-                 for a, b in cands]
+        codes = tuple(3 if ties(a, b) else 1 if a > b else 2 for a, b in cands)
         m = tuple(max(a, b) for a, b in cands)
         t = tuple(1 + t[0] + t[1] if c == 3 else t[c - 1] for c in codes)
-        rows.append((tuple(map(float, m)) if f.mode == FLOAT else m,
-                     tuple(_CODE_SETS[c] for c in codes), t))
-    return rows
+        rows.append((m, tuple(_CODE_SETS[c] for c in codes), t))
+    return ties, rows
+
+
+def reference_pass(f, n):
+    """`reference_rows` as per-row (values, predecessor sets, tie counts)
+    for k = 4..n, a float table's values as the floats nearest them."""
+    return [(tuple(map(float, m)) if f.mode == FLOAT else m, preds, t)
+            for m, preds, t in reference_rows(f, n)[1][1:]]
+
+
+def reference_iso(f, k, end, ref=None):
+    """The optimal words of k squares up to mirror symmetry, |S| - (B - P)/2,
+    by the row-by-row inward walk over the predecessor sets of
+    `reference_rows` (see `DPTable.iso_count`); ``ref`` is
+    `reference_rows(f, n)` for some n >= k, computed when omitted."""
+    ties, rows = ref or reference_rows(f, k)
+    (m1, m2), _, counts = rows[k - 3]
+    ends = (end,) if end else (1, 2) if ties(m1, m2) else (1,) if m1 > m2 else (2,)
+    # v_x: half words w_3..w_l ending in link x whose every step is an edge
+    # both forwards (squares l, l + 1) and mirrored (squares r - 1, r)
+    v1, v2 = int(1 in ends), int(2 in ends)
+    s = (k - 3) // 2
+    for l in range(3, 3 + s):
+        (a1, a2), (z1, z2) = rows[l - 2][1], rows[k - l][1]  # rows l + 1 and r = k + 3 - l
+        v1, v2 = (v1 * (1 in a1 and 1 in z1) + v2 * (2 in a1 and 1 in z2),
+                  v1 * (1 in a2 and 2 in z1) + v2 * (2 in a2 and 2 in z2))
+    if k % 2:  # the halves share the middle square
+        both, pal = v1 * v1 + v2 * v2, v1 + v2
+    else:  # the edge between the middle squares, read both ways
+        mid1, mid2 = rows[s + 1][1]  # row s + 4
+        o11, o22, o12 = 1 in mid1, 2 in mid2, 2 in mid1 and 1 in mid2
+        both, pal = v1 * v1 * o11 + v2 * v2 * o22 + 2 * v1 * v2 * o12, v1 * o11 + v2 * o22
+    return sum(counts[e - 1] + 1 for e in ends) - (both - pal) // 2
 
 
 def brute_force_max(f, n):
@@ -438,6 +473,38 @@ class TestIsoCount:
         for n in range(5, 401):
             expected = 1 if n % 2 else -(-n // 4) - 1
             assert t.iso_count(n) == expected, n
+
+    @pytest.mark.parametrize("corpus", ["iso", "periodic", "float-runs"])
+    def test_equals_reference_walk(self, corpus):
+        # every k <= 400: pieces of the walk start and end in transients, runs
+        # of either parity and the middle join of both lengths
+        tables = {"iso": iso_corpus, "periodic": lambda: PERIODIC_CORPUS,
+                  "float-runs": lambda: FLOAT_RUN_CORPUS}[corpus]()
+        for f in tables:
+            t, ref = run_dp(f, 400), reference_rows(f, 400)
+            for k in range(3, 401):
+                for end in (None, 1, 2):
+                    assert t.iso_count(k, end) == reference_iso(f, k, end, ref), (f.name, k, end)
+
+    def test_constant_index_is_burnside(self):
+        # every word is optimal: the mirror classes of 2**(k - 2) words, 2**ceil((k - 2) / 2)
+        # of them palindromes; k = 40000 and 40001 end on the two middle joins
+        t = run_dp(constant_index(), 40001)
+        for k in (3, 4, 5, 40000, 40001):
+            assert t.iso_count(k) == (2 ** (k - 2) + 2 ** ((k - 1) // 2)) // 2, k
+
+    def test_counts_without_per_row_codes(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("no row's codes may be expanded")
+
+        monkeypatch.setattr(DPTable, "_codes", refuse)
+        n = 10**5
+        assert run_dp(AZI, n).iso_count() == -(-n // 4) - 1  # even n, see test_paper_counts
+        t = run_dp(preset("randic", -1), n)
+        labeled, iso = t.labeled_count(), t.iso_count()
+        assert labeled > 2**1000
+        assert labeled <= 2 * iso < 2 * labeled  # one or two words a class, some of them two
+        assert run_dp(constant_index(), n).iso_count() == (2 ** (n - 2) + 2 ** ((n - 1) // 2)) // 2
 
     def test_streaming_table_refused(self):
         with pytest.raises(ValueError, match="streaming table cannot count mirror classes"):
