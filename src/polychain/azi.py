@@ -155,9 +155,9 @@ def _equals(n: int, claim: str, expected, actual) -> tuple:
 
 def _same_chains(n: int, claim: str, expected, actual) -> tuple:
     """The claim row that two chain collections hold the same link words."""
-    want, got = {c.links for c in expected}, {c.links for c in actual}
+    want, got = set(expected), set(actual)
     return n, claim, want == got, lambda: tuple(
-        [",".join(map(str, k)) for k in sorted(s)] for s in (want, got))
+        [c.to_string() for c in sorted(s)] for s in (want, got))
 
 
 def _minimizer(n: int) -> LinkVector:

@@ -8,6 +8,12 @@ square k (k >= 3) either keeps the current growth direction (link type
 1) or turns it (link type 2), so a chain with n squares is fully
 described by its word of n - 2 link types.
 
+A `LinkVector` keeps that word as bytes, one byte per link: producers
+(the DP's witness and enumeration, the oracle) hand their byte buffers
+over, the structural functions here read the bytes, and the tuple
+``links`` is built only when asked for, O(n) on each call.  Bytes hash
+with a per-process salt, so no output may iterate a set of words.
+
 This module owns that encoding and the purely structural operations on
 it: lattice realization, the corner graph and its degree-pair multiset,
 segment decomposition, the named chain families, and mirror-symmetry
@@ -33,7 +39,8 @@ __all__ = [
     "canonical_reversal",
 ]
 
-_LINK_TYPES = frozenset((1, 2))
+_LINK_OF = {1: 1, 2: 2}  # links of another type equal to 1 or 2, such as 1.0
+_DIGITS = bytes.maketrans(b"\1\2", b"12")
 _RIGHT = (1, 0)
 _DOWN = (0, -1)
 
@@ -52,37 +59,48 @@ class LinkVector:
     chosen when the (j+3)-th square was glued on; the empty vector is
     the two-square chain.  ``link_at(k)`` reads an entry by square
     number (3 <= k <= n) instead of by storage index.
+
+    The word is stored as immutable bytes, one byte per link, so a
+    million-link chain takes 1 MB and building one from bytes is a copy
+    and one C-level check.  ``links`` builds a fresh tuple on each call,
+    O(n); iteration, indexing, comparison and hashing read the bytes,
+    and a slice is a tuple.  The hash of bytes is salted per process,
+    so no output may iterate a set of words: sort them first.
     """
 
-    __slots__ = ("_links",)
+    __slots__ = ("_word",)
 
     def __init__(self, links: Iterable[int] = ()) -> None:
-        links = tuple(links)
+        if iter(links) is links:  # an iterator can be read only once
+            links = tuple(links)
         try:
-            valid = _LINK_TYPES.issuperset(links)  # one C-level pass
-        except TypeError:  # an unhashable entry is no link either
-            valid = False
-        if not valid:
+            word = bytes(links)
+        except (TypeError, ValueError):  # links such as 1.0, or ints past a byte
+            try:
+                word = bytes(map(_LINK_OF.__getitem__, links))
+            except (KeyError, TypeError):  # a link equal to neither, or unhashable
+                word = b"\0"  # fails the check below
+        if word.translate(None, b"\1\2"):  # one C-level pass
             bad = next(x for x in links if x not in (1, 2))
             raise ValueError(f"invalid link {bad!r}: links must be 1 or 2")
-        self._links = links
+        self._word = word
 
     @property
     def links(self) -> tuple[int, ...]:
-        return self._links
+        return tuple(self._word)
 
     @property
     def square_count(self) -> int:
-        return len(self._links) + 2
+        return len(self._word) + 2
 
     def link_at(self, position: int) -> int:
         """Link type of the square at absolute position 3..n."""
         if not 3 <= position <= self.square_count:
             raise IndexError(f"no link at square {position} (n = {self.square_count})")
-        return self._links[position - 3]
+        return self._word[position - 3]
 
     def reverse(self) -> "LinkVector":
-        return LinkVector(reversed(self._links))
+        return LinkVector(self._word[::-1])
 
     @classmethod
     def from_string(cls, text: str) -> "LinkVector":
@@ -99,51 +117,51 @@ class LinkVector:
         return cls(out)
 
     def to_string(self) -> str:
-        # one C-level lookup per link, about 4x faster than str() per link
-        return ",".join(map({1: "1", 2: "2"}.__getitem__, self._links))
+        return ",".join(self._word.translate(_DIGITS).decode())
 
     def __len__(self) -> int:
-        return len(self._links)
+        return len(self._word)
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self._links)
+        return iter(self._word)
 
     def __getitem__(self, idx):
-        return self._links[idx]
+        item = self._word[idx]
+        return tuple(item) if isinstance(idx, slice) else item
 
     def __eq__(self, other) -> bool:
         if isinstance(other, LinkVector):
-            return self._links == other._links
+            return self._word == other._word
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._links)
+        return hash(self._word)
 
     def __lt__(self, other: "LinkVector") -> bool:
-        return self._links < other._links
+        return self._word < other._word
 
     def __repr__(self) -> str:
         return f"LinkVector([{self.to_string()}])"
 
 
-def _as_links(chain) -> tuple[int, ...]:
+def _as_word(chain) -> bytes:
     if isinstance(chain, LinkVector):
-        return chain.links
-    return LinkVector(chain).links
+        return chain._word
+    return LinkVector(chain)._word
 
 
 def linear_chain(n: int) -> LinkVector:
     """All squares glued straight on: the n-square linear chain."""
     if n < 2:
         raise ValueError(f"a chain needs at least 2 squares, got n={n}")
-    return LinkVector((1,) * (n - 2))
+    return LinkVector(b"\1" * (n - 2))
 
 
 def zigzag_chain(n: int) -> LinkVector:
     """Every square turns: the n-square zigzag chain."""
     if n < 2:
         raise ValueError(f"a chain needs at least 2 squares, got n={n}")
-    return LinkVector((2,) * (n - 2))
+    return LinkVector(b"\2" * (n - 2))
 
 
 def az1_chain(m: int) -> LinkVector:
@@ -154,7 +172,7 @@ def az1_chain(m: int) -> LinkVector:
     """
     if m < 2:
         raise ValueError(f"augmented zigzag of type 1 needs m >= 2 segments, got {m}")
-    return LinkVector((1,) + (2, 1) * (m - 1))
+    return LinkVector(b"\1" + b"\2\1" * (m - 1))
 
 
 def az2_family(m: int) -> list[LinkVector]:
@@ -168,7 +186,7 @@ def az2_family(m: int) -> list[LinkVector]:
     if m < 3:
         raise ValueError(f"augmented zigzag of type 2 needs m >= 3 segments, got {m}")
     return [
-        LinkVector((1, 2) * i + (2, 1) * (m - 1 - i))
+        LinkVector(b"\1\2" * i + b"\2\1" * (m - 1 - i))
         for i in range(1, m - 1)
     ]
 
@@ -180,11 +198,10 @@ def realize(chain) -> tuple[tuple[int, int], ...]:
     right, a type-1 link keeps the current direction and a type-2 link
     toggles between rightward and downward.
     """
-    links = _as_links(chain)
     cells = [(0, 0), (1, 0)]
     x, y = 1, 0
     d = _RIGHT
-    for link in links:
+    for link in _as_word(chain):
         if link == 2:
             d = _DOWN if d == _RIGHT else _RIGHT
         x += d[0]
@@ -269,9 +286,9 @@ def edge_degree_multiset(chain) -> Counter:
     a <= b; a chain of n squares always has 3n + 1 edges and degrees in
     {2, 3, 4}.  Pairs that do not occur are left out.
     """
-    links = _as_links(chain)
-    graph = _CornerGraph(len(links) + 2)
-    for link in links:
+    word = _as_word(chain)
+    graph = _CornerGraph(len(word) + 2)
+    for link in word:
         graph.glue(link)
     return Counter({pair: m for pair, m in zip(DEGREE_PAIRS, graph.counts) if m})
 
@@ -285,9 +302,9 @@ def segments(chain) -> tuple[int, ...]:
     at absolute square positions p_1 < ... < p_k this is
     (p_1 - 1, p_2 - p_1 + 1, ..., p_k - p_{k-1} + 1, n - p_k + 2).
     """
-    links = _as_links(chain)
-    n = len(links) + 2
-    turns = [k for k, link in enumerate(links, start=3) if link == 2]
+    word = _as_word(chain)
+    n = len(word) + 2
+    turns = [k for k, link in enumerate(word, start=3) if link == 2]
     if not turns:
         return (n,)
     lengths = [turns[0] - 1]
@@ -303,6 +320,5 @@ def canonical_reversal(chain) -> LinkVector:
     congruent up to that symmetry exactly when their canonical forms
     coincide.
     """
-    links = _as_links(chain)
-    rev = links[::-1]
-    return LinkVector(min(links, rev))
+    word = _as_word(chain)
+    return LinkVector(min(word, word[::-1]))

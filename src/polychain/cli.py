@@ -26,7 +26,7 @@ import sys
 from fractions import Fraction
 
 from .azi import ORACLE_N_MAX, _azi, azi_extremal_report, verify_azi_maximum, verify_azi_minimum
-from .chains import LinkVector, realize
+from .chains import _DIGITS, LinkVector, _as_word, realize
 from .dp import _extremal, classify, run_dp
 from .indices import (
     FLOAT,
@@ -184,16 +184,20 @@ _SCALARS = frozenset((str, int, float, bool, type(None)))
 
 
 def _render_json(doc, pad: str = "\n") -> str:
-    """Return ``json.dumps(doc, indent=2)`` for a document with string keys.
+    """Return ``json.dumps(doc, indent=2)`` for a document with string keys,
+    a `LinkVector` in it standing for the list of its links.
 
     The stdlib drops its C encoder whenever ``indent`` is set.  Here each
     list or dict of plain scalars is one call of that encoder, with the
-    newline and indent as its item separator.
+    newline and indent as its item separator, and a link word is its
+    digits joined by that separator.
     """
-    if not isinstance(doc, (dict, list, tuple)) or not doc:
-        return json.dumps(doc)
+    if not isinstance(doc, (dict, list, tuple, LinkVector)) or not doc:
+        return "[]" if isinstance(doc, LinkVector) else json.dumps(doc)
     inner = pad + "  "
     sep = "," + inner
+    if isinstance(doc, LinkVector):
+        return "[" + inner + sep.join(_as_word(doc).translate(_DIGITS).decode()) + pad + "]"
     is_dict = isinstance(doc, dict)
     if _SCALARS.issuperset(map(type, doc.values() if is_dict else doc)):
         body = json.dumps(doc, separators=(sep, ": "))[1:-1]
@@ -272,7 +276,7 @@ def _cmd_value(args, f: IndexFunction) -> tuple[str, int]:
             "command": "value",
             "index": f.name,
             "mode": f.mode,
-            "links": list(links),
+            "links": links,
             "n": links.square_count,
             "cells": [list(c) for c in realize(links)],
             "direct": _value_json(direct),
@@ -299,9 +303,7 @@ def _cmd_extremal(args, f: IndexFunction, objective: str) -> tuple[str, int]:
     result = _extremal(f, table, objective, args.end, args.iso)
     chains = None
     if args.enumerate:
-        chains = [
-            list(c) for c in table.chains(end=args.end, dedup=args.dedup, limit=args.limit)
-        ]
+        chains = list(table.chains(end=args.end, dedup=args.dedup, limit=args.limit))
     if args.format == "json":
         doc = {
             "command": objective,
@@ -311,7 +313,7 @@ def _cmd_extremal(args, f: IndexFunction, objective: str) -> tuple[str, int]:
             "objective": result.objective,
             "value": _value_json(result.value),
             "per_end": {"1": _value_json(result.per_end[1]), "2": _value_json(result.per_end[2])},
-            "witness": list(result.witness),
+            "witness": result.witness,
             "labeled_count": result.labeled_count,
             "iso_count": result.iso_count,
             "tolerance_dependent": result.tolerance_dependent,
@@ -328,7 +330,7 @@ def _cmd_extremal(args, f: IndexFunction, objective: str) -> tuple[str, int]:
         lines.append(f"mirror classes: {result.iso_count}")
     if chains is not None:
         lines.append("chains:")
-        lines.extend(",".join(map(str, c)) for c in chains)
+        lines.extend(c.to_string() for c in chains)
     return "\n".join(lines), 0
 
 

@@ -61,7 +61,7 @@ from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .chains import LinkVector, canonical_reversal
+from .chains import LinkVector
 from .indices import FLOAT, IndexFunction, Value, _increments, check_finite, negate
 
 __all__ = [
@@ -351,28 +351,28 @@ class DPTable:
             self._check_end(end)
         ends = (end,) if end is not None else self.winning_ends(k)
         codes = (None, *self._codes(k))  # indexed by link
-        seen: set[tuple[int, ...]] = set()
+        seen: set[bytes] = set()
         emitted = 0
         for e in ends:
-            for links in _chains_for_end(codes, k, e):
+            for word in _chains_for_end(codes, k, e):
                 if dedup:
-                    key = canonical_reversal(links).links
+                    key = min(word, word[::-1])  # the mirror class's canonical word
                     if key in seen:
                         continue
                     seen.add(key)
                 if limit is not None and emitted >= limit:
                     return
                 emitted += 1
-                yield LinkVector(links)
+                yield LinkVector(word)
 
 
-def _chains_for_end(codes: tuple, k: int, end: int) -> Iterator[tuple[int, ...]]:
+def _chains_for_end(codes: tuple, k: int, end: int) -> Iterator[bytes]:
     """The optimal words of k squares ending in link `end`, depth-first,
-    from the predecessor codes of rows 3..k by link."""
+    from the predecessor codes of rows 3..k by link, one byte per link."""
     if k == 3:
-        yield (end,)
+        yield bytes((end,))
         return
-    buf = [0] * (k - 2)
+    buf = bytearray(k - 2)
     buf[-1] = end
     stack = [iter(_PRED_LINKS[codes[end][k - 3]])]
     while stack:
@@ -383,7 +383,7 @@ def _chains_for_end(codes: tuple, k: int, end: int) -> Iterator[tuple[int, ...]]
         pos = k - len(stack)  # square whose link is being fixed
         buf[pos - 3] = nxt
         if pos == 3:
-            yield tuple(buf)
+            yield bytes(buf)
         else:
             stack.append(iter(_PRED_LINKS[codes[nxt][pos - 3]]))
 

@@ -39,7 +39,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Union
 
-from .chains import DEGREE_PAIRS, edge_degree_multiset
+from .chains import DEGREE_PAIRS, _as_word, edge_degree_multiset
 
 __all__ = [
     "Value",
@@ -281,12 +281,12 @@ def evaluate_recursive(chain, f: IndexFunction) -> Value:
     Returns the same value as `evaluate_direct` on every chain; this
     form costs O(n) arithmetic operations instead of building the graph.
     """
-    links = chain.links if hasattr(chain, "links") else tuple(chain)
+    word = _as_word(chain)
     g11, g12, g21, g22, g2, total = _increments(f)
-    if links:
-        total += (g11 if links[0] == 1 else g2) + sum(
+    if word:
+        total += (g11 if word[0] == 1 else g2) + sum(
             (g11 if i == 1 else g12) if j == 1 else (g21 if i == 1 else g22)
-            for j, i in zip(links, links[1:])
+            for j, i in zip(word, word[1:])
         )
     return check_finite(f.read(total), "index value")
 

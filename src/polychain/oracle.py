@@ -21,10 +21,13 @@ the index's scaled entries (`IndexFunction.scaled`, exact in both
 modes).  One selection follows: builtin max/min pick the extreme over
 the ids present, one mask over the distinct values marks those that tie
 it (`IndexFunction.ties`), and one C-level `compress` over the vector
-ids gives each result set in lexicographic order.  The extreme is read
-back by `IndexFunction.read`, a float one as the exact extreme
-correctly rounded.  Memory is the census, 2 bytes per chain for each
-cached n, plus the result sets.
+ids gives each result set in lexicographic order.  A chain in a set is
+its position's binary digits translated to link bytes, which its
+`LinkVector` keeps.  The extreme is read back by `IndexFunction.read`,
+a float one as the exact extreme correctly rounded.  Memory is the
+census, 2 bytes per chain for each cached n, plus the result sets.
+`cross_check` compares the engine's and the oracle's sets of
+`LinkVector`s and sorts their words only to describe a mismatch.
 """
 
 from __future__ import annotations
@@ -86,9 +89,9 @@ def census(n: int) -> tuple[tuple[tuple[int, ...], ...], memoryview]:
 _LINK_DIGITS = bytes.maketrans(b"01", b"\1\2")
 
 
-def _word(pos: int, m: int) -> tuple[int, ...]:
+def _word(pos: int, m: int) -> bytes:
     """The m-link word at lexicographic position pos: its m binary digits, 0 as link 1."""
-    return tuple(format(pos, f"0{m}b").encode().translate(_LINK_DIGITS))
+    return format(pos, f"0{m}b").encode().translate(_LINK_DIGITS)
 
 
 @dataclass(frozen=True)
@@ -197,8 +200,15 @@ def cross_check(f: IndexFunction, n: int, cap: int = DEFAULT_CAP) -> tuple[bool,
         if not ok:
             mismatches.append(f"{label}: oracle {expected!r} vs engine {actual!r}")
 
+    def check_set(label: str, oracle_chains, engine_chains) -> set[LinkVector]:
+        # the words are sorted as tuples only to describe a mismatch
+        want, got = set(oracle_chains), set(engine_chains)
+        if want != got:
+            check(label, False, sorted(c.links for c in want), sorted(c.links for c in got))
+        return want
+
     def check_classes(label: str, chains: tuple[LinkVector, ...], actual: int) -> None:
-        expected = len({canonical_reversal(c).links for c in chains})
+        expected = len({canonical_reversal(c) for c in chains})
         check(label, expected == actual, expected, actual)
 
     max_table = dp.run_dp(f, n)
@@ -212,24 +222,18 @@ def cross_check(f: IndexFunction, n: int, cap: int = DEFAULT_CAP) -> tuple[bool,
     # a witness may follow a tied edge, up to eps below the optimum
     check("witness attains max", values_equal(witness_value, report.max_value, f.eps),
           report.max_value, witness_value)
-    argmax = {c.links for c in report.argmax}
-    enumerated = {c.links for c in max_table.chains()}
-    check("argmax set", enumerated == argmax, sorted(argmax), sorted(enumerated))
+    argmax = check_set("argmax set", report.argmax, max_table.chains())
     check("labeled count", len(argmax) == res_max.labeled_count,
           len(argmax), res_max.labeled_count)
     check_classes("mirror classes", report.argmax, max_table.iso_count(n))
-    argmin = {c.links for c in report.argmin}
-    enumerated_min = {c.links for c in min_table.chains()}
-    check("argmin set", enumerated_min == argmin, sorted(argmin), sorted(enumerated_min))
+    check_set("argmin set", report.argmin, min_table.chains())
     check_classes("argmin mirror classes", report.argmin, min_table.iso_count(n))
     for end in (1, 2):
         value = res_max.per_end[end]
         check(f"end-{end} max value", value == report.per_end_max[end],
               report.per_end_max[end], value)
-        oracle_set = {c.links for c in report.per_end_argmax[end]}
-        engine_set = {c.links for c in max_table.chains(end=end)}
-        check(f"end-{end} argmax set", engine_set == oracle_set,
-              sorted(oracle_set), sorted(engine_set))
+        oracle_set = check_set(f"end-{end} argmax set", report.per_end_argmax[end],
+                               max_table.chains(end=end))
         check_classes(f"end-{end} mirror classes", report.per_end_argmax[end],
                       max_table.iso_count(n, end))
         count = streamed.labeled_count(n, end)

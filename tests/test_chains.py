@@ -65,6 +65,54 @@ class TestLinkVector:
         assert LinkVector([1, 2, 2]).reverse() == LinkVector([2, 2, 1])
 
 
+class TestByteWord:
+    """A LinkVector keeps its word as bytes and reads like a tuple of ints."""
+
+    def test_every_source_gives_one_vector(self):
+        word = (1, 2, 2, 1, 1)
+        vectors = [
+            LinkVector(b"\1\2\2\1\1"),
+            LinkVector(bytearray(word)),
+            LinkVector(word),
+            LinkVector(list(word)),
+            LinkVector(x for x in word),
+            LinkVector(iter(word)),
+            LinkVector.from_string("1,2,2,1,1"),
+        ]
+        for v in vectors:
+            assert v == vectors[0] and hash(v) == hash(vectors[0])
+            assert v.links == word
+
+    def test_reads_as_tuples_of_ints(self):
+        c = LinkVector(bytearray((1, 2, 2, 1)))
+        assert type(c.links) is tuple and c.links == (1, 2, 2, 1)
+        assert c[1:3] == (2, 2) and type(c[::-1]) is tuple
+        assert c[0] == 1 and c[-1] == 1 and list(c) == [1, 2, 2, 1]
+        assert LinkVector().links == () and LinkVector()[:] == ()
+
+    def test_bytes_outside_the_alphabet_refused(self):
+        for word in (b"\0", b"\3", b"12", b"\1\2\0", bytearray(b"\x02\xff")):
+            with pytest.raises(ValueError, match="invalid link"):
+                LinkVector(word)
+        for links in ([1, 256], [2, -1], [1, "2"], [1, None], [[1]], "12"):
+            with pytest.raises(ValueError, match="invalid link"):
+                LinkVector(links)
+
+    def test_links_of_another_type_become_ints(self):
+        # announced change: these links read back as ints, not as the input objects
+        links = LinkVector([1.0, True, 2.0]).links
+        assert links == (1, 1, 2) and all(type(x) is int for x in links)
+        assert LinkVector(x / 1 for x in (2, 1)).links == (2, 1)
+
+    def test_order_and_mirror_match_tuples(self):
+        words = [w for n in range(2, 13) for w in all_chains(n)]
+        vectors = [LinkVector(w) for w in words]
+        assert [v.links for v in sorted(vectors)] == sorted(words)
+        for w, v in zip(words, vectors):
+            assert canonical_reversal(v).links == min(w, w[::-1])
+            assert v.reverse().links == w[::-1]
+
+
 class TestRealize:
     def test_two_square_base(self):
         assert realize([]) == ((0, 0), (1, 0))

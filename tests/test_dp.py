@@ -571,14 +571,14 @@ class TestDegenerateAndRandomTables:
         assert peak < 10**6
 
     def test_witness_memory(self):
-        # the witness is built in one n-byte buffer before its tuple of links
+        # the witness is built in one n-byte buffer and kept as n bytes
         tracemalloc.start()
         try:
             maximize(AZI, 10**6)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 10**6
+        assert peak < 4 * 2**20
 
     def test_random_tables_cross_check(self):
         rng = random.Random(42)

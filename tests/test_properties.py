@@ -227,3 +227,27 @@ json_docs = st.recursive(
 def test_json_renderer_equals_json_dumps(doc):
     with _unlimited_int_digits():
         assert _render_json(doc) == json.dumps(doc, indent=2)
+
+
+def _words_as_lists(doc):
+    if isinstance(doc, LinkVector):
+        return list(doc)
+    if isinstance(doc, dict):
+        return {k: _words_as_lists(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_words_as_lists(v) for v in doc]
+    return doc
+
+
+word_docs = st.recursive(
+    json_scalars | st.lists(st.sampled_from((1, 2))).map(LinkVector),
+    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
+    max_leaves=20,
+)
+
+
+@PROPERTY
+@given(word_docs)
+def test_json_renderer_writes_link_words_as_lists(doc):
+    with _unlimited_int_digits():
+        assert _render_json(doc) == json.dumps(_words_as_lists(doc), indent=2)
