@@ -41,6 +41,7 @@ __all__ = [
 
 _LINK_OF = {1: 1, 2: 2}  # links of another type equal to 1 or 2, such as 1.0
 _DIGITS = bytes.maketrans(b"\1\2", b"12")
+_LINKS = bytes.maketrans(b"12", b"\1\2")
 _RIGHT = (1, 0)
 _DOWN = (0, -1)
 
@@ -104,17 +105,19 @@ class LinkVector:
 
     @classmethod
     def from_string(cls, text: str) -> "LinkVector":
-        """Parse a comma-separated word such as ``"1,2,2,1"`` ("" is allowed)."""
+        """Parse a comma-separated word such as ``"1,2,2,1"`` ("" is allowed):
+        each token, stripped of whitespace, is "1" or "2"."""
         text = text.strip()
         if not text:
             return cls()
-        out = []
-        for tok in text.split(","):
-            tok = tok.strip()
-            if tok not in ("1", "2"):
-                raise ValueError(f"invalid link {tok!r}: links must be 1 or 2")
-            out.append(int(tok))
-        return cls(out)
+        # that holds exactly when the text, whitespace removed, reads "d,d,...,d"
+        bare = "".join(text.split()).encode("utf-8", "replace")
+        digits = bare[::2]
+        if (len(bare) % 2 and not digits.translate(None, b"12")
+                and bare[1::2] == b"," * (len(bare) // 2)):
+            return cls(digits.translate(_LINKS))
+        bad = next(tok for tok in map(str.strip, text.split(",")) if tok not in ("1", "2"))
+        raise ValueError(f"invalid link {bad!r}: links must be 1 or 2")
 
     def to_string(self) -> str:
         return ",".join(self._word.translate(_DIGITS).decode())

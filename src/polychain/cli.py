@@ -539,6 +539,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:  # exit 1 means a verification mismatch
+        print("error: out of memory: the answer does not fit in this process", file=sys.stderr)
+        return 2
     if text and not args.out:
         try:
             print(text)

@@ -50,9 +50,10 @@ and its two rows' codes; its tie counts come from the codes' affine map
 t -> t1 / t2 / 1 + t1 + t2 of each end, a 3x3 integer matrix raised to
 a power by squaring, and the mirror count's walk powers its maps alike.
 A table, kept or streaming, costs O(runs) Python steps and segments and
-O(runs log n) big-int steps; a row is read in O(log runs) steps,
-`iso_count` at k squares takes O(runs log k) big-int steps, and
-`witness` and `chains` cost O(k) more.
+O(runs log n) big-int steps; a row is read in O(log runs) steps, and
+`iso_count` at k squares takes O(runs log k) big-int steps.  A chain of
+`witness` or `chains` takes O(runs + ties) Python steps, whatever k is,
+and k-byte copies: a run is walked six rows deep and copied as a block.
 """
 
 from __future__ import annotations
@@ -85,7 +86,6 @@ MAX = "max"
 MIN = "min"
 
 _PRED_SETS = (frozenset(), frozenset((1,)), frozenset((2,)), frozenset((1, 2)))
-_PRED_LINKS = ((), (1,), (2,), (1, 2))
 # an end's tie count as a row over (t1, t2, 1) of the row before, by its code
 _TIE_ROWS = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 1))
 _FLAT = (0, 0)  # the rise of a one-row segment
@@ -175,20 +175,6 @@ class DPTable:
         row, vals, rise, _ = self._segment(k)[3][k % 2]
         return vals[i - 1] + (k - row) // 2 * rise[i - 1]
 
-    def _codes(self, k: int) -> tuple[bytearray, bytearray]:
-        """The predecessor codes of rows 3..k, one bytearray per end
-        indexed by row - 3."""
-        c1, c2 = out = (bytearray(k - 2), bytearray(k - 2))
-        for lo, hi, _, phases in self._segments[:bisect_right(self._starts, k)]:
-            if lo == hi:  # one row
-                c1[lo - 3], c2[lo - 3] = phases[lo % 2][3][:2]
-            else:  # the codes of rows lo and lo + 1, repeated
-                first, second = phases[lo % 2][3], phases[(lo + 1) % 2][3]
-                rows = min(hi, k) - lo + 1
-                c1[lo - 3:lo - 3 + rows] = (bytes((first[0], second[0])) * (rows // 2 + 1))[:rows]
-                c2[lo - 3:lo - 3 + rows] = (bytes((first[1], second[1])) * (rows // 2 + 1))[:rows]
-        return out
-
     def value(self, k: int, i: int) -> Value:
         """Optimum over k-square chains ending with link i."""
         self._check_k(k)
@@ -246,37 +232,81 @@ class DPTable:
         ends = (end,) if end is not None else self.winning_ends(k)
         return sum(self.tie_count(k, e) + 1 for e in ends)
 
-    def witness(self, k: int | None = None, end: int | None = None) -> LinkVector:
-        """One optimal chain, built backwards preferring link 1 on ties."""
+    def _walked(self, k: int | None, end: int | None, what: str) -> int:
+        """k (n for None), checked with `end` for a walk back from row k."""
         k = self.n if k is None else k
         self._check_k(k)
         if self._first > 3:
-            raise ValueError("streaming table cannot reconstruct witnesses (keep_table=False)")
-        if end is None:
-            end = self.winning_ends(k)[0]
-        else:
+            raise ValueError(f"streaming table cannot {what} (keep_table=False)")
+        if end is not None:
             self._check_end(end)
-        out = bytearray(k - 2)  # out[j - 3]: the link of square j
-        out[-1] = cur = end
-        j = k  # the link of square j is known
-        for lo, _, _, phases in reversed(self._segments[1:bisect_right(self._starts, k)]):
-            # In rows lo..j a row's codes depend on its parity alone, so the
-            # walk's state (link, row parity) moves by one map that flips the
-            # parity.  Two steps of it map {1, 2} into itself, so the states
-            # repeat with a period dividing 4 from the second step on: after
-            # six steps the last four links repeat down to square lo - 1.
-            top = j
-            stop = top - 6 if top >= lo + 6 else lo - 1
-            for j in range(top, stop, -1):
-                cur = 2 if phases[j % 2][3][cur - 1] == 2 else 1  # codes 1 and 3 take link 1
-                out[j - 4] = cur
-            if stop >= lo:
-                block = out[top - 9:top - 5]  # squares top - 6 .. top - 3
-                whole, rest = divmod(top - lo - 5, 4)  # squares lo - 1 .. top - 7 still open
-                out[lo - 4:top - 9] = block[4 - rest:] + block * whole
-                cur = out[lo - 4]
-            j = lo - 1
-        return LinkVector(out)
+        return k
+
+    def witness(self, k: int | None = None, end: int | None = None) -> LinkVector:
+        """One optimal chain, built backwards preferring link 1 on ties: the first of `chains`."""
+        k = self._walked(k, end, "reconstruct witnesses")
+        return LinkVector(next(self._words(k, end or self.winning_ends(k)[0])))
+
+    def _words(self, k: int, end: int) -> Iterator[bytes]:
+        """The optimal words of k squares ending in link `end`, one byte
+        per link, depth-first: link 1 first at each tie, the lowest tie
+        reopened first.  A descent fills the squares below square j
+        backwards, segment by segment, taking link 1 at each tie and
+        keeping its ties pending as (low, high, mask): the rows of
+        low..high whose residue mod 4 is in mask.  Reopening the lowest
+        pending row r gives square r - 1 link 2 and descends from there,
+        in O(segments + ties) Python steps and byte copies, whatever k is."""
+        segs, starts = self._segments, self._starts
+        buf = bytearray(k - 2)  # buf[j - 3]: the link of square j
+        buf[-1] = cur = end
+        j = k  # squares j .. k are fixed
+        pending = []  # the lowest rows last
+        while True:
+            for lo, hi, _, phases in reversed(segs[1:bisect_right(starts, j)]):
+                if lo == hi:  # one row
+                    code = phases[lo & 1][3][cur - 1]
+                    cur = buf[lo - 4] = 2 if code == 2 else 1
+                    if code == 3:
+                        pending.append((lo, lo, 15))
+                    continue
+                # In rows lo..top a row's codes depend on its parity alone, so the
+                # walk's state (link, row parity) moves by one map that flips the
+                # parity.  Two steps of it map {1, 2} into itself, so the states
+                # repeat with a period dividing 4 from the second step on: after
+                # six steps the last four links repeat down to square lo - 1, and
+                # so do the ties of rows lo .. top - 2.
+                top, mask = j if j < hi else hi, 0
+                stop = top - 6 if top >= lo + 6 else lo - 1
+                for j in range(top, stop, -1):
+                    code = phases[j & 1][3][cur - 1]
+                    cur = 2 if code == 2 else 1  # codes 1 and 3 take link 1
+                    buf[j - 4] = cur
+                    if code == 3:
+                        if j < top - 1:
+                            mask |= 1 << (j & 3)
+                        else:
+                            pending.append((j, j, 15))
+                if stop >= lo:
+                    block = buf[top - 9:top - 5]  # squares top - 6 .. top - 3
+                    whole, rest = divmod(top - lo - 5, 4)  # squares lo - 1 .. top - 7 still open
+                    buf[lo - 4:top - 9] = block[4 - rest:] + block * whole
+                    cur = buf[lo - 4]
+                if mask:
+                    pending.append((lo, top - 2, mask))
+                j = lo - 1
+            yield bytes(buf)
+            while pending:
+                low, high, mask = pending.pop()
+                m = (mask | mask << 4) >> (low & 3) & 15  # bit d: row low + d ties
+                r = low + (m & -m).bit_length() - 1
+                if r <= high:
+                    if r < high:
+                        pending.append((r + 1, high, mask))
+                    buf[r - 4] = cur = 2  # square r - 1
+                    j = r - 1
+                    break
+            else:
+                return
 
     def iso_count(self, k: int | None = None, end: int | None = None) -> int:
         """Optimal chains at k squares up to mirror symmetry: the number
@@ -295,12 +325,7 @@ class DPTable:
         by parity, and each such stretch is one powered map: O(runs log k)
         big-int steps in all.
         """
-        k = self.n if k is None else k
-        self._check_k(k)
-        if self._first > 3:
-            raise ValueError("streaming table cannot count mirror classes (keep_table=False)")
-        if end is not None:
-            self._check_end(end)
+        k = self._walked(k, end, "count mirror classes")
         ends = (end,) if end is not None else self.winning_ends(k)
         v = (int(1 in ends), int(2 in ends))  # a word of B starts and ends in `ends`
         segs, s = self._segments, (k - 3) // 2  # s: steps while l + 1 < r
@@ -337,24 +362,18 @@ class DPTable:
     ) -> Iterator[LinkVector]:
         """All optimal chains at k squares, depth-first, each exactly once.
 
-        Discovery walks the predecessor DAG backwards (link 1 explored
-        first), so the first chain yielded equals `witness`.  The cost
-        is proportional to (chains emitted) x k: output-sensitive.
-        With ``dedup`` the first-seen member of each mirror pair is
-        kept; ``limit`` caps the number of chains yielded.
+        The words of `_words` for each winning end in turn, so the first
+        chain yielded equals `witness`, and each costs O(runs + ties)
+        Python steps and k-byte copies: output-sensitive.  With ``dedup``
+        the first-seen member of each mirror pair is kept; ``limit`` caps
+        the number of chains yielded.
         """
-        k = self.n if k is None else k
-        self._check_k(k)
-        if self._first > 3:
-            raise ValueError("streaming table cannot enumerate chains (keep_table=False)")
-        if end is not None:
-            self._check_end(end)
+        k = self._walked(k, end, "enumerate chains")
         ends = (end,) if end is not None else self.winning_ends(k)
-        codes = (None, *self._codes(k))  # indexed by link
         seen: set[bytes] = set()
         emitted = 0
         for e in ends:
-            for word in _chains_for_end(codes, k, e):
+            for word in self._words(k, e):
                 if dedup:
                     key = min(word, word[::-1])  # the mirror class's canonical word
                     if key in seen:
@@ -364,28 +383,6 @@ class DPTable:
                     return
                 emitted += 1
                 yield LinkVector(word)
-
-
-def _chains_for_end(codes: tuple, k: int, end: int) -> Iterator[bytes]:
-    """The optimal words of k squares ending in link `end`, depth-first,
-    from the predecessor codes of rows 3..k by link, one byte per link."""
-    if k == 3:
-        yield bytes((end,))
-        return
-    buf = bytearray(k - 2)
-    buf[-1] = end
-    stack = [iter(_PRED_LINKS[codes[end][k - 3]])]
-    while stack:
-        nxt = next(stack[-1], None)
-        if nxt is None:
-            stack.pop()
-            continue
-        pos = k - len(stack)  # square whose link is being fixed
-        buf[pos - 3] = nxt
-        if pos == 3:
-            yield bytes(buf)
-        else:
-            stack.append(iter(_PRED_LINKS[codes[nxt][pos - 3]]))
 
 
 def _compose(x: tuple, y: tuple) -> tuple:

@@ -250,6 +250,19 @@ def test_criterion_8_performance():
         assert peak < 1 * 2**20, f"{label} peak {peak} bytes"
 
 
+def test_enumeration_work_is_flat_in_n():
+    # chains(limit=50) walks the table's segments: a chain costs Python steps
+    # per run and per tie it reopens, and its links are byte copies.  Only
+    # the forward pass grows, by a few squarings per matrix power, where a
+    # per-link loop adds about 630 000 trace events from 10**4 to 10**5
+    const = IndexFunction("const", {p: Fraction(5, 3) for p in DEGREE_PAIRS})
+    for f in (AZI, const, preset("randic", -1)):
+        small, large = (_python_events(lambda: list(run_dp(f, n).chains(limit=50)))
+                        for n in (10**4, 10**5))
+        assert large[0] - small[0] <= 16, (f.name, small, large)
+        assert large[1] - small[1] <= 80, (f.name, small, large)
+
+
 CLI_COMMANDS = [
     ["value", "--index", "azi", "--links", "1,2,2,1"],
     ["value", "--index", "randic:-1/2", "--links", "1,2,1", "--format", "json"],

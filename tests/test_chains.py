@@ -57,6 +57,39 @@ class TestLinkVector:
             with pytest.raises(ValueError, match="invalid link"):
                 LinkVector.from_string(text)
 
+    def test_from_string_follows_the_token_rule(self):
+        def by_tokens(text):
+            """Strip, split at commas, strip each token: "1" or "2" or an error."""
+            text = text.strip()
+            if not text:
+                return ()
+            out = []
+            for tok in text.split(","):
+                tok = tok.strip()
+                if tok not in ("1", "2"):
+                    raise ValueError(f"invalid link {tok!r}: links must be 1 or 2")
+                out.append(int(tok))
+            return tuple(out)
+
+        def outcome(parse, text):
+            try:
+                return tuple(parse(text))
+            except ValueError as exc:
+                return str(exc)
+
+        rng = random.Random(62)
+        texts = ["1,,2", "1,3", " 1 , 2 ", "", "12", ",", "1,", "1 2", "1\t,\n2",
+                 "\xa01,2", "\ud800"]
+        for _ in range(3):
+            tokens = [rng.choice("12") for _ in range(10**5)]
+            texts.append(",".join(tokens))
+            texts.append(" , ".join(tokens))
+            tokens[rng.randrange(len(tokens))] = rng.choice(["3", "", "1 2", "x"])
+            texts.append(",".join(tokens))
+        for text in texts:
+            want = outcome(by_tokens, text)
+            assert outcome(lambda t: LinkVector.from_string(t).links, text) == want, text[:20]
+
     def test_equality_and_hash(self):
         assert LinkVector([1, 2]) == LinkVector((1, 2))
         assert len({LinkVector([1, 2]), LinkVector([1, 2]), LinkVector([2, 1])}) == 2

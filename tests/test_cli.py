@@ -1,6 +1,7 @@
 """Command-line frontend: formats, exit codes, schemas."""
 
 import json
+import resource
 import subprocess
 import sys
 
@@ -462,6 +463,20 @@ class TestProcess:
         probe = "import polychain.cli as c; print(c.build_parser.cache_info().currsize)"
         fresh = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
         assert fresh.stdout == "0\n", "the parser is built at import"
+
+    def test_out_of_memory_exits_2(self):
+        # the 10**10-byte witness cannot be allocated under a 1 GiB address
+        # space, set on the child alone; exit 1 would mean a mismatch
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "polychain.cli", "max", "--index", "azi", "--n", "10000000000"],
+            capture_output=True, text=True, timeout=120, preexec_fn=limit_memory)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: out of memory")
+        assert proc.stderr.count("\n") == 1
 
     def test_closed_pipe_ends_quietly(self):
         # a 200 KB witness overfills the 64 KB pipe buffer, so the write meets EPIPE

@@ -4,7 +4,7 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
 import pytest
 from hypothesis import given, settings
@@ -146,6 +146,35 @@ def reference_iso(f, k, end, ref=None):
         o11, o22, o12 = 1 in mid1, 2 in mid2, 2 in mid1 and 1 in mid2
         both, pal = v1 * v1 * o11 + v2 * v2 * o22 + 2 * v1 * v2 * o12, v1 * o11 + v2 * o22
     return sum(counts[e - 1] + 1 for e in ends) - (both - pal) // 2
+
+
+def reference_links(ref):
+    """Per row k, at k - 3, of ``ref`` = `reference_rows(f, n)`: indexed by
+    the link of square k, the links square k - 1 may take, link 1 first."""
+    return [(None, *(tuple(sorted(p)) for p in preds)) for _, preds, _ in ref[1]]
+
+
+def reference_words(links, k, end):
+    """The optimal words of k squares ending in link `end`, one byte per
+    link, by a depth-first walk over `reference_links` row by row: link 1
+    first at each tie, and the tie met last reopened first."""
+    if k == 3:
+        yield bytes((end,))
+        return
+    buf = bytearray(k - 2)  # buf[j - 3]: the link of square j
+    buf[-1] = end
+    stack = [iter(links[k - 3][end])]
+    while stack:
+        link = next(stack[-1], None)
+        if link is None:
+            stack.pop()
+            continue
+        j = k - len(stack)  # the square whose link is fixed
+        buf[j - 3] = link
+        if j == 3:
+            yield bytes(buf)
+        else:
+            stack.append(iter(links[j - 3][link]))
 
 
 def brute_force_max(f, n):
@@ -495,9 +524,9 @@ class TestIsoCount:
 
     def test_counts_without_per_row_codes(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("no row's codes may be expanded")
+            raise AssertionError("no word may be walked")
 
-        monkeypatch.setattr(DPTable, "_codes", refuse)
+        monkeypatch.setattr(DPTable, "_words", refuse)
         n = 10**5
         assert run_dp(AZI, n).iso_count() == -(-n // 4) - 1  # even n, see test_paper_counts
         t = run_dp(preset("randic", -1), n)
@@ -516,6 +545,73 @@ class TestIsoCount:
             t.iso_count(12, 3)
         with pytest.raises(ValueError, match="outside table range"):
             t.iso_count(13)
+
+
+def chain_corpus():
+    """`iso_corpus`, `PERIODIC_CORPUS`, `FLOAT_RUN_CORPUS`, `RULE_CORPUS`
+    and their negations, each table once."""
+    tables = {}
+    for f in (*iso_corpus(), *PERIODIC_CORPUS, *FLOAT_RUN_CORPUS, *RULE_CORPUS):
+        for g in (f, negate(f)):
+            tables.setdefault((g.mode, g.eps, *g.values.items()), g)
+    return list(tables.values())
+
+
+# (end, dedup, limit): two of them a square count, in turn
+CHAIN_QUERIES = [(end, dedup, limit) for end in (None, 1, 2) for dedup in (False, True)
+                 for limit in (None, 0, 1, 7)]
+
+
+def assert_chains_match(t, ref, links, k, cap):
+    """t.chains at k squares against `reference_words`, reading at most
+    `cap` words per end: in order for each end, and for two of
+    `CHAIN_QUERIES` chosen by k."""
+    words = {e: [LinkVector(w) for w in islice(reference_words(links, k, e), cap)]
+             for e in (1, 2)}
+    for e in (1, 2):
+        assert list(islice(t.chains(k, e), cap)) == words[e], (k, e)
+    (m1, m2), _, _ = ref[1][k - 3]
+    winners = (1, 2) if ref[0](m1, m2) else (1,) if m1 > m2 else (2,)
+    for end, dedup, limit in (CHAIN_QUERIES[k % 24], CHAIN_QUERIES[(k + 11) % 24]):
+        ends = (end,) if end else winners
+        want = words[ends[0]]  # the first words the walk yields
+        complete = len(want) < cap
+        if complete and len(ends) == 2:
+            want = want + words[2]
+            complete = len(words[2]) < cap
+        if dedup:  # the first word of each mirror class
+            first = {}
+            for c in want:
+                first.setdefault(min(c, c.reverse()), c)
+            want = list(first.values())
+        got = t.chains(k, end, dedup, limit)
+        if limit is not None:
+            want = want[:limit]  # an incomplete want holds cap / 2 >= 7 classes or more
+        elif not complete:
+            got = islice(got, len(want))
+        assert list(got) == want, (k, end, dedup, limit)
+
+
+class TestChainOrder:
+    """`chains` descends the table's segments; it must yield the words of
+    the row-by-row walk in the same order, under every end, dedup and
+    limit."""
+
+    def test_equals_reference_walk(self):
+        # 24 words reopen at least the last four ties; 500 at the top two sizes, eight
+        for f in chain_corpus():
+            t, ref = run_dp(f, 120), reference_rows(f, 120)
+            links = reference_links(ref)
+            for k in range(3, 121):
+                assert_chains_match(t, ref, links, k, 500 if k > 118 else 24)
+
+    def test_first_chain_is_the_witness_at_large_n(self):
+        for name in PRESET_NAMES:
+            for f in (preset(name), negate(preset(name))):
+                for n in (10**6, 10**6 - 1):
+                    t = run_dp(f, n)
+                    for e in (1, 2):
+                        assert t.witness(n, e) == next(t.chains(n, e)), (f.name, n, e)
 
 
 class TestCountMaximal:
