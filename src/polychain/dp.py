@@ -46,8 +46,8 @@ fixed margin.
 
 The table is the list of these stepped rows and runs, one segment each
 (`DPTable`).  A run is read back from its two base rows, their rises
-and its two rows' codes; its tie counts come from the codes' affine map
-t -> t1 / t2 / 1 + t1 + t2 of each end, a 3x3 integer matrix raised to
+and its two rows' codes; its chain counts come from the codes' linear
+map c -> c1 / c2 / c1 + c2 of each end, a 2x2 integer matrix raised to
 a power by squaring, and the mirror count's walk powers its maps alike.
 A table, kept or streaming, costs O(runs) Python steps and segments and
 O(runs log n) big-int steps; a row is read in O(log runs) steps, and
@@ -86,8 +86,8 @@ MAX = "max"
 MIN = "min"
 
 _PRED_SETS = (frozenset(), frozenset((1,)), frozenset((2,)), frozenset((1, 2)))
-# an end's tie count as a row over (t1, t2, 1) of the row before, by its code
-_TIE_ROWS = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 1))
+# an end's chain count as a row over the counts (c1, c2) of the row before, by its code
+_COUNT_ROWS = ((1, 0), (1, 0), (0, 1), (1, 1))
 _FLAT = (0, 0)  # the rise of a one-row segment
 
 
@@ -116,23 +116,24 @@ class DPTable:
 
     The table is one list of segments sorted by first row: each row the
     forward pass stepped, row 3 included, is a one-row segment, and each
-    run it jumped is one segment.  A segment (lo, hi, ties, phases)
-    holds its first and last rows, the tie counts (t1, t2) of row
-    lo - 1, and phases[r % 2] = (row, values, rise, codes) for its rows
-    r of one parity.  Row r's two optimum values, integers over one
-    common denominator, are `values` (those of the base row `row`) plus
+    run it jumped is one segment.  A segment (lo, hi, counts, phases)
+    holds its first and last rows, the chain counts (c1, c2) of row
+    lo - 1 ((1, 0) before row 3, whose code 0 reads them as c1), and
+    phases[r % 2] = (row, values, rise, codes) for its rows r of one
+    parity.  Row r's two optimum values, integers over one common
+    denominator, are `values` (those of the base row `row`) plus
     (r - row) / 2 times `rise`, and codes[:2] are its two predecessor
     codes (1 or 2, 3 for a tie, 0 at row 3): the DAG that `witness` and
-    `chains` walk backwards.  A row's tie counts are its segment's tie
-    map powered from the counts entering the segment, or from the last
-    row read when that lies in the same segment, so reading rows in order
-    costs O(1) big-int steps a row.  A streaming build
+    `chains` walk backwards.  A row's chain counts (tie counts plus one)
+    are its segment's count map powered from the counts entering it, or
+    from the last row read when that lies in the same segment, so reading
+    rows in order costs O(1) big-int steps a row.  A streaming build
     (``keep_table=False``) holds the same list and reads only row n.
     Iterating yields one `DPState` per readable row.  `steps` counts the
     rows the forward pass stepped one at a time.
     """
 
-    def __init__(self, f, n, segments, ties, steps, period, first):
+    def __init__(self, f, n, segments, counts, steps, period, first):
         self.f = f
         self.n = n
         self.mode = f.mode
@@ -141,7 +142,7 @@ class DPTable:
         self._first = first  # the first readable row: 3, or n for a streaming table
         self._segments = segments
         self._starts = [seg[0] for seg in segments]
-        self._tie_at = (n, ties)  # the last row whose tie counts were read, and those
+        self._count_at = (n, counts)  # the last row whose chain counts were read, and those
         self._period = period
 
     @property
@@ -181,18 +182,22 @@ class DPTable:
         self._check_end(i)
         return self.f.read(self._raw(k, i))
 
-    def tie_count(self, k: int, i: int) -> int:
-        """Optimal k-square chains ending with link i, minus one."""
+    def _count(self, k: int, i: int) -> int:
+        """Optimal k-square chains ending with link i."""
         self._check_k(k)
         self._check_end(i)
-        row, ties = self._tie_at
+        row, counts = self._count_at
         if row != k:
             seg = self._segment(k)
             if not seg[0] <= row < k:
-                row, ties = seg[0] - 1, seg[2]
-            ties = _carry(seg, row, ties, k)
-            self._tie_at = (k, ties)
-        return ties[i - 1]
+                row, counts = seg[0] - 1, seg[2]
+            counts = _carry(seg, row, counts, k)
+            self._count_at = (k, counts)
+        return counts[i - 1]
+
+    def tie_count(self, k: int, i: int) -> int:
+        """Optimal k-square chains ending with link i, minus one."""
+        return self._count(k, i) - 1
 
     def predecessors(self, k: int, i: int) -> frozenset[int]:
         self._check_k(k)
@@ -227,10 +232,10 @@ class DPTable:
         return self.value(k, self.winning_ends(k)[0])
 
     def labeled_count(self, k: int | None = None, end: int | None = None) -> int:
-        """Number of distinct optimal chains (tie count + 1 per winning end)."""
+        """Number of distinct optimal chains (summed over the winning ends)."""
         k = self.n if k is None else k
         ends = (end,) if end is not None else self.winning_ends(k)
-        return sum(self.tie_count(k, e) + 1 for e in ends)
+        return sum(self._count(k, e) for e in ends)
 
     def _walked(self, k: int | None, end: int | None, what: str) -> int:
         """k (n for None), checked with `end` for a walk back from row k."""
@@ -339,18 +344,19 @@ class DPTable:
             first = _mirror_map(left[row_l % 2][3], right[row_r % 2][3])
             second = (_mirror_map(left[(row_l + 1) % 2][3], right[(row_r - 1) % 2][3])
                       if rows > 1 else None)
-            v = _tie_steps(v, first, second, rows)
+            v = _steps(v, first, second, rows)
             done += rows
             i += row_l + rows > hi
             j -= row_r - rows < lo
-        v1, v2 = v
-        if k % 2:  # odd length: the halves share the middle square
-            both, pal = v1 * v1 + v2 * v2, v1 + v2
-        else:  # even length: one edge, read both ways, joins the middle squares
-            a1, a2 = self._segment(s + 4)[3][(s + 4) % 2][3][:2]  # row s + 4
-            o11, o22 = a1 & 1, a2 >> 1  # links 1, 1 and 2, 2; links 1, 2 need 2 -> 1 and 1 -> 2
-            both = v1 * v1 * o11 + v2 * v2 * o22 + (2 * v1 * v2 if a1 & 2 and a2 & 1 else 0)
-            pal = v1 * o11 + v2 * o22
+        # the halves join by the map m of the middle: they share its square (odd
+        # k), or the walk's step l + 1 = r = s + 4 reads its edge both ways (even k)
+        if k % 2:
+            m = ((1, 0), (0, 1))
+        else:
+            codes = self._segment(s + 4)[3][(s + 4) % 2][3]
+            m = _mirror_map(codes, codes)
+        (v1, v2), (w1, w2) = v, _apply(m, v)
+        both, pal = v1 * w1 + v2 * w2, m[0][0] * v1 + m[1][1] * v2
         return self.labeled_count(k, end) - (both - pal) // 2
 
     def chains(
@@ -386,47 +392,42 @@ class DPTable:
 
 
 def _compose(x: tuple, y: tuple) -> tuple:
-    """The affine map x after y, each kept as the top two rows of its 3x3
-    integer matrix over (t1, t2, 1), whose last row is (0, 0, 1)."""
-    (a, b, c), (d, e, f) = x
-    (g, h, i), (j, k, l) = y
-    return ((a * g + b * j, a * h + b * k, a * i + b * l + c),
-            (d * g + e * j, d * h + e * k, d * i + e * l + f))
+    """The linear map x after y, each a 2x2 integer matrix."""
+    (a, b), (c, d) = x
+    (e, f), (g, h) = y
+    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
 
 
-def _power(m: tuple, e: int) -> tuple:
-    """The affine map m applied e times, by squaring."""
-    out = ((1, 0, 0), (0, 1, 0))
+def _apply(m: tuple, v: tuple) -> tuple:
+    """The 2x2 integer matrix m times the vector v."""
+    (a, b), (c, d) = m
+    return (a * v[0] + b * v[1], c * v[0] + d * v[1])
+
+
+def _power(m: tuple, e: int, v: tuple) -> tuple:
+    """The linear map m applied e times to v, by squaring (its powers commute)."""
     while e:
         if e & 1:
-            out = _compose(out, m)
+            v = _apply(m, v)
         e >>= 1
         if e:  # no squaring past the top bit: the entries can be n bits wide
             m = _compose(m, m)
-    return out
+    return v
 
 
-def _tie_steps(t: tuple, first: tuple, second: tuple, rows: int) -> tuple:
-    """Counts t = (t1, t2) carried over `rows` rows whose affine maps
-    alternate first, second, first, ..."""
-    if rows == 1:  # one row: its map, no power
-        step = first
-    else:
-        half, odd = divmod(rows, 2)
-        step = _power(_compose(second, first), half)
-        if odd:
-            step = _compose(first, step)
-    (a, b, c), (d, e, f) = step
-    t1, t2 = t
-    return (a * t1 + b * t2 + c, d * t1 + e * t2 + f)
+def _steps(v: tuple, first: tuple, second: tuple, rows: int) -> tuple:
+    """v carried over `rows` rows whose linear maps alternate first, second, first, ..."""
+    half, odd = divmod(rows, 2)
+    v = _power(_compose(second, first), half, v) if half else v
+    return _apply(first, v) if odd else v
 
 
-def _carry(seg: tuple, row: int, ties: tuple, k: int) -> tuple:
-    """The tie counts of row k of segment `seg` from `ties`, those of row
-    `row`, for lo - 1 <= row < k."""
-    first, second = ((_TIE_ROWS[codes[0]], _TIE_ROWS[codes[1]])
+def _carry(seg: tuple, row: int, counts: tuple, k: int) -> tuple:
+    """The chain counts of row k of segment `seg` from `counts`, those of
+    row `row`, for lo - 1 <= row < k."""
+    first, second = ((_COUNT_ROWS[codes[0]], _COUNT_ROWS[codes[1]])
                      for _, _, _, codes in (seg[3][(row + 1) % 2], seg[3][row % 2]))
-    return _tie_steps(ties, first, second, k - row)
+    return _steps(counts, first, second, k - row)
 
 
 def _mirror_map(a: tuple, z: tuple) -> tuple:
@@ -434,7 +435,7 @@ def _mirror_map(a: tuple, z: tuple) -> tuple:
     then y is kept at squares l, l + 1 when code a of row l + 1 at end y
     admits x and, mirrored, code z of row r at end x admits y."""
     a1, a2, z1, z2 = a[0], a[1], z[0], z[1]
-    return ((a1 & z1 & 1, a1 >> 1 & z2 & 1, 0), (a2 & z1 >> 1, (a2 & z2) >> 1, 0))
+    return ((a1 & z1 & 1, a1 >> 1 & z2 & 1), (a2 & z1 >> 1, (a2 & z2) >> 1))
 
 
 def _code(f: IndexFunction, a: int, b: int) -> int:
@@ -444,7 +445,7 @@ def _code(f: IndexFunction, a: int, b: int) -> int:
 
 
 def _build(f: IndexFunction, n: int) -> tuple:
-    """The segments of rows 3..n, the tie counts of row n, the number of
+    """The segments of rows 3..n, the chain counts of row n, the number of
     rows stepped and the period (see `DPTable`)."""
     G11, G12, G21, G22, g2, base = _increments(f)
     den, (p, q) = f.den, f.tol
@@ -497,7 +498,7 @@ def _build(f: IndexFunction, n: int) -> tuple:
 
     x = (base + G11, base + g2)
     row3 = (3, x, _FLAT, (0, 0))
-    segments, ties = [(3, 3, (0, 0), (row3, row3))], (0, 0)  # ties: those of row k
+    segments, counts = [(3, 3, (1, 0), (row3, row3))], (1, 1)  # counts: those of row k
     # rows k - 4 .. k (row 3 for those before it): values and the decisions that made them
     hist = [(x, None)] * 5
     steady = 0  # rows in succession that decided as the row two before
@@ -535,10 +536,10 @@ def _build(f: IndexFunction, n: int) -> tuple:
                 d, y, z = x[0] - x[1], hist[-3][0], hist[-2][0]
                 if d == y[0] - y[1]:  # the first repeat of d
                     period = (k - 1, 1 if d == z[0] - z[1] else 2)
-        seg = (lo, k, ties, phases)
+        seg = (lo, k, counts, phases)
         segments.append(seg)
-        ties = _carry(seg, lo - 1, ties, k)
-    return segments, ties, k - 3 - jumped, period
+        counts = _carry(seg, lo - 1, counts, k)
+    return segments, counts, k - 3 - jumped, period
 
 
 def run_dp(f: IndexFunction, n: int, *, keep_table: bool = True) -> DPTable:
@@ -559,8 +560,8 @@ def run_dp(f: IndexFunction, n: int, *, keep_table: bool = True) -> DPTable:
     float tables behave alike, and report `DPTable.period` too."""
     if n < 3:
         raise ValueError(f"dynamic program needs n >= 3, got {n}")
-    segments, ties, steps, period = _build(f, n)
-    table = DPTable(f, n, segments, ties, steps, period, 3 if keep_table else n)
+    segments, counts, steps, period = _build(f, n)
+    table = DPTable(f, n, segments, counts, steps, period, 3 if keep_table else n)
     if f.mode == FLOAT:
         for end in (1, 2):
             check_finite(table.value(n, end), f"the optimum at n = {n}")
@@ -649,8 +650,7 @@ def enumerate_maximal(
 
 def count_maximal(f: IndexFunction, n: int, end: int) -> int:
     """Number of distinct maximal chains ending with the given link."""
-    if end not in (1, 2):
-        raise ValueError(f"end link must be 1 or 2, got {end!r}")
+    DPTable._check_end(end)
     return run_dp(f, n, keep_table=False).labeled_count(n, end)
 
 

@@ -482,6 +482,16 @@ def iso_corpus():
     return tables + [negate(f) for f in tables]
 
 
+def fibonacci(*ms):
+    """{m: F(m)} for each m given, F(1) = F(2) = 1, by one plain loop."""
+    want, out, a, b = set(ms), {}, 0, 1  # a, b: F(m), F(m + 1)
+    for m in range(max(ms) + 1):
+        if m in want:
+            out[m] = a
+        a, b = b, a + b
+    return out
+
+
 class TestIsoCount:
     def test_equals_dedup_enumeration(self):
         open_sets = 0  # float optimal sets not closed under reversal
@@ -529,10 +539,13 @@ class TestIsoCount:
         monkeypatch.setattr(DPTable, "_words", refuse)
         n = 10**5
         assert run_dp(AZI, n).iso_count() == -(-n // 4) - 1  # even n, see test_paper_counts
-        t = run_dp(preset("randic", -1), n)
-        labeled, iso = t.labeled_count(), t.iso_count()
-        assert labeled > 2**1000
-        assert labeled <= 2 * iso < 2 * labeled  # one or two words a class, some of them two
+        # randic:-1 has F(n - 2) maximizers, F(1) = F(2) = 1, and P palindromes among
+        # them; the odd size ends on the other middle join
+        fib = fibonacci(n - 2, n - 1, (n - 2) // 2, (n + 2) // 2)
+        for m, palindromes in ((n, fib[(n - 2) // 2]), (n + 1, fib[(n + 2) // 2])):
+            t = run_dp(preset("randic", -1), m)
+            labeled = fib[m - 2]
+            assert (t.labeled_count(), t.iso_count()) == (labeled, (labeled + palindromes) // 2), m
         assert run_dp(constant_index(), n).iso_count() == (2 ** (n - 2) + 2 ** ((n - 1) // 2)) // 2
 
     def test_streaming_table_refused(self):
@@ -612,6 +625,36 @@ class TestChainOrder:
                     t = run_dp(f, n)
                     for e in (1, 2):
                         assert t.witness(n, e) == next(t.chains(n, e)), (f.name, n, e)
+
+
+class TestCountReadOrder:
+    """A row's counts are carried from the last row read when that lies in
+    its segment, else from the counts entering the segment: every read
+    order must give the counts of `reference_rows`."""
+
+    def test_in_order_reversed_and_interleaved(self):
+        rng = random.Random(22)
+        rows = list(range(3, 121))
+        for f in chain_corpus():
+            ties, ref = reference_rows(f, 120)
+            want = {}
+            for k in rows:
+                (m1, m2), _, (t1, t2) = ref[k - 3]
+                winners = (1, 2) if ties(m1, m2) else (1,) if m1 > m2 else (2,)
+                want[k] = (t1, t2, sum((t1, t2)[e - 1] + 1 for e in winners), t1 + 1, t2 + 1)
+            shuffled = rng.sample(rows, len(rows))
+            for order in (rows, rows[::-1], shuffled):
+                t = run_dp(f, 120)  # its last read row is 120
+                for k in order:
+                    if order is shuffled:  # iso_count reads counts elsewhere first, value none
+                        other = rng.choice(rows)
+                        if rng.random() < 0.5:
+                            t.iso_count(other)
+                        else:
+                            t.value(other, rng.choice((1, 2)))
+                    got = (t.tie_count(k, 1), t.tie_count(k, 2), t.labeled_count(k),
+                           t.labeled_count(k, 1), t.labeled_count(k, 2))
+                    assert got == want[k], (f.name, k, order is shuffled)
 
 
 class TestCountMaximal:
