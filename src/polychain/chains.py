@@ -17,9 +17,11 @@ with a per-process salt, so no output may iterate a set of words.
 This module owns that encoding and the purely structural operations on
 it: lattice realization, the corner graph and its degree-pair multiset,
 segment decomposition, the named chain families, and mirror-symmetry
-canonicalization.  The corner graph grows and shrinks one square at a
-time in O(1), on O(n) memory; `edge_degree_multiset` walks it along one
-word, and the oracle's census walks it over the whole link tree.
+canonicalization.  The corner graph reads what the next square would
+add to the degree-pair counts in O(1), without changing, and grows one
+square at a time, on O(n) memory: `edge_degree_multiset` walks it
+forward along one word, and the oracle's census over the whole link
+tree.
 """
 
 from __future__ import annotations
@@ -46,11 +48,6 @@ _RIGHT = (1, 0)
 _DOWN = (0, -1)
 
 DEGREE_PAIRS = ((2, 2), (2, 3), (2, 4), (3, 3), (3, 4), (4, 4))
-
-# slot of the degree pair (a, b) in DEGREE_PAIRS, at _PAIR_SLOT[a][b] == _PAIR_SLOT[b][a]
-_PAIR_SLOT = [[-1] * 5 for _ in range(5)]
-for _j, (_a, _b) in enumerate(DEGREE_PAIRS):
-    _PAIR_SLOT[_a][_b] = _PAIR_SLOT[_b][_a] = _j
 
 
 class LinkVector:
@@ -215,70 +212,87 @@ def realize(chain) -> tuple[tuple[int, int], ...]:
 
 
 class _CornerGraph:
-    """Corner graph of a chain of at most n squares, one square at a time.
+    """Corner graph of a chain of at most n squares, grown one square at a time.
 
-    It starts as the two-square chain; `glue` adds a square and keeps
-    `counts`, the edges per degree pair in `DEGREE_PAIRS` order, up to
-    date in O(1), and `unglue` takes it off again.  Square k lies on the
-    diagonal x - y = k - 1, so each diagonal -1..n holds at most two
-    corners, at consecutive x: corner (x, y) has slot
+    `deg` and `nbrs` hold each corner's degree and neighbours.  Square k
+    lies on the diagonal x - y = k - 1, so each diagonal -1..n holds at
+    most two corners, at consecutive x: corner (x, y) has slot
     2*(x - y + 1) + (x & 1) in lists of 2*(n + 2) entries, and the other
-    corner on its diagonal has slot ^ 1.
+    corner on its diagonal has slot ^ 1.  A last square is given by its
+    south-west corner `cell` and whether it was glued rightward.
+
+    The edges per degree pair, in `DEGREE_PAIRS` order, are packed into
+    one int, `width` bits a pair, so a change of counts is one int
+    addition.  `delta` reads what gluing a square on would add, in O(1)
+    and without touching the graph; `grow` then glues it on.  The
+    two-square chain's counts, cell and direction are `start`.  A walk
+    that backs up takes a square off by popping the neighbours `grow`
+    appended at s1 and s2 and lowering their degrees; the far corners
+    just go stale.
     """
 
-    __slots__ = ("deg", "nbrs", "counts", "cell", "right")
+    __slots__ = ("deg", "nbrs", "width", "up", "join", "start")
 
     def __init__(self, n: int) -> None:
+        self.width = width = (3 * n + 1).bit_length()  # a chain of n squares has 3n + 1 edges
+        bit = [[0] * 5 for _ in range(5)]  # bit[a][b]: one edge between degrees a and b
+        for j, (a, b) in enumerate(DEGREE_PAIRS):
+            bit[a][b] = bit[b][a] = 1 << width * j
+        # up[d][e]: an edge between degrees d and e gains one at its degree-d end;
+        # join[d1][d2]: a square is glued to a side s1 s2 of those degrees, less
+        # the side's own two up terms, which `delta` takes in with the neighbours
+        self.up = up = [[bit[d + 1][e] - bit[d][e] for e in range(5)] for d in range(4)]
+        self.join = [[bit[d1 + 1][d2 + 1] - bit[d1][d2] + bit[d1 + 1][2] + bit[d2 + 1][2]
+                      + bit[2][2] - up[d1][d2] - up[d2][d1] for d2 in range(4)] for d1 in range(4)]
         self.deg = [0] * (2 * (n + 2))
         self.nbrs: list[list[int] | None] = [None] * (2 * (n + 2))
         # the square at (0, 0): corners (0, 1), (0, 0), (1, 1), (1, 0) at slots 0, 2, 3, 5
         for corner, nbrs in ((0, [2, 3]), (2, [5, 0]), (3, [5, 0]), (5, [2, 3])):
             self.deg[corner], self.nbrs[corner] = 2, nbrs
-        self.counts = [4, 0, 0, 0, 0, 0]
-        self.cell, self.right = 2, True  # the last square's south-west corner; glued rightward
-        self.glue(1)  # the square at (1, 0)
+        s1, s2, t1, t2, cell, right = self.sides(2, True)[0]  # the square at (1, 0)
+        self.start = (4 * bit[2][2] + self.delta(s1, s2), cell, right)
+        self.grow(s1, s2, t1, t2)
 
-    def glue(self, link: int) -> tuple:
-        """Glue on the next square; return the record `unglue` takes it off by."""
-        c, right = self.cell, self.right
-        to_right = right if link == 1 else not right
-        if to_right:  # on the east side of the last square
-            s1, s2, t1, t2 = (c ^ 1) + 2, c ^ 1, c + 4, c + 2
-        else:  # on its south side
-            s1, s2, t1, t2 = c, (c ^ 1) + 2, c + 2, (c ^ 1) + 4
-        deg, nbrs, counts, slot = self.deg, self.nbrs, self.counts, _PAIR_SLOT
-        undo = (s1, s2, c, right, counts[:])
-        # the new far corners t1, t2 join s1, s2; only edges at s1, s2 change pair
+    @staticmethod
+    def sides(cell: int, right: bool) -> tuple:
+        """For link 1 and link 2 after the last square: the side s1 s2 of
+        the last square the next one is glued to, that square's far
+        corners t1, t2 (t1 joined to s1), and its cell and direction."""
+        ne, below = cell ^ 1, cell + 2
+        se = ne + 2
+        east = (se, ne, cell + 4, below, se, True)
+        south = (cell, se, below, ne + 4, below, False)
+        return (east, south) if right else (south, east)
+
+    def delta(self, s1: int, s2: int) -> int:
+        """The packed counts a square glued to the side s1 s2 adds: the
+        edges at s1 and s2 move up a degree, and three new edges join."""
+        deg, nbrs = self.deg, self.nbrs
         d1, d2 = deg[s1], deg[s2]
-        for s, d, other in ((s1, d1, s2), (s2, d2, s1)):
-            was, now = slot[d], slot[d + 1]
-            for u in nbrs[s]:
-                if u != other:
-                    counts[was[deg[u]]] -= 1
-                    counts[now[deg[u]]] += 1
-        counts[slot[d1][d2]] -= 1
-        d1 += 1
-        d2 += 1
-        counts[slot[d1][d2]] += 1
-        counts[slot[d1][2]] += 1
-        counts[slot[d2][2]] += 1
-        counts[slot[2][2]] += 1
-        deg[s1], deg[s2], deg[t1], deg[t2] = d1, d2, 2, 2
+        up1, up2 = self.up[d1], self.up[d2]
+        change = self.join[d1][d2]
+        for u in nbrs[s1]:
+            change += up1[deg[u]]
+        for u in nbrs[s2]:
+            change += up2[deg[u]]
+        return change
+
+    def grow(self, s1: int, s2: int, t1: int, t2: int) -> None:
+        """Glue on the square with side s1 s2 and far corners t1, t2."""
+        deg, nbrs = self.deg, self.nbrs
+        deg[s1] += 1
+        deg[s2] += 1
+        deg[t1] = deg[t2] = 2
         nbrs[s1].append(t1)
         nbrs[s2].append(t2)
         nbrs[t1] = [s1, t2]
         nbrs[t2] = [s2, t1]
-        self.cell, self.right = s1 if to_right else t1, to_right
-        return undo
 
-    def unglue(self, undo: tuple) -> None:
-        """Take off the last square, given its `glue` record; its far corners go stale."""
-        s1, s2, self.cell, self.right, self.counts[:] = undo
-        nbrs, deg = self.nbrs, self.deg
-        nbrs[s1].pop()
-        nbrs[s2].pop()
-        deg[s1] -= 1
-        deg[s2] -= 1
+    def unpack(self, counts: int) -> tuple[int, ...]:
+        """The edges per degree pair, in `DEGREE_PAIRS` order, of packed counts."""
+        width = self.width
+        mask = (1 << width) - 1
+        return tuple(counts >> width * j & mask for j in range(len(DEGREE_PAIRS)))
 
 
 def edge_degree_multiset(chain) -> Counter:
@@ -291,9 +305,13 @@ def edge_degree_multiset(chain) -> Counter:
     """
     word = _as_word(chain)
     graph = _CornerGraph(len(word) + 2)
+    sides, delta, grow = graph.sides, graph.delta, graph.grow
+    counts, cell, right = graph.start
     for link in word:
-        graph.glue(link)
-    return Counter({pair: m for pair, m in zip(DEGREE_PAIRS, graph.counts) if m})
+        s1, s2, t1, t2, cell, right = sides(cell, right)[link - 1]
+        counts += delta(s1, s2)
+        grow(s1, s2, t1, t2)
+    return Counter({pair: m for pair, m in zip(DEGREE_PAIRS, graph.unpack(counts)) if m})
 
 
 def segments(chain) -> tuple[int, ...]:

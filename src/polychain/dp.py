@@ -263,6 +263,7 @@ class DPTable:
         in O(segments + ties) Python steps and byte copies, whatever k is."""
         segs, starts = self._segments, self._starts
         buf = bytearray(k - 2)  # buf[j - 3]: the link of square j
+        view = memoryview(buf)
         buf[-1] = cur = end
         j = k  # squares j .. k are fixed
         pending = []  # the lowest rows last
@@ -292,9 +293,13 @@ class DPTable:
                         else:
                             pending.append((j, j, 15))
                 if stop >= lo:
-                    block = buf[top - 9:top - 5]  # squares top - 6 .. top - 3
-                    whole, rest = divmod(top - lo - 5, 4)  # squares lo - 1 .. top - 7 still open
-                    buf[lo - 4:top - 9] = block[4 - rest:] + block * whole
+                    # squares top - 6 .. top - 3 repeat down to square lo - 1: copy the
+                    # known stretch down by its own length, a multiple of 4, doubling it
+                    high, known, size = top - 5, 4, top - lo - 1
+                    while known < size:
+                        step = known if 2 * known <= size else size - known
+                        view[high - known - step:high - known] = view[high - step:high]
+                        known += step
                     cur = buf[lo - 4]
                 if mask:
                     pending.append((lo, top - 2, mask))
@@ -404,6 +409,13 @@ def _apply(m: tuple, v: tuple) -> tuple:
     return (a * v[0] + b * v[1], c * v[0] + d * v[1])
 
 
+def _square(m: tuple) -> tuple:
+    """The 2x2 integer matrix m times itself, in five products."""
+    (a, b), (c, d) = m
+    bc, trace = b * c, a + d
+    return ((a * a + bc, b * trace), (c * trace, d * d + bc))
+
+
 def _power(m: tuple, e: int, v: tuple) -> tuple:
     """The linear map m applied e times to v, by squaring (its powers commute)."""
     while e:
@@ -411,7 +423,7 @@ def _power(m: tuple, e: int, v: tuple) -> tuple:
             v = _apply(m, v)
         e >>= 1
         if e:  # no squaring past the top bit: the entries can be n bits wide
-            m = _compose(m, m)
+            m = _square(m)
     return v
 
 

@@ -10,22 +10,23 @@ vector: how many edges join corners of degrees (2,2), (2,3), ...,
 (4,4), in `DEGREE_PAIRS` order.  That vector does not depend on the
 index, so `census(n)` takes it once per n, by a depth-first walk of the
 link tree on the same corner graph `evaluate_direct` reads
-(`chains._CornerGraph`).  Gluing a square on or taking it off costs
-O(1) and the graph holds O(n) corners, so each tree node costs O(1)
-where rebuilding the graph costs O(n) per chain.  The census keeps the
-distinct vectors (98 at n = 14, 135 at n = 16) and one 2-byte vector id
-per chain, in lexicographic order; it is built on first use and cached
-per n, so every index and every sweep at that n shares it.  A sweep
-then values each distinct vector once, as an int: its dot product with
-the index's scaled entries (`IndexFunction.scaled`, exact in both
-modes).  One selection follows: builtin max/min pick the extreme over
-the ids present, one mask over the distinct values marks those that tie
-it (`IndexFunction.ties`), and one C-level `compress` over the vector
-ids gives each result set in lexicographic order.  A chain in a set is
-its position's binary digits translated to link bytes, which its
-`LinkVector` keeps.  The extreme is read back by `IndexFunction.read`,
-a float one as the exact extreme correctly rounded.  Memory is the
-census, 2 bytes per chain for each cached n, plus the result sets.
+(`chains._CornerGraph`).  A node reads both children's vectors off the
+degrees in O(1) and glues a square on only to go deeper, so no leaf is
+glued.  The census keeps the distinct vectors (98 at n = 14, 135 at
+n = 16), one 2-byte vector id per chain in lexicographic order, and
+each (vector, last link) group's chain positions, ascending, in at most
+4 bytes per chain more; it is built on first use and cached per n, so
+every index and every sweep at that n shares it.  A sweep then values
+each distinct vector once, as an int: its dot product with the index's
+scaled entries (`IndexFunction.scaled`, exact in both modes).  Per
+result set, builtin max/min pick the extreme over the vectors present,
+one mask over the distinct values marks those that tie it
+(`IndexFunction.ties`), and the tying groups merge into the set in
+lexicographic order: after the census a sweep costs O(distinct vectors)
+plus its output.  A chain in a set is its position's binary digits
+translated to link bytes, which its `LinkVector` keeps.  The extreme is
+read back by `IndexFunction.read`, a float one as the exact extreme
+correctly rounded.
 `cross_check` compares the engine's and the oracle's sets of
 `LinkVector`s and sorts their words only to describe a mismatch.
 """
@@ -35,8 +36,8 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import cache
-from itertools import compress
-from operator import mul
+from itertools import chain, compress, repeat
+from operator import mul, sub
 
 from .chains import LinkVector, _CornerGraph, canonical_reversal
 from .indices import (
@@ -54,6 +55,26 @@ __all__ = ["OracleReport", "DEFAULT_CAP", "census", "exhaustive", "cross_check"]
 
 DEFAULT_CAP = 24
 
+
+class _Census(tuple):
+    """`census`'s pair (vectors, ids), carrying the chain groups: for last
+    link e, `positions[e - 1]` holds its chains' positions by vector id,
+    ascending within an id, id v's from `starts[e - 1][v]` on."""
+
+    positions: tuple[array, array]
+    starts: tuple[array, array]
+
+    def group(self, end: int, vid: int) -> array:
+        """The ascending positions of the chains with last link `end` and vector id `vid`."""
+        starts = self.starts[end - 1]
+        return self.positions[end - 1][starts[vid]:starts[vid + 1]]
+
+    def present(self, end: int) -> list[int]:
+        """The vector ids of the chains with last link `end`."""
+        starts = self.starts[end - 1]
+        return list(compress(range(len(starts) - 1), map(sub, starts[1:], starts)))
+
+
 @cache
 def census(n: int) -> tuple[tuple[tuple[int, ...], ...], memoryview]:
     """Degree-pair vectors of every n-square chain (n >= 2).
@@ -61,29 +82,61 @@ def census(n: int) -> tuple[tuple[tuple[int, ...], ...], memoryview]:
     Returns the distinct vectors (counts in `DEGREE_PAIRS` order) and a
     read-only view of an ``array('H')`` holding one vector id per chain,
     chains in the lexicographic order of
-    `itertools.product((1, 2), repeat=n - 2)`.
-    One corner graph walks the link tree depth first, link 1 before
-    link 2, gluing a square on at each step down and taking it off at
-    each step up.  The result is cached and shared by every caller.
+    `itertools.product((1, 2), repeat=n - 2)`, with the chain groups
+    (`_Census`).  One corner graph walks the link tree depth first, link
+    1 before link 2, carrying a node's packed counts down as a value.
+    The result is cached and shared by every caller.
     """
     if n < 2:
         raise ValueError(f"a chain needs at least 2 squares, got n={n}")
     graph = _CornerGraph(n)
-    glue, unglue, counts = graph.glue, graph.unglue, graph.counts
-    ids: dict[tuple[int, ...], int] = {}
+    deg, nbrs, sides, delta, grow = graph.deg, graph.nbrs, graph.sides, graph.delta, graph.grow
+    seen: dict[int, int] = {}  # packed counts -> vector id
     out = array("H")
+    put = out.append
+    code = "H" if n <= 18 else "I"  # the narrowest type for positions below 2**(n - 2)
+    groups: tuple[list[array], list[array]] = ([], [])  # per last link, per vector id
 
-    def visit(depth: int) -> None:
-        if depth == n - 2:
-            out.append(ids.setdefault(tuple(counts), len(ids)))
+    def vid_of(counts: int) -> int:
+        vid = seen.get(counts)
+        if vid is None:
+            seen[counts] = vid = len(seen)
+            for column in groups:
+                column.append(array(code))
+        return vid
+
+    def visit(depth: int, counts: int, cell: int, right: bool) -> None:
+        if depth == leaves:  # the children are chains: no square is glued
+            pos = len(out)
+            for end, (s1, s2, *_) in enumerate(sides(cell, right)):
+                vid = vid_of(counts + delta(s1, s2))
+                put(vid)
+                groups[end][vid].append(pos + end)
             return
-        for link in (1, 2):
-            undo = glue(link)
-            visit(depth + 1)
-            unglue(undo)
+        for s1, s2, t1, t2, child_cell, child_right in sides(cell, right):
+            child = counts + delta(s1, s2)
+            grow(s1, s2, t1, t2)
+            visit(depth + 1, child, child_cell, child_right)
+            nbrs[s1].pop()  # take the square off again; its far corners go stale
+            nbrs[s2].pop()
+            deg[s1] -= 1
+            deg[s2] -= 1
 
-    visit(0)
-    return tuple(ids), memoryview(out).toreadonly()
+    counts, cell, right = graph.start
+    leaves = n - 3  # the depth whose children are leaves
+    if leaves < 0:  # the two-square chain
+        put(vid_of(counts))
+        groups[0][0].append(0)
+    else:
+        visit(0, counts, cell, right)
+    result = _Census((tuple(map(graph.unpack, seen)), memoryview(out).toreadonly()))
+    result.positions, result.starts = (array(code), array(code)), (array("I", [0]), array("I", [0]))
+    for column, positions, starts in zip(groups, result.positions, result.starts):
+        for vid in range(len(column)):  # each group is freed once it is copied
+            positions += column[vid]
+            column[vid] = None
+            starts.append(len(positions))
+    return result
 
 
 _LINK_DIGITS = bytes.maketrans(b"01", b"\1\2")
@@ -136,9 +189,9 @@ def exhaustive(f: IndexFunction, n: int, cap: int = DEFAULT_CAP) -> OracleReport
     `values_equal`'s tolerance ``f.eps`` of it, taken exactly, for float
     tables, whose extremes are the exact ones correctly rounded.  A
     float extreme past the float range is refused with ValueError.
-    Refuses square counts above `cap` (default 24) because the sweep
-    visits 2**(n-2) chains and the census of n keeps 2 bytes per chain;
-    raise the cap explicitly if you really mean it.
+    Refuses square counts above `cap` (default 24) because the census of
+    n walks 2**(n-2) chains and keeps up to 6 bytes per chain; raise the
+    cap explicitly if you really mean it.
     """
     if n < 3:
         raise ValueError(f"exhaustive sweep needs n >= 3, got {n}")
@@ -147,22 +200,27 @@ def exhaustive(f: IndexFunction, n: int, cap: int = DEFAULT_CAP) -> OracleReport
             f"n={n} exceeds the oracle cap {cap}: would evaluate 2**{n - 2} "
             "chains; pass a larger cap to override"
         )
-    vectors, ids = census(n)
+    found = census(n)
     m = n - 2
-    values = [sum(map(mul, v, f.scaled)) for v in vectors]
+    values = [sum(map(mul, v, f.scaled)) for v in found[0]]
+    everyone = range(len(values))
+    masks: dict[int, list[bool]] = {}  # per extreme, the values that tie it
 
-    def select(ids, pick, first=0, step=1):
+    def select(pick, ends):
         # every census vector occurs among all chains, not all in one end's half
-        best = pick(values if step == 1 else map(values.__getitem__, set(ids)))
-        mask = [f.ties(v, best) for v in values]
-        hits = compress(range(len(ids)), map(mask.__getitem__, ids))
-        chains = tuple(LinkVector(_word(first + step * k, m)) for k in hits)
+        present = everyone if len(ends) == 2 else found.present(ends[0])
+        best = pick(map(values.__getitem__, present))
+        if best not in masks:
+            masks[best] = list(map(f.ties, values, repeat(best)))
+        tying = compress(present, map(masks[best].__getitem__, present))
+        # each group is ascending, so the merge sorts a few sorted runs
+        hits = sorted(chain.from_iterable(found.group(e, vid) for vid in tying for e in ends))
+        chains = tuple(LinkVector(_word(pos, m)) for pos in hits)
         return check_finite(f.read(best), "index value"), chains
 
-    max_value, argmax = select(ids, max)
-    min_value, argmin = select(ids, min)
-    # the last link alternates fastest
-    per_end = {end: select(ids[end - 1::2], max, end - 1, 2) for end in (1, 2)}
+    max_value, argmax = select(max, (1, 2))
+    min_value, argmin = select(min, (1, 2))
+    per_end = {end: select(max, (end,)) for end in (1, 2)}
     return OracleReport(
         n=n,
         index_name=f.name,

@@ -3,6 +3,7 @@
 import math
 import random
 import time
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
@@ -13,7 +14,7 @@ import polychain.azi as azi_mod
 import polychain.cli as cli_mod
 import polychain.dp as dp_mod
 import polychain.indices as indices_mod
-from polychain.chains import linear_chain
+from polychain.chains import edge_degree_multiset, linear_chain
 from polychain.dp import DPTable
 from polychain.indices import (
     DEGREE_PAIRS,
@@ -282,6 +283,50 @@ class TestCensus:
                 values = [degree_pair_sum(v, f) for v in vectors]
                 for links, vid in zip(product((1, 2), repeat=n - 2), ids):
                     assert evaluate_direct(links, f) == values[vid], (f.name, links)
+
+    def test_groups_are_the_positions_of_each_vector_and_end(self):
+        for n in range(3, 15):
+            found = census(n)
+            vectors, ids = found
+            assert [positions.itemsize for positions in found.positions] == [2, 2]
+            for end in (1, 2):
+                present = []
+                for vid in range(len(vectors)):
+                    want = [p for p in range(end - 1, len(ids), 2) if ids[p] == vid]
+                    assert list(found.group(end, vid)) == want, (n, end, vid)
+                    if want:
+                        present.append(vid)
+                assert found.present(end) == present
+
+    @pytest.mark.parametrize("f", [AZI, preset("ga"), small_range_tables(5, 1)[0]],
+                             ids=lambda f: f"{f.name}-{f.mode}")
+    def test_report_equals_per_chain_sweep_past_the_default_corpus(self, f, monkeypatch):
+        monkeypatch.setattr(indices_mod, "edge_degree_multiset", _cached_multiset)
+        for n in range(13, 16):
+            assert exhaustive(f, n).to_json() == reference_report(f, n).to_json(), n
+
+    def test_groups_fit_the_memory_bound(self):
+        # ids take 2 bytes a chain and the groups at most 4 more; the rest
+        # (vectors, their dict, the arrays' headers) must stay small beside them
+        census(3)  # the module's own first-use allocations are not the census's
+        census.cache_clear()
+        tracemalloc.start()
+        try:
+            census(18)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            census.cache_clear()
+        assert peak <= 6.5 * 2 ** 16, peak
+
+    @pytest.mark.parametrize("turn", [0.05, 0.5, 0.95])
+    def test_edge_degree_multiset_equals_the_reference_graph(self, turn):
+        # the forward walk shares the census's count deltas; words with long
+        # straight runs, with even turns and with long zigzags
+        rng = random.Random(int(turn * 100))
+        for length in (0, 1, 2, 3, 10, 100, 1000, 10**4):
+            links = [2 if rng.random() < turn else 1 for _ in range(length)]
+            assert dict(edge_degree_multiset(links)) == dict(reference_multiset(links)), length
 
     def test_built_once_per_n(self):
         census.cache_clear()
