@@ -9,10 +9,11 @@ square k (k >= 3) either keeps the current growth direction (link type
 described by its word of n - 2 link types.
 
 A `LinkVector` keeps that word as bytes, one byte per link: producers
-(the DP's witness and enumeration, the oracle) hand their byte buffers
-over, the structural functions here read the bytes, and the tuple
-``links`` is built only when asked for, O(n) on each call.  Bytes hash
-with a per-process salt, so no output may iterate a set of words.
+(the DP's witness and enumeration, the oracle) write links 1 and 2 only
+and hand their byte buffers over unchecked, a word from outside is
+checked once, the structural functions here read the bytes, and the
+tuple ``links`` is built only when asked for, O(n) on each call.  Bytes
+hash with a per-process salt, so no output may iterate a set of words.
 
 This module owns that encoding and the purely structural operations on
 it: lattice realization, the corner graph and its degree-pair multiset,
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable, Iterator
+from functools import cache
 
 __all__ = [
     "LinkVector",
@@ -59,10 +61,14 @@ class LinkVector:
     number (3 <= k <= n) instead of by storage index.
 
     The word is stored as immutable bytes, one byte per link, so a
-    million-link chain takes 1 MB and building one from bytes is a copy
-    and one C-level check.  ``links`` builds a fresh tuple on each call,
-    O(n); iteration, indexing, comparison and hashing read the bytes,
-    and a slice is a tuple.  The hash of bytes is salted per process,
+    million-link chain takes 1 MB.  The public constructor is where
+    outside input enters: it checks every link, one C-level pass over
+    bytes.  Words the engine builds (the DP's witness and chains, the
+    oracle's sets, the families and reversals here) are valid by
+    construction, so they go through `_of`, which keeps their bytes
+    without that second pass.  ``links`` builds a fresh tuple on each
+    call, O(n); iteration, indexing, comparison and hashing read the
+    bytes, and a slice is a tuple.  The hash of bytes is salted per process,
     so no output may iterate a set of words: sort them first.
     """
 
@@ -83,6 +89,13 @@ class LinkVector:
             raise ValueError(f"invalid link {bad!r}: links must be 1 or 2")
         self._word = word
 
+    @classmethod
+    def _of(cls, word: bytes) -> "LinkVector":
+        """The vector keeping `word`, an exact bytes object over {1, 2}, unchecked."""
+        vector = object.__new__(cls)
+        vector._word = word
+        return vector
+
     @property
     def links(self) -> tuple[int, ...]:
         return tuple(self._word)
@@ -98,7 +111,7 @@ class LinkVector:
         return self._word[position - 3]
 
     def reverse(self) -> "LinkVector":
-        return LinkVector(self._word[::-1])
+        return LinkVector._of(self._word[::-1])
 
     @classmethod
     def from_string(cls, text: str) -> "LinkVector":
@@ -112,7 +125,7 @@ class LinkVector:
         digits = bare[::2]
         if (len(bare) % 2 and not digits.translate(None, b"12")
                 and bare[1::2] == b"," * (len(bare) // 2)):
-            return cls(digits.translate(_LINKS))
+            return cls._of(digits.translate(_LINKS))
         bad = next(tok for tok in map(str.strip, text.split(",")) if tok not in ("1", "2"))
         raise ValueError(f"invalid link {bad!r}: links must be 1 or 2")
 
@@ -154,14 +167,14 @@ def linear_chain(n: int) -> LinkVector:
     """All squares glued straight on: the n-square linear chain."""
     if n < 2:
         raise ValueError(f"a chain needs at least 2 squares, got n={n}")
-    return LinkVector(b"\1" * (n - 2))
+    return LinkVector._of(b"\1" * (n - 2))
 
 
 def zigzag_chain(n: int) -> LinkVector:
     """Every square turns: the n-square zigzag chain."""
     if n < 2:
         raise ValueError(f"a chain needs at least 2 squares, got n={n}")
-    return LinkVector(b"\2" * (n - 2))
+    return LinkVector._of(b"\2" * (n - 2))
 
 
 def az1_chain(m: int) -> LinkVector:
@@ -172,7 +185,7 @@ def az1_chain(m: int) -> LinkVector:
     """
     if m < 2:
         raise ValueError(f"augmented zigzag of type 1 needs m >= 2 segments, got {m}")
-    return LinkVector(b"\1" + b"\2\1" * (m - 1))
+    return LinkVector._of(b"\1" + b"\2\1" * (m - 1))
 
 
 def az2_family(m: int) -> list[LinkVector]:
@@ -186,7 +199,7 @@ def az2_family(m: int) -> list[LinkVector]:
     if m < 3:
         raise ValueError(f"augmented zigzag of type 2 needs m >= 3 segments, got {m}")
     return [
-        LinkVector(b"\1\2" * i + b"\2\1" * (m - 1 - i))
+        LinkVector._of(b"\1\2" * i + b"\2\1" * (m - 1 - i))
         for i in range(1, m - 1)
     ]
 
@@ -235,22 +248,14 @@ class _CornerGraph:
 
     def __init__(self, n: int) -> None:
         self.width = width = (3 * n + 1).bit_length()  # a chain of n squares has 3n + 1 edges
-        bit = [[0] * 5 for _ in range(5)]  # bit[a][b]: one edge between degrees a and b
-        for j, (a, b) in enumerate(DEGREE_PAIRS):
-            bit[a][b] = bit[b][a] = 1 << width * j
-        # up[d][e]: an edge between degrees d and e gains one at its degree-d end;
-        # join[d1][d2]: a square is glued to a side s1 s2 of those degrees, less
-        # the side's own two up terms, which `delta` takes in with the neighbours
-        self.up = up = [[bit[d + 1][e] - bit[d][e] for e in range(5)] for d in range(4)]
-        self.join = [[bit[d1 + 1][d2 + 1] - bit[d1][d2] + bit[d1 + 1][2] + bit[d2 + 1][2]
-                      + bit[2][2] - up[d1][d2] - up[d2][d1] for d2 in range(4)] for d1 in range(4)]
+        self.up, self.join = _corner_tables(width)
         self.deg = [0] * (2 * (n + 2))
         self.nbrs: list[list[int] | None] = [None] * (2 * (n + 2))
         # the square at (0, 0): corners (0, 1), (0, 0), (1, 1), (1, 0) at slots 0, 2, 3, 5
         for corner, nbrs in ((0, [2, 3]), (2, [5, 0]), (3, [5, 0]), (5, [2, 3])):
             self.deg[corner], self.nbrs[corner] = 2, nbrs
         s1, s2, t1, t2, cell, right = self.sides(2, True)[0]  # the square at (1, 0)
-        self.start = (4 * bit[2][2] + self.delta(s1, s2), cell, right)
+        self.start = (4 + self.delta(s1, s2), cell, right)  # four (2, 2) edges, the lowest pair
         self.grow(s1, s2, t1, t2)
 
     @staticmethod
@@ -293,6 +298,23 @@ class _CornerGraph:
         width = self.width
         mask = (1 << width) - 1
         return tuple(counts >> width * j & mask for j in range(len(DEGREE_PAIRS)))
+
+
+@cache
+def _corner_tables(width: int) -> tuple[tuple, tuple]:
+    """`_CornerGraph`'s `up` and `join` for counts packed `width` bits a
+    pair: built once per width, as tuples, so no graph can change them."""
+    bit = [[0] * 5 for _ in range(5)]  # bit[a][b]: one edge between degrees a and b
+    for j, (a, b) in enumerate(DEGREE_PAIRS):
+        bit[a][b] = bit[b][a] = 1 << width * j
+    # up[d][e]: an edge between degrees d and e gains one at its degree-d end;
+    # join[d1][d2]: a square is glued to a side s1 s2 of those degrees, less
+    # the side's own two up terms, which `delta` takes in with the neighbours
+    up = tuple(tuple(bit[d + 1][e] - bit[d][e] for e in range(5)) for d in range(4))
+    join = tuple(tuple(bit[d1 + 1][d2 + 1] - bit[d1][d2] + bit[d1 + 1][2] + bit[d2 + 1][2]
+                       + bit[2][2] - up[d1][d2] - up[d2][d1] for d2 in range(4))
+                 for d1 in range(4))
+    return up, join
 
 
 def edge_degree_multiset(chain) -> Counter:
@@ -342,4 +364,4 @@ def canonical_reversal(chain) -> LinkVector:
     coincide.
     """
     word = _as_word(chain)
-    return LinkVector(min(word, word[::-1]))
+    return LinkVector._of(min(word, word[::-1]))

@@ -21,6 +21,7 @@ import csv
 import functools
 import io
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -179,19 +180,42 @@ OUTPUT_SCHEMAS = {
 }
 
 
-# exact scalar types, which json's C encoder writes as its indent=2 path would
-_SCALARS = frozenset((str, int, float, bool, type(None)))
+def _float_json(x: float) -> str:
+    """json's text for a float: its repr, or NaN, Infinity, -Infinity."""
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+# json's text for each exact scalar type, without a json.dumps call per scalar
+_SCALAR_JSON = {
+    str: json.encoder.encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_json,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+@functools.cache
+def _flat_encoder(sep: str):
+    """json's C encoder writing a flat container's items `sep` apart."""
+    return json.JSONEncoder(separators=(sep, ": ")).encode
 
 
 def _render_json(doc, pad: str = "\n") -> str:
     """Return ``json.dumps(doc, indent=2)`` for a document with string keys,
     a `LinkVector` in it standing for the list of its links.
 
-    The stdlib drops its C encoder whenever ``indent`` is set.  Here each
-    list or dict of plain scalars is one call of that encoder, with the
-    newline and indent as its item separator, and a link word is its
-    digits joined by that separator.
+    The stdlib drops its C encoder whenever ``indent`` is set.  Here a
+    scalar is written by its type's entry in `_SCALAR_JSON`, each list or
+    dict of plain scalars is one call of the C encoder, with the newline
+    and indent as its item separator, and a link word is its digits
+    joined by that separator.
     """
+    scalar = _SCALAR_JSON.get(type(doc))
+    if scalar is not None:
+        return scalar(doc)
     if not isinstance(doc, (dict, list, tuple, LinkVector)) or not doc:
         return "[]" if isinstance(doc, LinkVector) else json.dumps(doc)
     inner = pad + "  "
@@ -199,10 +223,11 @@ def _render_json(doc, pad: str = "\n") -> str:
     if isinstance(doc, LinkVector):
         return "[" + inner + sep.join(_as_word(doc).translate(_DIGITS).decode()) + pad + "]"
     is_dict = isinstance(doc, dict)
-    if _SCALARS.issuperset(map(type, doc.values() if is_dict else doc)):
-        body = json.dumps(doc, separators=(sep, ": "))[1:-1]
+    if all(map(_SCALAR_JSON.__contains__, map(type, doc.values() if is_dict else doc))):
+        body = _flat_encoder(sep)(doc)[1:-1]
     elif is_dict:
-        body = sep.join(json.dumps(k) + ": " + _render_json(v, inner) for k, v in doc.items())
+        body = sep.join(_SCALAR_JSON.get(type(k), json.dumps)(k) + ": " + _render_json(v, inner)
+                        for k, v in doc.items())
     else:
         body = sep.join(_render_json(v, inner) for v in doc)
     return ("{" if is_dict else "[") + inner + body + pad + ("}" if is_dict else "]")
@@ -370,7 +395,7 @@ def _cmd_table(args, f: IndexFunction) -> tuple[str, int]:
     min_table = run_dp(negate(f), hi)
     rows = []
     for n in range(lo, hi + 1):
-        labeled = max_table.labeled_count(n)
+        ends = max_table.winning_ends(n)  # read once: each read compares the row's values
         if azi_like:
             report = azi_extremal_report(n)
             family, iso = report.family, report.iso_count
@@ -379,9 +404,9 @@ def _cmd_table(args, f: IndexFunction) -> tuple[str, int]:
         rows.append(
             {
                 "n": n,
-                "max": max_table.best_value(n),
+                "max": max_table.value(n, ends[0]),
                 "min": 0 - min_table.best_value(n),  # a float zero stays +0.0
-                "labeled_count": labeled,
+                "labeled_count": sum(max_table.labeled_count(n, e) for e in ends),
                 "iso_count": iso,
                 "family": family,
             }

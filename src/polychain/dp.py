@@ -250,7 +250,7 @@ class DPTable:
     def witness(self, k: int | None = None, end: int | None = None) -> LinkVector:
         """One optimal chain, built backwards preferring link 1 on ties: the first of `chains`."""
         k = self._walked(k, end, "reconstruct witnesses")
-        return LinkVector(next(self._words(k, end or self.winning_ends(k)[0])))
+        return LinkVector._of(next(self._words(k, end or self.winning_ends(k)[0])))
 
     def _words(self, k: int, end: int) -> Iterator[bytes]:
         """The optimal words of k squares ending in link `end`, one byte
@@ -362,7 +362,7 @@ class DPTable:
             m = _mirror_map(codes, codes)
         (v1, v2), (w1, w2) = v, _apply(m, v)
         both, pal = v1 * w1 + v2 * w2, m[0][0] * v1 + m[1][1] * v2
-        return self.labeled_count(k, end) - (both - pal) // 2
+        return sum(self._count(k, e) for e in ends) - (both - pal) // 2
 
     def chains(
         self,
@@ -393,7 +393,7 @@ class DPTable:
                 if limit is not None and emitted >= limit:
                     return
                 emitted += 1
-                yield LinkVector(word)
+                yield LinkVector._of(word)
 
 
 def _compose(x: tuple, y: tuple) -> tuple:

@@ -215,7 +215,7 @@ def exhaustive(f: IndexFunction, n: int, cap: int = DEFAULT_CAP) -> OracleReport
         tying = compress(present, map(masks[best].__getitem__, present))
         # each group is ascending, so the merge sorts a few sorted runs
         hits = sorted(chain.from_iterable(found.group(e, vid) for vid in tying for e in ends))
-        chains = tuple(LinkVector(_word(pos, m)) for pos in hits)
+        chains = tuple(LinkVector._of(_word(pos, m)) for pos in hits)
         return check_finite(f.read(best), "index value"), chains
 
     max_value, argmax = select(max, (1, 2))

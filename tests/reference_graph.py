@@ -5,6 +5,9 @@ chain by chain, as references for the walker and for the oracle.
 incremental corner graph.  Checking them against each other would check
 that graph against itself, so the tests compare both with this
 independent construction from the realized cells instead.
+
+`assert_checked_word` holds a word the engine built without the input
+check to what the public `LinkVector` constructor would accept.
 """
 
 import functools
@@ -32,6 +35,14 @@ def reference_multiset(chain) -> Counter:
         da, db = degree[a], degree[b]
         pairs[(da, db) if da <= db else (db, da)] += 1
     return pairs
+
+
+def assert_checked_word(vector) -> None:
+    """The vector keeps an exact bytes object over {1, 2}, equal to the
+    vector the checked constructor builds from its links."""
+    word = vector._word
+    assert type(word) is bytes and not word.translate(None, b"\1\2"), word[:40]
+    assert LinkVector(bytes(vector.links)) == vector
 
 
 # patched in for evaluate_direct's graph: each chain's reference graph is

@@ -16,7 +16,7 @@ from polychain.chains import (
     segments,
     zigzag_chain,
 )
-from reference_graph import reference_multiset
+from reference_graph import assert_checked_word, reference_multiset
 
 
 def all_chains(n):
@@ -144,6 +144,42 @@ class TestByteWord:
         for w, v in zip(words, vectors):
             assert canonical_reversal(v).links == min(w, w[::-1])
             assert v.reverse().links == w[::-1]
+
+
+class TestUncheckedWords:
+    """Reversals, families and parsed strings are kept without a second
+    check: each must be what the checked constructor would build."""
+
+    def test_reversals(self):
+        for n in range(2, 13):
+            for w in all_chains(n):
+                v = LinkVector(w)
+                for got, want in ((v.reverse(), w[::-1]), (canonical_reversal(v), min(w, w[::-1])),
+                                  (canonical_reversal(w), min(w, w[::-1]))):
+                    assert_checked_word(got)
+                    assert got.links == want
+
+    def test_families(self):
+        for n in range(2, 41):
+            for got, link in ((linear_chain(n), 1), (zigzag_chain(n), 2)):
+                assert_checked_word(got)
+                assert got.links == (link,) * (n - 2)
+        for m in range(2, 21):
+            assert_checked_word(az1_chain(m))
+        for m in range(3, 21):
+            for i, got in enumerate(az2_family(m), start=1):
+                assert_checked_word(got)
+                assert got.links == (1, 2) * i + (2, 1) * (m - 1 - i)
+
+    def test_from_string_round_trips(self):
+        rng = random.Random(63)
+        words = [w for n in range(2, 10) for w in all_chains(n)]
+        words += [tuple(rng.choice((1, 2)) for _ in range(10**5)) for _ in range(2)]
+        for w in words:
+            for text in (",".join(map(str, w)), " , ".join(map(str, w))):
+                got = LinkVector.from_string(text)
+                assert_checked_word(got)
+                assert got.links == w and got.to_string() == ",".join(map(str, w))
 
 
 class TestRealize:

@@ -38,6 +38,7 @@ from polychain.indices import (
 )
 from polychain.oracle import cross_check as cross_check_oracle
 from polychain.oracle import exhaustive
+from reference_graph import assert_checked_word
 
 AZI = preset("azi")
 
@@ -625,6 +626,41 @@ class TestChainOrder:
                     t = run_dp(f, n)
                     for e in (1, 2):
                         assert t.witness(n, e) == next(t.chains(n, e)), (f.name, n, e)
+
+
+class TestEngineWords:
+    """The witness and the chains are built from links 1 and 2 and kept
+    without the input check: each must be what the checked constructor
+    would build, and the witness the plain walk's word."""
+
+    def test_words_at_small_n(self):
+        for f in chain_corpus():
+            t = run_dp(f, 60)
+            for k in range(3, 61):
+                for e in (1, 2):
+                    w = t.witness(k, e)
+                    assert_checked_word(w)
+                    assert w == plain_witness(t, k, e), (f.name, k, e)
+                for dedup in (False, True):
+                    for w in t.chains(k, dedup=dedup, limit=20):
+                        assert_checked_word(w)
+
+    def test_words_of_the_presets_at_large_n(self):
+        for name in PRESET_NAMES:
+            for f in (preset(name), negate(preset(name))):
+                t = run_dp(f, 10**5)
+                for e in (1, 2):
+                    assert_checked_word(t.witness(end=e))
+                    for w in t.chains(end=e, limit=3):
+                        assert_checked_word(w)
+
+    def test_words_skip_the_input_check(self, monkeypatch):
+        def refuse(self, links=()):
+            raise AssertionError("an engine word went through the input check")
+
+        monkeypatch.setattr(LinkVector, "__init__", refuse)
+        assert len(run_dp(AZI, 10**5).witness()) == 10**5 - 2
+        assert len(list(run_dp(constant_index(), 40).chains(limit=20))) == 20
 
 
 class TestCountReadOrder:

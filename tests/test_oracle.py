@@ -29,7 +29,12 @@ from polychain.indices import (
     preset,
 )
 from polychain.oracle import census, cross_check, exhaustive
-from reference_graph import _cached_multiset, reference_multiset, reference_report
+from reference_graph import (
+    _cached_multiset,
+    assert_checked_word,
+    reference_multiset,
+    reference_report,
+)
 
 AZI = preset("azi")
 
@@ -139,6 +144,16 @@ class TestExhaustive:
         assert doc["max"]["rational"] == "329717/2000"
         assert doc["argmax"] == [[1, 2, 1]]
         assert set(doc["per_end_max"]) == {"1", "2"}
+
+    def test_set_words_are_checked_words(self):
+        # a set's chains keep their translated digits without the input check
+        for f in report_corpus():
+            for n in range(3, 13):
+                rep = exhaustive(f, n)
+                for chains in (rep.argmax, rep.argmin, *rep.per_end_argmax.values()):
+                    for c in chains:
+                        assert_checked_word(c)
+                        assert len(c) == n - 2, (f.name, n)
 
 
 class TestCrossCheck:
