@@ -87,6 +87,19 @@ class ChainFamilyReport:
     iso_count: int
 
 
+def _azi_family(n: int) -> tuple[str, int | None, int, int]:
+    """The AZI-maximizing family at n >= 3 squares: its name, segment
+    count m, labeled count and count up to mirror symmetry (see
+    `ChainFamilyReport`)."""
+    if n == 3:
+        return "Li", None, 1, 1
+    if n == 4:
+        return "pair4", None, 2, 1
+    if n % 2 == 1:
+        return "AZ1", (n - 1) // 2, 1, 1
+    return "AZ2", n // 2, (n - 6) // 2 + 1, (n - 1) // 4
+
+
 def azi_extremal_report(n: int) -> ChainFamilyReport:
     """Family, maximum value and maximizer counts for n squares.
 
@@ -95,17 +108,9 @@ def azi_extremal_report(n: int) -> ChainFamilyReport:
     """
     if n < 3:
         raise ValueError(f"chains need n >= 3 squares here, got {n}")
-    if n == 3:
-        value = run_dp(_azi(), 3).best_value()
-        return ChainFamilyReport(3, "Li", None, value, 1, 1)
-    if n == 4:
-        value = run_dp(_azi(), 4).best_value()
-        return ChainFamilyReport(4, "pair4", None, value, 2, 1)
-    value = azi_max_closed_form(n)
-    if n % 2 == 1:
-        return ChainFamilyReport(n, "AZ1", (n - 1) // 2, value, 1, 1)
-    m = n // 2
-    return ChainFamilyReport(n, "AZ2", m, value, (n - 6) // 2 + 1, (n - 1) // 4)
+    family, m, labeled, iso = _azi_family(n)
+    value = run_dp(_azi(), n).best_value() if n < 5 else azi_max_closed_form(n)
+    return ChainFamilyReport(n, family, m, value, labeled, iso)
 
 
 @dataclass
@@ -194,7 +199,7 @@ def verify_azi_maximum(
             yield (n, "end-link-1 value strictly dominant", v1 > v2,
                    lambda: (f"{v2} < value(n,1)", v1))
         for n in range(5, structure_n_max + 1):
-            want = azi_extremal_report(n)  # the counts and value CLI `table` prints
+            want = azi_extremal_report(n)  # its counts are those CLI `table` prints
             family = azi_extremal_chains(n)
             yield _same_chains(n, "maximizer set equals expected family", family, table.chains(n))
             yield _equals(n, "labeled maximizer count", want.labeled_count, table.labeled_count(n))

@@ -8,9 +8,11 @@ summary rows) and ``verify`` (oracle cross-checks plus the AZI claims).
 Exact values are always printed as "p/q" with a 10-significant-digit
 decimal marked approximate.  JSON documents come from one renderer,
 `_render_json`, whose text equals ``json.dumps(doc, indent=2)`` byte for
-byte.  Output is deterministic: equal invocations produce byte-identical
-output.  Exit codes: 0 success, 1 verification mismatch, 2 usage or parse
-error.  A reader that closes the pipe early ends the output quietly.
+byte; a long list of same-shape items (a chain's cells, a table's rows)
+is written by one row template, `_json_rows`.  Output is deterministic:
+equal invocations produce byte-identical output.  Exit codes: 0 success,
+1 verification mismatch, 2 usage or parse error.  A reader that closes
+the pipe early ends the output quietly.
 """
 
 from __future__ import annotations
@@ -26,13 +28,14 @@ import os
 import sys
 from fractions import Fraction
 
-from .azi import ORACLE_N_MAX, _azi, azi_extremal_report, verify_azi_maximum, verify_azi_minimum
+from .azi import ORACLE_N_MAX, _azi, _azi_family, verify_azi_maximum, verify_azi_minimum
 from .chains import _DIGITS, LinkVector, _as_word, realize
-from .dp import _extremal, classify, run_dp
+from .dp import _code, _extremal, classify, run_dp
 from .indices import (
     FLOAT,
     RATIONAL,
     IndexFunction,
+    _texts,
     as_decimal_string,
     as_exact_string,
     evaluate_direct,
@@ -211,11 +214,13 @@ def _render_json(doc, pad: str = "\n") -> str:
     scalar is written by its type's entry in `_SCALAR_JSON`, each list or
     dict of plain scalars is one call of the C encoder, with the newline
     and indent as its item separator, and a link word is its digits
-    joined by that separator.
+    joined by that separator.  A `_Rendered` part is written as it is.
     """
     scalar = _SCALAR_JSON.get(type(doc))
     if scalar is not None:
         return scalar(doc)
+    if type(doc) is _Rendered:
+        return doc
     if not isinstance(doc, (dict, list, tuple, LinkVector)) or not doc:
         return "[]" if isinstance(doc, LinkVector) else json.dumps(doc)
     inner = pad + "  "
@@ -233,6 +238,38 @@ def _render_json(doc, pad: str = "\n") -> str:
     return ("{" if is_dict else "[") + inner + body + pad + ("}" if is_dict else "]")
 
 
+class _Rendered(str):
+    """JSON text that `_render_json` writes as it is, already indented for
+    its place in the document."""
+
+
+def _json_rows(template: str, rows: list | tuple) -> _Rendered:
+    """The text of a list of same-shape items at a top-level key of a
+    document, as ``json.dumps(doc, indent=2)`` writes it: item i is
+    ``template % rows[i]``, one format call an item."""
+    if not rows:
+        return _Rendered("[]")
+    return _Rendered("[\n    " + ",\n    ".join(map(template.__mod__, rows)) + "\n  ]")
+
+
+# an (x, y) cell, and a table row from its JSON-ready fields, in those lists
+_CELL_JSON = "[\n      %s,\n      %s\n    ]"
+_ROW_JSON = """{
+      "n": %s,
+      "max": {
+        "rational": %s,
+        "decimal": "%s"
+      },
+      "min": {
+        "rational": %s,
+        "decimal": "%s"
+      },
+      "labeled_count": %s,
+      "iso_count": %s,
+      "family": %s
+    }"""
+
+
 def _value_json(v) -> dict:
     return {"rational": as_exact_string(v), "decimal": as_decimal_string(v)}
 
@@ -242,13 +279,6 @@ def _value_plain(v) -> str:
     if exact is None:
         return as_decimal_string(v)
     return f"{exact} (approx {as_decimal_string(v)})"
-
-
-def _value_cell(v, exact: bool) -> str:
-    if exact:
-        text = as_exact_string(v)
-        return text if text is not None else as_decimal_string(v)
-    return as_decimal_string(v)
 
 
 def _add_index_options(p: argparse.ArgumentParser) -> None:
@@ -303,7 +333,7 @@ def _cmd_value(args, f: IndexFunction) -> tuple[str, int]:
             "mode": f.mode,
             "links": links,
             "n": links.square_count,
-            "cells": [list(c) for c in realize(links)],
+            "cells": _json_rows(_CELL_JSON, realize(links)),
             "direct": _value_json(direct),
             "recursive": _value_json(recursive),
             "equal": equal,
@@ -390,49 +420,32 @@ def _cmd_table(args, f: IndexFunction) -> tuple[str, int]:
         raise ValueError(f"empty range: --from {lo} > --to {hi}")
     if lo < 3:
         raise ValueError(f"table rows need n >= 3, got --from {lo}")
-    azi_like = _is_azi(f)
-    max_table = run_dp(f, hi)
-    min_table = run_dp(negate(f), hi)
+    family = _azi_family if _is_azi(f) else None
+    max_table, min_table = run_dp(f, hi), run_dp(negate(f), hi)
     rows = []
     for n in range(lo, hi + 1):
-        ends = max_table.winning_ends(n)  # read once: each read compares the row's values
-        if azi_like:
-            report = azi_extremal_report(n)
-            family, iso = report.family, report.iso_count
-        else:
-            family, iso = None, max_table.iso_count(n)
-        rows.append(
-            {
-                "n": n,
-                "max": max_table.value(n, ends[0]),
-                "min": 0 - min_table.best_value(n),  # a float zero stays +0.0
-                "labeled_count": sum(max_table.labeled_count(n, e) for e in ends),
-                "iso_count": iso,
-                "family": family,
-            }
-        )
+        # each table's two optima read once; a column is the optimum of the
+        # end `winning_ends` puts first, negated for the min column
+        a, b = max_table._raw(n, 1), max_table._raw(n, 2)
+        code = _code(f, a, b)
+        c, d = min_table._raw(n, 1), min_table._raw(n, 2)
+        low = -(d if _code(min_table.f, c, d) == 2 else c)
+        ends = (1, 2) if code == 3 else (code,)
+        name, _, _, iso = family(n) if family else (None, None, None, max_table.iso_count(n))
+        rows.append((n, _texts(f, b if code == 2 else a), _texts(f, low),
+                     sum(max_table._count(n, e) for e in ends), iso, name))
     if args.format == "json":
-        doc = {
-            "command": "table",
-            "index": f.name,
-            "rows": [{**r, "max": _value_json(r["max"]), "min": _value_json(r["min"])}
-                     for r in rows],
-        }
-        return _render_json(doc), 0
+        json_text = _SCALAR_JSON  # str and None fields as their JSON text
+        rows = [(n, json_text[type(e1)](e1), d1, json_text[type(e2)](e2), d2, count, iso,
+                 json_text[type(name)](name)) for n, (e1, d1), (e2, d2), count, iso, name in rows]
+        return _render_json({"command": "table", "index": f.name,
+                             "rows": _json_rows(_ROW_JSON, rows)}), 0
+    cell = 0 if args.exact and f.mode == RATIONAL else 1  # p/q or the decimal
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["n", "max", "min", "labeled_count", "iso_count", "family"])
-    for r in rows:
-        writer.writerow(
-            [
-                r["n"],
-                _value_cell(r["max"], args.exact),
-                _value_cell(r["min"], args.exact),
-                r["labeled_count"],
-                r["iso_count"],
-                r["family"] or "",
-            ]
-        )
+    writer.writerows((n, top[cell], low[cell], count, iso, name or "")
+                     for n, top, low, count, iso, name in rows)
     return buf.getvalue().rstrip("\n"), 0
 
 

@@ -110,23 +110,43 @@ def check_finite(v: Value, what: str) -> Value:
 def as_exact_string(v: Value) -> str | None:
     """"p/q" rendering of a rational value; None for float-mode values."""
     if isinstance(v, (Fraction, int)):
-        f = Fraction(v)
-        return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
+        return _exact_text(*v.as_integer_ratio())
     return None
 
 
 def as_decimal_string(v: Value) -> str:
     """Approximate 10-significant-digit decimal rendering."""
+    if isinstance(v, float) and not (v and abs(v) < sys.float_info.min):
+        return format(v, "#.10g")  # a float's own text, nonfinite and signed zeros included
+    return _decimal_text(*v.as_integer_ratio())
+
+
+def _exact_text(num: int, den: int) -> str:
+    """"p/q" text of num / den (den > 0) in lowest terms, "p" for a whole number."""
+    g = math.gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
+def _decimal_text(num: int, den: int) -> str:
+    """10-significant-digit text of num / den (den > 0): "#.10g" of the
+    correctly rounded float, and the same shape at large exponents where
+    the value is nonzero but past or below the normal float range."""
     try:
-        x = float(v)
+        x = num / den
     except OverflowError:
         x = None
-    if x is not None and not (v and abs(x) < sys.float_info.min):
+    if x is not None and not (num and abs(x) < sys.float_info.min):
         return format(x, "#.10g")
-    # nonzero but past or below the normal float range: "#.10g"'s shape at large exponents
-    q = Fraction(v)
     ctx = decimal.Context(prec=10, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
-    return format(ctx.divide(decimal.Decimal(q.numerator), q.denominator), ".9e")
+    return format(ctx.divide(decimal.Decimal(num), den), ".9e")
+
+
+def _texts(f: IndexFunction, raw: int) -> tuple[str | None, str]:
+    """`as_exact_string` and `as_decimal_string` of f.read(raw), without
+    building the value: a rational is written from raw and f.den."""
+    if f.mode == RATIONAL:
+        return _exact_text(raw, f.den), _decimal_text(raw, f.den)
+    return None, as_decimal_string(f.read(raw))
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ import pytest
 import polychain.azi as azi_mod
 import polychain.oracle as oracle_mod
 from polychain.azi import (
+    _azi_family,
     azi_extremal_chains,
     azi_extremal_report,
     azi_max_closed_form,
@@ -94,6 +95,11 @@ class TestExtremalReport:
     def test_needs_three_squares(self):
         with pytest.raises(ValueError):
             azi_extremal_report(2)
+
+    def test_family_rule_is_the_reports(self):
+        for n in range(3, 2001):
+            rep = azi_extremal_report(n)
+            assert _azi_family(n) == (rep.family, rep.family_m, rep.labeled_count, rep.iso_count)
 
     def test_counts_match_enumeration(self):
         table = run_dp(AZI, 40)

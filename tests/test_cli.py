@@ -1,6 +1,10 @@
 """Command-line frontend: formats, exit codes, schemas."""
 
+import csv
+import io
 import json
+import random
+from itertools import product
 import resource
 import subprocess
 import sys
@@ -11,8 +15,21 @@ import pytest
 import polychain.cli as cli_mod
 import polychain.dp as dp_mod
 import polychain.oracle as oracle_mod
-from polychain.cli import OUTPUT_SCHEMAS, main
-from polychain.indices import _increments, preset
+from polychain.azi import azi_extremal_report
+from polychain.cli import OUTPUT_SCHEMAS, _unlimited_int_digits, main
+from polychain.dp import run_dp
+from polychain.indices import (
+    PRESET_NAMES,
+    RATIONAL,
+    _increments,
+    as_decimal_string,
+    as_exact_string,
+    force_float,
+    load_custom_index,
+    negate,
+    preset,
+)
+from test_properties import INDEX_FILES
 
 
 def run_cli(capsys, *argv):
@@ -58,6 +75,13 @@ class TestValue:
         assert doc["direct"] == doc["recursive"]
         assert doc["n"] == 4
         assert doc["cells"] == [[0, 0], [1, 0], [2, 0], [2, -1]]
+
+    @pytest.mark.parametrize("links", ["", "1", "1,2,2,1",
+                                       ",".join(random.Random(7).choice("12") for _ in range(300))])
+    def test_json_text_is_json_dumps(self, capsys, links):
+        code, out, _ = run_cli(capsys, "value", "--index", "azi", "--links", links, "--format", "json")
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
     def test_float_index_value(self, capsys):
         doc = run_json(capsys, "value", "--index", "randic:-1/2", "--links", "1,1",
@@ -246,6 +270,90 @@ class TestTable:
         assert [r["iso_count"] for r in doc["rows"]] == [
             (2 ** (n - 2) + 2 ** ((n - 1) // 2)) // 2 for n in range(17, 23)]
         assert run_cli(capsys, *argv, "--iso-limit", "0") == (0, out, "")
+
+
+def reference_table(f, lo, hi, fmt, exact):
+    """CLI `table`'s text for rows lo..hi, row by row from the public API:
+    each row's values, counts and AZI report read as objects, and the
+    document written by json.dumps(indent=2) or csv.writer."""
+    azi_like = f.mode == RATIONAL and f.values == preset("azi").values
+    max_table, min_table = run_dp(f, hi), run_dp(negate(f), hi)
+    rows = []
+    for n in range(lo, hi + 1):
+        if azi_like:
+            report = azi_extremal_report(n)
+            family, iso = report.family, report.iso_count
+        else:
+            family, iso = None, max_table.iso_count(n)
+        rows.append({"n": n, "max": max_table.best_value(n),
+                     "min": 0 - min_table.best_value(n),  # a float zero stays +0.0
+                     "labeled_count": max_table.labeled_count(n),
+                     "iso_count": iso, "family": family})
+    if fmt == "json":
+        for r in rows:
+            for key in ("max", "min"):
+                r[key] = {"rational": as_exact_string(r[key]), "decimal": as_decimal_string(r[key])}
+        return json.dumps({"command": "table", "index": f.name, "rows": rows}, indent=2)
+
+    def cell(v):
+        text = as_exact_string(v) if exact else None
+        return as_decimal_string(v) if text is None else text
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["n", "max", "min", "labeled_count", "iso_count", "family"])
+    for r in rows:
+        writer.writerow([r["n"], cell(r["max"]), cell(r["min"]), r["labeled_count"],
+                         r["iso_count"], r["family"] or ""])
+    return buf.getvalue().rstrip("\n")
+
+
+PAIRS = ("2,2", "2,3", "2,4", "3,3", "3,4", "4,4")
+# index documents for the reference test: (document, last row)
+TABLE_FILES = {
+    **{f"properties-{key}": (json.loads(INDEX_FILES[key]), 40)
+       for key in ("rational", "constant", "float", "huge")},
+    # float values near the top of the range: row 6 would overflow and is refused
+    "float-1e307": ({"name": "f307", "mode": "float", "values": {k: "1e307" for k in PAIRS}}, 5),
+    "float-subnormal": ({"name": "sub", "mode": "float",
+                         "values": {k: f"{(-1) ** i * 5e-324}" for i, k in enumerate(PAIRS)}}, 40),
+    "tiny": ({"name": "tiny", "values": {k: f"{(-1) ** i}/{10**400}" for i, k in enumerate(PAIRS)}}, 40),
+    "escaped-name": ({"name": 'q"\\\u00e9\u2028', "values": {k: f"{i}/7" for i, k in enumerate(PAIRS)}}, 40),
+    # every chain ties: counts 2**(n - 2) past 4300 digits
+    "const-7/3": ({"name": "const", "values": {k: "7/3" for k in PAIRS}}, 14290),
+}
+TABLE_FORMATS = [("--format", "json"), ("--format", "csv"), ("--format", "csv", "--exact")]
+
+
+class TestTableReference:
+    """CLI `table` against `reference_table`, byte for byte."""
+
+    @staticmethod
+    def check(capsys, f, source, hi):
+        """Rows lo..hi for lo in 3, 4, 5 and hi (the last 11 rows past 1000), in each format."""
+        starts = (hi - 10, hi) if hi > 1000 else sorted({lo for lo in (3, 4, 5, hi) if lo <= hi})
+        for lo, fmt in product(starts, TABLE_FORMATS):
+            code, out, err = run_cli(capsys, "table", *source, "--from", str(lo), "--to", str(hi), *fmt)
+            assert (code, err) == (0, ""), (lo, fmt)
+            with _unlimited_int_digits():
+                want = reference_table(f, lo, hi, fmt[1], "--exact" in fmt)
+            assert out == want + "\n", (lo, fmt)
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    @pytest.mark.parametrize("mode", [None, "float"])
+    def test_presets(self, capsys, name, mode):
+        f = preset(name)
+        source = ("--index", name)
+        if mode is not None:
+            f, source = (force_float(f) if f.mode == RATIONAL else f), (*source, "--mode", mode)
+        self.check(capsys, f, source, 40)
+
+    @pytest.mark.parametrize("key", sorted(TABLE_FILES))
+    def test_index_files(self, capsys, tmp_path, key):
+        doc, hi = TABLE_FILES[key]
+        path = tmp_path / "index.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        self.check(capsys, load_custom_index(doc), ("--index-file", str(path)), hi)
 
 
 class TestVerify:

@@ -15,6 +15,7 @@ from polychain.indices import (
     FLOAT,
     RATIONAL,
     IndexFunction,
+    _texts,
     as_decimal_string,
     as_exact_string,
     degree_pair_sum,
@@ -509,3 +510,26 @@ class TestRendering:
         assert as_decimal_string(5e-324) == "4.940656458e-324"
         assert as_decimal_string(-0.0) == "-0.000000000"
         assert as_decimal_string(Fraction(1, 10**300)) == "1.000000000e-300"
+
+    @pytest.mark.parametrize("values", [
+        "azi", "harmonic", "abc", "float-azi",
+        {p: Fraction((-1) ** i, 10**400) for i, p in enumerate(DEGREE_PAIRS)},
+        {p: Fraction(10**400 + i, 3) for i, p in enumerate(DEGREE_PAIRS)},
+        {p: 5e-324 for p in DEGREE_PAIRS},
+        {p: 1e307 * (i + 1) for i, p in enumerate(DEGREE_PAIRS)},
+    ])
+    def test_texts_of_raw_values(self, values):
+        # the texts written straight from (raw, den) are those of the value read
+        if isinstance(values, str):
+            f = force_float(preset("azi")) if values == "float-azi" else preset(values)
+        else:
+            mode = FLOAT if isinstance(values[(2, 2)], float) else RATIONAL
+            f = IndexFunction("t", values, mode=mode)
+        rng = random.Random(17)
+        den, top = f.den, 2**1100 * f.den  # top / den is past the float range
+        raws = [0, 1, -1, den, -den, top, -top, den * 3 + 1]
+        raws += [rng.choice((-1, 1)) * rng.getrandbits(rng.randrange(1, 4000)) for _ in range(300)]
+        for raw in raws:
+            v = f.read(raw)
+            assert _texts(f, raw) == (as_exact_string(v), as_decimal_string(v)), raw
+
