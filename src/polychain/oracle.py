@@ -13,17 +13,17 @@ link tree on the same corner graph `evaluate_direct` reads
 (`chains._CornerGraph`).  A node reads both children's vectors off the
 degrees in O(1) and glues a square on only to go deeper, so no leaf is
 glued.  The census keeps the distinct vectors (98 at n = 14, 135 at
-n = 16), one 2-byte vector id per chain in lexicographic order, and
-each (vector, last link) group's chain positions, ascending, in at most
-4 bytes per chain more; it is built on first use and cached per n, so
-every index and every sweep at that n shares it.  A sweep then values
-each distinct vector once, as an int: its dot product with the index's
-scaled entries (`IndexFunction.scaled`, exact in both modes).  Per
-result set, builtin max/min pick the extreme over the vectors present,
-one mask over the distinct values marks those that tie it
-(`IndexFunction.ties`), and the tying groups merge into the set in
-lexicographic order: after the census a sweep costs O(distinct vectors)
-plus its output.  A chain in a set is its position's binary digits
+n = 16) and, per vector and last link, the lexicographic positions of
+its chains, ascending, in the arrays the walk appends them to: 2 bytes
+a chain, 4 past n = 18, and nothing else per chain.  It is built on
+first use and cached per n, so every index and every sweep at that n
+shares it.  A sweep then values each distinct vector once, as an int:
+its dot product with the index's scaled entries (`IndexFunction.scaled`,
+exact in both modes).  Per result set, builtin max/min pick the extreme
+over the vectors present, one mask over the distinct values marks those
+that tie it (`IndexFunction.ties`), and the tying groups merge into the
+set in lexicographic order: after the census a sweep costs O(distinct
+vectors) plus its output.  A chain in a set is its position's binary digits
 translated to link bytes, which its `LinkVector` keeps.  The extreme is
 read back by `IndexFunction.read`, a float one as the exact extreme
 correctly rounded.
@@ -37,7 +37,7 @@ from array import array
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain, compress, repeat
-from operator import mul, sub
+from operator import mul
 
 from .chains import LinkVector, _CornerGraph, canonical_reversal
 from .indices import (
@@ -56,44 +56,25 @@ __all__ = ["OracleReport", "DEFAULT_CAP", "census", "exhaustive", "cross_check"]
 DEFAULT_CAP = 24
 
 
-class _Census(tuple):
-    """`census`'s pair (vectors, ids), carrying the chain groups: for last
-    link e, `positions[e - 1]` holds its chains' positions by vector id,
-    ascending within an id, id v's from `starts[e - 1][v]` on."""
-
-    positions: tuple[array, array]
-    starts: tuple[array, array]
-
-    def group(self, end: int, vid: int) -> array:
-        """The ascending positions of the chains with last link `end` and vector id `vid`."""
-        starts = self.starts[end - 1]
-        return self.positions[end - 1][starts[vid]:starts[vid + 1]]
-
-    def present(self, end: int) -> list[int]:
-        """The vector ids of the chains with last link `end`."""
-        starts = self.starts[end - 1]
-        return list(compress(range(len(starts) - 1), map(sub, starts[1:], starts)))
-
-
 @cache
-def census(n: int) -> tuple[tuple[tuple[int, ...], ...], memoryview]:
-    """Degree-pair vectors of every n-square chain (n >= 2).
+def census(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[memoryview, ...], ...]]:
+    """Degree-pair vectors of every n-square chain (n >= 2), grouped.
 
-    Returns the distinct vectors (counts in `DEGREE_PAIRS` order) and a
-    read-only view of an ``array('H')`` holding one vector id per chain,
-    chains in the lexicographic order of
-    `itertools.product((1, 2), repeat=n - 2)`, with the chain groups
-    (`_Census`).  One corner graph walks the link tree depth first, link
-    1 before link 2, carrying a node's packed counts down as a value.
-    The result is cached and shared by every caller.
+    Returns the distinct vectors (counts in `DEGREE_PAIRS` order) and the
+    chain groups: ``groups[e - 1][vid]`` is a read-only view of an
+    ``array`` ('H', or 'I' past n = 18) holding, ascending, the positions
+    of the chains with last link e and vector id vid, a chain's position
+    being its rank in the lexicographic order of
+    `itertools.product((1, 2), repeat=n - 2)`.  One corner graph walks
+    the link tree depth first, link 1 before link 2, carrying a node's
+    packed counts and position down as values.  The result is cached
+    and shared by every caller.
     """
     if n < 2:
         raise ValueError(f"a chain needs at least 2 squares, got n={n}")
     graph = _CornerGraph(n)
     deg, nbrs, sides, delta, grow = graph.deg, graph.nbrs, graph.sides, graph.delta, graph.grow
     seen: dict[int, int] = {}  # packed counts -> vector id
-    out = array("H")
-    put = out.append
     code = "H" if n <= 18 else "I"  # the narrowest type for positions below 2**(n - 2)
     groups: tuple[list[array], list[array]] = ([], [])  # per last link, per vector id
 
@@ -105,18 +86,16 @@ def census(n: int) -> tuple[tuple[tuple[int, ...], ...], memoryview]:
                 column.append(array(code))
         return vid
 
-    def visit(depth: int, counts: int, cell: int, right: bool) -> None:
+    def visit(depth: int, pos: int, counts: int, cell: int, right: bool) -> None:
+        # pos: the node's links so far as binary digits, link 1 as 0
         if depth == leaves:  # the children are chains: no square is glued
-            pos = len(out)
             for end, (s1, s2, *_) in enumerate(sides(cell, right)):
-                vid = vid_of(counts + delta(s1, s2))
-                put(vid)
-                groups[end][vid].append(pos + end)
+                groups[end][vid_of(counts + delta(s1, s2))].append(2 * pos + end)
             return
-        for s1, s2, t1, t2, child_cell, child_right in sides(cell, right):
+        for link, (s1, s2, t1, t2, child_cell, child_right) in enumerate(sides(cell, right)):
             child = counts + delta(s1, s2)
             grow(s1, s2, t1, t2)
-            visit(depth + 1, child, child_cell, child_right)
+            visit(depth + 1, 2 * pos + link, child, child_cell, child_right)
             nbrs[s1].pop()  # take the square off again; its far corners go stale
             nbrs[s2].pop()
             deg[s1] -= 1
@@ -125,18 +104,13 @@ def census(n: int) -> tuple[tuple[tuple[int, ...], ...], memoryview]:
     counts, cell, right = graph.start
     leaves = n - 3  # the depth whose children are leaves
     if leaves < 0:  # the two-square chain
-        put(vid_of(counts))
-        groups[0][0].append(0)
+        groups[0][vid_of(counts)].append(0)
     else:
-        visit(0, counts, cell, right)
-    result = _Census((tuple(map(graph.unpack, seen)), memoryview(out).toreadonly()))
-    result.positions, result.starts = (array(code), array(code)), (array("I", [0]), array("I", [0]))
-    for column, positions, starts in zip(groups, result.positions, result.starts):
-        for vid in range(len(column)):  # each group is freed once it is copied
-            positions += column[vid]
-            column[vid] = None
-            starts.append(len(positions))
-    return result
+        visit(0, 0, counts, cell, right)
+    empty = memoryview(array(code)).toreadonly()  # one for every empty group: a view is 320 bytes
+    views = tuple(tuple(memoryview(group).toreadonly() if group else empty for group in column)
+                  for column in groups)
+    return tuple(map(graph.unpack, seen)), views
 
 
 _LINK_DIGITS = bytes.maketrans(b"01", b"\1\2")
@@ -190,7 +164,7 @@ def exhaustive(f: IndexFunction, n: int, cap: int = DEFAULT_CAP) -> OracleReport
     tables, whose extremes are the exact ones correctly rounded.  A
     float extreme past the float range is refused with ValueError.
     Refuses square counts above `cap` (default 24) because the census of
-    n walks 2**(n-2) chains and keeps up to 6 bytes per chain; raise the
+    n walks 2**(n-2) chains and keeps about 4 bytes per chain; raise the
     cap explicitly if you really mean it.
     """
     if n < 3:
@@ -200,21 +174,21 @@ def exhaustive(f: IndexFunction, n: int, cap: int = DEFAULT_CAP) -> OracleReport
             f"n={n} exceeds the oracle cap {cap}: would evaluate 2**{n - 2} "
             "chains; pass a larger cap to override"
         )
-    found = census(n)
+    vectors, groups = census(n)
     m = n - 2
-    values = [sum(map(mul, v, f.scaled)) for v in found[0]]
+    values = [sum(map(mul, v, f.scaled)) for v in vectors]
     everyone = range(len(values))
     masks: dict[int, list[bool]] = {}  # per extreme, the values that tie it
 
     def select(pick, ends):
         # every census vector occurs among all chains, not all in one end's half
-        present = everyone if len(ends) == 2 else found.present(ends[0])
+        present = everyone if len(ends) == 2 else list(compress(everyone, groups[ends[0] - 1]))
         best = pick(map(values.__getitem__, present))
         if best not in masks:
             masks[best] = list(map(f.ties, values, repeat(best)))
         tying = compress(present, map(masks[best].__getitem__, present))
         # each group is ascending, so the merge sorts a few sorted runs
-        hits = sorted(chain.from_iterable(found.group(e, vid) for vid in tying for e in ends))
+        hits = sorted(chain.from_iterable(groups[e - 1][vid] for vid in tying for e in ends))
         chains = tuple(LinkVector._of(_word(pos, m)) for pos in hits)
         return check_finite(f.read(best), "index value"), chains
 
@@ -241,13 +215,13 @@ def cross_check(f: IndexFunction, n: int, cap: int = DEFAULT_CAP) -> tuple[bool,
     counts, mirror-class counts and witness soundness.  Two kept
     `dp.run_dp` tables, one of f and one of `negate(f)`, give the
     values, witness and labeled count through `dp._extremal`, the argmax,
-    per-end argmax and argmin sets through `DPTable.chains` and their
-    mirror-class counts through `DPTable.iso_count`; the per-end counts
-    come from one streaming run of f.  The oracle side counts mirror classes
-    of its own sets with `canonical_reversal`.  Values are compared with
-    ``==`` in both modes, since both sides are correctly rounded exact
-    sums.  Returns (ok, mismatches); mismatches are descriptions, not
-    exceptions.
+    per-end argmax and argmin sets through `DPTable.chains`, their
+    mirror-class counts through `DPTable.iso_count` and the per-end
+    counts through `DPTable.labeled_count`.  The oracle side counts
+    mirror classes of its own sets with `canonical_reversal`.  Values are
+    compared with ``==`` in both modes, since both sides are correctly
+    rounded exact sums.  Returns (ok, mismatches); mismatches are
+    descriptions, not exceptions.
     """
     from . import dp  # local import keeps the sweep itself engine-free
 
@@ -271,7 +245,6 @@ def cross_check(f: IndexFunction, n: int, cap: int = DEFAULT_CAP) -> tuple[bool,
 
     max_table = dp.run_dp(f, n)
     min_table = dp.run_dp(negate(f), n)
-    streamed = dp.run_dp(f, n, keep_table=False)
     res_max = dp._extremal(f, max_table, dp.MAX, None, False)
     res_min = dp._extremal(f, min_table, dp.MIN, None, False)
     check("max value", res_max.value == report.max_value, report.max_value, res_max.value)
@@ -294,6 +267,6 @@ def cross_check(f: IndexFunction, n: int, cap: int = DEFAULT_CAP) -> tuple[bool,
                                max_table.chains(end=end))
         check_classes(f"end-{end} mirror classes", report.per_end_argmax[end],
                       max_table.iso_count(n, end))
-        count = streamed.labeled_count(n, end)
+        count = max_table.labeled_count(n, end)
         check(f"end-{end} maximal count", count == len(oracle_set), len(oracle_set), count)
     return (not mismatches, mismatches)

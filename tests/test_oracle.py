@@ -213,12 +213,12 @@ class TestCrossCheck:
         assert not ok
         assert [m.split(":")[0] for m in mismatches] == ["argmin set"]
 
-    def test_detects_streaming_count_corruption(self, monkeypatch):
+    def test_detects_per_end_count_corruption(self, monkeypatch):
         real_count = DPTable.labeled_count
 
         def inflated(table, k=None, end=None):
             count = real_count(table, k, end)
-            return count + 1 if len(table) == 1 else count  # a streaming table holds one row
+            return count + 1 if end is not None else count  # the per-end counts only
 
         monkeypatch.setattr(DPTable, "labeled_count", inflated)
         ok, mismatches = cross_check(AZI, 6)
@@ -239,7 +239,7 @@ class TestCrossCheck:
             "end-1 mirror classes", "end-2 mirror classes",
         ]
 
-    def test_three_forward_passes(self, monkeypatch):
+    def test_two_forward_passes(self, monkeypatch):
         real_run_dp = dp_mod.run_dp
         calls = []
 
@@ -250,19 +250,42 @@ class TestCrossCheck:
         monkeypatch.setattr(dp_mod, "run_dp", counting)
         ok, mismatches = cross_check(AZI, 10)
         assert ok, mismatches
-        assert len(calls) == 3, calls
+        assert len(calls) == 2, calls
+
+
+def positions_by_vector(groups):
+    """(vector id, position) for every chain, group by group."""
+    for column in groups:
+        for vid, group in enumerate(column):
+            for pos in group:
+                yield vid, pos
+
+
+def assert_groups_partition(n, vectors, groups, code):
+    """Each chain position once, under the end its parity gives, in
+    ascending read-only groups of `code` items, one group per vector and
+    end."""
+    assert [len(column) for column in groups] == [len(vectors)] * 2
+    seen = bytearray(2 ** (n - 2))
+    for end, column in enumerate(groups, 1):
+        for vid, group in enumerate(column):
+            assert (group.format, group.readonly) == (code, True), (n, end, vid)
+            assert all(a < b for a, b in zip(group, group[1:])), (n, end, vid)
+            for pos in group:
+                assert pos % 2 == end - 1, (n, end, vid, pos)
+                seen[pos] += 1
+    assert seen == bytearray([1]) * 2 ** (n - 2), n
 
 
 class TestCensus:
     def test_vectors_match_edge_degree_multiset(self):
         for n in range(3, 13):
-            vectors, ids = census(n)
-            assert (ids.format, ids.itemsize, ids.readonly) == ("H", 2, True)
-            assert len(ids) == 2 ** (n - 2)
+            vectors, groups = census(n)
             assert len(set(vectors)) == len(vectors)
-            for links, vid in zip(product((1, 2), repeat=n - 2), ids):
-                pairs = reference_multiset(links)
-                assert vectors[vid] == tuple(pairs[p] for p in DEGREE_PAIRS), (n, links)
+            words = list(product((1, 2), repeat=n - 2))
+            for vid, pos in positions_by_vector(groups):
+                pairs = reference_multiset(words[pos])
+                assert vectors[vid] == tuple(pairs[p] for p in DEGREE_PAIRS), (n, words[pos])
 
     def test_distinct_vector_counts(self):
         assert len(census(14)[0]) == 98
@@ -293,25 +316,31 @@ class TestCensus:
         tables.append(IndexFunction("wide", {p: rng.uniform(-1e3, 1e3) for p in DEGREE_PAIRS},
                                     mode=FLOAT))
         for n in range(3, 13):
-            vectors, ids = census(n)
+            vectors, groups = census(n)
+            words = list(product((1, 2), repeat=n - 2))
             for f in tables:
                 values = [degree_pair_sum(v, f) for v in vectors]
-                for links, vid in zip(product((1, 2), repeat=n - 2), ids):
-                    assert evaluate_direct(links, f) == values[vid], (f.name, links)
+                for vid, pos in positions_by_vector(groups):
+                    assert evaluate_direct(words[pos], f) == values[vid], (f.name, words[pos])
 
     def test_groups_are_the_positions_of_each_vector_and_end(self):
         for n in range(3, 15):
-            found = census(n)
-            vectors, ids = found
-            assert [positions.itemsize for positions in found.positions] == [2, 2]
-            for end in (1, 2):
-                present = []
-                for vid in range(len(vectors)):
-                    want = [p for p in range(end - 1, len(ids), 2) if ids[p] == vid]
-                    assert list(found.group(end, vid)) == want, (n, end, vid)
-                    if want:
-                        present.append(vid)
-                assert found.present(end) == present
+            vectors, groups = census(n)
+            assert census(n) is census(n)
+            assert_groups_partition(n, vectors, groups, "H")
+
+    def test_four_byte_positions_past_n_18(self):
+        n = 19
+        vectors, groups = census(n)
+        try:
+            assert_groups_partition(n, vectors, groups, "I")
+            rng = random.Random(19)
+            for vid, pos in rng.sample(list(positions_by_vector(groups)), 300):
+                links = [1 + (pos >> k & 1) for k in range(n - 3, -1, -1)]
+                pairs = reference_multiset(links)
+                assert vectors[vid] == tuple(pairs[p] for p in DEGREE_PAIRS), (pos, links)
+        finally:
+            census.cache_clear()  # 2**17 chains: not kept for the tests after this one
 
     @pytest.mark.parametrize("f", [AZI, preset("ga"), small_range_tables(5, 1)[0]],
                              ids=lambda f: f"{f.name}-{f.mode}")
@@ -321,8 +350,9 @@ class TestCensus:
             assert exhaustive(f, n).to_json() == reference_report(f, n).to_json(), n
 
     def test_groups_fit_the_memory_bound(self):
-        # ids take 2 bytes a chain and the groups at most 4 more; the rest
-        # (vectors, their dict, the arrays' headers) must stay small beside them
+        # the groups take 2 bytes a chain and their read-only views about
+        # 320 bytes a non-empty group; the rest (vectors, their dict, the
+        # arrays' headers and spare room) must stay small beside them
         census(3)  # the module's own first-use allocations are not the census's
         census.cache_clear()
         tracemalloc.start()
@@ -332,7 +362,7 @@ class TestCensus:
         finally:
             tracemalloc.stop()
             census.cache_clear()
-        assert peak <= 6.5 * 2 ** 16, peak
+        assert peak <= 5 * 2 ** 16, peak
 
     @pytest.mark.parametrize("turn", [0.05, 0.5, 0.95])
     def test_edge_degree_multiset_equals_the_reference_graph(self, turn):
