@@ -51,7 +51,8 @@ map c -> c1 / c2 / c1 + c2 of each end, a 2x2 integer matrix raised to
 a power by squaring, and the mirror count's walk powers its maps alike.
 A table, kept or streaming, costs O(runs) Python steps and segments and
 O(runs log n) big-int steps; a row is read in O(log runs) steps, and
-`iso_count` at k squares takes O(runs log k) big-int steps.  A chain of
+`iso_count` at k squares takes O(runs log k) big-int steps, or O(1) a
+row when rows are read in order past the transient.  A chain of
 `witness` or `chains` takes O(runs + ties) Python steps, whatever k is,
 and k-byte copies: a run is walked six rows deep and copied as a block.
 """
@@ -143,6 +144,7 @@ class DPTable:
         self._segments = segments
         self._starts = [seg[0] for seg in segments]
         self._count_at = (n, counts)  # the last row whose chain counts were read, and those
+        self._mirror = [None, None]  # per parity of k: the last (k, ends, v) of `iso_count`
         self._period = period
 
     @property
@@ -333,7 +335,11 @@ class DPTable:
         A step is a linear map of v read from the codes of rows l + 1 and
         r, so while both rows stay in their segments the maps alternate
         by parity, and each such stretch is one powered map: O(runs log k)
-        big-int steps in all.
+        big-int steps in all.  The walk at k takes s = (k - 3) // 2 steps,
+        and step t at k + 2 reads row k + 2 - t where that at k read row
+        k - t.  So when rows k + 1 - s .. k + 2 lie in one segment, the
+        walk at k + 2 is the one at k, kept per parity of k, with one step
+        more: rows read in order cost O(1) big-int steps each.
         """
         k = self._walked(k, end, "count mirror classes")
         ends = (end,) if end is not None else self.winning_ends(k)
@@ -342,6 +348,10 @@ class DPTable:
         # segment i holds row l + 1, rising from row 4, and segment j row r,
         # falling from row k; each pass takes the rows both stay in
         i, j, done = bisect_right(self._starts, 4) - 1, bisect_right(self._starts, k) - 1, 0
+        last = self._mirror[k % 2]
+        if last is not None and last[:2] == (k - 2, ends) and segs[j][0] <= k - s:
+            # the walk at k - 2 took the first s - 1 steps: one step more
+            i, v, done = bisect_right(self._starts, 3 + s) - 1, last[2], s - 1
         while done < s:
             row_l, row_r = 4 + done, k - done  # rows l + 1 and r
             (_, hi, _, left), (lo, _, _, right) = segs[i], segs[j]
@@ -353,6 +363,7 @@ class DPTable:
             done += rows
             i += row_l + rows > hi
             j -= row_r - rows < lo
+        self._mirror[k % 2] = (k, ends, v)
         # the halves join by the map m of the middle: they share its square (odd
         # k), or the walk's step l + 1 = r = s + 4 reads its edge both ways (even k)
         if k % 2:

@@ -20,13 +20,14 @@ first use and cached per n, so every index and every sweep at that n
 shares it.  A sweep then values each distinct vector once, as an int:
 its dot product with the index's scaled entries (`IndexFunction.scaled`,
 exact in both modes).  Per result set, builtin max/min pick the extreme
-over the vectors present, one mask over the distinct values marks those
-that tie it (`IndexFunction.ties`), and the tying groups merge into the
-set in lexicographic order: after the census a sweep costs O(distinct
-vectors) plus its output.  A chain in a set is its position's binary digits
-translated to link bytes, which its `LinkVector` keeps.  The extreme is
-read back by `IndexFunction.read`, a float one as the exact extreme
-correctly rounded.
+over the vectors present, `IndexFunction.ties` marks the values that tie
+it among those an exact bound leaves in a window around it (`_tying`, a
+bisection of the values sorted once), and the tying groups merge into
+the set in lexicographic order: after the census a sweep costs
+O(distinct vectors) plus its output.  A chain in a set is its position's
+binary digits translated to link bytes, which its `LinkVector` keeps.
+The extreme is read back by `IndexFunction.read`, a float one as the
+exact extreme correctly rounded.
 `cross_check` compares the engine's and the oracle's sets of
 `LinkVector`s and sorts their words only to describe a mismatch.
 """
@@ -34,9 +35,10 @@ correctly rounded.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, compress, repeat
+from itertools import chain, compress
 from operator import mul
 
 from .chains import LinkVector, _CornerGraph, canonical_reversal
@@ -178,17 +180,18 @@ def exhaustive(f: IndexFunction, n: int, cap: int = DEFAULT_CAP) -> OracleReport
     m = n - 2
     values = [sum(map(mul, v, f.scaled)) for v in vectors]
     everyone = range(len(values))
-    masks: dict[int, list[bool]] = {}  # per extreme, the values that tie it
+    order = sorted(everyone, key=values.__getitem__)
+    tied: dict[int, list[int]] = {}  # per extreme, the ids of the values that tie it
 
     def select(pick, ends):
         # every census vector occurs among all chains, not all in one end's half
         present = everyone if len(ends) == 2 else list(compress(everyone, groups[ends[0] - 1]))
         best = pick(map(values.__getitem__, present))
-        if best not in masks:
-            masks[best] = list(map(f.ties, values, repeat(best)))
-        tying = compress(present, map(masks[best].__getitem__, present))
-        # each group is ascending, so the merge sorts a few sorted runs
-        hits = sorted(chain.from_iterable(groups[e - 1][vid] for vid in tying for e in ends))
+        if best not in tied:
+            tied[best] = _tying(f, values, order, best)
+        # a vector absent from an end has an empty group there; each group is
+        # ascending, so the merge sorts a few sorted runs
+        hits = sorted(chain.from_iterable(groups[e - 1][vid] for vid in tied[best] for e in ends))
         chains = tuple(LinkVector._of(_word(pos, m)) for pos in hits)
         return check_finite(f.read(best), "index value"), chains
 
@@ -206,6 +209,21 @@ def exhaustive(f: IndexFunction, n: int, cap: int = DEFAULT_CAP) -> OracleReport
         per_end_max={e: value for e, (value, _) in per_end.items()},
         per_end_argmax={e: chains for e, (_, chains) in per_end.items()},
     )
+
+
+def _tying(f: IndexFunction, values: list[int], order: list[int], best: int) -> list[int]:
+    """The ids of the values that tie `best` under `IndexFunction.ties`,
+    ``order`` being the ids sorted by value.  For eps = p / q < 1 a tie
+    needs |a - best| * (q - p) <= p * max(den, |best|), as max(den, |a|,
+    |best|) is at most max(den, |best|) + |a - best|, so only the values
+    in that window are tested: the equal ones for a rational table
+    (p = 0).  A larger tolerance tests every value."""
+    p, q = f.tol
+    if p < q:
+        width, key = p * max(f.den, abs(best)) // (q - p), values.__getitem__
+        order = order[bisect_left(order, best - width, key=key):
+                      bisect_right(order, best + width, key=key)]
+    return [vid for vid in order if f.ties(values[vid], best)]
 
 
 def cross_check(f: IndexFunction, n: int, cap: int = DEFAULT_CAP) -> tuple[bool, list[str]]:

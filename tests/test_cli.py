@@ -284,7 +284,9 @@ def reference_table(f, lo, hi, fmt, exact):
             report = azi_extremal_report(n)
             family, iso = report.family, report.iso_count
         else:
-            family, iso = None, max_table.iso_count(n)
+            # a fresh table per row: its one read walks the whole DAG, never
+            # the mirror walk `iso_count` carries from row n - 2 of the same table
+            family, iso = None, run_dp(f, n).iso_count(n)
         rows.append({"n": n, "max": max_table.best_value(n),
                      "min": 0 - min_table.best_value(n),  # a float zero stays +0.0
                      "labeled_count": max_table.labeled_count(n),

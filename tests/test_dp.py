@@ -693,6 +693,46 @@ class TestCountReadOrder:
                     assert got == want[k], (f.name, k, order is shuffled)
 
 
+class TestMirrorReadOrder:
+    """`iso_count` at k carries the mirror walk of row k - 2 when that was
+    the last row of its parity read, with the same ends, and rows k - s .. k
+    lie in one segment: every read order must give a fresh table's count."""
+
+    @staticmethod
+    def tables():
+        tables = {}
+        extra = [preset(name) for name in PRESET_NAMES]
+        extra += [preset("randic", -1), small_range_index()]
+        for f in (*chain_corpus(), *extra, *(negate(f) for f in extra)):
+            tables.setdefault((f.mode, f.eps, *f.values.items()), f)
+        return list(tables.values())
+
+    def test_in_order_reversed_shuffled_and_interleaved(self):
+        rng = random.Random(27)
+        rows, hi = list(range(3, 201)), 200
+        for f in self.tables():
+            fresh = {}
+            for k in rows:
+                t = run_dp(f, k)  # reads at one row never carry
+                for end in (None, 1, 2):
+                    fresh[k, end] = t.iso_count(k, end)
+            reads = [(k, end) for end in (None, 1, 2) for k in rows]
+            orders = {"in order": reads, "reversed": reads[::-1],
+                      "shuffled": rng.sample(reads, len(reads)), "interleaved": reads}
+            for name, order in orders.items():
+                t = run_dp(f, hi)
+                for k, end in order:
+                    if name == "interleaved":  # another read at another row first
+                        other, which = rng.choice(rows), rng.randrange(3)
+                        if which == 0:
+                            t.value(other, rng.choice((1, 2)))
+                        elif which == 1:
+                            t.labeled_count(other, rng.choice((None, 1, 2)))
+                        else:
+                            t.iso_count(other, rng.choice((None, 1, 2)))
+                    assert t.iso_count(k, end) == fresh[k, end], (f.name, k, end, name)
+
+
 class TestCountMaximal:
     def test_anchors(self):
         assert count_maximal(AZI, 10, 1) == 3

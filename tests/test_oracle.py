@@ -28,7 +28,7 @@ from polychain.indices import (
     negate,
     preset,
 )
-from polychain.oracle import census, cross_check, exhaustive
+from polychain.oracle import _tying, census, cross_check, exhaustive
 from reference_graph import (
     _cached_multiset,
     assert_checked_word,
@@ -436,3 +436,58 @@ class TestScaledIntegers:
             assert rep.max_value == rep.min_value == Fraction(7, 3) * (3 * n + 1)
             for end in (1, 2):
                 assert [c.links for c in rep.per_end_argmax[end]] == [w for w in words if w[-1] == end]
+
+
+class TestTieWindow:
+    """`exhaustive` tests `IndexFunction.ties` only on the values an exact
+    bound leaves in a window around the extreme: each extreme's tie set
+    must be the full scan's."""
+
+    def test_window_equals_the_full_scan(self):
+        rng = random.Random(27)
+        tables = [IndexFunction("q", dict(zip(DEGREE_PAIRS, map(Fraction, (1, 2, 3, 4, 5, 6)))))]
+        for eps in (1e-9, 0.01, 0.25, 0.5, 0.9, 1.0, 1.5, 3.0):
+            tables.append(IndexFunction(f"eps{eps}", {p: rng.uniform(-5, 5) for p in DEGREE_PAIRS},
+                                        mode=FLOAT, eps=eps))
+        for f in tables:
+            den = f.den
+            for _ in range(40):
+                best = rng.choice((-1, 1)) * rng.randrange(4 * den)
+                spread = rng.choice((1, den, abs(best) + 1))
+                values = [best + rng.randrange(-3 * spread, 3 * spread + 1) for _ in range(60)]
+                values += [best, best + 1, best - 1, 2 * best, -best]
+                order = sorted(range(len(values)), key=values.__getitem__)
+                got = _tying(f, values, order, best)
+                assert len(got) == len(set(got)), f.name
+                want = {vid for vid, a in enumerate(values) if f.ties(a, best)}
+                assert set(got) == want, (f.name, best)
+
+    @pytest.mark.parametrize("eps, times", [(0.5, 1), (0.25, 3)])
+    def test_value_on_the_window_edge(self, eps, times):
+        # eps = 1/2 (1/4): a = 2b (4b/3) ties b exactly, |a - b| * q = p * |a|,
+        # and sits on the window's edge p * max(den, |b|) // (q - p); a past it does not
+        f = IndexFunction("edge", {p: 1.0 + j / 8 for j, p in enumerate(DEGREE_PAIRS)},
+                          mode=FLOAT, eps=eps)
+        (p, q), den = f.tol, f.den
+        for sign in (1, -1):
+            best = sign * times * 5 * den
+            edge = best + sign * (p * max(den, abs(best)) // (q - p))
+            assert abs(edge - best) * q == p * abs(edge) and f.ties(edge, best)
+            past = edge + sign
+            assert not f.ties(past, best)
+            values = [past, edge, best, best - sign, edge - sign, 3 * best, -best]
+            order = sorted(range(len(values)), key=values.__getitem__)
+            got = _tying(f, values, order, best)
+            assert sorted(got) == [vid for vid, a in enumerate(values) if f.ties(a, best)]
+            assert 1 in got and 0 not in got, (eps, sign)
+
+    @pytest.mark.parametrize("eps", [0.9, 1.0, 1.5, 3.0])
+    def test_report_equals_per_chain_sweep(self, eps, monkeypatch):
+        monkeypatch.setattr(indices_mod, "edge_degree_multiset", _cached_multiset)
+        rng = random.Random(28)
+        for t in range(2):
+            f = IndexFunction(f"mixed{t}", {p: rng.uniform(-3, 3) for p in DEGREE_PAIRS},
+                              mode=FLOAT, eps=eps)
+            for g in (f, negate(f)):
+                for n in range(3, 12):
+                    assert exhaustive(g, n).to_json() == reference_report(g, n).to_json(), (t, n)
