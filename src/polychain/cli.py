@@ -23,14 +23,13 @@ import csv
 import functools
 import io
 import json
-import math
 import os
 import sys
 from fractions import Fraction
 
 from .azi import ORACLE_N_MAX, _azi, _azi_family, verify_azi_maximum, verify_azi_minimum
 from .chains import _DIGITS, LinkVector, _as_word, realize
-from .dp import _code, _extremal, classify, run_dp
+from .dp import _extremal, classify, run_dp
 from .indices import (
     FLOAT,
     RATIONAL,
@@ -183,18 +182,10 @@ OUTPUT_SCHEMAS = {
 }
 
 
-def _float_json(x: float) -> str:
-    """json's text for a float: its repr, or NaN, Infinity, -Infinity."""
-    if math.isfinite(x):
-        return float.__repr__(x)
-    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
-
-
 # json's text for each exact scalar type, without a json.dumps call per scalar
 _SCALAR_JSON = {
     str: json.encoder.encode_basestring_ascii,
     int: int.__repr__,
-    float: _float_json,
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): lambda _: "null",
 }
@@ -354,8 +345,7 @@ def _cmd_extremal(args, f: IndexFunction, objective: str) -> tuple[str, int]:
         raise ValueError(f"extremal search needs --n >= 3, got {args.n}")
     if args.limit is not None and args.limit < 0:
         raise ValueError(f"--limit must be >= 0, got {args.limit}")
-    table = run_dp(f if objective == "max" else negate(f), args.n)
-    result = _extremal(f, table, objective, args.end, args.iso)
+    result, table = _extremal(f, args.n, objective, args.end, args.iso)
     chains = None
     if args.enumerate:
         chains = list(table.chains(end=args.end, dedup=args.dedup, limit=args.limit))
@@ -424,15 +414,10 @@ def _cmd_table(args, f: IndexFunction) -> tuple[str, int]:
     max_table, min_table = run_dp(f, hi), run_dp(negate(f), hi)
     rows = []
     for n in range(lo, hi + 1):
-        # each table's two optima read once; a column is the optimum of the
-        # end `winning_ends` puts first, negated for the min column
-        a, b = max_table._raw(n, 1), max_table._raw(n, 2)
-        code = _code(f, a, b)
-        c, d = min_table._raw(n, 1), min_table._raw(n, 2)
-        low = -(d if _code(min_table.f, c, d) == 2 else c)
-        ends = (1, 2) if code == 3 else (code,)
+        # a column: the raw optimum of the first winning end, negated for the min
+        ends, top = max_table._best(n)
         name, _, _, iso = family(n) if family else (None, None, None, max_table.iso_count(n))
-        rows.append((n, _texts(f, b if code == 2 else a), _texts(f, low),
+        rows.append((n, _texts(f, top), _texts(f, -min_table._best(n)[1]),
                      sum(max_table._count(n, e) for e in ends), iso, name))
     if args.format == "json":
         json_text = _SCALAR_JSON  # str and None fields as their JSON text

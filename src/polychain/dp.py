@@ -45,14 +45,15 @@ can also end where the tolerance, growing with the values, overtakes a
 fixed margin.
 
 The table is the list of these stepped rows and runs, one segment each
-(`DPTable`).  A run is read back from its two base rows, their rises
-and its two rows' codes; its chain counts come from the codes' linear
-map c -> c1 / c2 / c1 + c2 of each end, a 2x2 integer matrix raised to
-a power by squaring, and the mirror count's walk powers its maps alike.
-A table, kept or streaming, costs O(runs) Python steps and segments and
-O(runs log n) big-int steps; a row is read in O(log runs) steps, and
-`iso_count` at k squares takes O(runs log k) big-int steps, or O(1) a
-row when rows are read in order past the transient.  A chain of
+(`DPTable`): decisions and values only.  A run is read back from its two
+base rows, their rises and its two rows' codes.  Chain counts are carried
+only when read, by the codes' linear map c -> c1 / c2 / c1 + c2 of each
+end, a 2x2 integer matrix raised to a power by squaring, and the mirror
+count's walk powers its maps alike.  A table, kept or streaming, costs
+O(runs) Python steps, segments and small-int steps; a row's values are
+read in O(log runs) steps, its counts and `iso_count` in O(runs log k)
+big-int steps, or O(1) a row when rows are read in order past the
+transient.  A chain of
 `witness` or `chains` takes O(runs + ties) Python steps, whatever k is,
 and k-byte copies: a run is walked six rows deep and copied as a block.
 """
@@ -117,24 +118,23 @@ class DPTable:
 
     The table is one list of segments sorted by first row: each row the
     forward pass stepped, row 3 included, is a one-row segment, and each
-    run it jumped is one segment.  A segment (lo, hi, counts, phases)
-    holds its first and last rows, the chain counts (c1, c2) of row
-    lo - 1 ((1, 0) before row 3, whose code 0 reads them as c1), and
-    phases[r % 2] = (row, values, rise, codes) for its rows r of one
-    parity.  Row r's two optimum values, integers over one common
-    denominator, are `values` (those of the base row `row`) plus
-    (r - row) / 2 times `rise`, and codes[:2] are its two predecessor
-    codes (1 or 2, 3 for a tie, 0 at row 3): the DAG that `witness` and
-    `chains` walk backwards.  A row's chain counts (tie counts plus one)
-    are its segment's count map powered from the counts entering it, or
-    from the last row read when that lies in the same segment, so reading
-    rows in order costs O(1) big-int steps a row.  A streaming build
-    (``keep_table=False``) holds the same list and reads only row n.
+    run it jumped is one segment.  A segment (lo, hi, phases) holds its
+    first and last rows and phases[r % 2] = (row, values, rise, codes)
+    for its rows r of one parity.  Row r's two optimum values, integers
+    over one common denominator, are `values` (those of the base row
+    `row`) plus (r - row) / 2 times `rise`, and codes[:2] are its two
+    predecessor codes (1 or 2, 3 for a tie, 0 at row 3): the DAG that
+    `witness` and `chains` walk backwards.  `_best` is the one rule for
+    a row's winning ends.  Only `_count` carries chain counts (tie counts
+    plus one), a powered count map a segment, from the last row read when
+    that lies below, else from (1, 0) at row 2 (row 3's code 0 reads it
+    as c1), so reading rows in order costs O(1) big-int steps a row.  A
+    streaming build (``keep_table=False``) reads only row n.
     Iterating yields one `DPState` per readable row.  `steps` counts the
     rows the forward pass stepped one at a time.
     """
 
-    def __init__(self, f, n, segments, counts, steps, period, first):
+    def __init__(self, f, n, segments, steps, period, first):
         self.f = f
         self.n = n
         self.mode = f.mode
@@ -143,7 +143,7 @@ class DPTable:
         self._first = first  # the first readable row: 3, or n for a streaming table
         self._segments = segments
         self._starts = [seg[0] for seg in segments]
-        self._count_at = (n, counts)  # the last row whose chain counts were read, and those
+        self._count_at = (2, (1, 0))  # the last row whose chain counts were read, and those
         self._mirror = [None, None]  # per parity of k: the last (k, ends, v) of `iso_count`
         self._period = period
 
@@ -175,7 +175,7 @@ class DPTable:
 
     def _raw(self, k: int, i: int) -> int:
         """The optimum of row k at end i, times the common denominator."""
-        row, vals, rise, _ = self._segment(k)[3][k % 2]
+        row, vals, rise, _ = self._segment(k)[2][k % 2]
         return vals[i - 1] + (k - row) // 2 * rise[i - 1]
 
     def value(self, k: int, i: int) -> Value:
@@ -190,10 +190,13 @@ class DPTable:
         self._check_end(i)
         row, counts = self._count_at
         if row != k:
-            seg = self._segment(k)
-            if not seg[0] <= row < k:
-                row, counts = seg[0] - 1, seg[2]
-            counts = _carry(seg, row, counts, k)
+            segs, at = self._segments, bisect_right(self._starts, k) - 1
+            if not segs[at][0] <= row < k:
+                if row > k:
+                    row, counts = 2, (1, 0)
+                for seg in segs[bisect_right(self._starts, row + 1) - 1:at]:
+                    counts, row = _carry(seg, row, counts, seg[1]), seg[1]
+            counts = _carry(segs[at], row, counts, k)
             self._count_at = (k, counts)
         return counts[i - 1]
 
@@ -204,7 +207,7 @@ class DPTable:
     def predecessors(self, k: int, i: int) -> frozenset[int]:
         self._check_k(k)
         self._check_end(i)
-        _, _, _, codes = self._segment(k)[3][k % 2]
+        _, _, _, codes = self._segment(k)[2][k % 2]
         return _PRED_SETS[codes[i - 1]]
 
     def state(self, k: int) -> DPState:
@@ -222,16 +225,23 @@ class DPTable:
     def __iter__(self) -> Iterator[DPState]:
         return (self.state(k) for k in range(self._first, self.n + 1))
 
+    def _best(self, k: int) -> tuple[tuple[int, ...], int]:
+        """Row k's winning ends, both on a tie under f, and the first one's
+        optimum times the common denominator."""
+        a, b = self._raw(k, 1), self._raw(k, 2)
+        code = _code(self.f, a, b)
+        return ((1, 2) if code == 3 else (code,)), b if code == 2 else a
+
     def winning_ends(self, k: int | None = None) -> tuple[int, ...]:
         """Ending links attaining the overall optimum at k squares."""
         k = self.n if k is None else k
         self._check_k(k)
-        code = _code(self.f, self._raw(k, 1), self._raw(k, 2))
-        return (1, 2) if code == 3 else (code,)
+        return self._best(k)[0]
 
     def best_value(self, k: int | None = None) -> Value:
         k = self.n if k is None else k
-        return self.value(k, self.winning_ends(k)[0])
+        self._check_k(k)
+        return self.f.read(self._best(k)[1])
 
     def labeled_count(self, k: int | None = None, end: int | None = None) -> int:
         """Number of distinct optimal chains (summed over the winning ends)."""
@@ -270,7 +280,7 @@ class DPTable:
         j = k  # squares j .. k are fixed
         pending = []  # the lowest rows last
         while True:
-            for lo, hi, _, phases in reversed(segs[1:bisect_right(starts, j)]):
+            for lo, hi, phases in reversed(segs[1:bisect_right(starts, j)]):
                 if lo == hi:  # one row
                     code = phases[lo & 1][3][cur - 1]
                     cur = buf[lo - 4] = 2 if code == 2 else 1
@@ -342,7 +352,7 @@ class DPTable:
         more: rows read in order cost O(1) big-int steps each.
         """
         k = self._walked(k, end, "count mirror classes")
-        ends = (end,) if end is not None else self.winning_ends(k)
+        ends = (end,) if end is not None else self._best(k)[0]
         v = (int(1 in ends), int(2 in ends))  # a word of B starts and ends in `ends`
         segs, s = self._segments, (k - 3) // 2  # s: steps while l + 1 < r
         # segment i holds row l + 1, rising from row 4, and segment j row r,
@@ -354,7 +364,7 @@ class DPTable:
             i, v, done = bisect_right(self._starts, 3 + s) - 1, last[2], s - 1
         while done < s:
             row_l, row_r = 4 + done, k - done  # rows l + 1 and r
-            (_, hi, _, left), (lo, _, _, right) = segs[i], segs[j]
+            (_, hi, left), (lo, _, right) = segs[i], segs[j]
             rows = min(hi - row_l, row_r - lo, s - 1 - done) + 1
             first = _mirror_map(left[row_l % 2][3], right[row_r % 2][3])
             second = (_mirror_map(left[(row_l + 1) % 2][3], right[(row_r - 1) % 2][3])
@@ -369,7 +379,7 @@ class DPTable:
         if k % 2:
             m = ((1, 0), (0, 1))
         else:
-            codes = self._segment(s + 4)[3][(s + 4) % 2][3]
+            codes = self._segment(s + 4)[2][(s + 4) % 2][3]
             m = _mirror_map(codes, codes)
         (v1, v2), (w1, w2) = v, _apply(m, v)
         both, pal = v1 * w1 + v2 * w2, m[0][0] * v1 + m[1][1] * v2
@@ -449,7 +459,7 @@ def _carry(seg: tuple, row: int, counts: tuple, k: int) -> tuple:
     """The chain counts of row k of segment `seg` from `counts`, those of
     row `row`, for lo - 1 <= row < k."""
     first, second = ((_COUNT_ROWS[codes[0]], _COUNT_ROWS[codes[1]])
-                     for _, _, _, codes in (seg[3][(row + 1) % 2], seg[3][row % 2]))
+                     for _, _, _, codes in (seg[2][(row + 1) % 2], seg[2][row % 2]))
     return _steps(counts, first, second, k - row)
 
 
@@ -468,8 +478,8 @@ def _code(f: IndexFunction, a: int, b: int) -> int:
 
 
 def _build(f: IndexFunction, n: int) -> tuple:
-    """The segments of rows 3..n, the chain counts of row n, the number of
-    rows stepped and the period (see `DPTable`)."""
+    """The segments of rows 3..n, the number of rows stepped and the
+    period (see `DPTable`): decisions and values only, no chain counts."""
     G11, G12, G21, G22, g2, base = _increments(f)
     den, (p, q) = f.den, f.tol
 
@@ -521,7 +531,7 @@ def _build(f: IndexFunction, n: int) -> tuple:
 
     x = (base + G11, base + g2)
     row3 = (3, x, _FLAT, (0, 0))
-    segments, counts = [(3, 3, (1, 0), (row3, row3))], (1, 1)  # counts: those of row k
+    segments = [(3, 3, (row3, row3))]
     # rows k - 4 .. k (row 3 for those before it): values and the decisions that made them
     hist = [(x, None)] * 5
     steady = 0  # rows in succession that decided as the row two before
@@ -559,22 +569,19 @@ def _build(f: IndexFunction, n: int) -> tuple:
                 d, y, z = x[0] - x[1], hist[-3][0], hist[-2][0]
                 if d == y[0] - y[1]:  # the first repeat of d
                     period = (k - 1, 1 if d == z[0] - z[1] else 2)
-        seg = (lo, k, counts, phases)
-        segments.append(seg)
-        counts = _carry(seg, lo - 1, counts, k)
-    return segments, counts, k - 3 - jumped, period
+        segments.append((lo, k, phases))
+    return segments, k - 3 - jumped, period
 
 
 def run_dp(f: IndexFunction, n: int, *, keep_table: bool = True) -> DPTable:
-    """Forward pass to n squares: linear time and O(n) memory even for
+    """Forward pass to n squares: O(runs) steps and memory even for
     tie-heavy indices.  The table is one segment per row the pass
-    stepped and per run it jumped, with no per-row data (`DPTable`);
-    ``keep_table=False`` builds the same segments and reads only the row
-    for n, which disables witnesses and enumeration.  Two
+    stepped and per run it jumped, with no per-row data or chain counts
+    (`DPTable`); ``keep_table=False`` builds the same segments and reads
+    only the row for n, which disables witnesses and enumeration.  Two
     candidates that are `values_equal` under ``f.eps`` as exact sums tie:
     the entry gets predecessor code 3 and the larger of the two values.
-    A float optimum at n that overflows to inf is refused with
-    ValueError.
+    A float optimum at n that overflows to inf is refused with ValueError.
 
     The pass steps row by row only through the rows where decisions
     change, and jumps each steady run to the row before its next change
@@ -583,8 +590,8 @@ def run_dp(f: IndexFunction, n: int, *, keep_table: bool = True) -> DPTable:
     float tables behave alike, and report `DPTable.period` too."""
     if n < 3:
         raise ValueError(f"dynamic program needs n >= 3, got {n}")
-    segments, counts, steps, period = _build(f, n)
-    table = DPTable(f, n, segments, counts, steps, period, 3 if keep_table else n)
+    segments, steps, period = _build(f, n)
+    table = DPTable(f, n, segments, steps, period, 3 if keep_table else n)
     if f.mode == FLOAT:
         for end in (1, 2):
             check_finite(table.value(n, end), f"the optimum at n = {n}")
@@ -615,15 +622,13 @@ class ExtremalResult:
 
 
 def _extremal(
-    f: IndexFunction, table: DPTable, objective: str, end: int | None, count_iso: bool
-) -> ExtremalResult:
-    """Read one extremal result for index f at `table.n` squares.
-
-    `table` is a table of f for MAX or of `negate(f)` for MIN; the
-    signs of the values are flipped here, as 0 - v so that a float zero
-    stays +0.0 (CLI `table` flips its min column the same way).
-    """
-    n = table.n
+    f: IndexFunction, n: int, objective: str, end: int | None, count_iso: bool
+) -> tuple[ExtremalResult, DPTable]:
+    """One extremal result for index f at n squares, and its table:
+    `run_dp` of f for MAX or of `negate(f)` for MIN, whose values are
+    flipped here, as 0 - v so that a float zero stays +0.0 (CLI `table`
+    flips its min column the same way)."""
+    table = run_dp(f if objective == MAX else negate(f), n)
     read = table.value if objective == MAX else lambda k, e: 0 - table.value(k, e)
     ends = (end,) if end is not None else table.winning_ends()
     return ExtremalResult(
@@ -637,7 +642,7 @@ def _extremal(
         index_name=f.name,
         mode=f.mode,
         tolerance_dependent=f.mode == FLOAT,
-    )
+    ), table
 
 
 def maximize(
@@ -649,14 +654,14 @@ def maximize(
     that type.  Witness ties are broken toward link 1 at every level
     (and toward ending link 1), making the result deterministic.
     """
-    return _extremal(f, run_dp(f, n), MAX, end, count_iso)
+    return _extremal(f, n, MAX, end, count_iso)[0]
 
 
 def minimize(
     f: IndexFunction, n: int, end: int | None = None, *, count_iso: bool = False
 ) -> ExtremalResult:
     """Minimum index value over n-square chains: maximize the negation."""
-    return _extremal(f, run_dp(negate(f), n), MIN, end, count_iso)
+    return _extremal(f, n, MIN, end, count_iso)[0]
 
 
 def enumerate_maximal(

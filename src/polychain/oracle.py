@@ -49,7 +49,6 @@ from .indices import (
     as_exact_string,
     check_finite,
     evaluate_direct,
-    negate,
     values_equal,
 )
 
@@ -230,10 +229,11 @@ def cross_check(f: IndexFunction, n: int, cap: int = DEFAULT_CAP) -> tuple[bool,
     """Compare the dynamic program against the exhaustive sweep.
 
     Checks global max/min values, per-end values, argmax sets, labeled
-    counts, mirror-class counts and witness soundness.  Two kept
-    `dp.run_dp` tables, one of f and one of `negate(f)`, give the
-    values, witness and labeled count through `dp._extremal`, the argmax,
-    per-end argmax and argmin sets through `DPTable.chains`, their
+    counts, mirror-class counts and witness soundness.  `dp._extremal`
+    gives the values, witness and labeled count of each objective and
+    the kept `dp.run_dp` table it read them from, one of f for the max
+    and one of the negated index for the min.  The tables give the
+    argmax, per-end argmax and argmin sets through `DPTable.chains`, their
     mirror-class counts through `DPTable.iso_count` and the per-end
     counts through `DPTable.labeled_count`.  The oracle side counts
     mirror classes of its own sets with `canonical_reversal`.  Values are
@@ -261,10 +261,8 @@ def cross_check(f: IndexFunction, n: int, cap: int = DEFAULT_CAP) -> tuple[bool,
         expected = len({canonical_reversal(c) for c in chains})
         check(label, expected == actual, expected, actual)
 
-    max_table = dp.run_dp(f, n)
-    min_table = dp.run_dp(negate(f), n)
-    res_max = dp._extremal(f, max_table, dp.MAX, None, False)
-    res_min = dp._extremal(f, min_table, dp.MIN, None, False)
+    res_max, max_table = dp._extremal(f, n, dp.MAX, None, False)
+    res_min, min_table = dp._extremal(f, n, dp.MIN, None, False)
     check("max value", res_max.value == report.max_value, report.max_value, res_max.value)
     check("min value", res_min.value == report.min_value, report.min_value, res_min.value)
     witness_value = evaluate_direct(res_max.witness, f)

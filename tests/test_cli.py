@@ -12,6 +12,7 @@ import sys
 import jsonschema
 import pytest
 
+import polychain.azi as azi_mod
 import polychain.cli as cli_mod
 import polychain.dp as dp_mod
 import polychain.oracle as oracle_mod
@@ -406,6 +407,23 @@ class TestVerify:
         assert doc_code == 0
         assert doc["azi_maximum"] is None
         assert doc["azi_minimum"] is None
+
+    def test_failed_azi_claim_alone_exits_1(self, capsys, monkeypatch):
+        # the oracle agrees with the engine; only the family's labeled count is off
+        real = azi_mod._azi_family
+
+        def off_by_one(n):
+            name, m, labeled, iso = real(n)
+            return name, m, labeled + (n == 8), iso
+
+        monkeypatch.setattr(azi_mod, "_azi_family", off_by_one)
+        code, out, _ = run_cli(capsys, "verify", "--index", "azi", "--n-max", "10")
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["ok"] is False
+        assert doc["oracle"]["ok"] is True
+        assert doc["azi_maximum"]["status"] == "failure"
+        assert doc["azi_maximum"]["failure"]["claim"] == "labeled maximizer count"
 
     def test_corrupted_increments_exit_1(self, capsys, monkeypatch):
         # fault injection: raise g22 by one unit inside the engine only

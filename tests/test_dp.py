@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polychain.dp as dp_mod
+from polychain.azi import azi_max_closed_form
 from polychain.chains import LinkVector, az1_chain, linear_chain, zigzag_chain
 from polychain.dp import (
     CASE_LINEAR_ALWAYS,
@@ -311,8 +313,7 @@ class TestRunDP:
 
     def test_prefix_states_independent_of_horizon(self):
         # the table built to 14 answers every query the table built to 9 does;
-        # its interior tie counts are powered from its segments, the short
-        # run's final ones are carried by the forward pass
+        # the tie counts of each are powered through its own segments
         for f in (AZI, constant_index(), small_range_index()):
             long, short = run_dp(f, 14), run_dp(f, 9)
             for k in range(3, 10):
@@ -664,8 +665,8 @@ class TestEngineWords:
 
 
 class TestCountReadOrder:
-    """A row's counts are carried from the last row read when that lies in
-    its segment, else from the counts entering the segment: every read
+    """A row's counts are carried from the last row read when that lies
+    below it, through the segments between, else from row 2: every read
     order must give the counts of `reference_rows`."""
 
     def test_in_order_reversed_and_interleaved(self):
@@ -680,7 +681,7 @@ class TestCountReadOrder:
                 want[k] = (t1, t2, sum((t1, t2)[e - 1] + 1 for e in winners), t1 + 1, t2 + 1)
             shuffled = rng.sample(rows, len(rows))
             for order in (rows, rows[::-1], shuffled):
-                t = run_dp(f, 120)  # its last read row is 120
+                t = run_dp(f, 120)  # no row read yet: counts start at row 2
                 for k in order:
                     if order is shuffled:  # iso_count reads counts elsewhere first, value none
                         other = rng.choice(rows)
@@ -691,6 +692,53 @@ class TestCountReadOrder:
                     got = (t.tie_count(k, 1), t.tie_count(k, 2), t.labeled_count(k),
                            t.labeled_count(k, 1), t.labeled_count(k, 2))
                     assert got == want[k], (f.name, k, order is shuffled)
+
+
+class TestTableWithoutCounts:
+    """`run_dp` builds decisions and values only; chain counts are carried
+    when read, so values at any n cost the table's runs, not its counts."""
+
+    @staticmethod
+    def indices():
+        return [*(preset(name) for name in PRESET_NAMES), preset("randic", -1)]
+
+    def test_build_carries_no_counts(self, monkeypatch):
+        calls = [0]
+        real = dp_mod._carry
+
+        def counted(*args):
+            calls[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(dp_mod, "_carry", counted)
+        const = IndexFunction("const", {p: Fraction(7, 3) for p in DEGREE_PAIRS})
+        for f in (*self.indices(), const):
+            for keep in (True, False):
+                t = run_dp(f, 5000, keep_table=keep)
+                assert calls[0] == 0, (f.name, keep)
+                t.labeled_count()  # a count read carries
+                assert calls[0] > 0, (f.name, keep)
+                calls[0] = 0
+
+    def test_values_at_a_googol_in_small_memory(self):
+        n = 10**100
+        for f in self.indices():
+            for g in (f, negate(f)):
+                tracemalloc.start()
+                try:
+                    t = run_dp(g, n, keep_table=False)
+                    for end in (1, 2):
+                        t.value(n, end)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < 2**20, (g.name, peak)
+
+    def test_azi_at_a_googol(self):
+        for n in (10**100, 10**100 + 1):
+            assert run_dp(AZI, n).best_value() == azi_max_closed_form(n), n
+        n = 10**100
+        assert run_dp(AZI, n, keep_table=False).labeled_count() == (n - 6) // 2 + 1
 
 
 class TestMirrorReadOrder:

@@ -177,9 +177,9 @@ class TestCrossCheck:
     def test_detects_engine_corruption(self, monkeypatch):
         real_extremal = dp_mod._extremal
 
-        def corrupted(f, table, objective, end, count_iso):
-            res = real_extremal(f, table, objective, end, count_iso)
-            return replace(res, value=res.value + 1) if objective == dp_mod.MAX else res
+        def corrupted(f, n, objective, end, count_iso):
+            res, table = real_extremal(f, n, objective, end, count_iso)
+            return (replace(res, value=res.value + 1) if objective == dp_mod.MAX else res), table
 
         monkeypatch.setattr(dp_mod, "_extremal", corrupted)
         ok, mismatches = cross_check(AZI, 6)
@@ -286,6 +286,12 @@ class TestCensus:
             for vid, pos in positions_by_vector(groups):
                 pairs = reference_multiset(words[pos])
                 assert vectors[vid] == tuple(pairs[p] for p in DEGREE_PAIRS), (n, words[pos])
+
+    def test_two_square_chain(self):
+        vectors, groups = census(2)
+        pairs = reference_multiset(())
+        assert vectors == (tuple(pairs[p] for p in DEGREE_PAIRS),)
+        assert [list(column[0]) for column in groups] == [[0], []]
 
     def test_distinct_vector_counts(self):
         assert len(census(14)[0]) == 98
