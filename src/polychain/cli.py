@@ -191,21 +191,15 @@ _SCALAR_JSON = {
 }
 
 
-@functools.cache
-def _flat_encoder(sep: str):
-    """json's C encoder writing a flat container's items `sep` apart."""
-    return json.JSONEncoder(separators=(sep, ": ")).encode
-
-
 def _render_json(doc, pad: str = "\n") -> str:
     """Return ``json.dumps(doc, indent=2)`` for a document with string keys,
     a `LinkVector` in it standing for the list of its links.
 
     The stdlib drops its C encoder whenever ``indent`` is set.  Here a
-    scalar is written by its type's entry in `_SCALAR_JSON`, each list or
-    dict of plain scalars is one call of the C encoder, with the newline
-    and indent as its item separator, and a link word is its digits
-    joined by that separator.  A `_Rendered` part is written as it is.
+    scalar is written by its type's entry in `_SCALAR_JSON`, a container
+    is its items' texts joined by the newline and indent, and a link word
+    is its digits joined alike.  A long list of same-shape items comes as
+    a `_Rendered` part (`_json_rows`), written as it is.
     """
     scalar = _SCALAR_JSON.get(type(doc))
     if scalar is not None:
@@ -219,9 +213,7 @@ def _render_json(doc, pad: str = "\n") -> str:
     if isinstance(doc, LinkVector):
         return "[" + inner + sep.join(_as_word(doc).translate(_DIGITS).decode()) + pad + "]"
     is_dict = isinstance(doc, dict)
-    if all(map(_SCALAR_JSON.__contains__, map(type, doc.values() if is_dict else doc))):
-        body = _flat_encoder(sep)(doc)[1:-1]
-    elif is_dict:
+    if is_dict:
         body = sep.join(_SCALAR_JSON.get(type(k), json.dumps)(k) + ": " + _render_json(v, inner)
                         for k, v in doc.items())
     else:

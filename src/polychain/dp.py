@@ -49,17 +49,18 @@ The table is the list of these stepped rows and runs, one segment each
 base rows, their rises and its two rows' codes.  Chain counts are carried
 only when read, by the codes' linear map c -> c1 / c2 / c1 + c2 of each
 end, a 2x2 integer matrix raised to a power by squaring, and the mirror
-count's walk powers its maps alike.  A table, kept or streaming, costs
-O(runs) Python steps, segments and small-int steps; a row's values are
-read in O(log runs) steps, its counts and `iso_count` in O(runs log k)
-big-int steps, or O(1) a row when rows are read in order past the
-transient.  A chain of
-`witness` or `chains` takes O(runs + ties) Python steps, whatever k is,
-and k-byte copies: a run is walked six rows deep and copied as a block.
+count's walk powers its maps alike.  So a table keeps every row 3..n
+at O(runs) Python steps, segments and small-int steps; a row's values
+are read in O(log runs) steps, its counts and `iso_count` in
+O(runs log k) big-int steps, or O(1) a row when rows are read in order
+past the transient.  A chain of `witness` or `chains` takes
+O(runs + ties) Python steps, whatever k is, and k-byte copies: a run is
+walked six rows deep and copied as a block.
 """
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -88,8 +89,9 @@ MAX = "max"
 MIN = "min"
 
 _PRED_SETS = (frozenset(), frozenset((1,)), frozenset((2,)), frozenset((1, 2)))
-# an end's chain count as a row over the counts (c1, c2) of the row before, by its code
-_COUNT_ROWS = ((1, 0), (1, 0), (0, 1), (1, 1))
+# an end's chain count as a row over the counts (c1, c2) of the row before, by its
+# code; row 3's code 0 is never carried, its counts (1, 1) being where carries start
+_COUNT_ROWS = (None, (1, 0), (0, 1), (1, 1))
 _FLAT = (0, 0)  # the rise of a one-row segment
 
 
@@ -127,23 +129,22 @@ class DPTable:
     `witness` and `chains` walk backwards.  `_best` is the one rule for
     a row's winning ends.  Only `_count` carries chain counts (tie counts
     plus one), a powered count map a segment, from the last row read when
-    that lies below, else from (1, 0) at row 2 (row 3's code 0 reads it
-    as c1), so reading rows in order costs O(1) big-int steps a row.  A
-    streaming build (``keep_table=False``) reads only row n.
-    Iterating yields one `DPState` per readable row.  `steps` counts the
-    rows the forward pass stepped one at a time.
+    that lies below, else from row 3's counts (1, 1), so reading rows in
+    order costs O(1) big-int steps a row.  `_row` is the one argument
+    rule of the readers that default to row n.  Iterating yields one
+    `DPState` per row 3..n.  `steps` counts the rows the forward pass
+    stepped one at a time.
     """
 
-    def __init__(self, f, n, segments, steps, period, first):
+    def __init__(self, f, n, segments, steps, period):
         self.f = f
         self.n = n
         self.mode = f.mode
         self.eps = f.eps
         self.steps = steps  # rows the forward pass stepped one at a time
-        self._first = first  # the first readable row: 3, or n for a streaming table
         self._segments = segments
         self._starts = [seg[0] for seg in segments]
-        self._count_at = (2, (1, 0))  # the last row whose chain counts were read, and those
+        self._count_at = (3, (1, 1))  # the last row whose chain counts were read, and those
         self._mirror = [None, None]  # per parity of k: the last (k, ends, v) of `iso_count`
         self._period = period
 
@@ -162,8 +163,6 @@ class DPTable:
     def _check_k(self, k: int) -> None:
         if not 3 <= k <= self.n:
             raise ValueError(f"square count {k} outside table range 3..{self.n}")
-        if k < self._first:
-            raise ValueError("streaming table keeps only the final state (keep_table=False)")
 
     @staticmethod
     def _check_end(i: int) -> None:
@@ -189,15 +188,15 @@ class DPTable:
         self._check_k(k)
         self._check_end(i)
         row, counts = self._count_at
-        if row != k:
+        if row > k:
+            row, counts = 3, (1, 1)
+        if row < k:
             segs, at = self._segments, bisect_right(self._starts, k) - 1
-            if not segs[at][0] <= row < k:
-                if row > k:
-                    row, counts = 2, (1, 0)
+            if row < segs[at][0]:
                 for seg in segs[bisect_right(self._starts, row + 1) - 1:at]:
                     counts, row = _carry(seg, row, counts, seg[1]), seg[1]
             counts = _carry(segs[at], row, counts, k)
-            self._count_at = (k, counts)
+        self._count_at = (k, counts)
         return counts[i - 1]
 
     def tie_count(self, k: int, i: int) -> int:
@@ -220,10 +219,18 @@ class DPTable:
         )
 
     def __len__(self) -> int:
-        return self.n - self._first + 1
+        return self.n - 2
 
     def __iter__(self) -> Iterator[DPState]:
-        return (self.state(k) for k in range(self._first, self.n + 1))
+        return (self.state(k) for k in range(3, self.n + 1))
+
+    def _row(self, k: int | None, end: int | None = None) -> int:
+        """k (n for None), checked, and `end` checked when given."""
+        k = self.n if k is None else k
+        self._check_k(k)
+        if end is not None:
+            self._check_end(end)
+        return k
 
     def _best(self, k: int) -> tuple[tuple[int, ...], int]:
         """Row k's winning ends, both on a tie under f, and the first one's
@@ -234,35 +241,21 @@ class DPTable:
 
     def winning_ends(self, k: int | None = None) -> tuple[int, ...]:
         """Ending links attaining the overall optimum at k squares."""
-        k = self.n if k is None else k
-        self._check_k(k)
-        return self._best(k)[0]
+        return self._best(self._row(k))[0]
 
     def best_value(self, k: int | None = None) -> Value:
-        k = self.n if k is None else k
-        self._check_k(k)
-        return self.f.read(self._best(k)[1])
+        return self.f.read(self._best(self._row(k))[1])
 
     def labeled_count(self, k: int | None = None, end: int | None = None) -> int:
         """Number of distinct optimal chains (summed over the winning ends)."""
-        k = self.n if k is None else k
-        ends = (end,) if end is not None else self.winning_ends(k)
+        k = self._row(k, end)
+        ends = (end,) if end is not None else self._best(k)[0]
         return sum(self._count(k, e) for e in ends)
-
-    def _walked(self, k: int | None, end: int | None, what: str) -> int:
-        """k (n for None), checked with `end` for a walk back from row k."""
-        k = self.n if k is None else k
-        self._check_k(k)
-        if self._first > 3:
-            raise ValueError(f"streaming table cannot {what} (keep_table=False)")
-        if end is not None:
-            self._check_end(end)
-        return k
 
     def witness(self, k: int | None = None, end: int | None = None) -> LinkVector:
         """One optimal chain, built backwards preferring link 1 on ties: the first of `chains`."""
-        k = self._walked(k, end, "reconstruct witnesses")
-        return LinkVector._of(next(self._words(k, end or self.winning_ends(k)[0])))
+        k = self._row(k, end)
+        return LinkVector._of(next(self._words(k, end or self._best(k)[0][0])))
 
     def _words(self, k: int, end: int) -> Iterator[bytes]:
         """The optimal words of k squares ending in link `end`, one byte
@@ -273,6 +266,9 @@ class DPTable:
         low..high whose residue mod 4 is in mask.  Reopening the lowest
         pending row r gives square r - 1 link 2 and descends from there,
         in O(segments + ties) Python steps and byte copies, whatever k is."""
+        if k - 2 > sys.maxsize:
+            raise ValueError(f"a chain of {k} squares is too long to build: "
+                             f"its {k - 2} links exceed sys.maxsize = {sys.maxsize}")
         segs, starts = self._segments, self._starts
         buf = bytearray(k - 2)  # buf[j - 3]: the link of square j
         view = memoryview(buf)
@@ -351,7 +347,7 @@ class DPTable:
         walk at k + 2 is the one at k, kept per parity of k, with one step
         more: rows read in order cost O(1) big-int steps each.
         """
-        k = self._walked(k, end, "count mirror classes")
+        k = self._row(k, end)
         ends = (end,) if end is not None else self._best(k)[0]
         v = (int(1 in ends), int(2 in ends))  # a word of B starts and ends in `ends`
         segs, s = self._segments, (k - 3) // 2  # s: steps while l + 1 < r
@@ -400,8 +396,8 @@ class DPTable:
         the first-seen member of each mirror pair is kept; ``limit`` caps
         the number of chains yielded.
         """
-        k = self._walked(k, end, "enumerate chains")
-        ends = (end,) if end is not None else self.winning_ends(k)
+        k = self._row(k, end)
+        ends = (end,) if end is not None else self._best(k)[0]
         seen: set[bytes] = set()
         emitted = 0
         for e in ends:
@@ -577,11 +573,12 @@ def run_dp(f: IndexFunction, n: int, *, keep_table: bool = True) -> DPTable:
     """Forward pass to n squares: O(runs) steps and memory even for
     tie-heavy indices.  The table is one segment per row the pass
     stepped and per run it jumped, with no per-row data or chain counts
-    (`DPTable`); ``keep_table=False`` builds the same segments and reads
-    only the row for n, which disables witnesses and enumeration.  Two
-    candidates that are `values_equal` under ``f.eps`` as exact sums tie:
-    the entry gets predecessor code 3 and the larger of the two values.
-    A float optimum at n that overflows to inf is refused with ValueError.
+    (`DPTable`), so keeping every row costs nothing more than keeping row
+    n: ``keep_table`` is accepted and ignored, and every table answers
+    every reader for rows 3..n.  Two candidates that are `values_equal`
+    under ``f.eps`` as exact sums tie: the entry gets predecessor code 3
+    and the larger of the two values.  A float optimum at n that
+    overflows to inf is refused with ValueError.
 
     The pass steps row by row only through the rows where decisions
     change, and jumps each steady run to the row before its next change
@@ -591,7 +588,7 @@ def run_dp(f: IndexFunction, n: int, *, keep_table: bool = True) -> DPTable:
     if n < 3:
         raise ValueError(f"dynamic program needs n >= 3, got {n}")
     segments, steps, period = _build(f, n)
-    table = DPTable(f, n, segments, steps, period, 3 if keep_table else n)
+    table = DPTable(f, n, segments, steps, period)
     if f.mode == FLOAT:
         for end in (1, 2):
             check_finite(table.value(n, end), f"the optimum at n = {n}")
@@ -679,7 +676,7 @@ def enumerate_maximal(
 def count_maximal(f: IndexFunction, n: int, end: int) -> int:
     """Number of distinct maximal chains ending with the given link."""
     DPTable._check_end(end)
-    return run_dp(f, n, keep_table=False).labeled_count(n, end)
+    return run_dp(f, n).labeled_count(n, end)
 
 
 CASE_LINEAR_ALWAYS = "linear-always"

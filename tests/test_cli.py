@@ -171,6 +171,18 @@ class TestExtremalCommands:
         assert code == 2
         assert "n >= 3" in err
 
+    def test_chain_past_sys_maxsize_exits_2(self, capsys):
+        # values and counts still answer, but no word of n - 2 links fits a buffer
+        n = str(10**23)
+        for argv in (["max", "--n", n], ["min", "--n", n],
+                     ["max", "--n", n, "--enumerate", "--limit", "1"]):
+            code, out, err = run_cli(capsys, *argv, "--index", "azi")
+            assert (code, out) == (2, ""), argv
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert "sys.maxsize" in err
+        code, out, _ = run_cli(capsys, "table", "--index", "azi", "--from", n, "--to", n)
+        assert code == 0 and out.startswith("n,max,min,labeled_count,iso_count,family\n" + n)
+
     def test_plain_format(self, capsys):
         code, out, _ = run_cli(capsys, "max", "--index", "azi", "--n", "6",
                                "--format", "plain")

@@ -184,6 +184,21 @@ def brute_force_max(f, n):
     return max(evaluate_direct(links, f) for links in product((1, 2), repeat=n - 2))
 
 
+def all_readers(t, k):
+    """Every reader of table t at row k, for each end where it takes one;
+    the chains capped at 12 a query."""
+    ends = (None, 1, 2)
+    return (
+        [(t.value(k, e), t.predecessors(k, e), t.tie_count(k, e)) for e in (1, 2)],
+        t.winning_ends(k),
+        t.best_value(k),
+        [t.labeled_count(k, e) for e in ends],
+        [t.iso_count(k, e) for e in ends],
+        [t.witness(k, e) for e in ends],
+        [list(t.chains(k, e, dedup, limit=12)) for e in ends for dedup in (False, True)],
+    )
+
+
 class TestRunDP:
     def test_needs_three_squares(self):
         with pytest.raises(ValueError, match="n >= 3"):
@@ -304,12 +319,19 @@ class TestRunDP:
                         assert approx.predecessors(k, i) == exact.predecessors(k, i), (g.name, k)
                         assert approx.tie_count(k, i) == exact.tie_count(k, i), (g.name, k)
 
-    def test_streaming_refuses_interior_reads(self):
-        slim = run_dp(AZI, 10, keep_table=False)
-        with pytest.raises(ValueError, match="streaming"):
-            slim.value(9, 1)
-        with pytest.raises(ValueError, match="streaming"):
-            slim.witness()
+    def test_keep_table_false_reads_every_row(self):
+        # keep_table is ignored: the table equals a kept one on every reader
+        tables = {}
+        for f in (*chain_corpus(), *(preset(name) for name in PRESET_NAMES),
+                  preset("randic", -1)):
+            for g in (f, negate(f)):
+                tables.setdefault((g.mode, g.eps, *g.values.items()), g)
+        for g in tables.values():
+            slim, kept = run_dp(g, 60, keep_table=False), run_dp(g, 60)
+            assert len(slim) == len(kept) == 58, g.name
+            assert list(slim) == list(kept), g.name
+            for k in range(3, 61):
+                assert all_readers(slim, k) == all_readers(kept, k), (g.name, k)
 
     def test_prefix_states_independent_of_horizon(self):
         # the table built to 14 answers every query the table built to 9 does;
@@ -550,9 +572,13 @@ class TestIsoCount:
             assert (t.labeled_count(), t.iso_count()) == (labeled, (labeled + palindromes) // 2), m
         assert run_dp(constant_index(), n).iso_count() == (2 ** (n - 2) + 2 ** ((n - 1) // 2)) // 2
 
-    def test_streaming_table_refused(self):
-        with pytest.raises(ValueError, match="streaming table cannot count mirror classes"):
-            run_dp(AZI, 12, keep_table=False).iso_count()
+    def test_keep_table_false_counts_mirror_classes(self):
+        for f in (AZI, negate(AZI), constant_index(), preset("randic", -1)):
+            for n in (12, 10**4 + 1):
+                slim, kept = run_dp(f, n, keep_table=False), run_dp(f, n)
+                for k in (3, 4, n // 2, n - 1, n):
+                    for end in (None, 1, 2):
+                        assert slim.iso_count(k, end) == kept.iso_count(k, end), (f.name, n, k)
 
     def test_validates_arguments(self):
         t = run_dp(AZI, 12)
@@ -666,7 +692,7 @@ class TestEngineWords:
 
 class TestCountReadOrder:
     """A row's counts are carried from the last row read when that lies
-    below it, through the segments between, else from row 2: every read
+    below it, through the segments between, else from row 3: every read
     order must give the counts of `reference_rows`."""
 
     def test_in_order_reversed_and_interleaved(self):
@@ -681,7 +707,7 @@ class TestCountReadOrder:
                 want[k] = (t1, t2, sum((t1, t2)[e - 1] + 1 for e in winners), t1 + 1, t2 + 1)
             shuffled = rng.sample(rows, len(rows))
             for order in (rows, rows[::-1], shuffled):
-                t = run_dp(f, 120)  # no row read yet: counts start at row 2
+                t = run_dp(f, 120)  # no row read yet: counts start at row 3
                 for k in order:
                     if order is shuffled:  # iso_count reads counts elsewhere first, value none
                         other = rng.choice(rows)
@@ -719,6 +745,24 @@ class TestTableWithoutCounts:
                 t.labeled_count()  # a count read carries
                 assert calls[0] > 0, (f.name, keep)
                 calls[0] = 0
+
+    def test_first_count_carries_from_row_3(self, monkeypatch):
+        # one carry per segment from row 4 through k's, none for row 3
+        carried = []
+        real = dp_mod._carry
+
+        def counted(seg, *args):
+            carried.append(seg[0])
+            return real(seg, *args)
+
+        monkeypatch.setattr(dp_mod, "_carry", counted)
+        const = IndexFunction("const", {p: Fraction(7, 3) for p in DEGREE_PAIRS})
+        for f in (*self.indices(), const):
+            for k in (3, 4, 5, 9, 40, 5000):
+                t = run_dp(f, 5000)
+                t.labeled_count(k)
+                assert carried == [seg[0] for seg in t._segments[1:] if seg[0] <= k], (f.name, k)
+                carried.clear()
 
     def test_values_at_a_googol_in_small_memory(self):
         n = 10**100
@@ -995,7 +1039,7 @@ class TestPeriodicTail:
         assert slim.period == (4, 1)
         assert slim.tie_count(10**5, 1) == 2 ** (10**5 - 3) - 1
         assert slim.labeled_count() == 2 ** (10**5 - 2)
-        assert len(slim) == 1
+        assert len(slim) == 10**5 - 2
 
     def test_drift_run_is_jumped(self):
         # d climbs by 1/10**4 a row for about 1000 rows: one jumped run
