@@ -35,6 +35,7 @@ from .indices import (
     RATIONAL,
     IndexFunction,
     _texts,
+    _value_json,
     as_decimal_string,
     as_exact_string,
     evaluate_direct,
@@ -253,10 +254,6 @@ _ROW_JSON = """{
     }"""
 
 
-def _value_json(v) -> dict:
-    return {"rational": as_exact_string(v), "decimal": as_decimal_string(v)}
-
-
 def _value_plain(v) -> str:
     exact = as_exact_string(v)
     if exact is None:
@@ -293,14 +290,13 @@ def _resolve_index(args) -> IndexFunction:
             except (ValueError, ZeroDivisionError):
                 raise ValueError(f"malformed randic exponent {gamma_text!r}") from None
         f = preset(name, gamma)
-    if args.mode == FLOAT and f.mode == RATIONAL:
-        f = force_float(f, args.eps if args.eps is not None else f.eps)
-    elif args.mode == RATIONAL and f.mode == FLOAT:
+    if args.mode == RATIONAL and f.mode == FLOAT:
         raise ValueError("cannot promote a float-mode index table to exact rationals")
-    if args.eps is not None:
-        if f.mode != FLOAT:
-            raise ValueError("--eps applies to float-mode indices only")
-        f = IndexFunction(f.name, f.values, mode=FLOAT, eps=args.eps)
+    floating = args.mode == FLOAT or f.mode == FLOAT
+    if args.eps is not None and not floating:
+        raise ValueError("--eps applies to float-mode indices only")
+    if floating and (args.eps is not None or f.mode == RATIONAL):
+        f = force_float(f, f.eps if args.eps is None else args.eps)
     return f
 
 
@@ -332,18 +328,18 @@ def _cmd_value(args, f: IndexFunction) -> tuple[str, int]:
     return "", 1
 
 
-def _cmd_extremal(args, f: IndexFunction, objective: str) -> tuple[str, int]:
+def _cmd_extremal(args, f: IndexFunction) -> tuple[str, int]:
     if args.n < 3:
         raise ValueError(f"extremal search needs --n >= 3, got {args.n}")
     if args.limit is not None and args.limit < 0:
         raise ValueError(f"--limit must be >= 0, got {args.limit}")
-    result, table = _extremal(f, args.n, objective, args.end, args.iso)
+    result, table = _extremal(f, args.n, args.command, args.end, args.iso)
     chains = None
     if args.enumerate:
         chains = list(table.chains(end=args.end, dedup=args.dedup, limit=args.limit))
     if args.format == "json":
         doc = {
-            "command": objective,
+            "command": args.command,
             "index": f.name,
             "mode": f.mode,
             "n": args.n,
@@ -359,7 +355,7 @@ def _cmd_extremal(args, f: IndexFunction, objective: str) -> tuple[str, int]:
             doc["chains"] = chains
         return _render_json(doc), 0
     lines = [
-        f"{objective} {f.name} n={args.n}: {_value_plain(result.value)}",
+        f"{args.command} {f.name} n={args.n}: {_value_plain(result.value)}",
         f"witness: {result.witness.to_string()}",
         f"labeled count: {result.labeled_count}",
     ]
@@ -406,11 +402,12 @@ def _cmd_table(args, f: IndexFunction) -> tuple[str, int]:
     max_table, min_table = run_dp(f, hi), run_dp(negate(f), hi)
     rows = []
     for n in range(lo, hi + 1):
-        # a column: the raw optimum of the first winning end, negated for the min
-        ends, top = max_table._best(n)
-        name, _, _, iso = family(n) if family else (None, None, None, max_table.iso_count(n))
-        rows.append((n, _texts(f, top), _texts(f, -min_table._best(n)[1]),
-                     sum(max_table._count(n, e) for e in ends), iso, name))
+        # one read of each table's row n; the min is f's read of the negated optimum
+        _, ends, top = max_table._row(n)
+        count = sum(max_table._count(n, e) for e in ends)
+        name, _, _, iso = (family(n) if family else
+                           (None, None, None, count - max_table._mirror_pairs(n, ends)))
+        rows.append((n, _texts(f, top), _texts(f, -min_table._row(n)[2]), count, iso, name))
     if args.format == "json":
         json_text = _SCALAR_JSON  # str and None fields as their JSON text
         rows = [(n, json_text[type(e1)](e1), d1, json_text[type(e2)](e2), d2, count, iso,
@@ -516,6 +513,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 _DISPATCH = {
     "value": _cmd_value,
+    "max": _cmd_extremal,
+    "min": _cmd_extremal,
     "classify": _cmd_classify,
     "table": _cmd_table,
     "verify": _cmd_verify,
@@ -544,10 +543,7 @@ def main(argv=None) -> int:
         f = _resolve_index(args)
         # parsing above keeps the default digit guard; only rendering lifts it
         with _unlimited_int_digits():
-            if args.command in ("max", "min"):
-                text, code = _cmd_extremal(args, f, args.command)
-            else:
-                text, code = _DISPATCH[args.command](args, f)
+            text, code = _DISPATCH[args.command](args, f)
         if text and args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")

@@ -126,14 +126,13 @@ class DPTable:
     over one common denominator, are `values` (those of the base row
     `row`) plus (r - row) / 2 times `rise`, and codes[:2] are its two
     predecessor codes (1 or 2, 3 for a tie, 0 at row 3): the DAG that
-    `witness` and `chains` walk backwards.  `_best` is the one rule for
-    a row's winning ends.  Only `_count` carries chain counts (tie counts
-    plus one), a powered count map a segment, from the last row read when
-    that lies below, else from row 3's counts (1, 1), so reading rows in
-    order costs O(1) big-int steps a row.  `_row` is the one argument
-    rule of the readers that default to row n.  Iterating yields one
-    `DPState` per row 3..n.  `steps` counts the rows the forward pass
-    stepped one at a time.
+    `witness` and `chains` walk backwards.  `_row` is the one read rule,
+    checking its input, and the private readers it feeds check nothing.
+    Only `_count` carries chain counts (tie counts plus one), a powered
+    count map a segment, from the last row read when that lies below,
+    else from row 3's counts (1, 1), so reading rows in order costs O(1)
+    big-int steps a row.  Iterating yields one `DPState` per row 3..n.
+    `steps` counts the rows the forward pass stepped one at a time.
     """
 
     def __init__(self, f, n, segments, steps, period):
@@ -185,8 +184,6 @@ class DPTable:
 
     def _count(self, k: int, i: int) -> int:
         """Optimal k-square chains ending with link i."""
-        self._check_k(k)
-        self._check_end(i)
         row, counts = self._count_at
         if row > k:
             row, counts = 3, (1, 1)
@@ -201,6 +198,8 @@ class DPTable:
 
     def tie_count(self, k: int, i: int) -> int:
         """Optimal k-square chains ending with link i, minus one."""
+        self._check_k(k)
+        self._check_end(i)
         return self._count(k, i) - 1
 
     def predecessors(self, k: int, i: int) -> frozenset[int]:
@@ -210,7 +209,6 @@ class DPTable:
         return _PRED_SETS[codes[i - 1]]
 
     def state(self, k: int) -> DPState:
-        self._check_k(k)
         return DPState(
             n=k,
             values=(self.value(k, 1), self.value(k, 2)),
@@ -224,38 +222,35 @@ class DPTable:
     def __iter__(self) -> Iterator[DPState]:
         return (self.state(k) for k in range(3, self.n + 1))
 
-    def _row(self, k: int | None, end: int | None = None) -> int:
-        """k (n for None), checked, and `end` checked when given."""
+    def _row(self, k: int | None, end: int | None = None) -> tuple[int, tuple[int, ...], int]:
+        """k (n for None), checked; the ends a read takes, `end` checked, else
+        the winning ends, both on a tie under f; and the first one's optimum
+        times the common denominator."""
         k = self.n if k is None else k
         self._check_k(k)
         if end is not None:
             self._check_end(end)
-        return k
-
-    def _best(self, k: int) -> tuple[tuple[int, ...], int]:
-        """Row k's winning ends, both on a tie under f, and the first one's
-        optimum times the common denominator."""
+            return k, (end,), self._raw(k, end)
         a, b = self._raw(k, 1), self._raw(k, 2)
         code = _code(self.f, a, b)
-        return ((1, 2) if code == 3 else (code,)), b if code == 2 else a
+        return k, ((1, 2) if code == 3 else (code,)), b if code == 2 else a
 
     def winning_ends(self, k: int | None = None) -> tuple[int, ...]:
         """Ending links attaining the overall optimum at k squares."""
-        return self._best(self._row(k))[0]
+        return self._row(k)[1]
 
     def best_value(self, k: int | None = None) -> Value:
-        return self.f.read(self._best(self._row(k))[1])
+        return self.f.read(self._row(k)[2])
 
     def labeled_count(self, k: int | None = None, end: int | None = None) -> int:
         """Number of distinct optimal chains (summed over the winning ends)."""
-        k = self._row(k, end)
-        ends = (end,) if end is not None else self._best(k)[0]
+        k, ends, _ = self._row(k, end)
         return sum(self._count(k, e) for e in ends)
 
     def witness(self, k: int | None = None, end: int | None = None) -> LinkVector:
         """One optimal chain, built backwards preferring link 1 on ties: the first of `chains`."""
-        k = self._row(k, end)
-        return LinkVector._of(next(self._words(k, end or self._best(k)[0][0])))
+        k, ends, _ = self._row(k, end)
+        return LinkVector._of(next(self._words(k, ends[0])))
 
     def _words(self, k: int, end: int) -> Iterator[bytes]:
         """The optimal words of k squares ending in link `end`, one byte
@@ -328,27 +323,30 @@ class DPTable:
 
     def iso_count(self, k: int | None = None, end: int | None = None) -> int:
         """Optimal chains at k squares up to mirror symmetry: the number
-        `chains(k, end, dedup=True)` yields, counted without enumerating.
+        `chains(k, end, dedup=True)` yields, counted without enumerating,
+        as `labeled_count` less the mirror pairs (`_mirror_pairs`)."""
+        k, ends, _ = self._row(k, end)
+        return sum(self._count(k, e) for e in ends) - self._mirror_pairs(k, ends)
 
-        With S the optimal words, B those whose reverse is also in S and
-        P the palindromes of S, the count is |S| - (B - P) / 2.  One walk
-        pairs square l with r = k + 3 - l and moves inward: v_x counts the
-        half words w_3..w_l ending in link x whose every step is an edge
-        of the DAG both forwards (squares l, l + 1) and mirrored (squares
-        r - 1, r).  A word is in B exactly when both its halves, read
-        from the outside in, are such half words, and in P when the two
-        halves are one, so B and P follow from v where the halves meet.
-        A step is a linear map of v read from the codes of rows l + 1 and
-        r, so while both rows stay in their segments the maps alternate
-        by parity, and each such stretch is one powered map: O(runs log k)
-        big-int steps in all.  The walk at k takes s = (k - 3) // 2 steps,
-        and step t at k + 2 reads row k + 2 - t where that at k read row
-        k - t.  So when rows k + 1 - s .. k + 2 lie in one segment, the
-        walk at k + 2 is the one at k, kept per parity of k, with one step
-        more: rows read in order cost O(1) big-int steps each.
+    def _mirror_pairs(self, k: int, ends: tuple[int, ...]) -> int:
+        """(B - P) / 2 for the optimal words S of row k that end in `ends`
+        (from `_row`), B those whose reverse is also in S and P the
+        palindromes of S.  One walk pairs square l with r = k + 3 - l and
+        moves inward: v_x counts the half words w_3..w_l ending in link x
+        whose every step is an edge of the DAG both forwards (squares l,
+        l + 1) and mirrored (squares r - 1, r).  A word is in B exactly when
+        both its halves, read from the outside in, are such half words, and
+        in P when the two halves are one, so B and P follow from v where the
+        halves meet.  A step is a linear map of v read from the codes of
+        rows l + 1 and r, so while both rows stay in their segments the maps
+        alternate by parity, and each such stretch is one powered map:
+        O(runs log k) big-int steps in all.  The walk at k takes
+        s = (k - 3) // 2 steps, and step t at k + 2 reads row k + 2 - t
+        where that at k read row k - t.  So when rows k + 1 - s .. k + 2 lie
+        in one segment, the walk at k + 2 is the one at k, kept per parity
+        of k, with one step more: rows read in order cost O(1) big-int steps
+        each.
         """
-        k = self._row(k, end)
-        ends = (end,) if end is not None else self._best(k)[0]
         v = (int(1 in ends), int(2 in ends))  # a word of B starts and ends in `ends`
         segs, s = self._segments, (k - 3) // 2  # s: steps while l + 1 < r
         # segment i holds row l + 1, rising from row 4, and segment j row r,
@@ -379,7 +377,7 @@ class DPTable:
             m = _mirror_map(codes, codes)
         (v1, v2), (w1, w2) = v, _apply(m, v)
         both, pal = v1 * w1 + v2 * w2, m[0][0] * v1 + m[1][1] * v2
-        return sum(self._count(k, e) for e in ends) - (both - pal) // 2
+        return (both - pal) // 2
 
     def chains(
         self,
@@ -396,8 +394,7 @@ class DPTable:
         the first-seen member of each mirror pair is kept; ``limit`` caps
         the number of chains yielded.
         """
-        k = self._row(k, end)
-        ends = (end,) if end is not None else self._best(k)[0]
+        k, ends, _ = self._row(k, end)
         seen: set[bytes] = set()
         emitted = 0
         for e in ends:
@@ -622,20 +619,22 @@ def _extremal(
     f: IndexFunction, n: int, objective: str, end: int | None, count_iso: bool
 ) -> tuple[ExtremalResult, DPTable]:
     """One extremal result for index f at n squares, and its table:
-    `run_dp` of f for MAX or of `negate(f)` for MIN, whose values are
-    flipped here, as 0 - v so that a float zero stays +0.0 (CLI `table`
-    flips its min column the same way)."""
+    `run_dp` of f for MAX or of `negate(f)` for MIN.  The two share their
+    common denominator, so a min is f's read of the negated scaled
+    optimum, as CLI `table` reads its min column."""
     table = run_dp(f if objective == MAX else negate(f), n)
-    read = table.value if objective == MAX else lambda k, e: 0 - table.value(k, e)
-    ends = (end,) if end is not None else table.winning_ends()
+    sign = 1 if objective == MAX else -1
+    _, ends, raw = table._row(n, end)
+    witness = table.witness(n, ends[0])  # refuses a chain too long to build, before any count
+    labeled = sum(table._count(n, e) for e in ends)
     return ExtremalResult(
         objective=objective,
         n=n,
-        value=read(n, ends[0]),
-        per_end={e: read(n, e) for e in (1, 2)},
-        witness=table.witness(end=ends[0]),
-        labeled_count=table.labeled_count(n, end),
-        iso_count=table.iso_count(n, end) if count_iso else None,
+        value=f.read(sign * raw),
+        per_end={e: f.read(sign * table._raw(n, e)) for e in (1, 2)},
+        witness=witness,
+        labeled_count=labeled,
+        iso_count=labeled - table._mirror_pairs(n, ends) if count_iso else None,
         index_name=f.name,
         mode=f.mode,
         tolerance_dependent=f.mode == FLOAT,

@@ -121,6 +121,11 @@ def as_decimal_string(v: Value) -> str:
     return _decimal_text(*v.as_integer_ratio())
 
 
+def _value_json(v: Value) -> dict:
+    """A value's JSON object: its `as_exact_string` and `as_decimal_string`."""
+    return {"rational": as_exact_string(v), "decimal": as_decimal_string(v)}
+
+
 def _exact_text(num: int, den: int) -> str:
     """"p/q" text of num / den (den > 0) in lowest terms, "p" for a whole number."""
     g = math.gcd(num, den)

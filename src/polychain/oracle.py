@@ -45,8 +45,7 @@ from .chains import LinkVector, _CornerGraph, canonical_reversal
 from .indices import (
     IndexFunction,
     Value,
-    as_decimal_string,
-    as_exact_string,
+    _value_json,
     check_finite,
     evaluate_direct,
     values_equal,
@@ -137,18 +136,15 @@ class OracleReport:
     per_end_argmax: dict[int, tuple[LinkVector, ...]]
 
     def to_json(self) -> dict:
-        def val(v: Value) -> dict:
-            return {"rational": as_exact_string(v), "decimal": as_decimal_string(v)}
-
         return {
             "n": self.n,
             "index": self.index_name,
             "mode": self.mode,
-            "max": val(self.max_value),
-            "min": val(self.min_value),
+            "max": _value_json(self.max_value),
+            "min": _value_json(self.min_value),
             "argmax": [list(c) for c in self.argmax],
             "argmin": [list(c) for c in self.argmin],
-            "per_end_max": {str(e): val(v) for e, v in self.per_end_max.items()},
+            "per_end_max": {str(e): _value_json(v) for e, v in self.per_end_max.items()},
             "per_end_argmax": {
                 str(e): [list(c) for c in chains] for e, chains in self.per_end_argmax.items()
             },

@@ -18,7 +18,7 @@ import polychain.dp as dp_mod
 import polychain.oracle as oracle_mod
 from polychain.azi import azi_extremal_report
 from polychain.cli import OUTPUT_SCHEMAS, _unlimited_int_digits, main
-from polychain.dp import run_dp
+from polychain.dp import minimize, run_dp
 from polychain.indices import (
     PRESET_NAMES,
     RATIONAL,
@@ -183,6 +183,22 @@ class TestExtremalCommands:
         code, out, _ = run_cli(capsys, "table", "--index", "azi", "--from", n, "--to", n)
         assert code == 0 and out.startswith("n,max,min,labeled_count,iso_count,family\n" + n)
 
+    def test_float_zero_minimum_is_plus_zero(self, capsys, tmp_path):
+        # the min flips the negated table's optimum, 0 at every end: +0.0, never -0.0
+        doc = {"name": "zero", "mode": "float", "values": {k: 0 for k in PAIRS}}
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(doc))
+        f = load_custom_index(path.read_text())
+        for end in (None, 1, 2):
+            res = minimize(f, 9, end, count_iso=True)
+            assert [repr(v) for v in (res.value, *res.per_end.values())] == ["0.0"] * 3, end
+            argv = ["min", "--index-file", str(path), "--n", "9", "--format", "plain"]
+            code, out, _ = run_cli(capsys, *argv, *(["--end", str(end)] if end else []))
+            assert code == 0 and out.startswith("min zero n=9: 0.000000000\n"), out
+        code, out, _ = run_cli(capsys, "table", "--index-file", str(path), "--from", "3", "--to", "9")
+        assert code == 0
+        assert [line.split(",")[2] for line in out.splitlines()[1:]] == ["0.000000000"] * 7
+
     def test_plain_format(self, capsys):
         code, out, _ = run_cli(capsys, "max", "--index", "azi", "--n", "6",
                                "--format", "plain")
@@ -283,6 +299,28 @@ class TestTable:
         assert [r["iso_count"] for r in doc["rows"]] == [
             (2 ** (n - 2) + 2 ** ((n - 1) // 2)) // 2 for n in range(17, 23)]
         assert run_cli(capsys, *argv, "--iso-limit", "0") == (0, out, "")
+
+    def test_each_row_read_once(self, capsys, tmp_path, monkeypatch):
+        # a row: one read of the max table and one of the min table, one
+        # count per winning end (both tie here) and one mirror walk
+        path = tmp_path / "const.json"
+        path.write_text(json.dumps({"name": "const", "values": {k: "7/3" for k in PAIRS}}))
+        calls = {"_row": [], "_count": [], "_mirror_pairs": []}
+        for name, seen in calls.items():
+            real = getattr(dp_mod.DPTable, name)
+
+            def counted(table, k, *args, real=real, seen=seen):
+                seen.append((table.f.name, k))
+                return real(table, k, *args)
+
+            monkeypatch.setattr(dp_mod.DPTable, name, counted)
+        code, _, err = run_cli(capsys, "table", "--index-file", str(path),
+                               "--from", "20", "--to", "150", "--exact")
+        assert (code, err) == (0, "")
+        rows = range(20, 151)
+        assert calls["_row"] == [(name, n) for n in rows for name in ("const", "const_neg")]
+        assert calls["_count"] == [("const", n) for n in rows for _ in (1, 2)]
+        assert calls["_mirror_pairs"] == [("const", n) for n in rows]
 
 
 def reference_table(f, lo, hi, fmt, exact):
