@@ -130,7 +130,7 @@ class LinkVector:
         raise ValueError(f"invalid link {bad!r}: links must be 1 or 2")
 
     def to_string(self) -> str:
-        return ",".join(self._word.translate(_DIGITS).decode())
+        return _words_text((self._word,), b",")
 
     def __len__(self) -> int:
         return len(self._word)
@@ -161,6 +161,31 @@ def _as_word(chain) -> bytes:
     if isinstance(chain, LinkVector):
         return chain._word
     return LinkVector(chain)._word
+
+
+def _words_text(words, sep: bytes, between: bytes = b"") -> str:
+    """The digits of the byte words `words`, all of one length, `sep`
+    between two links of a word and `between` between two words.
+
+    One item, "0" + `sep` once a link with its last `sep` replaced by
+    `between`, is repeated once a word.  The words' digits then fill
+    every (len(sep) + 1)-th byte of the items in strided C-level passes:
+    one in all when `between` is as long as `sep`, as in plain text,
+    where every digit sits on one stride, else one a word."""
+    if not words:
+        return ""
+    links, step = len(words[0]), len(sep) + 1
+    out = bytearray(b"0" + sep) * links
+    out[len(out) - len(sep):] = between  # one item
+    size = len(out)
+    out *= len(words)
+    del out[len(out) - len(between):]
+    if links and len(between) == len(sep):
+        out[::step] = b"".join(words).translate(_DIGITS)
+    else:
+        for i, word in enumerate(words):
+            out[i * size:i * size + links * step:step] = word.translate(_DIGITS)
+    return out.decode()
 
 
 def linear_chain(n: int) -> LinkVector:

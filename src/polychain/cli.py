@@ -28,7 +28,7 @@ import sys
 from fractions import Fraction
 
 from .azi import ORACLE_N_MAX, _azi, _azi_family, verify_azi_maximum, verify_azi_minimum
-from .chains import _DIGITS, LinkVector, _as_word, realize
+from .chains import LinkVector, _words_text, realize
 from .dp import _extremal, classify, run_dp
 from .indices import (
     FLOAT,
@@ -199,8 +199,9 @@ def _render_json(doc, pad: str = "\n") -> str:
     The stdlib drops its C encoder whenever ``indent`` is set.  Here a
     scalar is written by its type's entry in `_SCALAR_JSON`, a container
     is its items' texts joined by the newline and indent, and a link word
-    is its digits joined alike.  A long list of same-shape items comes as
-    a `_Rendered` part (`_json_rows`), written as it is.
+    is its digits spaced alike in one strided pass (`chains._words_text`).
+    A long list of same-shape items comes as a `_Rendered` part
+    (`_json_rows`, `_json_words`), written as it is.
     """
     scalar = _SCALAR_JSON.get(type(doc))
     if scalar is not None:
@@ -212,14 +213,18 @@ def _render_json(doc, pad: str = "\n") -> str:
     inner = pad + "  "
     sep = "," + inner
     if isinstance(doc, LinkVector):
-        return "[" + inner + sep.join(_as_word(doc).translate(_DIGITS).decode()) + pad + "]"
+        return f"[{inner}{_words_text((doc._word,), sep.encode())}{pad}]"
     is_dict = isinstance(doc, dict)
-    if is_dict:
-        body = sep.join(_SCALAR_JSON.get(type(k), json.dumps)(k) + ": " + _render_json(v, inner)
-                        for k, v in doc.items())
-    else:
-        body = sep.join(_render_json(v, inner) for v in doc)
-    return ("{" if is_dict else "[") + inner + body + pad + ("}" if is_dict else "]")
+    parts = []  # joined once: an item's text is copied once a level
+    for item in doc.items() if is_dict else doc:
+        parts.append(sep)
+        if is_dict:
+            key, item = item
+            parts.append(_SCALAR_JSON.get(type(key), json.dumps)(key) + ": ")
+        parts.append(_render_json(item, inner))
+    parts[0] = ("{" if is_dict else "[") + inner
+    parts.append(pad + ("}" if is_dict else "]"))
+    return "".join(parts)
 
 
 class _Rendered(str):
@@ -234,6 +239,15 @@ def _json_rows(template: str, rows: list | tuple) -> _Rendered:
     if not rows:
         return _Rendered("[]")
     return _Rendered("[\n    " + ",\n    ".join(map(template.__mod__, rows)) + "\n  ]")
+
+
+def _json_words(words: list) -> _Rendered:
+    """The text of a list of nonempty link words at a top-level key of a
+    document, as ``json.dumps(doc, indent=2)`` writes their lists of links."""
+    if not words:
+        return _Rendered("[]")
+    text = _words_text(words, b",\n      ", b"\n    ],\n    [\n      ")
+    return _Rendered(f"[\n    [\n      {text}\n    ]\n  ]")
 
 
 # an (x, y) cell, and a table row from its JSON-ready fields, in those lists
@@ -334,9 +348,9 @@ def _cmd_extremal(args, f: IndexFunction) -> tuple[str, int]:
     if args.limit is not None and args.limit < 0:
         raise ValueError(f"--limit must be >= 0, got {args.limit}")
     result, table = _extremal(f, args.n, args.command, args.end, args.iso)
-    chains = None
-    if args.enumerate:
-        chains = list(table.chains(end=args.end, dedup=args.dedup, limit=args.limit))
+    words = None
+    if args.enumerate:  # words of n - 2 >= 1 links
+        words = [c._word for c in table.chains(end=args.end, dedup=args.dedup, limit=args.limit)]
     if args.format == "json":
         doc = {
             "command": args.command,
@@ -351,8 +365,8 @@ def _cmd_extremal(args, f: IndexFunction) -> tuple[str, int]:
             "iso_count": result.iso_count,
             "tolerance_dependent": result.tolerance_dependent,
         }
-        if chains is not None:
-            doc["chains"] = chains
+        if words is not None:
+            doc["chains"] = _json_words(words)
         return _render_json(doc), 0
     lines = [
         f"{args.command} {f.name} n={args.n}: {_value_plain(result.value)}",
@@ -361,9 +375,10 @@ def _cmd_extremal(args, f: IndexFunction) -> tuple[str, int]:
     ]
     if result.iso_count is not None:
         lines.append(f"mirror classes: {result.iso_count}")
-    if chains is not None:
+    if words is not None:
         lines.append("chains:")
-        lines.extend(c.to_string() for c in chains)
+        if words:
+            lines.append(_words_text(words, b",", b"\n"))
     return "\n".join(lines), 0
 
 

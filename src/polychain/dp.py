@@ -48,14 +48,15 @@ The table is the list of these stepped rows and runs, one segment each
 (`DPTable`): decisions and values only.  A run is read back from its two
 base rows, their rises and its two rows' codes.  Chain counts are carried
 only when read, by the codes' linear map c -> c1 / c2 / c1 + c2 of each
-end, a 2x2 integer matrix raised to a power by squaring, and the mirror
-count's walk powers its maps alike.  So a table keeps every row 3..n
-at O(runs) Python steps, segments and small-int steps; a row's values
-are read in O(log runs) steps, its counts and `iso_count` in
-O(runs log k) big-int steps, or O(1) a row when rows are read in order
-past the transient.  A chain of `witness` or `chains` takes
-O(runs + ties) Python steps, whatever k is, and k-byte copies: a run is
-walked six rows deep and copied as a block.
+end, a 2x2 integer matrix m raised to a power by Cayley-Hamilton: m**e is
+a*m + b*I, so a doubling of e costs three big products of the pair
+(a, b) and a set bit linear work.  The mirror count's walk powers its
+maps alike.  So a table keeps every row 3..n at O(runs) Python steps,
+segments and small-int steps; a row's values are read in O(log runs)
+steps, its counts and `iso_count` in O(runs log k) big-int steps, or
+O(1) a row when rows are read in order past the transient.  A chain of
+`witness` or `chains` takes O(runs + ties) Python steps, whatever k is,
+and k-byte copies: a run is walked six rows deep and copied as a block.
 """
 
 from __future__ import annotations
@@ -423,22 +424,28 @@ def _apply(m: tuple, v: tuple) -> tuple:
     return (a * v[0] + b * v[1], c * v[0] + d * v[1])
 
 
-def _square(m: tuple) -> tuple:
-    """The 2x2 integer matrix m times itself, in five products."""
-    (a, b), (c, d) = m
-    bc, trace = b * c, a + d
-    return ((a * a + bc, b * trace), (c * trace, d * d + bc))
-
-
 def _power(m: tuple, e: int, v: tuple) -> tuple:
-    """The linear map m applied e times to v, by squaring (its powers commute)."""
-    while e:
-        if e & 1:
-            v = _apply(m, v)
-        e >>= 1
-        if e:  # no squaring past the top bit: the entries can be n bits wide
-            m = _square(m)
-    return v
+    """The linear map m applied e times to v, by Cayley-Hamilton: with
+    t = trace(m) and d = det(m), m**2 = t*m - d*I, so m**e = a*m + b*I.
+    The bits of e, from the top, move (a, b): a doubling to
+    (a*(a*t + 2b), b*b - d*a*a), three big products, and a set bit to
+    (a*t + b, -a*d), linear work; t and d are small ints for the count
+    maps.  A singular m (d = 0) has m**e = t**(e - 1) * m: one pow, a
+    shift when t is a power of two, as for every tie-everywhere map."""
+    if not e:
+        return v
+    (p, q), (r, s) = m
+    t, d = p + s, p * s - q * r
+    mv = _apply(m, v)
+    if not d:
+        c = 1 << (t.bit_length() - 1) * (e - 1) if t > 0 and not t & (t - 1) else t ** (e - 1)
+        return (c * mv[0], c * mv[1])
+    a, b = 1, 0  # m**1
+    for bit in bin(e)[3:]:
+        a, b = a * (a * t + 2 * b), b * b - d * (a * a)
+        if bit == "1":
+            a, b = a * t + b, -a * d
+    return (a * mv[0] + b * v[0], a * mv[1] + b * v[1])
 
 
 def _steps(v: tuple, first: tuple, second: tuple, rows: int) -> tuple:

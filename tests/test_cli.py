@@ -17,6 +17,7 @@ import polychain.cli as cli_mod
 import polychain.dp as dp_mod
 import polychain.oracle as oracle_mod
 from polychain.azi import azi_extremal_report
+from polychain.chains import LinkVector, _words_text
 from polychain.cli import OUTPUT_SCHEMAS, _unlimited_int_digits, main
 from polychain.dp import minimize, run_dp
 from polychain.indices import (
@@ -226,6 +227,53 @@ class TestExtremalCommands:
             finally:
                 set_limit(before)
         assert doc["labeled_count"] == 2**14285
+
+
+class TestWordText:
+    """A word's text is written in one strided pass (`chains._words_text`):
+    byte for byte the text of ``",".join`` and ``json.dumps(doc, indent=2)``."""
+
+    @staticmethod
+    def words(count, links, seed=0):
+        rng = random.Random(seed)
+        return [LinkVector(rng.choice((1, 2)) for _ in range(links)) for _ in range(count)]
+
+    @pytest.mark.parametrize("links", [0, 1, 2, 17, 18, 40, 300, 10**4])
+    def test_one_word(self, links):
+        (word,) = self.words(1, links, seed=links)
+        assert word.to_string() == ",".join(map(str, word.links))
+        for doc in ({"witness": word}, {"a": {"b": [word, 1]}}, [word]):
+            want = json.loads(json.dumps(doc, default=lambda w: list(w.links)))
+            assert cli_mod._render_json(doc) == json.dumps(want, indent=2)
+
+    def test_empty_word(self):
+        assert LinkVector().to_string() == ""
+        assert _words_text([b""] * 3, b",", b"\n") == "\n\n"
+        assert cli_mod._render_json({"witness": LinkVector()}) == '{\n  "witness": []\n}'
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 1024])
+    @pytest.mark.parametrize("links", [1, 18])
+    def test_chain_list(self, count, links):
+        words = self.words(count, links, seed=count)
+        raw = [w._word for w in words]
+        plain = "\n".join(",".join(map(str, w.links)) for w in words)
+        assert _words_text(raw, b",", b"\n") == plain
+        doc = {"command": "max", "chains": cli_mod._json_words(raw)}
+        assert cli_mod._render_json(doc) == json.dumps(
+            {"command": "max", "chains": [list(w.links) for w in words]}, indent=2)
+
+    @pytest.mark.parametrize("limit", ["0", "1", "2", "1024"])
+    def test_enumerated_chains(self, capsys, tmp_path, limit):
+        path = const_index_file(tmp_path)  # 2**12 chains tie at n = 14
+        argv = ["max", "--index-file", str(path), "--n", "14", "--enumerate", "--limit", limit]
+        want = [list(c.links) for c in run_dp(load_custom_index(path.read_text()), 14).chains()]
+        want = want[:int(limit)]
+        code, out, _ = run_cli(capsys, *argv, "--format", "plain")
+        assert code == 0
+        assert out.split("chains:\n")[1] == "".join(",".join(map(str, w)) + "\n" for w in want)
+        code, out, _ = run_cli(capsys, *argv)
+        doc = json.loads(out)
+        assert doc["chains"] == want and out == json.dumps(doc, indent=2) + "\n"
 
 
 class TestClassify:

@@ -840,6 +840,51 @@ class TestCountMaximal:
             count_maximal(AZI, 2, 1)
 
 
+def fibonacci_pair(m):
+    """(F(m), F(m + 1)) by fast doubling: F(2j) = F(j)(2F(j + 1) - F(j)) and
+    F(2j + 1) = F(j)**2 + F(j + 1)**2."""
+    if m == 0:
+        return 0, 1
+    a, b = fibonacci_pair(m // 2)
+    c, d = a * (2 * b - a), a * a + b * b
+    return (d, c + d) if m % 2 else (c, d)
+
+
+class TestCountPower:
+    """`dp._power` raises a 2x2 count map by Cayley-Hamilton: checked against
+    e-fold application and against counts known in closed form."""
+
+    def test_equals_repeated_application(self):
+        rng = random.Random(31)
+        for entries in product(range(5), repeat=4):
+            m = (entries[:2], entries[2:])
+            v = (rng.getrandbits(300), -rng.getrandbits(200))
+            want = v
+            for e in range(71):
+                assert dp_mod._power(m, e, v) == want, (m, e)
+                want = dp_mod._apply(m, want)
+
+    def test_bounded_maps_at_a_huge_exponent(self):
+        e, v = 10**100, (3**200, 5**150)
+        x, y = v
+        assert dp_mod._power(((0, 1), (1, 0)), e, v) == v  # a permutation, order 2
+        assert dp_mod._power(((0, 1), (1, 0)), e + 1, v) == (y, x)
+        assert dp_mod._power(((0, 1), (0, 0)), e, v) == (0, 0)  # nilpotent
+        assert dp_mod._power(((1, 1), (0, 1)), e, v) == (x + e * y, y)  # unipotent
+        assert dp_mod._power(((1, 0), (1, 1)), e + 1, v) == (x, (e + 1) * x + y)
+        assert dp_mod._power(((1, 0), (0, 1)), e, v) == v
+        assert dp_mod._power(((1, 0), (0, 0)), e, v) == (x, 0)  # a projection: singular
+
+    def test_constant_index_counts_every_word(self):
+        const = IndexFunction("const", {p: Fraction(7, 3) for p in DEGREE_PAIRS})
+        for n in (10**4, 10**5):
+            assert run_dp(const, n).labeled_count() == 2 ** (n - 2)
+
+    def test_randic_minus_one_counts_fibonacci(self):
+        n = 10**4
+        assert run_dp(preset("randic", -1), n).labeled_count() == fibonacci_pair(n - 2)[0]
+
+
 class TestDegenerateAndRandomTables:
     def test_constant_index_ties_everywhere(self):
         const = constant_index()
