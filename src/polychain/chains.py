@@ -21,8 +21,8 @@ segment decomposition, the named chain families, and mirror-symmetry
 canonicalization.  The corner graph reads what the next square would
 add to the degree-pair counts in O(1), without changing, and grows one
 square at a time, on O(n) memory: `edge_degree_multiset` walks it
-forward along one word, and the oracle's census over the whole link
-tree.
+forward along one word, and the oracle's census, reading its tables
+inline, over the whole link tree.
 """
 
 from __future__ import annotations

@@ -169,19 +169,21 @@ class DPTable:
         if i not in (1, 2):
             raise ValueError(f"end link must be 1 or 2, got {i!r}")
 
-    def _segment(self, k: int) -> tuple:
-        return self._segments[bisect_right(self._starts, k) - 1]
+    def _phase(self, k: int) -> tuple:
+        """Row k's phase (row, values, rise, codes) of its segment: one bisection."""
+        return self._segments[bisect_right(self._starts, k) - 1][2][k % 2]
 
-    def _raw(self, k: int, i: int) -> int:
-        """The optimum of row k at end i, times the common denominator."""
-        row, vals, rise, _ = self._segment(k)[2][k % 2]
+    @staticmethod
+    def _raw(phase: tuple, k: int, i: int) -> int:
+        """The optimum of row k at end i, times the common denominator, from row k's phase."""
+        row, vals, rise, _ = phase
         return vals[i - 1] + (k - row) // 2 * rise[i - 1]
 
     def value(self, k: int, i: int) -> Value:
         """Optimum over k-square chains ending with link i."""
         self._check_k(k)
         self._check_end(i)
-        return self.f.read(self._raw(k, i))
+        return self.f.read(self._raw(self._phase(k), k, i))
 
     def _count(self, k: int, i: int) -> int:
         """Optimal k-square chains ending with link i."""
@@ -206,8 +208,7 @@ class DPTable:
     def predecessors(self, k: int, i: int) -> frozenset[int]:
         self._check_k(k)
         self._check_end(i)
-        _, _, _, codes = self._segment(k)[2][k % 2]
-        return _PRED_SETS[codes[i - 1]]
+        return _PRED_SETS[self._phase(k)[3][i - 1]]
 
     def state(self, k: int) -> DPState:
         return DPState(
@@ -226,13 +227,14 @@ class DPTable:
     def _row(self, k: int | None, end: int | None = None) -> tuple[int, tuple[int, ...], int]:
         """k (n for None), checked; the ends a read takes, `end` checked, else
         the winning ends, both on a tie under f; and the first one's optimum
-        times the common denominator."""
+        times the common denominator, both ends read off one phase."""
         k = self.n if k is None else k
         self._check_k(k)
+        phase = self._phase(k)
         if end is not None:
             self._check_end(end)
-            return k, (end,), self._raw(k, end)
-        a, b = self._raw(k, 1), self._raw(k, 2)
+            return k, (end,), self._raw(phase, k, end)
+        a, b = self._raw(phase, k, 1), self._raw(phase, k, 2)
         code = _code(self.f, a, b)
         return k, ((1, 2) if code == 3 else (code,)), b if code == 2 else a
 
@@ -374,7 +376,7 @@ class DPTable:
         if k % 2:
             m = ((1, 0), (0, 1))
         else:
-            codes = self._segment(s + 4)[2][(s + 4) % 2][3]
+            codes = self._phase(s + 4)[3]
             m = _mirror_map(codes, codes)
         (v1, v2), (w1, w2) = v, _apply(m, v)
         both, pal = v1 * w1 + v2 * w2, m[0][0] * v1 + m[1][1] * v2
@@ -632,13 +634,14 @@ def _extremal(
     table = run_dp(f if objective == MAX else negate(f), n)
     sign = 1 if objective == MAX else -1
     _, ends, raw = table._row(n, end)
+    phase = table._phase(n)
     witness = table.witness(n, ends[0])  # refuses a chain too long to build, before any count
     labeled = sum(table._count(n, e) for e in ends)
     return ExtremalResult(
         objective=objective,
         n=n,
         value=f.read(sign * raw),
-        per_end={e: f.read(sign * table._raw(n, e)) for e in (1, 2)},
+        per_end={e: f.read(sign * table._raw(phase, n, e)) for e in (1, 2)},
         witness=witness,
         labeled_count=labeled,
         iso_count=labeled - table._mirror_pairs(n, ends) if count_iso else None,

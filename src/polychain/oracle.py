@@ -10,12 +10,17 @@ vector: how many edges join corners of degrees (2,2), (2,3), ...,
 (4,4), in `DEGREE_PAIRS` order.  That vector does not depend on the
 index, so `census(n)` takes it once per n, by a depth-first walk of the
 link tree on the same corner graph `evaluate_direct` reads
-(`chains._CornerGraph`).  A node reads both children's vectors off the
-degrees in O(1) and glues a square on only to go deeper, so no leaf is
-glued.  The census keeps the distinct vectors (98 at n = 14, 135 at
-n = 16) and, per vector and last link, the lexicographic positions of
-its chains, ascending, in the arrays the walk appends them to: 2 bytes
-a chain, 4 past n = 18, and nothing else per chain.  It is built on
+(`chains._CornerGraph`).  A node reads both children's vectors off its
+last square's corners in O(1), with the graph's `up` and `join` tables
+as local arithmetic: three sums over a corner's neighbours, the one at
+the corner both sides share taken once.  It glues a child's square on
+in place only to go deeper and takes it off on the way back.  A node
+two links above the chains values its four grandchildren itself, so no
+chain is glued and the walk makes about one frame per two chains.  The
+census keeps the distinct vectors (98 at n = 14, 135 at n = 16) and,
+per vector and last link, the lexicographic positions of its chains,
+ascending, in the arrays the walk appends them to: 2 bytes a chain, 4
+past n = 18, and nothing else per chain.  It is built on
 first use and cached per n, so every index and every sweep at that n
 shares it.  A sweep then values each distinct vector once, as an int:
 its dot product with the index's scaled entries (`IndexFunction.scaled`,
@@ -65,51 +70,112 @@ def census(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[memoryview,
     ``array`` ('H', or 'I' past n = 18) holding, ascending, the positions
     of the chains with last link e and vector id vid, a chain's position
     being its rank in the lexicographic order of
-    `itertools.product((1, 2), repeat=n - 2)`.  One corner graph walks
-    the link tree depth first, link 1 before link 2, carrying a node's
-    packed counts and position down as values.  The result is cached
-    and shared by every caller.
+    `itertools.product((1, 2), repeat=n - 2)`.  Vector ids follow that
+    order too: vector vid is the vid-th distinct vector met reading the
+    chains from position 0 up.  One corner graph walks the link tree
+    depth first, link 1 before link 2, carrying a node's packed counts
+    and position down as values.  The result is cached and shared by
+    every caller.
     """
     if n < 2:
         raise ValueError(f"a chain needs at least 2 squares, got n={n}")
     graph = _CornerGraph(n)
-    deg, nbrs, sides, delta, grow = graph.deg, graph.nbrs, graph.sides, graph.delta, graph.grow
+    deg, nbrs, up, join = graph.deg, graph.nbrs, graph.up, graph.join
     seen: dict[int, int] = {}  # packed counts -> vector id
     code = "H" if n <= 18 else "I"  # the narrowest type for positions below 2**(n - 2)
     groups: tuple[list[array], list[array]] = ([], [])  # per last link, per vector id
+    ends1, ends2 = groups
 
-    def vid_of(counts: int) -> int:
-        vid = seen.get(counts)
-        if vid is None:
-            seen[counts] = vid = len(seen)
+    def place(end: int, counts: int, pos: int) -> None:
+        # off the walk's fast path: a vector's first chain, and the chains of n <= 3
+        if counts not in seen:
+            seen[counts] = len(seen)
             for column in groups:
                 column.append(array(code))
-        return vid
+        groups[end][seen[counts]].append(pos)
 
     def visit(depth: int, pos: int, counts: int, cell: int, right: bool) -> None:
-        # pos: the node's links so far as binary digits, link 1 as 0
-        if depth == leaves:  # the children are chains: no square is glued
-            for end, (s1, s2, *_) in enumerate(sides(cell, right)):
-                groups[end][vid_of(counts + delta(s1, s2))].append(2 * pos + end)
-            return
-        for link, (s1, s2, t1, t2, child_cell, child_right) in enumerate(sides(cell, right)):
-            child = counts + delta(s1, s2)
-            grow(s1, s2, t1, t2)
-            visit(depth + 1, 2 * pos + link, child, child_cell, child_right)
+        # pos: the node's links so far as binary digits, link 1 as 0.  Each
+        # child's counts add `_CornerGraph.delta`, read inline, of the side
+        # of the last square it is glued to: se-ne going east, sw-se going
+        # south; the up terms at se are common to both
+        ne = cell ^ 1
+        se = ne + 2
+        d = deg[se]
+        u = up[d]
+        shared = counts
+        for w in nbrs[se]:
+            shared += u[deg[w]]
+        e = deg[ne]
+        u = up[e]
+        east = shared + join[d][e]
+        for w in nbrs[ne]:
+            east += u[deg[w]]
+        e = deg[cell]
+        u = up[e]
+        south = shared + join[e][d]
+        for w in nbrs[cell]:
+            south += u[deg[w]]
+        # per child: counts, side s1 s2, far corners t1 t2 (t1 joined to s1), cell, right
+        below = cell + 2
+        east = (east, se, ne, cell + 4, below, se, True)
+        south = (south, cell, se, below, ne + 4, below, False)
+        for link, (child, s1, s2, t1, t2, cell, right) in enumerate(
+                (east, south) if right else (south, east), 2 * pos):
+            deg[s1] += 1  # glue the child's square on, as `_CornerGraph.grow`
+            deg[s2] += 1
+            deg[t1] = deg[t2] = 2
+            nbrs[s1].append(t1)
+            nbrs[s2].append(t2)
+            nbrs[t1] = [s1, t2]
+            nbrs[t2] = [s2, t1]
+            if depth < grandparents:
+                visit(depth + 1, link, child, cell, right)
+            else:  # the child's children are chains: value them as above, gluing none
+                ne = cell ^ 1
+                se = ne + 2
+                d = deg[se]
+                u = up[d]
+                shared = child
+                for w in nbrs[se]:
+                    shared += u[deg[w]]
+                e = deg[ne]
+                u = up[e]
+                east = shared + join[d][e]
+                for w in nbrs[ne]:
+                    east += u[deg[w]]
+                e = deg[cell]
+                u = up[e]
+                south = shared + join[e][d]
+                for w in nbrs[cell]:
+                    south += u[deg[w]]
+                first, second = (east, south) if right else (south, east)
+                pos = 2 * link
+                try:
+                    ends1[seen[first]].append(pos)
+                except KeyError:
+                    place(0, first, pos)
+                try:
+                    ends2[seen[second]].append(pos + 1)
+                except KeyError:
+                    place(1, second, pos + 1)
             nbrs[s1].pop()  # take the square off again; its far corners go stale
             nbrs[s2].pop()
             deg[s1] -= 1
             deg[s2] -= 1
 
     counts, cell, right = graph.start
-    leaves = n - 3  # the depth whose children are leaves
-    if leaves < 0:  # the two-square chain
-        groups[0][vid_of(counts)].append(0)
+    grandparents = n - 4  # the depth whose grandchildren are chains
+    if n == 2:
+        place(0, counts, 0)
+    elif n == 3:  # the two chains are the start's children
+        for end, (s1, s2, *_) in enumerate(graph.sides(cell, right)):
+            place(end, counts + graph.delta(s1, s2), end)
     else:
         visit(0, 0, counts, cell, right)
     empty = memoryview(array(code)).toreadonly()  # one for every empty group: a view is 320 bytes
-    views = tuple(tuple(memoryview(group).toreadonly() if group else empty for group in column)
-                  for column in groups)
+    views = tuple(tuple(memoryview(group).toreadonly() if group else empty
+                        for group in column) for column in groups)
     return tuple(map(graph.unpack, seen)), views
 
 

@@ -16,7 +16,7 @@ from polychain.azi import (
     verify_azi_maximum,
     verify_azi_minimum,
 )
-from polychain.chains import az1_chain, az2_family, linear_chain, zigzag_chain
+from polychain.chains import LinkVector, az1_chain, az2_family, linear_chain, zigzag_chain
 from polychain.dp import CASE_LINEAR_ALWAYS, DPTable, maximize, minimize, run_dp
 from polychain.indices import evaluate_direct, preset
 
@@ -148,6 +148,14 @@ class TestVerifySweeps:
         assert minimize(AZI, 5).labeled_count == 1
         assert minimize(AZI, 6).witness == linear_chain(6)
         assert minimize(AZI, 6).labeled_count == 1
+
+    def test_passing_claims_build_no_chain_text(self, monkeypatch):
+        # a claim naming a chain writes its text only for the failing row
+        def refuse(self):
+            raise AssertionError("a passing claim built chain text")
+
+        monkeypatch.setattr(LinkVector, "to_string", refuse)
+        assert verify_azi_maximum(30, oracle_n_max=12).ok
 
     def test_failure_report_shape(self, monkeypatch):
         # sabotage the closed form; the sweep must catch it on its first check

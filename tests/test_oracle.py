@@ -287,6 +287,14 @@ class TestCensus:
                 pairs = reference_multiset(words[pos])
                 assert vectors[vid] == tuple(pairs[p] for p in DEGREE_PAIRS), (n, words[pos])
 
+    def test_vector_ids_in_the_order_chains_first_meet_them(self):
+        for n in range(3, 15):
+            first_met = {}
+            for links in product((1, 2), repeat=n - 2):
+                pairs = _cached_multiset(links)
+                first_met.setdefault(tuple(pairs[p] for p in DEGREE_PAIRS), None)
+            assert census(n)[0] == tuple(first_met), n
+
     def test_two_square_chain(self):
         vectors, groups = census(2)
         pairs = reference_multiset(())
