@@ -19,9 +19,9 @@ n, the exhaustive oracle) instead of trusting the formulas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
+from typing import NamedTuple
 
 from .chains import LinkVector, az1_chain, az2_family, linear_chain, zigzag_chain
 from .dp import CASE_ZIGZAG_THEN_LINEAR, classify, run_dp
@@ -69,8 +69,7 @@ def azi_extremal_chains(n: int) -> list[LinkVector]:
     return az2_family(n // 2)
 
 
-@dataclass(frozen=True)
-class ChainFamilyReport:
+class ChainFamilyReport(NamedTuple):
     """Which family maximizes the AZI at a given n, with value and counts.
 
     `family` is one of "Li" (n = 3), "pair4" (the two mirror-image
@@ -113,20 +112,24 @@ def azi_extremal_report(n: int) -> ChainFamilyReport:
     return ChainFamilyReport(n, family, m, value, labeled, iso)
 
 
-@dataclass
 class VerificationReport:
     """Outcome of one verification sweep.
 
     Stops at the first failing check; `failure` then carries a row
-    {n, claim, expected, actual, status} and `ok` is False.
+    {n, claim, expected, actual, status} and `ok` is False.  `info` is
+    a fresh dict per report unless one is given.
     """
 
-    name: str
-    n_max: int
-    ok: bool
-    checks_run: int
-    failure: dict | None = None
-    info: dict = field(default_factory=dict)
+    def __init__(self, name: str, n_max: int, ok: bool, checks_run: int,
+                 failure: dict | None = None, info: dict | None = None):
+        self.name, self.n_max, self.ok, self.checks_run = name, n_max, ok, checks_run
+        self.failure, self.info = failure, {} if info is None else info
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is VerificationReport else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"VerificationReport({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
     def to_json(self) -> dict:
         return {

@@ -390,10 +390,7 @@ def _cmd_classify(args, f: IndexFunction) -> tuple[str, int]:
             "command": "classify",
             "index": f.name,
             "minimize": args.minimize,
-            "premise_holds": verdict.premise_holds,
-            "case": verdict.case,
-            "n_star": verdict.n_star,
-            "tie_at_threshold": verdict.tie_at_threshold,
+            **verdict._asdict(),
         }
         return _render_json(doc), 0
     lines = [f"case: {verdict.case} (premise {'holds' if verdict.premise_holds else 'fails'})"]

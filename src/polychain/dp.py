@@ -64,7 +64,7 @@ from __future__ import annotations
 import sys
 from bisect import bisect_right
 from collections.abc import Iterator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .chains import LinkVector
 from .indices import FLOAT, IndexFunction, Value, _increments, check_finite, negate
@@ -96,8 +96,7 @@ _COUNT_ROWS = (None, (1, 0), (0, 1), (1, 1))
 _FLAT = (0, 0)  # the rise of a one-row segment
 
 
-@dataclass(frozen=True)
-class DPState:
+class DPState(NamedTuple):
     """Optimum summary for one square count: values, predecessor sets and
     tie counts per ending link."""
 
@@ -601,8 +600,7 @@ def run_dp(f: IndexFunction, n: int, *, keep_table: bool = True) -> DPTable:
     return table
 
 
-@dataclass(frozen=True)
-class ExtremalResult:
+class ExtremalResult(NamedTuple):
     """Outcome of one extremal query.
 
     `labeled_count` counts distinct optimal link vectors; `iso_count`
@@ -694,8 +692,7 @@ CASE_ZIGZAG_THEN_LINEAR = "zigzag-then-linear"
 CASE_NOT_APPLICABLE = "not-applicable"
 
 
-@dataclass(frozen=True)
-class ClassifierVerdict:
+class ClassifierVerdict(NamedTuple):
     """Sufficient-condition check for linear/zigzag extremality.
 
     When the increment table satisfies

@@ -34,10 +34,9 @@ import math
 import re
 import sys
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
-from typing import Union
+from typing import NamedTuple, Union
 
 from .chains import DEGREE_PAIRS, _as_word, edge_degree_multiset
 
@@ -154,7 +153,6 @@ def _texts(f: IndexFunction, raw: int) -> tuple[str | None, str]:
     return None, as_decimal_string(f.read(raw))
 
 
-@dataclass(frozen=True)
 class IndexFunction:
     """Six-entry degree-pair table defining one index.
 
@@ -168,34 +166,29 @@ class IndexFunction:
     `DEGREE_PAIRS` order, and `tol` is eps as an integer ratio (p, q),
     (0, 1) for rationals.  A value is an int over `den`; `ties` compares
     two of them and `read` returns one.  The derived fields take no part
-    in equality.
+    in equality.  An IndexFunction is immutable and unhashable; copies
+    and pickles are rebuilt through the constructor.
     """
 
-    name: str
-    values: Mapping[tuple[int, int], Value]
-    mode: str = RATIONAL
-    eps: float = DEFAULT_EPS
-    scaled: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    den: int = field(init=False, repr=False, compare=False)
-    tol: tuple[int, int] = field(init=False, repr=False, compare=False)
+    __slots__ = ("name", "values", "mode", "eps", "scaled", "den", "tol")
 
-    def __post_init__(self):
-        if self.mode not in (RATIONAL, FLOAT):
-            raise ValueError(f"unknown arithmetic mode {self.mode!r}")
-        if not 0 < self.eps <= sys.float_info.max:
-            raise ValueError(f"invalid eps: tolerance must be positive and finite, got {self.eps}")
-        object.__setattr__(self, "eps", float(self.eps))
-        missing = [p for p in DEGREE_PAIRS if p not in self.values]
+    def __init__(self, name: str, values: Mapping[tuple[int, int], Value],
+                 mode: str = RATIONAL, eps: float = DEFAULT_EPS):
+        if mode not in (RATIONAL, FLOAT):
+            raise ValueError(f"unknown arithmetic mode {mode!r}")
+        if not 0 < eps <= sys.float_info.max:
+            raise ValueError(f"invalid eps: tolerance must be positive and finite, got {eps}")
+        missing = [p for p in DEGREE_PAIRS if p not in values]
         if missing:
             a, b = missing[0]
             raise ValueError(f"pair ({a},{b}) absent from index table")
-        extra = [p for p in self.values if p not in DEGREE_PAIRS]
+        extra = [p for p in values if p not in DEGREE_PAIRS]
         if extra:
             raise ValueError(f"unsupported degree pair {extra[0]} in index table")
         norm = {}
         for pair in DEGREE_PAIRS:
-            v = self.values[pair]
-            if self.mode == RATIONAL:
+            v = values[pair]
+            if mode == RATIONAL:
                 if isinstance(v, float):
                     raise ValueError(f"float value {v!r} in rational-mode table")
                 norm[pair] = Fraction(v)
@@ -203,13 +196,27 @@ class IndexFunction:
                 raise ValueError("non-finite value for pair ({},{}) in float-mode table".format(*pair))
             else:
                 norm[pair] = float(v)
-        object.__setattr__(self, "values", norm)
         ratios = [v.as_integer_ratio() for v in norm.values()]
         den = math.lcm(*(d for _, d in ratios))
-        object.__setattr__(self, "scaled", tuple(num * (den // d) for num, d in ratios))
-        object.__setattr__(self, "den", den)
-        tol = self.eps.as_integer_ratio() if self.mode == FLOAT else (0, 1)
-        object.__setattr__(self, "tol", tol)
+        eps = float(eps)
+        fields = (name, norm, mode, eps, tuple(num * (den // d) for num, d in ratios), den,
+                  eps.as_integer_ratio() if mode == FLOAT else (0, 1))
+        for slot, value in zip(self.__slots__, fields):
+            object.__setattr__(self, slot, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"field {name!r} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return IndexFunction, (self.name, self.values, self.mode, self.eps)
+
+    def __eq__(self, other):
+        return self.__reduce__() == other.__reduce__() if type(other) is IndexFunction else NotImplemented
+
+    def __repr__(self) -> str:
+        return "IndexFunction(name={!r}, values={!r}, mode={!r}, eps={!r})".format(*self.__reduce__()[1])
 
     @property
     def is_rational(self) -> bool:
@@ -245,8 +252,7 @@ class IndexFunction:
         return a == b or p > 0 and abs(a - b) * q <= p * max(den or self.den, abs(a), abs(b))
 
 
-@dataclass(frozen=True)
-class IncrementTable:
+class IncrementTable(NamedTuple):
     """Per-attachment index increments and the two-square base value.
 
     g(j, i) is the gain in index value when a square is attached with
@@ -284,8 +290,8 @@ def _increments(f: IndexFunction) -> tuple[int, ...]:
 
 def increment_table(f: IndexFunction) -> IncrementTable:
     """Attachment increments of an index, from its six table entries."""
-    names = ("g11", "g12", "g21", "g22", "g2", "base")
-    values = [check_finite(f.read(g), f"increment {name}") for name, g in zip(names, _increments(f))]
+    values = [check_finite(f.read(g), f"increment {name}")
+              for name, g in zip(IncrementTable._fields, _increments(f))]
     return IncrementTable(*values, mode=f.mode, eps=f.eps)
 
 
@@ -318,22 +324,12 @@ def evaluate_recursive(chain, f: IndexFunction) -> Value:
 
 def negate(f: IndexFunction) -> IndexFunction:
     """Entrywise negation; maximizing the result minimizes the original."""
-    return IndexFunction(
-        name=f.name + "_neg",
-        values={pair: -v for pair, v in f.values.items()},
-        mode=f.mode,
-        eps=f.eps,
-    )
+    return IndexFunction(f.name + "_neg", {pair: -v for pair, v in f.values.items()}, f.mode, f.eps)
 
 
 def force_float(f: IndexFunction, eps: float = DEFAULT_EPS) -> IndexFunction:
     """Float-mode copy of an index (for tolerance experiments)."""
-    return IndexFunction(
-        name=f.name,
-        values=f.values,
-        mode=FLOAT,
-        eps=eps,
-    )
+    return IndexFunction(f.name, f.values, FLOAT, eps)
 
 
 def _integer_root(x: int, q: int) -> int | None:

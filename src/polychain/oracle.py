@@ -41,10 +41,10 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import cache
 from itertools import chain, compress
 from operator import mul
+from typing import NamedTuple
 
 from .chains import LinkVector, _CornerGraph, canonical_reversal
 from .indices import (
@@ -187,8 +187,7 @@ def _word(pos: int, m: int) -> bytes:
     return format(pos, f"0{m}b").encode().translate(_LINK_DIGITS)
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(NamedTuple):
     """Extrema and argument sets from one exhaustive sweep."""
 
     n: int

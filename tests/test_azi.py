@@ -1,6 +1,5 @@
 """AZI closed forms, extremal families and the verification sweeps."""
 
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -175,7 +174,7 @@ class TestVerifySweeps:
         # CLI `table` prints the report's counts, so a wrong one must fail
         real = azi_mod.azi_extremal_report
         monkeypatch.setattr(azi_mod, "azi_extremal_report",
-                            lambda n: replace(real(n), iso_count=real(n).iso_count + 1))
+                            lambda n: real(n)._replace(iso_count=real(n).iso_count + 1))
         report = verify_azi_maximum(8, oracle_n_max=0)
         assert not report.ok
         assert report.failure["claim"] == "mirror-class maximizer count"
@@ -189,7 +188,7 @@ def _wrap(monkeypatch, owner, name, wrapper):
 
 def _patch_oracle(monkeypatch, field, edit):
     _wrap(monkeypatch, oracle_mod, "exhaustive", lambda real, f, n: (
-        lambda rep: replace(rep, **{field: edit(getattr(rep, field), n)}))(real(f, n)))
+        lambda rep: rep._replace(**{field: edit(getattr(rep, field), n)}))(real(f, n)))
 
 
 # one sabotage per claim, each breaking it at one n, with the report row
@@ -215,14 +214,14 @@ SABOTAGES = [
          "['1,2,1,2,1,2,2,1', '1,2,1,2,2,1,2,1', '1,2,2,1,2,1,2,1']"),
         id="maximizer-set"),
     pytest.param(
-        lambda mp: _wrap(mp, azi_mod, "azi_extremal_report", lambda real, n: replace(
-            real(n), labeled_count=real(n).labeled_count + (n == 9))),
+        lambda mp: _wrap(mp, azi_mod, "azi_extremal_report", lambda real, n: real(n)._replace(
+            labeled_count=real(n).labeled_count + (n == 9))),
         "azi-maximum", 12,
         (35, 9, "labeled maximizer count", "2", "1"),
         id="labeled-count"),
     pytest.param(
-        lambda mp: _wrap(mp, azi_mod, "azi_extremal_report", lambda real, n: replace(
-            real(n), iso_count=real(n).iso_count + (n == 12))),
+        lambda mp: _wrap(mp, azi_mod, "azi_extremal_report", lambda real, n: real(n)._replace(
+            iso_count=real(n).iso_count + (n == 12))),
         "azi-maximum", 12,
         (50, 12, "mirror-class maximizer count", "3", "2"),
         id="mirror-class-count"),
@@ -246,12 +245,12 @@ SABOTAGES = [
         id="oracle-argmax"),
     pytest.param(
         lambda mp: _wrap(mp, azi_mod, "classify",
-                         lambda real, f: replace(real(f), case=CASE_LINEAR_ALWAYS)),
+                         lambda real, f: real(f)._replace(case=CASE_LINEAR_ALWAYS)),
         "azi-minimum", 12,
         (1, 0, "negated-index classifier case", "zigzag-then-linear", "linear-always"),
         id="classifier-case"),
     pytest.param(
-        lambda mp: _wrap(mp, azi_mod, "classify", lambda real, f: replace(real(f), n_star=7)),
+        lambda mp: _wrap(mp, azi_mod, "classify", lambda real, f: real(f)._replace(n_star=7)),
         "azi-minimum", 12,
         (2, 0, "zigzag-to-linear threshold", "6", "7"),
         id="threshold"),

@@ -4,7 +4,6 @@ import math
 import random
 import time
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -179,7 +178,7 @@ class TestCrossCheck:
 
         def corrupted(f, n, objective, end, count_iso):
             res, table = real_extremal(f, n, objective, end, count_iso)
-            return (replace(res, value=res.value + 1) if objective == dp_mod.MAX else res), table
+            return (res._replace(value=res.value + 1) if objective == dp_mod.MAX else res), table
 
         monkeypatch.setattr(dp_mod, "_extremal", corrupted)
         ok, mismatches = cross_check(AZI, 6)
