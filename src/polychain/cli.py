@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import io
 import json
@@ -426,6 +425,8 @@ def _cmd_table(args, f: IndexFunction) -> tuple[str, int]:
                  json_text[type(name)](name)) for n, (e1, d1), (e2, d2), count, iso, name in rows]
         return _render_json({"command": "table", "index": f.name,
                              "rows": _json_rows(_ROW_JSON, rows)}), 0
+    import csv  # imported here: no other command writes CSV
+
     cell = 0 if args.exact and f.mode == RATIONAL else 1  # p/q or the decimal
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

@@ -56,7 +56,8 @@ segments and small-int steps; a row's values are read in O(log runs)
 steps, its counts and `iso_count` in O(runs log k) big-int steps, or
 O(1) a row when rows are read in order past the transient.  A chain of
 `witness` or `chains` takes O(runs + ties) Python steps, whatever k is,
-and k-byte copies: a run is walked six rows deep and copied as a block.
+and one k-byte write: a run is walked six rows deep and its repeated
+stretch listed as pieces, which one join writes into the word.
 """
 
 from __future__ import annotations
@@ -94,6 +95,8 @@ _PRED_SETS = (frozenset(), frozenset((1,)), frozenset((2,)), frozenset((1, 2)))
 # code; row 3's code 0 is never carried, its counts (1, 1) being where carries start
 _COUNT_ROWS = (None, (1, 0), (0, 1), (1, 1))
 _FLAT = (0, 0)  # the rise of a one-row segment
+_LINKS = (None, b"\1", b"\2")  # a link as a one-byte word piece
+_CHUNK = 1024  # the blocks of 4 links one repeated piece of a long run holds
 
 
 class DPState(NamedTuple):
@@ -257,26 +260,26 @@ class DPTable:
     def _words(self, k: int, end: int) -> Iterator[bytes]:
         """The optimal words of k squares ending in link `end`, one byte
         per link, depth-first: link 1 first at each tie, the lowest tie
-        reopened first.  A descent fills the squares below square j
-        backwards, segment by segment, taking link 1 at each tie and
-        keeping its ties pending as (low, high, mask): the rows of
-        low..high whose residue mod 4 is in mask.  Reopening the lowest
-        pending row r gives square r - 1 link 2 and descends from there,
-        in O(segments + ties) Python steps and byte copies, whatever k is."""
+        reopened first.  A descent lists the word's pieces from square k
+        down, segment by segment, taking link 1 at each tie and keeping
+        its ties pending as (low, high, mask): the rows of low..high whose
+        residue mod 4 is in mask.  Reopening the lowest pending row r
+        keeps squares r..k of the word before as one view, gives square
+        r - 1 link 2 and descends from there.  Each word is one join of
+        its pieces, O(segments + ties) of them, whatever k is."""
         if k - 2 > sys.maxsize:
             raise ValueError(f"a chain of {k} squares is too long to build: "
                              f"its {k - 2} links exceed sys.maxsize = {sys.maxsize}")
         segs, starts = self._segments, self._starts
-        buf = bytearray(k - 2)  # buf[j - 3]: the link of square j
-        view = memoryview(buf)
-        buf[-1] = cur = end
-        j = k  # squares j .. k are fixed
+        pieces = [_LINKS[end]]  # squares j .. k, the top one first
+        cur, j = end, k  # squares j .. k are fixed, cur the link of square j
         pending = []  # the lowest rows last
         while True:
             for lo, hi, phases in reversed(segs[1:bisect_right(starts, j)]):
                 if lo == hi:  # one row
                     code = phases[lo & 1][3][cur - 1]
-                    cur = buf[lo - 4] = 2 if code == 2 else 1
+                    cur = 2 if code == 2 else 1
+                    pieces.append(_LINKS[cur])  # square lo - 1
                     if code == 3:
                         pending.append((lo, lo, 15))
                     continue
@@ -291,25 +294,30 @@ class DPTable:
                 for j in range(top, stop, -1):
                     code = phases[j & 1][3][cur - 1]
                     cur = 2 if code == 2 else 1  # codes 1 and 3 take link 1
-                    buf[j - 4] = cur
+                    pieces.append(_LINKS[cur])  # square j - 1
                     if code == 3:
                         if j < top - 1:
                             mask |= 1 << (j & 3)
                         else:
                             pending.append((j, j, 15))
                 if stop >= lo:
-                    # squares top - 6 .. top - 3 repeat down to square lo - 1: copy the
-                    # known stretch down by its own length, a multiple of 4, doubling it
-                    high, known, size = top - 5, 4, top - lo - 1
-                    while known < size:
-                        step = known if 2 * known <= size else size - known
-                        view[high - known - step:high - known] = view[high - step:high]
-                        known += step
-                    cur = buf[lo - 4]
+                    # squares top - 6 .. top - 3 repeat down to square lo - 1: the
+                    # stretch below them, lo - 1 .. top - 7, is whole blocks of
+                    # them ending at square top - 7 and a head of the block's tail
+                    block = b"".join(pieces[-1:-5:-1])
+                    blocks, head = divmod(top - lo - 5, 4)
+                    reps, rest = divmod(blocks, _CHUNK)
+                    pieces.append(block * rest)
+                    if reps:
+                        pieces += [block * _CHUNK] * reps
+                    pieces.append(block[4 - head:])
+                    cur = block[-head % 4]  # square lo - 1
                 if mask:
                     pending.append((lo, top - 2, mask))
                 j = lo - 1
-            yield bytes(buf)
+            pieces.reverse()
+            word = b"".join(pieces)
+            yield word
             while pending:
                 low, high, mask = pending.pop()
                 m = (mask | mask << 4) >> (low & 3) & 15  # bit d: row low + d ties
@@ -317,8 +325,9 @@ class DPTable:
                 if r <= high:
                     if r < high:
                         pending.append((r + 1, high, mask))
-                    buf[r - 4] = cur = 2  # square r - 1
-                    j = r - 1
+                    # squares r .. k stay, square r - 1 takes link 2
+                    pieces = [memoryview(word)[r - 3:], _LINKS[2]]
+                    cur, j = 2, r - 1
                     break
             else:
                 return
@@ -392,7 +401,7 @@ class DPTable:
 
         The words of `_words` for each winning end in turn, so the first
         chain yielded equals `witness`, and each costs O(runs + ties)
-        Python steps and k-byte copies: output-sensitive.  With ``dedup``
+        Python steps and one k-byte join: output-sensitive.  With ``dedup``
         the first-seen member of each mirror pair is kept; ``limit`` caps
         the number of chains yielded.
         """

@@ -323,8 +323,17 @@ def evaluate_recursive(chain, f: IndexFunction) -> Value:
 
 
 def negate(f: IndexFunction) -> IndexFunction:
-    """Entrywise negation; maximizing the result minimizes the original."""
-    return IndexFunction(f.name + "_neg", {pair: -v for pair, v in f.values.items()}, f.mode, f.eps)
+    """Entrywise negation; maximizing the result minimizes the original.
+
+    Derived from f's checked fields, not rebuilt by the constructor: the
+    negated values and scaled entries over the same den, tol, mode and eps.
+    """
+    g = object.__new__(IndexFunction)
+    fields = (f.name + "_neg", {pair: -v for pair, v in f.values.items()}, f.mode, f.eps,
+              tuple(-v for v in f.scaled), f.den, f.tol)
+    for slot, value in zip(IndexFunction.__slots__, fields):
+        object.__setattr__(g, slot, value)
+    return g
 
 
 def force_float(f: IndexFunction, eps: float = DEFAULT_EPS) -> IndexFunction:

@@ -228,6 +228,9 @@ def test_criterion_8_performance():
     r2, r4 = peaks[1] / peaks[0], peaks[2] / peaks[1]
     assert 1.7 <= r2 <= 2.5, f"peak ratios {r2:.2f}, {r4:.2f} of {peaks}"
     assert 1.7 <= r4 <= 2.5, f"peak ratios {r2:.2f}, {r4:.2f} of {peaks}"
+    # ... and each link is written once: into the witness's own bytes, with
+    # no zeroed buffer beside them to copy out of (that held 2 bytes a link)
+    assert peaks[2] < 1.25 * sizes[2], f"peak {peaks[2] / sizes[2]:.2f} bytes a link"
     # ... while the Python work does not: the per-link work is C-level byte
     # copies, and 4x the squares adds only two squarings to each matrix power
     # (8 profile and 40 trace events), where a per-link Python loop adds 3*10**5

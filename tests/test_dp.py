@@ -655,6 +655,46 @@ class TestChainOrder:
                         assert t.witness(n, e) == next(t.chains(n, e)), (f.name, n, e)
 
 
+class TestWordPieces:
+    """A word is joined from pieces: stepped links, a run's repeated stretch
+    as whole chunks of 4 * `_CHUNK` links, a remainder of blocks and a
+    head, and on a reopen the kept squares above as a view of the word
+    before.  Witnesses and first chains where the stretch is a multiple of
+    a chunk, give or take up to 4 links, must be the row-by-row walk's."""
+
+    @staticmethod
+    def indices():
+        const = IndexFunction("const", {p: Fraction(7, 3) for p in DEGREE_PAIRS})  # every row ties
+        for f in (AZI, preset("zagreb1"), preset("randic", -1), const, preset("abc")):
+            yield from (f, negate(f))
+
+    def test_stretches_across_chunk_multiples(self):
+        chunk = 4 * dp_mod._CHUNK
+        for f in self.indices():
+            n = 2 * chunk + 120
+            t, ref = run_dp(f, n), reference_rows(f, n)
+            links = reference_links(ref)
+            lo = t._segments[-1][0]  # the run reaching n; a descent from row k
+            assert lo < 20, f.name  # repeats the squares lo - 1 .. k - 7
+            for k in (lo + 5 + m * chunk + d for m in (1, 2) for d in range(-4, 5)):
+                (m1, m2), _, _ = ref[1][k - 3]
+                winners = (1, 2) if ref[0](m1, m2) else (1,) if m1 > m2 else (2,)
+                # 40 words an end give the first 20 words and mirror classes of any query
+                words = {e: list(islice(reference_words(links, k, e), 40)) for e in (1, 2)}
+                for end in (None, 1, 2):
+                    ends = (end,) if end else winners
+                    raw = [w for e in ends for w in words[e]]
+                    first = {}
+                    for w in raw:
+                        first.setdefault(min(w, w[::-1]), w)
+                    assert len(first) >= 20 or all(len(words[e]) < 40 for e in ends)
+                    want = [LinkVector(w) for w in raw[:20]]
+                    classes = [LinkVector(w) for w in list(first.values())[:20]]
+                    assert t.witness(k, end) == want[0], (f.name, k, end)
+                    assert list(islice(t.chains(k, end), 20)) == want, (f.name, k, end)
+                    assert list(islice(t.chains(k, end, dedup=True), 20)) == classes, (f.name, k, end)
+
+
 class TestEngineWords:
     """The witness and the chains are built from links 1 and 2 and kept
     without the input check: each must be what the checked constructor

@@ -2,6 +2,7 @@
 
 import json
 import math
+import pickle
 import random
 import tracemalloc
 from fractions import Fraction
@@ -13,6 +14,7 @@ from polychain.chains import LinkVector
 from polychain.indices import (
     DEGREE_PAIRS,
     FLOAT,
+    PRESET_NAMES,
     RATIONAL,
     IndexFunction,
     _texts,
@@ -299,6 +301,47 @@ class TestNegate:
         links = [1, 2, 2, 1, 2]
         assert evaluate_direct(links, negate(f)) == -evaluate_direct(links, f)
         assert evaluate_recursive(links, negate(f)) == -evaluate_recursive(links, f)
+
+    @staticmethod
+    def derived_corpus():
+        """The presets, 500 seeded rational tables with 6-digit denominators
+        and 200 float tables, the first all 0.0, at varied eps."""
+        rng = random.Random(34)
+        tables = [preset(name) for name in PRESET_NAMES]
+        tables += [IndexFunction(f"q{t}", {p: Fraction(rng.randrange(-10**7, 10**7),
+                                                        rng.randrange(10**5, 10**6))
+                                           for p in DEGREE_PAIRS}) for t in range(500)]
+        tables.append(IndexFunction("zero", dict.fromkeys(DEGREE_PAIRS, 0.0), FLOAT))
+        tables += [IndexFunction(f"x{t}", {p: rng.choice((0.0, rng.uniform(-5, 5), rng.random() * 1e-300,
+                                                          rng.uniform(-1, 1) * 1e300))
+                                           for p in DEGREE_PAIRS}, FLOAT, rng.choice((1e-9, 0.05, 2.0)))
+                   for t in range(199)]
+        return tables
+
+    def test_derived_fields_equal_the_constructors(self):
+        # negate derives its result from f's checked fields; each field must be
+        # what the constructor builds from the negated values
+        for f in self.derived_corpus():
+            g = negate(f)
+            built = IndexFunction(f.name + "_neg", {p: -v for p, v in f.values.items()}, f.mode, f.eps)
+            assert type(g) is IndexFunction and g == built and repr(g) == repr(built), f.name
+            for slot in IndexFunction.__slots__:
+                got, want = getattr(g, slot), getattr(built, slot)
+                assert got == want and type(got) is type(want), (f.name, slot)
+            assert [type(v) for v in g.values.values()] == [type(v) for v in built.values.values()]
+            assert list(g.values) == list(built.values)
+
+    def test_twice_negated_and_pickled(self):
+        for f in self.derived_corpus():
+            g, twice = negate(f), negate(negate(f))
+            # equality compares names too, and each negation appends "_neg"
+            assert twice == IndexFunction(f.name + "_neg_neg", f.values, f.mode, f.eps), f.name
+            assert (twice.values, twice.scaled, twice.den, twice.tol) == (f.values, f.scaled, f.den, f.tol)
+            back = pickle.loads(pickle.dumps(g))
+            assert back == g and repr(back) == repr(g)
+            assert (back.scaled, back.den, back.tol) == (g.scaled, g.den, g.tol)
+            with pytest.raises(AttributeError):
+                g.eps = 1.0
 
 
 class TestValuesEqual:
