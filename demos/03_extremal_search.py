@@ -6,7 +6,6 @@ Run:  python demos/03_extremal_search.py
 
 from polychain import (
     classify,
-    count_maximal,
     enumerate_maximal,
     maximize,
     minimize,
@@ -21,7 +20,7 @@ print("=" * 72)
 print()
 print("The optimum over n-square chains ending in each link type obeys a")
 print("two-state recurrence, so a single linear pass computes the optimum")
-print("for every square count, a witness chain, and the number of ties.")
+print("for every square count, a witness chain, and the number of optimal chains.")
 print()
 
 azi = preset("azi")
@@ -44,8 +43,9 @@ print("enumeration walks them back in output-sensitive time.")
 print()
 for n in (8, 12):
     chains = list(enumerate_maximal(azi, n))
+    table = run_dp(azi, n)
     print(f"n={n}: {len(chains)} labeled maximizers "
-          f"(end-1 count {count_maximal(azi, n, 1)}, end-2 count {count_maximal(azi, n, 2)})")
+          f"(end-1 count {table.labeled_count(n, 1)}, end-2 count {table.labeled_count(n, 2)})")
     for c in chains:
         print(f"   {c.to_string()}")
     merged = list(enumerate_maximal(azi, n, dedup=True))
@@ -57,11 +57,12 @@ print("PER-SQUARE-COUNT TABLE FROM ONE PASS")
 print("=" * 72)
 print()
 table = run_dp(azi, 12)
-print(" n   best(n,1)      best(n,2)      winner  ties(1) ties(2)")
-for state in table:
-    v1, v2 = float(state.value(1)), float(state.value(2))
-    winner = "1" if state.value(1) > state.value(2) else ("2" if state.value(2) > state.value(1) else "tie")
-    print(f"{state.n:>2}   {v1:<14.6f} {v2:<14.6f} {winner:<7} {state.tie_count(1):<7} {state.tie_count(2)}")
+print(" n   best(n,1)      best(n,2)      winner  count(1) count(2)")
+for n in range(3, table.n + 1):
+    b1, b2 = table.value(n, 1), table.value(n, 2)
+    winner = "1" if b1 > b2 else ("2" if b2 > b1 else "tie")
+    print(f"{n:>2}   {float(b1):<14.6f} {float(b2):<14.6f} {winner:<7} "
+          f"{table.labeled_count(n, 1):<8} {table.labeled_count(n, 2)}")
 print()
 
 print("=" * 72)

@@ -46,11 +46,9 @@ from .dp import (
     CASE_NOT_APPLICABLE,
     CASE_ZIGZAG_THEN_LINEAR,
     ClassifierVerdict,
-    DPState,
     DPTable,
     ExtremalResult,
     classify,
-    count_maximal,
     enumerate_maximal,
     maximize,
     minimize,
@@ -102,11 +100,9 @@ __all__ = [
     "CASE_NOT_APPLICABLE",
     "CASE_ZIGZAG_THEN_LINEAR",
     "ClassifierVerdict",
-    "DPState",
     "DPTable",
     "ExtremalResult",
     "classify",
-    "count_maximal",
     "enumerate_maximal",
     "maximize",
     "minimize",

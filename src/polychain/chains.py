@@ -151,7 +151,9 @@ class LinkVector:
         return hash(self._word)
 
     def __lt__(self, other: "LinkVector") -> bool:
-        return self._word < other._word
+        if isinstance(other, LinkVector):
+            return self._word < other._word
+        return NotImplemented
 
     def __repr__(self) -> str:
         return f"LinkVector([{self.to_string()}])"

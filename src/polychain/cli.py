@@ -512,8 +512,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="to_n", type=int, required=True, help="last n")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--exact", action="store_true", help='CSV cells as exact "p/q"')
-    p.add_argument("--iso-limit", type=int,
-                   help="accepted for old invocations and ignored: every row counts its mirror classes")
 
     p = sub.add_parser("verify", help="oracle cross-checks (and AZI claims for --index azi)")
     _add_index_options(p)

@@ -10,7 +10,7 @@ with base best(3, i) fixed by the first attachment.  One forward pass
 therefore yields the optimum for every square count up to n at O(1)
 arithmetic per step; recording which predecessors attain each maximum
 turns the table into a DAG whose source-to-sink paths are exactly the
-optimal chains, so witnesses, tie counts and full enumeration all come
+optimal chains, so witnesses, chain counts and full enumeration all come
 out of the same pass.  The count up to mirror symmetry, |S| - (B - P)/2
 for the optimal words S, the words B of S whose reverse is in S and the
 palindromes P of S, comes from one walk over the same DAG that moves
@@ -71,7 +71,6 @@ from .chains import LinkVector
 from .indices import FLOAT, IndexFunction, Value, _increments, check_finite, negate
 
 __all__ = [
-    "DPState",
     "DPTable",
     "ExtremalResult",
     "ClassifierVerdict",
@@ -83,7 +82,6 @@ __all__ = [
     "maximize",
     "minimize",
     "enumerate_maximal",
-    "count_maximal",
     "classify",
 ]
 
@@ -99,25 +97,6 @@ _LINKS = (None, b"\1", b"\2")  # a link as a one-byte word piece
 _CHUNK = 1024  # the blocks of 4 links one repeated piece of a long run holds
 
 
-class DPState(NamedTuple):
-    """Optimum summary for one square count: values, predecessor sets and
-    tie counts per ending link."""
-
-    n: int
-    values: tuple[Value, Value]
-    preds: tuple[frozenset[int], frozenset[int]]
-    ties: tuple[int, int]
-
-    def value(self, end: int) -> Value:
-        return self.values[end - 1]
-
-    def predecessors(self, end: int) -> frozenset[int]:
-        return self.preds[end - 1]
-
-    def tie_count(self, end: int) -> int:
-        return self.ties[end - 1]
-
-
 class DPTable:
     """Forward-pass results for square counts 3..n under one index.
 
@@ -131,18 +110,15 @@ class DPTable:
     predecessor codes (1 or 2, 3 for a tie, 0 at row 3): the DAG that
     `witness` and `chains` walk backwards.  `_row` is the one read rule,
     checking its input, and the private readers it feeds check nothing.
-    Only `_count` carries chain counts (tie counts plus one), a powered
-    count map a segment, from the last row read when that lies below,
-    else from row 3's counts (1, 1), so reading rows in order costs O(1)
-    big-int steps a row.  Iterating yields one `DPState` per row 3..n.
-    `steps` counts the rows the forward pass stepped one at a time.
+    Only `_count` carries chain counts, a powered count map a segment,
+    from the last row read when that lies below, else from row 3's
+    counts (1, 1), so reading rows in order costs O(1) big-int steps a
+    row.  `steps` counts the rows the forward pass stepped one at a time.
     """
 
     def __init__(self, f, n, segments, steps, period):
         self.f = f
         self.n = n
-        self.mode = f.mode
-        self.eps = f.eps
         self.steps = steps  # rows the forward pass stepped one at a time
         self._segments = segments
         self._starts = [seg[0] for seg in segments]
@@ -201,30 +177,10 @@ class DPTable:
         self._count_at = (k, counts)
         return counts[i - 1]
 
-    def tie_count(self, k: int, i: int) -> int:
-        """Optimal k-square chains ending with link i, minus one."""
-        self._check_k(k)
-        self._check_end(i)
-        return self._count(k, i) - 1
-
     def predecessors(self, k: int, i: int) -> frozenset[int]:
         self._check_k(k)
         self._check_end(i)
         return _PRED_SETS[self._phase(k)[3][i - 1]]
-
-    def state(self, k: int) -> DPState:
-        return DPState(
-            n=k,
-            values=(self.value(k, 1), self.value(k, 2)),
-            preds=(self.predecessors(k, 1), self.predecessors(k, 2)),
-            ties=(self.tie_count(k, 1), self.tie_count(k, 2)),
-        )
-
-    def __len__(self) -> int:
-        return self.n - 2
-
-    def __iter__(self) -> Iterator[DPState]:
-        return (self.state(k) for k in range(3, self.n + 1))
 
     def _row(self, k: int | None, end: int | None = None) -> tuple[int, tuple[int, ...], int]:
         """k (n for None), checked; the ends a read takes, `end` checked, else
@@ -239,10 +195,6 @@ class DPTable:
         a, b = self._raw(phase, k, 1), self._raw(phase, k, 2)
         code = _code(self.f, a, b)
         return k, ((1, 2) if code == 3 else (code,)), b if code == 2 else a
-
-    def winning_ends(self, k: int | None = None) -> tuple[int, ...]:
-        """Ending links attaining the overall optimum at k squares."""
-        return self._row(k)[1]
 
     def best_value(self, k: int | None = None) -> Value:
         return self.f.read(self._row(k)[2])
@@ -402,8 +354,10 @@ class DPTable:
         The words of `_words` for each winning end in turn, so the first
         chain yielded equals `witness`, and each costs O(runs + ties)
         Python steps and one k-byte join: output-sensitive.  With ``dedup``
-        the first-seen member of each mirror pair is kept; ``limit`` caps
-        the number of chains yielded.
+        the first-seen member of each mirror pair is kept, and one k-byte
+        canonical key (the smaller of the word and its reverse) is held
+        for each chain kept, so memory grows as k times the chains
+        yielded; ``limit`` caps the number of chains yielded.
         """
         k, ends, _ = self._row(k, end)
         seen: set[bytes] = set()
@@ -684,15 +638,10 @@ def enumerate_maximal(
     limit: int | None = None,
     dedup: bool = False,
 ) -> Iterator[LinkVector]:
-    """Stream every maximal chain exactly once (see `DPTable.chains`)."""
+    """Stream every maximal chain exactly once (see `DPTable.chains`):
+    with ``dedup``, one n-byte canonical key is held per chain kept."""
     table = run_dp(f, n)
     yield from table.chains(end=end, dedup=dedup, limit=limit)
-
-
-def count_maximal(f: IndexFunction, n: int, end: int) -> int:
-    """Number of distinct maximal chains ending with the given link."""
-    DPTable._check_end(end)
-    return run_dp(f, n).labeled_count(n, end)
 
 
 CASE_LINEAR_ALWAYS = "linear-always"

@@ -218,10 +218,6 @@ class IndexFunction:
     def __repr__(self) -> str:
         return "IndexFunction(name={!r}, values={!r}, mode={!r}, eps={!r})".format(*self.__reduce__()[1])
 
-    @property
-    def is_rational(self) -> bool:
-        return self.mode == RATIONAL
-
     def value(self, a: int, b: int) -> Value:
         """f(a, b) for degrees a, b in {2, 3, 4} (order irrelevant)."""
         if a > b:

@@ -137,6 +137,15 @@ class TestByteWord:
         assert links == (1, 1, 2) and all(type(x) is int for x in links)
         assert LinkVector(x / 1 for x in (2, 1)).links == (2, 1)
 
+    def test_order_against_another_type_refused(self):
+        # like ==, < leaves a non-LinkVector to Python, which raises TypeError
+        v = LinkVector((1,))
+        for other in (5, (1,), b"\1", None):
+            with pytest.raises(TypeError):
+                v < other
+            with pytest.raises(TypeError):
+                other > v
+
     def test_order_and_mirror_match_tuples(self):
         words = [w for n in range(2, 13) for w in all_chains(n)]
         vectors = [LinkVector(w) for w in words]

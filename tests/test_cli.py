@@ -337,7 +337,7 @@ class TestTable:
 
     def test_every_row_counts_mirror_classes(self, capsys, tmp_path):
         # rows of 2**15 .. 2**20 tied chains, 2**ceil((n - 2) / 2) of them
-        # palindromes; --iso-limit is still accepted and changes nothing
+        # palindromes, with no option to cap the count: --iso-limit is refused
         argv = ("table", "--index-file", str(const_index_file(tmp_path)),
                 "--from", "17", "--to", "22", "--format", "json")
         code, out, err = run_cli(capsys, *argv)
@@ -346,7 +346,11 @@ class TestTable:
         jsonschema.validate(doc, OUTPUT_SCHEMAS["table"])
         assert [r["iso_count"] for r in doc["rows"]] == [
             (2 ** (n - 2) + 2 ** ((n - 1) // 2)) // 2 for n in range(17, 23)]
-        assert run_cli(capsys, *argv, "--iso-limit", "0") == (0, out, "")
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--iso-limit", "0"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and "unrecognized arguments: --iso-limit 0" in err
 
     def test_each_row_read_once(self, capsys, tmp_path, monkeypatch):
         # a row: one read of the max table and one of the min table, one

@@ -20,7 +20,6 @@ from polychain.dp import (
     CASE_ZIGZAG_THEN_LINEAR,
     DPTable,
     classify,
-    count_maximal,
     enumerate_maximal,
     maximize,
     minimize,
@@ -189,8 +188,7 @@ def all_readers(t, k):
     the chains capped at 12 a query."""
     ends = (None, 1, 2)
     return (
-        [(t.value(k, e), t.predecessors(k, e), t.tie_count(k, e)) for e in (1, 2)],
-        t.winning_ends(k),
+        [(t.value(k, e), t.predecessors(k, e)) for e in (1, 2)],
         t.best_value(k),
         [t.labeled_count(k, e) for e in ends],
         [t.iso_count(k, e) for e in ends],
@@ -221,30 +219,32 @@ class TestRunDP:
         assert t.value(4, 1) == t.value(4, 2) == expected
         assert t.predecessors(4, 1) == frozenset({2})
         assert t.predecessors(4, 2) == frozenset({1})
-        assert t.winning_ends(4) == (1, 2)
+        assert t.best_value(4) == expected
+        assert t.labeled_count(4) == t.labeled_count(4, 1) + t.labeled_count(4, 2)  # both ends win
 
     def test_five_square_values(self):
         t = run_dp(AZI, 5)
         assert t.value(5, 1) == Fraction(329717, 2000) == brute_force_max(AZI, 5)
         assert t.value(5, 1) > t.value(5, 2)
-        assert t.winning_ends() == (1,)
+        assert t.best_value() == t.value(5, 1)
+        assert t.labeled_count() == t.labeled_count(5, 1)  # end 1 alone wins
 
     def test_base_states(self):
         t = run_dp(AZI, 3)
         assert t.value(3, 1) == Fraction(1497, 16)
         assert t.value(3, 2) == Fraction(11456, 125)
         assert t.predecessors(3, 1) == frozenset()
-        assert t.tie_count(3, 1) == t.tie_count(3, 2) == 0
+        assert t.labeled_count(3, 1) == t.labeled_count(3, 2) == 1
 
     def test_azi_tie_pattern(self):
         t = run_dp(AZI, 20)
-        assert t.tie_count(7, 1) == 0
-        assert t.tie_count(7, 2) == 1
+        assert t.labeled_count(7, 1) == 1
+        assert t.labeled_count(7, 2) == 2
         for n in range(5, 21):
             if n % 2 == 1:
-                assert t.tie_count(n, 1) == 0
+                assert t.labeled_count(n, 1) == 1
             else:
-                assert t.tie_count(n, 1) == (n - 6) // 2
+                assert t.labeled_count(n, 1) - 1 == (n - 6) // 2
 
     def test_tie_recursion_invariant(self):
         for f in (AZI, preset("zagreb1"), preset("abc")):
@@ -254,20 +254,10 @@ class TestRunDP:
                     preds = t.predecessors(k, i)
                     assert preds  # nonempty from k=4 on
                     if len(preds) == 2:
-                        assert t.tie_count(k, i) == 1 + t.tie_count(k - 1, 1) + t.tie_count(k - 1, 2)
+                        assert t.labeled_count(k, i) == t.labeled_count(k - 1, 1) + t.labeled_count(k - 1, 2)
                     else:
                         (j,) = preds
-                        assert t.tie_count(k, i) == t.tie_count(k - 1, j)
-
-    def test_state_sequence(self):
-        t = run_dp(AZI, 10)
-        states = list(t)
-        assert len(states) == len(t) == 8
-        assert [s.n for s in states] == list(range(3, 11))
-        s = t.state(7)
-        assert s.value(2) == t.value(7, 2)
-        assert s.predecessors(2) == t.predecessors(7, 2)
-        assert s.tie_count(2) == 1
+                        assert t.labeled_count(k, i) == t.labeled_count(k - 1, j)
 
     def test_end_link_validated(self):
         t = run_dp(AZI, 5)
@@ -280,7 +270,7 @@ class TestRunDP:
             slim = run_dp(f, 40, keep_table=False)
             for i in (1, 2):
                 assert values_equal(slim.value(40, i), full.value(40, i), f.eps)
-                assert slim.tie_count(40, i) == full.tie_count(40, i)
+                assert slim.labeled_count(40, i) == full.labeled_count(40, i)
                 assert slim.predecessors(40, i) == full.predecessors(40, i)
 
     def test_matches_reference_tie_rule(self):
@@ -291,7 +281,7 @@ class TestRunDP:
                 for k, (vals, preds, ties) in enumerate(reference_pass(g, n), start=4):
                     for i in (1, 2):
                         assert t.predecessors(k, i) == preds[i - 1], (g.name, k, i)
-                        assert t.tie_count(k, i) == ties[i - 1], (g.name, k, i)
+                        assert t.labeled_count(k, i) - 1 == ties[i - 1], (g.name, k, i)
                         assert values_equal(t.value(k, i), vals[i - 1], g.eps), (g.name, k, i)
 
     def test_tie_keeps_larger_candidate(self):
@@ -317,7 +307,7 @@ class TestRunDP:
                 for k in range(3, n + 1):
                     for i in (1, 2):
                         assert approx.predecessors(k, i) == exact.predecessors(k, i), (g.name, k)
-                        assert approx.tie_count(k, i) == exact.tie_count(k, i), (g.name, k)
+                        assert approx.labeled_count(k, i) == exact.labeled_count(k, i), (g.name, k)
 
     def test_keep_table_false_reads_every_row(self):
         # keep_table is ignored: the table equals a kept one on every reader
@@ -327,23 +317,22 @@ class TestRunDP:
             for g in (f, negate(f)):
                 tables.setdefault((g.mode, g.eps, *g.values.items()), g)
         for g in tables.values():
-            slim, kept = run_dp(g, 60, keep_table=False), run_dp(g, 60)
-            assert len(slim) == len(kept) == 58, g.name
-            assert list(slim) == list(kept), g.name
-            for k in range(3, 61):
-                assert all_readers(slim, k) == all_readers(kept, k), (g.name, k)
+            for n in (10, 60):
+                slim, kept = run_dp(g, n, keep_table=False), run_dp(g, n)
+                for k in range(3, n + 1):
+                    assert all_readers(slim, k) == all_readers(kept, k), (g.name, n, k)
 
     def test_prefix_states_independent_of_horizon(self):
         # the table built to 14 answers every query the table built to 9 does;
-        # the tie counts of each are powered through its own segments
+        # the chain counts of each are powered through its own segments
         for f in (AZI, constant_index(), small_range_index()):
             long, short = run_dp(f, 14), run_dp(f, 9)
             for k in range(3, 10):
                 for i in (1, 2):
                     assert long.value(k, i) == short.value(k, i)
                     assert long.predecessors(k, i) == short.predecessors(k, i)
-                    carried = run_dp(f, k, keep_table=False).tie_count(k, i)
-                    assert long.tie_count(k, i) == short.tie_count(k, i) == carried
+                    carried = run_dp(f, k, keep_table=False).labeled_count(k, i)
+                    assert long.labeled_count(k, i) == short.labeled_count(k, i) == carried
             assert list(long.chains(9)) == list(short.chains(9))
 
 
@@ -462,7 +451,7 @@ class TestEnumeration:
 
     def test_limit(self):
         assert len(list(enumerate_maximal(AZI, 20, limit=3))) == 3
-        assert len(list(enumerate_maximal(AZI, 20))) == count_maximal(AZI, 20, 1)
+        assert len(list(enumerate_maximal(AZI, 20))) == run_dp(AZI, 20).labeled_count(20, 1)
 
     def test_emission_count_equals_labeled_count(self):
         for f in ALL_PRESETS:
@@ -744,7 +733,7 @@ class TestCountReadOrder:
             for k in rows:
                 (m1, m2), _, (t1, t2) = ref[k - 3]
                 winners = (1, 2) if ties(m1, m2) else (1,) if m1 > m2 else (2,)
-                want[k] = (t1, t2, sum((t1, t2)[e - 1] + 1 for e in winners), t1 + 1, t2 + 1)
+                want[k] = (sum((t1, t2)[e - 1] + 1 for e in winners), t1 + 1, t2 + 1)
             shuffled = rng.sample(rows, len(rows))
             for order in (rows, rows[::-1], shuffled):
                 t = run_dp(f, 120)  # no row read yet: counts start at row 3
@@ -755,8 +744,7 @@ class TestCountReadOrder:
                             t.iso_count(other)
                         else:
                             t.value(other, rng.choice((1, 2)))
-                    got = (t.tie_count(k, 1), t.tie_count(k, 2), t.labeled_count(k),
-                           t.labeled_count(k, 1), t.labeled_count(k, 2))
+                    got = (t.labeled_count(k), t.labeled_count(k, 1), t.labeled_count(k, 2))
                     assert got == want[k], (f.name, k, order is shuffled)
 
 
@@ -867,17 +855,17 @@ class TestMirrorReadOrder:
 
 class TestCountMaximal:
     def test_anchors(self):
-        assert count_maximal(AZI, 10, 1) == 3
-        assert count_maximal(AZI, 7, 1) == 1
-        assert count_maximal(AZI, 7, 2) == 2
-        assert count_maximal(AZI, 3, 1) == 1
-        assert count_maximal(AZI, 3, 2) == 1
+        assert run_dp(AZI, 10).labeled_count(10, 1) == 3
+        assert run_dp(AZI, 7).labeled_count(7, 1) == 1
+        assert run_dp(AZI, 7).labeled_count(7, 2) == 2
+        assert run_dp(AZI, 3).labeled_count(3, 1) == 1
+        assert run_dp(AZI, 3).labeled_count(3, 2) == 1
 
     def test_validates_arguments(self):
         with pytest.raises(ValueError, match="end link"):
-            count_maximal(AZI, 5, 0)
+            run_dp(AZI, 5).labeled_count(5, 0)
         with pytest.raises(ValueError, match="n >= 3"):
-            count_maximal(AZI, 2, 1)
+            run_dp(AZI, 2).labeled_count(2, 1)
 
 
 def fibonacci_pair(m):
@@ -932,7 +920,7 @@ class TestDegenerateAndRandomTables:
             ok, detail = cross_check_oracle(const, n)
             assert ok, (n, detail)
             assert maximize(const, n).labeled_count == 2 ** (n - 2)
-        assert count_maximal(const, 10, 1) == 2**7
+        assert run_dp(const, 10).labeled_count(10, 1) == 2**7
 
     def test_tie_heavy_memory_is_linear(self):
         # 2**(k-2) maximizers at every k: per-row tie counts would hold
@@ -948,7 +936,7 @@ class TestDegenerateAndRandomTables:
             finally:
                 tracemalloc.stop()
 
-        for query in (lambda n: maximize(const, n), lambda n: run_dp(const, n).tie_count(n // 2, 1)):
+        for query in (lambda n: maximize(const, n), lambda n: run_dp(const, n).labeled_count(n // 2, 1)):
             assert peak(query, 2 * 10**4) / peak(query, 10**4) < 2.5
 
     def test_periodic_table_stores_codes_not_values(self):
@@ -1051,11 +1039,11 @@ def assert_matches_reference(g, n, ref, rows, witness=True):
         for i in (1, 2):
             assert table.value(k, i) == vals[i - 1], (g.name, n, k, i)
             assert table.predecessors(k, i) == preds[i - 1], (g.name, n, k, i)
-            assert table.tie_count(k, i) == ties[i - 1], (g.name, n, k, i)
+            assert table.labeled_count(k, i) - 1 == ties[i - 1], (g.name, n, k, i)
             if k == n:
                 assert slim.value(n, i) == vals[i - 1], (g.name, n, i)
                 assert slim.predecessors(n, i) == preds[i - 1], (g.name, n, i)
-                assert slim.tie_count(n, i) == ties[i - 1], (g.name, n, i)
+                assert slim.labeled_count(n, i) - 1 == ties[i - 1], (g.name, n, i)
     for e in (1, 2) if witness else ():
         assert table.witness(end=e) == plain_witness(table, n, e), (g.name, n, e)
 
@@ -1122,9 +1110,8 @@ class TestPeriodicTail:
     def test_streaming_takes_the_same_exit(self):
         slim = run_dp(constant_index(), 10**5, keep_table=False)
         assert slim.period == (4, 1)
-        assert slim.tie_count(10**5, 1) == 2 ** (10**5 - 3) - 1
+        assert slim.labeled_count(10**5, 1) == 2 ** (10**5 - 3)
         assert slim.labeled_count() == 2 ** (10**5 - 2)
-        assert len(slim) == 10**5 - 2
 
     def test_drift_run_is_jumped(self):
         # d climbs by 1/10**4 a row for about 1000 rows: one jumped run
@@ -1289,11 +1276,11 @@ def assert_float_run_matches(g, n):
     want = [(tuple(map(repr, m)), preds, ties) for m, preds, ties in reference_pass(g, n)]
     got = [(tuple(repr(table.value(k, i)) for i in (1, 2)),
             tuple(table.predecessors(k, i) for i in (1, 2)),
-            tuple(table.tie_count(k, i) for i in (1, 2))) for k in range(4, n + 1)]
+            tuple(table.labeled_count(k, i) - 1 for i in (1, 2))) for k in range(4, n + 1)]
     assert got == want, (g.name, next(k for k, (x, y) in enumerate(zip(got, want), 4) if x != y))
     assert (tuple(repr(slim.value(n, i)) for i in (1, 2)),
             tuple(slim.predecessors(n, i) for i in (1, 2)),
-            tuple(slim.tie_count(n, i) for i in (1, 2))) == want[-1], g.name
+            tuple(slim.labeled_count(n, i) - 1 for i in (1, 2))) == want[-1], g.name
     for k in range(n - 3, n + 1):
         for e in (1, 2):
             assert table.witness(k, e) == plain_witness(table, k, e), (g.name, k, e)
@@ -1327,7 +1314,7 @@ class TestFloatRuns:
         slim = run_dp(f, 10**5, keep_table=False)
         assert slim.steps < 100
         assert run_dp(f, 2 * 10**5, keep_table=False).steps == slim.steps
-        assert slim.tie_count(10**5, 1).bit_length() > 10**5 - 10
+        assert slim.labeled_count(10**5, 1).bit_length() > 10**5 - 10
 
     def test_overflow_past_row_3000(self):
         # every chain scores (3n + 1) * c, which leaves the float range near n = 3525

@@ -55,7 +55,7 @@ class TestPresets:
         assert azi.value(3, 3) == Fraction(729, 64)
         assert azi.value(3, 4) == Fraction(1728, 125)
         assert azi.value(4, 4) == Fraction(512, 27)
-        assert azi.is_rational
+        assert azi.mode == RATIONAL
 
     def test_value_is_symmetric(self):
         azi = preset("azi")
@@ -92,9 +92,9 @@ class TestPresets:
 class TestRandicGamma:
     def test_integer_gamma_is_rational(self):
         r1 = preset("randic", gamma=1)
-        assert r1.is_rational and r1.value(3, 4) == 12
+        assert r1.mode == RATIONAL and r1.value(3, 4) == 12
         rm1 = preset("randic", gamma=-1)
-        assert rm1.is_rational and rm1.value(3, 4) == Fraction(1, 12)
+        assert rm1.mode == RATIONAL and rm1.value(3, 4) == Fraction(1, 12)
 
     def test_default_gamma_is_minus_half_float(self):
         r = preset("randic")
@@ -117,7 +117,7 @@ class TestRandicGamma:
 
     def test_exponent_bound(self):
         assert preset("randic", gamma=64).value(4, 4) == 2**256
-        assert preset("randic", gamma=-64).is_rational
+        assert preset("randic", gamma=-64).mode == RATIONAL
         for gamma in (65, -65, Fraction(2049, 2)):
             with pytest.raises(ValueError, match="randic exponent"):
                 preset("randic", gamma=gamma)

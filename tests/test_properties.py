@@ -177,7 +177,6 @@ def _cli_argv(draw, paths):
     elif command == "table":
         lo = draw(st.integers(-1, 60))
         argv += ["--from", str(lo), "--to", str(draw(st.integers(lo - 1, 60)))]
-        _flag(draw, argv, "--iso-limit", [0, 10, 10**30])
         argv += _switches(draw, "--exact")
     else:
         _flag(draw, argv, "--n-max", range(-1, 9), unset=0)

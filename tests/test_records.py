@@ -21,7 +21,6 @@ from polychain import (
     RATIONAL,
     ChainFamilyReport,
     ClassifierVerdict,
-    DPState,
     ExtremalResult,
     IncrementTable,
     IndexFunction,
@@ -34,8 +33,6 @@ WORD = LinkVector((1, 2, 2))
 
 # (type, its fields without a default in declared order, the defaults of the rest)
 RECORDS = [
-    (DPState, {"n": 5, "values": (Fraction(7), Fraction(5, 2)),
-               "preds": (frozenset((1,)), frozenset((1, 2))), "ties": (0, 1)}, {}),
     (ExtremalResult, {"objective": "max", "n": 5, "value": Fraction(7),
                       "per_end": {1: Fraction(7), 2: Fraction(5, 2)}, "witness": WORD,
                       "labeled_count": 1, "iso_count": None, "index_name": "azi",
@@ -188,6 +185,31 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     src = str(Path(polychain.__file__).resolve().parent.parent)
     code = ("import sys; before = set(sys.modules); import polychain.cli; "
             "print(sorted({'dataclasses', 'inspect', 'csv'} & (set(sys.modules) - before)))")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"
+
+
+def test_names_the_benchmark_tracer_reads():
+    """`perfbench/tracing.py` wraps these after importing the package and
+    the CLI, so cutting one fails here and not only in a traced run: the
+    eager `oracle` and `azi` imports, `run_dp`'s `keep_table`,
+    `increment_table`, the `DPTable` methods it hooks, and every name in
+    the package's and each module's `__all__`."""
+    src = str(Path(polychain.__file__).resolve().parent.parent)
+    code = (
+        "import importlib, pkgutil, sys\n"
+        "import polychain, polychain.cli\n"
+        "bad = [m for m in ('polychain.oracle', 'polychain.azi') if m not in sys.modules]\n"
+        "polychain.run_dp(polychain.preset('azi'), 5, keep_table=False)\n"
+        "bad += [n for n in ('increment_table',) if not hasattr(polychain.indices, n)]\n"
+        "bad += [n for n in ('witness', 'chains') if n not in polychain.DPTable.__dict__]\n"
+        "mods = [polychain] + [importlib.import_module('polychain.' + m.name)\n"
+        "                      for m in pkgutil.iter_modules(polychain.__path__)]\n"
+        "bad += [m.__name__ + '.' + n for m in mods for n in m.__all__ if not hasattr(m, n)]\n"
+        "print(bad)\n"
+    )
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
