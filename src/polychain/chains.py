@@ -22,7 +22,7 @@ canonicalization.  The corner graph reads what the next square would
 add to the degree-pair counts in O(1), without changing, and grows one
 square at a time, on O(n) memory: `edge_degree_multiset` walks it
 forward along one word, and the oracle's census, reading its tables
-inline, over the whole link tree.
+inline, down the link tree.
 """
 
 from __future__ import annotations
@@ -153,6 +153,21 @@ class LinkVector:
     def __lt__(self, other: "LinkVector") -> bool:
         if isinstance(other, LinkVector):
             return self._word < other._word
+        return NotImplemented
+
+    def __le__(self, other: "LinkVector") -> bool:
+        if isinstance(other, LinkVector):
+            return self._word <= other._word
+        return NotImplemented
+
+    def __gt__(self, other: "LinkVector") -> bool:
+        if isinstance(other, LinkVector):
+            return self._word > other._word
+        return NotImplemented
+
+    def __ge__(self, other: "LinkVector") -> bool:
+        if isinstance(other, LinkVector):
+            return self._word >= other._word
         return NotImplemented
 
     def __repr__(self) -> str:
@@ -354,12 +369,16 @@ def edge_degree_multiset(chain) -> Counter:
     """
     word = _as_word(chain)
     graph = _CornerGraph(len(word) + 2)
-    sides, delta, grow = graph.sides, graph.delta, graph.grow
+    sides, delta, grow, nbrs = graph.sides, graph.delta, graph.grow, graph.nbrs
     counts, cell, right = graph.start
     for link in word:
         s1, s2, t1, t2, cell, right = sides(cell, right)[link - 1]
         counts += delta(s1, s2)
         grow(s1, s2, t1, t2)
+        # later squares read the neighbours of the new square's cell, ne
+        # and se corners alone: drop those of the diagonal below the cell's
+        low = (cell | 1) - 3
+        nbrs[low] = nbrs[low + 1] = None
     return Counter({pair: m for pair, m in zip(DEGREE_PAIRS, graph.unpack(counts)) if m})
 
 

@@ -6,33 +6,37 @@ that agreement with the engine is meaningful evidence rather than
 circular.
 
 Cost model.  A chain's index value depends only on its degree-pair
-vector: how many edges join corners of degrees (2,2), (2,3), ...,
-(4,4), in `DEGREE_PAIRS` order.  That vector does not depend on the
-index, so `census(n)` takes it once per n, by a depth-first walk of the
-link tree on the same corner graph `evaluate_direct` reads
-(`chains._CornerGraph`).  A node reads both children's vectors off its
-last square's corners in O(1), with the graph's `up` and `join` tables
-as local arithmetic: three sums over a corner's neighbours, the one at
-the corner both sides share taken once.  It glues a child's square on
-in place only to go deeper and takes it off on the way back.  A node
-two links above the chains values its four grandchildren itself, so no
-chain is glued and the walk makes about one frame per two chains.  The
-census keeps the distinct vectors (98 at n = 14, 135 at n = 16) and,
-per vector and last link, the lexicographic positions of its chains,
-ascending, in the arrays the walk appends them to: 2 bytes a chain, 4
-past n = 18, and nothing else per chain.  It is built on
-first use and cached per n, so every index and every sweep at that n
-shares it.  A sweep then values each distinct vector once, as an int:
-its dot product with the index's scaled entries (`IndexFunction.scaled`,
-exact in both modes).  Per result set, builtin max/min pick the extreme
-over the vectors present, `IndexFunction.ties` marks the values that tie
-it among those an exact bound leaves in a window around it (`_tying`, a
-bisection of the values sorted once), and the tying groups merge into
-the set in lexicographic order: after the census a sweep costs
-O(distinct vectors) plus its output.  A chain in a set is its position's
-binary digits translated to link bytes, which its `LinkVector` keeps.
-The extreme is read back by `IndexFunction.read`, a float one as the
-exact extreme correctly rounded.
+vector: how many edges join corners of degrees (2,2), (2,3), ..., (4,4),
+in `DEGREE_PAIRS` order.  That vector does not depend on the index, so
+`census(n)` takes it once per n, on the same corner graph
+`evaluate_direct` reads (`chains._CornerGraph`).  A node of the link
+tree reads both children's vectors off its last square's corners in
+O(1), with the graph's `up` and `join` tables as local arithmetic, and
+glues a child's square on in place only to go deeper.  The walk below a
+node reads only the node's `_frontier`: its growth direction, its cell's
+parity and the cell, ne and se corners' degrees and neighbours, and no
+depth of the link tree has more than 8 distinct frontiers.  So the
+census walks the 2**a prefixes of a = (n - 2) // 2 links, walks the b =
+n - 2 - a links below the first prefix of each frontier once, and lets
+every other prefix replay that part: about 2**(n/2) graph steps, and one
+pass over prefixes times part entries that numbers the distinct vectors
+(98 at n = 14, 135 at n = 16).  A group, the ascending lexicographic
+positions of the chains of one vector and last link (2 bytes a chain, 4
+past n = 18), is built when first read, at one dict lookup a prefix plus
+its chains, and kept.  The census is built on first use and cached per
+n, so every index and every sweep at that n shares it.  A sweep then
+values each distinct vector once, as an int: its dot product with the
+index's scaled entries (`IndexFunction.scaled`, exact in both modes).
+Per result set, builtin max/min pick the extreme over the vectors
+present, `IndexFunction.ties` marks the values that tie it among those
+an exact bound leaves in a window around it (`_tying`, a bisection of
+the values sorted once), and the tying groups merge into the set in
+lexicographic order: after the census a sweep costs O(distinct vectors)
+plus its output, and a lookup a prefix for each group it reads first.  A
+chain in a set is its position's binary digits translated to link bytes,
+which its `LinkVector` keeps.  The extreme is read back by
+`IndexFunction.read`, a float one as the exact extreme correctly
+rounded.
 `cross_check` compares the engine's and the oracle's sets of
 `LinkVector`s and sorts their words only to describe a mismatch.
 """
@@ -42,7 +46,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from functools import cache
-from itertools import chain, compress
+from itertools import chain
 from operator import mul
 from typing import NamedTuple
 
@@ -62,43 +66,132 @@ DEFAULT_CAP = 24
 
 
 @cache
-def census(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[memoryview, ...], ...]]:
+def census(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple["_Groups", "_Groups"]]:
     """Degree-pair vectors of every n-square chain (n >= 2), grouped.
 
     Returns the distinct vectors (counts in `DEGREE_PAIRS` order) and the
     chain groups: ``groups[e - 1][vid]`` is a read-only view of an
     ``array`` ('H', or 'I' past n = 18) holding, ascending, the positions
-    of the chains with last link e and vector id vid, a chain's position
-    being its rank in the lexicographic order of
-    `itertools.product((1, 2), repeat=n - 2)`.  Vector ids follow that
-    order too: vector vid is the vid-th distinct vector met reading the
-    chains from position 0 up.  One corner graph walks the link tree
-    depth first, link 1 before link 2, carrying a node's packed counts
-    and position down as values.  The result is cached and shared by
-    every caller.
+    of the chains with last link e and vector id vid, built on its first
+    read and then kept, a chain's position being its rank in the
+    lexicographic order of `itertools.product((1, 2), repeat=n - 2)`.
+    Vector ids follow that order too: vector vid is the vid-th distinct
+    vector met reading the chains from position 0 up.
+    ``groups[e - 1].present`` lists, ascending, the ids of the vectors
+    some chain with last link e has.  One corner graph walks the prefixes
+    of a = (n - 2) // 2 links; the b = n - 2 - a links below a prefix are
+    walked by `_part` once per `_frontier`, and every later prefix with
+    that frontier adds its packed counts and ``prefix << b`` to the part.
+    The result is cached and shared by every caller.
     """
     if n < 2:
         raise ValueError(f"a chain needs at least 2 squares, got n={n}")
     graph = _CornerGraph(n)
-    deg, nbrs, up, join = graph.deg, graph.nbrs, graph.up, graph.join
-    seen: dict[int, int] = {}  # packed counts -> vector id
-    code = "H" if n <= 18 else "I"  # the narrowest type for positions below 2**(n - 2)
-    groups: tuple[list[array], list[array]] = ([], [])  # per last link, per vector id
-    ends1, ends2 = groups
+    a = (n - 2) // 2
+    b = n - 2 - a
+    parts: dict[tuple, tuple] = {}  # per frontier: its part, and the deltas met at each end
+    prefixes = []  # in lexicographic order: position << b, counts, part, deltas per end
 
-    def place(end: int, counts: int, pos: int) -> None:
-        # off the walk's fast path: a vector's first chain, and the chains of n <= 3
-        if counts not in seen:
-            seen[counts] = len(seen)
-            for column in groups:
-                column.append(array(code))
-        groups[end][seen[counts]].append(pos)
+    def prefix(pos: int, counts: int, cell: int, right: bool) -> None:
+        key = _frontier(graph, cell, right)
+        if key not in parts:
+            part = _part(graph, cell, right, b)
+            parts[key] = part, [[delta for delta, ends in part.items() if ends[end]]
+                                for end in (0, 1)]
+        prefixes.append((pos << b, counts, *parts[key]))
+
+    counts, cell, right = graph.start
+    _walk(graph, a, counts, cell, right, prefix)
+    # ids in the order the chains first meet their vectors: prefix by prefix,
+    # each part's deltas in the order its own chains first meet them
+    packed = list(dict.fromkeys(chain.from_iterable(
+        map(counts.__add__, part) for _, counts, part, _ in prefixes)))
+    ids = {counts: vid for vid, counts in enumerate(packed)}
+    present = [sorted(map(ids.__getitem__, set(chain.from_iterable(
+        map(counts.__add__, met[end]) for _, counts, _, met in prefixes)))) for end in (0, 1)]
+    code = "H" if n <= 18 else "I"  # the narrowest type for positions below 2**(n - 2)
+    groups = tuple(_Groups(code, end, packed, prefixes, present[end]) for end in (0, 1))
+    return tuple(map(graph.unpack, packed)), groups
+
+
+class _Groups:
+    """One last link's chain groups, indexed by vector id, each built
+    from the prefixes on its first read and then kept: per prefix, one
+    lookup of the vector's counts less the prefix's in its part, and
+    the positions found, shifted by the prefix.  The vectors no chain
+    with that last link has share one empty view."""
+
+    __slots__ = ("_views", "_end", "_code", "_packed", "_prefixes", "present")
+
+    def __init__(self, code, end, packed, prefixes, present) -> None:
+        self._views: list[memoryview | None] = [memoryview(array(code)).toreadonly()] * len(packed)
+        for vid in present:
+            self._views[vid] = None
+        self._code, self._end, self._packed, self._prefixes = code, end, packed, prefixes
+        self.present = present
+
+    def __len__(self) -> int:
+        return len(self._views)
+
+    def __getitem__(self, vid: int) -> memoryview:
+        view = self._views[vid]
+        if view is None:
+            group = array(self._code)
+            target, end = self._packed[vid], self._end
+            for base, counts, part, _ in self._prefixes:
+                ends = part.get(target - counts)
+                if ends is not None:
+                    group.extend(map(base.__or__, ends[end]))
+            view = self._views[vid] = memoryview(group).toreadonly()
+        return view
+
+
+def _frontier(graph: _CornerGraph, cell: int, right: bool) -> tuple:
+    """What the walk below a node reads of the graph: the growth
+    direction, the cell's parity and, for each of the last square's
+    cell, ne and se corners, its degree and each neighbour's offset from
+    the cell and degree.  Nodes with equal frontiers have equal parts."""
+    deg, nbrs = graph.deg, graph.nbrs
+    ne = cell ^ 1
+    return (right, cell & 1) + tuple(
+        (deg[x], *[(w - cell, deg[w]) for w in nbrs[x]]) for x in (cell, ne, ne + 2))
+
+
+def _part(graph: _CornerGraph, cell: int, right: bool, links: int) -> dict[int, tuple]:
+    """The chains `links` links below the node with last square `cell`:
+    per change of packed counts from the node's, in the order they first
+    meet it, the ascending positions below the node of those with last
+    link 1 and of those with last link 2."""
+    part: dict[int, tuple[array, array]] = {}
+
+    def record(pos: int, counts: int, *_) -> None:
+        try:
+            part[counts][pos & 1].append(pos)
+        except KeyError:
+            part[counts] = ends = (array("I"), array("I"))
+            ends[pos & 1].append(pos)
+
+    _walk(graph, links, 0, cell, right, record, glued=False)
+    return part
+
+
+def _walk(graph: _CornerGraph, links: int, counts: int, cell: int, right: bool, leaf,
+          glued: bool = True) -> None:
+    """Call ``leaf(pos, counts, cell, right)`` for every node `links`
+    links below the node with packed counts `counts` and last square
+    `cell`, glued on rightward if `right`, in lexicographic order, with
+    the node's square glued on; pos is its links below as binary digits,
+    link 1 as 0.  Unless `glued`, a leaf below the node gets only
+    ``(pos, counts)`` and its square is never glued on: a chain's counts
+    are all `_part` reads.  A node reads both children's counts off its
+    last square's corners, with the graph's `up` and `join` tables
+    inline, and glues a child's square on only to visit it."""
+    deg, nbrs, up, join = graph.deg, graph.nbrs, graph.up, graph.join
 
     def visit(depth: int, pos: int, counts: int, cell: int, right: bool) -> None:
-        # pos: the node's links so far as binary digits, link 1 as 0.  Each
-        # child's counts add `_CornerGraph.delta`, read inline, of the side
-        # of the last square it is glued to: se-ne going east, sw-se going
-        # south; the up terms at se are common to both
+        # each child's counts add `_CornerGraph.delta` of the side of the
+        # last square it is glued to: se-ne going east, sw-se going south;
+        # the up terms at se are common to both
         ne = cell ^ 1
         se = ne + 2
         d = deg[se]
@@ -116,6 +209,11 @@ def census(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[memoryview,
         south = shared + join[e][d]
         for w in nbrs[cell]:
             south += u[deg[w]]
+        if depth == last and not glued:
+            pos *= 2
+            leaf(pos, east if right else south)
+            leaf(pos + 1, south if right else east)
+            return
         # per child: counts, side s1 s2, far corners t1 t2 (t1 joined to s1), cell, right
         below = cell + 2
         east = (east, se, ne, cell + 4, below, se, True)
@@ -129,54 +227,20 @@ def census(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[memoryview,
             nbrs[s2].append(t2)
             nbrs[t1] = [s1, t2]
             nbrs[t2] = [s2, t1]
-            if depth < grandparents:
+            if depth < last:
                 visit(depth + 1, link, child, cell, right)
-            else:  # the child's children are chains: value them as above, gluing none
-                ne = cell ^ 1
-                se = ne + 2
-                d = deg[se]
-                u = up[d]
-                shared = child
-                for w in nbrs[se]:
-                    shared += u[deg[w]]
-                e = deg[ne]
-                u = up[e]
-                east = shared + join[d][e]
-                for w in nbrs[ne]:
-                    east += u[deg[w]]
-                e = deg[cell]
-                u = up[e]
-                south = shared + join[e][d]
-                for w in nbrs[cell]:
-                    south += u[deg[w]]
-                first, second = (east, south) if right else (south, east)
-                pos = 2 * link
-                try:
-                    ends1[seen[first]].append(pos)
-                except KeyError:
-                    place(0, first, pos)
-                try:
-                    ends2[seen[second]].append(pos + 1)
-                except KeyError:
-                    place(1, second, pos + 1)
+            else:
+                leaf(link, child, cell, right)
             nbrs[s1].pop()  # take the square off again; its far corners go stale
             nbrs[s2].pop()
             deg[s1] -= 1
             deg[s2] -= 1
 
-    counts, cell, right = graph.start
-    grandparents = n - 4  # the depth whose grandchildren are chains
-    if n == 2:
-        place(0, counts, 0)
-    elif n == 3:  # the two chains are the start's children
-        for end, (s1, s2, *_) in enumerate(graph.sides(cell, right)):
-            place(end, counts + graph.delta(s1, s2), end)
-    else:
+    last = links - 1  # the depth whose children are the leaves
+    if links:
         visit(0, 0, counts, cell, right)
-    empty = memoryview(array(code)).toreadonly()  # one for every empty group: a view is 320 bytes
-    views = tuple(tuple(memoryview(group).toreadonly() if group else empty
-                        for group in column) for column in groups)
-    return tuple(map(graph.unpack, seen)), views
+    else:
+        leaf(0, counts, cell, right)
 
 
 _LINK_DIGITS = bytes.maketrans(b"01", b"\1\2")
@@ -225,9 +289,11 @@ def exhaustive(f: IndexFunction, n: int, cap: int = DEFAULT_CAP) -> OracleReport
     `values_equal`'s tolerance ``f.eps`` of it, taken exactly, for float
     tables, whose extremes are the exact ones correctly rounded.  A
     float extreme past the float range is refused with ValueError.
-    Refuses square counts above `cap` (default 24) because the census of
-    n walks 2**(n-2) chains and keeps about 4 bytes per chain; raise the
-    cap explicitly if you really mean it.
+    Refuses square counts above `cap` (default 24) because a result set
+    can hold all 2**(n-2) chains, as the constant index's argmax does, at
+    about 4 bytes a chain in its groups and more as `LinkVector`s; the
+    census itself costs about 2**(n/2).  Raise the cap explicitly if you
+    really mean it.
     """
     if n < 3:
         raise ValueError(f"exhaustive sweep needs n >= 3, got {n}")
@@ -245,7 +311,7 @@ def exhaustive(f: IndexFunction, n: int, cap: int = DEFAULT_CAP) -> OracleReport
 
     def select(pick, ends):
         # every census vector occurs among all chains, not all in one end's half
-        present = everyone if len(ends) == 2 else list(compress(everyone, groups[ends[0] - 1]))
+        present = everyone if len(ends) == 2 else groups[ends[0] - 1].present
         best = pick(map(values.__getitem__, present))
         if best not in tied:
             tied[best] = _tying(f, values, order, best)

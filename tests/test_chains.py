@@ -1,5 +1,6 @@
 """Structural tests for link vectors, realization, segments and families."""
 
+import operator
 import random
 from itertools import product
 
@@ -138,13 +139,23 @@ class TestByteWord:
         assert LinkVector(x / 1 for x in (2, 1)).links == (2, 1)
 
     def test_order_against_another_type_refused(self):
-        # like ==, < leaves a non-LinkVector to Python, which raises TypeError
+        # like ==, each order leaves a non-LinkVector to Python, which raises TypeError
         v = LinkVector((1,))
         for other in (5, (1,), b"\1", None):
-            with pytest.raises(TypeError):
-                v < other
-            with pytest.raises(TypeError):
-                other > v
+            for op in (operator.lt, operator.le, operator.gt, operator.ge):
+                with pytest.raises(TypeError):
+                    op(v, other)
+                with pytest.raises(TypeError):
+                    op(other, v)
+        with pytest.raises(TypeError):
+            LinkVector((1,)) <= 5
+
+    def test_all_four_orders_follow_the_bytes_word(self):
+        words = [bytes(w) for n in range(2, 7) for w in all_chains(n)]
+        for a in words:
+            for b in words:
+                u, v = LinkVector(a), LinkVector(b)
+                assert ((u < v), (u <= v), (u > v), (u >= v)) == (a < b, a <= b, a > b, a >= b)
 
     def test_order_and_mirror_match_tuples(self):
         words = [w for n in range(2, 13) for w in all_chains(n)]

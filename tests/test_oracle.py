@@ -5,7 +5,8 @@ import random
 import time
 import tracemalloc
 from fractions import Fraction
-from itertools import product
+from bisect import bisect_left, bisect_right
+from itertools import accumulate, product
 
 import pytest
 
@@ -13,7 +14,7 @@ import polychain.azi as azi_mod
 import polychain.cli as cli_mod
 import polychain.dp as dp_mod
 import polychain.indices as indices_mod
-from polychain.chains import edge_degree_multiset, linear_chain
+from polychain.chains import _CornerGraph, edge_degree_multiset, linear_chain
 from polychain.dp import DPTable
 from polychain.indices import (
     DEGREE_PAIRS,
@@ -27,7 +28,7 @@ from polychain.indices import (
     negate,
     preset,
 )
-from polychain.oracle import _tying, census, cross_check, exhaustive
+from polychain.oracle import _frontier, _part, _tying, _walk, census, cross_check, exhaustive
 from reference_graph import (
     _cached_multiset,
     assert_checked_word,
@@ -260,6 +261,30 @@ def positions_by_vector(groups):
                 yield vid, pos
 
 
+def census_peak(n):
+    """The tracemalloc peak of building census(n), which reads no group.
+
+    The census keeps a part per frontier and a record per prefix and
+    builds a group only when it is read, so its peak stays far below the
+    2 or 4 bytes a chain its groups take once read."""
+    census(3)  # the module's own first-use allocations are not the census's
+    census.cache_clear()
+    tracemalloc.start()
+    try:
+        census(n)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        census.cache_clear()
+
+
+def assert_reference_vector(n, vector, pos):
+    """The chain at position pos has that vector on the reference graph."""
+    links = [1 + (pos >> k & 1) for k in range(n - 3, -1, -1)]
+    pairs = reference_multiset(links)
+    assert vector == tuple(pairs[p] for p in DEGREE_PAIRS), (n, pos, links)
+
+
 def assert_groups_partition(n, vectors, groups, code):
     """Each chain position once, under the end its parity gives, in
     ascending read-only groups of `code` items, one group per vector and
@@ -278,7 +303,7 @@ def assert_groups_partition(n, vectors, groups, code):
 
 class TestCensus:
     def test_vectors_match_edge_degree_multiset(self):
-        for n in range(3, 13):
+        for n in range(3, 15):
             vectors, groups = census(n)
             assert len(set(vectors)) == len(vectors)
             words = list(product((1, 2), repeat=n - 2))
@@ -349,11 +374,33 @@ class TestCensus:
             assert_groups_partition(n, vectors, groups, "I")
             rng = random.Random(19)
             for vid, pos in rng.sample(list(positions_by_vector(groups)), 300):
-                links = [1 + (pos >> k & 1) for k in range(n - 3, -1, -1)]
-                pairs = reference_multiset(links)
-                assert vectors[vid] == tuple(pairs[p] for p in DEGREE_PAIRS), (pos, links)
+                assert_reference_vector(n, vectors[vid], pos)
         finally:
             census.cache_clear()  # 2**17 chains: not kept for the tests after this one
+
+    @pytest.mark.parametrize("n", [22, 24])
+    def test_seeded_chains_at_the_default_cap(self, n):
+        # 300 chains drawn from the groups, and 300 positions each found in
+        # the group of its reference vector, the groups holding 2**(n - 2) in all
+        vectors, groups = census(n)
+        try:
+            sizes = [len(group) for column in groups for group in column]
+            assert sum(sizes) == 2 ** (n - 2)
+            starts = list(accumulate(sizes, initial=0))
+            rng = random.Random(n)
+            for i in rng.sample(range(2 ** (n - 2)), 300):
+                g = bisect_right(starts, i) - 1
+                column, vid = divmod(g, len(vectors))
+                group = groups[column][vid]
+                assert (group.format, group.readonly) == ("I", True)
+                assert_reference_vector(n, vectors[vid], group[i - starts[g]])
+            for pos in rng.sample(range(2 ** (n - 2)), 300):
+                links = [1 + (pos >> k & 1) for k in range(n - 3, -1, -1)]
+                pairs = reference_multiset(links)
+                group = groups[pos & 1][vectors.index(tuple(pairs[p] for p in DEGREE_PAIRS))]
+                assert group[bisect_left(group, pos)] == pos, (n, links)
+        finally:
+            census.cache_clear()  # 2**22 chains: not kept for the tests after this one
 
     @pytest.mark.parametrize("f", [AZI, preset("ga"), small_range_tables(5, 1)[0]],
                              ids=lambda f: f"{f.name}-{f.mode}")
@@ -363,19 +410,37 @@ class TestCensus:
             assert exhaustive(f, n).to_json() == reference_report(f, n).to_json(), n
 
     def test_groups_fit_the_memory_bound(self):
-        # the groups take 2 bytes a chain and their read-only views about
-        # 320 bytes a non-empty group; the rest (vectors, their dict, the
-        # arrays' headers and spare room) must stay small beside them
-        census(3)  # the module's own first-use allocations are not the census's
-        census.cache_clear()
-        tracemalloc.start()
-        try:
-            census(18)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-            census.cache_clear()
-        assert peak <= 5 * 2 ** 16, peak
+        assert census_peak(18) <= 5 * 2 ** 16
+
+    def test_census_past_n_18_fits_a_mebibyte(self):
+        assert census_peak(22) <= 2 ** 20
+
+    @pytest.mark.parametrize("n", range(12, 17))
+    def test_each_prefix_replays_the_part_of_its_frontier(self, n):
+        # every prefix's own walk, on a copy of its graph whose degrees and
+        # neighbour lists are poisoned past the last square's cell, ne and se
+        # corners and their neighbours (degree 99 is in no `up` or `join`
+        # row), gives the part of the first prefix with its frontier
+        graph = _CornerGraph(n)
+        a = (n - 2) // 2
+        parts = {}
+
+        def replay(pos, counts, cell, right):
+            poisoned = _CornerGraph(n)
+            poisoned.deg = [99] * len(graph.deg)
+            poisoned.nbrs = [None] * len(graph.nbrs)
+            for x in (cell, cell ^ 1, (cell ^ 1) + 2):
+                poisoned.nbrs[x] = list(graph.nbrs[x])
+                for w in (x, *graph.nbrs[x]):
+                    poisoned.deg[w] = graph.deg[w]
+            part = list(_part(poisoned, cell, right, n - 2 - a).items())
+            assert part == list(_part(graph, cell, right, n - 2 - a).items()), (n, pos)
+            key = _frontier(graph, cell, right)
+            assert part == parts.setdefault(key, part), (n, pos, key)
+
+        counts, cell, right = graph.start
+        _walk(graph, a, counts, cell, right, replay)
+        assert len(parts) == min(2 ** a, 8), n
 
     @pytest.mark.parametrize("turn", [0.05, 0.5, 0.95])
     def test_edge_degree_multiset_equals_the_reference_graph(self, turn):
