@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable, Iterator
-from functools import cache
+from functools import cache, total_ordering
 
 __all__ = [
     "LinkVector",
@@ -52,6 +52,7 @@ _DOWN = (0, -1)
 DEGREE_PAIRS = ((2, 2), (2, 3), (2, 4), (3, 3), (3, 4), (4, 4))
 
 
+@total_ordering
 class LinkVector:
     """Immutable word over {1, 2} recording how each square attaches.
 
@@ -153,21 +154,6 @@ class LinkVector:
     def __lt__(self, other: "LinkVector") -> bool:
         if isinstance(other, LinkVector):
             return self._word < other._word
-        return NotImplemented
-
-    def __le__(self, other: "LinkVector") -> bool:
-        if isinstance(other, LinkVector):
-            return self._word <= other._word
-        return NotImplemented
-
-    def __gt__(self, other: "LinkVector") -> bool:
-        if isinstance(other, LinkVector):
-            return self._word > other._word
-        return NotImplemented
-
-    def __ge__(self, other: "LinkVector") -> bool:
-        if isinstance(other, LinkVector):
-            return self._word >= other._word
         return NotImplemented
 
     def __repr__(self) -> str:

@@ -20,13 +20,16 @@ census walks the 2**a prefixes of a = (n - 2) // 2 links, walks the b =
 n - 2 - a links below the first prefix of each frontier once, and lets
 every other prefix replay that part: about 2**(n/2) graph steps, and one
 pass over prefixes times part entries that numbers the distinct vectors
-(98 at n = 14, 135 at n = 16).  A group, the ascending lexicographic
-positions of the chains of one vector and last link (2 bytes a chain, 4
-past n = 18), is built when first read, at one dict lookup a prefix plus
-its chains, and kept.  The census is built on first use and cached per
-n, so every index and every sweep at that n shares it.  A sweep then
-values each distinct vector once, as an int: its dot product with the
-index's scaled entries (`IndexFunction.scaled`, exact in both modes).
+(98 at n = 14, 135 at n = 16).  A part keeps its positions in one
+array, cut by count change and last link, and the parts share their
+changes.  A group, the ascending lexicographic positions of the chains
+of one vector and last link (2 bytes a chain, 4 past n = 18), is built
+when first read, at one dict lookup a prefix plus its chains, and kept;
+once every group is built, the prefixes and parts are let go.  The
+census is built on first use and cached per n, so every index and every
+sweep at that n shares it.  A sweep then values each distinct vector
+once, as an int: its dot product with the index's scaled entries
+(`IndexFunction.scaled`, exact in both modes).
 Per result set, builtin max/min pick the extreme over the vectors
 present, `IndexFunction.ties` marks the values that tie it among those
 an exact bound leaves in a window around it (`_tying`, a bisection of
@@ -46,7 +49,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from functools import cache
-from itertools import chain
+from itertools import accumulate, chain, count
 from operator import mul
 from typing import NamedTuple
 
@@ -89,27 +92,31 @@ def census(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple["_Groups", "_Grou
     graph = _CornerGraph(n)
     a = (n - 2) // 2
     b = n - 2 - a
-    parts: dict[tuple, tuple] = {}  # per frontier: its part, and the deltas met at each end
-    prefixes = []  # in lexicographic order: position << b, counts, part, deltas per end
+    parts: dict[tuple, tuple] = {}  # per frontier, its `_part`
+    deltas: dict[int, int] = {}  # the changes of counts the parts share
+    counts_at: list[int] = []  # per prefix, in lexicographic order: its packed counts
+    part_at: list[tuple] = []  # ... and the part of its frontier
 
     def prefix(pos: int, counts: int, cell: int, right: bool) -> None:
         key = _frontier(graph, cell, right)
-        if key not in parts:
-            part = _part(graph, cell, right, b)
-            parts[key] = part, [[delta for delta, ends in part.items() if ends[end]]
-                                for end in (0, 1)]
-        prefixes.append((pos << b, counts, *parts[key]))
+        part = parts.get(key)
+        if part is None:
+            part = parts[key] = _part(graph, cell, right, b, deltas)
+        counts_at.append(counts)
+        part_at.append(part)
 
     counts, cell, right = graph.start
     _walk(graph, a, counts, cell, right, prefix)
     # ids in the order the chains first meet their vectors: prefix by prefix,
-    # each part's deltas in the order its own chains first meet them
+    # each part's changes in the order its own chains first meet them
     packed = list(dict.fromkeys(chain.from_iterable(
-        map(counts.__add__, part) for _, counts, part, _ in prefixes)))
+        map(counts.__add__, part[0]) for counts, part in zip(counts_at, part_at))))
     ids = {counts: vid for vid, counts in enumerate(packed)}
     present = [sorted(map(ids.__getitem__, set(chain.from_iterable(
-        map(counts.__add__, met[end]) for _, counts, _, met in prefixes)))) for end in (0, 1)]
+        map(counts.__add__, part[3][end]) for counts, part in zip(counts_at, part_at)))))
+        for end in (0, 1)]
     code = "H" if n <= 18 else "I"  # the narrowest type for positions below 2**(n - 2)
+    prefixes = (1 << b, counts_at, part_at)
     groups = tuple(_Groups(code, end, packed, prefixes, present[end]) for end in (0, 1))
     return tuple(map(graph.unpack, packed)), groups
 
@@ -119,14 +126,16 @@ class _Groups:
     from the prefixes on its first read and then kept: per prefix, one
     lookup of the vector's counts less the prefix's in its part, and
     the positions found, shifted by the prefix.  The vectors no chain
-    with that last link has share one empty view."""
+    with that last link has share one empty view.  Once every present
+    group is built, the prefixes are let go."""
 
-    __slots__ = ("_views", "_end", "_code", "_packed", "_prefixes", "present")
+    __slots__ = ("_views", "_unread", "_end", "_code", "_packed", "_prefixes", "present")
 
     def __init__(self, code, end, packed, prefixes, present) -> None:
         self._views: list[memoryview | None] = [memoryview(array(code)).toreadonly()] * len(packed)
         for vid in present:
             self._views[vid] = None
+        self._unread = len(present)
         self._code, self._end, self._packed, self._prefixes = code, end, packed, prefixes
         self.present = present
 
@@ -138,11 +147,17 @@ class _Groups:
         if view is None:
             group = array(self._code)
             target, end = self._packed[vid], self._end
-            for base, counts, part, _ in self._prefixes:
-                ends = part.get(target - counts)
-                if ends is not None:
-                    group.extend(map(base.__or__, ends[end]))
+            step, counts_at, part_at = self._prefixes
+            for base, counts, (slots, positions, bounds, _) in zip(
+                    range(0, step * len(counts_at), step), counts_at, part_at):
+                k = slots.get(target - counts)
+                if k is not None:
+                    k += end
+                    group.extend(map(base.__or__, positions[bounds[k]:bounds[k + 1]]))
             view = self._views[vid] = memoryview(group).toreadonly()
+            self._unread -= 1
+            if not self._unread:
+                self._packed = self._prefixes = None
         return view
 
 
@@ -150,29 +165,41 @@ def _frontier(graph: _CornerGraph, cell: int, right: bool) -> tuple:
     """What the walk below a node reads of the graph: the growth
     direction, the cell's parity and, for each of the last square's
     cell, ne and se corners, its degree and each neighbour's offset from
-    the cell and degree.  Nodes with equal frontiers have equal parts."""
+    the cell and degree, flat in one tuple: a corner's degree is its
+    number of neighbours.  Nodes with equal frontiers have equal parts."""
     deg, nbrs = graph.deg, graph.nbrs
     ne = cell ^ 1
-    return (right, cell & 1) + tuple(
-        (deg[x], *[(w - cell, deg[w]) for w in nbrs[x]]) for x in (cell, ne, ne + 2))
+    key = [right, cell & 1]
+    for x in (cell, ne, ne + 2):
+        key.append(deg[x])
+        for w in nbrs[x]:
+            key += w - cell, deg[w]
+    return tuple(key)
 
 
-def _part(graph: _CornerGraph, cell: int, right: bool, links: int) -> dict[int, tuple]:
-    """The chains `links` links below the node with last square `cell`:
-    per change of packed counts from the node's, in the order they first
-    meet it, the ascending positions below the node of those with last
-    link 1 and of those with last link 2."""
-    part: dict[int, tuple[array, array]] = {}
+def _part(graph: _CornerGraph, cell: int, right: bool, links: int, deltas: dict) -> tuple:
+    """The chains `links` links below the node with last square `cell`,
+    by change of packed counts from the node's: a dict from each change,
+    in the order the chains first meet it, to its slot 2k; the positions
+    below the node, those with the k-th change and last link e ascending
+    in ``positions[bounds[2k + e]:bounds[2k + e + 1]]``; and per last
+    link, the changes its chains meet.  A change already in `deltas` is
+    kept as that int, so parts that share `deltas` share their changes."""
+    found: dict[int, tuple[list[int], list[int]]] = {}
 
     def record(pos: int, counts: int, *_) -> None:
         try:
-            part[counts][pos & 1].append(pos)
+            found[counts][pos & 1].append(pos)
         except KeyError:
-            part[counts] = ends = (array("I"), array("I"))
+            found[deltas.setdefault(counts, counts)] = ends = ([], [])
             ends[pos & 1].append(pos)
 
     _walk(graph, links, 0, cell, right, record, glued=False)
-    return part
+    runs = list(chain.from_iterable(found.values()))
+    code = "H" if links <= 16 else "I"  # the narrowest type for positions below 2**links
+    return (dict(zip(found, count(0, 2))), array(code, chain.from_iterable(runs)),
+            array("I", accumulate(map(len, runs), initial=0)),
+            tuple([delta for delta, ends in found.items() if ends[end]] for end in (0, 1)))
 
 
 def _walk(graph: _CornerGraph, links: int, counts: int, cell: int, right: bool, leaf,
@@ -241,6 +268,7 @@ def _walk(graph: _CornerGraph, links: int, counts: int, cell: int, right: bool, 
         visit(0, 0, counts, cell, right)
     else:
         leaf(0, counts, cell, right)
+    del visit  # a cycle through itself: freed now, with what its leaf holds, not at a collection
 
 
 _LINK_DIGITS = bytes.maketrans(b"01", b"\1\2")

@@ -261,17 +261,18 @@ def positions_by_vector(groups):
                 yield vid, pos
 
 
-def census_peak(n):
-    """The tracemalloc peak of building census(n), which reads no group.
-
-    The census keeps a part per frontier and a record per prefix and
-    builds a group only when it is read, so its peak stays far below the
-    2 or 4 bytes a chain its groups take once read."""
+def census_peak(n, read=False):
+    """The tracemalloc peak of building census(n) and, if `read`, then
+    reading every one of its groups."""
     census(3)  # the module's own first-use allocations are not the census's
     census.cache_clear()
     tracemalloc.start()
     try:
-        census(n)
+        _, groups = census(n)
+        if read:
+            for column in groups:
+                for vid in range(len(column)):
+                    column[vid]
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -410,10 +411,27 @@ class TestCensus:
             assert exhaustive(f, n).to_json() == reference_report(f, n).to_json(), n
 
     def test_groups_fit_the_memory_bound(self):
-        assert census_peak(18) <= 5 * 2 ** 16
+        # the groups take 2 bytes a chain and their read-only views about
+        # 320 bytes a non-empty group; the rest (vectors, the prefixes and
+        # parts the last group is built from, the arrays' headers and spare
+        # room) must stay small beside them
+        assert census_peak(18, read=True) <= 5 * 2 ** 16
 
     def test_census_past_n_18_fits_a_mebibyte(self):
+        # no group read: the census keeps a part per frontier and the
+        # counts and part of each prefix, far below its groups' 2**22 bytes
         assert census_peak(22) <= 2 ** 20
+
+    def test_prefixes_are_let_go_once_every_group_is_built(self):
+        _, groups = census(12)
+        try:
+            for column in groups:
+                for vid in column.present:
+                    assert column._prefixes is not None
+                    column[vid]
+                assert column._prefixes is None
+        finally:
+            census.cache_clear()
 
     @pytest.mark.parametrize("n", range(12, 17))
     def test_each_prefix_replays_the_part_of_its_frontier(self, n):
@@ -425,6 +443,9 @@ class TestCensus:
         a = (n - 2) // 2
         parts = {}
 
+        def items(part):
+            return list(part[0].items()), *part[1:]
+
         def replay(pos, counts, cell, right):
             poisoned = _CornerGraph(n)
             poisoned.deg = [99] * len(graph.deg)
@@ -433,8 +454,8 @@ class TestCensus:
                 poisoned.nbrs[x] = list(graph.nbrs[x])
                 for w in (x, *graph.nbrs[x]):
                     poisoned.deg[w] = graph.deg[w]
-            part = list(_part(poisoned, cell, right, n - 2 - a).items())
-            assert part == list(_part(graph, cell, right, n - 2 - a).items()), (n, pos)
+            part = items(_part(poisoned, cell, right, n - 2 - a, {}))
+            assert part == items(_part(graph, cell, right, n - 2 - a, {})), (n, pos)
             key = _frontier(graph, cell, right)
             assert part == parts.setdefault(key, part), (n, pos, key)
 
