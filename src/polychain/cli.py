@@ -415,10 +415,12 @@ def _cmd_table(args, f: IndexFunction) -> tuple[str, int]:
     for n in range(lo, hi + 1):
         # one read of each table's row n; the min is f's read of the negated optimum
         _, ends, top = max_table._row(n)
+        _, low_ends, low = min_table._row(n)
         count = sum(max_table._count(n, e) for e in ends)
         name, _, _, iso = (family(n) if family else
                            (None, None, None, count - max_table._mirror_pairs(n, ends)))
-        rows.append((n, _texts(f, top), _texts(f, -min_table._row(n)[2]), count, iso, name))
+        top, low = top[ends[0] - 1], -low[low_ends[0] - 1]
+        rows.append((n, _texts(f, top), _texts(f, low), count, iso, name))
     if args.format == "json":
         json_text = _SCALAR_JSON  # str and None fields as their JSON text
         rows = [(n, json_text[type(e1)](e1), d1, json_text[type(e2)](e2), d2, count, iso,

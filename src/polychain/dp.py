@@ -47,17 +47,19 @@ fixed margin.
 The table is the list of these stepped rows and runs, one segment each
 (`DPTable`): decisions and values only.  A run is read back from its two
 base rows, their rises and its two rows' codes.  Chain counts are carried
-only when read, by the codes' linear map c -> c1 / c2 / c1 + c2 of each
-end, a 2x2 integer matrix m raised to a power by Cayley-Hamilton: m**e is
-a*m + b*I, so a doubling of e costs three big products of the pair
-(a, b) and a set bit linear work.  The mirror count's walk powers its
-maps alike.  So a table keeps every row 3..n at O(runs) Python steps,
-segments and small-int steps; a row's values are read in O(log runs)
-steps, its counts and `iso_count` in O(runs log k) big-int steps, or
-O(1) a row when rows are read in order past the transient.  A chain of
-`witness` or `chains` takes O(runs + ties) Python steps, whatever k is,
-and one k-byte write: a run is walked six rows deep and its repeated
-stretch listed as pieces, which one join writes into the word.
+only when read, and from the row before the first tie row, as each
+count below it is 1, read in O(1).  A carry is the codes' linear map
+c -> c1 / c2 / c1 + c2 of each end, a 2x2 integer matrix m raised to a
+power by Cayley-Hamilton: m**e is a*m + b*I, so a doubling of e costs
+three big products of the pair (a, b) and a set bit linear work.  The
+mirror count's walk powers its maps alike.  So a table keeps every row
+3..n at O(runs) Python steps, segments and small-int steps; a row's
+values are read in O(log runs) steps, its counts and `iso_count` in
+O(runs log k) big-int steps, or O(1) a row when rows are read in order
+past the transient.  A chain of `witness` or `chains` takes O(runs +
+ties) Python steps, whatever k is, and one k-byte write: a run is walked
+six rows deep and its repeated stretch listed as pieces, which one join
+writes into the word.
 """
 
 from __future__ import annotations
@@ -111,18 +113,21 @@ class DPTable:
     `witness` and `chains` walk backwards.  `_row` is the one read rule,
     checking its input, and the private readers it feeds check nothing.
     Only `_count` carries chain counts, a powered count map a segment,
-    from the last row read when that lies below, else from row 3's
-    counts (1, 1), so reading rows in order costs O(1) big-int steps a
-    row.  `steps` counts the rows the forward pass stepped one at a time.
+    from the last row read when that lies below, else from the row
+    before `_tie`, the first row with a tie code (n + 1 for none), so
+    reading rows in order costs O(1) big-int steps a row.  A row below
+    `_tie` has counts (1, 1).  `steps` counts the rows the forward pass
+    stepped one at a time.
     """
 
-    def __init__(self, f, n, segments, steps, period):
+    def __init__(self, f, n, segments, steps, period, tie):
         self.f = f
         self.n = n
         self.steps = steps  # rows the forward pass stepped one at a time
         self._segments = segments
         self._starts = [seg[0] for seg in segments]
-        self._count_at = (3, (1, 1))  # the last row whose chain counts were read, and those
+        self._tie = tie  # the first row with a tie code at either end, n + 1 for none
+        self._count_at = (tie - 1, (1, 1))  # the last row counts were carried to, and those
         self._mirror = [None, None]  # per parity of k: the last (k, ends, v) of `iso_count`
         self._period = period
 
@@ -151,23 +156,18 @@ class DPTable:
         """Row k's phase (row, values, rise, codes) of its segment: one bisection."""
         return self._segments[bisect_right(self._starts, k) - 1][2][k % 2]
 
-    @staticmethod
-    def _raw(phase: tuple, k: int, i: int) -> int:
-        """The optimum of row k at end i, times the common denominator, from row k's phase."""
-        row, vals, rise, _ = phase
-        return vals[i - 1] + (k - row) // 2 * rise[i - 1]
-
     def value(self, k: int, i: int) -> Value:
         """Optimum over k-square chains ending with link i."""
-        self._check_k(k)
-        self._check_end(i)
-        return self.f.read(self._raw(self._phase(k), k, i))
+        return self.f.read(self._row(k, i)[2][i - 1])
 
     def _count(self, k: int, i: int) -> int:
-        """Optimal k-square chains ending with link i."""
+        """Optimal k-square chains ending with link i: 1 below the first
+        tie row, where each code names one predecessor, with no carry."""
+        if k < self._tie:
+            return 1
         row, counts = self._count_at
         if row > k:
-            row, counts = 3, (1, 1)
+            row, counts = self._tie - 1, (1, 1)
         if row < k:
             segs, at = self._segments, bisect_right(self._starts, k) - 1
             if row < segs[at][0]:
@@ -182,22 +182,24 @@ class DPTable:
         self._check_end(i)
         return _PRED_SETS[self._phase(k)[3][i - 1]]
 
-    def _row(self, k: int | None, end: int | None = None) -> tuple[int, tuple[int, ...], int]:
+    def _row(self, k: int | None, end: int | None = None) -> tuple[int, tuple[int, ...], tuple]:
         """k (n for None), checked; the ends a read takes, `end` checked, else
-        the winning ends, both on a tie under f; and the first one's optimum
-        times the common denominator, both ends read off one phase."""
+        the winning ends, both on a tie under f; and both ends' optima times
+        the common denominator, read off one phase."""
         k = self.n if k is None else k
         self._check_k(k)
-        phase = self._phase(k)
+        row, vals, rise, _ = self._phase(k)
+        b = (k - row) // 2
+        raws = (vals[0] + b * rise[0], vals[1] + b * rise[1])
         if end is not None:
             self._check_end(end)
-            return k, (end,), self._raw(phase, k, end)
-        a, b = self._raw(phase, k, 1), self._raw(phase, k, 2)
-        code = _code(self.f, a, b)
-        return k, ((1, 2) if code == 3 else (code,)), b if code == 2 else a
+            return k, (end,), raws
+        a, b = raws
+        return k, ((1, 2) if self.f.ties(a, b) else (1,) if a > b else (2,)), raws
 
     def best_value(self, k: int | None = None) -> Value:
-        return self.f.read(self._row(k)[2])
+        _, ends, raws = self._row(k)
+        return self.f.read(raws[ends[0] - 1])
 
     def labeled_count(self, k: int | None = None, end: int | None = None) -> int:
         """Number of distinct optimal chains (summed over the winning ends)."""
@@ -435,25 +437,23 @@ def _mirror_map(a: tuple, z: tuple) -> tuple:
     return ((a1 & z1 & 1, a1 >> 1 & z2 & 1), (a2 & z1 >> 1, (a2 & z2) >> 1))
 
 
-def _code(f: IndexFunction, a: int, b: int) -> int:
-    """End i's predecessor code from its two scaled candidate sums: 3 when
-    they tie under f, else the side of the larger sum."""
-    return 3 if f.ties(a, b) else 1 if a > b else 2
-
-
 def _build(f: IndexFunction, n: int) -> tuple:
-    """The segments of rows 3..n, the number of rows stepped and the
-    period (see `DPTable`): decisions and values only, no chain counts."""
+    """The segments of rows 3..n, the number of rows stepped, the period
+    and the first tie row (see `DPTable`): decisions and values only, no
+    chain counts."""
     G11, G12, G21, G22, g2, base = _increments(f)
-    den, (p, q) = f.den, f.tol
+    den, (p, q), ties = f.den, f.tol, f.ties
 
     def step(x):
         """The next row's values from row values x, and its decisions: both
-        codes, then for each end whether it keeps its a, the sum over link 1."""
+        codes (3 when a and b tie under f, a rational tie tested inline, else
+        the side of the larger), then for each end whether it keeps its a,
+        the sum over link 1."""
         x1, x2 = x
         a1, b1, a2, b2 = x1 + G11, x2 + G21, x1 + G12, x2 + G22
         return ((a1 if a1 >= b1 else b1, a2 if a2 >= b2 else b2),
-                (_code(f, a1, b1), _code(f, a2, b2), a1 >= b1, a2 >= b2))
+                (3 if a1 == b1 or p and ties(a1, b1) else 1 if a1 > b1 else 2,
+                 3 if a2 == b2 or p and ties(a2, b2) else 1 if a2 > b2 else 2, a1 >= b1, a2 >= b2))
 
     def run_end(row, x, rise, decided):
         """The last row row + 2b before n whose step still decides as
@@ -466,14 +466,14 @@ def _build(f: IndexFunction, n: int) -> tuple:
             """Where c + e * b >= 0 changes for b >= 1, false from c // -e + 1
             or true from -(c // e); and the signs c + e * b takes."""
             if e < 0 <= c:
-                cuts.add(c // -e + 1)
+                cuts.append(c // -e + 1)
             elif c < 0 < e:
-                cuts.add(-(c // e))
+                cuts.append(-(c // e))
             else:
                 return (1 if c >= 0 else -1,)
             return (1, -1)
 
-        cuts = set()
+        cuts = []
         dm, ds, r = rise[0] - rise[1], rise[0] + rise[1], 2 * q - p
         for ga, gb in ((G11, G21), (G12, G22)):
             a, b = x[0] + ga, x[1] + gb
@@ -488,7 +488,10 @@ def _build(f: IndexFunction, n: int) -> tuple:
                         cross(p * den - q * sm * m, -q * sm * dm)
                     for ss in signs_s:
                         cross(p * ss * s - r * sm * m, p * ss * ds - r * sm * dm)
-        for b in sorted(c for c in cuts if row + 2 * c < n):
+        cuts.sort()
+        for b in cuts:
+            if row + 2 * b >= n:
+                break
             if step((x[0] + b * rise[0], x[1] + b * rise[1]))[1] != decided:
                 return row + 2 * b
         return n
@@ -499,7 +502,7 @@ def _build(f: IndexFunction, n: int) -> tuple:
     # rows k - 4 .. k (row 3 for those before it): values and the decisions that made them
     hist = [(x, None)] * 5
     steady = 0  # rows in succession that decided as the row two before
-    period, jumped, k = None, 0, 3
+    period, jumped, k, tie = None, 0, 3, n + 1
     while k < n:
         lo, phases = k + 1, None
         if steady > 1:  # so k >= 7
@@ -515,16 +518,19 @@ def _build(f: IndexFunction, n: int) -> tuple:
                     if k % 2:
                         phases = phases[::-1]  # phases[r % 2] for row r
                     jumped += top - k
-                    steady = 0  # row top + 1 decides otherwise
-                    hist = []
-                    for r in range(top - 4, top + 1):
-                        row, y, dy, decided = phases[r % 2]
-                        b = (r - row) // 2
-                        hist.append(((y[0] + b * dy[0], y[1] + b * dy[1]), decided))
-                    x, k = hist[-1][0], top
+                    steady, k = 0, top  # row top + 1 decides otherwise
+                    if top < n:  # rows top - 4 .. top, to step on from
+                        hist = []
+                        for r in range(top - 4, top + 1):
+                            row, y, dy, decided = phases[r % 2]
+                            b = (r - row) // 2
+                            hist.append(((y[0] + b * dy[0], y[1] + b * dy[1]), decided))
+                        x = hist[-1][0]
         if phases is None:
             x, decided = step(x)
             k += 1
+            if tie > k and 3 in decided[:2]:  # a run repeats stepped rows' codes
+                tie = k
             phases = ((k, x, _FLAT, decided),) * 2
             steady = steady + 1 if decided == hist[-2][1] else 0
             del hist[0]
@@ -534,7 +540,7 @@ def _build(f: IndexFunction, n: int) -> tuple:
                 if d == y[0] - y[1]:  # the first repeat of d
                     period = (k - 1, 1 if d == z[0] - z[1] else 2)
         segments.append((lo, k, phases))
-    return segments, k - 3 - jumped, period
+    return segments, k - 3 - jumped, period, tie
 
 
 def run_dp(f: IndexFunction, n: int, *, keep_table: bool = True) -> DPTable:
@@ -555,11 +561,10 @@ def run_dp(f: IndexFunction, n: int, *, keep_table: bool = True) -> DPTable:
     float tables behave alike, and report `DPTable.period` too."""
     if n < 3:
         raise ValueError(f"dynamic program needs n >= 3, got {n}")
-    segments, steps, period = _build(f, n)
-    table = DPTable(f, n, segments, steps, period)
+    table = DPTable(f, n, *_build(f, n))
     if f.mode == FLOAT:
-        for end in (1, 2):
-            check_finite(table.value(n, end), f"the optimum at n = {n}")
+        for raw in table._row(n)[2]:
+            check_finite(f.read(raw), f"the optimum at n = {n}")
     return table
 
 
@@ -591,18 +596,21 @@ def _extremal(
     """One extremal result for index f at n squares, and its table:
     `run_dp` of f for MAX or of `negate(f)` for MIN.  The two share their
     common denominator, so a min is f's read of the negated scaled
-    optimum, as CLI `table` reads its min column."""
-    table = run_dp(f if objective == MAX else negate(f), n)
+    optimum, as CLI `table` reads its min column.  Row n is read once,
+    `value` being the winning end's `per_end` entry, and the witness is
+    built before any count, so a chain too long to build is refused
+    first."""
     sign = 1 if objective == MAX else -1
-    _, ends, raw = table._row(n, end)
-    phase = table._phase(n)
-    witness = table.witness(n, ends[0])  # refuses a chain too long to build, before any count
+    table = run_dp(f if sign == 1 else negate(f), n)
+    _, ends, raws = table._row(n, end)
+    witness = table.witness(n, ends[0])
     labeled = sum(table._count(n, e) for e in ends)
+    per_end = {1: f.read(sign * raws[0]), 2: f.read(sign * raws[1])}
     return ExtremalResult(
         objective=objective,
         n=n,
-        value=f.read(sign * raw),
-        per_end={e: f.read(sign * table._raw(phase, n, e)) for e in (1, 2)},
+        value=per_end[ends[0]],
+        per_end=per_end,
         witness=witness,
         labeled_count=labeled,
         iso_count=labeled - table._mirror_pairs(n, ends) if count_iso else None,

@@ -35,7 +35,7 @@ import re
 import sys
 from collections.abc import Mapping
 from fractions import Fraction
-from operator import mul
+from operator import mul, neg
 from typing import NamedTuple, Union
 
 from .chains import DEGREE_PAIRS, _as_word, edge_degree_multiset
@@ -209,6 +209,13 @@ class IndexFunction:
 
     __delattr__ = __setattr__
 
+    def __getattr__(self, name):
+        if name != "values":  # only a rational `negate` leaves a slot unset
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        values = {pair: Fraction(s, self.den) for pair, s in zip(DEGREE_PAIRS, self.scaled)}
+        object.__setattr__(self, "values", values)
+        return values
+
     def __reduce__(self):
         return IndexFunction, (self.name, self.values, self.mode, self.eps)
 
@@ -322,13 +329,20 @@ def negate(f: IndexFunction) -> IndexFunction:
     """Entrywise negation; maximizing the result minimizes the original.
 
     Derived from f's checked fields, not rebuilt by the constructor: the
-    negated values and scaled entries over the same den, tol, mode and eps.
+    negated scaled entries over the same den, tol, mode and eps.  A
+    rational negation builds its `values` from them on first read; a
+    float one's are negated here, keeping the sign of a float zero.
     """
     g = object.__new__(IndexFunction)
-    fields = (f.name + "_neg", {pair: -v for pair, v in f.values.items()}, f.mode, f.eps,
-              tuple(-v for v in f.scaled), f.den, f.tol)
-    for slot, value in zip(IndexFunction.__slots__, fields):
-        object.__setattr__(g, slot, value)
+    put = object.__setattr__
+    put(g, "name", f.name + "_neg")
+    put(g, "mode", f.mode)
+    put(g, "eps", f.eps)
+    put(g, "scaled", tuple(map(neg, f.scaled)))
+    put(g, "den", f.den)
+    put(g, "tol", f.tol)
+    if f.mode == FLOAT:
+        put(g, "values", {pair: -v for pair, v in f.values.items()})
     return g
 
 

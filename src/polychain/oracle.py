@@ -25,11 +25,12 @@ array, cut by count change and last link, and the parts share their
 changes.  A group, the ascending lexicographic positions of the chains
 of one vector and last link (2 bytes a chain, 4 past n = 18), is built
 when first read, at one dict lookup a prefix plus its chains, and kept;
-once every group is built, the prefixes and parts are let go.  The
-census is built on first use and cached per n, so every index and every
-sweep at that n shares it.  A sweep then values each distinct vector
-once, as an int: its dot product with the index's scaled entries
-(`IndexFunction.scaled`, exact in both modes).
+once every group is built, the prefixes are let go.  The census is
+built on first use and cached per n, so every index and every sweep at
+that n shares it, and its parts serve the next census with the same b
+(`_parts`).  A sweep then values each distinct vector once, as an int:
+its dot product with the index's scaled entries (`IndexFunction.scaled`,
+exact in both modes).
 Per result set, builtin max/min pick the extreme over the vectors
 present, `IndexFunction.ties` marks the values that tie it among those
 an exact bound leaves in a window around it (`_tying`, a bisection of
@@ -48,9 +49,8 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from functools import cache
+from functools import cache, lru_cache
 from itertools import accumulate, chain, count
-from operator import mul
 from typing import NamedTuple
 
 from .chains import LinkVector, _CornerGraph, canonical_reversal
@@ -85,6 +85,8 @@ def census(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple["_Groups", "_Grou
     of a = (n - 2) // 2 links; the b = n - 2 - a links below a prefix are
     walked by `_part` once per `_frontier`, and every later prefix with
     that frontier adds its packed counts and ``prefix << b`` to the part.
+    A part depends on its frontier, b and the packing width alone: the
+    parts of the last census with that b and width are reused (`_parts`).
     The result is cached and shared by every caller.
     """
     if n < 2:
@@ -92,8 +94,8 @@ def census(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple["_Groups", "_Grou
     graph = _CornerGraph(n)
     a = (n - 2) // 2
     b = n - 2 - a
-    parts: dict[tuple, tuple] = {}  # per frontier, its `_part`
-    deltas: dict[int, int] = {}  # the changes of counts the parts share
+    parts = _parts(graph.width, b)  # per frontier, its `_part`
+    deltas: dict[int, int] = {}  # the changes of counts the parts walked here share
     counts_at: list[int] = []  # per prefix, in lexicographic order: its packed counts
     part_at: list[tuple] = []  # ... and the part of its frontier
 
@@ -119,6 +121,14 @@ def census(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple["_Groups", "_Grou
     prefixes = (1 << b, counts_at, part_at)
     groups = tuple(_Groups(code, end, packed, prefixes, present[end]) for end in (0, 1))
     return tuple(map(graph.unpack, packed)), groups
+
+
+@lru_cache(maxsize=1)
+def _parts(width: int, b: int) -> dict[tuple, tuple]:
+    """Per `_frontier`, its part of b links with counts packed `width`
+    bits a pair, for the last (width, b) asked for: census(2k + 1) and
+    census(2k + 2) share one, as 6k + 4 and 6k + 7 have one bit length."""
+    return {}
 
 
 class _Groups:
@@ -332,7 +342,8 @@ def exhaustive(f: IndexFunction, n: int, cap: int = DEFAULT_CAP) -> OracleReport
         )
     vectors, groups = census(n)
     m = n - 2
-    values = [sum(map(mul, v, f.scaled)) for v in vectors]
+    s0, s1, s2, s3, s4, s5 = f.scaled
+    values = [a * s0 + b * s1 + c * s2 + d * s3 + e * s4 + g * s5 for a, b, c, d, e, g in vectors]
     everyone = range(len(values))
     order = sorted(everyone, key=values.__getitem__)
     tied: dict[int, list[int]] = {}  # per extreme, the ids of the values that tie it

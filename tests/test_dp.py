@@ -179,6 +179,13 @@ def reference_words(links, k, end):
             stack.append(iter(links[j - 3][link]))
 
 
+def first_tie_row(t):
+    """The first row of table t with a tie at either end, read through
+    `predecessors`; t.n + 1 when no row ties."""
+    return next((k for k in range(4, t.n + 1) for e in (1, 2) if len(t.predecessors(k, e)) == 2),
+                t.n + 1)
+
+
 def brute_force_max(f, n):
     return max(evaluate_direct(links, f) for links in product((1, 2), repeat=n - 2))
 
@@ -770,12 +777,13 @@ class TestTableWithoutCounts:
             for keep in (True, False):
                 t = run_dp(f, 5000, keep_table=keep)
                 assert calls[0] == 0, (f.name, keep)
-                t.labeled_count()  # a count read carries
-                assert calls[0] > 0, (f.name, keep)
+                t.labeled_count()  # a count read carries from the first tie row on
+                assert (calls[0] > 0) == (first_tie_row(t) <= 5000), (f.name, keep)
                 calls[0] = 0
 
     def test_first_count_carries_from_row_3(self, monkeypatch):
-        # one carry per segment from row 4 through k's, none for row 3
+        # one carry per segment from the first tie row through k's, none for
+        # the rows below it, whose counts are row 3's
         carried = []
         real = dp_mod._carry
 
@@ -786,10 +794,12 @@ class TestTableWithoutCounts:
         monkeypatch.setattr(dp_mod, "_carry", counted)
         const = IndexFunction("const", {p: Fraction(7, 3) for p in DEGREE_PAIRS})
         for f in (*self.indices(), const):
+            tie = first_tie_row(run_dp(f, 5000))
             for k in (3, 4, 5, 9, 40, 5000):
                 t = run_dp(f, 5000)
                 t.labeled_count(k)
-                assert carried == [seg[0] for seg in t._segments[1:] if seg[0] <= k], (f.name, k)
+                want = [seg[0] for seg in t._segments if tie <= seg[0] <= k]
+                assert carried == want, (f.name, k)
                 carried.clear()
 
     def test_values_at_a_googol_in_small_memory(self):
@@ -811,6 +821,92 @@ class TestTableWithoutCounts:
             assert run_dp(AZI, n).best_value() == azi_max_closed_form(n), n
         n = 10**100
         assert run_dp(AZI, n, keep_table=False).labeled_count() == (n - 6) // 2 + 1
+
+
+def tie_corpus():
+    """`chain_corpus`, the presets and their negations, and 30 seeded
+    tables over {0, 1, 2}, each table once."""
+    presets = [*(preset(name) for name in PRESET_NAMES), preset("randic", -1)]
+    tables = {}
+    for g in (*chain_corpus(), *presets, *map(negate, presets), *seeded_small_tables(61, 30)):
+        tables.setdefault((g.mode, g.eps, *g.values.items()), g)
+    return list(tables.values())
+
+
+class TestCountsBelowTheFirstTie:
+    """Below a table's first tie row every code names one predecessor, so
+    each count there is 1 and is read without a carry."""
+
+    def test_counts_around_the_first_tie_row(self):
+        # a fresh table reads the rows next to its first tie first, so carries
+        # start above, below and at it; then every row in order
+        for f in tie_corpus():
+            ties, ref = reference_rows(f, 400)
+            tie = next((k for k, (_, preds, _) in enumerate(ref, 3)
+                        if any(len(p) == 2 for p in preds)), 401)
+            t = run_dp(f, 400)
+            assert t._tie == tie, f.name
+            near = [k for k in (tie + 1, tie - 1, tie) if 3 <= k <= 400]
+            for k in (*near, *range(3, 401)):
+                (m1, m2), _, (t1, t2) = ref[k - 3]
+                winners = (1, 2) if ties(m1, m2) else (1,) if m1 > m2 else (2,)
+                want = {None: sum((t1, t2)[e - 1] + 1 for e in winners), 1: t1 + 1, 2: t2 + 1}
+                for e in (None, 1, 2):
+                    assert t.labeled_count(k, e) == want[e], (f.name, k, e)
+            for k in {*near, tie + 2, tie - 2, 3, 4, *range(5, 401, 25)} & set(range(3, 401)):
+                for e in (None, 1, 2):
+                    assert t.iso_count(k, e) == reference_iso(f, k, e, (ties, ref)), (f.name, k, e)
+
+    def test_tie_free_table_carries_nothing(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("no count may be carried")
+
+        monkeypatch.setattr(dp_mod, "_carry", refuse)
+        f, n = preset("zagreb1"), 10**6
+        t = run_dp(f, n)
+        assert t._tie == n + 1
+        for k in (3, 4, 5, 1000, n - 1, n):
+            assert [t.labeled_count(k, e) for e in (1, 2)] == [1, 1], k
+        res = maximize(f, n, count_iso=True)
+        assert (res.labeled_count, res.iso_count) == (1, 1)
+
+
+def assert_result_matches_readers(f, n, objective, end, plain=False):
+    """`maximize`/`minimize` of f at n with `count_iso`, every field
+    against the public readers of `run_dp` of f, or of its negation for
+    the minimum; with `plain` also the result without `count_iso`."""
+    search, sign, g = (maximize, 1, f) if objective == "max" else (minimize, -1, negate(f))
+    res = search(f, n, end, count_iso=True)
+    t = run_dp(g, n)
+    best = t.best_value(n) if end is None else t.value(n, end)
+    assert res.objective == objective and res.n == n, (f.name, n)
+    assert res.value == sign * best, (f.name, n, objective, end)
+    assert res.per_end == {e: sign * t.value(n, e) for e in (1, 2)}, (f.name, n, objective, end)
+    assert res.witness == t.witness(n, end), (f.name, n, objective, end)
+    assert res.labeled_count == t.labeled_count(n, end), (f.name, n, objective, end)
+    assert res.iso_count == t.iso_count(n, end), (f.name, n, objective, end)
+    assert (res.index_name, res.mode, res.tolerance_dependent) == (f.name, f.mode, f.mode == FLOAT)
+    if plain:
+        assert search(f, n, end) == res._replace(iso_count=None), (f.name, n, objective, end)
+
+
+class TestExtremalFields:
+    """An extremal result does only its answer's work; each field is
+    still what the table's public readers give."""
+
+    # the objective and the end turn with n, and at large n with the table too
+
+    def test_small_n(self):
+        for f in tie_corpus():
+            for n in range(3, 61):
+                assert_result_matches_readers(f, n, ("max", "min")[n % 2], (None, 1, 2)[n % 3],
+                                              plain=True)
+
+    def test_large_n(self):
+        for i, f in enumerate(tie_corpus()):
+            for j, n in enumerate((10**4, 10**5 + 1, 10**6)):
+                assert_result_matches_readers(f, n, ("max", "min")[(i + j) % 2],
+                                              (None, 1, 2)[(i + j) % 3])
 
 
 class TestMirrorReadOrder:

@@ -1,5 +1,6 @@
 """Index tables, increments and the two evaluators."""
 
+import copy
 import json
 import math
 import pickle
@@ -343,6 +344,38 @@ class TestNegate:
             assert (back.scaled, back.den, back.tol) == (g.scaled, g.den, g.tol)
             with pytest.raises(AttributeError):
                 g.eps = 1.0
+
+    @staticmethod
+    def eager(f):
+        return IndexFunction(f.name + "_neg", {p: -v for p, v in f.values.items()}, f.mode, f.eps)
+
+    @pytest.mark.parametrize("f", [*(preset(name) for name in PRESET_NAMES), preset("randic", -1)],
+                             ids=lambda f: f.name)
+    def test_lazy_values_are_the_eager_ones(self, f):
+        # each observable is the first read of a fresh negation's values
+        want = self.eager(f)
+        if f.mode == RATIONAL:  # built on first read only
+            with pytest.raises(AttributeError):
+                IndexFunction.values.__get__(negate(f))
+        assert negate(f) == want and want == negate(f)
+        assert repr(negate(f)) == repr(want)
+        got = negate(f).values
+        assert got == want.values and list(got) == list(want.values)
+        assert [type(v) for v in got.values()] == [type(v) for v in want.values.values()]
+        g = negate(f)
+        fields = ("scaled", "den", "tol", "mode", "eps")
+        assert [getattr(g, x) for x in fields] == [getattr(want, x) for x in fields]
+        for back in (pickle.loads(pickle.dumps(negate(f))), copy.copy(negate(f)),
+                     copy.deepcopy(negate(f))):
+            assert back == want and repr(back) == repr(want)
+        twice = negate(negate(f))
+        assert twice.name == f.name + "_neg_neg" and twice.values == f.values
+        assert force_float(negate(f)) == force_float(want)
+        assert repr(force_float(negate(f))) == repr(force_float(want))
+        with pytest.raises(AttributeError):
+            negate(f).den = 1
+        with pytest.raises(AttributeError):
+            negate(f).missing
 
 
 class TestValuesEqual:
