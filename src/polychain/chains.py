@@ -18,11 +18,11 @@ hash with a per-process salt, so no output may iterate a set of words.
 This module owns that encoding and the purely structural operations on
 it: lattice realization, the corner graph and its degree-pair multiset,
 segment decomposition, the named chain families, and mirror-symmetry
-canonicalization.  The corner graph reads what the next square would
-add to the degree-pair counts in O(1), without changing, and grows one
-square at a time, on O(n) memory: `edge_degree_multiset` walks it
-forward along one word, and the oracle's census, reading its tables
-inline, down the link tree.
+canonicalization.  The corner graph grows by one step, on O(n) memory:
+it reads both squares that could come next and what each adds to the
+degree-pair counts in O(1), without changing (`_CornerGraph.children`),
+and glues one on.  `edge_degree_multiset` steps forward along one word,
+and the oracle's census down the link tree, taking squares off again.
 """
 
 from __future__ import annotations
@@ -264,12 +264,12 @@ class _CornerGraph:
 
     The edges per degree pair, in `DEGREE_PAIRS` order, are packed into
     one int, `width` bits a pair, so a change of counts is one int
-    addition.  `delta` reads what gluing a square on would add, in O(1)
-    and without touching the graph; `grow` then glues it on.  The
-    two-square chain's counts, cell and direction are `start`.  A walk
-    that backs up takes a square off by popping the neighbours `grow`
-    appended at s1 and s2 and lowering their degrees; the far corners
-    just go stale.
+    addition.  `children` reads, in O(1) and without touching the graph,
+    both squares that could be glued on next: their counts and where
+    they go.  `grow` glues one on and `shrink` takes it off again; the
+    take-off leaves the far corners stale.  `frontier` is all that
+    `children` reads below the last square.  The two-square chain's
+    counts, cell and direction are `start`.
     """
 
     __slots__ = ("deg", "nbrs", "width", "up", "join", "start")
@@ -282,33 +282,38 @@ class _CornerGraph:
         # the square at (0, 0): corners (0, 1), (0, 0), (1, 1), (1, 0) at slots 0, 2, 3, 5
         for corner, nbrs in ((0, [2, 3]), (2, [5, 0]), (3, [5, 0]), (5, [2, 3])):
             self.deg[corner], self.nbrs[corner] = 2, nbrs
-        s1, s2, t1, t2, cell, right = self.sides(2, True)[0]  # the square at (1, 0)
-        self.start = (4 + self.delta(s1, s2), cell, right)  # four (2, 2) edges, the lowest pair
+        # the square at (1, 0) is glued east of four (2, 2) edges, the lowest pair
+        counts, s1, s2, t1, t2, cell, right = self.children(4, 2, True)[0]
         self.grow(s1, s2, t1, t2)
+        self.start = (counts, cell, right)
 
-    @staticmethod
-    def sides(cell: int, right: bool) -> tuple:
-        """For link 1 and link 2 after the last square: the side s1 s2 of
-        the last square the next one is glued to, that square's far
-        corners t1, t2 (t1 joined to s1), and its cell and direction."""
-        ne, below = cell ^ 1, cell + 2
-        se = ne + 2
-        east = (se, ne, cell + 4, below, se, True)
-        south = (cell, se, below, ne + 4, below, False)
+    def children(self, counts: int, cell: int, right: bool) -> tuple[tuple, tuple]:
+        """Link 1's and link 2's child of the last square, of packed counts
+        `counts`: each child's counts, the side s1 s2 of the last square it
+        is glued to, its far corners t1, t2 (t1 joined to s1), its cell and
+        direction.  A square glued to a side moves the edges at s1 and s2
+        up a degree and joins three new edges; the east child takes side
+        se-ne, the south child sw-se, so both share the up terms at se."""
+        deg, nbrs, up, join = self.deg, self.nbrs, self.up, self.join
+        ne = cell ^ 1
+        se, below = ne + 2, cell + 2
+        d = deg[se]
+        u = up[d]
+        for w in nbrs[se]:
+            counts += u[deg[w]]
+        e = deg[ne]
+        u = up[e]
+        east = counts + join[d][e]
+        for w in nbrs[ne]:
+            east += u[deg[w]]
+        e = deg[cell]
+        u = up[e]
+        south = counts + join[e][d]
+        for w in nbrs[cell]:
+            south += u[deg[w]]
+        east = (east, se, ne, cell + 4, below, se, True)
+        south = (south, cell, se, below, ne + 4, below, False)
         return (east, south) if right else (south, east)
-
-    def delta(self, s1: int, s2: int) -> int:
-        """The packed counts a square glued to the side s1 s2 adds: the
-        edges at s1 and s2 move up a degree, and three new edges join."""
-        deg, nbrs = self.deg, self.nbrs
-        d1, d2 = deg[s1], deg[s2]
-        up1, up2 = self.up[d1], self.up[d2]
-        change = self.join[d1][d2]
-        for u in nbrs[s1]:
-            change += up1[deg[u]]
-        for u in nbrs[s2]:
-            change += up2[deg[u]]
-        return change
 
     def grow(self, s1: int, s2: int, t1: int, t2: int) -> None:
         """Glue on the square with side s1 s2 and far corners t1, t2."""
@@ -320,6 +325,29 @@ class _CornerGraph:
         nbrs[s2].append(t2)
         nbrs[t1] = [s1, t2]
         nbrs[t2] = [s2, t1]
+
+    def shrink(self, s1: int, s2: int) -> None:
+        """Take off the last square `grow` glued to the side s1 s2."""
+        deg, nbrs = self.deg, self.nbrs
+        nbrs[s1].pop()
+        nbrs[s2].pop()
+        deg[s1] -= 1
+        deg[s2] -= 1
+
+    def frontier(self, cell: int, right: bool) -> tuple:
+        """All `children` reads here and below the last square, flat in one
+        tuple: the growth direction, the cell's parity and, for each of the
+        cell, ne and se corners, its degree and each neighbour's offset from
+        the cell and degree (a corner's degree is its number of neighbours).
+        Nodes with equal frontiers have equal walks below them."""
+        deg, nbrs = self.deg, self.nbrs
+        ne = cell ^ 1
+        key = [right, cell & 1]
+        for x in (cell, ne, ne + 2):
+            key.append(deg[x])
+            for w in nbrs[x]:
+                key += w - cell, deg[w]
+        return tuple(key)
 
     def unpack(self, counts: int) -> tuple[int, ...]:
         """The edges per degree pair, in `DEGREE_PAIRS` order, of packed counts."""
@@ -337,7 +365,7 @@ def _corner_tables(width: int) -> tuple[tuple, tuple]:
         bit[a][b] = bit[b][a] = 1 << width * j
     # up[d][e]: an edge between degrees d and e gains one at its degree-d end;
     # join[d1][d2]: a square is glued to a side s1 s2 of those degrees, less
-    # the side's own two up terms, which `delta` takes in with the neighbours
+    # the side's own two up terms, which `children` takes in with the neighbours
     up = tuple(tuple(bit[d + 1][e] - bit[d][e] for e in range(5)) for d in range(4))
     join = tuple(tuple(bit[d1 + 1][d2 + 1] - bit[d1][d2] + bit[d1 + 1][2] + bit[d2 + 1][2]
                        + bit[2][2] - up[d1][d2] - up[d2][d1] for d2 in range(4))
@@ -353,19 +381,23 @@ def edge_degree_multiset(chain) -> Counter:
     a <= b; a chain of n squares always has 3n + 1 edges and degrees in
     {2, 3, 4}.  Pairs that do not occur are left out.
     """
+    return Counter({pair: m for pair, m in zip(DEGREE_PAIRS, _pair_counts(chain)) if m})
+
+
+def _pair_counts(chain) -> tuple[int, ...]:
+    """The chain graph's edges per degree pair, in `DEGREE_PAIRS` order."""
     word = _as_word(chain)
     graph = _CornerGraph(len(word) + 2)
-    sides, delta, grow, nbrs = graph.sides, graph.delta, graph.grow, graph.nbrs
+    children, grow, nbrs = graph.children, graph.grow, graph.nbrs
     counts, cell, right = graph.start
     for link in word:
-        s1, s2, t1, t2, cell, right = sides(cell, right)[link - 1]
-        counts += delta(s1, s2)
+        counts, s1, s2, t1, t2, cell, right = children(counts, cell, right)[link - 1]
         grow(s1, s2, t1, t2)
         # later squares read the neighbours of the new square's cell, ne
         # and se corners alone: drop those of the diagonal below the cell's
         low = (cell | 1) - 3
         nbrs[low] = nbrs[low + 1] = None
-    return Counter({pair: m for pair, m in zip(DEGREE_PAIRS, graph.unpack(counts)) if m})
+    return graph.unpack(counts)
 
 
 def segments(chain) -> tuple[int, ...]:

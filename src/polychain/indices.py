@@ -16,10 +16,11 @@ by `IndexFunction.read`: as a `Fraction`, or as the exact sum correctly
 rounded to a float, independent of summation order.
 
 Two evaluators are provided: `evaluate_direct` sums over the edges of
-the chain's corner graph by degree pair (`chains.edge_degree_multiset`,
-on the graph the oracle's census walks), while `evaluate_recursive`
-accumulates the per-square attachment increments.  Both return the same
-value on every chain, which the test suite exploits heavily.
+the chain's corner graph by degree pair (as `chains.edge_degree_multiset`
+counts them, on the graph the oracle's census walks), while
+`evaluate_recursive` accumulates the per-square attachment increments.
+Both return the same value on every chain, which the test suite exploits
+heavily.
 
 Float mode refuses, with ValueError, any value whose exact sum overflows
 the float range where it leaves this module: an increment, or an
@@ -38,7 +39,7 @@ from fractions import Fraction
 from operator import mul, neg
 from typing import NamedTuple, Union
 
-from .chains import DEGREE_PAIRS, _as_word, edge_degree_multiset
+from .chains import DEGREE_PAIRS, _as_word, _pair_counts
 
 __all__ = [
     "Value",
@@ -305,8 +306,7 @@ def degree_pair_sum(counts, f: IndexFunction) -> Value:
 
 def evaluate_direct(chain, f: IndexFunction) -> Value:
     """Index value summed over the edges of the chain's corner graph."""
-    pairs = edge_degree_multiset(chain)
-    return degree_pair_sum([pairs[p] for p in DEGREE_PAIRS], f)
+    return degree_pair_sum(_pair_counts(chain), f)
 
 
 def evaluate_recursive(chain, f: IndexFunction) -> Value:

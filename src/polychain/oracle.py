@@ -9,15 +9,16 @@ Cost model.  A chain's index value depends only on its degree-pair
 vector: how many edges join corners of degrees (2,2), (2,3), ..., (4,4),
 in `DEGREE_PAIRS` order.  That vector does not depend on the index, so
 `census(n)` takes it once per n, on the same corner graph
-`evaluate_direct` reads (`chains._CornerGraph`).  A node of the link
-tree reads both children's vectors off its last square's corners in
-O(1), with the graph's `up` and `join` tables as local arithmetic, and
-glues a child's square on in place only to go deeper.  The walk below a
-node reads only the node's `_frontier`: its growth direction, its cell's
-parity and the cell, ne and se corners' degrees and neighbours, and no
-depth of the link tree has more than 8 distinct frontiers.  So the
-census walks the 2**a prefixes of a = (n - 2) // 2 links, walks the b =
-n - 2 - a links below the first prefix of each frontier once, and lets
+`evaluate_direct` reads (`chains._CornerGraph`), through its one step:
+a node of the link tree reads both children's vectors off its last
+square's corners in O(1) (`children`), and glues a child's square on
+(`grow`) only to go deeper, taking it off (`shrink`) after.  The walk
+below a node reads only the node's frontier (`_CornerGraph.frontier`):
+its growth direction, its cell's parity and the cell, ne and se
+corners' degrees and neighbours, and no depth of the link tree has more
+than 8 distinct frontiers.  So the census walks the 2**a prefixes of
+a = (n - 2) // 2 links, walks the b = n - 2 - a links below the first
+prefix of each frontier once, and lets
 every other prefix replay that part: about 2**(n/2) graph steps, and one
 pass over prefixes times part entries that numbers the distinct vectors
 (98 at n = 14, 135 at n = 16).  A part keeps its positions in one
@@ -83,7 +84,7 @@ def census(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple["_Groups", "_Grou
     ``groups[e - 1].present`` lists, ascending, the ids of the vectors
     some chain with last link e has.  One corner graph walks the prefixes
     of a = (n - 2) // 2 links; the b = n - 2 - a links below a prefix are
-    walked by `_part` once per `_frontier`, and every later prefix with
+    walked by `_part` once per frontier, and every later prefix with
     that frontier adds its packed counts and ``prefix << b`` to the part.
     A part depends on its frontier, b and the packing width alone: the
     parts of the last census with that b and width are reused (`_parts`).
@@ -100,7 +101,7 @@ def census(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple["_Groups", "_Grou
     part_at: list[tuple] = []  # ... and the part of its frontier
 
     def prefix(pos: int, counts: int, cell: int, right: bool) -> None:
-        key = _frontier(graph, cell, right)
+        key = graph.frontier(cell, right)
         part = parts.get(key)
         if part is None:
             part = parts[key] = _part(graph, cell, right, b, deltas)
@@ -125,7 +126,7 @@ def census(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple["_Groups", "_Grou
 
 @lru_cache(maxsize=1)
 def _parts(width: int, b: int) -> dict[tuple, tuple]:
-    """Per `_frontier`, its part of b links with counts packed `width`
+    """Per frontier, its part of b links with counts packed `width`
     bits a pair, for the last (width, b) asked for: census(2k + 1) and
     census(2k + 2) share one, as 6k + 4 and 6k + 7 have one bit length."""
     return {}
@@ -171,22 +172,6 @@ class _Groups:
         return view
 
 
-def _frontier(graph: _CornerGraph, cell: int, right: bool) -> tuple:
-    """What the walk below a node reads of the graph: the growth
-    direction, the cell's parity and, for each of the last square's
-    cell, ne and se corners, its degree and each neighbour's offset from
-    the cell and degree, flat in one tuple: a corner's degree is its
-    number of neighbours.  Nodes with equal frontiers have equal parts."""
-    deg, nbrs = graph.deg, graph.nbrs
-    ne = cell ^ 1
-    key = [right, cell & 1]
-    for x in (cell, ne, ne + 2):
-        key.append(deg[x])
-        for w in nbrs[x]:
-            key += w - cell, deg[w]
-    return tuple(key)
-
-
 def _part(graph: _CornerGraph, cell: int, right: bool, links: int, deltas: dict) -> tuple:
     """The chains `links` links below the node with last square `cell`,
     by change of packed counts from the node's: a dict from each change,
@@ -220,58 +205,25 @@ def _walk(graph: _CornerGraph, links: int, counts: int, cell: int, right: bool, 
     the node's square glued on; pos is its links below as binary digits,
     link 1 as 0.  Unless `glued`, a leaf below the node gets only
     ``(pos, counts)`` and its square is never glued on: a chain's counts
-    are all `_part` reads.  A node reads both children's counts off its
-    last square's corners, with the graph's `up` and `join` tables
-    inline, and glues a child's square on only to visit it."""
-    deg, nbrs, up, join = graph.deg, graph.nbrs, graph.up, graph.join
+    are all `_part` reads.  Each node takes both children from one
+    `_CornerGraph.children` step, and glues a child's square on
+    (`grow`) only to visit it, taking it off (`shrink`) after."""
+    children, grow, shrink = graph.children, graph.grow, graph.shrink
 
     def visit(depth: int, pos: int, counts: int, cell: int, right: bool) -> None:
-        # each child's counts add `_CornerGraph.delta` of the side of the
-        # last square it is glued to: se-ne going east, sw-se going south;
-        # the up terms at se are common to both
-        ne = cell ^ 1
-        se = ne + 2
-        d = deg[se]
-        u = up[d]
-        shared = counts
-        for w in nbrs[se]:
-            shared += u[deg[w]]
-        e = deg[ne]
-        u = up[e]
-        east = shared + join[d][e]
-        for w in nbrs[ne]:
-            east += u[deg[w]]
-        e = deg[cell]
-        u = up[e]
-        south = shared + join[e][d]
-        for w in nbrs[cell]:
-            south += u[deg[w]]
+        pair = children(counts, cell, right)
         if depth == last and not glued:
             pos *= 2
-            leaf(pos, east if right else south)
-            leaf(pos + 1, south if right else east)
+            leaf(pos, pair[0][0])
+            leaf(pos + 1, pair[1][0])
             return
-        # per child: counts, side s1 s2, far corners t1 t2 (t1 joined to s1), cell, right
-        below = cell + 2
-        east = (east, se, ne, cell + 4, below, se, True)
-        south = (south, cell, se, below, ne + 4, below, False)
-        for link, (child, s1, s2, t1, t2, cell, right) in enumerate(
-                (east, south) if right else (south, east), 2 * pos):
-            deg[s1] += 1  # glue the child's square on, as `_CornerGraph.grow`
-            deg[s2] += 1
-            deg[t1] = deg[t2] = 2
-            nbrs[s1].append(t1)
-            nbrs[s2].append(t2)
-            nbrs[t1] = [s1, t2]
-            nbrs[t2] = [s2, t1]
+        for link, (child, s1, s2, t1, t2, cell, right) in enumerate(pair, 2 * pos):
+            grow(s1, s2, t1, t2)
             if depth < last:
                 visit(depth + 1, link, child, cell, right)
             else:
                 leaf(link, child, cell, right)
-            nbrs[s1].pop()  # take the square off again; its far corners go stale
-            nbrs[s2].pop()
-            deg[s1] -= 1
-            deg[s2] -= 1
+            shrink(s1, s2)
 
     last = links - 1  # the depth whose children are the leaves
     if links:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import product
 
 from polychain.chains import LinkVector, realize
-from polychain.indices import FLOAT
+from polychain.indices import DEGREE_PAIRS, FLOAT
 from polychain.oracle import OracleReport
 
 
@@ -45,9 +45,14 @@ def assert_checked_word(vector) -> None:
     assert LinkVector(bytes(vector.links)) == vector
 
 
+_cached_multiset = functools.cache(reference_multiset)
+
+
 # patched in for evaluate_direct's graph: each chain's reference graph is
 # built once for the whole corpus, and evaluate_direct sums over it as usual
-_cached_multiset = functools.cache(reference_multiset)
+def _cached_pair_counts(chain) -> tuple:
+    pairs = _cached_multiset(chain)
+    return tuple(pairs[p] for p in DEGREE_PAIRS)
 
 
 def reference_report(f, n):

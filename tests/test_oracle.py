@@ -28,9 +28,10 @@ from polychain.indices import (
     negate,
     preset,
 )
-from polychain.oracle import _frontier, _part, _tying, _walk, census, cross_check, exhaustive
+from polychain.oracle import _part, _tying, _walk, census, cross_check, exhaustive
 from reference_graph import (
     _cached_multiset,
+    _cached_pair_counts,
     assert_checked_word,
     reference_multiset,
     reference_report,
@@ -332,7 +333,7 @@ class TestCensus:
 
     @pytest.mark.parametrize("f", report_corpus(), ids=lambda f: f"{f.name}-{f.mode}")
     def test_report_equals_per_chain_sweep(self, f, monkeypatch):
-        monkeypatch.setattr(indices_mod, "edge_degree_multiset", _cached_multiset)
+        monkeypatch.setattr(indices_mod, "_pair_counts", _cached_pair_counts)
         for n in range(3, 13):
             assert exhaustive(f, n).to_json() == reference_report(f, n).to_json(), n
 
@@ -349,7 +350,7 @@ class TestCensus:
         assert summed == []  # both modes: scaled integers
 
     def test_float_values_agree_bit_for_bit(self, monkeypatch):
-        monkeypatch.setattr(indices_mod, "edge_degree_multiset", _cached_multiset)
+        monkeypatch.setattr(indices_mod, "_pair_counts", _cached_pair_counts)
         tables = [f for f in report_corpus() if f.mode == FLOAT]
         rng = random.Random(9)
         tables.append(IndexFunction("wide", {p: rng.uniform(-1e3, 1e3) for p in DEGREE_PAIRS},
@@ -406,7 +407,7 @@ class TestCensus:
     @pytest.mark.parametrize("f", [AZI, preset("ga"), small_range_tables(5, 1)[0]],
                              ids=lambda f: f"{f.name}-{f.mode}")
     def test_report_equals_per_chain_sweep_past_the_default_corpus(self, f, monkeypatch):
-        monkeypatch.setattr(indices_mod, "edge_degree_multiset", _cached_multiset)
+        monkeypatch.setattr(indices_mod, "_pair_counts", _cached_pair_counts)
         for n in range(13, 16):
             assert exhaustive(f, n).to_json() == reference_report(f, n).to_json(), n
 
@@ -456,7 +457,7 @@ class TestCensus:
                     poisoned.deg[w] = graph.deg[w]
             part = items(_part(poisoned, cell, right, n - 2 - a, {}))
             assert part == items(_part(graph, cell, right, n - 2 - a, {})), (n, pos)
-            key = _frontier(graph, cell, right)
+            key = graph.frontier(cell, right)
             assert part == parts.setdefault(key, part), (n, pos, key)
 
         counts, cell, right = graph.start
@@ -465,12 +466,40 @@ class TestCensus:
 
     @pytest.mark.parametrize("turn", [0.05, 0.5, 0.95])
     def test_edge_degree_multiset_equals_the_reference_graph(self, turn):
-        # the forward walk shares the census's count deltas; words with long
+        # the forward walk takes the census's step; words with long
         # straight runs, with even turns and with long zigzags
         rng = random.Random(int(turn * 100))
         for length in (0, 1, 2, 3, 10, 100, 1000, 10**4):
             links = [2 if rng.random() < turn else 1 for _ in range(length)]
             assert dict(edge_degree_multiset(links)) == dict(reference_multiset(links)), length
+        # the step itself: at every word of at most 9 links, reached by the
+        # census's walk, both children's counts are those of the word
+        # extended by link 1 and by link 2
+        graph = _CornerGraph(12)
+
+        def step(pos, counts, cell, right):
+            word = tuple(1 + (pos >> k & 1) for k in range(length - 1, -1, -1))
+            assert graph.unpack(counts) == _cached_pair_counts(word), word
+            for link, child in enumerate(graph.children(counts, cell, right), 1):
+                assert graph.unpack(child[0]) == _cached_pair_counts(word + (link,)), (word, link)
+
+        for length in range(10):
+            _walk(graph, length, *graph.start, step)
+
+    @pytest.mark.parametrize("glued", [True, False])
+    def test_walk_leaves_the_graph_as_it_found_it(self, glued):
+        # every square a walk glues on it takes off again (`shrink`): the
+        # start chain's corners keep their degrees and neighbour lists; the
+        # far corners of a square taken off go stale, and no corner reads them
+        graph = _CornerGraph(10)
+        deg, nbrs = list(graph.deg), [None if x is None else list(x) for x in graph.nbrs]
+        leaves = []
+        for links in range(1, 9):
+            _walk(graph, links, *graph.start, lambda pos, *_: leaves.append(pos), glued=glued)
+            for x, corners in enumerate(nbrs):
+                if corners is not None:
+                    assert (graph.deg[x], graph.nbrs[x]) == (deg[x], corners), (links, x)
+        assert leaves == [pos for links in range(1, 9) for pos in range(2 ** links)]
 
     def test_built_once_per_n(self):
         census.cache_clear()
@@ -522,7 +551,7 @@ class TestScaledIntegers:
 
     @pytest.mark.parametrize("f", SCALING_TABLES, ids=lambda f: f.name)
     def test_report_equals_per_chain_sweep(self, f, monkeypatch):
-        monkeypatch.setattr(indices_mod, "edge_degree_multiset", _cached_multiset)
+        monkeypatch.setattr(indices_mod, "_pair_counts", _cached_pair_counts)
         for n in range(3, 13):
             assert exhaustive(f, n).to_json() == reference_report(f, n).to_json(), n
 
@@ -582,7 +611,7 @@ class TestTieWindow:
 
     @pytest.mark.parametrize("eps", [0.9, 1.0, 1.5, 3.0])
     def test_report_equals_per_chain_sweep(self, eps, monkeypatch):
-        monkeypatch.setattr(indices_mod, "edge_degree_multiset", _cached_multiset)
+        monkeypatch.setattr(indices_mod, "_pair_counts", _cached_pair_counts)
         rng = random.Random(28)
         for t in range(2):
             f = IndexFunction(f"mixed{t}", {p: rng.uniform(-3, 3) for p in DEGREE_PAIRS},
