@@ -18,11 +18,11 @@ hash with a per-process salt, so no output may iterate a set of words.
 This module owns that encoding and the purely structural operations on
 it: lattice realization, the corner graph and its degree-pair multiset,
 segment decomposition, the named chain families, and mirror-symmetry
-canonicalization.  The corner graph grows by one step, on O(n) memory:
-it reads both squares that could come next and what each adds to the
-degree-pair counts in O(1), without changing (`_CornerGraph.children`),
-and glues one on.  `edge_degree_multiset` steps forward along one word,
-and the oracle's census down the link tree, taking squares off again.
+canonicalization.  The corner graph's frontier, all its step reads
+below the last square, takes 9 values, and a frontier and a link fix the
+child's: `_table` is those 18 steps and their changes of the degree-pair
+counts, read off the graph once.  `edge_degree_multiset` walks it along
+one word, and the oracle's census expands it down the link tree.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from functools import cache, total_ordering
+from operator import sub
 
 __all__ = [
     "LinkVector",
@@ -46,6 +47,7 @@ __all__ = [
 _LINK_OF = {1: 1, 2: 2}  # links of another type equal to 1 or 2, such as 1.0
 _DIGITS = bytes.maketrans(b"\1\2", b"12")
 _LINKS = bytes.maketrans(b"12", b"\1\2")
+_LINK_BITS = bytes.maketrans(b"\1\2", b"\0\1")
 _RIGHT = (1, 0)
 _DOWN = (0, -1)
 
@@ -266,16 +268,15 @@ class _CornerGraph:
     one int, `width` bits a pair, so a change of counts is one int
     addition.  `children` reads, in O(1) and without touching the graph,
     both squares that could be glued on next: their counts and where
-    they go.  `grow` glues one on and `shrink` takes it off again; the
-    take-off leaves the far corners stale.  `frontier` is all that
-    `children` reads below the last square.  The two-square chain's
-    counts, cell and direction are `start`.
+    they go, and `grow` glues one on.  `frontier` is all that `children`
+    reads below the last square.  The two-square chain's counts, cell
+    and direction are `start`.
     """
 
     __slots__ = ("deg", "nbrs", "width", "up", "join", "start")
 
     def __init__(self, n: int) -> None:
-        self.width = width = (3 * n + 1).bit_length()  # a chain of n squares has 3n + 1 edges
+        self.width = width = _counts_width(n)
         self.up, self.join = _corner_tables(width)
         self.deg = [0] * (2 * (n + 2))
         self.nbrs: list[list[int] | None] = [None] * (2 * (n + 2))
@@ -326,14 +327,6 @@ class _CornerGraph:
         nbrs[t1] = [s1, t2]
         nbrs[t2] = [s2, t1]
 
-    def shrink(self, s1: int, s2: int) -> None:
-        """Take off the last square `grow` glued to the side s1 s2."""
-        deg, nbrs = self.deg, self.nbrs
-        nbrs[s1].pop()
-        nbrs[s2].pop()
-        deg[s1] -= 1
-        deg[s2] -= 1
-
     def frontier(self, cell: int, right: bool) -> tuple:
         """All `children` reads here and below the last square, flat in one
         tuple: the growth direction, the cell's parity and, for each of the
@@ -349,11 +342,15 @@ class _CornerGraph:
                 key += w - cell, deg[w]
         return tuple(key)
 
-    def unpack(self, counts: int) -> tuple[int, ...]:
-        """The edges per degree pair, in `DEGREE_PAIRS` order, of packed counts."""
-        width = self.width
-        mask = (1 << width) - 1
-        return tuple(counts >> width * j & mask for j in range(len(DEGREE_PAIRS)))
+
+def _counts_width(n: int) -> int:
+    return (3 * n + 1).bit_length()  # a chain of n squares has 3n + 1 edges
+
+
+def _unpack(counts: int, width: int) -> tuple[int, ...]:
+    """The edges per degree pair, in `DEGREE_PAIRS` order, of packed counts."""
+    mask = (1 << width) - 1
+    return tuple(counts >> width * j & mask for j in range(len(DEGREE_PAIRS)))
 
 
 @cache
@@ -373,13 +370,56 @@ def _corner_tables(width: int) -> tuple[tuple, tuple]:
     return up, join
 
 
+@cache
+def _automaton() -> tuple[tuple[tuple, ...], tuple[int, ...], tuple[tuple[tuple, tuple], ...]]:
+    """``(frontiers, start, steps)``: the corner graph as an automaton, read
+    off the graph alone on first use.  State s has frontier ``frontiers[s]``,
+    state 0 is the two-square chain's, of edges per degree pair `start`, and
+    link e takes s to ``steps[s][e - 1]``: the child's state and change."""
+
+    def grown(word: bytes) -> tuple[tuple[int, ...], tuple]:
+        graph = _CornerGraph(len(word) + 2)
+        counts, cell, right = graph.start
+        for link in word:
+            counts, s1, s2, t1, t2, cell, right = graph.children(counts, cell, right)[link - 1]
+            graph.grow(s1, s2, t1, t2)
+        return _unpack(counts, graph.width), graph.frontier(cell, right)
+
+    start, frontier = grown(b"")
+    states, words, steps = {frontier: 0}, [b""], []
+    for word in words:  # a word is appended when it meets a new frontier
+        counts = grown(word)[0]
+        step = []
+        for child in (word + b"\1", word + b"\2"):
+            after, frontier = grown(child)
+            if states.setdefault(frontier, len(words)) == len(words):
+                words.append(child)
+            step.append((states[frontier], tuple(map(sub, after, counts))))
+        steps.append(tuple(step))
+    return tuple(states), start, tuple(steps)
+
+
+@cache
+def _table(width: int) -> tuple[int, tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """`_automaton` packed `width` bits a pair: link e takes state s to
+    ``nexts[e - 1][s]`` and adds the signed ``changes[e - 1][s]``."""
+    _, start, steps = _automaton()
+
+    def pack(counts: tuple[int, ...]) -> int:
+        return sum(c << width * j for j, c in enumerate(counts))
+
+    return (pack(start), tuple(tuple(step[e][0] for step in steps) for e in (0, 1)),
+            tuple(tuple(pack(step[e][1]) for step in steps) for e in (0, 1)))
+
+
 def edge_degree_multiset(chain) -> Counter:
     """Multiset of endpoint-degree pairs over the edges of the chain graph.
 
     The graph has a vertex at every corner of every unit square and an
     edge along every unit side.  Keys are unordered pairs (a, b) with
     a <= b; a chain of n squares always has 3n + 1 edges and degrees in
-    {2, 3, 4}.  Pairs that do not occur are left out.
+    {2, 3, 4}.  Pairs that do not occur are left out.  The counts are
+    one walk along the word over the corner graph's table, `_table`.
     """
     return Counter({pair: m for pair, m in zip(DEGREE_PAIRS, _pair_counts(chain)) if m})
 
@@ -387,17 +427,13 @@ def edge_degree_multiset(chain) -> Counter:
 def _pair_counts(chain) -> tuple[int, ...]:
     """The chain graph's edges per degree pair, in `DEGREE_PAIRS` order."""
     word = _as_word(chain)
-    graph = _CornerGraph(len(word) + 2)
-    children, grow, nbrs = graph.children, graph.grow, graph.nbrs
-    counts, cell, right = graph.start
-    for link in word:
-        counts, s1, s2, t1, t2, cell, right = children(counts, cell, right)[link - 1]
-        grow(s1, s2, t1, t2)
-        # later squares read the neighbours of the new square's cell, ne
-        # and se corners alone: drop those of the diagonal below the cell's
-        low = (cell | 1) - 3
-        nbrs[low] = nbrs[low + 1] = None
-    return graph.unpack(counts)
+    width = _counts_width(len(word) + 2)
+    counts, nexts, changes = _table(width)
+    state = 0
+    for bit in word.translate(_LINK_BITS):  # link e as bit e - 1
+        counts += changes[bit][state]
+        state = nexts[bit][state]
+    return _unpack(counts, width)
 
 
 def segments(chain) -> tuple[int, ...]:

@@ -17,7 +17,7 @@ rounded to a float, independent of summation order.
 
 Two evaluators are provided: `evaluate_direct` sums over the edges of
 the chain's corner graph by degree pair (as `chains.edge_degree_multiset`
-counts them, on the graph the oracle's census walks), while
+counts them, on the corner graph's table the oracle's census expands), while
 `evaluate_recursive` accumulates the per-square attachment increments.
 Both return the same value on every chain, which the test suite exploits
 heavily.

@@ -8,23 +8,18 @@ circular.
 Cost model.  A chain's index value depends only on its degree-pair
 vector: how many edges join corners of degrees (2,2), (2,3), ..., (4,4),
 in `DEGREE_PAIRS` order.  That vector does not depend on the index, so
-`census(n)` takes it once per n, on the same corner graph
-`evaluate_direct` reads (`chains._CornerGraph`), through its one step:
-a node of the link tree reads both children's vectors off its last
-square's corners in O(1) (`children`), and glues a child's square on
-(`grow`) only to go deeper, taking it off (`shrink`) after.  The walk
-below a node reads only the node's frontier (`_CornerGraph.frontier`):
-its growth direction, its cell's parity and the cell, ne and se
-corners' degrees and neighbours, and no depth of the link tree has more
-than 8 distinct frontiers.  So the census walks the 2**a prefixes of
-a = (n - 2) // 2 links, walks the b = n - 2 - a links below the first
-prefix of each frontier once, and lets
-every other prefix replay that part: about 2**(n/2) graph steps, and one
-pass over prefixes times part entries that numbers the distinct vectors
-(98 at n = 14, 135 at n = 16).  A part keeps its positions in one
-array, cut by count change and last link, and the parts share their
-changes.  A group, the ascending lexicographic positions of the chains
-of one vector and last link (2 bytes a chain, 4 past n = 18), is built
+`census(n)` takes it once per n, over the table `evaluate_direct` walks
+(`chains._table`), the corner graph as a 9-state automaton: a state and
+a link fix the child's state and change of vector.  The census expands
+the 2**a prefixes of a = (n - 2) // 2 links over the table a level at a
+time, and the b = n - 2 - a links below each state they reach once, a
+part, which every prefix in that state replays with its counts and
+position: about 2**(n/2) table steps, and one pass over prefixes times
+part entries that numbers the distinct vectors (98 at n = 14, 135 at
+n = 16).  A part keeps its positions in one array, cut by count change
+and last link, and the parts share their changes.  A group, the
+ascending lexicographic positions of the chains of one vector and last
+link (2 bytes a chain, 4 past n = 18), is built
 when first read, at one dict lookup a prefix plus its chains, and kept;
 once every group is built, the prefixes are let go.  The census is
 built on first use and cached per n, so every index and every sweep at
@@ -50,11 +45,13 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from functools import cache, lru_cache
 from itertools import accumulate, chain, count
+from operator import add
 from typing import NamedTuple
 
-from .chains import LinkVector, _CornerGraph, canonical_reversal
+from .chains import LinkVector, _counts_width, _table, _unpack, canonical_reversal
 from .indices import (
     IndexFunction,
     Value,
@@ -82,34 +79,27 @@ def census(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple["_Groups", "_Grou
     Vector ids follow that order too: vector vid is the vid-th distinct
     vector met reading the chains from position 0 up.
     ``groups[e - 1].present`` lists, ascending, the ids of the vectors
-    some chain with last link e has.  One corner graph walks the prefixes
-    of a = (n - 2) // 2 links; the b = n - 2 - a links below a prefix are
-    walked by `_part` once per frontier, and every later prefix with
-    that frontier adds its packed counts and ``prefix << b`` to the part.
-    A part depends on its frontier, b and the packing width alone: the
-    parts of the last census with that b and width are reused (`_parts`).
+    some chain with last link e has.  The prefixes of a = (n - 2) // 2
+    links are expanded over the corner graph's table, the b = n - 2 - a
+    links below them by `_part` once per state, and every prefix adds its
+    packed counts and ``prefix << b`` to the part of its state.  A part
+    depends on its state, b and the packing width alone: the parts of the
+    last census with that b and width are reused (`_parts`).
     The result is cached and shared by every caller.
     """
     if n < 2:
         raise ValueError(f"a chain needs at least 2 squares, got n={n}")
-    graph = _CornerGraph(n)
+    width = _counts_width(n)
+    table = _table(width)
     a = (n - 2) // 2
     b = n - 2 - a
-    parts = _parts(graph.width, b)  # per frontier, its `_part`
-    deltas: dict[int, int] = {}  # the changes of counts the parts walked here share
-    counts_at: list[int] = []  # per prefix, in lexicographic order: its packed counts
-    part_at: list[tuple] = []  # ... and the part of its frontier
-
-    def prefix(pos: int, counts: int, cell: int, right: bool) -> None:
-        key = graph.frontier(cell, right)
-        part = parts.get(key)
-        if part is None:
-            part = parts[key] = _part(graph, cell, right, b, deltas)
-        counts_at.append(counts)
-        part_at.append(part)
-
-    counts, cell, right = graph.start
-    _walk(graph, a, counts, cell, right, prefix)
+    parts = _parts(width, b)  # per state, its `_part`
+    deltas: dict[int, int] = {}  # the changes of counts the parts built here share
+    states, counts_at = _expand(table, [0], [table[0]], a)  # per prefix, in lexicographic order
+    for state in dict.fromkeys(states):
+        if state not in parts:
+            parts[state] = _part(table, state, b, deltas)
+    part_at = list(map(parts.__getitem__, states))  # per prefix, the part of its state
     # ids in the order the chains first meet their vectors: prefix by prefix,
     # each part's changes in the order its own chains first meet them
     packed = list(dict.fromkeys(chain.from_iterable(
@@ -121,12 +111,12 @@ def census(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple["_Groups", "_Grou
     code = "H" if n <= 18 else "I"  # the narrowest type for positions below 2**(n - 2)
     prefixes = (1 << b, counts_at, part_at)
     groups = tuple(_Groups(code, end, packed, prefixes, present[end]) for end in (0, 1))
-    return tuple(map(graph.unpack, packed)), groups
+    return tuple(_unpack(counts, width) for counts in packed), groups
 
 
 @lru_cache(maxsize=1)
-def _parts(width: int, b: int) -> dict[tuple, tuple]:
-    """Per frontier, its part of b links with counts packed `width`
+def _parts(width: int, b: int) -> dict[int, tuple]:
+    """Per state, its part of b links with counts packed `width`
     bits a pair, for the last (width, b) asked for: census(2k + 1) and
     census(2k + 2) share one, as 6k + 4 and 6k + 7 have one bit length."""
     return {}
@@ -172,65 +162,38 @@ class _Groups:
         return view
 
 
-def _part(graph: _CornerGraph, cell: int, right: bool, links: int, deltas: dict) -> tuple:
-    """The chains `links` links below the node with last square `cell`,
-    by change of packed counts from the node's: a dict from each change,
-    in the order the chains first meet it, to its slot 2k; the positions
-    below the node, those with the k-th change and last link e ascending
-    in ``positions[bounds[2k + e]:bounds[2k + e + 1]]``; and per last
-    link, the changes its chains meet.  A change already in `deltas` is
-    kept as that int, so parts that share `deltas` share their changes."""
-    found: dict[int, tuple[list[int], list[int]]] = {}
-
-    def record(pos: int, counts: int, *_) -> None:
-        try:
-            found[counts][pos & 1].append(pos)
-        except KeyError:
-            found[deltas.setdefault(counts, counts)] = ends = ([], [])
-            ends[pos & 1].append(pos)
-
-    _walk(graph, links, 0, cell, right, record, glued=False)
-    runs = list(chain.from_iterable(found.values()))
+def _part(table: tuple, state: int, links: int, deltas: dict) -> tuple:
+    """The chains `links` links below a node of state `state`, by change
+    of packed counts from the node's: a dict from each change, in the
+    order the chains first meet it, to its slot 2k; the positions below
+    the node, those with the k-th change and last link e ascending in
+    ``positions[bounds[2k + e]:bounds[2k + e + 1]]``; and per last link,
+    the changes its chains meet.  A change already in `deltas` is kept
+    as that int, so parts that share `deltas` share their changes."""
+    changes = _expand(table, [state], [0], links)[1]  # per position below the node
+    slots = {deltas.setdefault(delta, delta): k
+             for k, delta in zip(count(0, 2), dict.fromkeys(changes))}
+    keys = list(map(slots.__getitem__, changes))
+    keys[1::2] = map((1).__add__, keys[1::2])  # slot 2k + 1 for last link 2
+    sizes = Counter(keys)
     code = "H" if links <= 16 else "I"  # the narrowest type for positions below 2**links
-    return (dict(zip(found, count(0, 2))), array(code, chain.from_iterable(runs)),
-            array("I", accumulate(map(len, runs), initial=0)),
-            tuple([delta for delta, ends in found.items() if ends[end]] for end in (0, 1)))
+    return (slots, array(code, sorted(range(len(keys)), key=keys.__getitem__)),
+            array("I", accumulate(map(sizes.__getitem__, range(2 * len(slots))), initial=0)),
+            tuple([delta for delta, k in slots.items() if sizes[k + end]] for end in (0, 1)))
 
 
-def _walk(graph: _CornerGraph, links: int, counts: int, cell: int, right: bool, leaf,
-          glued: bool = True) -> None:
-    """Call ``leaf(pos, counts, cell, right)`` for every node `links`
-    links below the node with packed counts `counts` and last square
-    `cell`, glued on rightward if `right`, in lexicographic order, with
-    the node's square glued on; pos is its links below as binary digits,
-    link 1 as 0.  Unless `glued`, a leaf below the node gets only
-    ``(pos, counts)`` and its square is never glued on: a chain's counts
-    are all `_part` reads.  Each node takes both children from one
-    `_CornerGraph.children` step, and glues a child's square on
-    (`grow`) only to visit it, taking it off (`shrink`) after."""
-    children, grow, shrink = graph.children, graph.grow, graph.shrink
-
-    def visit(depth: int, pos: int, counts: int, cell: int, right: bool) -> None:
-        pair = children(counts, cell, right)
-        if depth == last and not glued:
-            pos *= 2
-            leaf(pos, pair[0][0])
-            leaf(pos + 1, pair[1][0])
-            return
-        for link, (child, s1, s2, t1, t2, cell, right) in enumerate(pair, 2 * pos):
-            grow(s1, s2, t1, t2)
-            if depth < last:
-                visit(depth + 1, link, child, cell, right)
-            else:
-                leaf(link, child, cell, right)
-            shrink(s1, s2)
-
-    last = links - 1  # the depth whose children are the leaves
-    if links:
-        visit(0, 0, counts, cell, right)
-    else:
-        leaf(0, counts, cell, right)
-    del visit  # a cycle through itself: freed now, with what its leaf holds, not at a collection
+def _expand(table: tuple, states: list[int], counts: list[int], links: int) -> tuple[list, list]:
+    """The states and packed counts of the nodes `links` links below the nodes
+    `states`, `counts`, in lexicographic order: whole lists a level, by map."""
+    _, nexts, changes = table
+    for _ in range(links):
+        size = 2 * len(states)
+        below, values = [0] * size, [0] * size
+        for e in (0, 1):
+            values[e::2] = map(add, counts, map(changes[e].__getitem__, states))
+            below[e::2] = map(nexts[e].__getitem__, states)
+        states, counts = below, values
+    return states, counts
 
 
 _LINK_DIGITS = bytes.maketrans(b"01", b"\1\2")

@@ -1,10 +1,10 @@
 """The corner graph built from scratch, and the oracle's sweep done
 chain by chain, as references for the walker and for the oracle.
 
-`chains.edge_degree_multiset` and the oracle's census both run on one
-incremental corner graph.  Checking them against each other would check
-that graph against itself, so the tests compare both with this
-independent construction from the realized cells instead.
+`chains.edge_degree_multiset` and the oracle's census both walk one
+table read off the incremental corner graph.  Checking them against each
+other would check that table against itself, so the tests compare both
+with this independent construction from the realized cells instead.
 
 `assert_checked_word` holds a word the engine built without the input
 check to what the public `LinkVector` constructor would accept.

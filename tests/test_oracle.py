@@ -7,14 +7,24 @@ import tracemalloc
 from fractions import Fraction
 from bisect import bisect_left, bisect_right
 from itertools import accumulate, product
+from operator import sub
 
 import pytest
 
 import polychain.azi as azi_mod
+import polychain.chains as chains_mod
 import polychain.cli as cli_mod
 import polychain.dp as dp_mod
 import polychain.indices as indices_mod
-from polychain.chains import _CornerGraph, edge_degree_multiset, linear_chain
+from polychain.chains import (
+    _automaton,
+    _CornerGraph,
+    _counts_width,
+    _table,
+    _unpack,
+    edge_degree_multiset,
+    linear_chain,
+)
 from polychain.dp import DPTable
 from polychain.indices import (
     DEGREE_PAIRS,
@@ -28,7 +38,7 @@ from polychain.indices import (
     negate,
     preset,
 )
-from polychain.oracle import _part, _tying, _walk, census, cross_check, exhaustive
+from polychain.oracle import _tying, census, cross_check, exhaustive
 from reference_graph import (
     _cached_multiset,
     _cached_pair_counts,
@@ -332,8 +342,7 @@ class TestCensus:
         assert len(census(16)[0]) == 135
 
     @pytest.mark.parametrize("f", report_corpus(), ids=lambda f: f"{f.name}-{f.mode}")
-    def test_report_equals_per_chain_sweep(self, f, monkeypatch):
-        monkeypatch.setattr(indices_mod, "_pair_counts", _cached_pair_counts)
+    def test_report_equals_per_chain_sweep(self, f):
         for n in range(3, 13):
             assert exhaustive(f, n).to_json() == reference_report(f, n).to_json(), n
 
@@ -406,8 +415,7 @@ class TestCensus:
 
     @pytest.mark.parametrize("f", [AZI, preset("ga"), small_range_tables(5, 1)[0]],
                              ids=lambda f: f"{f.name}-{f.mode}")
-    def test_report_equals_per_chain_sweep_past_the_default_corpus(self, f, monkeypatch):
-        monkeypatch.setattr(indices_mod, "_pair_counts", _cached_pair_counts)
+    def test_report_equals_per_chain_sweep_past_the_default_corpus(self, f):
         for n in range(13, 16):
             assert exhaustive(f, n).to_json() == reference_report(f, n).to_json(), n
 
@@ -436,70 +444,100 @@ class TestCensus:
 
     @pytest.mark.parametrize("n", range(12, 17))
     def test_each_prefix_replays_the_part_of_its_frontier(self, n):
-        # every prefix's own walk, on a copy of its graph whose degrees and
+        # the census replays one part per state of the corner graph's table,
+        # so the table must be the graph's: at every word of at most n - 2
+        # links, grown on a graph, the state the table reaches has the
+        # graph's frontier; and a copy of the graph whose degrees and
         # neighbour lists are poisoned past the last square's cell, ne and se
         # corners and their neighbours (degree 99 is in no `up` or `join`
-        # row), gives the part of the first prefix with its frontier
-        graph = _CornerGraph(n)
-        a = (n - 2) // 2
-        parts = {}
+        # row) gives the table's two steps: each child's state and change
+        frontiers, _, steps = _automaton()
+        width = _counts_width(n)
 
-        def items(part):
-            return list(part[0].items()), *part[1:]
-
-        def replay(pos, counts, cell, right):
-            poisoned = _CornerGraph(n)
-            poisoned.deg = [99] * len(graph.deg)
-            poisoned.nbrs = [None] * len(graph.nbrs)
-            for x in (cell, cell ^ 1, (cell ^ 1) + 2):
-                poisoned.nbrs[x] = list(graph.nbrs[x])
+        def copied(graph, corners=None):
+            copy = _CornerGraph(n)
+            if corners is None:
+                copy.deg = list(graph.deg)
+                copy.nbrs = [None if x is None else list(x) for x in graph.nbrs]
+                return copy
+            copy.deg = [99] * len(graph.deg)
+            copy.nbrs = [None] * len(graph.nbrs)
+            for x in corners:
+                copy.nbrs[x] = list(graph.nbrs[x])
                 for w in (x, *graph.nbrs[x]):
-                    poisoned.deg[w] = graph.deg[w]
-            part = items(_part(poisoned, cell, right, n - 2 - a, {}))
-            assert part == items(_part(graph, cell, right, n - 2 - a, {})), (n, pos)
-            key = graph.frontier(cell, right)
-            assert part == parts.setdefault(key, part), (n, pos, key)
+                    copy.deg[w] = graph.deg[w]
+            return copy
 
-        counts, cell, right = graph.start
-        _walk(graph, a, counts, cell, right, replay)
-        assert len(parts) == min(2 ** a, 8), n
+        def visit(graph, word, state, counts, cell, right):
+            if len(word) == n - 2:
+                return
+            poisoned = copied(graph, (cell, cell ^ 1, (cell ^ 1) + 2))
+            pairs = zip(graph.children(counts, cell, right),
+                        poisoned.children(counts, cell, right), steps[state])
+            for link, (child, seen, (next_state, change)) in enumerate(pairs, 1):
+                assert seen == child, (word, link)
+                after, s1, s2, t1, t2, next_cell, next_right = child
+                assert tuple(map(sub, _unpack(after, width), _unpack(counts, width))) == change
+                for source in (poisoned, graph):
+                    grown = copied(source)
+                    grown.grow(s1, s2, t1, t2)
+                    assert grown.frontier(next_cell, next_right) == frontiers[next_state], word
+                visit(grown, word + (link,), next_state, after, next_cell, next_right)
+
+        graph = _CornerGraph(n)
+        assert graph.frontier(*graph.start[1:]) == frontiers[0]
+        visit(graph, (), 0, *graph.start)
+        assert len(frontiers) == len(set(frontiers)) == 9
+
+    def test_a_bumped_join_entry_changes_the_table_and_the_values(self, monkeypatch):
+        # a mutant graph, one (2, 2) edge more wherever a square is glued to
+        # a side of two degree-2 corners: the table read off it differs, and
+        # evaluate_direct, which walks that table, then misvalues some chain
+        real, corner_tables = _automaton(), chains_mod._corner_tables
+
+        def bumped(width):
+            up, join = corner_tables(width)
+            join = [list(row) for row in join]
+            join[2][2] += 1
+            return up, tuple(map(tuple, join))
+
+        monkeypatch.setattr(chains_mod, "_corner_tables", bumped)
+        _automaton.cache_clear()
+        _table.cache_clear()
+        try:
+            assert _automaton() != real
+            words = [links for m in range(7) for links in product((1, 2), repeat=m)]
+            assert any(evaluate_direct(links, AZI) != degree_pair_sum(_cached_pair_counts(links), AZI)
+                       for links in words)
+        finally:
+            monkeypatch.undo()
+            _automaton.cache_clear()
+            _table.cache_clear()
+        assert _automaton() == real
 
     @pytest.mark.parametrize("turn", [0.05, 0.5, 0.95])
     def test_edge_degree_multiset_equals_the_reference_graph(self, turn):
-        # the forward walk takes the census's step; words with long
-        # straight runs, with even turns and with long zigzags
+        # the forward walk steps the table; words with long straight runs,
+        # with even turns and with long zigzags
         rng = random.Random(int(turn * 100))
         for length in (0, 1, 2, 3, 10, 100, 1000, 10**4):
             links = [2 if rng.random() < turn else 1 for _ in range(length)]
             assert dict(edge_degree_multiset(links)) == dict(reference_multiset(links)), length
-        # the step itself: at every word of at most 9 links, reached by the
-        # census's walk, both children's counts are those of the word
+        # the table's step itself: at every word of at most 9 links, walked
+        # on the table, both children's counts are those of the word
         # extended by link 1 and by link 2
-        graph = _CornerGraph(12)
-
-        def step(pos, counts, cell, right):
-            word = tuple(1 + (pos >> k & 1) for k in range(length - 1, -1, -1))
-            assert graph.unpack(counts) == _cached_pair_counts(word), word
-            for link, child in enumerate(graph.children(counts, cell, right), 1):
-                assert graph.unpack(child[0]) == _cached_pair_counts(word + (link,)), (word, link)
-
-        for length in range(10):
-            _walk(graph, length, *graph.start, step)
-
-    @pytest.mark.parametrize("glued", [True, False])
-    def test_walk_leaves_the_graph_as_it_found_it(self, glued):
-        # every square a walk glues on it takes off again (`shrink`): the
-        # start chain's corners keep their degrees and neighbour lists; the
-        # far corners of a square taken off go stale, and no corner reads them
-        graph = _CornerGraph(10)
-        deg, nbrs = list(graph.deg), [None if x is None else list(x) for x in graph.nbrs]
-        leaves = []
-        for links in range(1, 9):
-            _walk(graph, links, *graph.start, lambda pos, *_: leaves.append(pos), glued=glued)
-            for x, corners in enumerate(nbrs):
-                if corners is not None:
-                    assert (graph.deg[x], graph.nbrs[x]) == (deg[x], corners), (links, x)
-        assert leaves == [pos for links in range(1, 9) for pos in range(2 ** links)]
+        width = _counts_width(12)
+        start, nexts, changes = _table(width)
+        level = [((), 0, start)]
+        for _ in range(10):
+            below = []
+            for word, state, counts in level:
+                assert _unpack(counts, width) == _cached_pair_counts(word), word
+                for e in (0, 1):
+                    child = (word + (e + 1,), nexts[e][state], counts + changes[e][state])
+                    assert _unpack(child[2], width) == _cached_pair_counts(child[0]), child[0]
+                    below.append(child)
+            level = below
 
     def test_built_once_per_n(self):
         census.cache_clear()
@@ -550,8 +588,7 @@ class TestScaledIntegers:
         assert math.lcm(*(v.denominator for v in SCALING_TABLES[0].values.values())) > 2**64
 
     @pytest.mark.parametrize("f", SCALING_TABLES, ids=lambda f: f.name)
-    def test_report_equals_per_chain_sweep(self, f, monkeypatch):
-        monkeypatch.setattr(indices_mod, "_pair_counts", _cached_pair_counts)
+    def test_report_equals_per_chain_sweep(self, f):
         for n in range(3, 13):
             assert exhaustive(f, n).to_json() == reference_report(f, n).to_json(), n
 
@@ -610,8 +647,7 @@ class TestTieWindow:
             assert 1 in got and 0 not in got, (eps, sign)
 
     @pytest.mark.parametrize("eps", [0.9, 1.0, 1.5, 3.0])
-    def test_report_equals_per_chain_sweep(self, eps, monkeypatch):
-        monkeypatch.setattr(indices_mod, "_pair_counts", _cached_pair_counts)
+    def test_report_equals_per_chain_sweep(self, eps):
         rng = random.Random(28)
         for t in range(2):
             f = IndexFunction(f"mixed{t}", {p: rng.uniform(-3, 3) for p in DEGREE_PAIRS},

@@ -8,19 +8,17 @@ import io
 import json
 import math
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import polychain.indices as indices_mod
 from polychain.chains import LinkVector
 from polychain.cli import _render_json, _unlimited_int_digits, main
 from polychain.dp import run_dp
 from polychain.indices import DEGREE_PAIRS, FLOAT, IndexFunction, load_custom_index, negate
 from polychain.oracle import exhaustive
-from reference_graph import _cached_pair_counts, reference_report
+from reference_graph import reference_report
 
 # derandomized: the same examples on every run, so the suite stays deterministic
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=300)
@@ -119,8 +117,7 @@ rational_entries = st.lists(
 @given(rational_entries, st.integers(3, 9))
 def test_exhaustive_equals_per_chain_reference(entries, n):
     f = IndexFunction("q", dict(zip(DEGREE_PAIRS, entries)))
-    with mock.patch.object(indices_mod, "_pair_counts", _cached_pair_counts):
-        assert exhaustive(f, n).to_json() == reference_report(f, n).to_json()
+    assert exhaustive(f, n).to_json() == reference_report(f, n).to_json()
 
 
 # the CLI argument surface: only argv that argparse accepts, so every run
