@@ -6,13 +6,15 @@ ways), ``max`` / ``min`` (extremal search with optional enumeration),
 summary rows) and ``verify`` (oracle cross-checks plus the AZI claims).
 
 Exact values are always printed as "p/q" with a 10-significant-digit
-decimal marked approximate.  JSON documents come from one renderer,
-`_render_json`, whose text equals ``json.dumps(doc, indent=2)`` byte for
-byte; a long list of same-shape items (a chain's cells, a table's rows)
-is written by one row template, `_json_rows`.  Output is deterministic:
-equal invocations produce byte-identical output.  Exit codes: 0 success,
-1 verification mismatch, 2 usage or parse error.  A reader that closes
-the pipe early ends the output quietly.
+decimal marked approximate.  Output goes out in chunks (`_write`): JSON
+documents come from one renderer, `_render_json`, whose parts join to
+``json.dumps(doc, indent=2)`` byte for byte, and a long list (links,
+chains, cells, rows) is rendered a part of about `_CHUNK` characters at
+a time, its chains drawn as they are written.  Every refusal is raised
+before the first byte.  Output is
+deterministic: equal invocations produce byte-identical output.  Exit
+codes: 0 success, 1 verification mismatch, 2 usage or parse error.  A
+reader that closes the pipe early ends the output quietly.
 """
 
 from __future__ import annotations
@@ -20,11 +22,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import io
+import itertools
 import json
 import os
 import sys
 from fractions import Fraction
+from types import GeneratorType, SimpleNamespace
 
 from .azi import ORACLE_N_MAX, _azi, _azi_family, verify_azi_maximum, verify_azi_minimum
 from .chains import LinkVector, _words_text, realize
@@ -33,6 +36,7 @@ from .indices import (
     FLOAT,
     RATIONAL,
     IndexFunction,
+    _exact_text,
     _texts,
     _value_json,
     as_decimal_string,
@@ -48,137 +52,49 @@ from .oracle import DEFAULT_CAP, cross_check
 
 __all__ = ["main", "OUTPUT_SCHEMAS"]
 
-_VALUE_SCHEMA = {
-    "type": "object",
-    "required": ["rational", "decimal"],
-    "properties": {
-        "rational": {"type": ["string", "null"]},
-        "decimal": {"type": "string"},
-    },
-}
+def _object(**properties) -> dict:
+    """The JSON schema of an object that has each of `properties`."""
+    return {"type": "object", "required": list(properties), "properties": properties}
 
+
+_STR, _INT, _BOOL = ({"type": name} for name in ("string", "integer", "boolean"))
+_MODE = {"enum": [RATIONAL, FLOAT]}
+_VALUE_SCHEMA = _object(rational={"type": ["string", "null"]}, decimal=_STR)
 _CHAIN_SCHEMA = {"type": "array", "items": {"type": "integer", "enum": [1, 2]}}
-
-_EXTREMAL_SCHEMA = {
-    "type": "object",
-    "required": [
-        "command", "index", "mode", "n", "objective", "value", "per_end",
-        "witness", "labeled_count", "iso_count", "tolerance_dependent",
-    ],
-    "properties": {
-        "command": {"enum": ["max", "min"]},
-        "index": {"type": "string"},
-        "mode": {"enum": [RATIONAL, FLOAT]},
-        "n": {"type": "integer"},
-        "objective": {"enum": ["max", "min"]},
-        "value": _VALUE_SCHEMA,
-        "per_end": {
-            "type": "object",
-            "required": ["1", "2"],
-            "properties": {"1": _VALUE_SCHEMA, "2": _VALUE_SCHEMA},
-        },
-        "witness": _CHAIN_SCHEMA,
-        "labeled_count": {"type": "integer"},
-        "iso_count": {"type": ["integer", "null"]},
-        "tolerance_dependent": {"type": "boolean"},
-        "chains": {"type": "array", "items": _CHAIN_SCHEMA},
-    },
-}
+_EXTREMAL_SCHEMA = _object(
+    command={"enum": ["max", "min"]}, index=_STR, mode=_MODE, n=_INT,
+    objective={"enum": ["max", "min"]}, value=_VALUE_SCHEMA,
+    per_end=_object(**{"1": _VALUE_SCHEMA, "2": _VALUE_SCHEMA}), witness=_CHAIN_SCHEMA,
+    labeled_count=_INT, iso_count={"type": ["integer", "null"]}, tolerance_dependent=_BOOL,
+)
+_EXTREMAL_SCHEMA["properties"]["chains"] = {"type": "array", "items": _CHAIN_SCHEMA}  # optional
 
 OUTPUT_SCHEMAS = {
-    "value": {
-        "type": "object",
-        "required": ["command", "index", "mode", "links", "n", "cells",
-                     "direct", "recursive", "equal"],
-        "properties": {
-            "command": {"const": "value"},
-            "index": {"type": "string"},
-            "mode": {"enum": [RATIONAL, FLOAT]},
-            "links": _CHAIN_SCHEMA,
-            "n": {"type": "integer"},
-            "cells": {
-                "type": "array",
-                "items": {
-                    "type": "array",
-                    "items": {"type": "integer"},
-                    "minItems": 2,
-                    "maxItems": 2,
-                },
-            },
-            "direct": _VALUE_SCHEMA,
-            "recursive": _VALUE_SCHEMA,
-            "equal": {"type": "boolean"},
-        },
-    },
+    "value": _object(
+        command={"const": "value"}, index=_STR, mode=_MODE, links=_CHAIN_SCHEMA, n=_INT,
+        cells={"type": "array",
+               "items": {"type": "array", "items": _INT, "minItems": 2, "maxItems": 2}},
+        direct=_VALUE_SCHEMA, recursive=_VALUE_SCHEMA, equal=_BOOL,
+    ),
     "max": _EXTREMAL_SCHEMA,
     "min": _EXTREMAL_SCHEMA,
-    "classify": {
-        "type": "object",
-        "required": ["command", "index", "minimize", "premise_holds", "case",
-                     "n_star", "tie_at_threshold"],
-        "properties": {
-            "command": {"const": "classify"},
-            "index": {"type": "string"},
-            "minimize": {"type": "boolean"},
-            "premise_holds": {"type": "boolean"},
-            "case": {
-                "enum": [
-                    "linear-always",
-                    "linear-from-4-tie-at-3",
-                    "zigzag-then-linear",
-                    "not-applicable",
-                ]
-            },
-            "n_star": {"type": ["integer", "null"]},
-            "tie_at_threshold": {"type": ["boolean", "null"]},
-        },
-    },
-    "table": {
-        "type": "object",
-        "required": ["command", "index", "rows"],
-        "properties": {
-            "command": {"const": "table"},
-            "index": {"type": "string"},
-            "rows": {
-                "type": "array",
-                "items": {
-                    "type": "object",
-                    "required": ["n", "max", "min", "labeled_count", "iso_count", "family"],
-                    "properties": {
-                        "n": {"type": "integer"},
-                        "max": _VALUE_SCHEMA,
-                        "min": _VALUE_SCHEMA,
-                        "labeled_count": {"type": "integer"},
-                        "iso_count": {"type": "integer"},
-                        "family": {"type": ["string", "null"]},
-                    },
-                },
-            },
-        },
-    },
-    "verify": {
-        "type": "object",
-        "required": ["command", "index", "n_max", "oracle", "azi_maximum",
-                     "azi_minimum", "ok"],
-        "properties": {
-            "command": {"const": "verify"},
-            "index": {"type": "string"},
-            "n_max": {"type": "integer"},
-            "oracle": {
-                "type": "object",
-                "required": ["cap", "checked", "ok", "mismatches"],
-                "properties": {
-                    "cap": {"type": "integer"},
-                    "checked": {"type": "array", "items": {"type": "integer"}},
-                    "ok": {"type": "boolean"},
-                    "mismatches": {"type": "object"},
-                },
-            },
-            "azi_maximum": {"type": ["object", "null"]},
-            "azi_minimum": {"type": ["object", "null"]},
-            "ok": {"type": "boolean"},
-        },
-    },
+    "classify": _object(
+        command={"const": "classify"}, index=_STR, minimize=_BOOL, premise_holds=_BOOL,
+        case={"enum": ["linear-always", "linear-from-4-tie-at-3", "zigzag-then-linear",
+                       "not-applicable"]},
+        n_star={"type": ["integer", "null"]}, tie_at_threshold={"type": ["boolean", "null"]},
+    ),
+    "table": _object(command={"const": "table"}, index=_STR, rows={"type": "array", "items": _object(
+        n=_INT, max=_VALUE_SCHEMA, min=_VALUE_SCHEMA, labeled_count=_INT, iso_count=_INT,
+        family={"type": ["string", "null"]},
+    )}),
+    "verify": _object(
+        command={"const": "verify"}, index=_STR, n_max=_INT,
+        oracle=_object(cap=_INT, checked={"type": "array", "items": _INT}, ok=_BOOL,
+                       mismatches={"type": "object"}),
+        azi_maximum={"type": ["object", "null"]}, azi_minimum={"type": ["object", "null"]},
+        ok=_BOOL,
+    ),
 }
 
 
@@ -190,67 +106,106 @@ _SCALAR_JSON = {
     type(None): lambda _: "null",
 }
 
+# characters in a part of a long list's text, about: a part stays under glibc's
+# 128 KB mmap threshold, and writing one neither maps nor unmaps memory
+_CHUNK = 1 << 16
 
-def _render_json(doc, pad: str = "\n") -> str:
-    """Return ``json.dumps(doc, indent=2)`` for a document with string keys,
-    a `LinkVector` in it standing for the list of its links.
+
+def _render_json(doc, pad: str = "\n"):
+    """Yield the text of ``json.dumps(doc, indent=2)`` in parts, for a
+    document with string keys, a `LinkVector` in it standing for the list
+    of its links and a generator for a list whose items' indented text it
+    yields (`_json_rows`, `_words_parts`).
 
     The stdlib drops its C encoder whenever ``indent`` is set.  Here a
     scalar is written by its type's entry in `_SCALAR_JSON`, a container
-    is its items' texts joined by the newline and indent, and a link word
-    is its digits spaced alike in one strided pass (`chains._words_text`).
-    A long list of same-shape items comes as a `_Rendered` part
-    (`_json_rows`, `_json_words`), written as it is.
+    item by item.
     """
     scalar = _SCALAR_JSON.get(type(doc))
     if scalar is not None:
-        return scalar(doc)
-    if type(doc) is _Rendered:
-        return doc
-    if not isinstance(doc, (dict, list, tuple, LinkVector)) or not doc:
-        return "[]" if isinstance(doc, LinkVector) else json.dumps(doc)
+        yield scalar(doc)
+        return
     inner = pad + "  "
-    sep = "," + inner
-    if isinstance(doc, LinkVector):
-        return f"[{inner}{_words_text((doc._word,), sep.encode())}{pad}]"
+    if isinstance(doc, LinkVector) and doc:
+        doc = _words_parts((doc._word,), f",{inner}".encode())
+    if type(doc) is GeneratorType:
+        first = next(doc, None)
+        if first is not None:
+            yield "[" + inner
+            yield first
+            yield from doc
+            yield pad + "]"
+            return
+    if not isinstance(doc, (dict, list, tuple)) or not doc:
+        yield "[]" if isinstance(doc, (LinkVector, GeneratorType)) else json.dumps(doc)
+        return
     is_dict = isinstance(doc, dict)
-    parts = []  # joined once: an item's text is copied once a level
+    lead = ("{" if is_dict else "[") + inner
     for item in doc.items() if is_dict else doc:
-        parts.append(sep)
         if is_dict:
             key, item = item
-            parts.append(_SCALAR_JSON.get(type(key), json.dumps)(key) + ": ")
-        parts.append(_render_json(item, inner))
-    parts[0] = ("{" if is_dict else "[") + inner
-    parts.append(pad + ("}" if is_dict else "]"))
-    return "".join(parts)
+            lead += _SCALAR_JSON.get(type(key), json.dumps)(key) + ": "
+        scalar = _SCALAR_JSON.get(type(item))
+        if scalar is not None:  # a scalar item costs no generator
+            yield lead + scalar(item)
+        else:
+            yield lead
+            yield from _render_json(item, inner)
+        lead = "," + inner
+    yield pad + ("}" if is_dict else "]")
 
 
-class _Rendered(str):
-    """JSON text that `_render_json` writes as it is, already indented for
-    its place in the document."""
+def _json_text(doc):
+    """A JSON document's output: its text's parts and a newline."""
+    return itertools.chain(_render_json(doc), ("\n",))
 
 
-def _json_rows(template: str, rows: list | tuple) -> _Rendered:
-    """The text of a list of same-shape items at a top-level key of a
-    document, as ``json.dumps(doc, indent=2)`` writes it: item i is
-    ``template % rows[i]``, one format call an item."""
-    if not rows:
-        return _Rendered("[]")
-    return _Rendered("[\n    " + ",\n    ".join(map(template.__mod__, rows)) + "\n  ]")
+def _joined(texts, sep: str = ""):
+    """Yield ``sep.join(texts)`` in parts of about `_CHUNK` characters."""
+    batch, size = [], 0
+    for text in texts:
+        batch.append(text)
+        size += len(sep) + len(text)
+        if size >= _CHUNK:
+            yield sep.join(batch)
+            batch, size = [""], 0  # the next part leads with sep
+    if batch:
+        yield sep.join(batch)
 
 
-def _json_words(words: list) -> _Rendered:
-    """The text of a list of nonempty link words at a top-level key of a
-    document, as ``json.dumps(doc, indent=2)`` writes their lists of links."""
-    if not words:
-        return _Rendered("[]")
-    text = _words_text(words, b",\n      ", b"\n    ],\n    [\n      ")
-    return _Rendered(f"[\n    [\n      {text}\n    ]\n  ]")
+def _json_rows(template: str, rows):
+    """The items of a list at a top-level key of a document, as
+    ``json.dumps(doc, indent=2)`` writes them: ``template % row`` each."""
+    return _joined(map(template.__mod__, rows), ",\n    ")
+
+
+def _words_parts(words, sep: bytes, between: bytes = b"", head: str = "", tail: str = ""):
+    """Yield `head`, `chains._words_text` of the byte words `words` (of
+    one length, drawn a batch at a time) and `tail` in parts of at most
+    about `_CHUNK` characters: whole words, or pieces of a longer one."""
+    step = len(sep) + 1
+    per = max(_CHUNK // step, 1)  # links a part
+    cut, glue, lead, drawn = sep.decode(), between.decode(), head, False
+    words = iter(words)
+    for word in words:
+        if len(word) > per:
+            for i in range(0, len(word), per):
+                yield lead
+                yield _words_text((word[i:i + per],), sep)
+                lead = cut
+        else:  # as many words as fit, each with the `between` after it
+            more = max(_CHUNK // (len(word) * step + len(between) or 1) - 1, 0)
+            yield lead
+            yield _words_text([word, *itertools.islice(words, more)], sep, between)
+        lead, drawn = glue, True
+    if drawn:
+        yield tail
 
 
 # an (x, y) cell, and a table row from its JSON-ready fields, in those lists
 _CELL_JSON = "[\n      %s,\n      %s\n    ]"
+# chains at a top-level key, lists of links: `_words_parts`' separators, head and tail
+_CHAINS_JSON = (b",\n      ", b"\n    ],\n    [\n      ", "[\n      ", "\n    ]")
 _ROW_JSON = """{
       "n": %s,
       "max": {
@@ -313,7 +268,7 @@ def _resolve_index(args) -> IndexFunction:
     return f
 
 
-def _cmd_value(args, f: IndexFunction) -> tuple[str, int]:
+def _cmd_value(args, f: IndexFunction):
     links = LinkVector.from_string(args.links)
     direct = evaluate_direct(links, f)
     recursive = evaluate_recursive(links, f)
@@ -330,26 +285,27 @@ def _cmd_value(args, f: IndexFunction) -> tuple[str, int]:
             "recursive": _value_json(recursive),
             "equal": equal,
         }
-        return _render_json(doc), 0 if equal else 1
+        return _json_text(doc), 0 if equal else 1
     if equal:
-        return _value_plain(direct), 0
+        return (_value_plain(direct) + "\n",), 0
     print(
         f"evaluator mismatch: direct {_value_plain(direct)} vs recursive "
         f"{_value_plain(recursive)}",
         file=sys.stderr,
     )
-    return "", 1
+    return (), 1
 
 
-def _cmd_extremal(args, f: IndexFunction) -> tuple[str, int]:
+def _cmd_extremal(args, f: IndexFunction):
     if args.n < 3:
         raise ValueError(f"extremal search needs --n >= 3, got {args.n}")
     if args.limit is not None and args.limit < 0:
         raise ValueError(f"--limit must be >= 0, got {args.limit}")
     result, table = _extremal(f, args.n, args.command, args.end, args.iso)
     words = None
-    if args.enumerate:  # words of n - 2 >= 1 links
-        words = [c._word for c in table.chains(end=args.end, dedup=args.dedup, limit=args.limit)]
+    if args.enumerate:  # words of n - 2 >= 1 links, drawn as they are written
+        chains = table.chains(end=args.end, dedup=args.dedup, limit=args.limit)
+        words = (c._word for c in chains)
     if args.format == "json":
         doc = {
             "command": args.command,
@@ -365,23 +321,24 @@ def _cmd_extremal(args, f: IndexFunction) -> tuple[str, int]:
             "tolerance_dependent": result.tolerance_dependent,
         }
         if words is not None:
-            doc["chains"] = _json_words(words)
-        return _render_json(doc), 0
-    lines = [
-        f"{args.command} {f.name} n={args.n}: {_value_plain(result.value)}",
-        f"witness: {result.witness.to_string()}",
-        f"labeled count: {result.labeled_count}",
-    ]
+            doc["chains"] = _words_parts(words, *_CHAINS_JSON)
+        return _json_text(doc), 0
+    return _extremal_plain(args, f, result, words), 0
+
+
+def _extremal_plain(args, f: IndexFunction, result, words):
+    yield f"{args.command} {f.name} n={args.n}: {_value_plain(result.value)}\nwitness: "
+    yield from _words_parts((result.witness._word,), b",")
+    yield f"\nlabeled count: {result.labeled_count}"
     if result.iso_count is not None:
-        lines.append(f"mirror classes: {result.iso_count}")
+        yield f"\nmirror classes: {result.iso_count}"
     if words is not None:
-        lines.append("chains:")
-        if words:
-            lines.append(_words_text(words, b",", b"\n"))
-    return "\n".join(lines), 0
+        yield "\nchains:"
+        yield from _words_parts(words, b",", b"\n", "\n")
+    yield "\n"
 
 
-def _cmd_classify(args, f: IndexFunction) -> tuple[str, int]:
+def _cmd_classify(args, f: IndexFunction):
     target = negate(f) if args.minimize else f
     verdict = classify(target)
     if args.format == "json":
@@ -391,19 +348,19 @@ def _cmd_classify(args, f: IndexFunction) -> tuple[str, int]:
             "minimize": args.minimize,
             **verdict._asdict(),
         }
-        return _render_json(doc), 0
+        return _json_text(doc), 0
     lines = [f"case: {verdict.case} (premise {'holds' if verdict.premise_holds else 'fails'})"]
     if verdict.n_star is not None:
         lines.append(f"threshold n*: {verdict.n_star}")
         lines.append(f"tie at threshold: {verdict.tie_at_threshold}")
-    return "\n".join(lines), 0
+    return ("\n".join(lines) + "\n",), 0
 
 
 def _is_azi(f: IndexFunction) -> bool:
     return f.mode == RATIONAL and f.values == _azi().values  # the cached preset
 
 
-def _cmd_table(args, f: IndexFunction) -> tuple[str, int]:
+def _cmd_table(args, f: IndexFunction):
     lo, hi = args.from_n, args.to_n
     if lo > hi:
         raise ValueError(f"empty range: --from {lo} > --to {hi}")
@@ -419,26 +376,32 @@ def _cmd_table(args, f: IndexFunction) -> tuple[str, int]:
         count = sum(max_table._count(n, e) for e in ends)
         name, _, _, iso = (family(n) if family else
                            (None, None, None, count - max_table._mirror_pairs(n, ends)))
-        top, low = top[ends[0] - 1], -low[low_ends[0] - 1]
-        rows.append((n, _texts(f, top), _texts(f, low), count, iso, name))
+        rows.append((n, top[ends[0] - 1], -low[low_ends[0] - 1], count, iso, name))
+    # a row's texts are made as it is written, in CSV only the column's own
     if args.format == "json":
         json_text = _SCALAR_JSON  # str and None fields as their JSON text
-        rows = [(n, json_text[type(e1)](e1), d1, json_text[type(e2)](e2), d2, count, iso,
-                 json_text[type(name)](name)) for n, (e1, d1), (e2, d2), count, iso, name in rows]
-        return _render_json({"command": "table", "index": f.name,
-                             "rows": _json_rows(_ROW_JSON, rows)}), 0
+        rows = ((n, *_texts(f, top), *_texts(f, low), count, iso, name)
+                for n, top, low, count, iso, name in rows)
+        rows = ((n, json_text[type(e1)](e1), d1, json_text[type(e2)](e2), d2, count, iso,
+                 json_text[type(name)](name)) for n, e1, d1, e2, d2, count, iso, name in rows)
+        return _json_text({"command": "table", "index": f.name,
+                           "rows": _json_rows(_ROW_JSON, rows)}), 0
     import csv  # imported here: no other command writes CSV
 
-    cell = 0 if args.exact and f.mode == RATIONAL else 1  # p/q or the decimal
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["n", "max", "min", "labeled_count", "iso_count", "family"])
-    writer.writerows((n, top[cell], low[cell], count, iso, name or "")
-                     for n, top, low, count, iso, name in rows)
-    return buf.getvalue().rstrip("\n"), 0
+    exact = args.exact and f.mode == RATIONAL
+
+    def text(raw):  # p/q or the decimal
+        return _exact_text(raw, f.den) if exact else _texts(f, raw)[1]
+
+    # writerow returns what its file's write returns: here the row's line
+    line = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
+    head = [("n", "max", "min", "labeled_count", "iso_count", "family")]
+    return _joined(map(line, itertools.chain(head, (
+        (n, text(top), text(low), count, iso, name or "")
+        for n, top, low, count, iso, name in rows)))), 0
 
 
-def _cmd_verify(args, f: IndexFunction) -> tuple[str, int]:
+def _cmd_verify(args, f: IndexFunction):
     if args.n_max < 3:
         raise ValueError(f"verification needs --n-max >= 3, got {args.n_max}")
     oracle_hi = min(args.n_max, args.cap)
@@ -474,7 +437,7 @@ def _cmd_verify(args, f: IndexFunction) -> tuple[str, int]:
         "azi_minimum": azi_min_report,
         "ok": ok,
     }
-    return _render_json(doc), 0 if ok else 1
+    return _json_text(doc), 0 if ok else 1
 
 
 @functools.cache  # built on the first main() call, not at import
@@ -550,29 +513,42 @@ def _unlimited_int_digits():
         set_limit(previous)
 
 
+def _write(chunks, path: str | None) -> None:
+    """Write the chunks to the file at `path`, or to stdout; open nothing
+    for no chunks.  A reader that closes stdout stops them quietly."""
+    chunks = iter(chunks)
+    first = next(chunks, None)
+    if first is None:
+        return
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(first)
+            fh.writelines(chunks)
+        return
+    try:
+        sys.stdout.write(first)
+        sys.stdout.writelines(chunks)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone; devnull keeps the final flush at exit quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         f = _resolve_index(args)
-        # parsing above keeps the default digit guard; only rendering lifts it
+        # parsing above keeps the default digit guard; only the answer lifts it.
+        # Every refusal is raised by the command, before its first chunk.
         with _unlimited_int_digits():
-            text, code = _DISPATCH[args.command](args, f)
-        if text and args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
+            chunks, code = _DISPATCH[args.command](args, f)
+            _write(chunks, args.out)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:  # exit 1 means a verification mismatch
         print("error: out of memory: the answer does not fit in this process", file=sys.stderr)
         return 2
-    if text and not args.out:
-        try:
-            print(text)
-            sys.stdout.flush()
-        except BrokenPipeError:
-            # the reader has gone; devnull keeps the final flush at exit quiet
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

@@ -17,7 +17,7 @@ import polychain.cli as cli_mod
 import polychain.dp as dp_mod
 import polychain.oracle as oracle_mod
 from polychain.azi import azi_extremal_report
-from polychain.chains import LinkVector, _words_text
+from polychain.chains import LinkVector, _words_text, realize
 from polychain.cli import OUTPUT_SCHEMAS, _unlimited_int_digits, main
 from polychain.dp import minimize, run_dp
 from polychain.indices import (
@@ -229,38 +229,93 @@ class TestExtremalCommands:
         assert doc["labeled_count"] == 2**14285
 
 
+def render(doc) -> str:
+    return "".join(cli_mod._render_json(doc))
+
+
+def near(size: int) -> list[int]:
+    """Sizes about a part's boundary: one short of it, at it, one past it, and three parts."""
+    return [size - 1, size, size + 1, 3 * size]
+
+
+# links a part: a witness in JSON (",\n    " between two links), a chain list in JSON
+# (",\n      ") and in plain text (",")
+WITNESS, CHAINS, PLAIN = (cli_mod._CHUNK // step for step in (7, 9, 2))
+
+
+def words_a_part(links, sep, between):
+    """Whole words of `links` links in a part, each counted with the `between` after it."""
+    return cli_mod._CHUNK // (links * (len(sep) + 1) + len(between))
+
+
 class TestWordText:
-    """A word's text is written in one strided pass (`chains._words_text`):
-    byte for byte the text of ``",".join`` and ``json.dumps(doc, indent=2)``."""
+    """A word's text is written in strided passes (`chains._words_text`),
+    a part of at most `cli._CHUNK` characters at a time: byte for byte the
+    text of ``",".join`` and ``json.dumps(doc, indent=2)``."""
 
     @staticmethod
     def words(count, links, seed=0):
         rng = random.Random(seed)
-        return [LinkVector(rng.choice((1, 2)) for _ in range(links)) for _ in range(count)]
+        return [LinkVector._of(bytes(rng.choices((1, 2), k=links))) for _ in range(count)]
 
-    @pytest.mark.parametrize("links", [0, 1, 2, 17, 18, 40, 300, 10**4])
+    @staticmethod
+    def parts(parts) -> str:
+        parts = list(parts)
+        assert max(map(len, parts), default=0) <= cli_mod._CHUNK
+        return "".join(parts)
+
+    @pytest.mark.parametrize("links", [0, 1, 2, 17, 18, 40, 300, 10**4, *near(WITNESS), *near(PLAIN)])
     def test_one_word(self, links):
         (word,) = self.words(1, links, seed=links)
-        assert word.to_string() == ",".join(map(str, word.links))
+        text = ",".join(map(str, word.links))
+        assert word.to_string() == text
+        assert self.parts(cli_mod._words_parts([word._word], b",")) == text
+        if links > 3 * WITNESS:  # past the JSON parts' boundaries
+            return
         for doc in ({"witness": word}, {"a": {"b": [word, 1]}}, [word]):
             want = json.loads(json.dumps(doc, default=lambda w: list(w.links)))
-            assert cli_mod._render_json(doc) == json.dumps(want, indent=2)
+            assert render(doc) == json.dumps(want, indent=2)
 
     def test_empty_word(self):
         assert LinkVector().to_string() == ""
         assert _words_text([b""] * 3, b",", b"\n") == "\n\n"
-        assert cli_mod._render_json({"witness": LinkVector()}) == '{\n  "witness": []\n}'
+        assert render({"witness": LinkVector()}) == '{\n  "witness": []\n}'
 
-    @pytest.mark.parametrize("count", [0, 1, 2, 1024])
-    @pytest.mark.parametrize("links", [1, 18])
+    @pytest.mark.parametrize("count, links", [pytest.param(count, links, id=f"{links}-{count}")
+                                              for count, links in (
+        *((count, links) for count in (0, 1, 2, 1024) for links in (1, 18)),
+        *((count, links) for links, seps in ((1, cli_mod._CHAINS_JSON[:2]),
+                                             (18, cli_mod._CHAINS_JSON[:2]), (18, (b",", b"\n")))
+          for count in near(words_a_part(links, *seps))),
+        *((3, links) for links in near(CHAINS) + near(PLAIN)),
+    )])
     def test_chain_list(self, count, links):
         words = self.words(count, links, seed=count)
         raw = [w._word for w in words]
         plain = "\n".join(",".join(map(str, w.links)) for w in words)
         assert _words_text(raw, b",", b"\n") == plain
-        doc = {"command": "max", "chains": cli_mod._json_words(raw)}
-        assert cli_mod._render_json(doc) == json.dumps(
+        assert self.parts(cli_mod._words_parts(iter(raw), b",", b"\n")) == plain
+        if count * links > 9 * CHAINS:  # past the JSON parts' boundaries
+            return
+        chains = list(cli_mod._words_parts(iter(raw), *cli_mod._CHAINS_JSON))
+        assert max(map(len, chains), default=0) <= cli_mod._CHUNK
+        doc = {"command": "max", "chains": (part for part in chains)}
+        assert render(doc) == json.dumps(
             {"command": "max", "chains": [list(w.links) for w in words]}, indent=2)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_joined_rows(self, monkeypatch, chunk):
+        # rows are gathered until a part reaches `_CHUNK` characters
+        monkeypatch.setattr(cli_mod, "_CHUNK", chunk)
+        for count in range(40):
+            texts = ["x" * (i % 5) for i in range(count)]
+            parts = list(cli_mod._joined(texts, ", "))
+            assert "".join(parts) == ", ".join(texts)
+            assert all(len(part) < chunk + len(", ") + 4 for part in parts)
+            cells = LinkVector._of(bytes(i % 3 % 2 + 1 for i in range(count)))
+            doc = {"cells": cli_mod._json_rows(cli_mod._CELL_JSON, realize(cells)), "n": count}
+            assert render(doc) == json.dumps(
+                {"cells": [list(c) for c in realize(cells)], "n": count}, indent=2)
 
     @pytest.mark.parametrize("limit", ["0", "1", "2", "1024"])
     def test_enumerated_chains(self, capsys, tmp_path, limit):
@@ -674,39 +729,89 @@ def run_fresh(*argv):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+class TestWrites:
+    """A command's text goes out in chunks: a refusal writes nothing, and
+    ``--out`` receives what stdout would."""
+
+    @pytest.mark.parametrize("argv", [
+        ["max", "--index", "azi", "--n", "2"],
+        ["max", "--index", "azi", "--n", "12", "--enumerate", "--limit", "-1"],
+        ["max", "--index", "azi", "--n", str(10**23)],
+        ["max", "--index", "azi", "--n", str(10**23), "--enumerate", "--format", "plain"],
+        ["table", "--index", "azi", "--from", "9", "--to", "8"],
+    ])
+    def test_refusal_writes_nothing(self, capsys, tmp_path, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1
+        target = tmp_path / "kept.txt"
+        target.write_bytes(b"an earlier answer\n")
+        assert run_cli(capsys, *argv, "--out", str(target)) == (2, "", err)
+        assert target.read_bytes() == b"an earlier answer\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["max", "--n", "16", "--enumerate"],  # 2**14 chains, about 2 MB in many parts
+        ["max", "--n", "16", "--enumerate", "--format", "plain"],
+        ["table", "--from", "3", "--to", "1000", "--format", "json"],
+        ["table", "--from", "3", "--to", "1000"],
+    ])
+    def test_out_file_holds_stdout(self, capsys, tmp_path, argv):
+        argv = [*argv, "--index-file", str(const_index_file(tmp_path))]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and len(out) > 2 * cli_mod._CHUNK
+        target = tmp_path / "out.txt"
+        target.write_text("an earlier, longer answer\n" * 10**5)
+        assert run_cli(capsys, *argv, "--out", str(target)) == (0, "", "")
+        assert target.read_text(encoding="utf-8") == out
+
+
 class TestProcess:
-    def test_one_parser_serves_every_call(self, capsys, monkeypatch):
+    def test_one_parser_serves_every_call(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal width
+        const = str(const_index_file(tmp_path))
         sequence = [
             ["max", "--index", "azi", "--n", "12", "--enumerate", "--dedup", "--limit", "3"],
             ["max", "--index", "azi", "--n", "12"],
             ["max", "--index", "azi", "--n", "twelve"],
             ["table", "--index", "azi", "--from", "3", "--to", "8", "--format", "json"],
+            # a count of 4303 digits, past the int-to-str limit, rendered while written
+            ["max", "--index-file", const, "--n", "14300", "--format", "plain"],
+            ["max", "--index-file", const, "--n", "14", "--enumerate"],
         ]
+        digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+        before = digit_limit()
         for argv in sequence:
             try:
                 code = main(argv)
             except SystemExit as exc:  # argparse refusal
                 code = exc.code
             assert (code, *capsys.readouterr()) == run_fresh(*argv), argv
+            assert code == (2 if "twelve" in argv else 0), argv
+            assert digit_limit() == before, argv
         assert cli_mod.build_parser.cache_info().currsize == 1
         probe = "import polychain.cli as c; print(c.build_parser.cache_info().currsize)"
         fresh = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
         assert fresh.stdout == "0\n", "the parser is built at import"
 
-    def test_out_of_memory_exits_2(self):
+    def test_out_of_memory_exits_2(self, tmp_path):
         # the 10**10-byte witness cannot be allocated under a 1 GiB address
         # space, set on the child alone; exit 1 would mean a mismatch
         def limit_memory():
             resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
 
-        proc = subprocess.run(
-            [sys.executable, "-m", "polychain.cli", "max", "--index", "azi", "--n", "10000000000"],
-            capture_output=True, text=True, timeout=120, preexec_fn=limit_memory)
+        argv = [sys.executable, "-m", "polychain.cli", "max", "--index", "azi", "--n", "10000000000"]
+        proc = subprocess.run(argv, capture_output=True, text=True, timeout=120,
+                              preexec_fn=limit_memory)
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: out of memory")
         assert proc.stderr.count("\n") == 1
+        # nor does it touch an --out file
+        target = tmp_path / "kept.txt"
+        target.write_bytes(b"an earlier answer\n")
+        again = subprocess.run([*argv, "--out", str(target)], capture_output=True, text=True,
+                               timeout=120, preexec_fn=limit_memory)
+        assert (again.returncode, again.stdout, again.stderr) == (2, "", proc.stderr)
+        assert target.read_bytes() == b"an earlier answer\n"
 
     def test_closed_pipe_ends_quietly(self):
         # a 200 KB witness overfills the 64 KB pipe buffer, so the write meets EPIPE

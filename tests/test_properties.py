@@ -8,11 +8,13 @@ import io
 import json
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polychain.cli as cli_mod
 from polychain.chains import LinkVector
 from polychain.cli import _render_json, _unlimited_int_digits, main
 from polychain.dp import run_dp
@@ -167,7 +169,7 @@ def _cli_argv(draw, paths):
         argv += ["--n", str(n)] + ([] if limit is None else ["--limit", str(limit)])
         _flag(draw, argv, "--end", [1, 2])
         argv += _switches(draw, "--dedup", "--iso")
-        if limit is not None or n <= 12:  # a constant table has 2**(n - 2) optimal chains
+        if limit is not None or n <= 16:  # a constant table has 2**(n - 2) optimal chains
             argv += _switches(draw, "--enumerate")
     elif command == "classify":
         argv += _switches(draw, "--minimize")
@@ -222,7 +224,7 @@ json_docs = st.recursive(
 @given(json_docs)
 def test_json_renderer_equals_json_dumps(doc):
     with _unlimited_int_digits():
-        assert _render_json(doc) == json.dumps(doc, indent=2)
+        assert "".join(_render_json(doc)) == json.dumps(doc, indent=2)
 
 
 def _words_as_lists(doc):
@@ -235,15 +237,23 @@ def _words_as_lists(doc):
     return doc
 
 
-word_docs = st.recursive(
-    json_scalars | st.lists(st.sampled_from((1, 2))).map(LinkVector),
-    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
-    max_leaves=20,
-)
+def _word_docs(per):
+    # words one link short of a part, at it, one past it and three parts long
+    sizes = st.sampled_from([per - 1, per, per + 1, 3 * per])
+    near = sizes.flatmap(lambda k: st.lists(st.sampled_from((1, 2)), min_size=k, max_size=k))
+    words = (st.lists(st.sampled_from((1, 2)), max_size=3) | near).map(LinkVector)
+    return st.tuples(st.just(per), st.recursive(
+        json_scalars | words,
+        lambda children: st.lists(children) | st.dictionaries(st.text(), children),
+        max_leaves=20,
+    ))
 
 
 @PROPERTY
-@given(word_docs)
-def test_json_renderer_writes_link_words_as_lists(doc):
-    with _unlimited_int_digits():
-        assert _render_json(doc) == json.dumps(_words_as_lists(doc), indent=2)
+@given(st.sampled_from([_word_docs(per) for per in range(1, 7)]).flatmap(lambda docs: docs))
+def test_json_renderer_writes_link_words_as_lists(case):
+    # a part of per * 7 characters holds per links of a word at depth 1 (",\n    "
+    # between two links), fewer deeper
+    per, doc = case
+    with _unlimited_int_digits(), mock.patch.object(cli_mod, "_CHUNK", 7 * per):
+        assert "".join(_render_json(doc)) == json.dumps(_words_as_lists(doc), indent=2)
