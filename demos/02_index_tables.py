@@ -58,7 +58,7 @@ for word in ((), (1,), (2,), (1, 2, 2, 1)):
     assert direct == rec
     print(f"   chain {','.join(map(str, word)) or '(empty)':<12} AZI = {direct} = {float(direct):.6f}")
 print()
-print("evaluate_direct builds the corner graph and sums edge terms;")
+print("evaluate_direct walks the corner graph's table and sums edge terms;")
 print("evaluate_recursive adds increments.  They agree on every chain.")
 print()
 

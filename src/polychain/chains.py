@@ -18,11 +18,13 @@ hash with a per-process salt, so no output may iterate a set of words.
 This module owns that encoding and the purely structural operations on
 it: lattice realization, the corner graph and its degree-pair multiset,
 segment decomposition, the named chain families, and mirror-symmetry
-canonicalization.  The corner graph's frontier, all its step reads
-below the last square, takes 9 values, and a frontier and a link fix the
-child's: `_table` is those 18 steps and their changes of the degree-pair
-counts, read off the graph once.  `edge_degree_multiset` walks it along
-one word, and the oracle's census expands it down the link tree.
+canonicalization.  A chain's frontier, the last step's direction and
+the neighbours of the last square's south-west, south-east and
+north-east corners, is all that growth reads (`_graph`).  It takes 5
+values, and a frontier and a link fix the child's: `_table` is those 10
+steps and their changes of the degree-pair counts, read off the graph
+once.  `edge_degree_multiset` walks it along one word, and the oracle's
+census expands it down the link tree.
 """
 
 from __future__ import annotations
@@ -52,6 +54,8 @@ _RIGHT = (1, 0)
 _DOWN = (0, -1)
 
 DEGREE_PAIRS = ((2, 2), (2, 3), (2, 4), (3, 3), (3, 4), (4, 4))
+_PAIR_OF = {pair: j for j, (a, b) in enumerate(DEGREE_PAIRS) for pair in ((a, b), (b, a))}
+_RING = (((0, 0), (1, 0)), ((1, 0), (1, 1)), ((0, 1), (1, 1)), ((0, 0), (0, 1)))  # a square's sides
 
 
 @total_ordering
@@ -254,93 +258,37 @@ def realize(chain) -> tuple[tuple[int, int], ...]:
     return tuple(cells)
 
 
-class _CornerGraph:
-    """Corner graph of a chain of at most n squares, grown one square at a time.
+def _graph(word: bytes) -> tuple[tuple[int, ...], tuple]:
+    """The chain graph of `word`, read off its cells: its edges per degree
+    pair, in `DEGREE_PAIRS` order, and its frontier.  The frontier is the
+    last step's direction (True for rightward) and, for the last square's
+    south-west, south-east and north-east corners, each neighbour's offset
+    from the square's south-west corner and degree, sorted.
 
-    `deg` and `nbrs` hold each corner's degree and neighbours.  Square k
-    lies on the diagonal x - y = k - 1, so each diagonal -1..n holds at
-    most two corners, at consecutive x: corner (x, y) has slot
-    2*(x - y + 1) + (x & 1) in lists of 2*(n + 2) entries, and the other
-    corner on its diagonal has slot ^ 1.  A last square is given by its
-    south-west corner `cell` and whether it was glued rightward.
-
-    The edges per degree pair, in `DEGREE_PAIRS` order, are packed into
-    one int, `width` bits a pair, so a change of counts is one int
-    addition.  `children` reads, in O(1) and without touching the graph,
-    both squares that could be glued on next: their counts and where
-    they go, and `grow` glues one on.  `frontier` is all that `children`
-    reads below the last square.  The two-square chain's counts, cell
-    and direction are `start`.
+    It is all that growth reads.  Growth goes only right or down, so no
+    corner lies right of the last square (x, y) or below it: the next
+    square, east at (x + 1, y) or south at (x, y - 1), brings two new
+    corners, three new edges and one more edge at each corner of the side
+    it shares, se-ne or sw-se.  Only the edges at those two corners change
+    their degree pair, so the frontier gives the change of counts.  The
+    child's three corners are its two new ones and the parent's se, whose
+    neighbours and their degrees the frontier gives too.  A frontier and a
+    link thus fix the change and the child's frontier, and equal frontiers
+    have equal subtrees for every n.
     """
+    cells = realize(word)
+    sides = {((x + a, y + b), (x + c, y + d)) for x, y in cells for (a, b), (c, d) in _RING}
+    degree = Counter(corner for side in sides for corner in side)
+    counts = [0] * len(DEGREE_PAIRS)
+    for p, q in sides:
+        counts[_PAIR_OF[degree[p], degree[q]]] += 1
+    (px, _), (x, y) = cells[-2:]
 
-    __slots__ = ("deg", "nbrs", "width", "up", "join", "start")
+    def near(corner):
+        return tuple(sorted(((u - x, v - y), degree[u, v]) for side in sides if corner in side
+                            for u, v in side if (u, v) != corner))
 
-    def __init__(self, n: int) -> None:
-        self.width = width = _counts_width(n)
-        self.up, self.join = _corner_tables(width)
-        self.deg = [0] * (2 * (n + 2))
-        self.nbrs: list[list[int] | None] = [None] * (2 * (n + 2))
-        # the square at (0, 0): corners (0, 1), (0, 0), (1, 1), (1, 0) at slots 0, 2, 3, 5
-        for corner, nbrs in ((0, [2, 3]), (2, [5, 0]), (3, [5, 0]), (5, [2, 3])):
-            self.deg[corner], self.nbrs[corner] = 2, nbrs
-        # the square at (1, 0) is glued east of four (2, 2) edges, the lowest pair
-        counts, s1, s2, t1, t2, cell, right = self.children(4, 2, True)[0]
-        self.grow(s1, s2, t1, t2)
-        self.start = (counts, cell, right)
-
-    def children(self, counts: int, cell: int, right: bool) -> tuple[tuple, tuple]:
-        """Link 1's and link 2's child of the last square, of packed counts
-        `counts`: each child's counts, the side s1 s2 of the last square it
-        is glued to, its far corners t1, t2 (t1 joined to s1), its cell and
-        direction.  A square glued to a side moves the edges at s1 and s2
-        up a degree and joins three new edges; the east child takes side
-        se-ne, the south child sw-se, so both share the up terms at se."""
-        deg, nbrs, up, join = self.deg, self.nbrs, self.up, self.join
-        ne = cell ^ 1
-        se, below = ne + 2, cell + 2
-        d = deg[se]
-        u = up[d]
-        for w in nbrs[se]:
-            counts += u[deg[w]]
-        e = deg[ne]
-        u = up[e]
-        east = counts + join[d][e]
-        for w in nbrs[ne]:
-            east += u[deg[w]]
-        e = deg[cell]
-        u = up[e]
-        south = counts + join[e][d]
-        for w in nbrs[cell]:
-            south += u[deg[w]]
-        east = (east, se, ne, cell + 4, below, se, True)
-        south = (south, cell, se, below, ne + 4, below, False)
-        return (east, south) if right else (south, east)
-
-    def grow(self, s1: int, s2: int, t1: int, t2: int) -> None:
-        """Glue on the square with side s1 s2 and far corners t1, t2."""
-        deg, nbrs = self.deg, self.nbrs
-        deg[s1] += 1
-        deg[s2] += 1
-        deg[t1] = deg[t2] = 2
-        nbrs[s1].append(t1)
-        nbrs[s2].append(t2)
-        nbrs[t1] = [s1, t2]
-        nbrs[t2] = [s2, t1]
-
-    def frontier(self, cell: int, right: bool) -> tuple:
-        """All `children` reads here and below the last square, flat in one
-        tuple: the growth direction, the cell's parity and, for each of the
-        cell, ne and se corners, its degree and each neighbour's offset from
-        the cell and degree (a corner's degree is its number of neighbours).
-        Nodes with equal frontiers have equal walks below them."""
-        deg, nbrs = self.deg, self.nbrs
-        ne = cell ^ 1
-        key = [right, cell & 1]
-        for x in (cell, ne, ne + 2):
-            key.append(deg[x])
-            for w in nbrs[x]:
-                key += w - cell, deg[w]
-        return tuple(key)
+    return tuple(counts), (x > px, near((x, y)), near((x + 1, y)), near((x + 1, y + 1)))
 
 
 def _counts_width(n: int) -> int:
@@ -354,44 +302,18 @@ def _unpack(counts: int, width: int) -> tuple[int, ...]:
 
 
 @cache
-def _corner_tables(width: int) -> tuple[tuple, tuple]:
-    """`_CornerGraph`'s `up` and `join` for counts packed `width` bits a
-    pair: built once per width, as tuples, so no graph can change them."""
-    bit = [[0] * 5 for _ in range(5)]  # bit[a][b]: one edge between degrees a and b
-    for j, (a, b) in enumerate(DEGREE_PAIRS):
-        bit[a][b] = bit[b][a] = 1 << width * j
-    # up[d][e]: an edge between degrees d and e gains one at its degree-d end;
-    # join[d1][d2]: a square is glued to a side s1 s2 of those degrees, less
-    # the side's own two up terms, which `children` takes in with the neighbours
-    up = tuple(tuple(bit[d + 1][e] - bit[d][e] for e in range(5)) for d in range(4))
-    join = tuple(tuple(bit[d1 + 1][d2 + 1] - bit[d1][d2] + bit[d1 + 1][2] + bit[d2 + 1][2]
-                       + bit[2][2] - up[d1][d2] - up[d2][d1] for d2 in range(4))
-                 for d1 in range(4))
-    return up, join
-
-
-@cache
 def _automaton() -> tuple[tuple[tuple, ...], tuple[int, ...], tuple[tuple[tuple, tuple], ...]]:
     """``(frontiers, start, steps)``: the corner graph as an automaton, read
     off the graph alone on first use.  State s has frontier ``frontiers[s]``,
     state 0 is the two-square chain's, of edges per degree pair `start`, and
     link e takes s to ``steps[s][e - 1]``: the child's state and change."""
-
-    def grown(word: bytes) -> tuple[tuple[int, ...], tuple]:
-        graph = _CornerGraph(len(word) + 2)
-        counts, cell, right = graph.start
-        for link in word:
-            counts, s1, s2, t1, t2, cell, right = graph.children(counts, cell, right)[link - 1]
-            graph.grow(s1, s2, t1, t2)
-        return _unpack(counts, graph.width), graph.frontier(cell, right)
-
-    start, frontier = grown(b"")
+    start, frontier = _graph(b"")
     states, words, steps = {frontier: 0}, [b""], []
     for word in words:  # a word is appended when it meets a new frontier
-        counts = grown(word)[0]
+        counts = _graph(word)[0]
         step = []
         for child in (word + b"\1", word + b"\2"):
-            after, frontier = grown(child)
+            after, frontier = _graph(child)
             if states.setdefault(frontier, len(words)) == len(words):
                 words.append(child)
             step.append((states[frontier], tuple(map(sub, after, counts))))

@@ -368,16 +368,19 @@ def _cmd_table(args, f: IndexFunction):
         raise ValueError(f"table rows need n >= 3, got --from {lo}")
     family = _azi_family if _is_azi(f) else None
     max_table, min_table = run_dp(f, hi), run_dp(negate(f), hi)
-    rows = []
-    for n in range(lo, hi + 1):
+
+    def row(n):
         # one read of each table's row n; the min is f's read of the negated optimum
         _, ends, top = max_table._row(n)
         _, low_ends, low = min_table._row(n)
         count = sum(max_table._count(n, e) for e in ends)
         name, _, _, iso = (family(n) if family else
                            (None, None, None, count - max_table._mirror_pairs(n, ends)))
-        rows.append((n, top[ends[0] - 1], -low[low_ends[0] - 1], count, iso, name))
-    # a row's texts are made as it is written, in CSV only the column's own
+        return n, top[ends[0] - 1], -low[low_ends[0] - 1], count, iso, name
+
+    # rows are read in order as they are written, their texts made then,
+    # in CSV only the column's own
+    rows = map(row, range(lo, hi + 1))
     if args.format == "json":
         json_text = _SCALAR_JSON  # str and None fields as their JSON text
         rows = ((n, *_texts(f, top), *_texts(f, low), count, iso, name)

@@ -9,7 +9,7 @@ Cost model.  A chain's index value depends only on its degree-pair
 vector: how many edges join corners of degrees (2,2), (2,3), ..., (4,4),
 in `DEGREE_PAIRS` order.  That vector does not depend on the index, so
 `census(n)` takes it once per n, over the table `evaluate_direct` walks
-(`chains._table`), the corner graph as a 9-state automaton: a state and
+(`chains._table`), the corner graph as a 5-state automaton: a state and
 a link fix the child's state and change of vector.  The census expands
 the 2**a prefixes of a = (n - 2) // 2 links over the table a level at a
 time, and the b = n - 2 - a links below each state they reach once, a

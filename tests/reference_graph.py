@@ -2,9 +2,10 @@
 chain by chain, as references for the walker and for the oracle.
 
 `chains.edge_degree_multiset` and the oracle's census both walk one
-table read off the incremental corner graph.  Checking them against each
-other would check that table against itself, so the tests compare both
-with this independent construction from the realized cells instead.
+table, read off the graphs of a few short words (`chains._graph`) as an
+automaton.  Checking them against each other would check that table
+against itself, so the tests compare both with this construction from
+the realized cells instead, which counts every edge of every chain.
 
 `assert_checked_word` holds a word the engine built without the input
 check to what the public `LinkVector` constructor would accept.
@@ -20,16 +21,24 @@ from polychain.indices import DEGREE_PAIRS, FLOAT
 from polychain.oracle import OracleReport
 
 
-def reference_multiset(chain) -> Counter:
-    """Degree pairs over the edges of the chain graph, from its edge set."""
+def reference_graph(chain, sides=("south", "north", "west", "east")) -> tuple[set, Counter]:
+    """The chain graph's edge set, each edge a pair of corners, and each
+    corner's degree; each square brings the named of its unit sides."""
     edges = set()
     for x, y in realize(chain):
         sw, se, ne, nw = (x, y), (x + 1, y), (x + 1, y + 1), (x, y + 1)
-        edges.update(((sw, se), (nw, ne), (sw, nw), (se, ne)))
+        ring = {"south": (sw, se), "north": (nw, ne), "west": (sw, nw), "east": (se, ne)}
+        edges.update(ring[side] for side in sides)
     degree: Counter = Counter()
     for a, b in edges:
         degree[a] += 1
         degree[b] += 1
+    return edges, degree
+
+
+def reference_multiset(chain) -> Counter:
+    """Degree pairs over the edges of the chain graph, from its edge set."""
+    edges, degree = reference_graph(chain)
     pairs: Counter = Counter()
     for a, b in edges:
         da, db = degree[a], degree[b]

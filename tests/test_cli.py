@@ -429,6 +429,27 @@ class TestTable:
         assert calls["_count"] == [("const", n) for n in rows for _ in (1, 2)]
         assert calls["_mirror_pairs"] == [("const", n) for n in rows]
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_rows_are_read_as_they_are_written(self, monkeypatch, fmt):
+        # the first part of about _CHUNK characters goes out after a few
+        # thousand of 20 000 rows are read, not all of them
+        reads, real = [], dp_mod.DPTable._row
+
+        def counted(table, k, *args):
+            reads.append(k)
+            return real(table, k, *args)
+
+        monkeypatch.setattr(dp_mod.DPTable, "_row", counted)
+        args = cli_mod.build_parser().parse_args(
+            ["table", "--index", "azi", "--from", "3", "--to", "20002", "--format", fmt])
+        chunks, code = cli_mod._cmd_table(args, preset("azi"))
+        drawn = 0
+        for chunk in chunks:
+            drawn += len(chunk)
+            if drawn >= cli_mod._CHUNK:
+                break
+        assert code == 0 and 0 < len(reads) < 20000 // 4
+
 
 def reference_table(f, lo, hi, fmt, exact):
     """CLI `table`'s text for rows lo..hi, row by row from the public API:

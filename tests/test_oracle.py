@@ -6,8 +6,8 @@ import time
 import tracemalloc
 from fractions import Fraction
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from itertools import accumulate, product
-from operator import sub
 
 import pytest
 
@@ -18,12 +18,13 @@ import polychain.dp as dp_mod
 import polychain.indices as indices_mod
 from polychain.chains import (
     _automaton,
-    _CornerGraph,
     _counts_width,
+    _graph,
     _table,
     _unpack,
     edge_degree_multiset,
     linear_chain,
+    realize,
 )
 from polychain.dp import DPTable
 from polychain.indices import (
@@ -43,11 +44,30 @@ from reference_graph import (
     _cached_multiset,
     _cached_pair_counts,
     assert_checked_word,
+    reference_graph,
     reference_multiset,
     reference_report,
 )
 
 AZI = preset("azi")
+
+
+def pair_of(degree, edge):
+    """An edge's degree pair, smaller degree first."""
+    return tuple(sorted(degree[w] for w in edge))
+
+
+def frontier_of(edges, degree, cell, right):
+    """What `chains._graph` documents as a frontier: the last step's
+    direction and, for the last square's sw, se and ne corners, each
+    neighbour's offset from `cell`, the sw corner, and degree, sorted."""
+    x, y = cell
+
+    def near(corner):
+        return tuple(sorted(((u - x, v - y), degree[u, v]) for edge in edges if corner in edge
+                            for u, v in edge if (u, v) != corner))
+
+    return right, near((x, y)), near((x + 1, y)), near((x + 1, y + 1))
 
 
 def small_range_tables(seed, count):
@@ -442,66 +462,77 @@ class TestCensus:
         finally:
             census.cache_clear()
 
-    @pytest.mark.parametrize("n", range(12, 17))
+    @pytest.mark.parametrize("n", range(2, 17))
     def test_each_prefix_replays_the_part_of_its_frontier(self, n):
-        # the census replays one part per state of the corner graph's table,
-        # so the table must be the graph's: at every word of at most n - 2
-        # links, grown on a graph, the state the table reaches has the
-        # graph's frontier; and a copy of the graph whose degrees and
-        # neighbour lists are poisoned past the last square's cell, ne and se
-        # corners and their neighbours (degree 99 is in no `up` or `join`
-        # row) gives the table's two steps: each child's state and change
-        frontiers, _, steps = _automaton()
+        # the census replays one part per state of the corner graph's table
+        # at every prefix in that state, so a state must stand for the graphs
+        # of its words: at every word of n - 2 links (past 12 links, at 4096
+        # of them), the state the table walk reaches has the word's frontier,
+        # and the walk's counts are the reference graph's
+        frontiers = _automaton()[0]
         width = _counts_width(n)
+        start, nexts, changes = _table(width)
+        level = [((), 0, start)]
+        for _ in range(n - 2):
+            level = [(word + (e + 1,), nexts[e][state], counts + changes[e][state])
+                     for word, state, counts in level for e in (0, 1)]
+        if n > 14:
+            level = random.Random(n).sample(level, 4096)
+        for word, state, counts in level:
+            assert frontiers[state] == _graph(bytes(word))[1], word
+            pairs = reference_multiset(word)
+            assert _unpack(counts, width) == tuple(pairs[p] for p in DEGREE_PAIRS), word
 
-        def copied(graph, corners=None):
-            copy = _CornerGraph(n)
-            if corners is None:
-                copy.deg = list(graph.deg)
-                copy.nbrs = [None if x is None else list(x) for x in graph.nbrs]
-                return copy
-            copy.deg = [99] * len(graph.deg)
-            copy.nbrs = [None] * len(graph.nbrs)
-            for x in corners:
-                copy.nbrs[x] = list(graph.nbrs[x])
-                for w in (x, *graph.nbrs[x]):
-                    copy.deg[w] = graph.deg[w]
-            return copy
+    def test_each_step_reads_only_the_frontier(self):
+        # every word of at most 6 links, grown by each link on a copy of its
+        # graph where every corner but the last square's sw, se and ne and
+        # their neighbours has a bogus degree, gives its state's step in the
+        # table: the change and the child's frontier.  A step reads the
+        # frontier alone, so equal frontiers have equal steps, and by
+        # induction equal subtrees, for every n
+        frontiers, _, steps = _automaton()
+        assert len(frontiers) == len(set(frontiers)) == len(steps) == 5
+        level, seen, bogus_seen = [((), 0)], set(), 0
+        for _ in range(7):
+            for word, state in level:
+                seen.add(state)
+                edges, degree = reference_graph(word)
+                (px, _), (x, y) = realize(word)[-2:]
+                assert frontier_of(edges, degree, (x, y), x > px) == frontiers[state], word
+                corners = {(x, y), (x + 1, y), (x + 1, y + 1)}
+                read = {w for edge in edges if corners & set(edge) for w in edge}
+                bogus = Counter({w: d if w in read else 99 for w, d in degree.items()})
+                bogus_seen += len(degree) - len(read)
+                for link, (child, change) in enumerate(steps[state], 1):
+                    right = (x > px) == (link == 1)
+                    cell = (x + 1, y) if right else (x, y - 1)
+                    assert realize(word + (link,))[-1] == cell
+                    new = reference_graph(word + (link,))[0] - edges
+                    grown = bogus.copy()
+                    grown.update(w for edge in new for w in edge)
+                    moved = Counter(pair_of(grown, edge) for edge in edges | new)
+                    moved.subtract(pair_of(bogus, edge) for edge in edges)
+                    assert {p: m for p, m in moved.items() if m} == {
+                        p: m for p, m in zip(DEGREE_PAIRS, change) if m}, (word, link)
+                    assert frontier_of(edges | new, grown, cell, right) == frontiers[child], (word, link)
+            level = [(word + (link,), steps[state][link - 1][0])
+                     for word, state in level for link in (1, 2)]
+        assert seen == set(range(5)) and bogus_seen > 1000
 
-        def visit(graph, word, state, counts, cell, right):
-            if len(word) == n - 2:
-                return
-            poisoned = copied(graph, (cell, cell ^ 1, (cell ^ 1) + 2))
-            pairs = zip(graph.children(counts, cell, right),
-                        poisoned.children(counts, cell, right), steps[state])
-            for link, (child, seen, (next_state, change)) in enumerate(pairs, 1):
-                assert seen == child, (word, link)
-                after, s1, s2, t1, t2, next_cell, next_right = child
-                assert tuple(map(sub, _unpack(after, width), _unpack(counts, width))) == change
-                for source in (poisoned, graph):
-                    grown = copied(source)
-                    grown.grow(s1, s2, t1, t2)
-                    assert grown.frontier(next_cell, next_right) == frontiers[next_state], word
-                visit(grown, word + (link,), next_state, after, next_cell, next_right)
+    def test_a_graph_missing_a_side_changes_the_table_and_the_values(self, monkeypatch):
+        # a mutant graph, each square without its east side: the table read
+        # off it differs, and evaluate_direct, which walks that table, then
+        # misvalues some chain
+        real = _automaton()
 
-        graph = _CornerGraph(n)
-        assert graph.frontier(*graph.start[1:]) == frontiers[0]
-        visit(graph, (), 0, *graph.start)
-        assert len(frontiers) == len(set(frontiers)) == 9
+        def mutant(word):
+            edges, degree = reference_graph(word, ("south", "north", "west"))
+            pairs = Counter(pair_of(degree, edge) for edge in edges)
+            (px, _), (x, y) = realize(word)[-2:]
+            return (tuple(pairs[p] for p in DEGREE_PAIRS),
+                    frontier_of(edges, degree, (x, y), x > px))
 
-    def test_a_bumped_join_entry_changes_the_table_and_the_values(self, monkeypatch):
-        # a mutant graph, one (2, 2) edge more wherever a square is glued to
-        # a side of two degree-2 corners: the table read off it differs, and
-        # evaluate_direct, which walks that table, then misvalues some chain
-        real, corner_tables = _automaton(), chains_mod._corner_tables
-
-        def bumped(width):
-            up, join = corner_tables(width)
-            join = [list(row) for row in join]
-            join[2][2] += 1
-            return up, tuple(map(tuple, join))
-
-        monkeypatch.setattr(chains_mod, "_corner_tables", bumped)
+        monkeypatch.setattr(chains_mod, "_graph", mutant)
         _automaton.cache_clear()
         _table.cache_clear()
         try:
