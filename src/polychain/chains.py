@@ -18,13 +18,13 @@ hash with a per-process salt, so no output may iterate a set of words.
 This module owns that encoding and the purely structural operations on
 it: lattice realization, the corner graph and its degree-pair multiset,
 segment decomposition, the named chain families, and mirror-symmetry
-canonicalization.  A chain's frontier, the last step's direction and
-the neighbours of the last square's south-west, south-east and
-north-east corners, is all that growth reads (`_graph`).  It takes 5
-values, and a frontier and a link fix the child's: `_table` is those 10
-steps and their changes of the degree-pair counts, read off the graph
-once.  `edge_degree_multiset` walks it along one word, and the oracle's
-census expands it down the link tree.
+canonicalization.  A chain's frontier, the neighbours of the last
+square's south-west, south-east and north-east corners, is all that
+growth reads (`_graph`).  It takes 5 values, and a frontier and a link
+fix the child's: `_table` is those 10 steps and their changes of the
+degree-pair counts, read off the graph once.  `edge_degree_multiset`
+walks it along one word, and the oracle's census expands it down the
+link tree.
 """
 
 from __future__ import annotations
@@ -260,21 +260,23 @@ def realize(chain) -> tuple[tuple[int, int], ...]:
 
 def _graph(word: bytes) -> tuple[tuple[int, ...], tuple]:
     """The chain graph of `word`, read off its cells: its edges per degree
-    pair, in `DEGREE_PAIRS` order, and its frontier.  The frontier is the
-    last step's direction (True for rightward) and, for the last square's
-    south-west, south-east and north-east corners, each neighbour's offset
-    from the square's south-west corner and degree, sorted.
+    pair, in `DEGREE_PAIRS` order, and its frontier.  The frontier is, for
+    the last square's south-west, south-east and north-east corners, each
+    neighbour's offset from the square's south-west corner and degree,
+    sorted.
 
     It is all that growth reads.  Growth goes only right or down, so no
-    corner lies right of the last square (x, y) or below it: the next
-    square, east at (x + 1, y) or south at (x, y - 1), brings two new
-    corners, three new edges and one more edge at each corner of the side
-    it shares, se-ne or sw-se.  Only the edges at those two corners change
-    their degree pair, so the frontier gives the change of counts.  The
-    child's three corners are its two new ones and the parent's se, whose
-    neighbours and their degrees the frontier gives too.  A frontier and a
-    link thus fix the change and the child's frontier, and equal frontiers
-    have equal subtrees for every n.
+    corner lies right of the last square (x, y) or below it, and its
+    south-west corner has a neighbour at offset (-1, 0) exactly when the
+    last step went right.  So a link fixes the next square, east at
+    (x + 1, y) or south at (x, y - 1): two new corners, three new edges
+    and one more edge at each corner of the side it shares, se-ne or
+    sw-se.  Only the edges at those two corners change their degree pair,
+    so the frontier gives the change of counts.  The child's three corners
+    are its two new ones and the parent's se, whose neighbours and their
+    degrees the frontier gives too.  A frontier and a link thus fix the
+    change and the child's frontier, and equal frontiers have equal
+    subtrees for every n.
     """
     cells = realize(word)
     sides = {((x + a, y + b), (x + c, y + d)) for x, y in cells for (a, b), (c, d) in _RING}
@@ -282,13 +284,13 @@ def _graph(word: bytes) -> tuple[tuple[int, ...], tuple]:
     counts = [0] * len(DEGREE_PAIRS)
     for p, q in sides:
         counts[_PAIR_OF[degree[p], degree[q]]] += 1
-    (px, _), (x, y) = cells[-2:]
+    x, y = cells[-1]
 
     def near(corner):
         return tuple(sorted(((u - x, v - y), degree[u, v]) for side in sides if corner in side
                             for u, v in side if (u, v) != corner))
 
-    return tuple(counts), (x > px, near((x, y)), near((x + 1, y)), near((x + 1, y + 1)))
+    return tuple(counts), (near((x, y)), near((x + 1, y)), near((x + 1, y + 1)))
 
 
 def _counts_width(n: int) -> int:

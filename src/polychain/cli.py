@@ -27,7 +27,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from types import GeneratorType, SimpleNamespace
+from types import GeneratorType
 
 from .azi import ORACLE_N_MAX, _azi, _azi_family, verify_azi_maximum, verify_azi_minimum
 from .chains import LinkVector, _words_text, realize
@@ -202,6 +202,10 @@ def _words_parts(words, sep: bytes, between: bytes = b"", head: str = "", tail: 
         yield tail
 
 
+# rows `table` reads before it writes them: reading each row just before its text
+# is made takes about a tenth longer than reading a block first, and a block is small
+_ROWS = 256
+
 # an (x, y) cell, and a table row from its JSON-ready fields, in those lists
 _CELL_JSON = "[\n      %s,\n      %s\n    ]"
 # chains at a top-level key, lists of links: `_words_parts`' separators, head and tail
@@ -220,6 +224,8 @@ _ROW_JSON = """{
       "iso_count": %s,
       "family": %s
     }"""
+# a CSV table row: no cell holds a comma, a quote or a line break
+_ROW_CSV = "%s,%s,%s,%s,%s,%s\n"
 
 
 def _value_plain(v) -> str:
@@ -378,9 +384,10 @@ def _cmd_table(args, f: IndexFunction):
                            (None, None, None, count - max_table._mirror_pairs(n, ends)))
         return n, top[ends[0] - 1], -low[low_ends[0] - 1], count, iso, name
 
-    # rows are read in order as they are written, their texts made then,
-    # in CSV only the column's own
-    rows = map(row, range(lo, hi + 1))
+    # rows are read in order, a block of `_ROWS` at a time, and their texts
+    # made as they are written, in CSV only the column's own
+    rows = itertools.chain.from_iterable(list(map(row, range(start, min(start + _ROWS, hi + 1))))
+                                         for start in range(lo, hi + 1, _ROWS))
     if args.format == "json":
         json_text = _SCALAR_JSON  # str and None fields as their JSON text
         rows = ((n, *_texts(f, top), *_texts(f, low), count, iso, name)
@@ -389,19 +396,14 @@ def _cmd_table(args, f: IndexFunction):
                  json_text[type(name)](name)) for n, e1, d1, e2, d2, count, iso, name in rows)
         return _json_text({"command": "table", "index": f.name,
                            "rows": _json_rows(_ROW_JSON, rows)}), 0
-    import csv  # imported here: no other command writes CSV
-
     exact = args.exact and f.mode == RATIONAL
 
     def text(raw):  # p/q or the decimal
         return _exact_text(raw, f.den) if exact else _texts(f, raw)[1]
 
-    # writerow returns what its file's write returns: here the row's line
-    line = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
-    head = [("n", "max", "min", "labeled_count", "iso_count", "family")]
-    return _joined(map(line, itertools.chain(head, (
-        (n, text(top), text(low), count, iso, name or "")
-        for n, top, low, count, iso, name in rows)))), 0
+    return _joined(itertools.chain(("n,max,min,labeled_count,iso_count,family\n",), (
+        _ROW_CSV % (n, text(top), text(low), count, iso, name or "")
+        for n, top, low, count, iso, name in rows))), 0
 
 
 def _cmd_verify(args, f: IndexFunction):

@@ -17,16 +17,16 @@ part, which every prefix in that state replays with its counts and
 position: about 2**(n/2) table steps, and one pass over prefixes times
 part entries that numbers the distinct vectors (98 at n = 14, 135 at
 n = 16).  A part keeps its positions in one array, cut by count change
-and last link, and the parts share their changes.  A group, the
-ascending lexicographic positions of the chains of one vector and last
-link (2 bytes a chain, 4 past n = 18), is built
-when first read, at one dict lookup a prefix plus its chains, and kept;
-once every group is built, the prefixes are let go.  The census is
-built on first use and cached per n, so every index and every sweep at
-that n shares it, and its parts serve the next census with the same b
-(`_parts`).  A sweep then values each distinct vector once, as an int:
-its dot product with the index's scaled entries (`IndexFunction.scaled`,
-exact in both modes).
+and last link.  A group, the ascending lexicographic positions of the
+chains of one vector and last link (2 bytes a chain, 4 past n = 18), is
+built when first read, at one dict lookup a prefix plus its chains, and
+kept; once every group is built, the prefixes are let go.  The census
+is built on first use and cached per n, so every index and every sweep
+at that n shares it, and the parts, a pure function of b and the
+packing width cached for the last pair (`_parts`), serve the next
+census with the same b.  A sweep then values each distinct vector once,
+as an int: its dot product with the index's scaled entries
+(`IndexFunction.scaled`, exact in both modes).
 Per result set, builtin max/min pick the extreme over the vectors
 present, `IndexFunction.ties` marks the values that tie it among those
 an exact bound leaves in a window around it (`_tying`, a bisection of
@@ -83,8 +83,8 @@ def census(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple["_Groups", "_Grou
     links are expanded over the corner graph's table, the b = n - 2 - a
     links below them by `_part` once per state, and every prefix adds its
     packed counts and ``prefix << b`` to the part of its state.  A part
-    depends on its state, b and the packing width alone: the parts of the
-    last census with that b and width are reused (`_parts`).
+    depends on its state, b and the packing width alone, so `_parts`
+    keeps those of the last b and width asked for.
     The result is cached and shared by every caller.
     """
     if n < 2:
@@ -93,13 +93,8 @@ def census(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple["_Groups", "_Grou
     table = _table(width)
     a = (n - 2) // 2
     b = n - 2 - a
-    parts = _parts(width, b)  # per state, its `_part`
-    deltas: dict[int, int] = {}  # the changes of counts the parts built here share
     states, counts_at = _expand(table, [0], [table[0]], a)  # per prefix, in lexicographic order
-    for state in dict.fromkeys(states):
-        if state not in parts:
-            parts[state] = _part(table, state, b, deltas)
-    part_at = list(map(parts.__getitem__, states))  # per prefix, the part of its state
+    part_at = list(map(_parts(width, b).__getitem__, states))  # per prefix, the part of its state
     # ids in the order the chains first meet their vectors: prefix by prefix,
     # each part's changes in the order its own chains first meet them
     packed = list(dict.fromkeys(chain.from_iterable(
@@ -115,11 +110,13 @@ def census(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple["_Groups", "_Grou
 
 
 @lru_cache(maxsize=1)
-def _parts(width: int, b: int) -> dict[int, tuple]:
-    """Per state, its part of b links with counts packed `width`
-    bits a pair, for the last (width, b) asked for: census(2k + 1) and
-    census(2k + 2) share one, as 6k + 4 and 6k + 7 have one bit length."""
-    return {}
+def _parts(width: int, b: int) -> tuple[tuple, ...]:
+    """Per state, its `_part` of b links with counts packed `width` bits
+    a pair, for the last (width, b) asked for: census(2k + 1) and
+    census(2k + 2) share them, as 6k + 4 and 6k + 7 have one bit length."""
+    table = _table(width)
+    states = len(table[1][0])  # link 1's next states, one a state
+    return tuple(_part(table, state, b) for state in range(states))
 
 
 class _Groups:
@@ -162,17 +159,15 @@ class _Groups:
         return view
 
 
-def _part(table: tuple, state: int, links: int, deltas: dict) -> tuple:
+def _part(table: tuple, state: int, links: int) -> tuple:
     """The chains `links` links below a node of state `state`, by change
     of packed counts from the node's: a dict from each change, in the
     order the chains first meet it, to its slot 2k; the positions below
     the node, those with the k-th change and last link e ascending in
     ``positions[bounds[2k + e]:bounds[2k + e + 1]]``; and per last link,
-    the changes its chains meet.  A change already in `deltas` is kept
-    as that int, so parts that share `deltas` share their changes."""
+    the changes its chains meet."""
     changes = _expand(table, [state], [0], links)[1]  # per position below the node
-    slots = {deltas.setdefault(delta, delta): k
-             for k, delta in zip(count(0, 2), dict.fromkeys(changes))}
+    slots = {delta: k for k, delta in zip(count(0, 2), dict.fromkeys(changes))}
     keys = list(map(slots.__getitem__, changes))
     keys[1::2] = map((1).__add__, keys[1::2])  # slot 2k + 1 for last link 2
     sizes = Counter(keys)

@@ -33,6 +33,7 @@ from polychain.indices import (
     PRESET_NAMES,
     RATIONAL,
     IndexFunction,
+    _increments,
     degree_pair_sum,
     evaluate_direct,
     force_float,
@@ -57,17 +58,17 @@ def pair_of(degree, edge):
     return tuple(sorted(degree[w] for w in edge))
 
 
-def frontier_of(edges, degree, cell, right):
-    """What `chains._graph` documents as a frontier: the last step's
-    direction and, for the last square's sw, se and ne corners, each
-    neighbour's offset from `cell`, the sw corner, and degree, sorted."""
+def frontier_of(edges, degree, cell):
+    """What `chains._graph` documents as a frontier: for the last square's
+    sw, se and ne corners, each neighbour's offset from `cell`, the sw
+    corner, and degree, sorted."""
     x, y = cell
 
     def near(corner):
         return tuple(sorted(((u - x, v - y), degree[u, v]) for edge in edges if corner in edge
                             for u, v in edge if (u, v) != corner))
 
-    return right, near((x, y)), near((x + 1, y)), near((x + 1, y + 1))
+    return near((x, y)), near((x + 1, y)), near((x + 1, y + 1))
 
 
 def small_range_tables(seed, count):
@@ -487,9 +488,11 @@ class TestCensus:
         # every word of at most 6 links, grown by each link on a copy of its
         # graph where every corner but the last square's sw, se and ne and
         # their neighbours has a bogus degree, gives its state's step in the
-        # table: the change and the child's frontier.  A step reads the
-        # frontier alone, so equal frontiers have equal steps, and by
-        # induction equal subtrees, for every n
+        # table: the change and the child's frontier.  The frontier fixes
+        # the last step's direction, and so where each link puts the next
+        # square: the sw corner has a west neighbour exactly after a step
+        # right.  A step reads the frontier alone, so equal frontiers have
+        # equal steps, and by induction equal subtrees, for every n
         frontiers, _, steps = _automaton()
         assert len(frontiers) == len(set(frontiers)) == len(steps) == 5
         level, seen, bogus_seen = [((), 0)], set(), 0
@@ -498,7 +501,8 @@ class TestCensus:
                 seen.add(state)
                 edges, degree = reference_graph(word)
                 (px, _), (x, y) = realize(word)[-2:]
-                assert frontier_of(edges, degree, (x, y), x > px) == frontiers[state], word
+                assert frontier_of(edges, degree, (x, y)) == frontiers[state], word
+                assert any(offset == (-1, 0) for offset, _ in frontiers[state][0]) == (x > px), word
                 corners = {(x, y), (x + 1, y), (x + 1, y + 1)}
                 read = {w for edge in edges if corners & set(edge) for w in edge}
                 bogus = Counter({w: d if w in read else 99 for w, d in degree.items()})
@@ -514,10 +518,34 @@ class TestCensus:
                     moved.subtract(pair_of(bogus, edge) for edge in edges)
                     assert {p: m for p, m in moved.items() if m} == {
                         p: m for p, m in zip(DEGREE_PAIRS, change) if m}, (word, link)
-                    assert frontier_of(edges | new, grown, cell, right) == frontiers[child], (word, link)
+                    assert frontier_of(edges | new, grown, cell) == frontiers[child], (word, link)
             level = [(word + (link,), steps[state][link - 1][0])
                      for word, state in level for link in (1, 2)]
         assert seen == set(range(5)) and bogus_seen > 1000
+
+    def test_each_step_adds_the_increment_of_its_links(self):
+        # the increments of `indices._increments` as count vectors, read off
+        # the six unit tables: the start is the two-square chain's counts,
+        # base; from it link 1 adds g11 and link 2 adds g2; every other state
+        # is entered by one link type j only, and link e from it adds g(j, e).
+        # With the frontier read alone (above), every chain's counts are base
+        # plus its increments, so evaluate_direct equals evaluate_recursive
+        # on every chain of every length
+        units = [IndexFunction("unit", {p: int(p == q) for p in DEGREE_PAIRS})
+                 for q in DEGREE_PAIRS]
+        g11, g12, g21, g22, g2, base = zip(*map(_increments, units))
+        g = {(1, 1): g11, (1, 2): g12, (2, 1): g21, (2, 2): g22}
+        _, start, steps = _automaton()
+        assert start == base
+        assert [change for _, change in steps[0]] == [g11, g2]
+        entered = {}  # per state, the links that enter it
+        for step in steps:
+            for link, (child, _) in enumerate(step, 1):
+                entered.setdefault(child, set()).add(link)
+        assert sorted(entered) == list(range(1, len(steps)))  # all but the start
+        for state in entered:
+            (j,) = entered[state]
+            assert [change for _, change in steps[state]] == [g[j, 1], g[j, 2]], state
 
     def test_a_graph_missing_a_side_changes_the_table_and_the_values(self, monkeypatch):
         # a mutant graph, each square without its east side: the table read
@@ -528,9 +556,8 @@ class TestCensus:
         def mutant(word):
             edges, degree = reference_graph(word, ("south", "north", "west"))
             pairs = Counter(pair_of(degree, edge) for edge in edges)
-            (px, _), (x, y) = realize(word)[-2:]
             return (tuple(pairs[p] for p in DEGREE_PAIRS),
-                    frontier_of(edges, degree, (x, y), x > px))
+                    frontier_of(edges, degree, realize(word)[-1]))
 
         monkeypatch.setattr(chains_mod, "_graph", mutant)
         _automaton.cache_clear()

@@ -181,14 +181,17 @@ class TestIndexFunction:
 
 def test_import_loads_neither_dataclasses_nor_inspect():
     """The CLI's start-up imports none of the stdlib's heavier modules, nor
-    `csv`, which only CLI `table` loads, when it writes CSV."""
+    `csv`, and CLI `table`, which writes its CSV rows by a `%` template,
+    run in the same process, leaves `csv` unloaded."""
     src = str(Path(polychain.__file__).resolve().parent.parent)
-    code = ("import sys; before = set(sys.modules); import polychain.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'csv'} & (set(sys.modules) - before)))")
+    code = ("import os, sys; before = set(sys.modules); import polychain.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'csv'} & (set(sys.modules) - before))); "
+            "argv = ['table', '--index', 'azi', '--from', '3', '--to', '40', '--out', os.devnull]; "
+            "print(polychain.cli.main(argv), 'csv' in sys.modules)")
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out == "[]\n"
+    assert out == "[]\n0 False\n"
 
 
 def test_names_the_benchmark_tracer_reads():
