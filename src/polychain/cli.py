@@ -31,7 +31,7 @@ from types import GeneratorType
 
 from .azi import ORACLE_N_MAX, _azi, _azi_family, verify_azi_maximum, verify_azi_minimum
 from .chains import LinkVector, _words_text, realize
-from .dp import _extremal, classify, run_dp
+from .dp import _RAWS, _extremal, classify, run_dp
 from .indices import (
     FLOAT,
     RATIONAL,
@@ -376,13 +376,13 @@ def _cmd_table(args, f: IndexFunction):
     max_table, min_table = run_dp(f, hi), run_dp(negate(f), hi)
 
     def row(n):
-        # one read of each table's row n; the min is f's read of the negated optimum
-        _, ends, top = max_table._row(n)
-        _, low_ends, low = min_table._row(n)
-        count = sum(max_table._count(n, e) for e in ends)
+        # one record of each table's row n; the min is f's read of the negated optimum
+        top, ends = max_table._row(n)
+        low, low_ends = min_table._row(n)
+        count = max_table._count(top, ends)
         name, _, _, iso = (family(n) if family else
-                           (None, None, None, count - max_table._mirror_pairs(n, ends)))
-        return n, top[ends[0] - 1], -low[low_ends[0] - 1], count, iso, name
+                           (None, None, None, count - max_table._mirror_pairs(top, ends)))
+        return n, top[_RAWS][ends[0] - 1], -low[_RAWS][low_ends[0] - 1], count, iso, name
 
     # rows are read in order, a block of `_ROWS` at a time, and their texts
     # made as they are written, in CSV only the column's own

@@ -46,20 +46,20 @@ fixed margin.
 
 The table is the list of these stepped rows and runs, one segment each
 (`DPTable`): decisions and values only.  A run is read back from its two
-base rows, their rises and its two rows' codes.  Chain counts are carried
-only when read, and from the row before the first tie row, as each
-count below it is 1, read in O(1).  A carry is the codes' linear map
-c -> c1 / c2 / c1 + c2 of each end, a 2x2 integer matrix m raised to a
-power by Cayley-Hamilton: m**e is a*m + b*I, so a doubling of e costs
-three big products of the pair (a, b) and a set bit linear work.  The
-mirror count's walk powers its maps alike.  So a table keeps every row
-3..n at O(runs) Python steps, segments and small-int steps; a row's
-values are read in O(log runs) steps, its counts and `iso_count` in
-O(runs log k) big-int steps, or O(1) a row when rows are read in order
-past the transient.  A chain of `witness` or `chains` takes O(runs +
-ties) Python steps, whatever k is, and one k-byte write: a run is walked
-six rows deep and its repeated stretch listed as pieces, which one join
-writes into the word.
+base rows, their rises and its two rows' codes.  A row's first read makes
+the record its readers share: values and winning ends, then counts and
+mirror walk once read.  Counts are carried from a kept row below, else
+from the row before the first tie row (each count below it is 1), by
+the codes' map c -> c1 / c2 / c1 + c2 of each end, a 2x2 integer matrix
+m raised to a power by Cayley-Hamilton: m**e is a*m + b*I, so a doubling
+of e costs three big products of (a, b) and a set bit linear work.  The
+mirror walk powers its maps alike.  So a table keeps every row 3..n at
+O(runs) Python steps, segments and small-int steps; a row's values are
+read in O(log runs) steps, its counts and `iso_count` in O(runs log k)
+big-int steps, or one step of each when rows are read in order.  A chain
+of `witness` or `chains` takes O(runs + ties) Python steps, whatever k
+is, and one k-byte write: a run is walked six rows deep and its repeated
+stretch listed as pieces, which one join writes into the word.
 """
 
 from __future__ import annotations
@@ -97,6 +97,9 @@ _COUNT_ROWS = (None, (1, 0), (0, 1), (1, 1))
 _FLAT = (0, 0)  # the rise of a one-row segment
 _LINKS = (None, b"\1", b"\2")  # a link as a one-byte word piece
 _CHUNK = 1024  # the blocks of 4 links one repeated piece of a long run holds
+# a row's record, a list: k, its segment's index, both raw optima, the winning ends and
+# its codes, then its counts (c1, c2) and mirror walk, None until first read (`DPTable`)
+_K, _AT, _RAWS, _WINS, _CODES, _COUNTS, _WALK = range(7)
 
 
 class DPTable:
@@ -110,14 +113,14 @@ class DPTable:
     over one common denominator, are `values` (those of the base row
     `row`) plus (r - row) / 2 times `rise`, and codes[:2] are its two
     predecessor codes (1 or 2, 3 for a tie, 0 at row 3): the DAG that
-    `witness` and `chains` walk backwards.  `_row` is the one read rule,
-    checking its input, and the private readers it feeds check nothing.
-    Only `_count` carries chain counts, a powered count map a segment,
-    from the last row read when that lies below, else from the row
-    before `_tie`, the first row with a tie code (n + 1 for none), so
-    reading rows in order costs O(1) big-int steps a row.  A row below
-    `_tie` has counts (1, 1).  `steps` counts the rows the forward pass
-    stepped one at a time.
+    `witness` and `chains` walk backwards.  Every reader of row k answers
+    from its record, made by `_row` on the first read of k, the
+    last three kept: both optima and the winning ends, then once read the
+    chain counts (`_count`), carried from the nearest kept record below,
+    else from the row before `_tie`, the first tie row (n + 1 for none),
+    below which each count is 1, and the mirror walk (`_walk`), one map
+    for every end set.  So rows read in order cost one count step and
+    one walk step each.  `steps` counts the rows the forward pass stepped.
     """
 
     def __init__(self, f, n, segments, steps, period, tie):
@@ -127,8 +130,7 @@ class DPTable:
         self._segments = segments
         self._starts = [seg[0] for seg in segments]
         self._tie = tie  # the first row with a tie code at either end, n + 1 for none
-        self._count_at = (tie - 1, (1, 1))  # the last row counts were carried to, and those
-        self._mirror = [None, None]  # per parity of k: the last (k, ends, v) of `iso_count`
+        self._rows: dict[int, list] = {}  # the records of the last three rows read, oldest first
         self._period = period
 
     @property
@@ -143,73 +145,61 @@ class DPTable:
         where eps * max(1, |a|, |b|) grows past a fixed margin a - b."""
         return self._period
 
-    def _check_k(self, k: int) -> None:
-        if not 3 <= k <= self.n:
-            raise ValueError(f"square count {k} outside table range 3..{self.n}")
-
-    @staticmethod
-    def _check_end(i: int) -> None:
-        if i not in (1, 2):
-            raise ValueError(f"end link must be 1 or 2, got {i!r}")
-
-    def _phase(self, k: int) -> tuple:
-        """Row k's phase (row, values, rise, codes) of its segment: one bisection."""
-        return self._segments[bisect_right(self._starts, k) - 1][2][k % 2]
+    def _row(self, k: int | None, end: int | None = None) -> tuple[list, tuple[int, ...]]:
+        """The record of row k (n for None), checked, and the ends a read
+        takes: `end`, checked, else the winning ends, both on a tie under f."""
+        k = self.n if k is None else k
+        rec = self._rows.get(k)
+        if rec is None:
+            if not 3 <= k <= self.n:
+                raise ValueError(f"square count {k} outside table range 3..{self.n}")
+            at = bisect_right(self._starts, k) - 1
+            row, vals, rise, codes = self._segments[at][2][k % 2]
+            b = (k - row) // 2
+            x, y = vals[0] + b * rise[0], vals[1] + b * rise[1]
+            wins = (1, 2) if self.f.ties(x, y) else (1,) if x > y else (2,)
+            rec = self._rows[k] = [k, at, (x, y), wins, codes, None, None]
+            if len(self._rows) > 3:
+                del self._rows[next(iter(self._rows))]
+        if end is None:
+            return rec, rec[_WINS]
+        if end not in (1, 2):
+            raise ValueError(f"end link must be 1 or 2, got {end!r}")
+        return rec, (end,)
 
     def value(self, k: int, i: int) -> Value:
         """Optimum over k-square chains ending with link i."""
-        return self.f.read(self._row(k, i)[2][i - 1])
+        return self.f.read(self._row(k, i)[0][_RAWS][i - 1])
 
-    def _count(self, k: int, i: int) -> int:
-        """Optimal k-square chains ending with link i: 1 below the first
-        tie row, where each code names one predecessor, with no carry."""
-        if k < self._tie:
-            return 1
-        row, counts = self._count_at
-        if row > k:
-            row, counts = self._tie - 1, (1, 1)
-        if row < k:
-            segs, at = self._segments, bisect_right(self._starts, k) - 1
+    def _count(self, rec: list, ends: tuple[int, ...]) -> int:
+        """The optimal chains of `rec`'s row that end in `ends`."""
+        if rec[_COUNTS] is None:
+            k, row, counts = rec[_K], self._tie - 1, (1, 1)
+            for r, other in self._rows.items():  # the nearest kept counts below k
+                if row < r < k and other[_COUNTS] is not None:
+                    row, counts = r, other[_COUNTS]
+            segs, at = self._segments, rec[_AT]
             if row < segs[at][0]:
                 for seg in segs[bisect_right(self._starts, row + 1) - 1:at]:
                     counts, row = _carry(seg, row, counts, seg[1]), seg[1]
-            counts = _carry(segs[at], row, counts, k)
-        self._count_at = (k, counts)
-        return counts[i - 1]
+            rec[_COUNTS] = _carry(segs[at], row, counts, k) if row < k else counts
+        return rec[_COUNTS][ends[0] - 1] if len(ends) == 1 else sum(rec[_COUNTS])
 
     def predecessors(self, k: int, i: int) -> frozenset[int]:
-        self._check_k(k)
-        self._check_end(i)
-        return _PRED_SETS[self._phase(k)[3][i - 1]]
-
-    def _row(self, k: int | None, end: int | None = None) -> tuple[int, tuple[int, ...], tuple]:
-        """k (n for None), checked; the ends a read takes, `end` checked, else
-        the winning ends, both on a tie under f; and both ends' optima times
-        the common denominator, read off one phase."""
-        k = self.n if k is None else k
-        self._check_k(k)
-        row, vals, rise, _ = self._phase(k)
-        b = (k - row) // 2
-        raws = (vals[0] + b * rise[0], vals[1] + b * rise[1])
-        if end is not None:
-            self._check_end(end)
-            return k, (end,), raws
-        a, b = raws
-        return k, ((1, 2) if self.f.ties(a, b) else (1,) if a > b else (2,)), raws
+        return _PRED_SETS[self._row(k, i)[0][_CODES][i - 1]]
 
     def best_value(self, k: int | None = None) -> Value:
-        _, ends, raws = self._row(k)
-        return self.f.read(raws[ends[0] - 1])
+        rec, ends = self._row(k)
+        return self.f.read(rec[_RAWS][ends[0] - 1])
 
     def labeled_count(self, k: int | None = None, end: int | None = None) -> int:
         """Number of distinct optimal chains (summed over the winning ends)."""
-        k, ends, _ = self._row(k, end)
-        return sum(self._count(k, e) for e in ends)
+        return self._count(*self._row(k, end))
 
     def witness(self, k: int | None = None, end: int | None = None) -> LinkVector:
         """One optimal chain, built backwards preferring link 1 on ties: the first of `chains`."""
-        k, ends, _ = self._row(k, end)
-        return LinkVector._of(next(self._words(k, ends[0])))
+        rec, ends = self._row(k, end)
+        return LinkVector._of(next(self._words(rec[_K], ends[0])))
 
     def _words(self, k: int, end: int) -> Iterator[bytes]:
         """The optimal words of k squares ending in link `end`, one byte
@@ -290,37 +280,39 @@ class DPTable:
         """Optimal chains at k squares up to mirror symmetry: the number
         `chains(k, end, dedup=True)` yields, counted without enumerating,
         as `labeled_count` less the mirror pairs (`_mirror_pairs`)."""
-        k, ends, _ = self._row(k, end)
-        return sum(self._count(k, e) for e in ends) - self._mirror_pairs(k, ends)
+        rec, ends = self._row(k, end)
+        return self._count(rec, ends) - self._mirror_pairs(rec, ends)
 
-    def _mirror_pairs(self, k: int, ends: tuple[int, ...]) -> int:
-        """(B - P) / 2 for the optimal words S of row k that end in `ends`
-        (from `_row`), B those whose reverse is also in S and P the
-        palindromes of S.  One walk pairs square l with r = k + 3 - l and
-        moves inward: v_x counts the half words w_3..w_l ending in link x
-        whose every step is an edge of the DAG both forwards (squares l,
-        l + 1) and mirrored (squares r - 1, r).  A word is in B exactly when
-        both its halves, read from the outside in, are such half words, and
-        in P when the two halves are one, so B and P follow from v where the
-        halves meet.  A step is a linear map of v read from the codes of
-        rows l + 1 and r, so while both rows stay in their segments the maps
-        alternate by parity, and each such stretch is one powered map:
-        O(runs log k) big-int steps in all.  The walk at k takes
-        s = (k - 3) // 2 steps, and step t at k + 2 reads row k + 2 - t
-        where that at k read row k - t.  So when rows k + 1 - s .. k + 2 lie
-        in one segment, the walk at k + 2 is the one at k, kept per parity
-        of k, with one step more: rows read in order cost O(1) big-int steps
-        each.
-        """
-        v = (int(1 in ends), int(2 in ends))  # a word of B starts and ends in `ends`
-        segs, s = self._segments, (k - 3) // 2  # s: steps while l + 1 < r
+    def _mirror_pairs(self, rec: list, ends: tuple[int, ...]) -> int:
+        """(B - P) / 2 for the optimal words S of `rec`'s row that end in
+        `ends`, B those whose reverse is also in S and P the palindromes of
+        S, from the row's mirror walk (`_walk`) started at (1 in ends, 2 in ends)."""
+        if rec[_WALK] is None:
+            rec[_WALK] = self._walk(rec)
+        ((x1, x2), (y1, y2)), m = rec[_WALK]
+        v1, v2 = (x1, y1) if ends == (1,) else (x2, y2) if ends == (2,) else (x1 + x2, y1 + y2)
+        w1, w2 = _apply(m, (v1, v2))
+        return (v1 * w1 + v2 * w2 - m[0][0] * v1 - m[1][1] * v2) // 2
+
+    def _walk(self, rec: list) -> tuple:
+        """Row k's mirror walk: it pairs square l with r = k + 3 - l and
+        moves inward, v_x counting the half words w_3..w_l ending in link x
+        whose every step is a DAG edge both forwards (squares l, l + 1) and
+        mirrored (squares r - 1, r).  A word is in B when both its halves,
+        read from the outside in, are such words, and in P when they are
+        one, so B and P follow where the halves meet, by the middle's map
+        m.  The walk is the 2x2 map from v's start to v, and m.  While rows
+        l + 1 and r stay in their segments the step maps alternate, one
+        powered map a stretch: O(runs log k) big-int steps.  When rows
+        k - s .. k lie in one segment, s = (k - 3) // 2 steps, the kept
+        walk at k - 2 takes one step more."""
+        segs, starts, k = self._segments, self._starts, rec[_K]
         # segment i holds row l + 1, rising from row 4, and segment j row r,
         # falling from row k; each pass takes the rows both stay in
-        i, j, done = bisect_right(self._starts, 4) - 1, bisect_right(self._starts, k) - 1, 0
-        last = self._mirror[k % 2]
-        if last is not None and last[:2] == (k - 2, ends) and segs[j][0] <= k - s:
-            # the walk at k - 2 took the first s - 1 steps: one step more
-            i, v, done = bisect_right(self._starts, 3 + s) - 1, last[2], s - 1
+        s, i, j, done, walk = (k - 3) // 2, bisect_right(starts, 4) - 1, rec[_AT], 0, ((1, 0), (0, 1))
+        last = self._rows.get(k - 2)
+        if last is not None and last[_WALK] is not None and segs[j][0] <= k - s:
+            i, walk, done = bisect_right(starts, 3 + s) - 1, last[_WALK][0], s - 1
         while done < s:
             row_l, row_r = 4 + done, k - done  # rows l + 1 and r
             (_, hi, left), (lo, _, right) = segs[i], segs[j]
@@ -328,21 +320,14 @@ class DPTable:
             first = _mirror_map(left[row_l % 2][3], right[row_r % 2][3])
             second = (_mirror_map(left[(row_l + 1) % 2][3], right[(row_r - 1) % 2][3])
                       if rows > 1 else None)
-            v = _steps(v, first, second, rows)
+            walk = _compose(_stretch(first, second, rows), walk)
             done += rows
             i += row_l + rows > hi
             j -= row_r - rows < lo
-        self._mirror[k % 2] = (k, ends, v)
         # the halves join by the map m of the middle: they share its square (odd
         # k), or the walk's step l + 1 = r = s + 4 reads its edge both ways (even k)
-        if k % 2:
-            m = ((1, 0), (0, 1))
-        else:
-            codes = self._phase(s + 4)[3]
-            m = _mirror_map(codes, codes)
-        (v1, v2), (w1, w2) = v, _apply(m, v)
-        both, pal = v1 * w1 + v2 * w2, m[0][0] * v1 + m[1][1] * v2
-        return (both - pal) // 2
+        codes = segs[bisect_right(starts, s + 4) - 1][2][s % 2][3]
+        return walk, ((1, 0), (0, 1)) if k % 2 else _mirror_map(codes, codes)
 
     def chains(
         self,
@@ -361,11 +346,11 @@ class DPTable:
         for each chain kept, so memory grows as k times the chains
         yielded; ``limit`` caps the number of chains yielded.
         """
-        k, ends, _ = self._row(k, end)
+        rec, ends = self._row(k, end)
         seen: set[bytes] = set()
         emitted = 0
         for e in ends:
-            for word in self._words(k, e):
+            for word in self._words(rec[_K], e):
                 if dedup:
                     key = min(word, word[::-1])  # the mirror class's canonical word
                     if key in seen:
@@ -390,43 +375,44 @@ def _apply(m: tuple, v: tuple) -> tuple:
     return (a * v[0] + b * v[1], c * v[0] + d * v[1])
 
 
-def _power(m: tuple, e: int, v: tuple) -> tuple:
-    """The linear map m applied e times to v, by Cayley-Hamilton: with
-    t = trace(m) and d = det(m), m**2 = t*m - d*I, so m**e = a*m + b*I.
-    The bits of e, from the top, move (a, b): a doubling to
-    (a*(a*t + 2b), b*b - d*a*a), three big products, and a set bit to
-    (a*t + b, -a*d), linear work; t and d are small ints for the count
-    maps.  A singular m (d = 0) has m**e = t**(e - 1) * m: one pow, a
-    shift when t is a power of two, as for every tie-everywhere map."""
-    if not e:
-        return v
+def _power(m: tuple, e: int) -> tuple:
+    """The 2x2 integer matrix m raised to the power e >= 0, by
+    Cayley-Hamilton: with t = trace(m) and d = det(m), m**2 = t*m - d*I,
+    so m**e = a*m + b*I.  The bits of e, from the top, move (a, b): a
+    doubling to (a*(a*t + 2b), b*b - d*a*a), three big products, and a
+    set bit to (a*t + b, -a*d), linear work; t and d are small ints for
+    the count maps.  A singular m (d = 0) has m**e = t**(e - 1) * m: one
+    pow, a shift when t is a power of two, as for every tie-everywhere
+    map."""
     (p, q), (r, s) = m
+    if not e:
+        return ((1, 0), (0, 1))
     t, d = p + s, p * s - q * r
-    mv = _apply(m, v)
     if not d:
-        c = 1 << (t.bit_length() - 1) * (e - 1) if t > 0 and not t & (t - 1) else t ** (e - 1)
-        return (c * mv[0], c * mv[1])
-    a, b = 1, 0  # m**1
-    for bit in bin(e)[3:]:
-        a, b = a * (a * t + 2 * b), b * b - d * (a * a)
-        if bit == "1":
-            a, b = a * t + b, -a * d
-    return (a * mv[0] + b * v[0], a * mv[1] + b * v[1])
+        a, b = 1 << (t.bit_length() - 1) * (e - 1) if t > 0 and not t & (t - 1) else t ** (e - 1), 0
+    else:
+        a, b = 1, 0  # m**1
+        for bit in bin(e)[3:]:
+            a, b = a * (a * t + 2 * b), b * b - d * (a * a)
+            if bit == "1":
+                a, b = a * t + b, -a * d
+    return ((a * p + b, a * q), (a * r, a * s + b))
 
 
-def _steps(v: tuple, first: tuple, second: tuple, rows: int) -> tuple:
-    """v carried over `rows` rows whose linear maps alternate first, second, first, ..."""
-    half, odd = divmod(rows, 2)
-    v = _power(_compose(second, first), half, v) if half else v
-    return _apply(first, v) if odd else v
+def _stretch(first: tuple, second: tuple, rows: int) -> tuple:
+    """The linear map of `rows` >= 1 rows whose maps alternate first, second, first, ..."""
+    if rows == 1:
+        return first
+    pairs = _power(_compose(second, first), rows // 2)
+    return _compose(first, pairs) if rows % 2 else pairs
 
 
 def _carry(seg: tuple, row: int, counts: tuple, k: int) -> tuple:
     """The chain counts of row k of segment `seg` from `counts`, those of
     row `row`, for lo - 1 <= row < k."""
-    first, second = ((_COUNT_ROWS[codes[0]], _COUNT_ROWS[codes[1]])
-                     for _, _, _, codes in (seg[2][(row + 1) % 2], seg[2][row % 2]))
-    return _steps(counts, first, second, k - row)
+    c, d = seg[2][(row + 1) % 2][3], seg[2][row % 2][3]
+    return _apply(_stretch((_COUNT_ROWS[c[0]], _COUNT_ROWS[c[1]]),
+                           (_COUNT_ROWS[d[0]], _COUNT_ROWS[d[1]]), k - row), counts)
 
 
 def _mirror_map(a: tuple, z: tuple) -> tuple:
@@ -442,18 +428,22 @@ def _build(f: IndexFunction, n: int) -> tuple:
     and the first tie row (see `DPTable`): decisions and values only, no
     chain counts."""
     G11, G12, G21, G22, g2, base = _increments(f)
-    den, (p, q), ties = f.den, f.tol, f.ties
+    den, (p, q) = f.den, f.tol
+    # a value of rows 3..n is at most a chain of largest steps: a float tie needs |a - b| <= w
+    w = p and p * max(den, abs(base) + (n - 2) * max(map(abs, (G11, G12, G21, G22, g2)))) // q
 
     def step(x):
         """The next row's values from row values x, and its decisions: both
-        codes (3 when a and b tie under f, a rational tie tested inline, else
-        the side of the larger), then for each end whether it keeps its a,
-        the sum over link 1."""
+        codes (3 when a and b tie under f, tested inline within w, else the
+        side of the larger), then for each end whether it keeps its a."""
         x1, x2 = x
         a1, b1, a2, b2 = x1 + G11, x2 + G21, x1 + G12, x2 + G22
         return ((a1 if a1 >= b1 else b1, a2 if a2 >= b2 else b2),
-                (3 if a1 == b1 or p and ties(a1, b1) else 1 if a1 > b1 else 2,
-                 3 if a2 == b2 or p and ties(a2, b2) else 1 if a2 > b2 else 2, a1 >= b1, a2 >= b2))
+                (3 if a1 == b1 or p and -w <= a1 - b1 <= w
+                 and abs(a1 - b1) * q <= p * max(den, abs(a1), abs(b1)) else 1 if a1 > b1 else 2,
+                 3 if a2 == b2 or p and -w <= a2 - b2 <= w
+                 and abs(a2 - b2) * q <= p * max(den, abs(a2), abs(b2)) else 1 if a2 > b2 else 2,
+                 a1 >= b1, a2 >= b2))
 
     def run_end(row, x, rise, decided):
         """The last row row + 2b before n whose step still decides as
@@ -461,7 +451,7 @@ def _build(f: IndexFunction, n: int) -> tuple:
         Per end, a step is the sign of m = a - b and the tie test
         q|m| <= p * den or (2q - p)|m| <= p|s|, s = a + b: all linear in b
         between the zero crossings of m and s, so the step can change only
-        where one of these lines crosses zero."""
+        where one of these lines crosses zero; the tie lines only if |m| <= w in a row."""
         def cross(c, e):
             """Where c + e * b >= 0 changes for b >= 1, false from c // -e + 1
             or true from -(c // e); and the signs c + e * b takes."""
@@ -480,7 +470,8 @@ def _build(f: IndexFunction, n: int) -> tuple:
             m = a - b
             cross(-m, -dm)  # with eps 0 the tie is m == 0
             signs_m = cross(m, dm)  # the signs m takes for b >= 0
-            if p:
+            m_last = p and m + (n - row) // 2 * dm  # m at the last b, rows row + 2b up to n
+            if p and not (m > w < m_last or m < -w > m_last):  # a row may reach the tie band
                 s = a + b
                 signs_s = cross(s, ds)
                 for sm in signs_m:
@@ -563,7 +554,7 @@ def run_dp(f: IndexFunction, n: int, *, keep_table: bool = True) -> DPTable:
         raise ValueError(f"dynamic program needs n >= 3, got {n}")
     table = DPTable(f, n, *_build(f, n))
     if f.mode == FLOAT:
-        for raw in table._row(n)[2]:
+        for raw in table._row(n)[0][_RAWS]:
             check_finite(f.read(raw), f"the optimum at n = {n}")
     return table
 
@@ -596,16 +587,15 @@ def _extremal(
     """One extremal result for index f at n squares, and its table:
     `run_dp` of f for MAX or of `negate(f)` for MIN.  The two share their
     common denominator, so a min is f's read of the negated scaled
-    optimum, as CLI `table` reads its min column.  Row n is read once,
-    `value` being the winning end's `per_end` entry, and the witness is
-    built before any count, so a chain too long to build is refused
-    first."""
+    optimum, as CLI `table` reads its min column.  Every field comes from
+    row n's record, and the witness is built before any count, so a chain
+    too long to build is refused first."""
     sign = 1 if objective == MAX else -1
     table = run_dp(f if sign == 1 else negate(f), n)
-    _, ends, raws = table._row(n, end)
+    rec, ends = table._row(n, end)
     witness = table.witness(n, ends[0])
-    labeled = sum(table._count(n, e) for e in ends)
-    per_end = {1: f.read(sign * raws[0]), 2: f.read(sign * raws[1])}
+    labeled = table._count(rec, ends)
+    per_end = {1: f.read(sign * rec[_RAWS][0]), 2: f.read(sign * rec[_RAWS][1])}
     return ExtremalResult(
         objective=objective,
         n=n,
@@ -613,7 +603,7 @@ def _extremal(
         per_end=per_end,
         witness=witness,
         labeled_count=labeled,
-        iso_count=labeled - table._mirror_pairs(n, ends) if count_iso else None,
+        iso_count=labeled - table._mirror_pairs(rec, ends) if count_iso else None,
         index_name=f.name,
         mode=f.mode,
         tolerance_dependent=f.mode == FLOAT,

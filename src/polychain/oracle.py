@@ -28,17 +28,17 @@ census with the same b.  A sweep then values each distinct vector once,
 as an int: its dot product with the index's scaled entries
 (`IndexFunction.scaled`, exact in both modes).
 Per result set, builtin max/min pick the extreme over the vectors
-present, `IndexFunction.ties` marks the values that tie it among those
-an exact bound leaves in a window around it (`_tying`, a bisection of
-the values sorted once), and the tying groups merge into the set in
+present, the values that tie it are scanned for, equal ones in a
+rational table, else the ones an exact bound leaves in a window of the
+values sorted once (`_tying`), and the tying groups merge into the set in
 lexicographic order: after the census a sweep costs O(distinct vectors)
 plus its output, and a lookup a prefix for each group it reads first.  A
 chain in a set is its position's binary digits translated to link bytes,
 which its `LinkVector` keeps.  The extreme is read back by
 `IndexFunction.read`, a float one as the exact extreme correctly
 rounded.
-`cross_check` compares the engine's and the oracle's sets of
-`LinkVector`s and sorts their words only to describe a mismatch.
+`cross_check` compares the byte words of the engine's and the oracle's
+sets and sorts them only to describe a mismatch.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from itertools import accumulate, chain, count
 from operator import add
 from typing import NamedTuple
 
-from .chains import LinkVector, _counts_width, _table, _unpack, canonical_reversal
+from .chains import LinkVector, _counts_width, _table, _unpack
 from .indices import (
     IndexFunction,
     Value,
@@ -255,7 +255,7 @@ def exhaustive(f: IndexFunction, n: int, cap: int = DEFAULT_CAP) -> OracleReport
     s0, s1, s2, s3, s4, s5 = f.scaled
     values = [a * s0 + b * s1 + c * s2 + d * s3 + e * s4 + g * s5 for a, b, c, d, e, g in vectors]
     everyone = range(len(values))
-    order = sorted(everyone, key=values.__getitem__)
+    order = sorted(everyone, key=values.__getitem__) if f.tol[0] else None
     tied: dict[int, list[int]] = {}  # per extreme, the ids of the values that tie it
 
     def select(pick, ends):
@@ -286,14 +286,16 @@ def exhaustive(f: IndexFunction, n: int, cap: int = DEFAULT_CAP) -> OracleReport
     )
 
 
-def _tying(f: IndexFunction, values: list[int], order: list[int], best: int) -> list[int]:
-    """The ids of the values that tie `best` under `IndexFunction.ties`,
-    ``order`` being the ids sorted by value.  For eps = p / q < 1 a tie
-    needs |a - best| * (q - p) <= p * max(den, |best|), as max(den, |a|,
-    |best|) is at most max(den, |best|) + |a - best|, so only the values
-    in that window are tested: the equal ones for a rational table
-    (p = 0).  A larger tolerance tests every value."""
+def _tying(f: IndexFunction, values: list[int], order: list[int] | None, best: int) -> list[int]:
+    """The ids of the values that tie `best` under `IndexFunction.ties`:
+    the equal ones by one scan for a rational table (p = 0), else tested
+    in ``order``, the ids sorted by value.  For eps = p / q < 1 a tie needs
+    |a - best| * (q - p) <= p * max(den, |best|), as max(den, |a|, |best|)
+    is at most max(den, |best|) + |a - best|, so only the values in that
+    window are tested.  A larger tolerance tests every value."""
     p, q = f.tol
+    if not p:
+        return [vid for vid, value in enumerate(values) if value == best]
     if p < q:
         width, key = p * max(f.den, abs(best)) // (q - p), values.__getitem__
         order = order[bisect_left(order, best - width, key=key):
@@ -311,8 +313,9 @@ def cross_check(f: IndexFunction, n: int, cap: int = DEFAULT_CAP) -> tuple[bool,
     and one of the negated index for the min.  The tables give the
     argmax, per-end argmax and argmin sets through `DPTable.chains`, their
     mirror-class counts through `DPTable.iso_count` and the per-end
-    counts through `DPTable.labeled_count`.  The oracle side counts
-    mirror classes of its own sets with `canonical_reversal`.  Values are
+    counts through `DPTable.labeled_count`, all from one record of row n
+    a table.  Sets, and the oracle side's mirror classes, are compared as
+    byte words.  Values are
     compared with ``==`` in both modes, since both sides are correctly
     rounded exact sums.  Returns (ok, mismatches); mismatches are
     descriptions, not exceptions.
@@ -322,43 +325,38 @@ def cross_check(f: IndexFunction, n: int, cap: int = DEFAULT_CAP) -> tuple[bool,
     report = exhaustive(f, n, cap)
     mismatches: list[str] = []
 
-    def check(label: str, ok: bool, expected, actual) -> None:
-        if not ok:
+    def check(label: str, expected, actual, ok=None) -> None:
+        if not (expected == actual if ok is None else ok):
             mismatches.append(f"{label}: oracle {expected!r} vs engine {actual!r}")
 
-    def check_set(label: str, oracle_chains, engine_chains) -> set[LinkVector]:
-        # the words are sorted as tuples only to describe a mismatch
-        want, got = set(oracle_chains), set(engine_chains)
+    def check_set(label: str, oracle_chains, engine_chains) -> set[bytes]:
+        # byte words, sorted as tuples only to describe a mismatch
+        want, got = {c._word for c in oracle_chains}, {c._word for c in engine_chains}
         if want != got:
-            check(label, False, sorted(c.links for c in want), sorted(c.links for c in got))
+            check(label, sorted(map(tuple, want)), sorted(map(tuple, got)), False)
         return want
 
     def check_classes(label: str, chains: tuple[LinkVector, ...], actual: int) -> None:
-        expected = len({canonical_reversal(c) for c in chains})
-        check(label, expected == actual, expected, actual)
+        check(label, len({min(w, w[::-1]) for w in (c._word for c in chains)}), actual)
 
     res_max, max_table = dp._extremal(f, n, dp.MAX, None, False)
     res_min, min_table = dp._extremal(f, n, dp.MIN, None, False)
-    check("max value", res_max.value == report.max_value, report.max_value, res_max.value)
-    check("min value", res_min.value == report.min_value, report.min_value, res_min.value)
+    check("max value", report.max_value, res_max.value)
+    check("min value", report.min_value, res_min.value)
     witness_value = evaluate_direct(res_max.witness, f)
     # a witness may follow a tied edge, up to eps below the optimum
-    check("witness attains max", values_equal(witness_value, report.max_value, f.eps),
-          report.max_value, witness_value)
-    argmax = check_set("argmax set", report.argmax, max_table.chains())
-    check("labeled count", len(argmax) == res_max.labeled_count,
-          len(argmax), res_max.labeled_count)
+    check("witness attains max", report.max_value, witness_value,
+          values_equal(witness_value, report.max_value, f.eps))
+    check("labeled count", len(check_set("argmax set", report.argmax, max_table.chains())),
+          res_max.labeled_count)
     check_classes("mirror classes", report.argmax, max_table.iso_count(n))
     check_set("argmin set", report.argmin, min_table.chains())
     check_classes("argmin mirror classes", report.argmin, min_table.iso_count(n))
     for end in (1, 2):
-        value = res_max.per_end[end]
-        check(f"end-{end} max value", value == report.per_end_max[end],
-              report.per_end_max[end], value)
+        check(f"end-{end} max value", report.per_end_max[end], res_max.per_end[end])
         oracle_set = check_set(f"end-{end} argmax set", report.per_end_argmax[end],
                                max_table.chains(end=end))
         check_classes(f"end-{end} mirror classes", report.per_end_argmax[end],
                       max_table.iso_count(n, end))
-        count = max_table.labeled_count(n, end)
-        check(f"end-{end} maximal count", count == len(oracle_set), len(oracle_set), count)
+        check(f"end-{end} maximal count", len(oracle_set), max_table.labeled_count(n, end))
     return (not mismatches, mismatches)

@@ -408,26 +408,45 @@ class TestTable:
         assert err.startswith("usage: ") and "unrecognized arguments: --iso-limit 0" in err
 
     def test_each_row_read_once(self, capsys, tmp_path, monkeypatch):
-        # a row: one read of the max table and one of the min table, one
-        # count per winning end (both tie here) and one mirror walk
+        # a row: one read of the max table's record and one of the min table's,
+        # and one mirror walk; from row 22 on, when rows n - 1 and n - 2 are
+        # kept, the counts take one step from row n - 1's and the walk one
+        # step from row n - 2's, two one-row stretches in all
         path = tmp_path / "const.json"
         path.write_text(json.dumps({"name": "const", "values": {k: "7/3" for k in PAIRS}}))
-        calls = {"_row": [], "_count": [], "_mirror_pairs": []}
-        for name, seen in calls.items():
-            real = getattr(dp_mod.DPTable, name)
+        events = []
+        real_row, real_walk, real_stretch = (dp_mod.DPTable._row, dp_mod.DPTable._walk,
+                                             dp_mod._stretch)
 
-            def counted(table, k, *args, real=real, seen=seen):
-                seen.append((table.f.name, k))
-                return real(table, k, *args)
+        def row(table, k, *args):
+            events.append(("row", table.f.name, k))
+            return real_row(table, k, *args)
 
-            monkeypatch.setattr(dp_mod.DPTable, name, counted)
+        def walk(table, rec):
+            events.append(("walk", table.f.name, rec[dp_mod._K]))
+            return real_walk(table, rec)
+
+        def stretch(first, second, rows):
+            events.append(("stretch", rows))
+            return real_stretch(first, second, rows)
+
+        monkeypatch.setattr(dp_mod.DPTable, "_row", row)
+        monkeypatch.setattr(dp_mod.DPTable, "_walk", walk)
+        monkeypatch.setattr(dp_mod, "_stretch", stretch)
         code, _, err = run_cli(capsys, "table", "--index-file", str(path),
                                "--from", "20", "--to", "150", "--exact")
         assert (code, err) == (0, "")
         rows = range(20, 151)
-        assert calls["_row"] == [(name, n) for n in rows for name in ("const", "const_neg")]
-        assert calls["_count"] == [("const", n) for n in rows for _ in (1, 2)]
-        assert calls["_mirror_pairs"] == [("const", n) for n in rows]
+        assert [e for e in events if e[0] == "row"] == [
+            ("row", name, n) for n in rows for name in ("const", "const_neg")]
+        assert [e for e in events if e[0] == "walk"] == [("walk", "const", n) for n in rows]
+        stretches, n = {}, None
+        for event in events:
+            if event[:2] == ("row", "const"):
+                n = event[2]
+            elif event[0] == "stretch":
+                stretches.setdefault(n, []).append(event[1])
+        assert all(stretches[n] == [1, 1] for n in range(22, 151)), stretches
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_rows_are_read_as_they_are_written(self, monkeypatch, fmt):

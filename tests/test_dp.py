@@ -726,33 +726,49 @@ class TestEngineWords:
         assert len(list(run_dp(constant_index(), 40).chains(limit=20))) == 20
 
 
-class TestCountReadOrder:
-    """A row's counts are carried from the last row read when that lies
-    below it, through the segments between, else from row 3: every read
-    order must give the counts of `reference_rows`."""
+class TestRowRecord:
+    """Every reader of row k answers from the row's record, made on the
+    first read of k and carried one step from the kept records of rows
+    k - 1 and k - 2: any read order, and any order of the readers within
+    a row, must give what a fresh table answers at that row."""
 
-    def test_in_order_reversed_and_interleaved(self):
-        rng = random.Random(22)
-        rows = list(range(3, 121))
-        for f in chain_corpus():
-            ties, ref = reference_rows(f, 120)
-            want = {}
-            for k in rows:
-                (m1, m2), _, (t1, t2) = ref[k - 3]
-                winners = (1, 2) if ties(m1, m2) else (1,) if m1 > m2 else (2,)
-                want[k] = (sum((t1, t2)[e - 1] + 1 for e in winners), t1 + 1, t2 + 1)
-            shuffled = rng.sample(rows, len(rows))
-            for order in (rows, rows[::-1], shuffled):
-                t = run_dp(f, 120)  # no row read yet: counts start at row 3
+    @staticmethod
+    def tables():
+        """(table, last row): `chain_corpus` to row 200, and the presets,
+        randic:-1 and a small-range table, with their negations, to row 400."""
+        extra = [*(preset(name) for name in PRESET_NAMES), preset("randic", -1), small_range_index()]
+        tables = {}
+        for f, hi in (*((f, 200) for f in chain_corpus()),
+                      *((f, 400) for g in extra for f in (g, negate(g)))):
+            tables[f.mode, f.eps, *f.values.items()] = (f, hi)
+        return list(tables.values())
+
+    @staticmethod
+    def answers(t, k, rng=None):
+        """Row k's values, counts and mirror classes for ends 1, 2 and both,
+        and first chains, read in the readers' order or shuffled by rng."""
+        readers = [lambda e=e: t.value(k, e) for e in (1, 2)] + [lambda: t.best_value(k)]
+        for e in (None, 1, 2):
+            readers += [lambda e=e: t.labeled_count(k, e), lambda e=e: t.iso_count(k, e),
+                        lambda e=e: next(t.chains(k, e))]
+        order = list(range(len(readers)))
+        if rng is not None:
+            rng.shuffle(order)
+        got = {i: readers[i]() for i in order}
+        return [got[i] for i in range(len(readers))]
+
+    def test_any_read_order_gives_a_fresh_tables_answers(self):
+        rng = random.Random(45)
+        for f, hi in self.tables():
+            rows = list(range(3, hi + 1))
+            fresh = {k: self.answers(run_dp(f, k), k) for k in rows}
+            orders = {"in order": rows, "reversed": rows[::-1],
+                      "shuffled": rng.sample(rows, len(rows))}
+            for name, order in orders.items():
+                t = run_dp(f, hi)
                 for k in order:
-                    if order is shuffled:  # iso_count reads counts elsewhere first, value none
-                        other = rng.choice(rows)
-                        if rng.random() < 0.5:
-                            t.iso_count(other)
-                        else:
-                            t.value(other, rng.choice((1, 2)))
-                    got = (t.labeled_count(k), t.labeled_count(k, 1), t.labeled_count(k, 2))
-                    assert got == want[k], (f.name, k, order is shuffled)
+                    got = self.answers(t, k, rng if name == "shuffled" else None)
+                    assert got == fresh[k], (f.name, k, name)
 
 
 class TestTableWithoutCounts:
@@ -909,46 +925,6 @@ class TestExtremalFields:
                                               (None, 1, 2)[(i + j) % 3])
 
 
-class TestMirrorReadOrder:
-    """`iso_count` at k carries the mirror walk of row k - 2 when that was
-    the last row of its parity read, with the same ends, and rows k - s .. k
-    lie in one segment: every read order must give a fresh table's count."""
-
-    @staticmethod
-    def tables():
-        tables = {}
-        extra = [preset(name) for name in PRESET_NAMES]
-        extra += [preset("randic", -1), small_range_index()]
-        for f in (*chain_corpus(), *extra, *(negate(f) for f in extra)):
-            tables.setdefault((f.mode, f.eps, *f.values.items()), f)
-        return list(tables.values())
-
-    def test_in_order_reversed_shuffled_and_interleaved(self):
-        rng = random.Random(27)
-        rows, hi = list(range(3, 201)), 200
-        for f in self.tables():
-            fresh = {}
-            for k in rows:
-                t = run_dp(f, k)  # reads at one row never carry
-                for end in (None, 1, 2):
-                    fresh[k, end] = t.iso_count(k, end)
-            reads = [(k, end) for end in (None, 1, 2) for k in rows]
-            orders = {"in order": reads, "reversed": reads[::-1],
-                      "shuffled": rng.sample(reads, len(reads)), "interleaved": reads}
-            for name, order in orders.items():
-                t = run_dp(f, hi)
-                for k, end in order:
-                    if name == "interleaved":  # another read at another row first
-                        other, which = rng.choice(rows), rng.randrange(3)
-                        if which == 0:
-                            t.value(other, rng.choice((1, 2)))
-                        elif which == 1:
-                            t.labeled_count(other, rng.choice((None, 1, 2)))
-                        else:
-                            t.iso_count(other, rng.choice((None, 1, 2)))
-                    assert t.iso_count(k, end) == fresh[k, end], (f.name, k, end, name)
-
-
 class TestCountMaximal:
     def test_anchors(self):
         assert run_dp(AZI, 10).labeled_count(10, 1) == 3
@@ -974,6 +950,11 @@ def fibonacci_pair(m):
     return (d, c + d) if m % 2 else (c, d)
 
 
+def power(m, e, v):
+    """The vector v under `dp._power(m, e)`, the map m raised to e."""
+    return dp_mod._apply(dp_mod._power(m, e), v)
+
+
 class TestCountPower:
     """`dp._power` raises a 2x2 count map by Cayley-Hamilton: checked against
     e-fold application and against counts known in closed form."""
@@ -983,21 +964,32 @@ class TestCountPower:
         for entries in product(range(5), repeat=4):
             m = (entries[:2], entries[2:])
             v = (rng.getrandbits(300), -rng.getrandbits(200))
-            want = v
+            want, stretch = v, ((1, 0), (0, 1))
             for e in range(71):
-                assert dp_mod._power(m, e, v) == want, (m, e)
-                want = dp_mod._apply(m, want)
+                assert power(m, e, v) == want, (m, e)
+                assert dp_mod._power(m, e) == stretch, (m, e)
+                want, stretch = dp_mod._apply(m, want), dp_mod._compose(m, stretch)
 
     def test_bounded_maps_at_a_huge_exponent(self):
         e, v = 10**100, (3**200, 5**150)
         x, y = v
-        assert dp_mod._power(((0, 1), (1, 0)), e, v) == v  # a permutation, order 2
-        assert dp_mod._power(((0, 1), (1, 0)), e + 1, v) == (y, x)
-        assert dp_mod._power(((0, 1), (0, 0)), e, v) == (0, 0)  # nilpotent
-        assert dp_mod._power(((1, 1), (0, 1)), e, v) == (x + e * y, y)  # unipotent
-        assert dp_mod._power(((1, 0), (1, 1)), e + 1, v) == (x, (e + 1) * x + y)
-        assert dp_mod._power(((1, 0), (0, 1)), e, v) == v
-        assert dp_mod._power(((1, 0), (0, 0)), e, v) == (x, 0)  # a projection: singular
+        assert power(((0, 1), (1, 0)), e, v) == v  # a permutation, order 2
+        assert power(((0, 1), (1, 0)), e + 1, v) == (y, x)
+        assert power(((0, 1), (0, 0)), e, v) == (0, 0)  # nilpotent
+        assert power(((1, 1), (0, 1)), e, v) == (x + e * y, y)  # unipotent
+        assert power(((1, 0), (1, 1)), e + 1, v) == (x, (e + 1) * x + y)
+        assert power(((1, 0), (0, 1)), e, v) == v
+        assert power(((1, 0), (0, 0)), e, v) == (x, 0)  # a projection: singular
+
+    def test_stretch_alternates_its_two_maps(self):
+        maps = [(entries[:2], entries[2:]) for entries in product(range(3), repeat=4)]
+        rng = random.Random(32)
+        for _ in range(200):
+            first, second = rng.choice(maps), rng.choice(maps)
+            want = first
+            for rows in range(1, 12):
+                assert dp_mod._stretch(first, second, rows) == want, (first, second, rows)
+                want = dp_mod._compose((first, second)[rows % 2], want)
 
     def test_constant_index_counts_every_word(self):
         const = IndexFunction("const", {p: Fraction(7, 3) for p in DEGREE_PAIRS})

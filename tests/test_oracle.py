@@ -284,6 +284,34 @@ class TestCrossCheck:
         assert ok, mismatches
         assert len(calls) == 2, calls
 
+    def test_row_n_and_its_mirror_walk_once_per_table(self, monkeypatch):
+        # each table makes one record, row n's, that every reader shares, and
+        # walks its mirror pairs once for both ends and for each end alone
+        records, walks = {}, []
+        real_row, real_walk = DPTable._row, DPTable._walk
+
+        def row(table, k, *args):
+            rec, ends = real_row(table, k, *args)
+            records.setdefault(id(rec), (table.f.name, rec[dp_mod._K], rec))
+            return rec, ends
+
+        def walk(table, rec):
+            walks.append((table.f.name, rec[dp_mod._K]))
+            return real_walk(table, rec)
+
+        monkeypatch.setattr(DPTable, "_row", row)
+        monkeypatch.setattr(DPTable, "_walk", walk)
+        const = IndexFunction("const", {p: Fraction(7, 3) for p in DEGREE_PAIRS})
+        for f in (AZI, preset("randic", -1), preset("abc"), const):
+            for n in (3, 4, 7, 10, 11):
+                records.clear()
+                walks.clear()
+                ok, mismatches = cross_check(f, n)
+                assert ok, (f.name, n, mismatches)
+                want = sorted([(f.name, n), (negate(f).name, n)])
+                assert sorted((name, k) for name, k, _ in records.values()) == want, (f.name, n)
+                assert sorted(walks) == want, (f.name, n)
+
 
 def positions_by_vector(groups):
     """(vector id, position) for every chain, group by group."""
@@ -453,6 +481,7 @@ class TestCensus:
         assert census_peak(22) <= 2 ** 20
 
     def test_prefixes_are_let_go_once_every_group_is_built(self):
+        census.cache_clear()  # a census an earlier test read has let its prefixes go
         _, groups = census(12)
         try:
             for column in groups:
