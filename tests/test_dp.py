@@ -726,6 +726,35 @@ class TestEngineWords:
         assert len(list(run_dp(constant_index(), 40).chains(limit=20))) == 20
 
 
+class TestCountReadOrder:
+    """A row's counts are carried from the last row read when that lies
+    below it, through the segments between, else from row 3: every read
+    order must give the counts of `reference_rows`."""
+
+    def test_in_order_reversed_and_interleaved(self):
+        rng = random.Random(22)
+        rows = list(range(3, 121))
+        for f in chain_corpus():
+            ties, ref = reference_rows(f, 120)
+            want = {}
+            for k in rows:
+                (m1, m2), _, (t1, t2) = ref[k - 3]
+                winners = (1, 2) if ties(m1, m2) else (1,) if m1 > m2 else (2,)
+                want[k] = (sum((t1, t2)[e - 1] + 1 for e in winners), t1 + 1, t2 + 1)
+            shuffled = rng.sample(rows, len(rows))
+            for order in (rows, rows[::-1], shuffled):
+                t = run_dp(f, 120)  # no row read yet: counts start at row 3
+                for k in order:
+                    if order is shuffled:  # iso_count reads counts elsewhere first, value none
+                        other = rng.choice(rows)
+                        if rng.random() < 0.5:
+                            t.iso_count(other)
+                        else:
+                            t.value(other, rng.choice((1, 2)))
+                    got = (t.labeled_count(k), t.labeled_count(k, 1), t.labeled_count(k, 2))
+                    assert got == want[k], (f.name, k, order is shuffled)
+
+
 class TestRowRecord:
     """Every reader of row k answers from the row's record, made on the
     first read of k and carried one step from the kept records of rows
@@ -923,6 +952,46 @@ class TestExtremalFields:
             for j, n in enumerate((10**4, 10**5 + 1, 10**6)):
                 assert_result_matches_readers(f, n, ("max", "min")[(i + j) % 2],
                                               (None, 1, 2)[(i + j) % 3])
+
+
+class TestMirrorReadOrder:
+    """`iso_count` at k carries the mirror walk of row k - 2 when that was
+    the last row of its parity read, with the same ends, and rows k - s .. k
+    lie in one segment: every read order must give a fresh table's count."""
+
+    @staticmethod
+    def tables():
+        tables = {}
+        extra = [preset(name) for name in PRESET_NAMES]
+        extra += [preset("randic", -1), small_range_index()]
+        for f in (*chain_corpus(), *extra, *(negate(f) for f in extra)):
+            tables.setdefault((f.mode, f.eps, *f.values.items()), f)
+        return list(tables.values())
+
+    def test_in_order_reversed_shuffled_and_interleaved(self):
+        rng = random.Random(27)
+        rows, hi = list(range(3, 201)), 200
+        for f in self.tables():
+            fresh = {}
+            for k in rows:
+                t = run_dp(f, k)  # reads at one row never carry
+                for end in (None, 1, 2):
+                    fresh[k, end] = t.iso_count(k, end)
+            reads = [(k, end) for end in (None, 1, 2) for k in rows]
+            orders = {"in order": reads, "reversed": reads[::-1],
+                      "shuffled": rng.sample(reads, len(reads)), "interleaved": reads}
+            for name, order in orders.items():
+                t = run_dp(f, hi)
+                for k, end in order:
+                    if name == "interleaved":  # another read at another row first
+                        other, which = rng.choice(rows), rng.randrange(3)
+                        if which == 0:
+                            t.value(other, rng.choice((1, 2)))
+                        elif which == 1:
+                            t.labeled_count(other, rng.choice((None, 1, 2)))
+                        else:
+                            t.iso_count(other, rng.choice((None, 1, 2)))
+                    assert t.iso_count(k, end) == fresh[k, end], (f.name, k, end, name)
 
 
 class TestCountMaximal:
