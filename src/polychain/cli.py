@@ -31,11 +31,12 @@ from types import GeneratorType
 
 from .azi import ORACLE_N_MAX, _azi, _azi_family, verify_azi_maximum, verify_azi_minimum
 from .chains import LinkVector, _words_text, realize
-from .dp import _RAWS, _extremal, classify, run_dp
+from .dp import _extremal, classify, run_dp
 from .indices import (
     FLOAT,
     RATIONAL,
     IndexFunction,
+    _decimal_text,
     _exact_text,
     _texts,
     _value_json,
@@ -98,10 +99,32 @@ OUTPUT_SCHEMAS = {
 }
 
 
+# ints below this many bits are written by str; past it `_int_text` splits them,
+# as CPython's int-to-decimal conversion takes time quadratic in the digits
+_STR_BITS = 3000
+
+
+_pow10 = functools.cache((10).__pow__)  # 10**k, each k's made once
+
+
+def _int_text(n: int) -> str:
+    """``str(n)``, divide and conquer past `_STR_BITS` bits: n is split at
+    10**k, k the largest power of two up to about half its digits, and
+    each part written so, the low one padded to k digits.  A division by
+    a cached power of ten takes less time than the conversion it halves."""
+    if n.bit_length() < _STR_BITS:
+        return str(n)
+    if n < 0:
+        return "-" + _int_text(-n)
+    k = 1 << (n.bit_length() * 3 // 20).bit_length() - 1  # a digit is 3.3 bits
+    high, low = divmod(n, _pow10(k))
+    return _int_text(high) + _int_text(low).zfill(k)
+
+
 # json's text for each exact scalar type, without a json.dumps call per scalar
 _SCALAR_JSON = {
     str: json.encoder.encode_basestring_ascii,
-    int: int.__repr__,
+    int: _int_text,
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): lambda _: "null",
 }
@@ -201,10 +224,6 @@ def _words_parts(words, sep: bytes, between: bytes = b"", head: str = "", tail: 
     if drawn:
         yield tail
 
-
-# rows `table` reads before it writes them: reading each row just before its text
-# is made takes about a tenth longer than reading a block first, and a block is small
-_ROWS = 256
 
 # an (x, y) cell, and a table row from its JSON-ready fields, in those lists
 _CELL_JSON = "[\n      %s,\n      %s\n    ]"
@@ -335,9 +354,9 @@ def _cmd_extremal(args, f: IndexFunction):
 def _extremal_plain(args, f: IndexFunction, result, words):
     yield f"{args.command} {f.name} n={args.n}: {_value_plain(result.value)}\nwitness: "
     yield from _words_parts((result.witness._word,), b",")
-    yield f"\nlabeled count: {result.labeled_count}"
+    yield f"\nlabeled count: {_int_text(result.labeled_count)}"
     if result.iso_count is not None:
-        yield f"\nmirror classes: {result.iso_count}"
+        yield f"\nmirror classes: {_int_text(result.iso_count)}"
     if words is not None:
         yield "\nchains:"
         yield from _words_parts(words, b",", b"\n", "\n")
@@ -373,37 +392,36 @@ def _cmd_table(args, f: IndexFunction):
     if lo < 3:
         raise ValueError(f"table rows need n >= 3, got --from {lo}")
     family = _azi_family if _is_azi(f) else None
-    max_table, min_table = run_dp(f, hi), run_dp(negate(f), hi)
+    # one in-order pass of each table, each row's text made as it is written; the
+    # min is f's read of the negated optimum
+    rows = zip(range(lo, hi + 1), run_dp(f, hi)._pass(lo, hi, count=True, iso=not family),
+               run_dp(negate(f), hi)._pass(lo, hi))
+    as_json = args.format == "json"
 
-    def row(n):
-        # one record of each table's row n; the min is f's read of the negated optimum
-        top, ends = max_table._row(n)
-        low, low_ends = min_table._row(n)
-        count = max_table._count(top, ends)
-        name, _, _, iso = (family(n) if family else
-                           (None, None, None, count - max_table._mirror_pairs(top, ends)))
-        return n, top[_RAWS][ends[0] - 1], -low[_RAWS][low_ends[0] - 1], count, iso, name
+    def text(raw):  # a CSV cell: p/q with --exact, else the decimal
+        if f.mode == FLOAT:
+            return as_decimal_string(f.read(raw))
+        return (_exact_text if args.exact else _decimal_text)(raw, f.den)
 
-    # rows are read in order, a block of `_ROWS` at a time, and their texts
-    # made as they are written, in CSV only the column's own
-    rows = itertools.chain.from_iterable(list(map(row, range(start, min(start + _ROWS, hi + 1))))
-                                         for start in range(lo, hi + 1, _ROWS))
-    if args.format == "json":
-        json_text = _SCALAR_JSON  # str and None fields as their JSON text
-        rows = ((n, *_texts(f, top), *_texts(f, low), count, iso, name)
-                for n, top, low, count, iso, name in rows)
-        rows = ((n, json_text[type(e1)](e1), d1, json_text[type(e2)](e2), d2, count, iso,
-                 json_text[type(name)](name)) for n, e1, d1, e2, d2, count, iso, name in rows)
+    def lines():
+        for n, (top, count, iso), (low, _, _) in rows:
+            name = None
+            if family:
+                name, _, _, iso = family(n)
+            if as_json:  # str and None fields as their JSON text
+                e1, d1 = _texts(f, top)
+                e2, d2 = _texts(f, -low)
+                yield _ROW_JSON % (n, _SCALAR_JSON[type(e1)](e1), d1, _SCALAR_JSON[type(e2)](e2),
+                                   d2, _int_text(count), _int_text(iso),
+                                   _SCALAR_JSON[type(name)](name))
+            else:
+                yield _ROW_CSV % (n, text(top), text(-low), _int_text(count), _int_text(iso),
+                                  name or "")
+
+    if as_json:
         return _json_text({"command": "table", "index": f.name,
-                           "rows": _json_rows(_ROW_JSON, rows)}), 0
-    exact = args.exact and f.mode == RATIONAL
-
-    def text(raw):  # p/q or the decimal
-        return _exact_text(raw, f.den) if exact else _texts(f, raw)[1]
-
-    return _joined(itertools.chain(("n,max,min,labeled_count,iso_count,family\n",), (
-        _ROW_CSV % (n, text(top), text(low), count, iso, name or "")
-        for n, top, low, count, iso, name in rows))), 0
+                           "rows": _joined(lines(), ",\n    ")}), 0
+    return _joined(itertools.chain(("n,max,min,labeled_count,iso_count,family\n",), lines())), 0
 
 
 def _cmd_verify(args, f: IndexFunction):

@@ -56,7 +56,11 @@ of e costs three big products of (a, b) and a set bit linear work.  The
 mirror walk powers its maps alike.  So a table keeps every row 3..n at
 O(runs) Python steps, segments and small-int steps; a row's values are
 read in O(log runs) steps, its counts and `iso_count` in O(runs log k)
-big-int steps, or one step of each when rows are read in order.  A chain
+big-int steps, or one step of each when rows are read in order.  A range
+of rows read in order, as CLI `table` reads it, is one pass over the
+segments (`DPTable._pass`): a row costs its values' step, one code step
+of the counts and one map step of the mirror walk, with no row record,
+bisection for its own segment or search of the kept rows.  A chain
 of `witness` or `chains` takes O(runs + ties) Python steps, whatever k
 is, and one k-byte write: a run is walked six rows deep and its repeated
 stretch listed as pieces, which one join writes into the word.
@@ -91,6 +95,7 @@ MAX = "max"
 MIN = "min"
 
 _PRED_SETS = (frozenset(), frozenset((1,)), frozenset((2,)), frozenset((1, 2)))
+_END1, _END2, _BOTH = (1,), (2,), (1, 2)  # the ends a read takes
 # an end's chain count as a row over the counts (c1, c2) of the row before, by its
 # code; row 3's code 0 is never carried, its counts (1, 1) being where carries start
 _COUNT_ROWS = (None, (1, 0), (0, 1), (1, 1))
@@ -286,13 +291,10 @@ class DPTable:
     def _mirror_pairs(self, rec: list, ends: tuple[int, ...]) -> int:
         """(B - P) / 2 for the optimal words S of `rec`'s row that end in
         `ends`, B those whose reverse is also in S and P the palindromes of
-        S, from the row's mirror walk (`_walk`) started at (1 in ends, 2 in ends)."""
+        S, from the row's mirror walk (`_walk`)."""
         if rec[_WALK] is None:
             rec[_WALK] = self._walk(rec)
-        ((x1, x2), (y1, y2)), m = rec[_WALK]
-        v1, v2 = (x1, y1) if ends == (1,) else (x2, y2) if ends == (2,) else (x1 + x2, y1 + y2)
-        w1, w2 = _apply(m, (v1, v2))
-        return (v1 * w1 + v2 * w2 - m[0][0] * v1 - m[1][1] * v2) // 2
+        return _pairs(rec[_WALK], ends)
 
     def _walk(self, rec: list) -> tuple:
         """Row k's mirror walk: it pairs square l with r = k + 3 - l and
@@ -328,6 +330,66 @@ class DPTable:
         # k), or the walk's step l + 1 = r = s + 4 reads its edge both ways (even k)
         codes = segs[bisect_right(starts, s + 4) - 1][2][s % 2][3]
         return walk, ((1, 0), (0, 1)) if k % 2 else _mirror_map(codes, codes)
+
+    def _pass(self, lo: int, hi: int, end: int | None = None, count: bool = False,
+              iso: bool = False) -> Iterator[tuple]:
+        """Rows lo..hi in order, 3 <= lo <= hi <= n, in one pass over the
+        segments: for each row, the raw optimum of `end` (of the winning
+        ends for None, as `best_value`), and the `labeled_count` when
+        `count` or `iso` is set and the `iso_count` when `iso` is, else
+        None.  A row's values step from its phase, its counts take one
+        code step from the row before's, and its mirror walk one map step
+        from row k - 2's while rows k - s .. k lie in one segment, as
+        `_walk` carries it; the first row's counts, and a walk that cannot
+        step, come from the row's record."""
+        f, segs, starts = self.f, self._segments, self._starts
+        floating = f.tol[0]
+
+        def codes(r):  # row r's codes
+            return segs[bisect_right(starts, r) - 1][2][r & 1][3]
+
+        walks = [(0, None), (0, None)]  # (row, walk) of the last row read of each parity
+        for seg_lo, seg_hi, phases in segs[bisect_right(starts, lo) - 1:bisect_right(starts, hi)]:
+            for k in range(max(lo, seg_lo), min(hi, seg_hi) + 1):
+                row, (x, y), (dx, dy), step = phases[k & 1]
+                if k != row:
+                    b = (k - row) // 2
+                    x, y = x + b * dx, y + b * dy
+                if end is not None:
+                    ends = _END1 if end == 1 else _END2
+                elif x == y or floating and f.ties(x, y):  # rational values tie only when equal
+                    ends = _BOTH
+                else:
+                    ends = _END1 if x > y else _END2
+                raw = y if ends is _END2 else x
+                if not (count or iso):
+                    yield raw, None, None
+                    continue
+                if k == lo:
+                    rec = self._row(k)[0]
+                    self._count(rec, _END1)
+                    c1, c2 = rec[_COUNTS]
+                else:  # one code step from row k - 1
+                    i, j = step[0], step[1]
+                    c1, c2 = (c1 if i == 1 else c2 if i == 2 else c1 + c2,
+                              c1 if j == 1 else c2 if j == 2 else c1 + c2)
+                labeled = c1 + c2 if ends is _BOTH else c1 if ends is _END1 else c2
+                if not iso:
+                    yield raw, labeled, None
+                    continue
+                s = (k - 3) // 2
+                last, walk = walks[k & 1]
+                if last == k - 2 and seg_lo <= k - s:  # one step more: rows 3 + s and k - s + 1
+                    walk = _compose(_mirror_map(codes(3 + s), phases[(k - s + 1) & 1][3]), walk)
+                    if k & 1:
+                        mid = ((1, 0), (0, 1))
+                    else:  # the halves meet at the middle row's edge, as in `_walk`
+                        mid = codes(s + 4)
+                        mid = _mirror_map(mid, mid)
+                else:
+                    walk, mid = self._walk(self._row(k)[0])
+                walks[k & 1] = k, walk
+                yield raw, labeled, labeled - _pairs((walk, mid), ends)
 
     def chains(
         self,
@@ -421,6 +483,15 @@ def _mirror_map(a: tuple, z: tuple) -> tuple:
     admits x and, mirrored, code z of row r at end x admits y."""
     a1, a2, z1, z2 = a[0], a[1], z[0], z[1]
     return ((a1 & z1 & 1, a1 >> 1 & z2 & 1), (a2 & z1 >> 1, (a2 & z2) >> 1))
+
+
+def _pairs(walk: tuple, ends: tuple[int, ...]) -> int:
+    """`DPTable._mirror_pairs` from a row's mirror walk and middle map
+    (`DPTable._walk`), the walk started at (1 in ends, 2 in ends)."""
+    ((x1, x2), (y1, y2)), m = walk
+    v1, v2 = (x1, y1) if ends == (1,) else (x2, y2) if ends == (2,) else (x1 + x2, y1 + y2)
+    w1, w2 = _apply(m, (v1, v2))
+    return (v1 * w1 + v2 * w2 - m[0][0] * v1 - m[1][1] * v2) // 2
 
 
 def _build(f: IndexFunction, n: int) -> tuple:

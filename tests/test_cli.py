@@ -229,6 +229,27 @@ class TestExtremalCommands:
         assert doc["labeled_count"] == 2**14285
 
 
+class TestIntText:
+    """`cli._int_text`, which writes every count, is ``str`` byte for byte:
+    below `cli._STR_BITS` bits by str itself, past it in parts."""
+
+    @staticmethod
+    def ints():
+        rng = random.Random(47)
+        edge = cli_mod._STR_BITS
+        out = [0, 1, 9, 10, *(rng.getrandbits(rng.randrange(1, 10**5 + 1)) for _ in range(120)),
+               *(10**k + d for k in (1, 19, 256, 903, 904, 1024, 2048, 4096, 6020, 30103)
+                 for d in (-1, 0, 1)),
+               *(2**bits + d for bits in (edge - 2, edge - 1, edge, edge + 1) for d in (-1, 0, 1)),
+               *(rng.getrandbits(bits) | 1 << bits - 1 for bits in (edge - 1, edge, edge + 1))]
+        return out + [-n for n in out]
+
+    def test_equals_str(self):
+        with _unlimited_int_digits():
+            for n in self.ints():
+                assert cli_mod._int_text(n) == str(n), n.bit_length()
+
+
 def render(doc) -> str:
     return "".join(cli_mod._render_json(doc))
 
@@ -408,57 +429,63 @@ class TestTable:
         assert err.startswith("usage: ") and "unrecognized arguments: --iso-limit 0" in err
 
     def test_each_row_read_once(self, capsys, tmp_path, monkeypatch):
-        # a row: one read of the max table's record and one of the min table's,
-        # and one mirror walk; from row 22 on, when rows n - 1 and n - 2 are
-        # kept, the counts take one step from row n - 1's and the walk one
-        # step from row n - 2's, two one-row stretches in all
+        # one in-order pass of each table; in the max table's, row 20 takes its
+        # counts from its record, rows 20 and 21 walk afresh, and every row from
+        # 22 on takes one walk step (one map composed) and no other read: no
+        # record, count carry or stretch.  Its counts are the row before's after
+        # one code step, which the pass makes inline
         path = tmp_path / "const.json"
         path.write_text(json.dumps({"name": "const", "values": {k: "7/3" for k in PAIRS}}))
-        events = []
-        real_row, real_walk, real_stretch = (dp_mod.DPTable._row, dp_mod.DPTable._walk,
-                                             dp_mod._stretch)
+        events, passes = [], []
+        real_pass = dp_mod.DPTable._pass
 
-        def row(table, k, *args):
-            events.append(("row", table.f.name, k))
-            return real_row(table, k, *args)
+        def traced(name, real):
+            def call(*args):
+                events.append((name,))
+                return real(*args)
+            return call
 
-        def walk(table, rec):
-            events.append(("walk", table.f.name, rec[dp_mod._K]))
-            return real_walk(table, rec)
+        def counted_pass(table, lo, hi, *args, **kwargs):
+            passes.append((table.f.name, lo, hi, kwargs))
+            for k, row in enumerate(real_pass(table, lo, hi, *args, **kwargs), lo):
+                events.append(("yield", table.f.name, k))
+                yield row
 
-        def stretch(first, second, rows):
-            events.append(("stretch", rows))
-            return real_stretch(first, second, rows)
-
-        monkeypatch.setattr(dp_mod.DPTable, "_row", row)
-        monkeypatch.setattr(dp_mod.DPTable, "_walk", walk)
-        monkeypatch.setattr(dp_mod, "_stretch", stretch)
+        monkeypatch.setattr(dp_mod.DPTable, "_pass", counted_pass)
+        for name in ("_row", "_count", "_walk"):
+            monkeypatch.setattr(dp_mod.DPTable, name, traced(name, getattr(dp_mod.DPTable, name)))
+        for name in ("_carry", "_stretch", "_compose"):
+            monkeypatch.setattr(dp_mod, name, traced(name, getattr(dp_mod, name)))
         code, _, err = run_cli(capsys, "table", "--index-file", str(path),
                                "--from", "20", "--to", "150", "--exact")
         assert (code, err) == (0, "")
+        assert passes == [("const", 20, 150, {"iso": True, "count": True}),
+                          ("const_neg", 20, 150, {})]
         rows = range(20, 151)
-        assert [e for e in events if e[0] == "row"] == [
-            ("row", name, n) for n in rows for name in ("const", "const_neg")]
-        assert [e for e in events if e[0] == "walk"] == [("walk", "const", n) for n in rows]
-        stretches, n = {}, None
+        assert [e for e in events if e[0] == "yield"] == [
+            ("yield", name, n) for n in rows for name in ("const", "const_neg")]
+        reads, k = {}, None  # the calls made to read each row of the max table
         for event in events:
-            if event[:2] == ("row", "const"):
-                n = event[2]
-            elif event[0] == "stretch":
-                stretches.setdefault(n, []).append(event[1])
-        assert all(stretches[n] == [1, 1] for n in range(22, 151)), stretches
+            if event[0] == "yield":
+                k = event[2] + 1  # the max table's next row: the min table reads nothing
+            else:
+                reads.setdefault(k or 20, []).append(event[0])
+        assert reads[20][:2] == ["_row", "_count"] and reads[20].count("_walk") == 1
+        assert reads[21].count("_walk") == 1 and "_count" not in reads[21]
+        assert all(reads[n] == ["_compose"] for n in range(22, 151)), reads
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_rows_are_read_as_they_are_written(self, monkeypatch, fmt):
         # the first part of about _CHUNK characters goes out after a few
         # thousand of 20 000 rows are read, not all of them
-        reads, real = [], dp_mod.DPTable._row
+        reads, real = [], dp_mod.DPTable._pass
 
-        def counted(table, k, *args):
-            reads.append(k)
-            return real(table, k, *args)
+        def counted(table, *args, **kwargs):
+            for row in real(table, *args, **kwargs):
+                reads.append(table.f.name)
+                yield row
 
-        monkeypatch.setattr(dp_mod.DPTable, "_row", counted)
+        monkeypatch.setattr(dp_mod.DPTable, "_pass", counted)
         args = cli_mod.build_parser().parse_args(
             ["table", "--index", "azi", "--from", "3", "--to", "20002", "--format", fmt])
         chunks, code = cli_mod._cmd_table(args, preset("azi"))
@@ -467,7 +494,8 @@ class TestTable:
             drawn += len(chunk)
             if drawn >= cli_mod._CHUNK:
                 break
-        assert code == 0 and 0 < len(reads) < 20000 // 4
+        assert code == 0 and 0 < reads.count("azi") < 20000 // 4
+        assert reads.count("azi_neg") == reads.count("azi")
 
 
 def reference_table(f, lo, hi, fmt, exact):

@@ -994,6 +994,51 @@ class TestMirrorReadOrder:
                     assert t.iso_count(k, end) == fresh[k, end], (f.name, k, end, name)
 
 
+class TestPassReadOrder:
+    """`DPTable._pass` reads rows lo..hi in order in one pass over the
+    segments, each row's counts one code step from the row before's and
+    its mirror walk one map step from row k - 2's: every row of every
+    window must give a fresh table's value, labeled count and iso count,
+    for each end and both, and the pass must give the same values and
+    counts when it reads fewer of them."""
+
+    @staticmethod
+    def windows(t, hi, rng):
+        """The whole range from row 3, one-row windows, and windows that
+        start at, just inside and in the middle of a segment and run
+        across the next segment's first row, each within 3..hi."""
+        out = {(3, hi), (3, 3), (hi, hi), *((k, k) for k in rng.sample(range(3, hi + 1), 3))}
+        for lo, top, _ in t._segments:
+            if lo > hi:
+                break
+            for start in (lo, lo + 1, (lo + top) // 2):
+                if start <= hi:
+                    out.add((start, min(hi, top + 1 + rng.randrange(6))))
+        return sorted(out)
+
+    def test_every_window_gives_a_fresh_tables_answers(self):
+        rng = random.Random(46)
+        hi = 120
+        extra = [force_float(preset("randic", -1)), force_float(small_range_index())]
+        for f in (*TestMirrorReadOrder.tables(), *extra, *map(negate, extra)):
+            fresh = {}
+            for k in range(3, hi + 1):
+                t = run_dp(f, k)  # reads at one row never carry
+                for end in (None, 1, 2):
+                    value = t.best_value(k) if end is None else t.value(k, end)
+                    fresh[k, end] = (value, t.labeled_count(k, end), t.iso_count(k, end))
+            t = run_dp(f, hi)
+            for lo, top in self.windows(t, hi, rng):
+                for end in (None, 1, 2):
+                    rows = list(t._pass(lo, top, end, iso=True))
+                    got = [(f.read(raw), count, iso) for raw, count, iso in rows]
+                    assert got == [fresh[k, end] for k in range(lo, top + 1)], (f.name, lo, top, end)
+                    assert list(t._pass(lo, top, end, count=True)) == [
+                        (raw, count, None) for raw, count, _ in rows], (f.name, lo, top, end)
+                    assert list(t._pass(lo, top, end)) == [
+                        (raw, None, None) for raw, _, _ in rows], (f.name, lo, top, end)
+
+
 class TestCountMaximal:
     def test_anchors(self):
         assert run_dp(AZI, 10).labeled_count(10, 1) == 3
