@@ -159,11 +159,7 @@ class DPTable:
             if not 3 <= k <= self.n:
                 raise ValueError(f"square count {k} outside table range 3..{self.n}")
             at = bisect_right(self._starts, k) - 1
-            row, vals, rise, codes = self._segments[at][2][k % 2]
-            b = (k - row) // 2
-            x, y = vals[0] + b * rise[0], vals[1] + b * rise[1]
-            wins = (1, 2) if self.f.ties(x, y) else (1,) if x > y else (2,)
-            rec = self._rows[k] = [k, at, (x, y), wins, codes, None, None]
+            rec = self._rows[k] = [k, at, *_read(self.f, self._segments[at][2], k), None, None]
             if len(self._rows) > 3:
                 del self._rows[next(iter(self._rows))]
         if end is None:
@@ -188,7 +184,7 @@ class DPTable:
                 for seg in segs[bisect_right(self._starts, row + 1) - 1:at]:
                     counts, row = _carry(seg, row, counts, seg[1]), seg[1]
             rec[_COUNTS] = _carry(segs[at], row, counts, k) if row < k else counts
-        return rec[_COUNTS][ends[0] - 1] if len(ends) == 1 else sum(rec[_COUNTS])
+        return _total(rec[_COUNTS], ends)
 
     def predecessors(self, k: int, i: int) -> frozenset[int]:
         return _PRED_SETS[self._row(k, i)[0][_CODES][i - 1]]
@@ -291,105 +287,82 @@ class DPTable:
     def _mirror_pairs(self, rec: list, ends: tuple[int, ...]) -> int:
         """(B - P) / 2 for the optimal words S of `rec`'s row that end in
         `ends`, B those whose reverse is also in S and P the palindromes of
-        S, from the row's mirror walk (`_walk`)."""
+        S, from the row's mirror walk (`_walk`), carried from row k - 2's
+        when that is kept."""
         if rec[_WALK] is None:
-            rec[_WALK] = self._walk(rec)
+            last = self._rows.get(rec[_K] - 2)
+            rec[_WALK] = self._walk(rec[_K], rec[_AT], last and last[_WALK])
         return _pairs(rec[_WALK], ends)
 
-    def _walk(self, rec: list) -> tuple:
-        """Row k's mirror walk: it pairs square l with r = k + 3 - l and
-        moves inward, v_x counting the half words w_3..w_l ending in link x
-        whose every step is a DAG edge both forwards (squares l, l + 1) and
-        mirrored (squares r - 1, r).  A word is in B when both its halves,
-        read from the outside in, are such words, and in P when they are
-        one, so B and P follow where the halves meet, by the middle's map
-        m.  The walk is the 2x2 map from v's start to v, and m.  While rows
-        l + 1 and r stay in their segments the step maps alternate, one
-        powered map a stretch: O(runs log k) big-int steps.  When rows
-        k - s .. k lie in one segment, s = (k - 3) // 2 steps, the kept
-        walk at k - 2 takes one step more."""
-        segs, starts, k = self._segments, self._starts, rec[_K]
-        # segment i holds row l + 1, rising from row 4, and segment j row r,
-        # falling from row k; each pass takes the rows both stay in
-        s, i, j, done, walk = (k - 3) // 2, bisect_right(starts, 4) - 1, rec[_AT], 0, ((1, 0), (0, 1))
-        last = self._rows.get(k - 2)
-        if last is not None and last[_WALK] is not None and segs[j][0] <= k - s:
-            i, walk, done = bisect_right(starts, 3 + s) - 1, last[_WALK][0], s - 1
-        while done < s:
-            row_l, row_r = 4 + done, k - done  # rows l + 1 and r
-            (_, hi, left), (lo, _, right) = segs[i], segs[j]
-            rows = min(hi - row_l, row_r - lo, s - 1 - done) + 1
-            first = _mirror_map(left[row_l % 2][3], right[row_r % 2][3])
-            second = (_mirror_map(left[(row_l + 1) % 2][3], right[(row_r - 1) % 2][3])
-                      if rows > 1 else None)
-            walk = _compose(_stretch(first, second, rows), walk)
-            done += rows
-            i += row_l + rows > hi
-            j -= row_r - rows < lo
+    def _walk(self, k: int, at: int, last: tuple | None = None) -> tuple:
+        """Row k's mirror walk, row k in segment `at`: it pairs square l
+        with r = k + 3 - l and moves inward, v_x counting the half words
+        w_3..w_l ending in link x whose every step is a DAG edge both
+        forwards (squares l, l + 1) and mirrored (squares r - 1, r).  A
+        word is in B when both its halves, read from the outside in, are
+        such words, and in P when they are one, so B and P follow where
+        the halves meet, by the middle's map m.  The walk is the 2x2 map
+        from v's start to v, and m.  When rows k - s .. k lie in one
+        segment, s = (k - 3) // 2 steps, `last`, row k - 2's walk, takes
+        one step more; else while rows l + 1 and r stay in their segments
+        the step maps alternate, one powered map a stretch: O(runs log k)
+        big-int steps."""
+        segs, starts = self._segments, self._starts
+        s = (k - 3) // 2
+        if last is not None and segs[at][0] <= k - s:  # rows l + 1 = 3 + s and r = k - s + 1
+            left = segs[bisect_right(starts, 3 + s) - 1][2][(3 + s) % 2][3]
+            walk = _compose(_mirror_map(left, segs[at][2][(k - s + 1) % 2][3]), last[0])
+        else:
+            # segment i holds row l + 1, rising from row 4, and segment j row r,
+            # falling from row k; each pass takes the rows both stay in
+            i, j, done, walk = bisect_right(starts, 4) - 1, at, 0, ((1, 0), (0, 1))
+            while done < s:
+                row_l, row_r = 4 + done, k - done  # rows l + 1 and r
+                (_, hi, left), (lo, _, right) = segs[i], segs[j]
+                rows = min(hi - row_l, row_r - lo, s - 1 - done) + 1
+                first = _mirror_map(left[row_l % 2][3], right[row_r % 2][3])
+                second = (_mirror_map(left[(row_l + 1) % 2][3], right[(row_r - 1) % 2][3])
+                          if rows > 1 else None)
+                walk = _compose(_stretch(first, second, rows), walk)
+                done += rows
+                i += row_l + rows > hi
+                j -= row_r - rows < lo
         # the halves join by the map m of the middle: they share its square (odd
         # k), or the walk's step l + 1 = r = s + 4 reads its edge both ways (even k)
         codes = segs[bisect_right(starts, s + 4) - 1][2][s % 2][3]
         return walk, ((1, 0), (0, 1)) if k % 2 else _mirror_map(codes, codes)
 
-    def _pass(self, lo: int, hi: int, end: int | None = None, count: bool = False,
-              iso: bool = False) -> Iterator[tuple]:
+    def _pass(self, lo: int, hi: int, count: bool = False, iso: bool = False) -> Iterator[tuple]:
         """Rows lo..hi in order, 3 <= lo <= hi <= n, in one pass over the
-        segments: for each row, the raw optimum of `end` (of the winning
-        ends for None, as `best_value`), and the `labeled_count` when
-        `count` or `iso` is set and the `iso_count` when `iso` is, else
-        None.  A row's values step from its phase, its counts take one
-        code step from the row before's, and its mirror walk one map step
-        from row k - 2's while rows k - s .. k lie in one segment, as
-        `_walk` carries it; the first row's counts, and a walk that cannot
-        step, come from the row's record."""
+        segments: for each row, the raw optimum of the winning ends (as
+        `best_value`), and the `labeled_count` when `count` or `iso` is
+        set and the `iso_count` when `iso` is, else None.  A row's values
+        are read from its phase (`_read`), its counts take one code step
+        from the row before's (`_step`) and its mirror walk carries row
+        k - 2's (`_walk`), with no row record; the first row's counts come
+        from its record."""
         f, segs, starts = self.f, self._segments, self._starts
-        floating = f.tol[0]
-
-        def codes(r):  # row r's codes
-            return segs[bisect_right(starts, r) - 1][2][r & 1][3]
-
-        walks = [(0, None), (0, None)]  # (row, walk) of the last row read of each parity
-        for seg_lo, seg_hi, phases in segs[bisect_right(starts, lo) - 1:bisect_right(starts, hi)]:
+        walks = [None, None]  # the walks of the last row read of each parity
+        for at in range(bisect_right(starts, lo) - 1, bisect_right(starts, hi)):
+            seg_lo, seg_hi, phases = segs[at]
             for k in range(max(lo, seg_lo), min(hi, seg_hi) + 1):
-                row, (x, y), (dx, dy), step = phases[k & 1]
-                if k != row:
-                    b = (k - row) // 2
-                    x, y = x + b * dx, y + b * dy
-                if end is not None:
-                    ends = _END1 if end == 1 else _END2
-                elif x == y or floating and f.ties(x, y):  # rational values tie only when equal
-                    ends = _BOTH
-                else:
-                    ends = _END1 if x > y else _END2
+                (x, y), ends, codes = _read(f, phases, k)
                 raw = y if ends is _END2 else x
                 if not (count or iso):
                     yield raw, None, None
                     continue
                 if k == lo:
                     rec = self._row(k)[0]
-                    self._count(rec, _END1)
-                    c1, c2 = rec[_COUNTS]
-                else:  # one code step from row k - 1
-                    i, j = step[0], step[1]
-                    c1, c2 = (c1 if i == 1 else c2 if i == 2 else c1 + c2,
-                              c1 if j == 1 else c2 if j == 2 else c1 + c2)
-                labeled = c1 + c2 if ends is _BOTH else c1 if ends is _END1 else c2
+                    self._count(rec, ends)
+                    counts = rec[_COUNTS]
+                else:
+                    counts = _step(codes, counts)
+                labeled = _total(counts, ends)
                 if not iso:
                     yield raw, labeled, None
                     continue
-                s = (k - 3) // 2
-                last, walk = walks[k & 1]
-                if last == k - 2 and seg_lo <= k - s:  # one step more: rows 3 + s and k - s + 1
-                    walk = _compose(_mirror_map(codes(3 + s), phases[(k - s + 1) & 1][3]), walk)
-                    if k & 1:
-                        mid = ((1, 0), (0, 1))
-                    else:  # the halves meet at the middle row's edge, as in `_walk`
-                        mid = codes(s + 4)
-                        mid = _mirror_map(mid, mid)
-                else:
-                    walk, mid = self._walk(self._row(k)[0])
-                walks[k & 1] = k, walk
-                yield raw, labeled, labeled - _pairs((walk, mid), ends)
+                walk = walks[k & 1] = self._walk(k, at, walks[k & 1])
+                yield raw, labeled, labeled - _pairs(walk, ends)
 
     def chains(
         self,
@@ -475,6 +448,30 @@ def _carry(seg: tuple, row: int, counts: tuple, k: int) -> tuple:
     c, d = seg[2][(row + 1) % 2][3], seg[2][row % 2][3]
     return _apply(_stretch((_COUNT_ROWS[c[0]], _COUNT_ROWS[c[1]]),
                            (_COUNT_ROWS[d[0]], _COUNT_ROWS[d[1]]), k - row), counts)
+
+
+def _step(codes: tuple, counts: tuple) -> tuple:
+    """A row's chain counts from those (c1, c2) of the row before, by its
+    codes: `_COUNT_ROWS`' step, c1, c2 or c1 + c2 for each end."""
+    c1, c2 = counts
+    i, j = codes[0], codes[1]
+    return (c1 if i == 1 else c2 if i == 2 else c1 + c2, c1 if j == 1 else c2 if j == 2 else c1 + c2)
+
+
+def _total(counts: tuple, ends: tuple[int, ...]) -> int:
+    """The chains of a row that end in `ends`, from its counts (c1, c2)."""
+    return counts[ends[0] - 1] if len(ends) == 1 else counts[0] + counts[1]
+
+
+def _read(f: IndexFunction, phases: tuple, k: int) -> tuple:
+    """Row k's raw optima (x, y) from its phase in `phases`, those of its
+    segment, the winning ends, both on a tie under f, and its codes."""
+    row, (x, y), (dx, dy), codes = phases[k & 1]
+    if k != row:
+        b = (k - row) // 2
+        x, y = x + b * dx, y + b * dy
+    # rational values tie only when equal
+    return (x, y), _BOTH if x == y or f.tol[0] and f.ties(x, y) else _END1 if x > y else _END2, codes
 
 
 def _mirror_map(a: tuple, z: tuple) -> tuple:

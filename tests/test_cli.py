@@ -431,9 +431,8 @@ class TestTable:
     def test_each_row_read_once(self, capsys, tmp_path, monkeypatch):
         # one in-order pass of each table; in the max table's, row 20 takes its
         # counts from its record, rows 20 and 21 walk afresh, and every row from
-        # 22 on takes one walk step (one map composed) and no other read: no
-        # record, count carry or stretch.  Its counts are the row before's after
-        # one code step, which the pass makes inline
+        # 22 on takes one count step and one walk step (one map composed) and no
+        # other read: no record, count carry or stretch
         path = tmp_path / "const.json"
         path.write_text(json.dumps({"name": "const", "values": {k: "7/3" for k in PAIRS}}))
         events, passes = [], []
@@ -454,7 +453,7 @@ class TestTable:
         monkeypatch.setattr(dp_mod.DPTable, "_pass", counted_pass)
         for name in ("_row", "_count", "_walk"):
             monkeypatch.setattr(dp_mod.DPTable, name, traced(name, getattr(dp_mod.DPTable, name)))
-        for name in ("_carry", "_stretch", "_compose"):
+        for name in ("_step", "_carry", "_stretch", "_compose"):
             monkeypatch.setattr(dp_mod, name, traced(name, getattr(dp_mod, name)))
         code, _, err = run_cli(capsys, "table", "--index-file", str(path),
                                "--from", "20", "--to", "150", "--exact")
@@ -471,8 +470,8 @@ class TestTable:
             else:
                 reads.setdefault(k or 20, []).append(event[0])
         assert reads[20][:2] == ["_row", "_count"] and reads[20].count("_walk") == 1
-        assert reads[21].count("_walk") == 1 and "_count" not in reads[21]
-        assert all(reads[n] == ["_compose"] for n in range(22, 151)), reads
+        assert reads[21][:2] == ["_step", "_walk"] and "_count" not in reads[21]
+        assert all(reads[n] == ["_step", "_walk", "_compose"] for n in range(22, 151)), reads
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_rows_are_read_as_they_are_written(self, monkeypatch, fmt):
@@ -494,7 +493,7 @@ class TestTable:
             drawn += len(chunk)
             if drawn >= cli_mod._CHUNK:
                 break
-        assert code == 0 and 0 < reads.count("azi") < 20000 // 4
+        assert code == 0 and 0 < len(reads) < 20000 // 4
         assert reads.count("azi_neg") == reads.count("azi")
 
 

@@ -957,19 +957,35 @@ class TestExtremalFields:
 class TestMirrorReadOrder:
     """`iso_count` at k carries the mirror walk of row k - 2 when that was
     the last row of its parity read, with the same ends, and rows k - s .. k
-    lie in one segment: every read order must give a fresh table's count."""
+    lie in one segment, and `_pass` carries it so from row to row of a
+    window, with the counts one code step from the row before's: every
+    read order, and every window of the pass, must give a fresh table's
+    answers."""
 
     @staticmethod
     def tables():
         tables = {}
         extra = [preset(name) for name in PRESET_NAMES]
         extra += [preset("randic", -1), small_range_index()]
+        extra += [force_float(preset("randic", -1)), force_float(small_range_index())]
         for f in (*chain_corpus(), *extra, *(negate(f) for f in extra)):
             tables.setdefault((f.mode, f.eps, *f.values.items()), f)
         return list(tables.values())
 
+    @staticmethod
+    def windows(t, hi, rng):
+        """Rows 3..hi, 3..3 and hi..hi, three other one-row windows, and
+        windows that start at, just inside and in the middle of a segment
+        and run across the next segment's first row, each within 3..hi."""
+        out = {(3, hi), (3, 3), (hi, hi), *((k, k) for k in rng.sample(range(3, hi + 1), 3))}
+        for lo, top, _ in t._segments:
+            for start in (lo, lo + 1, (lo + top) // 2):
+                if start <= hi:
+                    out.add((start, min(hi, top + 1 + rng.randrange(6))))
+        return sorted(out)
+
     def test_in_order_reversed_shuffled_and_interleaved(self):
-        rng = random.Random(27)
+        rng, windows_rng = random.Random(27), random.Random(46)
         rows, hi = list(range(3, 201)), 200
         for f in self.tables():
             fresh = {}
@@ -977,6 +993,7 @@ class TestMirrorReadOrder:
                 t = run_dp(f, k)  # reads at one row never carry
                 for end in (None, 1, 2):
                     fresh[k, end] = t.iso_count(k, end)
+                fresh[k] = (t.best_value(k), t.labeled_count(k), fresh[k, None])
             reads = [(k, end) for end in (None, 1, 2) for k in rows]
             orders = {"in order": reads, "reversed": reads[::-1],
                       "shuffled": rng.sample(reads, len(reads)), "interleaved": reads}
@@ -992,51 +1009,17 @@ class TestMirrorReadOrder:
                         else:
                             t.iso_count(other, rng.choice((None, 1, 2)))
                     assert t.iso_count(k, end) == fresh[k, end], (f.name, k, end, name)
-
-
-class TestPassReadOrder:
-    """`DPTable._pass` reads rows lo..hi in order in one pass over the
-    segments, each row's counts one code step from the row before's and
-    its mirror walk one map step from row k - 2's: every row of every
-    window must give a fresh table's value, labeled count and iso count,
-    for each end and both, and the pass must give the same values and
-    counts when it reads fewer of them."""
-
-    @staticmethod
-    def windows(t, hi, rng):
-        """The whole range from row 3, one-row windows, and windows that
-        start at, just inside and in the middle of a segment and run
-        across the next segment's first row, each within 3..hi."""
-        out = {(3, hi), (3, 3), (hi, hi), *((k, k) for k in rng.sample(range(3, hi + 1), 3))}
-        for lo, top, _ in t._segments:
-            if lo > hi:
-                break
-            for start in (lo, lo + 1, (lo + top) // 2):
-                if start <= hi:
-                    out.add((start, min(hi, top + 1 + rng.randrange(6))))
-        return sorted(out)
-
-    def test_every_window_gives_a_fresh_tables_answers(self):
-        rng = random.Random(46)
-        hi = 120
-        extra = [force_float(preset("randic", -1)), force_float(small_range_index())]
-        for f in (*TestMirrorReadOrder.tables(), *extra, *map(negate, extra)):
-            fresh = {}
-            for k in range(3, hi + 1):
-                t = run_dp(f, k)  # reads at one row never carry
-                for end in (None, 1, 2):
-                    value = t.best_value(k) if end is None else t.value(k, end)
-                    fresh[k, end] = (value, t.labeled_count(k, end), t.iso_count(k, end))
+            # in order, a window at a time, in one pass: values, counts and mirror
+            # classes of the winning ends, and the same values and counts when
+            # the pass reads fewer of them
             t = run_dp(f, hi)
-            for lo, top in self.windows(t, hi, rng):
-                for end in (None, 1, 2):
-                    rows = list(t._pass(lo, top, end, iso=True))
-                    got = [(f.read(raw), count, iso) for raw, count, iso in rows]
-                    assert got == [fresh[k, end] for k in range(lo, top + 1)], (f.name, lo, top, end)
-                    assert list(t._pass(lo, top, end, count=True)) == [
-                        (raw, count, None) for raw, count, _ in rows], (f.name, lo, top, end)
-                    assert list(t._pass(lo, top, end)) == [
-                        (raw, None, None) for raw, _, _ in rows], (f.name, lo, top, end)
+            for lo, top in self.windows(t, hi, windows_rng):
+                got = list(t._pass(lo, top, count=True, iso=True))
+                assert [(f.read(raw), count, iso) for raw, count, iso in got] == [
+                    fresh[k] for k in range(lo, top + 1)], (f.name, lo, top, "pass")
+                assert list(t._pass(lo, top, count=True)) == [
+                    (raw, count, None) for raw, count, _ in got], (f.name, lo, top)
+                assert list(t._pass(lo, top)) == [(raw, None, None) for raw, _, _ in got], (f.name, lo, top)
 
 
 class TestCountMaximal:

@@ -295,9 +295,9 @@ class TestCrossCheck:
             records.setdefault(id(rec), (table.f.name, rec[dp_mod._K], rec))
             return rec, ends
 
-        def walk(table, rec):
-            walks.append((table.f.name, rec[dp_mod._K]))
-            return real_walk(table, rec)
+        def walk(table, k, *args):
+            walks.append((table.f.name, k))
+            return real_walk(table, k, *args)
 
         monkeypatch.setattr(DPTable, "_row", row)
         monkeypatch.setattr(DPTable, "_walk", walk)
