@@ -99,32 +99,10 @@ OUTPUT_SCHEMAS = {
 }
 
 
-# ints below this many bits are written by str; past it `_int_text` splits them,
-# as CPython's int-to-decimal conversion takes time quadratic in the digits
-_STR_BITS = 3000
-
-
-_pow10 = functools.cache((10).__pow__)  # 10**k, each k's made once
-
-
-def _int_text(n: int) -> str:
-    """``str(n)``, divide and conquer past `_STR_BITS` bits: n is split at
-    10**k, k the largest power of two up to about half its digits, and
-    each part written so, the low one padded to k digits.  A division by
-    a cached power of ten takes less time than the conversion it halves."""
-    if n.bit_length() < _STR_BITS:
-        return str(n)
-    if n < 0:
-        return "-" + _int_text(-n)
-    k = 1 << (n.bit_length() * 3 // 20).bit_length() - 1  # a digit is 3.3 bits
-    high, low = divmod(n, _pow10(k))
-    return _int_text(high) + _int_text(low).zfill(k)
-
-
 # json's text for each exact scalar type, without a json.dumps call per scalar
 _SCALAR_JSON = {
     str: json.encoder.encode_basestring_ascii,
-    int: _int_text,
+    int: int.__repr__,
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): lambda _: "null",
 }
@@ -354,9 +332,9 @@ def _cmd_extremal(args, f: IndexFunction):
 def _extremal_plain(args, f: IndexFunction, result, words):
     yield f"{args.command} {f.name} n={args.n}: {_value_plain(result.value)}\nwitness: "
     yield from _words_parts((result.witness._word,), b",")
-    yield f"\nlabeled count: {_int_text(result.labeled_count)}"
+    yield f"\nlabeled count: {result.labeled_count}"
     if result.iso_count is not None:
-        yield f"\nmirror classes: {_int_text(result.iso_count)}"
+        yield f"\nmirror classes: {result.iso_count}"
     if words is not None:
         yield "\nchains:"
         yield from _words_parts(words, b",", b"\n", "\n")
@@ -412,11 +390,10 @@ def _cmd_table(args, f: IndexFunction):
                 e1, d1 = _texts(f, top)
                 e2, d2 = _texts(f, -low)
                 yield _ROW_JSON % (n, _SCALAR_JSON[type(e1)](e1), d1, _SCALAR_JSON[type(e2)](e2),
-                                   d2, _int_text(count), _int_text(iso),
+                                   d2, count, iso,
                                    _SCALAR_JSON[type(name)](name))
             else:
-                yield _ROW_CSV % (n, text(top), text(-low), _int_text(count), _int_text(iso),
-                                  name or "")
+                yield _ROW_CSV % (n, text(top), text(-low), count, iso, name or "")
 
     if as_json:
         return _json_text({"command": "table", "index": f.name,

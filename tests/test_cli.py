@@ -229,27 +229,6 @@ class TestExtremalCommands:
         assert doc["labeled_count"] == 2**14285
 
 
-class TestIntText:
-    """`cli._int_text`, which writes every count, is ``str`` byte for byte:
-    below `cli._STR_BITS` bits by str itself, past it in parts."""
-
-    @staticmethod
-    def ints():
-        rng = random.Random(47)
-        edge = cli_mod._STR_BITS
-        out = [0, 1, 9, 10, *(rng.getrandbits(rng.randrange(1, 10**5 + 1)) for _ in range(120)),
-               *(10**k + d for k in (1, 19, 256, 903, 904, 1024, 2048, 4096, 6020, 30103)
-                 for d in (-1, 0, 1)),
-               *(2**bits + d for bits in (edge - 2, edge - 1, edge, edge + 1) for d in (-1, 0, 1)),
-               *(rng.getrandbits(bits) | 1 << bits - 1 for bits in (edge - 1, edge, edge + 1))]
-        return out + [-n for n in out]
-
-    def test_equals_str(self):
-        with _unlimited_int_digits():
-            for n in self.ints():
-                assert cli_mod._int_text(n) == str(n), n.bit_length()
-
-
 def render(doc) -> str:
     return "".join(cli_mod._render_json(doc))
 
