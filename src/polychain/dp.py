@@ -302,11 +302,11 @@ class DPTable:
         word is in B when both its halves, read from the outside in, are
         such words, and in P when they are one, so B and P follow where
         the halves meet, by the middle's map m.  The walk is the 2x2 map
-        from v's start to v, and m.  When rows k - s .. k lie in one
-        segment, s = (k - 3) // 2 steps, `last`, row k - 2's walk, takes
-        one step more; else while rows l + 1 and r stay in their segments
-        the step maps alternate, one powered map a stretch: O(runs log k)
-        big-int steps."""
+        from v's start to v, and m, None for the identity.  When rows
+        k - s .. k lie in one segment, s = (k - 3) // 2 steps, `last`, row
+        k - 2's walk, takes one step more; else while rows l + 1 and r stay
+        in their segments the step maps alternate, one powered map a
+        stretch: O(runs log k) big-int steps."""
         segs, starts = self._segments, self._starts
         s = (k - 3) // 2
         if last is not None and segs[at][0] <= k - s:  # rows l + 1 = 3 + s and r = k - s + 1
@@ -328,9 +328,10 @@ class DPTable:
                 i += row_l + rows > hi
                 j -= row_r - rows < lo
         # the halves join by the map m of the middle: they share its square (odd
-        # k), or the walk's step l + 1 = r = s + 4 reads its edge both ways (even k)
+        # k, the identity), or the walk's step l + 1 = r = s + 4 reads its edge
+        # both ways (even k)
         codes = segs[bisect_right(starts, s + 4) - 1][2][s % 2][3]
-        return walk, ((1, 0), (0, 1)) if k % 2 else _mirror_map(codes, codes)
+        return walk, None if k % 2 else _mirror_map(codes, codes)
 
     def _pass(self, lo: int, hi: int, count: bool = False, iso: bool = False) -> Iterator[tuple]:
         """Rows lo..hi in order, 3 <= lo <= hi <= n, in one pass over the
@@ -484,9 +485,13 @@ def _mirror_map(a: tuple, z: tuple) -> tuple:
 
 def _pairs(walk: tuple, ends: tuple[int, ...]) -> int:
     """`DPTable._mirror_pairs` from a row's mirror walk and middle map
-    (`DPTable._walk`), the walk started at (1 in ends, 2 in ends)."""
+    (`DPTable._walk`), the walk started at (1 in ends, 2 in ends).  An
+    identity middle (None) squares each v_x, which CPython does faster
+    than it multiplies two ints."""
     ((x1, x2), (y1, y2)), m = walk
     v1, v2 = (x1, y1) if ends == (1,) else (x2, y2) if ends == (2,) else (x1 + x2, y1 + y2)
+    if m is None:
+        return (v1 * v1 + v2 * v2 - v1 - v2) // 2
     w1, w2 = _apply(m, (v1, v2))
     return (v1 * w1 + v2 * w2 - m[0][0] * v1 - m[1][1] * v2) // 2
 

@@ -37,8 +37,8 @@ chain in a set is its position's binary digits translated to link bytes,
 which its `LinkVector` keeps.  The extreme is read back by
 `IndexFunction.read`, a float one as the exact extreme correctly
 rounded.
-`cross_check` compares the byte words of the engine's and the oracle's
-sets and sorts them only to describe a mismatch.
+`cross_check` reads the sweep's byte words (`_sweep`) and each DP
+table's row n once, and sorts words only to describe a mismatch.
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ from .indices import (
     _value_json,
     check_finite,
     evaluate_direct,
+    negate,
     values_equal,
 )
 
@@ -243,6 +244,15 @@ def exhaustive(f: IndexFunction, n: int, cap: int = DEFAULT_CAP) -> OracleReport
     census itself costs about 2**(n/2).  Raise the cap explicitly if you
     really mean it.
     """
+    (max_value, argmax), (min_value, argmin), end1, end2 = [
+        (value, tuple(map(LinkVector._of, words))) for value, words in _sweep(f, n, cap)]
+    return OracleReport(n, f.name, f.mode, max_value, min_value, argmax, argmin,
+                        {1: end1[0], 2: end2[0]}, {1: end1[1], 2: end2[1]})
+
+
+def _sweep(f: IndexFunction, n: int, cap: int) -> tuple:
+    """`exhaustive`'s (value, set) pairs, each set as byte words in
+    lexicographic order: the max, the min, end 1's and end 2's max."""
     if n < 3:
         raise ValueError(f"exhaustive sweep needs n >= 3, got {n}")
     if n > cap:
@@ -267,23 +277,9 @@ def exhaustive(f: IndexFunction, n: int, cap: int = DEFAULT_CAP) -> OracleReport
         # a vector absent from an end has an empty group there; each group is
         # ascending, so the merge sorts a few sorted runs
         hits = sorted(chain.from_iterable(groups[e - 1][vid] for vid in tied[best] for e in ends))
-        chains = tuple(LinkVector._of(_word(pos, m)) for pos in hits)
-        return check_finite(f.read(best), "index value"), chains
+        return check_finite(f.read(best), "index value"), [_word(pos, m) for pos in hits]
 
-    max_value, argmax = select(max, (1, 2))
-    min_value, argmin = select(min, (1, 2))
-    per_end = {end: select(max, (end,)) for end in (1, 2)}
-    return OracleReport(
-        n=n,
-        index_name=f.name,
-        mode=f.mode,
-        max_value=max_value,
-        min_value=min_value,
-        argmax=argmax,
-        argmin=argmin,
-        per_end_max={e: value for e, (value, _) in per_end.items()},
-        per_end_argmax={e: chains for e, (_, chains) in per_end.items()},
-    )
+    return select(max, (1, 2)), select(min, (1, 2)), select(max, (1,)), select(max, (2,))
 
 
 def _tying(f: IndexFunction, values: list[int], order: list[int] | None, best: int) -> list[int]:
@@ -307,56 +303,56 @@ def cross_check(f: IndexFunction, n: int, cap: int = DEFAULT_CAP) -> tuple[bool,
     """Compare the dynamic program against the exhaustive sweep.
 
     Checks global max/min values, per-end values, argmax sets, labeled
-    counts, mirror-class counts and witness soundness.  `dp._extremal`
-    gives the values, witness and labeled count of each objective and
-    the kept `dp.run_dp` table it read them from, one of f for the max
-    and one of the negated index for the min.  The tables give the
-    argmax, per-end argmax and argmin sets through `DPTable.chains`, their
-    mirror-class counts through `DPTable.iso_count` and the per-end
-    counts through `DPTable.labeled_count`, all from one record of row n
-    a table.  Sets, and the oracle side's mirror classes, are compared as
-    byte words.  Values are
-    compared with ``==`` in both modes, since both sides are correctly
-    rounded exact sums.  Returns (ok, mismatches); mismatches are
-    descriptions, not exceptions.
+    counts, mirror-class counts and witness soundness.  Each side is read
+    once: the sweep's byte words (`_sweep`), and row n's record of
+    `dp.run_dp` of f for the max and of the negated index for the min.
+    Each end of the max table is descended once (`DPTable._words`): the
+    argmax is the union over the winning ends, the witness their first
+    word.  The min table's winning ends are descended once.  Counts come
+    from `DPTable._count`, less `_mirror_pairs` for mirror classes.  Sets
+    are compared as byte words, values with ``==`` in both modes, since
+    both sides are correctly rounded exact sums.  Returns (ok,
+    mismatches); mismatches are descriptions, not exceptions.
     """
     from . import dp  # local import keeps the sweep itself engine-free
 
-    report = exhaustive(f, n, cap)
+    (max_value, argmax), (min_value, argmin), *per_end = _sweep(f, n, cap)
     mismatches: list[str] = []
 
     def check(label: str, expected, actual, ok=None) -> None:
         if not (expected == actual if ok is None else ok):
             mismatches.append(f"{label}: oracle {expected!r} vs engine {actual!r}")
 
-    def check_set(label: str, oracle_chains, engine_chains) -> set[bytes]:
-        # byte words, sorted as tuples only to describe a mismatch
-        want, got = {c._word for c in oracle_chains}, {c._word for c in engine_chains}
+    def check_set(label, want, got):
+        want, got = set(want), set(got)
         if want != got:
             check(label, sorted(map(tuple, want)), sorted(map(tuple, got)), False)
-        return want
+        return len(want)
 
-    def check_classes(label: str, chains: tuple[LinkVector, ...], actual: int) -> None:
-        check(label, len({min(w, w[::-1]) for w in (c._word for c in chains)}), actual)
+    def classes(words):
+        return len({min(w, w[::-1]) for w in words})
 
-    res_max, max_table = dp._extremal(f, n, dp.MAX, None, False)
-    res_min, min_table = dp._extremal(f, n, dp.MIN, None, False)
-    check("max value", report.max_value, res_max.value)
-    check("min value", report.min_value, res_min.value)
-    witness_value = evaluate_direct(res_max.witness, f)
+    max_table, min_table = dp.run_dp(f, n), dp.run_dp(negate(f), n)
+    (top, ends), (low, low_ends) = max_table._row(n), min_table._row(n)
+    words = {e: list(max_table._words(n, e)) for e in (1, 2)}
+    raws = top[dp._RAWS]
+    check("max value", max_value, f.read(raws[ends[0] - 1]))
+    check("min value", min_value, f.read(-low[dp._RAWS][low_ends[0] - 1]))
+    witness_value = evaluate_direct(LinkVector._of(words[ends[0]][0]), f)
     # a witness may follow a tied edge, up to eps below the optimum
-    check("witness attains max", report.max_value, witness_value,
-          values_equal(witness_value, report.max_value, f.eps))
-    check("labeled count", len(check_set("argmax set", report.argmax, max_table.chains())),
-          res_max.labeled_count)
-    check_classes("mirror classes", report.argmax, max_table.iso_count(n))
-    check_set("argmin set", report.argmin, min_table.chains())
-    check_classes("argmin mirror classes", report.argmin, min_table.iso_count(n))
-    for end in (1, 2):
-        check(f"end-{end} max value", report.per_end_max[end], res_max.per_end[end])
-        oracle_set = check_set(f"end-{end} argmax set", report.per_end_argmax[end],
-                               max_table.chains(end=end))
-        check_classes(f"end-{end} mirror classes", report.per_end_argmax[end],
-                      max_table.iso_count(n, end))
-        check(f"end-{end} maximal count", len(oracle_set), max_table.labeled_count(n, end))
+    check("witness attains max", max_value, witness_value,
+          values_equal(witness_value, max_value, f.eps))
+    count = max_table._count(top, ends)
+    check("labeled count", check_set("argmax set", argmax, chain(*map(words.get, ends))), count)
+    check("mirror classes", classes(argmax), count - max_table._mirror_pairs(top, ends))
+    check_set("argmin set", argmin, chain(*(min_table._words(n, e) for e in low_ends)))
+    check("argmin mirror classes", classes(argmin),
+          min_table._count(low, low_ends) - min_table._mirror_pairs(low, low_ends))
+    for end, (value, want) in enumerate(per_end, 1):
+        check(f"end-{end} max value", value, f.read(raws[end - 1]))
+        size = check_set(f"end-{end} argmax set", want, words[end])
+        count = max_table._count(top, (end,))
+        check(f"end-{end} mirror classes", classes(want),
+              count - max_table._mirror_pairs(top, (end,)))
+        check(f"end-{end} maximal count", size, count)
     return (not mismatches, mismatches)

@@ -552,6 +552,30 @@ class TestIsoCount:
         for k in (3, 4, 5, 40000, 40001):
             assert t.iso_count(k) == (2 ** (k - 2) + 2 ** ((k - 1) // 2)) // 2, k
 
+    def test_identity_middle_equals_the_general_formula(self):
+        # odd rows join the halves by the identity, None, and square each v_x;
+        # even rows by a mirror map: seeded walks of up to 4 000 bits, each end set
+        def general(walk, m, ends):
+            ((x1, x2), (y1, y2)), (s1, s2) = walk, (1 in ends, 2 in ends)
+            v1, v2 = x1 * s1 + x2 * s2, y1 * s1 + y2 * s2
+            w1, w2 = m[0][0] * v1 + m[0][1] * v2, m[1][0] * v1 + m[1][1] * v2
+            return (v1 * w1 + v2 * w2 - m[0][0] * v1 - m[1][1] * v2) // 2
+
+        rng = random.Random(47)
+        middles = [dp_mod._mirror_map(c, c) for c in product(range(4), repeat=2)]
+        for bits in (1, 2, 64, 1500, 4000):
+            for _ in range(25):
+                walk = tuple(tuple(rng.getrandbits(rng.randint(1, bits)) for _ in "xy") for _ in "xy")
+                m = rng.choice(middles)
+                for ends in ((1,), (2,), (1, 2)):
+                    assert dp_mod._pairs((walk, None), ends) == general(walk, ((1, 0), (0, 1)), ends)
+                    assert dp_mod._pairs((walk, m), ends) == general(walk, m, ends)
+        t = run_dp(constant_index(), 12)
+        for k in (11, 12):
+            rec = t._row(k)[0]
+            t._mirror_pairs(rec, (1, 2))
+            assert (rec[dp_mod._WALK][1] is None) == (k % 2 == 1), k
+
     def test_counts_without_per_row_codes(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("no word may be walked")

@@ -7,7 +7,7 @@ import tracemalloc
 from fractions import Fraction
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from itertools import accumulate, product
+from itertools import accumulate, islice, product
 
 import pytest
 
@@ -26,7 +26,7 @@ from polychain.chains import (
     linear_chain,
     realize,
 )
-from polychain.dp import DPTable
+from polychain.dp import DPTable, run_dp
 from polychain.indices import (
     DEGREE_PAIRS,
     FLOAT,
@@ -207,13 +207,14 @@ class TestCrossCheck:
                 assert ok, (name, n, mismatches)
 
     def test_detects_engine_corruption(self, monkeypatch):
-        real_extremal = dp_mod._extremal
+        # the max table's row values, which its row record reads, raised by 1
+        real_read = dp_mod._read
 
-        def corrupted(f, n, objective, end, count_iso):
-            res, table = real_extremal(f, n, objective, end, count_iso)
-            return (res._replace(value=res.value + 1) if objective == dp_mod.MAX else res), table
+        def corrupted(f, phases, k):
+            (x, y), ends, codes = real_read(f, phases, k)
+            return ((x, y) if f.name.endswith("_neg") else (x + f.den, y + f.den)), ends, codes
 
-        monkeypatch.setattr(dp_mod, "_extremal", corrupted)
+        monkeypatch.setattr(dp_mod, "_read", corrupted)
         ok, mismatches = cross_check(AZI, 6)
         assert not ok
         assert any("max value" in m for m in mismatches)
@@ -234,36 +235,40 @@ class TestCrossCheck:
         assert "max value" in labels and "min value" in labels, labels
 
     def test_detects_negated_table_corruption(self, monkeypatch):
-        real_chains = DPTable.chains
+        real_words = DPTable._words
 
-        def dropping(table, k=None, end=None, dedup=False, limit=None):
-            chains = list(real_chains(table, k, end, dedup, limit))
-            return iter(chains[1:] if table.f.name.endswith("_neg") else chains)
+        def dropping(table, k, end):
+            words = real_words(table, k, end)
+            return islice(words, 1, None) if table.f.name.endswith("_neg") else words
 
-        monkeypatch.setattr(DPTable, "chains", dropping)
+        monkeypatch.setattr(DPTable, "_words", dropping)
         ok, mismatches = cross_check(AZI, 6)
         assert not ok
         assert [m.split(":")[0] for m in mismatches] == ["argmin set"]
 
     def test_detects_per_end_count_corruption(self, monkeypatch):
-        real_count = DPTable.labeled_count
+        # every count of one end alone inflated, and its mirror pairs alike so
+        # that its mirror classes stay right; AZI at 4 wins at both ends, so
+        # the labeled count reads both ends at once
+        def inflated(real):
+            def read(table, rec, ends):
+                return real(table, rec, ends) + (len(ends) == 1)
 
-        def inflated(table, k=None, end=None):
-            count = real_count(table, k, end)
-            return count + 1 if end is not None else count  # the per-end counts only
+            return read
 
-        monkeypatch.setattr(DPTable, "labeled_count", inflated)
-        ok, mismatches = cross_check(AZI, 6)
+        monkeypatch.setattr(DPTable, "_count", inflated(DPTable._count))
+        monkeypatch.setattr(DPTable, "_mirror_pairs", inflated(DPTable._mirror_pairs))
+        ok, mismatches = cross_check(AZI, 4)
         assert not ok
         assert [m.split(":")[0] for m in mismatches] == ["end-1 maximal count", "end-2 maximal count"]
 
     def test_detects_mirror_class_corruption(self, monkeypatch):
-        real_iso = DPTable.iso_count
+        real_pairs = DPTable._mirror_pairs
 
-        def inflated(table, k=None, end=None):
-            return real_iso(table, k, end) + 1
+        def deflated(table, rec, ends):  # one mirror class more
+            return real_pairs(table, rec, ends) - 1
 
-        monkeypatch.setattr(DPTable, "iso_count", inflated)
+        monkeypatch.setattr(DPTable, "_mirror_pairs", deflated)
         ok, mismatches = cross_check(AZI, 6)
         assert not ok
         assert [m.split(":")[0] for m in mismatches] == [
@@ -283,6 +288,33 @@ class TestCrossCheck:
         ok, mismatches = cross_check(AZI, 10)
         assert ok, mismatches
         assert len(calls) == 2, calls
+
+    def test_each_end_descended_once(self, monkeypatch):
+        # every end of the max table once, each winning end of the min table
+        # once, and no other reader of words or of whole results
+        descents = []
+        real_words = DPTable._words
+
+        def words(table, k, end):
+            descents.append((table.f.name, k, end))
+            return real_words(table, k, end)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("cross_check reads row n's record and words only")
+
+        monkeypatch.setattr(DPTable, "_words", words)
+        for name in ("witness", "chains"):
+            monkeypatch.setattr(DPTable, name, refuse)
+        monkeypatch.setattr(dp_mod, "_extremal", refuse)
+        const = IndexFunction("const", {p: Fraction(7, 3) for p in DEGREE_PAIRS})
+        for f in (AZI, preset("randic", -1), preset("abc"), const, WIDE_TOLERANCE):
+            for n in (3, 4, 7, 10, 11):
+                descents.clear()
+                ok, mismatches = cross_check(f, n)
+                assert ok or f is WIDE_TOLERANCE, (f.name, n, mismatches)
+                ends = run_dp(negate(f), n)._row(n)[1]
+                want = [(f.name, n, 1), (f.name, n, 2)] + [(negate(f).name, n, e) for e in ends]
+                assert descents == want, (f.name, n)
 
     def test_row_n_and_its_mirror_walk_once_per_table(self, monkeypatch):
         # each table makes one record, row n's, that every reader shares, and
