@@ -303,7 +303,7 @@ class TestCrossCheck:
             raise AssertionError("cross_check reads row n's record and words only")
 
         monkeypatch.setattr(DPTable, "_words", words)
-        for name in ("witness", "chains"):
+        for name in ("witness", "chains", "labeled_count", "iso_count"):
             monkeypatch.setattr(DPTable, name, refuse)
         monkeypatch.setattr(dp_mod, "_extremal", refuse)
         const = IndexFunction("const", {p: Fraction(7, 3) for p in DEGREE_PAIRS})
