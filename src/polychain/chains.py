@@ -310,14 +310,13 @@ def _automaton() -> tuple[tuple[tuple, ...], tuple[int, ...], tuple[tuple[tuple,
     state 0 is the two-square chain's, of edges per degree pair `start`, and
     link e takes s to ``steps[s][e - 1]``: the child's state and change."""
     start, frontier = _graph(b"")
-    states, words, steps = {frontier: 0}, [b""], []
-    for word in words:  # a word is appended when it meets a new frontier
-        counts = _graph(word)[0]
+    states, words, steps = {frontier: 0}, [(b"", start)], []
+    for word, counts in words:  # a word and its counts are appended at a new frontier
         step = []
         for child in (word + b"\1", word + b"\2"):
             after, frontier = _graph(child)
             if states.setdefault(frontier, len(words)) == len(words):
-                words.append(child)
+                words.append((child, after))
             step.append((states[frontier], tuple(map(sub, after, counts))))
         steps.append(tuple(step))
     return tuple(states), start, tuple(steps)

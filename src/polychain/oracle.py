@@ -14,25 +14,25 @@ a link fix the child's state and change of vector.  The census expands
 the 2**a prefixes of a = (n - 2) // 2 links over the table a level at a
 time, and the b = n - 2 - a links below each state they reach once, a
 part, which every prefix in that state replays with its counts and
-position: about 2**(n/2) table steps, and one pass over prefixes times
-part entries that numbers the distinct vectors (98 at n = 14, 135 at
-n = 16).  A part keeps its positions in one array, cut by count change
-and last link.  A group, the ascending lexicographic positions of the
-chains of one vector and last link (2 bytes a chain, 4 past n = 18), is
-built when first read, at one dict lookup a prefix plus its chains, and
+position: about 2**(n/2) table steps, and one pass over the distinct
+(state, counts) nodes of the prefixes (112 for 2048 prefixes at n = 24)
+times part entries that numbers the distinct vectors (98 at n = 14, 135
+at n = 16).  A part keeps its positions in one array, cut by count
+change and last link.  A group, the ascending lexicographic positions of
+the chains of one vector and last link (2 bytes a chain, 4 past n = 18),
+is built when first read, at one dict lookup a node plus its chains, and
 kept; once every group is built, the prefixes are let go.  The census
 is built on first use and cached per n, so every index and every sweep
 at that n shares it, and the parts, a pure function of b and the
-packing width cached for the last pair (`_parts`), serve the next
-census with the same b.  A sweep then values each distinct vector once,
-as an int: its dot product with the index's scaled entries
-(`IndexFunction.scaled`, exact in both modes).
+packing width, are cached per pair (`_parts`).  A sweep then values each
+distinct vector once, as an int: its dot product with the index's scaled
+entries (`IndexFunction.scaled`, exact in both modes).
 Per result set, builtin max/min pick the extreme over the vectors
 present, the values that tie it are scanned for, equal ones in a
 rational table, else the ones an exact bound leaves in a window of the
 values sorted once (`_tying`), and the tying groups merge into the set in
 lexicographic order: after the census a sweep costs O(distinct vectors)
-plus its output, and a lookup a prefix for each group it reads first.  A
+plus its output, and a lookup a node for each group it reads first.  A
 chain in a set is its position's binary digits translated to link bytes,
 which its `LinkVector` keeps.  The extreme is read back by
 `IndexFunction.read`, a float one as the exact extreme correctly
@@ -46,7 +46,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from functools import cache, lru_cache
+from functools import cache
 from itertools import accumulate, chain, count
 from operator import add
 from typing import NamedTuple
@@ -83,9 +83,10 @@ def census(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple["_Groups", "_Grou
     some chain with last link e has.  The prefixes of a = (n - 2) // 2
     links are expanded over the corner graph's table, the b = n - 2 - a
     links below them by `_part` once per state, and every prefix adds its
-    packed counts and ``prefix << b`` to the part of its state.  A part
-    depends on its state, b and the packing width alone, so `_parts`
-    keeps those of the last b and width asked for.
+    packed counts and ``prefix << b`` to the part of its state, each
+    distinct (state, counts) node once for the vectors.  A part depends
+    on its state, b and the packing width alone, so `_parts` keeps them
+    per b and width.
     The result is cached and shared by every caller.
     """
     if n < 2:
@@ -95,26 +96,30 @@ def census(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple["_Groups", "_Grou
     a = (n - 2) // 2
     b = n - 2 - a
     states, counts_at = _expand(table, [0], [table[0]], a)  # per prefix, in lexicographic order
-    part_at = list(map(_parts(width, b).__getitem__, states))  # per prefix, the part of its state
-    # ids in the order the chains first meet their vectors: prefix by prefix,
-    # each part's changes in the order its own chains first meet them
+    parts, index = _parts(width, b), {}
+    # per prefix, its (state, counts) node, numbered in the order the prefixes meet them
+    node_at = [index.setdefault(node, len(index)) for node in zip(states, counts_at)]
+    nodes = [(counts, parts[state]) for state, counts in index]
+    # ids in the order the chains first meet their vectors: node by node (a
+    # repeated node meets none first), each part's changes in the order its
+    # own chains first meet them
     packed = list(dict.fromkeys(chain.from_iterable(
-        map(counts.__add__, part[0]) for counts, part in zip(counts_at, part_at))))
+        map(counts.__add__, part[0]) for counts, part in nodes)))
     ids = {counts: vid for vid, counts in enumerate(packed)}
     present = [sorted(map(ids.__getitem__, set(chain.from_iterable(
-        map(counts.__add__, part[3][end]) for counts, part in zip(counts_at, part_at)))))
+        map(counts.__add__, part[3][end]) for counts, part in nodes))))
         for end in (0, 1)]
     code = "H" if n <= 18 else "I"  # the narrowest type for positions below 2**(n - 2)
-    prefixes = (1 << b, counts_at, part_at)
+    prefixes = (1 << b, node_at, nodes)
     groups = tuple(_Groups(code, end, packed, prefixes, present[end]) for end in (0, 1))
     return tuple(_unpack(counts, width) for counts in packed), groups
 
 
-@lru_cache(maxsize=1)
+@cache
 def _parts(width: int, b: int) -> tuple[tuple, ...]:
     """Per state, its `_part` of b links with counts packed `width` bits
-    a pair, for the last (width, b) asked for: census(2k + 1) and
-    census(2k + 2) share them, as 6k + 4 and 6k + 7 have one bit length."""
+    a pair, kept per (width, b): census(2k + 1) and census(2k + 2) share
+    them, as 6k + 4 and 6k + 7 have one bit length."""
     table = _table(width)
     states = len(table[1][0])  # link 1's next states, one a state
     return tuple(_part(table, state, b) for state in range(states))
@@ -122,11 +127,11 @@ def _parts(width: int, b: int) -> tuple[tuple, ...]:
 
 class _Groups:
     """One last link's chain groups, indexed by vector id, each built
-    from the prefixes on its first read and then kept: per prefix, one
-    lookup of the vector's counts less the prefix's in its part, and
-    the positions found, shifted by the prefix.  The vectors no chain
-    with that last link has share one empty view.  Once every present
-    group is built, the prefixes are let go."""
+    from the prefixes on its first read and then kept: per node, one
+    lookup of the vector's counts less the node's in its part, and per
+    prefix the positions found at its node, shifted by the prefix.  The
+    vectors no chain with that last link has share one empty view.  Once
+    every present group is built, the prefixes are let go."""
 
     __slots__ = ("_views", "_unread", "_end", "_code", "_packed", "_prefixes", "present")
 
@@ -146,13 +151,14 @@ class _Groups:
         if view is None:
             group = array(self._code)
             target, end = self._packed[vid], self._end
-            step, counts_at, part_at = self._prefixes
-            for base, counts, (slots, positions, bounds, _) in zip(
-                    range(0, step * len(counts_at), step), counts_at, part_at):
+            step, node_at, nodes = self._prefixes
+            runs = []  # per node, the positions below it with that vector and end
+            for counts, (slots, positions, bounds, _) in nodes:
                 k = slots.get(target - counts)
-                if k is not None:
-                    k += end
-                    group.extend(map(base.__or__, positions[bounds[k]:bounds[k + 1]]))
+                runs.append(None if k is None else positions[bounds[k + end]:bounds[k + end + 1]])
+            for base, run in zip(range(0, step * len(node_at), step), map(runs.__getitem__, node_at)):
+                if run:
+                    group.extend(map(base.__or__, run))
             view = self._views[vid] = memoryview(group).toreadonly()
             self._unread -= 1
             if not self._unread:
@@ -250,9 +256,13 @@ def exhaustive(f: IndexFunction, n: int, cap: int = DEFAULT_CAP) -> OracleReport
                         {1: end1[0], 2: end2[0]}, {1: end1[1], 2: end2[1]})
 
 
-def _sweep(f: IndexFunction, n: int, cap: int) -> tuple:
-    """`exhaustive`'s (value, set) pairs, each set as byte words in
-    lexicographic order: the max, the min, end 1's and end 2's max."""
+_EVERY = ((max, (1, 2)), (min, (1, 2)), (max, (1,)), (max, (2,)))
+
+
+def _sweep(f: IndexFunction, n: int, cap: int, picks: tuple = _EVERY) -> list:
+    """The (value, set) pair of each (max or min, last links) in `picks`,
+    each set as byte words in lexicographic order; by default
+    `exhaustive`'s: the max, the min, end 1's and end 2's max."""
     if n < 3:
         raise ValueError(f"exhaustive sweep needs n >= 3, got {n}")
     if n > cap:
@@ -279,7 +289,7 @@ def _sweep(f: IndexFunction, n: int, cap: int) -> tuple:
         hits = sorted(chain.from_iterable(groups[e - 1][vid] for vid in tied[best] for e in ends))
         return check_finite(f.read(best), "index value"), [_word(pos, m) for pos in hits]
 
-    return select(max, (1, 2)), select(min, (1, 2)), select(max, (1,)), select(max, (2,))
+    return [select(pick, ends) for pick, ends in picks]
 
 
 def _tying(f: IndexFunction, values: list[int], order: list[int] | None, best: int) -> list[int]:

@@ -186,9 +186,12 @@ def _wrap(monkeypatch, owner, name, wrapper):
     monkeypatch.setattr(owner, name, lambda *a, **kw: wrapper(real, *a, **kw))
 
 
-def _patch_oracle(monkeypatch, field, edit):
-    _wrap(monkeypatch, oracle_mod, "exhaustive", lambda real, f, n: (
-        lambda rep: rep._replace(**{field: edit(getattr(rep, field), n)}))(real(f, n)))
+def _patch_oracle(monkeypatch, extreme, edit):
+    # the verify sweeps read one extreme over both ends of the oracle's
+    # sweep, as (value, byte words): edit(n, value, words) replaces that pair
+    _wrap(monkeypatch, oracle_mod, "_sweep", lambda real, f, n, cap, picks: [
+        edit(n, *found) if pick == (extreme, (1, 2)) else found
+        for pick, found in zip(picks, real(f, n, cap, picks))])
 
 
 # one sabotage per claim, each breaking it at one n, with the report row
@@ -233,12 +236,13 @@ SABOTAGES = [
          "14640343/54000", "14694343/54000"),
         id="family-member"),
     pytest.param(
-        lambda mp: _patch_oracle(mp, "max_value", lambda v, n: v - (n == 6)),
+        lambda mp: _patch_oracle(mp, max, lambda n, v, words: (v - (n == 6), words)),
         "azi-maximum", 12,
         (57, 6, "oracle maximum equals closed form", "10790359/54000", "10736359/54000"),
         id="oracle-maximum"),
     pytest.param(
-        lambda mp: _patch_oracle(mp, "argmax", lambda s, n: s + (linear_chain(n),) * (n == 7)),
+        lambda mp: _patch_oracle(mp, max, lambda n, v, words: (
+            v, words + [bytes(linear_chain(n).links)] * (n == 7))),
         "azi-maximum", 12,
         (60, 7, "oracle argmax equals expected family",
          "['1,2,1,2,1']", "['1,1,1,1,1', '1,2,1,2,1']"),
@@ -267,7 +271,8 @@ SABOTAGES = [
         (16, 9, "unique minimizer", "1", "2"),
         id="unique-minimizer"),
     pytest.param(
-        lambda mp: _patch_oracle(mp, "argmin", lambda s, n: s + (zigzag_chain(n),) * (n == 10)),
+        lambda mp: _patch_oracle(mp, min, lambda n, v, words: (
+            v, words + [bytes(zigzag_chain(n).links)] * (n == 10))),
         "azi-minimum", 12,
         (30, 10, "oracle argmin set",
          "['1,1,1,1,1,1,1,1']", "['1,1,1,1,1,1,1,1', '2,2,2,2,2,2,2,2']"),

@@ -590,14 +590,15 @@ class TestVerify:
         assert doc["witness"] == [1, 1]
 
     def test_cap_bounds_azi_sweeps(self, capsys, monkeypatch):
-        real_exhaustive = oracle_mod.exhaustive
+        real_sweep = oracle_mod._sweep
         swept = []
 
-        def recording(f, n, *args, **kwargs):
-            swept.append(n)
-            return real_exhaustive(f, n, *args, **kwargs)
+        def recording(f, n, cap, *picks):
+            if picks:  # an AZI sweep, which picks the one extreme it checks
+                swept.append(n)
+            return real_sweep(f, n, cap, *picks)
 
-        monkeypatch.setattr(oracle_mod, "exhaustive", recording)
+        monkeypatch.setattr(oracle_mod, "_sweep", recording)
         code, out, err = run_cli(capsys, "verify", "--index", "azi", "--n-max", "12",
                                  "--cap", "10")
         assert code == 0, err

@@ -1,5 +1,6 @@
 """Exhaustive oracle: anchors, caps, and engine cross-checks."""
 
+import hashlib
 import math
 import random
 import time
@@ -16,6 +17,7 @@ import polychain.chains as chains_mod
 import polychain.cli as cli_mod
 import polychain.dp as dp_mod
 import polychain.indices as indices_mod
+import polychain.oracle as oracle_mod
 from polychain.chains import (
     _automaton,
     _counts_width,
@@ -40,7 +42,7 @@ from polychain.indices import (
     negate,
     preset,
 )
-from polychain.oracle import _tying, census, cross_check, exhaustive
+from polychain.oracle import _parts, _tying, census, cross_check, exhaustive
 from reference_graph import (
     _cached_multiset,
     _cached_pair_counts,
@@ -512,6 +514,55 @@ class TestCensus:
         # counts and part of each prefix, far below its groups' 2**22 bytes
         assert census_peak(22) <= 2 ** 20
 
+    # sha256 prefixes of each census's vectors and present ids, and through
+    # n = 20 of every group's positions: how the census is built may change,
+    # what it holds may not
+    DIGESTS = {
+        2: "59feaeb534be5500", 3: "2875961cdbb6ac98", 4: "bafc2a015b5910a0",
+        5: "7da78ad39b361c48", 6: "947977da1d9286a3", 7: "1e1a8285e2bb27cd",
+        8: "96a7417c827c0156", 9: "553e241bf01ab64f", 10: "89e12c3754f07542",
+        11: "f2ca990f43dc1d3e", 12: "f65d443e9cd4c15e", 13: "62925cf6a33c4a69",
+        14: "56f9bc9334312509", 15: "b1d3379f1a9630b6", 16: "08628a00f03072b1",
+        17: "ea54e0abd09c4457", 18: "5a531142db566654", 19: "b5c930039fd9837d",
+        20: "2202f0256b064103", 22: "35c2103420898ad3", 24: "24023e8f74730fa2",
+    }
+
+    @pytest.mark.parametrize("n", sorted(DIGESTS))
+    def test_digest(self, n):
+        vectors, groups = census(n)
+        try:
+            digest = hashlib.sha256(repr((vectors, [column.present for column in groups])).encode())
+            if n <= 20:
+                for column in groups:
+                    for vid in range(len(column)):
+                        digest.update(repr(column[vid].tolist()).encode())
+            assert digest.hexdigest()[:16] == self.DIGESTS[n]
+        finally:
+            if n > 18:
+                census.cache_clear()  # not kept for the tests after this one
+
+    def test_parts_built_once_per_width_and_b(self, monkeypatch):
+        # the census meets n in any order, as a sweep over seeded requests
+        # does; each (width, b) builds its state's parts once
+        order = [13, 11, 10, 12, *range(5, 10), 14, 3, 4]
+        built = []
+        real = oracle_mod._part
+        monkeypatch.setattr(oracle_mod, "_part", lambda table, state, links: (
+            built.append((table, state, links)) or real(table, state, links)))
+        census.cache_clear()
+        _parts.cache_clear()
+        try:
+            for n in order:
+                census(n)
+        finally:
+            census.cache_clear()
+            _parts.cache_clear()
+        pairs = {(_counts_width(n), n - 2 - (n - 2) // 2) for n in order}
+        assert len(pairs) == 6
+        assert len(built) == len(set(built)) == 5 * len(pairs)
+        assert {(table, links) for table, _, links in built} == {
+            (_table(width), b) for width, b in pairs}
+
     def test_prefixes_are_let_go_once_every_group_is_built(self):
         census.cache_clear()  # a census an earlier test read has let its prefixes go
         _, groups = census(12)
@@ -607,6 +658,20 @@ class TestCensus:
         for state in entered:
             (j,) = entered[state]
             assert [change for _, change in steps[state]] == [g[j, 1], g[j, 2]], state
+
+    def test_automaton_reads_each_graph_once(self, monkeypatch):
+        # the start and each of the 5 states' 2 children: a child's counts
+        # serve as its own when it becomes a state
+        real, graphs = _automaton(), []
+        monkeypatch.setattr(chains_mod, "_graph", lambda word: (
+            graphs.append(word) or _graph(word)))
+        _automaton.cache_clear()
+        try:
+            assert _automaton() == real
+        finally:
+            monkeypatch.undo()
+            _automaton.cache_clear()
+        assert len(graphs) == len(set(graphs)) == 11
 
     def test_a_graph_missing_a_side_changes_the_table_and_the_values(self, monkeypatch):
         # a mutant graph, each square without its east side: the table read
