@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 ORACLE_N_MAX = 16  # default reach of the exhaustive sweeps in the verify functions
+STRUCTURE_N_MAX = 200  # reach of the maximizer set and count checks: enumeration is output-sensitive
 
 
 @cache
@@ -175,38 +176,33 @@ def _minimizer(n: int) -> LinkVector:
     return zigzag_chain(n) if n <= 5 else linear_chain(n)
 
 
-def verify_azi_maximum(
-    n_max: int,
-    structure_n_max: int | None = None,
-    oracle_n_max: int | None = None,
-) -> VerificationReport:
+def verify_azi_maximum(n_max: int, oracle_n_max: int | None = None) -> VerificationReport:
     """Check the AZI maximum claims for every 5 <= n <= n_max.
 
     Values are checked against the closed form for the whole range; the
     enumerated maximizer sets, and the counts and value of
-    `azi_extremal_report`, up to `structure_n_max` (default
-    min(n_max, 200), since enumeration is output-sensitive); and
+    `azi_extremal_report`, up to min(n_max, `STRUCTURE_N_MAX`); and
     everything against the exhaustive oracle up to `oracle_n_max`
     (default min(n_max, 16)).  The sweep stops at its first failing
     claim; `checks_run` counts the claims up to and including it.
     """
     if n_max < 5:
         raise ValueError(f"closed form stated for n >= 5, got n_max={n_max}")
-    structure_n_max = min(n_max, 200) if structure_n_max is None else min(structure_n_max, n_max)
+    structure_hi = min(n_max, STRUCTURE_N_MAX)
     oracle_n_max = min(n_max, ORACLE_N_MAX) if oracle_n_max is None else min(oracle_n_max, n_max)
     f = _azi()
     table = run_dp(f, n_max)
 
     def claims():
         # each n's closed form once: the reports of the n the later loops read, kept
-        reports = [azi_extremal_report(n) for n in range(5, max(structure_n_max, oracle_n_max) + 1)]
+        reports = [azi_extremal_report(n) for n in range(5, max(structure_hi, oracle_n_max) + 1)]
         for n in range(5, n_max + 1):
             closed = reports[n - 5].closed_value if n - 5 < len(reports) else azi_max_closed_form(n)
             yield _equals(n, "maximum equals closed form", closed, table.best_value(n))
             v1, v2 = table.value(n, 1), table.value(n, 2)
             yield (n, "end-link-1 value strictly dominant", v1 > v2,
                    lambda: (f"{v2} < value(n,1)", v1))
-        for n in range(5, structure_n_max + 1):
+        for n in range(5, structure_hi + 1):
             want = reports[n - 5]  # its counts are those CLI `table` prints
             family = azi_extremal_chains(n)
             yield _same_chains(n, "maximizer set equals expected family", family, table.chains(n))

@@ -584,11 +584,7 @@ def _build(f: IndexFunction, n: int) -> tuple:
                     jumped += top - k
                     steady, k = 0, top  # row top + 1 decides otherwise
                     if top < n:  # rows top - 4 .. top, to step on from
-                        hist = []
-                        for r in range(top - 4, top + 1):
-                            row, y, dy, decided = phases[r % 2]
-                            b = (r - row) // 2
-                            hist.append(((y[0] + b * dy[0], y[1] + b * dy[1]), decided))
+                        hist = [_read(f, phases, r)[::2] for r in range(top - 4, top + 1)]
                         x = hist[-1][0]
         if phases is None:
             x, decided = step(x)

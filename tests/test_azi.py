@@ -126,7 +126,7 @@ class TestVerifySweeps:
         assert report.to_json()["status"] == "success"
 
     def test_maximum_large_value_only(self):
-        report = verify_azi_maximum(400, structure_n_max=30, oracle_n_max=8)
+        report = verify_azi_maximum(400, oracle_n_max=8)
         assert report.ok
 
     def test_maximum_needs_five(self):
@@ -161,7 +161,7 @@ class TestVerifySweeps:
         monkeypatch.setattr(
             azi_mod, "azi_max_closed_form", lambda n: Fraction(1)
         )
-        report = verify_azi_maximum(6, structure_n_max=0, oracle_n_max=0)
+        report = verify_azi_maximum(6, oracle_n_max=0)
         assert not report.ok
         assert report.to_json()["status"] == "failure"
         row = report.failure

@@ -190,20 +190,6 @@ def brute_force_max(f, n):
     return max(evaluate_direct(links, f) for links in product((1, 2), repeat=n - 2))
 
 
-def all_readers(t, k):
-    """Every reader of table t at row k, for each end where it takes one;
-    the chains capped at 12 a query."""
-    ends = (None, 1, 2)
-    return (
-        [(t.value(k, e), t.predecessors(k, e)) for e in (1, 2)],
-        t.best_value(k),
-        [t.labeled_count(k, e) for e in ends],
-        [t.iso_count(k, e) for e in ends],
-        [t.witness(k, e) for e in ends],
-        [list(t.chains(k, e, dedup, limit=12)) for e in ends for dedup in (False, True)],
-    )
-
-
 class TestRunDP:
     def test_needs_three_squares(self):
         with pytest.raises(ValueError, match="n >= 3"):
@@ -214,9 +200,8 @@ class TestRunDP:
         f = IndexFunction("huge", {p: 1e306 for p in DEGREE_PAIRS}, mode=FLOAT)
         assert values_equal(run_dp(f, 50).best_value(), 151e306)
         for table in (f, negate(f)):
-            for keep in (True, False):
-                with pytest.raises(ValueError, match="float overflow: the optimum at n = 100"):
-                    run_dp(table, 100, keep_table=keep)
+            with pytest.raises(ValueError, match="float overflow: the optimum at n = 100"):
+                run_dp(table, 100)
 
     def test_four_square_anchor(self):
         # independently: the four 4-square chains, scored edge-by-edge
@@ -271,15 +256,6 @@ class TestRunDP:
         with pytest.raises(ValueError, match="end link"):
             t.value(5, 3)
 
-    def test_streaming_matches_table(self):
-        for f in (AZI, preset("abc")):
-            full = run_dp(f, 40)
-            slim = run_dp(f, 40, keep_table=False)
-            for i in (1, 2):
-                assert values_equal(slim.value(40, i), full.value(40, i), f.eps)
-                assert slim.labeled_count(40, i) == full.labeled_count(40, i)
-                assert slim.predecessors(40, i) == full.predecessors(40, i)
-
     def test_matches_reference_tie_rule(self):
         n = 500
         for f in RULE_CORPUS:
@@ -315,19 +291,6 @@ class TestRunDP:
                     for i in (1, 2):
                         assert approx.predecessors(k, i) == exact.predecessors(k, i), (g.name, k)
                         assert approx.labeled_count(k, i) == exact.labeled_count(k, i), (g.name, k)
-
-    def test_keep_table_false_reads_every_row(self):
-        # keep_table is ignored: the table equals a kept one on every reader
-        tables = {}
-        for f in (*chain_corpus(), *(preset(name) for name in PRESET_NAMES),
-                  preset("randic", -1)):
-            for g in (f, negate(f)):
-                tables.setdefault((g.mode, g.eps, *g.values.items()), g)
-        for g in tables.values():
-            for n in (10, 60):
-                slim, kept = run_dp(g, n, keep_table=False), run_dp(g, n)
-                for k in range(3, n + 1):
-                    assert all_readers(slim, k) == all_readers(kept, k), (g.name, n, k)
 
     def test_prefix_states_independent_of_horizon(self):
         # the table built to 14 answers every query the table built to 9 does;
@@ -592,14 +555,6 @@ class TestIsoCount:
             assert (t.labeled_count(), t.iso_count()) == (labeled, (labeled + palindromes) // 2), m
         assert run_dp(constant_index(), n).iso_count() == (2 ** (n - 2) + 2 ** ((n - 1) // 2)) // 2
 
-    def test_keep_table_false_counts_mirror_classes(self):
-        for f in (AZI, negate(AZI), constant_index(), preset("randic", -1)):
-            for n in (12, 10**4 + 1):
-                slim, kept = run_dp(f, n, keep_table=False), run_dp(f, n)
-                for k in (3, 4, n // 2, n - 1, n):
-                    for end in (None, 1, 2):
-                        assert slim.iso_count(k, end) == kept.iso_count(k, end), (f.name, n, k)
-
     def test_validates_arguments(self):
         t = run_dp(AZI, 12)
         with pytest.raises(ValueError, match="end link"):
@@ -843,12 +798,11 @@ class TestTableWithoutCounts:
         monkeypatch.setattr(dp_mod, "_carry", counted)
         const = IndexFunction("const", {p: Fraction(7, 3) for p in DEGREE_PAIRS})
         for f in (*self.indices(), const):
-            for keep in (True, False):
-                t = run_dp(f, 5000, keep_table=keep)
-                assert calls[0] == 0, (f.name, keep)
-                t.labeled_count()  # a count read carries from the first tie row on
-                assert (calls[0] > 0) == (first_tie_row(t) <= 5000), (f.name, keep)
-                calls[0] = 0
+            t = run_dp(f, 5000)
+            assert calls[0] == 0, f.name
+            t.labeled_count()  # a count read carries from the first tie row on
+            assert (calls[0] > 0) == (first_tie_row(t) <= 5000), f.name
+            calls[0] = 0
 
     def test_first_count_carries_from_row_3(self, monkeypatch):
         # one carry per segment from the first tie row through k's, none for
@@ -1324,10 +1278,9 @@ class TestPeriodicTail:
 
     def test_drift_run_is_jumped(self):
         # d climbs by 1/10**4 a row for about 1000 rows: one jumped run
-        for keep in (True, False):
-            table = run_dp(late_repeat_index(), 10**6, keep_table=keep)
-            assert table.steps < 50, keep
-            assert table.period == (1004, 1)
+        table = run_dp(late_repeat_index(), 10**6)
+        assert table.steps < 50
+        assert table.period == (1004, 1)
 
     def test_witness_inside_the_table(self):
         for g in (AZI, negate(AZI), late_repeat_index(), *seeded_small_tables(49, 6)):
@@ -1530,9 +1483,8 @@ class TestFloatRuns:
         f = IndexFunction("big", {p: 1.7e304 for p in DEGREE_PAIRS}, mode=FLOAT)
         for g in (f, negate(f)):
             assert_float_run_matches(g, 3500)
-            for keep in (True, False):
-                with pytest.raises(ValueError, match="float overflow: the optimum at n = 3600"):
-                    run_dp(g, 3600, keep_table=keep)
+            with pytest.raises(ValueError, match="float overflow: the optimum at n = 3600"):
+                run_dp(g, 3600)
 
     def test_memory_is_linear(self):
         # a table is its segments, a few stepped rows and runs, whatever n is

@@ -563,18 +563,6 @@ class TestCensus:
         assert {(table, links) for table, _, links in built} == {
             (_table(width), b) for width, b in pairs}
 
-    def test_prefixes_are_let_go_once_every_group_is_built(self):
-        census.cache_clear()  # a census an earlier test read has let its prefixes go
-        _, groups = census(12)
-        try:
-            for column in groups:
-                for vid in column.present:
-                    assert column._prefixes is not None
-                    column[vid]
-                assert column._prefixes is None
-        finally:
-            census.cache_clear()
-
     @pytest.mark.parametrize("n", range(2, 17))
     def test_each_prefix_replays_the_part_of_its_frontier(self, n):
         # the census replays one part per state of the corner graph's table
